@@ -1,12 +1,11 @@
-//! Microbenchmarks for events-frame decoding: the JSON line path (wire
-//! v2–v5) against the v6 binary path, on a realistic 256-event batch
-//! drawn from a generated workload.
+//! Microbenchmark for events-frame decoding: the binary frame path on a
+//! realistic 256-event batch drawn from a generated workload.
 //!
 //! The daemon decodes every inbound frame on the connection reader
 //! thread, so this is the per-byte cost that bounds ingest throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use seer_trace::wire::{self, ClientFrame};
+use seer_trace::wire;
 use seer_trace::TraceEvent;
 use seer_workload::{generate, MachineProfile};
 
@@ -19,30 +18,6 @@ fn sample_events() -> Vec<TraceEvent> {
     };
     let workload = generate(&profile, 17);
     workload.trace.events[..BATCH.min(workload.trace.len())].to_vec()
-}
-
-fn bench_decode_json(c: &mut Criterion) {
-    let events = sample_events();
-    let mut line = Vec::new();
-    wire::write_frame(
-        &mut line,
-        &ClientFrame::Events {
-            events,
-            trace_id: Some(7),
-        },
-    )
-    .expect("encode");
-    let mut g = c.benchmark_group("frame_decode");
-    g.throughput(Throughput::Elements(BATCH as u64));
-    g.bench_function("json", |b| {
-        b.iter(|| {
-            let text =
-                std::str::from_utf8(std::hint::black_box(&line[..line.len() - 1])).expect("utf8");
-            let frame: ClientFrame = serde_json::from_str(text).expect("decode");
-            std::hint::black_box(frame);
-        });
-    });
-    g.finish();
 }
 
 fn bench_decode_binary(c: &mut Criterion) {
@@ -61,5 +36,5 @@ fn bench_decode_binary(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_decode_json, bench_decode_binary);
+criterion_group!(benches, bench_decode_binary);
 criterion_main!(benches);

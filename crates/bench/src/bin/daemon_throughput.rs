@@ -2,10 +2,9 @@
 //!
 //! Streams a machine-F workload through the full socket pipeline at
 //! frame sizes 1, 64, and 1024 events and reports events/second — the
-//! daemon-era version of §5.3's per-event overhead measurement. Larger
-//! frames amortize JSON framing and wakeups, and the batcher coalesces
-//! small frames before the engine sees them, so even the frame-size-1
-//! column reaches the engine in batches.
+//! daemon-era version of §5.3's per-event overhead measurement. Each
+//! frame is one engine batch, so larger frames amortize framing,
+//! wakeups, and per-batch engine work.
 //!
 //! The final experiment scales out: all nine paper machines (A–I) stream
 //! concurrently as separate tenants, eight replica clients each over a

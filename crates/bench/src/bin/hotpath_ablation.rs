@@ -9,7 +9,7 @@
 //!
 //! then the two off-CPU-path layers the hot-path overhaul touched:
 //!
-//! 4. wire decode — JSON line (v2–v5) against the v6 binary frame,
+//! 4. wire decode — one binary events frame,
 //! 5. recluster — full shared-neighbor recount against incremental
 //!    maintenance from the dirty-row delta.
 //!
@@ -22,7 +22,7 @@
 use seer_core::{PairCountCache, SeerEngine};
 use seer_distance::{DistanceConfig, DistanceEngine};
 use seer_observer::{Observer, ObserverConfig, Reference, ReferenceSink};
-use seer_trace::wire::{self, ClientFrame};
+use seer_trace::wire;
 use seer_trace::{EventSink, PathTable};
 use seer_workload::{generate, MachineProfile, Workload};
 use std::time::Instant;
@@ -125,32 +125,14 @@ fn main() {
         replay_min(&workload, SeerEngine::default),
     );
 
-    // Wire decode: one 256-event frame, JSON line against v6 binary.
+    // Wire decode: one 256-event binary frame.
     {
         let batch: Vec<_> = workload.trace.events[..256.min(n)].to_vec();
-        let mut line = Vec::new();
-        wire::write_frame(
-            &mut line,
-            &ClientFrame::Events {
-                events: batch.clone(),
-                trace_id: Some(7),
-            },
-        )
-        .expect("encode json");
         let bin = wire::encode_events_binary(&batch, Some(7));
         let payload = &bin[5..];
         let reps = 2000;
-        let mut json_us = f64::INFINITY;
         let mut bin_us = f64::INFINITY;
         for _ in 0..PASSES {
-            let t = Instant::now();
-            for _ in 0..reps {
-                let text = std::str::from_utf8(std::hint::black_box(&line[..line.len() - 1]))
-                    .expect("utf8");
-                let frame: ClientFrame = serde_json::from_str(text).expect("decode");
-                std::hint::black_box(frame);
-            }
-            json_us = json_us.min(t.elapsed().as_secs_f64() * 1e6 / (reps * batch.len()) as f64);
             let t = Instant::now();
             for _ in 0..reps {
                 let decoded =
@@ -160,9 +142,7 @@ fn main() {
             bin_us = bin_us.min(t.elapsed().as_secs_f64() * 1e6 / (reps * batch.len()) as f64);
         }
         println!();
-        report("wire decode, JSON line (v2-v5)", json_us);
-        report("wire decode, binary frame (v6)", bin_us);
-        println!("  binary is {:.0}x faster per event", json_us / bin_us);
+        report("wire decode, binary frame", bin_us);
     }
 
     // Recluster: full shared-neighbor recount against incremental

@@ -33,7 +33,7 @@ USAGE:
   seer live --machine <A..I> [--days N] [--seed N] [--budget BYTES]
             [--refill-hours H]
   seer daemon --socket PATH [--tcp ADDR] [--shards N]
-              [--snapshot FILE] [--capacity N] [--batch-max N]
+              [--snapshot FILE] [--capacity N]
               [--recluster-every N] [--snapshot-every N] [--file-size BYTES]
               [--recluster-threads N] [--trace-capacity N] [--slow-span-ms MS]
               [--flight FILE] [--wal-dir DIR] [--fsync always|never|interval:<ms>]

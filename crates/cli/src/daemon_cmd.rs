@@ -30,14 +30,12 @@ pub fn cmd_daemon(args: &Args) -> Result<(), CliError> {
         cfg.snapshot_path = Some(p.into());
     }
     cfg.channel_capacity = args.num_flag("capacity", cfg.channel_capacity)?;
-    cfg.batch_max = args.num_flag("batch-max", cfg.batch_max)?;
     // For both periodic knobs 0 means "never": no periodic reclustering
     // (queries still compute one on demand) and no periodic snapshots
     // (the final shutdown snapshot is still written).
     cfg.recluster_every = args.num_flag("recluster-every", cfg.recluster_every)?;
     cfg.snapshot_every = args.num_flag("snapshot-every", cfg.snapshot_every)?;
     cfg.file_size = args.num_flag("file-size", cfg.file_size)?;
-    cfg.batch_max_wait = Duration::from_millis(args.num_flag("batch-wait-ms", 20u64)?);
     cfg.recluster_threads = args.num_flag("recluster-threads", cfg.recluster_threads)?;
     if cfg.recluster_threads == 0 {
         return Err(CliError(
@@ -174,9 +172,13 @@ pub fn cmd_client(args: &Args) -> Result<(), CliError> {
     }
 }
 
+/// Default events per frame for `client send|load`. The daemon applies
+/// each frame as one engine batch.
+const DEFAULT_CHUNK: usize = 256;
+
 fn client_send(args: &Args) -> Result<(), CliError> {
     let trace = crate::commands::load_trace(args.require_positional(2, "trace file")?)?;
-    let chunk: usize = args.num_flag("chunk", 64)?;
+    let chunk: usize = args.num_flag("chunk", DEFAULT_CHUNK)?;
     let mut client = connect_from_args(args, "seer-cli send")?;
     client.send_trace(&trace, chunk)?;
     let applied = client.flush()?;
@@ -196,7 +198,7 @@ fn client_load(args: &Args) -> Result<(), CliError> {
     let days: u32 = args.num_flag("days", profile.days)?;
     profile = profile.scaled_to_days(days);
     let seed: u64 = args.num_flag("seed", 1)?;
-    let chunk: usize = args.num_flag("chunk", 64)?;
+    let chunk: usize = args.num_flag("chunk", DEFAULT_CHUNK)?;
     let workload = generate(&profile, seed);
 
     let mut client = connect_from_args(args, "seer-cli load")?;

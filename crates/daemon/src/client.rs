@@ -76,9 +76,10 @@ impl Write for CountingStream {
 /// declared on the wire: events handed to [`DaemonClient::send_events`]
 /// are translated from the caller's id space into the connection's, and
 /// any paths the daemon has not seen yet are declared with
-/// [`ClientFrame::Intern`] frames first. Event frames are buffered and
-/// only flushed to the socket when a reply is needed, so streaming many
-/// small batches stays cheap.
+/// [`ClientFrame::Intern`] frames first. Each call sends one binary
+/// events frame, which the daemon applies as one engine batch. Frames
+/// are buffered and only flushed to the socket when a reply is needed,
+/// so streaming many batches stays cheap.
 pub struct DaemonClient {
     r: BufReader<ClientStream>,
     w: BufWriter<CountingStream>,
@@ -90,9 +91,6 @@ pub struct DaemonClient {
     /// Stamped on every outgoing events/query frame when set, tying the
     /// daemon-side pipeline spans into one causal trace.
     trace_id: Option<u64>,
-    /// Whether the daemon welcomed us at v6 or later, enabling binary
-    /// events frames. Handshake, interning, and queries stay JSON.
-    binary: bool,
 }
 
 impl DaemonClient {
@@ -108,9 +106,9 @@ impl DaemonClient {
         DaemonClient::handshake(ClientStream::Unix(stream), client, None)
     }
 
-    /// Connects over the Unix socket as a named tenant: the v7
-    /// handshake carries the tenant id, and everything this connection
-    /// sends or asks lands on that tenant's engine.
+    /// Connects over the Unix socket as a named tenant: the handshake
+    /// carries the tenant id, and everything this connection sends or
+    /// asks lands on that tenant's engine.
     ///
     /// # Errors
     ///
@@ -160,7 +158,6 @@ impl DaemonClient {
             declared: 0,
             sent: 0,
             trace_id: None,
-            binary: false,
         };
         wire::write_frame(
             &mut c.w,
@@ -172,21 +169,11 @@ impl DaemonClient {
         )?;
         c.w.flush()?;
         match c.read_reply()? {
-            DaemonFrame::Welcome { version } => {
-                c.binary = version >= 6;
-                Ok(c)
-            }
+            DaemonFrame::Welcome { .. } => Ok(c),
             other => Err(WireError::Format(format!(
                 "expected Welcome, got {other:?}"
             ))),
         }
-    }
-
-    /// Whether events are being sent as v6 binary frames (the daemon
-    /// welcomed at version 6 or later) rather than JSON lines.
-    #[must_use]
-    pub fn binary_events(&self) -> bool {
-        self.binary
     }
 
     /// Events sent on this connection so far.
@@ -216,7 +203,8 @@ impl DaemonClient {
     }
 
     /// Streams a batch of events whose raw-path ids are relative to
-    /// `strings` (the caller's table). New paths are declared first.
+    /// `strings` (the caller's table) as one binary events frame. New
+    /// paths are declared first.
     ///
     /// # Errors
     ///
@@ -247,23 +235,13 @@ impl DaemonClient {
             wire::write_frame(&mut self.w, &ClientFrame::Intern { id, path })?;
         }
         self.declared = self.strings.len();
-        if self.binary {
-            let frame = wire::encode_events_binary(&translated, self.trace_id);
-            self.w.write_all(&frame)?;
-        } else {
-            wire::write_frame(
-                &mut self.w,
-                &ClientFrame::Events {
-                    events: translated,
-                    trace_id: self.trace_id,
-                },
-            )?;
-        }
+        let frame = wire::encode_events_binary(&translated, self.trace_id);
+        self.w.write_all(&frame)?;
         self.sent += events.len() as u64;
         Ok(())
     }
 
-    /// Streams a whole trace in chunks of `chunk` events.
+    /// Streams a whole trace in frames of `chunk` events.
     ///
     /// # Errors
     ///
@@ -292,7 +270,8 @@ impl DaemonClient {
         }
     }
 
-    /// Poses a query; the daemon applies this connection's stream first.
+    /// Poses a query; the daemon answers it after applying everything
+    /// this connection sent before it.
     ///
     /// # Errors
     ///
@@ -317,8 +296,7 @@ impl DaemonClient {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::Format`] if the daemon replies with an error
-    /// (e.g. it predates the `Dump` query).
+    /// Returns [`WireError::Format`] if the daemon replies with an error.
     pub fn dump_spans(&mut self) -> Result<(Vec<seer_telemetry::SpanRecord>, u64), WireError> {
         match self.query(QueryRequest::Dump)? {
             QueryResponse::Dump { spans, dropped } => Ok((spans, dropped)),
@@ -372,7 +350,7 @@ impl DaemonClient {
     /// # Errors
     ///
     /// Returns [`WireError::Format`] if the daemon replies with an
-    /// error (e.g. it predates the v8 `Alerts` query).
+    /// error.
     pub fn alerts(
         &mut self,
         tenant: Option<&str>,

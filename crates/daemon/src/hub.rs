@@ -1,31 +1,33 @@
 //! The connection hub: listeners, transports, and tenant routing.
 //!
 //! ```text
-//!  Unix listener ──┐                        ┌─► shard 0: batcher ─► engine actor (tenants A, D, …)
-//!                  ├─► accept ─► serve_conn ┼─► shard 1: batcher ─► engine actor (tenants B, E, …)
-//!  TCP listener ───┘      (route by tenant) └─► shard 2: batcher ─► engine actor (tenants C, F, …)
+//!  Unix listener ──┐                        ┌─► shard 0: inbox ─► engine actor (tenants A, D, …)
+//!                  ├─► accept ─► serve_conn ┼─► shard 1: inbox ─► engine actor (tenants B, E, …)
+//!  TCP listener ───┘      (route by tenant) └─► shard 2: inbox ─► engine actor (tenants C, F, …)
 //! ```
 //!
 //! Both listeners feed the same accept path; every connection gets a
 //! reader thread that routes its frames to one shard chosen by hashing
-//! the tenant id from the v7 handshake (pre-v7 clients land on the
-//! default tenant). Queries flow to the same shard — except `Fleet`,
-//! which fans out to every shard and merges the per-shard answers.
+//! the tenant id from its `Hello` (the default tenant when it names
+//! none). Queries flow to the same shard — except `Fleet`, which fans out
+//! to every shard and merges the per-shard answers.
 //!
-//! A connection is a blast-radius boundary: protocol violations,
-//! half-finished handshakes, oversized frames, and mid-frame
-//! disconnects kill only the offending connection (counted in
-//! `seer_daemon_connection_errors_total`), never the daemon.
+//! A connection is a blast-radius boundary: protocol violations (a
+//! missing or repeated handshake, out-of-order or undeclared path ids,
+//! oversized frames) and mid-frame disconnects kill only the offending
+//! connection (counted in `seer_daemon_connection_errors_total`), never
+//! the daemon.
 
-use crate::pipeline::{self, Control, Ingest, Tenant};
+use crate::pipeline::{self, Msg, Tenant};
 use crate::server::Shared;
 use crate::stats::PipelineMetrics;
 use crossbeam::channel::{bounded, Sender};
 use seer_telemetry::{tlog, Level, SpanContext, TraceId, Tracer};
 use seer_trace::wire::{
     self, ClientFrame, DaemonFrame, QueryRequest, QueryResponse, TenantFleetStat, WireError,
-    MIN_WIRE_VERSION, WIRE_VERSION,
+    WIRE_VERSION,
 };
+use seer_trace::TraceEvent;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
@@ -37,9 +39,15 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Longest accepted JSON line, matching the binary frame payload cap —
-/// a hostile client cannot make the daemon buffer an unbounded line.
-const MAX_LINE_BYTES: usize = wire::BINARY_MAX_PAYLOAD;
+/// Longest accepted JSON line. Lines carry only control frames (events
+/// travel as binary frames), so a hostile client's endless line is cut
+/// off early instead of buffered.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Capacity of each connection's socket read buffer: large enough that
+/// an events frame arrives in one kernel read. A smaller buffer forces
+/// mid-frame refills, which show as a `socket_read` p99 outlier.
+const READ_BUFFER: usize = 256 * 1024;
 
 /// A client connection over either transport. Reading and writing
 /// dispatch to the underlying socket; everything above this enum is
@@ -174,41 +182,30 @@ fn probe_handshake(stream: UnixStream) -> Option<u32> {
     }
 }
 
-/// One shard's pipeline entrances.
-pub(crate) struct ShardHandle {
-    pub ingest_tx: Sender<Ingest>,
-    pub control_tx: Sender<Control>,
-}
-
-/// The routing table: tenant id → shard, by stable hash. A tenant's
-/// whole life (ingest, queries, WAL, snapshots) happens on one shard,
-/// so per-tenant ordering needs no cross-shard coordination.
+/// The routing table: tenant id → shard inbox, by stable hash. A
+/// tenant's whole life (ingest, queries, WAL, snapshots) happens on one
+/// shard, so per-tenant ordering needs no cross-shard coordination.
 pub(crate) struct Shards {
-    pub handles: Vec<ShardHandle>,
+    pub inboxes: Vec<Sender<Msg>>,
 }
 
 impl Shards {
     pub(crate) fn index_for(&self, tenant: &str) -> usize {
         let mut h = DefaultHasher::new();
         tenant.hash(&mut h);
-        (h.finish() % self.handles.len() as u64) as usize
+        (h.finish() % self.inboxes.len() as u64) as usize
     }
 
-    fn handle_for(&self, tenant: &str) -> &ShardHandle {
-        &self.handles[self.index_for(tenant)]
+    fn inbox_for(&self, tenant: &str) -> &Sender<Msg> {
+        &self.inboxes[self.index_for(tenant)]
     }
 }
 
 /// Accept loop for one listener: polls nonblocking, spawning one reader
 /// thread per connection, until shutdown or kill is raised. Exiting
-/// drops this thread's clone of the shard senders, which is part of the
+/// drops this thread's clone of the shard inboxes, which is part of the
 /// disconnect cascade (conn readers hold the rest).
-pub(crate) fn run_listener(
-    listener: &HubListener,
-    shared: &Arc<Shared>,
-    shards: &Arc<Shards>,
-    read_buffer: usize,
-) {
+pub(crate) fn run_listener(listener: &HubListener, shared: &Arc<Shared>, shards: &Arc<Shards>) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) || shared.kill.load(Ordering::SeqCst) {
             return;
@@ -228,9 +225,7 @@ pub(crate) fn run_listener(
                 }
                 let shared = Arc::clone(shared);
                 let shards = Arc::clone(shards);
-                thread::spawn(move || {
-                    serve_conn(stream, conn, &shards, &shared, read_buffer);
-                });
+                thread::spawn(move || serve_conn(stream, conn, &shards, &shared));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 thread::sleep(Duration::from_millis(5));
@@ -240,19 +235,37 @@ pub(crate) fn run_listener(
     }
 }
 
-/// Sends a flush marker through the tenant's pipeline and waits for the
-/// engine actor's acknowledgement, returning the connection's applied
-/// count.
-fn flush_pipeline(conn: u64, tenant: &Tenant, ingest_tx: &Sender<Ingest>) -> Result<u64, ()> {
-    let (ack_tx, ack_rx) = bounded(1);
-    ingest_tx
-        .send(Ingest::Flush {
-            conn,
-            tenant: tenant.clone(),
-            ack: ack_tx,
-        })
+/// Posts a flush marker to the shard and waits for the engine actor to
+/// reach it, returning the connection's applied count.
+fn flush(conn: u64, tenant: &Tenant, inbox: &Sender<Msg>) -> Result<u64, ()> {
+    let (ack, ack_rx) = bounded(1);
+    let tenant = tenant.clone();
+    inbox
+        .send(Msg::Flush { conn, tenant, ack })
         .map_err(|_| ())?;
     ack_rx.recv().map_err(|_| ())
+}
+
+/// Posts a query to a shard and waits for its answer. The actor drains
+/// its inbox in order, so the answer reflects everything this
+/// connection sent before the query.
+fn ask(
+    inbox: &Sender<Msg>,
+    tenant: &Tenant,
+    query: QueryRequest,
+    ctx: Option<SpanContext>,
+) -> Result<QueryResponse, ()> {
+    let (reply, reply_rx) = bounded(1);
+    let tenant = tenant.clone();
+    inbox
+        .send(Msg::Query {
+            query,
+            tenant,
+            ctx,
+            reply,
+        })
+        .map_err(|_| ())?;
+    reply_rx.recv().map_err(|_| ())
 }
 
 /// When reading and decoding a frame started and how long each took —
@@ -265,6 +278,16 @@ struct FrameTiming {
     decode_start: Instant,
     decode_time: Duration,
     bytes: usize,
+}
+
+/// One frame off a connection: a JSON control line or a binary events
+/// frame.
+enum Frame {
+    Control(ClientFrame),
+    Events {
+        events: Vec<TraceEvent>,
+        trace_id: Option<u64>,
+    },
 }
 
 /// Reads one newline-terminated line into `line`, refusing to buffer
@@ -306,16 +329,16 @@ fn read_bounded_line(
 /// decode timing is pure CPU. `Ok(None)` signals a clean end of stream.
 ///
 /// The framing is sniffed from the first byte: [`wire::BINARY_EVENTS_MAGIC`]
-/// introduces a v6 binary events frame (read into `scratch`, reused across
-/// calls, and decoded without serde); anything else is a JSON line, so
-/// v2–v5 clients keep working on the same code path. Both paths are
-/// length-capped, so no client input can balloon the daemon's memory.
+/// introduces a binary events frame (read into `scratch`, reused across
+/// calls, and decoded without serde); anything else is a JSON control
+/// line. Both paths are length-capped, so no client input can balloon
+/// the daemon's memory.
 fn read_timed_frame(
     r: &mut impl BufRead,
     metrics: &PipelineMetrics,
     scratch: &mut Vec<u8>,
     line: &mut Vec<u8>,
-) -> Result<Option<(ClientFrame, FrameTiming)>, WireError> {
+) -> Result<Option<(Frame, FrameTiming)>, WireError> {
     loop {
         let read_start = Instant::now();
         let read_timer = metrics.stage_socket_read.start_timer();
@@ -346,7 +369,7 @@ fn read_timed_frame(
             let (events, trace_id) = wire::decode_events_binary(scratch)?;
             decode_timer.stop();
             return Ok(Some((
-                ClientFrame::Events { events, trace_id },
+                Frame::Events { events, trace_id },
                 FrameTiming {
                     read_start,
                     read_time,
@@ -370,7 +393,7 @@ fn read_timed_frame(
             let frame = serde_json::from_str(text.trim_end())?;
             decode_timer.stop();
             return Ok(Some((
-                frame,
+                Frame::Control(frame),
                 FrameTiming {
                     read_start,
                     read_time,
@@ -384,8 +407,8 @@ fn read_timed_frame(
 }
 
 /// Records the retroactive `socket_read` → `decode` chain for a traced
-/// events frame, returning the decode span's context for the batcher to
-/// continue the chain.
+/// events frame, returning the decode span's context for the engine
+/// actor's `engine_apply` span to continue the chain.
 fn record_frame_spans(tracer: &Tracer, trace: TraceId, timing: FrameTiming) -> SpanContext {
     let read_ctx = tracer.record_complete(
         "socket_read",
@@ -405,213 +428,215 @@ fn record_frame_spans(tracer: &Tracer, trace: TraceId, timing: FrameTiming) -> S
     )
 }
 
-/// One connection's reader loop. Runs on its own thread; exits on EOF,
-/// protocol error, or pipeline disconnect. Frames route to the shard of
-/// the connection's tenant (the default until a v7 Hello names one).
-fn serve_conn(
-    stream: HubStream,
-    conn: u64,
-    shards: &Arc<Shards>,
-    shared: &Arc<Shared>,
-    read_buffer: usize,
-) {
-    let reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    // A buffer that holds a whole frame keeps each frame to one kernel
-    // read; see `DaemonConfig::read_buffer`.
-    let mut r = BufReader::with_capacity(read_buffer.max(512), reader);
-    let mut w = BufWriter::new(stream);
-    let mut scratch = Vec::new();
-    let mut line = Vec::new();
-    let mut tenant: Tenant = pipeline::default_tenant();
-    let mut shard = shards.handle_for(&tenant);
-    // The per-tenant twin of `connection_errors`, resolved once per
-    // connection (and again on a tenant re-handshake) so the error
-    // paths below never intern a label set.
-    let mut tenant_conn_errors = shared.metrics.tenant_connection_errors(&tenant);
-    loop {
-        let (frame, timing) =
-            match read_timed_frame(&mut r, &shared.metrics, &mut scratch, &mut line) {
-                Ok(Some(f)) => f,
-                Ok(None) => break,
-                Err(WireError::Format(m)) => {
-                    // A protocol violation (garbage bytes, oversized line,
-                    // half a handshake) kills this connection and nothing
-                    // else — the counter is the blast-radius witness.
-                    shared.metrics.connection_errors.inc();
-                    tenant_conn_errors.inc();
-                    tlog!(
-                        Level::Warn,
-                        "seer_daemon::hub",
-                        "protocol error on connection",
-                        conn = conn,
-                        error = m.as_str(),
-                    );
-                    let _ = wire::write_frame(&mut w, &DaemonFrame::Error { message: m });
-                    let _ = w.flush();
-                    break;
+/// The first raw-path id in `events` at or above `declared`, if any.
+fn undeclared_id(events: &[TraceEvent], declared: u64) -> Option<u32> {
+    let mut found = None;
+    for ev in events {
+        let _ = ev.kind.map_paths(&mut |p| {
+            if u64::from(p.0) >= declared {
+                found.get_or_insert(p.0);
+            }
+            p
+        });
+    }
+    found
+}
+
+/// Writes one reply and flushes it; `false` when the peer is gone.
+fn send_reply(w: &mut impl Write, frame: &DaemonFrame) -> bool {
+    wire::write_frame(w, frame).is_ok() && w.flush().is_ok()
+}
+
+/// One connection's reader state.
+struct Conn<'a> {
+    id: u64,
+    shards: &'a Shards,
+    shared: &'a Shared,
+    /// The tenant the handshake named (the default until then), and
+    /// its shard's inbox.
+    tenant: Tenant,
+    inbox: &'a Sender<Msg>,
+    /// Paths declared so far on this connection: the next `Intern` must
+    /// carry exactly this id, and no event may name one at or above it.
+    declared: u64,
+    /// Paths declared since the previous batch; they ride with the next.
+    interns: Vec<String>,
+}
+
+impl Conn<'_> {
+    /// Serves the connection until it ends. `Err` is a protocol
+    /// violation ([`WireError::Format`]) or a mid-frame disconnect
+    /// ([`WireError::Io`]); `Ok` is any other end — a clean EOF, a
+    /// shutdown request, a peer that stopped reading its replies, or a
+    /// pipeline that went away.
+    fn serve(&mut self, r: &mut impl BufRead, w: &mut impl Write) -> Result<(), WireError> {
+        let shared = self.shared;
+        let metrics = &shared.metrics;
+        let (mut scratch, mut line) = (Vec::new(), Vec::new());
+        // The handshake: one `Hello` at this exact version, first.
+        match read_timed_frame(r, metrics, &mut scratch, &mut line)? {
+            None => return Ok(()),
+            Some((
+                Frame::Control(ClientFrame::Hello {
+                    version: WIRE_VERSION,
+                    tenant,
+                    ..
+                }),
+                _,
+            )) => {
+                if let Some(name) = tenant {
+                    self.tenant = Arc::from(name);
+                    self.inbox = self.shards.inbox_for(&self.tenant);
                 }
-                Err(WireError::Io(_)) => {
-                    // A mid-frame disconnect: not a clean EOF (that is
-                    // `Ok(None)` above), so count it as a broken client.
-                    shared.metrics.connection_errors.inc();
-                    tenant_conn_errors.inc();
-                    break;
-                }
-            };
-        match frame {
-            ClientFrame::Hello {
-                version,
-                tenant: hello_tenant,
-                ..
-            } => {
-                // v2 differs only by the absence of trace stamps and the
-                // Dump query, v3–v6 by queries and framing; all remain
-                // fully functional, pinned to the default tenant.
-                let reply = if (MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-                    if let Some(name) = hello_tenant {
-                        let next: Tenant = Arc::from(name.as_str());
-                        if next != tenant {
-                            // Re-handshake onto a new tenant: retire this
-                            // connection's state on the old shard first.
-                            let _ = shard.ingest_tx.send(Ingest::ConnClosed {
-                                conn,
-                                tenant: tenant.clone(),
-                            });
-                            tenant = next;
-                            shard = shards.handle_for(&tenant);
-                            tenant_conn_errors = shared.metrics.tenant_connection_errors(&tenant);
-                        }
-                    }
-                    DaemonFrame::Welcome {
-                        version: WIRE_VERSION,
-                    }
-                } else {
-                    DaemonFrame::Error {
-                        message: format!(
-                            "wire version mismatch: daemon speaks {MIN_WIRE_VERSION}..={WIRE_VERSION}, client sent {version}"
-                        ),
-                    }
+                let welcome = DaemonFrame::Welcome {
+                    version: WIRE_VERSION,
                 };
-                if wire::write_frame(&mut w, &reply).is_err() || w.flush().is_err() {
-                    break;
+                if !send_reply(w, &welcome) {
+                    return Ok(());
                 }
             }
-            ClientFrame::Intern { id, path } => {
-                if shard
-                    .ingest_tx
-                    .send(Ingest::Intern {
-                        conn,
-                        tenant: tenant.clone(),
-                        local: id,
-                        path,
-                    })
-                    .is_err()
-                {
-                    break;
-                }
+            Some((Frame::Control(ClientFrame::Hello { version, .. }), _)) => {
+                return Err(WireError::Format(format!(
+                    "wire version mismatch: daemon speaks {WIRE_VERSION}, client sent {version}"
+                )));
             }
-            ClientFrame::Events { events, trace_id } => {
-                let n = events.len() as u64;
-                // Depth *before* this send: with a bounded channel the
-                // send below blocks rather than exceed capacity, so this
-                // observation can never exceed the configured bound.
-                shared.metrics.observe_queue_depth(shard.ingest_tx.len());
-                shared.metrics.events_received.add(n);
-                let ctx = trace_id
-                    .map(|t| record_frame_spans(&shared.metrics.tracer, TraceId(t), timing));
-                if shard
-                    .ingest_tx
-                    .send(Ingest::Events {
-                        conn,
-                        tenant: tenant.clone(),
+            Some(_) => {
+                return Err(WireError::Format(
+                    "the first frame on a connection must be Hello".into(),
+                ));
+            }
+        }
+        while let Some((frame, timing)) = read_timed_frame(r, metrics, &mut scratch, &mut line)? {
+            let reply = match frame {
+                Frame::Events { events, trace_id } => {
+                    if let Some(id) = undeclared_id(&events, self.declared) {
+                        return Err(WireError::Format(format!(
+                            "events frame names path id {id}, but only {} are declared",
+                            self.declared
+                        )));
+                    }
+                    // Depth *before* this send: the bounded send below
+                    // blocks rather than exceed capacity, so this
+                    // observation can never exceed the configured bound.
+                    metrics.observe_queue_depth(self.inbox.len());
+                    metrics.events_received.add(events.len() as u64);
+                    let ctx =
+                        trace_id.map(|t| record_frame_spans(&metrics.tracer, TraceId(t), timing));
+                    let batch = Msg::Batch {
+                        conn: self.id,
+                        tenant: self.tenant.clone(),
+                        interns: std::mem::take(&mut self.interns),
                         events,
                         ctx,
+                    };
+                    if self.inbox.send(batch).is_err() {
+                        return Ok(());
+                    }
+                    continue;
+                }
+                Frame::Control(ClientFrame::Hello { .. }) => {
+                    return Err(WireError::Format(
+                        "a connection may send only one Hello".into(),
+                    ));
+                }
+                Frame::Control(ClientFrame::Intern { id, path }) => {
+                    if u64::from(id) != self.declared {
+                        return Err(WireError::Format(format!(
+                            "Intern id {id} out of order: the next id is {}",
+                            self.declared
+                        )));
+                    }
+                    self.declared += 1;
+                    self.interns.push(path);
+                    continue;
+                }
+                Frame::Control(ClientFrame::Flush) => flush(self.id, &self.tenant, self.inbox)
+                    .map(|events| DaemonFrame::Flushed { events }),
+                Frame::Control(ClientFrame::Query { query, trace_id }) => {
+                    let answer = match query {
+                        QueryRequest::Fleet { top_k } => {
+                            run_fleet_query(&self.tenant, top_k, self.shards)
+                        }
+                        query => {
+                            // A traced query's root span covers the whole
+                            // exchange; the actor's `engine_answer` span
+                            // hangs off it via the forwarded context.
+                            let root =
+                                trace_id.map(|t| metrics.tracer.span_in("query", TraceId(t), None));
+                            let ctx = root.as_ref().map(seer_telemetry::Span::context);
+                            ask(self.inbox, &self.tenant, query, ctx)
+                        }
+                    };
+                    answer.map(|response| match response {
+                        // An in-band error (e.g. an unanswerable History
+                        // query) is an answer about *this query*, not a
+                        // connection failure: report it and keep serving.
+                        QueryResponse::Error { message } => DaemonFrame::Error { message },
+                        response => DaemonFrame::Answer { response },
                     })
-                    .is_err()
-                {
-                    break;
                 }
-            }
-            ClientFrame::Flush => match flush_pipeline(conn, &tenant, &shard.ingest_tx) {
-                Ok(applied) => {
-                    if wire::write_frame(&mut w, &DaemonFrame::Flushed { events: applied }).is_err()
-                        || w.flush().is_err()
-                    {
-                        break;
-                    }
-                }
-                Err(()) => {
-                    let _ = wire::write_frame(
-                        &mut w,
-                        &DaemonFrame::Error {
-                            message: "pipeline unavailable".into(),
-                        },
+                Frame::Control(ClientFrame::Shutdown) => {
+                    tlog!(
+                        Level::Info,
+                        "seer_daemon",
+                        "shutdown requested by client",
+                        conn = self.id
                     );
-                    let _ = w.flush();
-                    break;
+                    // Apply everything this connection sent, acknowledge,
+                    // then start the global cascade.
+                    let _ = flush(self.id, &self.tenant, self.inbox);
+                    let _ = send_reply(w, &DaemonFrame::ShuttingDown);
+                    shared.begin_shutdown();
+                    return Ok(());
                 }
-            },
-            ClientFrame::Query { query, trace_id } => {
-                let result = if let QueryRequest::Fleet { top_k } = query {
-                    run_fleet_query(conn, &tenant, top_k, shards, shard)
-                } else {
-                    run_query(
-                        conn,
-                        &tenant,
-                        query,
-                        trace_id,
-                        shard,
-                        &shared.metrics.tracer,
-                    )
-                };
-                match result {
-                    // An in-band error (e.g. an unanswerable History
-                    // query) is an answer about *this query*, not a
-                    // connection failure: report it and keep serving.
-                    Ok(QueryResponse::Error { message }) => {
-                        if wire::write_frame(&mut w, &DaemonFrame::Error { message }).is_err()
-                            || w.flush().is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Ok(response) => {
-                        if wire::write_frame(&mut w, &DaemonFrame::Answer { response }).is_err()
-                            || w.flush().is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Err(()) => {
-                        let _ = wire::write_frame(
-                            &mut w,
-                            &DaemonFrame::Error {
-                                message: "pipeline unavailable".into(),
-                            },
-                        );
-                        let _ = w.flush();
-                        break;
-                    }
-                }
+            };
+            let Ok(reply) = reply else {
+                let message = "pipeline unavailable".into();
+                let _ = send_reply(w, &DaemonFrame::Error { message });
+                return Ok(());
+            };
+            if !send_reply(w, &reply) {
+                return Ok(());
             }
-            ClientFrame::Shutdown => {
-                tlog!(
-                    Level::Info,
-                    "seer_daemon",
-                    "shutdown requested by client",
-                    conn = conn
-                );
-                // Flush this connection's stream so nothing it sent is
-                // lost, acknowledge, then start the global cascade.
-                let _ = flush_pipeline(conn, &tenant, &shard.ingest_tx);
-                let _ = wire::write_frame(&mut w, &DaemonFrame::ShuttingDown);
-                let _ = w.flush();
-                shared.begin_shutdown();
-                break;
-            }
+        }
+        Ok(())
+    }
+}
+
+/// One connection's reader thread: serves its frames, then accounts for
+/// how it ended and tells the tenant's shard it is gone.
+fn serve_conn(stream: HubStream, conn: u64, shards: &Shards, shared: &Shared) {
+    let Ok(reader) = stream.try_clone() else {
+        return;
+    };
+    let mut r = BufReader::with_capacity(READ_BUFFER, reader);
+    let mut w = BufWriter::new(stream);
+    let tenant = pipeline::default_tenant();
+    let mut c = Conn {
+        id: conn,
+        shards,
+        shared,
+        inbox: shards.inbox_for(&tenant),
+        tenant,
+        declared: 0,
+        interns: Vec::new(),
+    };
+    if let Err(e) = c.serve(&mut r, &mut w) {
+        // A protocol violation or a mid-frame disconnect (not a clean
+        // EOF) kills this connection and nothing else — the counters
+        // are the blast-radius witness, charged to the tenant its
+        // handshake named (the default before one).
+        shared.metrics.connection_errors.inc();
+        shared.metrics.tenant_connection_errors(&c.tenant).inc();
+        if let WireError::Format(message) = e {
+            tlog!(
+                Level::Warn,
+                "seer_daemon::hub",
+                "protocol error on connection",
+                conn = conn,
+                error = message.as_str(),
+            );
+            let _ = send_reply(&mut w, &DaemonFrame::Error { message });
         }
     }
     tlog!(
@@ -626,74 +651,27 @@ fn serve_conn(
     // and a peer mid-write (e.g. the hostile client whose oversized
     // frame got it evicted) would block forever instead of seeing EPIPE.
     w.get_ref().shutdown_both();
-    let _ = shard.ingest_tx.send(Ingest::ConnClosed {
+    let _ = c.inbox.send(Msg::ConnClosed {
         conn,
-        tenant: tenant.clone(),
+        tenant: c.tenant,
     });
-}
-
-/// Flushes the connection's stream, then forwards the query to the
-/// tenant's engine actor and waits for its answer.
-///
-/// A traced query gets a root `query` span covering the whole exchange,
-/// with a `flush_wait` child for the pipeline drain; the engine actor
-/// hangs its `engine_answer` span (and any recluster it triggers) off
-/// the root via the forwarded context.
-fn run_query(
-    conn: u64,
-    tenant: &Tenant,
-    query: QueryRequest,
-    trace_id: Option<u64>,
-    shard: &ShardHandle,
-    tracer: &Tracer,
-) -> Result<QueryResponse, ()> {
-    let root = trace_id.map(|t| tracer.span_in("query", TraceId(t), None));
-    let ctx = root.as_ref().map(seer_telemetry::Span::context);
-    {
-        let _flush_span = ctx.map(|c| tracer.child("flush_wait", c));
-        flush_pipeline(conn, tenant, &shard.ingest_tx)?;
-    }
-    let (reply_tx, reply_rx) = bounded(1);
-    shard
-        .control_tx
-        .send(Control::Query {
-            query,
-            tenant: tenant.clone(),
-            ctx,
-            reply: reply_tx,
-        })
-        .map_err(|_| ())?;
-    reply_rx.recv().map_err(|_| ())
 }
 
 /// A `Fleet` query fans out to every shard (each answers for its local
 /// tenants) and merges: totals sum, rows concatenate, and the merged
-/// list is re-ranked by miss rate and cut to `top_k`.
+/// list is re-ranked by miss rate and cut to `top_k`. The query reaches
+/// the connection's own shard behind its events, so the aggregate
+/// includes everything this connection already sent.
 fn run_fleet_query(
-    conn: u64,
     tenant: &Tenant,
     top_k: Option<usize>,
     shards: &Shards,
-    own_shard: &ShardHandle,
 ) -> Result<QueryResponse, ()> {
-    // Flush this connection's stream first, same as any query, so the
-    // aggregate includes everything this connection already sent.
-    flush_pipeline(conn, tenant, &own_shard.ingest_tx)?;
     let mut tenants = 0usize;
     let mut total_events = 0u64;
     let mut per_tenant: Vec<TenantFleetStat> = Vec::new();
-    for shard in &shards.handles {
-        let (reply_tx, reply_rx) = bounded(1);
-        shard
-            .control_tx
-            .send(Control::Query {
-                query: QueryRequest::Fleet { top_k },
-                tenant: tenant.clone(),
-                ctx: None,
-                reply: reply_tx,
-            })
-            .map_err(|_| ())?;
-        match reply_rx.recv().map_err(|_| ())? {
+    for inbox in &shards.inboxes {
+        match ask(inbox, tenant, QueryRequest::Fleet { top_k }, None)? {
             QueryResponse::Fleet {
                 tenants: t,
                 total_events: e,

@@ -5,28 +5,29 @@
 //! stream; this crate is the repo's equivalent — scaled from one machine
 //! to a fleet. A connection hub accepts [`seer_trace::TraceEvent`]
 //! streams over Unix-domain *and* TCP sockets (the protocol of
-//! [`seer_trace::wire`]); the v7+ handshake names a tenant, and frames
-//! route by tenant to a sharded pool of engine actors, each shard owning
-//! one independent SEER instance + WAL + quality plane per tenant:
+//! [`seer_trace::wire`]); the handshake names a tenant, and frames route
+//! by tenant to a sharded pool of engine actors, each shard owning one
+//! independent SEER instance + WAL + quality plane per tenant:
 //!
 //! ```text
-//!  unix ─┐                          ┌─► shard 0 ─► batcher ─► engine actor (tenants A, D, …)
-//!        ├─► accept ─► conn readers ┼─► shard 1 ─► batcher ─► engine actor (tenants B, E, …)
-//!  tcp ──┘    (1 thread/conn,       └─► shard N ─► batcher ─► engine actor (…)
-//!              route by tenant)          (bounded ingest + apply channels per shard)
+//!  unix ─┐                          ┌─► shard 0 inbox ─► engine actor (tenants A, D, …)
+//!        ├─► accept ─► conn readers ┼─► shard 1 inbox ─► engine actor (tenants B, E, …)
+//!  tcp ──┘    (1 thread/conn,       └─► shard N inbox ─► engine actor (…)
+//!              route by tenant)          (one bounded inbox per shard)
 //! ```
 //!
 //! Design properties, mirroring the paper's constraints on an
 //! always-running observer (§4.2, §5.3):
 //!
-//! - **Backpressure, not buffering.** Both channels are bounded; a slow
-//!   engine stalls producers all the way back to the client sockets. The
-//!   deepest queue depth ever observed is reported in
+//! - **Backpressure, not buffering.** Each shard's inbox is bounded; a
+//!   slow engine stalls producers all the way back to the client
+//!   sockets. The deepest queue depth ever observed is reported in
 //!   [`DaemonStats::max_queue_depth`] and can never exceed the
 //!   configured capacity.
 //! - **Batching.** The observer's per-event cost is what made SEER's
-//!   overhead noticeable; the batcher coalesces frames into batches of
-//!   up to `batch_max` events so engine locks and table lookups amortize.
+//!   overhead noticeable; clients send events in binary frames of many
+//!   events each, and every frame is one engine batch, so engine locks
+//!   and table lookups amortize.
 //! - **Crash safety.** The engine's knowledge is periodically written
 //!   with an atomic temp-file-and-rename snapshot. With a write-ahead
 //!   log configured ([`DaemonConfig::wal_dir`]), every acknowledged
@@ -39,9 +40,9 @@
 //!   restore ([`DaemonConfig::restore_to`]) and the wire protocol's
 //!   `History` query.
 //! - **Online queries.** Hoard selection, cluster summaries, stats, and
-//!   health probes are answered on the same socket, after an implicit
-//!   flush of the querying connection's stream — so an online hoard
-//!   query equals an offline replay of the same events. Per-tenant
+//!   health probes are answered on the same socket, in order behind the
+//!   querying connection's own events — so an online hoard query equals
+//!   an offline replay of the same events. Per-tenant
 //!   queries see only their tenant; the `Fleet` query fans out across
 //!   shards and merges.
 //! - **Blast-radius isolation.** A hostile or broken client (garbage
@@ -56,7 +57,7 @@
 //!   score with multi-window SLO burn-rate alerts, and a watchdog
 //!   thread alerts on the daemon itself (pseudo-tenant `_self`) when a
 //!   shard stalls, a background worker wedges, or snapshots go stale.
-//!   The v8 `Alerts` query reads the bounded alert ring.
+//!   The `Alerts` query reads the bounded alert ring.
 
 #![warn(missing_docs)]
 

@@ -1,23 +1,23 @@
-//! The daemon's bounded, batched ingestion pipeline — one shard of it.
+//! One shard of the daemon's ingestion pipeline: a bounded inbox and the
+//! engine actor that drains it.
 //!
 //! ```text
-//! conn readers ──► ingest (bounded) ──► batcher ──► apply (bounded) ──► engine actor
-//!                                                      control (queries) ──┘
+//! conn readers ──► inbox (bounded: Batch | Flush | Query | ConnClosed) ──► engine actor
 //! ```
 //!
-//! The hub (`crate::hub`) routes every connection's frames to one shard
-//! by tenant id; each shard runs this pipeline. Both channels are
-//! bounded: when the engine falls behind, the apply channel fills, the
-//! batcher stalls, the ingest channel fills, and the connection readers
-//! block in `send` — backpressure propagates all the way to the client
-//! sockets instead of growing an unbounded queue.
+//! The hub (`crate::hub`) routes every connection to one shard by tenant
+//! id. A connection reader posts each decoded binary events frame as one
+//! [`Msg::Batch`], together with the paths it declared since its previous
+//! batch; flushes, queries, and hang-ups travel the same inbox. The actor
+//! drains it in order, so a query lands behind its own connection's
+//! events without a separate flush round trip.
 //!
-//! The batcher coalesces consecutive event frames from the same
-//! connection into batches of up to `batch_max` events, so a client
-//! streaming one event per frame still reaches the engine in large
-//! batches. Any ordering-sensitive message (intern declarations, flush
-//! markers, connection teardown) flushes the pending batch first, which
-//! preserves per-connection order end to end.
+//! The inbox is bounded: when the engine falls behind it fills and the
+//! readers block in `send` — backpressure propagates all the way to the
+//! client sockets instead of growing an unbounded queue. A full `tick`
+//! with no ingest message is the actor's idle time, when it folds in
+//! finished background work, starts stale reclusters, syncs the WAL,
+//! and snapshots; queries neither wait for it nor defer it.
 //!
 //! A shard's engine actor owns one [`TenantState`] per tenant routed to
 //! it: a full SEER instance with its own string table, WAL, snapshot
@@ -32,7 +32,7 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TrySendError};
 use seer_core::{
     Clustering, PairCountCache, ReclusterInput, Replayer, SeerConfig, SeerEngine, TableDirty,
 };
-use seer_telemetry::{tlog, Histogram, Level, SpanContext, Tracer};
+use seer_telemetry::{tlog, Level, SpanContext};
 use seer_trace::wire::{
     ExplainNeighbor, MissPostmortem, QualityReport, QueryRequest, QueryResponse, TenantFleetStat,
 };
@@ -46,10 +46,10 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// A tenant id as routed by the hub. `Arc<str>` so every message clones
-/// a pointer, not a string; pre-v7 connections land on the default.
+/// a pointer, not a string.
 pub(crate) type Tenant = Arc<str>;
 
-/// The tenant that v2–v6 clients (no tenant in their handshake) map to.
+/// The tenant a connection lands on when its `Hello` names none.
 pub(crate) const DEFAULT_TENANT: &str = "default";
 
 /// The default tenant id, ready to stamp on messages.
@@ -101,63 +101,29 @@ pub(crate) fn tenant_wal_dir(base: &Path, tenant: &str) -> PathBuf {
     }
 }
 
-/// Messages from connection readers into the pipeline.
-pub(crate) enum Ingest {
-    /// Declare a connection-local raw-path id.
-    Intern {
-        conn: u64,
-        tenant: Tenant,
-        local: u32,
-        path: String,
-    },
-    /// Events to apply, ids in the connection's local space. `ctx` is
-    /// the decode span of a traced frame; downstream stages parent their
-    /// spans under it, extending the causal chain.
-    Events {
-        conn: u64,
-        tenant: Tenant,
-        events: Vec<TraceEvent>,
-        ctx: Option<SpanContext>,
-    },
-    /// Ordered marker: everything this connection sent before it must be
-    /// applied before `ack` fires with the connection's applied count.
-    Flush {
-        conn: u64,
-        tenant: Tenant,
-        ack: Sender<u64>,
-    },
-    /// The connection hung up; its remap table can be dropped.
-    ConnClosed { conn: u64, tenant: Tenant },
-}
-
-/// Batched messages from the batcher to the engine actor.
-pub(crate) enum Apply {
-    Interns {
-        conn: u64,
-        tenant: Tenant,
-        entries: Vec<(u32, String)>,
-    },
+/// Messages into a shard's inbox, drained in order by its engine actor.
+pub(crate) enum Msg {
+    /// One decoded events frame, ids in the connection's local space,
+    /// preceded by the paths the connection declared since its previous
+    /// batch (the next local ids, in order). The reader has checked that
+    /// every id is declared. `ctx` is the decode span of a traced frame;
+    /// `engine_apply` parents under it, extending the causal chain.
     Batch {
         conn: u64,
         tenant: Tenant,
+        interns: Vec<String>,
         events: Vec<TraceEvent>,
-        /// The batcher-flush span this batch was coalesced under, if any
-        /// frame in it was traced; parents the `engine_apply` span.
         ctx: Option<SpanContext>,
     },
+    /// Everything this connection sent before it is applied by the time
+    /// the actor reaches it; `ack` fires with the connection's applied
+    /// count.
     Flush {
         conn: u64,
         tenant: Tenant,
         ack: Sender<u64>,
     },
-    ConnClosed {
-        conn: u64,
-        tenant: Tenant,
-    },
-}
-
-/// Out-of-band requests answered by the engine actor.
-pub(crate) enum Control {
+    /// A query, answered in order behind the connection's own events.
     Query {
         query: QueryRequest,
         tenant: Tenant,
@@ -166,6 +132,8 @@ pub(crate) enum Control {
         ctx: Option<SpanContext>,
         reply: Sender<QueryResponse>,
     },
+    /// The connection hung up; its remap table can be dropped.
+    ConnClosed { conn: u64, tenant: Tenant },
 }
 
 /// Tunables the actor needs (a subset of the server's `DaemonConfig`).
@@ -174,11 +142,6 @@ pub(crate) struct ActorConfig {
     /// [`tenant_snapshot_path`]).
     pub snapshot_path: Option<PathBuf>,
     pub recluster_every: u64,
-    /// Force a full shared-neighbor recount after this many consecutive
-    /// incremental reclusterings (defense in depth against cache drift;
-    /// `0` never forces one — incremental maintenance is exact either
-    /// way, falling back to full on structural change by itself).
-    pub recluster_full_every: u64,
     pub snapshot_every: u64,
     pub tick: Duration,
     pub file_size: u64,
@@ -215,8 +178,8 @@ pub(crate) struct ActorConfig {
     /// the fleet observability plane (per-tenant instruments, scoring,
     /// burn alerts).
     pub health: HealthConfig,
-    /// Capacity of the bounded ingest channel, so queue depth converts
-    /// to a 0–1 fraction in health signals.
+    /// Capacity of the bounded inbox, so queue depth converts to a 0–1
+    /// fraction in health signals.
     pub channel_capacity: usize,
 }
 
@@ -263,6 +226,12 @@ struct ReclusterDone {
     ctx: Option<SpanContext>,
 }
 
+/// Consecutive incremental reclusterings after which the worker forces a
+/// full shared-neighbor recount (defense in depth against cache drift;
+/// incremental maintenance is exact either way and falls back to a full
+/// recount on structural change by itself).
+const RECLUSTER_FULL_EVERY: u64 = 16;
+
 /// The recluster worker: receives frozen jobs, computes clusterings with
 /// the configured shard count, and sends them back. Exits when the job
 /// channel disconnects (actor gone) or the done channel does.
@@ -273,18 +242,17 @@ fn run_recluster_worker(
     job_rx: &Receiver<ReclusterJob>,
     done_tx: &Sender<ReclusterDone>,
     threads: usize,
-    full_every: u64,
 ) {
     // Pre-relation pair counts carried between consecutive jobs, keyed
     // by tenant: the queue is FIFO and each job's dirty delta spans
     // exactly the gap to *that tenant's* previous job's view, so each
     // per-tenant cache chain stays valid even when tenants interleave.
-    // Every `full_every` incremental runs a tenant's cache is dropped to
-    // force a fresh full recount.
+    // Every `RECLUSTER_FULL_EVERY` incremental runs a tenant's cache is
+    // dropped to force a fresh full recount.
     let mut caches: HashMap<Tenant, (Option<PairCountCache>, u64)> = HashMap::new();
     while let Ok(job) = job_rx.recv() {
         let (cache, since_full) = caches.entry(job.tenant.clone()).or_insert((None, 0));
-        if full_every > 0 && *since_full >= full_every {
+        if *since_full >= RECLUSTER_FULL_EVERY {
             *cache = None;
         }
         let started = Instant::now();
@@ -310,153 +278,6 @@ fn run_recluster_worker(
     }
 }
 
-/// Coalesces ingest messages into batches and forwards them downstream.
-/// Exits when the ingest channel disconnects (graceful shutdown), the
-/// apply channel disconnects (actor died), or `kill` is raised.
-pub(crate) fn run_batcher(
-    batch_max: usize,
-    batch_max_wait: Duration,
-    ingest_rx: Receiver<Ingest>,
-    apply_tx: Sender<Apply>,
-    flush_timer: Histogram,
-    tracer: Tracer,
-    kill: Arc<AtomicBool>,
-) {
-    // A pending batch remembers the first traced frame coalesced into it;
-    // the flush span continues that frame's causal chain. Coalescing is
-    // keyed by (conn, tenant): conn ids are daemon-unique, but a
-    // connection that re-handshakes onto a new tenant must not leak a
-    // pending batch across the boundary.
-    type PendingEvents = (u64, Tenant, Vec<TraceEvent>, Option<SpanContext>);
-    type PendingInterns = (u64, Tenant, Vec<(u32, String)>);
-    let mut pending_events: Option<PendingEvents> = None;
-    let mut pending_interns: Option<PendingInterns> = None;
-    // Timing the send captures backpressure: a full apply channel shows
-    // up here as batcher-flush latency, not as silent queue growth.
-    let flush_events = |p: &mut Option<PendingEvents>, tx: &Sender<Apply>| -> bool {
-        match p.take() {
-            Some((conn, tenant, events, ctx)) => {
-                let _t = flush_timer.start_timer();
-                // The span covers the send, so backpressure blocking is
-                // visible on the trace timeline too.
-                let span = ctx.map(|c| {
-                    let mut s = tracer.child("batcher_flush", c);
-                    s.attr("events", events.len());
-                    s
-                });
-                let flush_ctx = span.as_ref().map(seer_telemetry::Span::context);
-                tx.send(Apply::Batch {
-                    conn,
-                    tenant,
-                    events,
-                    ctx: flush_ctx,
-                })
-                .is_ok()
-            }
-            None => true,
-        }
-    };
-    let flush_interns = |p: &mut Option<PendingInterns>, tx: &Sender<Apply>| -> bool {
-        match p.take() {
-            Some((conn, tenant, entries)) => tx
-                .send(Apply::Interns {
-                    conn,
-                    tenant,
-                    entries,
-                })
-                .is_ok(),
-            None => true,
-        }
-    };
-    loop {
-        if kill.load(Ordering::Relaxed) {
-            return;
-        }
-        match ingest_rx.recv_timeout(batch_max_wait) {
-            Ok(Ingest::Intern {
-                conn,
-                tenant,
-                local,
-                path,
-            }) => {
-                if !flush_events(&mut pending_events, &apply_tx) {
-                    return;
-                }
-                match &mut pending_interns {
-                    Some((c, t, entries)) if *c == conn && *t == tenant => {
-                        entries.push((local, path));
-                    }
-                    _ => {
-                        if !flush_interns(&mut pending_interns, &apply_tx) {
-                            return;
-                        }
-                        pending_interns = Some((conn, tenant, vec![(local, path)]));
-                    }
-                }
-            }
-            Ok(Ingest::Events {
-                conn,
-                tenant,
-                mut events,
-                ctx,
-            }) => {
-                if !flush_interns(&mut pending_interns, &apply_tx) {
-                    return;
-                }
-                match &mut pending_events {
-                    Some((c, t, buf, pending_ctx)) if *c == conn && *t == tenant => {
-                        buf.append(&mut events);
-                        if pending_ctx.is_none() {
-                            *pending_ctx = ctx;
-                        }
-                    }
-                    _ => {
-                        if !flush_events(&mut pending_events, &apply_tx) {
-                            return;
-                        }
-                        pending_events = Some((conn, tenant, events, ctx));
-                    }
-                }
-                if pending_events
-                    .as_ref()
-                    .is_some_and(|(_, _, b, _)| b.len() >= batch_max)
-                    && !flush_events(&mut pending_events, &apply_tx)
-                {
-                    return;
-                }
-            }
-            Ok(Ingest::Flush { conn, tenant, ack }) => {
-                if !flush_interns(&mut pending_interns, &apply_tx)
-                    || !flush_events(&mut pending_events, &apply_tx)
-                    || apply_tx.send(Apply::Flush { conn, tenant, ack }).is_err()
-                {
-                    return;
-                }
-            }
-            Ok(Ingest::ConnClosed { conn, tenant }) => {
-                if !flush_interns(&mut pending_interns, &apply_tx)
-                    || !flush_events(&mut pending_events, &apply_tx)
-                    || apply_tx.send(Apply::ConnClosed { conn, tenant }).is_err()
-                {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if !flush_interns(&mut pending_interns, &apply_tx)
-                    || !flush_events(&mut pending_events, &apply_tx)
-                {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                let _ = flush_interns(&mut pending_interns, &apply_tx);
-                let _ = flush_events(&mut pending_events, &apply_tx);
-                return;
-            }
-        }
-    }
-}
-
 /// One tenant's complete engine state: a full SEER instance plus its
 /// string table, per-connection remaps, WAL, and quality plane. Each
 /// tenant is isolated — a WAL fault or hostile client on one can never
@@ -465,8 +286,9 @@ pub(crate) struct TenantState {
     name: Tenant,
     engine: SeerEngine,
     strings: StringTable,
-    /// Per-connection translation from wire-local ids to global ids.
-    remap: HashMap<u64, Vec<Option<RawPathId>>>,
+    /// Per-connection translation from wire-local ids (dense from zero)
+    /// to global ids.
+    remap: HashMap<u64, Vec<RawPathId>>,
     /// Per-connection count of events applied (for flush acks).
     per_conn: HashMap<u64, u64>,
     events_applied: u64,
@@ -505,14 +327,57 @@ pub(crate) struct TenantState {
     dropped_events: u64,
 }
 
-/// Recovered state for the default tenant, restored eagerly by the
-/// server before the socket binds (so snapshot/WAL/restore errors fail
-/// startup instead of surfacing mid-flight).
-pub(crate) struct DefaultSeed {
+/// Recovered engine state a tenant starts from. The server restores the
+/// default tenant's eagerly, before the socket binds (so snapshot/WAL/
+/// restore errors fail startup instead of surfacing mid-flight); other
+/// tenants restore theirs lazily, on first contact.
+pub(crate) struct TenantSeed {
     pub engine: SeerEngine,
     pub strings: StringTable,
     pub events_applied: u64,
     pub wal: Option<Wal>,
+}
+
+impl TenantState {
+    /// Puts a recovered tenant to work: registers its instruments, counts
+    /// its recovered history toward the fleet totals (so a restart does
+    /// not appear to reset progress), and starts its quality plane.
+    fn new(
+        name: Tenant,
+        mut seed: TenantSeed,
+        wal_fault: Option<String>,
+        cfg: &ActorConfig,
+        metrics: &SharedMetrics,
+    ) -> TenantState {
+        seed.engine.attach_telemetry(&metrics.registry);
+        let tm = metrics.tenant(&name);
+        metrics.events_applied.add(seed.events_applied);
+        tm.events_applied.set_total(seed.events_applied);
+        if wal_fault.is_some() {
+            metrics.wal_append_errors.inc();
+        }
+        metrics.tenants.add(1);
+        TenantState {
+            name,
+            engine: seed.engine,
+            strings: seed.strings,
+            remap: HashMap::new(),
+            per_conn: HashMap::new(),
+            events_applied: seed.events_applied,
+            since_recluster: 0,
+            since_snapshot: 0,
+            clustering_generation: 0,
+            inflight: VecDeque::new(),
+            pending_dirty: None,
+            wal: seed.wal,
+            wal_fault,
+            wal_appends: 0,
+            quality: spawn_quality(cfg, metrics),
+            tm,
+            health: TenantHealth::new(&cfg.health),
+            dropped_events: 0,
+        }
+    }
 }
 
 /// Builds a tenant's state from its on-disk snapshot + WAL, or cold.
@@ -594,37 +459,13 @@ fn create_tenant_state(name: Tenant, cfg: &ActorConfig, metrics: &SharedMetrics)
             }
         }
     }
-    engine.attach_telemetry(&metrics.registry);
-    let tm = metrics.tenant(&name);
-    if events_applied > 0 {
-        // A lazily restored tenant's history counts toward the fleet
-        // total, same as the default seed's `set_total` at startup.
-        metrics.events_applied.add(events_applied);
-        tm.events_applied.set_total(events_applied);
-    }
-    if wal_fault.is_some() {
-        metrics.wal_append_errors.inc();
-    }
-    TenantState {
-        name,
+    let seed = TenantSeed {
         engine,
         strings,
-        remap: HashMap::new(),
-        per_conn: HashMap::new(),
         events_applied,
-        since_recluster: 0,
-        since_snapshot: 0,
-        clustering_generation: 0,
-        inflight: VecDeque::new(),
-        pending_dirty: None,
         wal,
-        wal_fault,
-        wal_appends: 0,
-        quality: spawn_quality(cfg, metrics),
-        tm,
-        health: TenantHealth::new(&cfg.health),
-        dropped_events: 0,
-    }
+    };
+    TenantState::new(name, seed, wal_fault, cfg, metrics)
 }
 
 fn spawn_quality(cfg: &ActorConfig, metrics: &SharedMetrics) -> Option<QualityState> {
@@ -666,7 +507,6 @@ impl Actor {
         );
         let ts = create_tenant_state(tenant.clone(), &self.cfg, &self.metrics);
         self.tenants.insert(tenant.clone(), ts);
-        self.metrics.tenants.add(1);
     }
 
     fn update_inflight_gauge(&self) {
@@ -681,7 +521,7 @@ impl Actor {
     /// (both success and drop) and the idle tick; throttled inside
     /// [`TenantHealth::observe`] so at most one sample lands per gap. A
     /// single branch when the plane is disabled.
-    fn observe_tenant_health(&mut self, tenant: &Tenant, ingest_depth: usize) {
+    fn observe_tenant_health(&mut self, tenant: &Tenant, depth: usize) {
         if !self.cfg.health.enabled {
             return;
         }
@@ -694,7 +534,7 @@ impl Actor {
                 .is_some_and(|t| t.elapsed() > self.cfg.eval_every * 4)
         });
         let queue_frac = if self.cfg.channel_capacity > 0 {
-            ingest_depth as f64 / self.cfg.channel_capacity as f64
+            depth as f64 / self.cfg.channel_capacity as f64
         } else {
             0.0
         };
@@ -753,32 +593,17 @@ impl Actor {
         );
     }
 
-    fn apply(&mut self, item: Apply, depth: usize) {
-        match item {
-            Apply::Interns {
+    /// Handles one inbox message; `depth` is the inbox depth behind it.
+    fn handle(&mut self, msg: Msg, depth: usize) {
+        match msg {
+            Msg::Batch {
                 conn,
                 tenant,
-                entries,
-            } => {
-                self.ensure_tenant(&tenant);
-                let ts = self.tenants.get_mut(&tenant).expect("ensured above");
-                let table = ts.remap.entry(conn).or_default();
-                for (local, path) in entries {
-                    let global = ts.strings.intern(&path);
-                    let idx = local as usize;
-                    if table.len() <= idx {
-                        table.resize(idx + 1, None);
-                    }
-                    table[idx] = Some(global);
-                }
-            }
-            Apply::Batch {
-                conn,
-                tenant,
+                interns,
                 events,
                 ctx,
-            } => self.apply_batch(conn, &tenant, events, ctx, depth),
-            Apply::Flush { conn, tenant, ack } => {
+            } => self.apply_batch(conn, &tenant, &interns, events, ctx, depth),
+            Msg::Flush { conn, tenant, ack } => {
                 let ts = self.tenants.get(&tenant);
                 if self.cfg.health.enabled {
                     if let Some(ts) = ts {
@@ -790,7 +615,15 @@ impl Actor {
                     .unwrap_or(0);
                 let _ = ack.send(applied);
             }
-            Apply::ConnClosed { conn, tenant } => {
+            Msg::Query {
+                query,
+                tenant,
+                ctx,
+                reply,
+            } => {
+                let _ = reply.send(self.answer(&tenant, query, ctx, depth));
+            }
+            Msg::ConnClosed { conn, tenant } => {
                 if let Some(ts) = self.tenants.get_mut(&tenant) {
                     ts.remap.remove(&conn);
                 }
@@ -802,16 +635,23 @@ impl Actor {
         &mut self,
         conn: u64,
         tenant: &Tenant,
-        events: Vec<TraceEvent>,
+        interns: &[String],
+        mut events: Vec<TraceEvent>,
         ctx: Option<SpanContext>,
         depth: usize,
     ) {
         self.ensure_tenant(tenant);
+        let ts = self.tenants.get_mut(tenant).expect("ensured above");
+        // Declarations count even when a WAL fault drops the batch below:
+        // this connection's later batches name these ids too.
+        let table = ts.remap.entry(conn).or_default();
+        for path in interns {
+            table.push(ts.strings.intern(path));
+        }
         let apply_timer = self.metrics.stage_engine_apply.start_timer();
         let tenant_apply_start = self.cfg.health.enabled.then(Instant::now);
         let mut span = ctx.map(|c| self.metrics.tracer.child("engine_apply", c));
         let n = events.len() as u64;
-        let ts = self.tenants.get_mut(tenant).expect("ensured above");
         if ts.wal_fault.is_some() {
             // A faulted log can no longer record this batch; applying it
             // would hand out state a restart cannot reproduce. Drop it
@@ -825,23 +665,11 @@ impl Actor {
             self.observe_tenant_health(tenant, depth);
             return;
         }
-        let table = ts.remap.entry(conn).or_default();
-        // Translate into the global id space; an undeclared id is a
-        // protocol slip, mapped to a visible sentinel path rather
-        // than silently dropped so counts stay consistent.
-        let strings = &mut ts.strings;
-        let remapped: Vec<TraceEvent> =
-            events
-                .into_iter()
-                .map(|ev| TraceEvent {
-                    kind: ev.kind.map_paths(&mut |p| {
-                        table.get(p.index()).copied().flatten().unwrap_or_else(|| {
-                            strings.intern(&format!("/?undeclared/{conn}/{}", p.0))
-                        })
-                    }),
-                    ..ev
-                })
-                .collect();
+        // Translate into the global id space in place. The reader refused
+        // every frame naming an undeclared id, so each id has an entry.
+        for ev in &mut events {
+            ev.kind = ev.kind.map_paths(&mut |p| table[p.index()]);
+        }
         // Durability first: the batch (and the intern deltas that make
         // its ids meaningful) hits the log before the engine, so an
         // acknowledged batch is replayable. WAL time stays inside the
@@ -866,7 +694,7 @@ impl Actor {
                     ts.wal_appends
                 ))
             } else {
-                wal.append_batch(&ts.strings, generation, &remapped)
+                wal.append_batch(&ts.strings, generation, &events)
                     .map_err(|e| e.to_string())
             };
             drop(append_timer);
@@ -925,8 +753,8 @@ impl Actor {
             }
         }
         let ts = self.tenants.get_mut(tenant).expect("ensured above");
-        ts.engine.on_batch(&remapped, &ts.strings);
-        quality_ingest(ts, &remapped);
+        ts.engine.on_batch(&events, &ts.strings);
+        quality_ingest(ts, &events);
         ts.events_applied += n;
         *ts.per_conn.entry(conn).or_default() += n;
         ts.since_recluster += n;
@@ -1193,6 +1021,32 @@ impl Actor {
         }
     }
 
+    /// Idle housekeeping after a full tick with no ingest message, for
+    /// every tenant on this shard: fold in finished clusterings and quality
+    /// evaluations, start background reclusters for tenants whose cache
+    /// went stale, keep the evaluator cadences alive, and snapshot
+    /// pending work so quiet periods converge. Health is sampled here
+    /// too so burn windows decay (and alerts resolve) while a tenant is
+    /// quiet.
+    fn idle(&mut self, depth: usize) {
+        self.poll_recluster_done();
+        let tenants: Vec<Tenant> = self.tenants.keys().cloned().collect();
+        for tenant in &tenants {
+            self.poll_eval_done(tenant);
+            let ts = self.tenants.get(tenant).expect("listed above");
+            if self.cfg.recluster_every > 0 && ts.since_recluster > 0 && ts.inflight.is_empty() {
+                self.request_recluster(tenant, None);
+            }
+            self.maybe_request_eval(tenant);
+            self.observe_tenant_health(tenant, depth);
+            let ts = self.tenants.get(tenant).expect("listed above");
+            if self.cfg.snapshot_every > 0 && ts.since_snapshot > 0 {
+                self.write_snapshot(tenant);
+            }
+        }
+        self.wal_idle();
+    }
+
     fn write_snapshot(&mut self, tenant: &Tenant) {
         let Some(ts) = self.tenants.get_mut(tenant) else {
             return;
@@ -1327,9 +1181,9 @@ impl Actor {
     /// daemon would have answered at that generation.
     ///
     /// Runs on the actor thread, which is what makes reading the live
-    /// log safe: no append can race the replay. The flush that precedes
-    /// every query means the log already contains everything this
-    /// connection sent.
+    /// log safe: no append can race the replay. The query arrived behind
+    /// this connection's events, so the log already contains everything
+    /// it sent.
     fn answer_history(&mut self, tenant: &Tenant, target: u64, budget: u64) -> QueryResponse {
         let err = |message: String| QueryResponse::Error { message };
         let snapshot_base = self
@@ -1705,8 +1559,7 @@ impl Actor {
         tenant: &Tenant,
         query: QueryRequest,
         ctx: Option<SpanContext>,
-        ingest_depth: usize,
-        alive: bool,
+        depth: usize,
     ) -> QueryResponse {
         // Tenant-scoped queries create the tenant on first contact, so a
         // freshly restarted daemon answers for any tenant with on-disk
@@ -1777,7 +1630,7 @@ impl Actor {
                 }
             }
             QueryRequest::Metrics => {
-                self.metrics.observe_queue_depth(ingest_depth);
+                self.metrics.observe_queue_depth(depth);
                 self.metrics.touch_uptime();
                 QueryResponse::Metrics {
                     snapshot: self.metrics.registry.snapshot(),
@@ -1786,9 +1639,9 @@ impl Actor {
             QueryRequest::Health => {
                 let ts = self.tenants.get(tenant).expect("ensured above");
                 QueryResponse::Health {
-                    healthy: alive && ts.wal_fault.is_none(),
+                    healthy: ts.wal_fault.is_none(),
                     events_applied: ts.events_applied,
-                    queue_depth: ingest_depth,
+                    queue_depth: depth,
                     wal_fault: ts.wal_fault.clone(),
                 }
             }
@@ -1911,19 +1764,16 @@ fn neighbor_evidence(engine: &SeerEngine, file: FileId, k: usize) -> Vec<Explain
         .collect()
 }
 
-/// Runs one shard's engine actor until the apply channel disconnects
-/// (graceful shutdown: drain, recluster, snapshot every tenant, exit)
-/// or `kill` is raised (abrupt: exit immediately *without*
+/// Runs one shard's engine actor until every inbox sender is gone
+/// (graceful shutdown: the inbox is drained; recluster, snapshot every
+/// tenant, exit) or `kill` is raised (abrupt: exit immediately *without*
 /// snapshotting, leaving the last on-disk snapshots as the recovery
 /// points). `seed` is the eagerly restored default tenant — present on
 /// exactly the shard the default tenant routes to.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_engine_actor(
-    seed: Option<DefaultSeed>,
+    seed: Option<TenantSeed>,
     cfg: ActorConfig,
-    apply_rx: Receiver<Apply>,
-    control_rx: Receiver<Control>,
-    ingest_depth: Receiver<Ingest>,
+    inbox: Receiver<Msg>,
     metrics: SharedMetrics,
     kill: Arc<AtomicBool>,
     beat: Arc<ShardBeat>,
@@ -1936,10 +1786,9 @@ pub(crate) fn run_engine_actor(
     let (done_tx, done_rx) = crossbeam::channel::bounded::<ReclusterDone>(4);
     let worker = {
         let threads = cfg.recluster_threads.max(1);
-        let full_every = cfg.recluster_full_every;
         thread::Builder::new()
             .name("seer-recluster".into())
-            .spawn(move || run_recluster_worker(&job_rx, &done_tx, threads, full_every))
+            .spawn(move || run_recluster_worker(&job_rx, &done_tx, threads))
             .ok()
     };
     let mut actor = Actor {
@@ -1951,39 +1800,15 @@ pub(crate) fn run_engine_actor(
     };
     if let Some(seed) = seed {
         let name = default_tenant();
-        let quality = spawn_quality(&actor.cfg, &actor.metrics);
-        // A recovered snapshot's applied count seeds the counter so
-        // restart does not appear to reset progress.
-        actor.metrics.events_applied.set_total(seed.events_applied);
-        let tm = actor.metrics.tenant(&name);
-        tm.events_applied.set_total(seed.events_applied);
-        let health = TenantHealth::new(&actor.cfg.health);
-        actor.tenants.insert(
-            name.clone(),
-            TenantState {
-                name,
-                engine: seed.engine,
-                strings: seed.strings,
-                remap: HashMap::new(),
-                per_conn: HashMap::new(),
-                events_applied: seed.events_applied,
-                since_recluster: 0,
-                since_snapshot: 0,
-                clustering_generation: 0,
-                inflight: VecDeque::new(),
-                pending_dirty: None,
-                wal: seed.wal,
-                wal_fault: None,
-                wal_appends: 0,
-                quality,
-                tm,
-                health,
-                dropped_events: 0,
-            },
-        );
-        actor.metrics.tenants.add(1);
+        let ts = TenantState::new(name.clone(), seed, None, &actor.cfg, &actor.metrics);
+        actor.tenants.insert(name, ts);
         actor.wal_update_gauges();
     }
+    // Idle housekeeping runs once a full tick passes with no ingest
+    // message (batch, flush, or hang-up). Queries are answered at once
+    // and do not defer it, so a client polling faster than the tick
+    // cannot starve health sampling or idle snapshots.
+    let mut idle_at = Instant::now() + tick;
     loop {
         // Liveness stamp: one relaxed store per loop iteration. A
         // heartbeat older than the watchdog's `stall_after` means the
@@ -1996,65 +1821,23 @@ pub(crate) fn run_engine_actor(
             dump_flight(&actor);
             return;
         }
-        while let Ok(Control::Query {
-            query,
-            tenant,
-            ctx,
-            reply,
-        }) = control_rx.try_recv()
-        {
-            let depth = ingest_depth.len();
-            let answer = actor.answer(&tenant, query, ctx, depth, true);
-            let _ = reply.send(answer);
-        }
-        match apply_rx.recv_timeout(tick) {
-            Ok(item) => {
-                let depth = ingest_depth.len();
-                actor.apply(item, depth);
+        match inbox.recv_timeout(idle_at.saturating_duration_since(Instant::now())) {
+            Ok(msg) => {
+                let ingest = !matches!(msg, Msg::Query { .. });
+                actor.handle(msg, inbox.len());
+                if ingest {
+                    idle_at = Instant::now() + tick;
+                }
             }
             Err(RecvTimeoutError::Timeout) => {
-                // Idle tick: fold in finished clusterings and quality
-                // evaluations, start background reclusters for tenants
-                // whose cache went stale, keep the evaluator cadences
-                // alive, and snapshot pending work so quiet periods
-                // converge — for every tenant on this shard. Health is
-                // sampled here too so burn windows decay (and alerts
-                // resolve) while a tenant is quiet.
-                actor.poll_recluster_done();
-                let tenants: Vec<Tenant> = actor.tenants.keys().cloned().collect();
-                for tenant in &tenants {
-                    actor.poll_eval_done(tenant);
-                    let ts = actor.tenants.get(tenant).expect("listed above");
-                    if actor.cfg.recluster_every > 0
-                        && ts.since_recluster > 0
-                        && ts.inflight.is_empty()
-                    {
-                        actor.request_recluster(tenant, None);
-                    }
-                    actor.maybe_request_eval(tenant);
-                    actor.observe_tenant_health(tenant, ingest_depth.len());
-                    let ts = actor.tenants.get(tenant).expect("listed above");
-                    if actor.cfg.snapshot_every > 0 && ts.since_snapshot > 0 {
-                        actor.write_snapshot(tenant);
-                    }
-                }
-                actor.wal_idle();
+                actor.idle(inbox.len());
+                idle_at = Instant::now() + tick;
             }
             Err(RecvTimeoutError::Disconnected) => break,
         }
         actor.refresh_beats(&beat);
     }
-    // Graceful epilogue: every producer is gone and the queue is drained.
-    while let Ok(Control::Query {
-        query,
-        tenant,
-        ctx,
-        reply,
-    }) = control_rx.try_recv()
-    {
-        let answer = actor.answer(&tenant, query, ctx, 0, false);
-        let _ = reply.send(answer);
-    }
+    // Graceful epilogue: every producer is gone and the inbox is drained.
     actor.poll_recluster_done();
     let tenants: Vec<Tenant> = actor.tenants.keys().cloned().collect();
     for tenant in &tenants {
@@ -2136,13 +1919,12 @@ fn dump_flight(actor: &Actor) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seer_telemetry::TraceId;
+    use seer_telemetry::{TraceId, Tracer};
 
     fn test_cfg() -> ActorConfig {
         ActorConfig {
             snapshot_path: None,
             recluster_every: 0,
-            recluster_full_every: 0,
             snapshot_every: 0,
             tick: Duration::from_millis(50),
             file_size: 1,
@@ -2175,30 +1957,15 @@ mod tests {
         let name = default_tenant();
         let cfg = test_cfg();
         let metrics = crate::stats::new_shared_with(Tracer::new(64, Duration::from_secs(1)));
-        let mut tenants = HashMap::new();
-        tenants.insert(
-            name.clone(),
-            TenantState {
-                tm: metrics.tenant(&name),
-                name,
-                engine,
-                strings: StringTable::new(),
-                remap: HashMap::new(),
-                per_conn: HashMap::new(),
-                events_applied,
-                since_recluster: 0,
-                since_snapshot: 0,
-                clustering_generation: 0,
-                inflight,
-                pending_dirty: None,
-                wal: None,
-                wal_fault: None,
-                wal_appends: 0,
-                quality: None,
-                health: TenantHealth::new(&cfg.health),
-                dropped_events: 0,
-            },
-        );
+        let seed = TenantSeed {
+            engine,
+            strings: StringTable::new(),
+            events_applied,
+            wal: None,
+        };
+        let mut ts = TenantState::new(name.clone(), seed, None, &cfg, &metrics);
+        ts.inflight = inflight;
+        let tenants = HashMap::from([(name, ts)]);
         Actor {
             tenants,
             job_tx,

@@ -1,8 +1,8 @@
 //! The daemon itself: listeners, sharded pipelines, and lifecycle.
 
 use crate::health::{watchdog_check, HealthConfig, ShardBeat, WatchdogConfig, SELF_TENANT};
-use crate::hub::{self, HubListener, HubStream, ShardHandle, Shards, SocketProbe};
-use crate::pipeline::{self, ActorConfig, DefaultSeed};
+use crate::hub::{self, HubListener, HubStream, Shards, SocketProbe};
+use crate::pipeline::{self, ActorConfig, TenantSeed};
 use crate::snapshot::DaemonSnapshot;
 use crate::stats::{self, DaemonStats, SharedMetrics};
 use crossbeam::channel::bounded;
@@ -30,7 +30,7 @@ pub struct DaemonConfig {
     /// only.
     pub tcp_addr: Option<String>,
     /// Engine shards. Tenants hash across shards; each shard is one
-    /// engine actor + batcher pair owning every tenant routed to it.
+    /// inbox + engine actor pair owning every tenant routed to it.
     /// Clamped to at least 1.
     pub shards: usize,
     /// Where to persist snapshots; `None` disables persistence. This is
@@ -40,29 +40,20 @@ pub struct DaemonConfig {
     /// Engine configuration (used only on a cold start; a snapshot's
     /// embedded configuration wins on recovery).
     pub engine: SeerConfig,
-    /// Capacity of the bounded ingest and apply channels (per shard).
-    /// Producers block when full — this is the backpressure knob.
+    /// Capacity of each shard's bounded inbox. Connection readers block
+    /// when it is full — this is the backpressure knob.
     pub channel_capacity: usize,
-    /// Target events per engine batch.
-    pub batch_max: usize,
-    /// How long the batcher waits for more events before flushing a
-    /// partial batch.
-    pub batch_max_wait: Duration,
     /// Start a background recluster after this many applied events.
     /// `0` disables periodic reclustering entirely; queries still
     /// compute a clustering on demand.
     pub recluster_every: u64,
-    /// Force a full shared-neighbor recount after this many consecutive
-    /// incremental reclusterings. Between full recounts the worker
-    /// maintains pair counts from the dirty-row delta of each batch —
-    /// bit-identical to a full recount, but proportional to what
-    /// changed. `0` never forces a full recount.
-    pub recluster_full_every: u64,
     /// Snapshot after this many applied events. `0` disables periodic
     /// snapshots; the final snapshot on graceful shutdown is still
     /// written whenever `snapshot_path` is set.
     pub snapshot_every: u64,
-    /// Engine actor idle tick (stale-work folding, kill-flag polling).
+    /// Engine actor idle tick: a full tick with no ingest message runs
+    /// the idle housekeeping (stale-work folding, WAL sync, snapshots);
+    /// the actor also polls the kill flag at this cadence.
     pub tick: Duration,
     /// Nominal size, in bytes, assumed for every file when answering
     /// hoard queries (the daemon has no investigator measuring real
@@ -117,12 +108,6 @@ pub struct DaemonConfig {
     pub eval_budget: u64,
     /// Entry cap of the shadow-LRU comparator (bounds its memory).
     pub shadow_lru_cap: usize,
-    /// Capacity of each connection's socket read buffer. Size it to the
-    /// largest expected events frame so a frame arrives in one kernel
-    /// read; a buffer smaller than the frame forces mid-frame refills,
-    /// which is exactly the `socket_read` p99 outlier small-frame
-    /// benchmarks used to show.
-    pub read_buffer: usize,
     /// Master switch for the fleet observability plane: per-tenant
     /// instrument twins, health scoring, SLO burn alerts, and the
     /// self-watchdog thread.
@@ -146,12 +131,6 @@ pub struct DaemonConfig {
     pub watchdog_tick: Duration,
     /// Shard heartbeat age above which `_self` reports the shard stalled.
     pub watchdog_stall_after: Duration,
-    /// Continuous recluster/eval in-flight time above which `_self`
-    /// reports the background worker wedged.
-    pub watchdog_wedge_after: Duration,
-    /// Unsnapshotted-state age above which `_self` reports periodic
-    /// snapshots stale (only meaningful with `snapshot_every > 0`).
-    pub watchdog_snapshot_stale_after: Duration,
 }
 
 impl DaemonConfig {
@@ -165,10 +144,7 @@ impl DaemonConfig {
             snapshot_path: None,
             engine: SeerConfig::default(),
             channel_capacity: 256,
-            batch_max: 256,
-            batch_max_wait: Duration::from_millis(20),
             recluster_every: 50_000,
-            recluster_full_every: 16,
             snapshot_every: 20_000,
             tick: Duration::from_millis(50),
             file_size: 1024,
@@ -186,7 +162,6 @@ impl DaemonConfig {
             eval_window_secs: 86_400,
             eval_budget: 1 << 20,
             shadow_lru_cap: 65_536,
-            read_buffer: 256 * 1024,
             fleet_observability: true,
             slo_miss_rate: 0.02,
             burn_fast_window: Duration::from_secs(300),
@@ -195,8 +170,6 @@ impl DaemonConfig {
             alert_ring: 256,
             watchdog_tick: Duration::from_millis(250),
             watchdog_stall_after: Duration::from_secs(5),
-            watchdog_wedge_after: Duration::from_secs(60),
-            watchdog_snapshot_stale_after: Duration::from_secs(300),
         }
     }
 }
@@ -284,7 +257,6 @@ pub struct DaemonHandle {
     socket_path: PathBuf,
     tcp_addr: Option<SocketAddr>,
     listeners: Vec<JoinHandle<()>>,
-    batchers: Vec<JoinHandle<()>>,
     actors: Vec<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
 }
@@ -439,7 +411,6 @@ impl Daemon {
         let tracer = Tracer::new(config.trace_capacity, config.slow_span);
         seer_telemetry::register_flight_recorder("daemon", &tracer);
         let metrics = stats::new_shared_full(tracer, config.alert_ring);
-        engine.attach_telemetry(&metrics.registry);
 
         // Reap the socket path only when it is provably dead. A path a
         // live daemon owns refuses the start instead of being stolen
@@ -493,63 +464,31 @@ impl Daemon {
             next_conn: AtomicU64::new(0),
         });
 
-        // Per-shard channel pairs, created before the threads so the
-        // routing table exists first (the default tenant's seed goes to
-        // whichever shard it hashes to).
-        let shard_count = config.shards.max(1);
-        let mut handles = Vec::with_capacity(shard_count);
-        let mut plumbing = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let (ingest_tx, ingest_rx) = bounded(config.channel_capacity);
-            let (apply_tx, apply_rx) = bounded(config.channel_capacity);
-            let (control_tx, control_rx) = bounded(16);
-            handles.push(ShardHandle {
-                ingest_tx,
-                control_tx,
-            });
-            plumbing.push((ingest_rx, apply_tx, apply_rx, control_rx));
-        }
-        let shards = Arc::new(Shards { handles });
+        // Per-shard inboxes, created before the threads so the routing
+        // table exists first (the default tenant's seed goes to whichever
+        // shard it hashes to).
+        let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..config.shards.max(1))
+            .map(|_| bounded(config.channel_capacity))
+            .unzip();
+        let shards = Arc::new(Shards { inboxes });
         let default_shard = shards.index_for(pipeline::DEFAULT_TENANT);
-        let mut seed = Some(DefaultSeed {
+        let mut seed = Some(TenantSeed {
             engine,
             strings,
             events_applied,
             wal,
         });
 
-        let mut batchers = Vec::with_capacity(shard_count);
-        let mut actors = Vec::with_capacity(shard_count);
         // One beat per shard: the actor stamps it, the watchdog reads it.
-        let beats: Vec<Arc<ShardBeat>> = (0..shard_count)
+        let beats: Vec<Arc<ShardBeat>> = receivers
+            .iter()
             .map(|_| Arc::new(ShardBeat::new()))
             .collect();
-        for (i, (ingest_rx, apply_tx, apply_rx, control_rx)) in plumbing.into_iter().enumerate() {
-            let batcher = {
-                let ingest_rx = ingest_rx.clone();
-                let kill = Arc::clone(&shared.kill);
-                let batch_max = config.batch_max;
-                let batch_max_wait = config.batch_max_wait;
-                let flush_timer = shared.metrics.stage_batcher_flush.clone();
-                let tracer = shared.metrics.tracer.clone();
-                thread::spawn(move || {
-                    pipeline::run_batcher(
-                        batch_max,
-                        batch_max_wait,
-                        ingest_rx,
-                        apply_tx,
-                        flush_timer,
-                        tracer,
-                        kill,
-                    );
-                })
-            };
-            batchers.push(batcher);
-
+        let mut actors = Vec::with_capacity(receivers.len());
+        for (i, inbox) in receivers.into_iter().enumerate() {
             let actor_cfg = ActorConfig {
                 snapshot_path: config.snapshot_path.clone(),
                 recluster_every: config.recluster_every,
-                recluster_full_every: config.recluster_full_every,
                 snapshot_every: config.snapshot_every,
                 tick: config.tick,
                 file_size: config.file_size,
@@ -582,20 +521,8 @@ impl Daemon {
             let metrics = Arc::clone(&shared.metrics);
             let kill = Arc::clone(&shared.kill);
             let beat = Arc::clone(&beats[i]);
-            // `ingest_rx` doubles as a depth probe for Health queries;
-            // the actor never receives from it.
-            let depth_probe = ingest_rx;
             actors.push(thread::spawn(move || {
-                pipeline::run_engine_actor(
-                    shard_seed,
-                    actor_cfg,
-                    apply_rx,
-                    control_rx,
-                    depth_probe,
-                    metrics,
-                    kill,
-                    beat,
-                );
+                pipeline::run_engine_actor(shard_seed, actor_cfg, inbox, metrics, kill, beat);
             }));
         }
 
@@ -603,8 +530,7 @@ impl Daemon {
             let wcfg = WatchdogConfig {
                 tick: config.watchdog_tick,
                 stall_after: config.watchdog_stall_after,
-                wedge_after: config.watchdog_wedge_after,
-                snapshot_stale_after: config.watchdog_snapshot_stale_after,
+                ..WatchdogConfig::default()
             };
             let shared = Arc::clone(&shared);
             Some(
@@ -621,9 +547,8 @@ impl Daemon {
             .map(|listener| {
                 let shared = Arc::clone(&shared);
                 let shards = Arc::clone(&shards);
-                let read_buffer = config.read_buffer;
                 thread::spawn(move || {
-                    hub::run_listener(&listener, &shared, &shards, read_buffer);
+                    hub::run_listener(&listener, &shared, &shards);
                 })
             })
             .collect();
@@ -633,7 +558,6 @@ impl Daemon {
             socket_path: config.socket_path,
             tcp_addr,
             listeners: listener_threads,
-            batchers,
             actors,
             watchdog,
         })
@@ -759,9 +683,6 @@ impl DaemonHandle {
         for h in self.listeners.drain(..) {
             let _ = h.join();
         }
-        for h in self.batchers.drain(..) {
-            let _ = h.join();
-        }
         for h in self.actors.drain(..) {
             let _ = h.join();
         }
@@ -773,7 +694,7 @@ impl DaemonHandle {
 
 impl Drop for DaemonHandle {
     fn drop(&mut self) {
-        if !(self.listeners.is_empty() && self.batchers.is_empty() && self.actors.is_empty()) {
+        if !(self.listeners.is_empty() && self.actors.is_empty()) {
             self.shared.kill.store(true, Ordering::SeqCst);
             self.shared.begin_shutdown();
             self.join_all();

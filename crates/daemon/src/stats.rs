@@ -37,9 +37,8 @@ pub struct DaemonStats {
     pub connections: u64,
 }
 
-/// Registry handles for every pipeline metric. Connection readers, the
-/// batcher, and the engine actor share one instance; all recording is
-/// lock-free.
+/// Registry handles for every pipeline metric. Connection readers and
+/// the engine actors share one instance; all recording is lock-free.
 pub(crate) struct PipelineMetrics {
     /// The registry the handles live in, for `metrics` query snapshots.
     pub registry: Arc<Registry>,
@@ -96,7 +95,6 @@ pub(crate) struct PipelineMetrics {
     /// Per-stage latency histograms (`seer_daemon_stage_seconds`).
     pub stage_socket_read: Histogram,
     pub stage_decode: Histogram,
-    pub stage_batcher_flush: Histogram,
     pub stage_engine_apply: Histogram,
     pub stage_recluster: Histogram,
     pub stage_snapshot_write: Histogram,
@@ -230,12 +228,7 @@ impl PipelineMetrics {
             ),
             stage_decode: stage(
                 "decode",
-                "Pipeline stage latency: decoding one frame from JSON.",
-            ),
-            stage_batcher_flush: stage(
-                "batcher_flush",
-                "Pipeline stage latency: handing a coalesced batch to the apply channel \
-                 (includes backpressure blocking).",
+                "Pipeline stage latency: decoding one frame (binary events or a JSON control line).",
             ),
             stage_engine_apply: stage(
                 "engine_apply",
@@ -384,9 +377,8 @@ impl PipelineMetrics {
         }
     }
 
-    /// The per-tenant connection-error twin alone — the hub caches one
-    /// per connection (re-resolved on a tenant re-handshake) so error
-    /// paths never re-intern.
+    /// The per-tenant connection-error twin alone, resolved by the hub
+    /// when a connection ends in error.
     pub(crate) fn tenant_connection_errors(&self, tenant: &str) -> Counter {
         self.registry.counter_with(
             "seer_daemon_tenant_connection_errors_total",
@@ -518,7 +510,7 @@ mod tests {
             .filter(|ms| ms.name == "seer_daemon_stage_seconds")
             .count();
         assert_eq!(
-            global_stages, 9,
+            global_stages, 8,
             "tenant stages don't pollute the global name"
         );
         assert!(m
@@ -559,7 +551,7 @@ mod tests {
             .iter()
             .filter(|ms| ms.name == "seer_daemon_stage_seconds")
             .collect();
-        assert_eq!(stages.len(), 9, "nine instrumented stages");
+        assert_eq!(stages.len(), 8, "eight instrumented stages");
         assert!(snap
             .find_with("seer_daemon_stage_seconds", &[("stage", "decode")])
             .is_some());

@@ -1,18 +1,26 @@
 //! Wire protocol for streaming trace events to a running SEER daemon.
 //!
-//! The protocol is newline-delimited JSON over a byte stream (in practice a
-//! Unix-domain socket): each frame is one [`ClientFrame`] or [`DaemonFrame`]
-//! serialized on a single line. It reuses the event serialization of
-//! [`crate::Trace::save_jsonl`], with one structural difference: instead of
-//! a monolithic string-table header, raw paths are interned *incrementally*
-//! with [`ClientFrame::Intern`] frames, so a connection can stream
-//! indefinitely without knowing its path vocabulary up front.
+//! A connection carries two framings over one byte stream (in practice a
+//! Unix-domain or TCP socket). Control frames — every [`ClientFrame`] and
+//! every [`DaemonFrame`] — are newline-delimited JSON, one frame per line.
+//! Events travel only as length-prefixed binary frames (see
+//! [`encode_events_binary`]), introduced by [`BINARY_EVENTS_MAGIC`], which
+//! no JSON line can start with, so one peeked byte picks the decoder.
 //!
-//! Interning is connection-local: `Intern { id, path }` declares that, on
-//! this connection, [`RawPathId`]`(id)` means `path` in every subsequent
-//! event frame. Ids must be declared before use and must be issued densely
-//! from zero (the order a [`crate::StringTable`] produces naturally). The
-//! daemon remaps them into its own global table on arrival.
+//! A connection opens with exactly one [`ClientFrame::Hello`] at
+//! [`WIRE_VERSION`]; the daemon answers [`DaemonFrame::Welcome`]. Any other
+//! first frame, any other version, or a second `Hello` is a protocol error
+//! that closes the connection.
+//!
+//! Raw paths are interned *incrementally* with [`ClientFrame::Intern`]
+//! frames, so a connection can stream indefinitely without knowing its
+//! path vocabulary up front. Interning is connection-local: `Intern { id,
+//! path }` declares that, on this connection, [`RawPathId`]`(id)` means
+//! `path` in every later events frame. Ids are issued densely from zero
+//! (the order a [`crate::StringTable`] produces naturally): each `Intern`
+//! must carry the number of ids declared before it, and an events frame
+//! may name only declared ids. The daemon closes a connection that breaks
+//! either rule and remaps valid ids into its own global table on arrival.
 
 use crate::event::{ErrorKind, EventKind, OpenMode, TraceEvent};
 use crate::ids::{Fd, Pid, RawPathId, Seq};
@@ -20,78 +28,23 @@ use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Write};
 
-/// Protocol revision; bumped on incompatible frame changes.
-///
-/// v2: `Hoard`/`Clusters` queries gained a `fresh` flag and their
-/// responses report the clustering `generation` and a `stale` marker.
-///
-/// v3: `Events` and `Query` frames carry an optional `trace_id` stamping
-/// the work into a causal trace, and a `Dump` query returns the daemon's
-/// flight-recorder span ring. v2 frames (no `trace_id` key) still decode
-/// — a missing trace id is `None` — so the daemon accepts both versions.
-///
-/// v4: a `History` query asks for the hoard/clustering as of a past
-/// generation (answered from the daemon's write-ahead log), and queries
-/// that cannot be honored answer with [`QueryResponse::Error`] in-band
-/// instead of tearing down the connection. Purely additive: v2/v3
-/// clients never send `History` and never see the new responses.
-///
-/// v5: the quality observability plane. An `Explain` query returns
-/// per-file decision provenance (rank, clusters, strongest semantic
-/// neighbors with evidence counts), a `Quality` query returns the live
-/// evaluator's [`QualityReport`] (SEER vs shadow-LRU miss-free size,
-/// coverage, time-to-first-miss) plus its time-series history, and a
-/// `Miss` query returns recorded [`MissPostmortem`]s. Purely additive:
-/// older clients never send the new queries and never see the new
-/// responses.
-///
-/// v6: binary events frames. A client that saw `Welcome { version >= 6 }`
-/// may send event batches as length-prefixed binary frames (magic byte
-/// [`BINARY_EVENTS_MAGIC`], which no JSON line can start with) instead of
-/// JSON `Events` lines; see [`encode_events_binary`] for the layout. Only
-/// the events path changes — handshake, interning, queries, and every
-/// daemon reply stay JSON — and the daemon continues to accept JSON
-/// `Events` lines from v2–v5 clients on the same connection.
-///
-/// v7: multi-tenant handshake. `Hello` carries an optional `tenant`
-/// label naming the observed machine this connection streams for; the
-/// daemon routes the connection's frames to that tenant's engine shard.
-/// A v2–v6 `Hello` (no `tenant` key) decodes as `None` and lands on the
-/// default tenant, so every older client keeps its exact pre-hub
-/// behavior. A `Fleet` query summarizes every tenant (aggregate event
-/// counts, per-tenant miss rates, WAL health) and `Health` answers gain
-/// an optional `wal_fault` describing a tenant whose write-ahead log
-/// has failed and is no longer acknowledging batches.
-///
-/// v8: the fleet observability plane. An `Alerts` query returns the
-/// daemon's bounded alert ring (SLO burn-rate, WAL fault, and watchdog
-/// alerts with firing/resolved transitions), optionally filtered to one
-/// tenant — the daemon's self-watchdog alerts under pseudo-tenant
-/// `_self`. `Fleet` rows gain a 0–100 per-tenant health score, the
-/// count of alerts currently firing, and a short score history for
-/// sparklines. Purely additive: older clients never send `Alerts` and
-/// ignore unknown `Fleet` row fields only if they re-serialize — in
-/// practice v7 clients are in-repo and bumped together.
+/// Protocol revision. Every client lives in this repository and is
+/// built against the same revision, so the daemon accepts exactly this
+/// version in a `Hello` and refuses any other.
 pub const WIRE_VERSION: u32 = 8;
-
-/// The oldest client revision the daemon still accepts: v2 differs only
-/// by the absence of later, purely additive frames (trace stamps and the
-/// `Dump` query from v3, `History` from v4, the quality-plane queries
-/// from v5), all of which degrade gracefully.
-pub const MIN_WIRE_VERSION: u32 = 2;
 
 /// A frame sent from a client to the daemon.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ClientFrame {
-    /// Introduces the connection.
+    /// Introduces the connection; must be its first and only `Hello`.
     Hello {
         /// Client-chosen label, echoed in daemon logs and stats.
         client: String,
-        /// The client's [`WIRE_VERSION`].
+        /// The client's [`WIRE_VERSION`]; any other value is refused.
         version: u32,
         /// The tenant (observed machine) this connection streams for.
-        /// `None` — including every pre-v7 `Hello`, which has no such
-        /// key — selects the daemon's default tenant.
+        /// `None` (also a missing key) selects the daemon's default
+        /// tenant.
         tenant: Option<String>,
     },
     /// Declares a connection-local raw-path id (see module docs).
@@ -101,27 +54,18 @@ pub enum ClientFrame {
         /// The raw path string it denotes.
         path: String,
     },
-    /// A batch of observed events; raw-path ids refer to prior `Intern`
-    /// declarations on this connection. A batch of one is a single event.
-    Events {
-        /// The events, in observation order.
-        events: Vec<TraceEvent>,
-        /// Optional causal-trace id: when set, the daemon records spans
-        /// for every pipeline stage this batch flows through under it.
-        trace_id: Option<u64>,
-    },
     /// Asks the daemon to apply everything received so far on this
     /// connection and acknowledge with [`DaemonFrame::Flushed`].
     Flush,
     /// A query about current daemon state; answered with
-    /// [`DaemonFrame::Answer`] after an implicit flush of this
-    /// connection's stream.
+    /// [`DaemonFrame::Answer`] once everything this connection sent
+    /// before it has been applied.
     Query {
         /// The question.
         query: QueryRequest,
         /// Optional causal-trace id: when set, the daemon records the
-        /// query's span tree (flush wait, engine answer, any recluster it
-        /// triggers) under it, retrievable via [`QueryRequest::Dump`].
+        /// query's span tree (engine answer, any recluster it triggers)
+        /// under it, retrievable via [`QueryRequest::Dump`].
         trace_id: Option<u64>,
     },
     /// Asks the daemon to flush, snapshot, and exit; acknowledged with
@@ -464,8 +408,7 @@ pub enum QueryResponse {
         queue_depth: usize,
         /// Description of this tenant's write-ahead-log fault, when its
         /// log has failed (e.g. a full disk). `None`: the log is healthy
-        /// or the daemon runs without one. Absent in pre-v7 answers,
-        /// which decodes as `None`.
+        /// or the daemon runs without one.
         wal_fault: Option<String>,
     },
     /// As-of-generation answer for [`QueryRequest::History`].
@@ -583,8 +526,9 @@ impl From<serde_json::Error> for WireError {
     }
 }
 
-/// Writes one frame as a JSON line. The caller flushes when ordering
-/// matters (sending many event frames unflushed is how batching pays off).
+/// Writes one control frame as a JSON line. The caller flushes when
+/// ordering matters (sending many frames unflushed is how batching pays
+/// off).
 ///
 /// # Errors
 ///
@@ -615,7 +559,7 @@ pub fn read_frame<R: BufRead, T: Deserialize>(r: &mut R) -> Result<Option<T>, Wi
 }
 
 // ---------------------------------------------------------------------------
-// v6 binary events frames
+// Binary events frames
 // ---------------------------------------------------------------------------
 
 /// First byte of a binary events frame. JSON frames are lines starting
@@ -702,8 +646,7 @@ impl<'a> Cursor<'a> {
 ///           raw byte: 0 read / 1 write / 2 read-write)
 /// ```
 ///
-/// Raw-path ids refer to the connection's `Intern` declarations exactly
-/// as in a JSON `Events` frame.
+/// Raw-path ids refer to the connection's `Intern` declarations.
 #[must_use]
 pub fn encode_events_binary(events: &[TraceEvent], trace_id: Option<u64>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + events.len() * 12);
@@ -938,21 +881,6 @@ mod tests {
     use crate::ids::{Fd, Pid, RawPathId, Seq};
     use crate::time::Timestamp;
 
-    fn sample_event() -> TraceEvent {
-        TraceEvent {
-            seq: Seq(7),
-            time: Timestamp::from_millis(1234),
-            pid: Pid(42),
-            root: false,
-            kind: EventKind::Open {
-                path: RawPathId(3),
-                mode: OpenMode::Read,
-                fd: Fd(5),
-            },
-            error: None,
-        }
-    }
-
     #[test]
     fn client_frames_round_trip() {
         let frames = vec![
@@ -964,10 +892,6 @@ mod tests {
             ClientFrame::Intern {
                 id: 3,
                 path: "/home/u/proj/main.c".into(),
-            },
-            ClientFrame::Events {
-                events: vec![sample_event(), sample_event()],
-                trace_id: Some(0xdead_beef),
             },
             ClientFrame::Flush,
             ClientFrame::Query {
@@ -1230,22 +1154,12 @@ mod tests {
         }
     }
 
-    /// v2 clients serialize `Events` and `Query` without a `trace_id`
-    /// key; a v3 daemon must decode them as untraced rather than reject
-    /// the connection.
+    /// A `Query` without a `trace_id` key decodes as untraced rather
+    /// than failing.
     #[test]
     fn v2_frames_without_trace_id_still_decode() {
-        let mut r = &br#"{"Events":{"events":[]}}
-{"Query":{"query":{"Clusters":{"fresh":true}}}}
+        let mut r = &br#"{"Query":{"query":{"Clusters":{"fresh":true}}}}
 "#[..];
-        let events: ClientFrame = read_frame(&mut r).expect("read").expect("frame");
-        assert_eq!(
-            events,
-            ClientFrame::Events {
-                events: vec![],
-                trace_id: None,
-            }
-        );
         let query: ClientFrame = read_frame(&mut r).expect("read").expect("frame");
         assert_eq!(
             query,
@@ -1256,9 +1170,9 @@ mod tests {
         );
     }
 
-    /// v2–v6 clients serialize `Hello` without a `tenant` key; a v7
-    /// daemon must decode it as `None` (the default tenant) so every
-    /// pre-hub client keeps its exact behavior.
+    /// A `Hello` without a `tenant` key decodes as `None` (the default
+    /// tenant); refusing its old version is the daemon's handshake
+    /// check, not the decoder's.
     #[test]
     fn pre_v7_hello_without_tenant_still_decodes() {
         let mut r = &br#"{"Hello":{"client":"legacy","version":6}}

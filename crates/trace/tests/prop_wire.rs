@@ -1,12 +1,9 @@
 //! Property tests for the wire protocol: arbitrary event batches survive
-//! both framings identically (a v5 JSON `Events` line and a v6 binary
-//! frame decode to the same events), and damaged binary frames always
+//! a binary events frame unchanged, and damaged binary frames always
 //! error cleanly — truncation and corruption must never panic.
 
 use proptest::prelude::*;
-use seer_trace::wire::{
-    self, decode_events_binary, encode_events_binary, read_binary_events, ClientFrame, WireError,
-};
+use seer_trace::wire::{decode_events_binary, encode_events_binary, read_binary_events, WireError};
 use seer_trace::{ErrorKind, EventKind, Fd, OpenMode, Pid, RawPathId, Seq, Timestamp, TraceEvent};
 
 fn path_id() -> impl Strategy<Value = RawPathId> {
@@ -74,33 +71,21 @@ fn trace_id_strategy() -> impl Strategy<Value = Option<u64>> {
 }
 
 proptest! {
-    /// The two framings are interchangeable: a batch written as a JSON
-    /// `Events` line and the same batch written as a binary frame decode
-    /// to identical events and trace id.
+    /// A batch written as a binary frame decodes to identical events
+    /// and trace id, and the frame is self-delimiting.
     #[test]
-    fn json_and_binary_framings_agree(
+    fn binary_framing_round_trips(
         events in batch_strategy(),
         trace_id in trace_id_strategy(),
     ) {
-        // v5 JSON line.
-        let mut line = Vec::new();
-        wire::write_frame(&mut line, &ClientFrame::Events {
-            events: events.clone(),
-            trace_id,
-        }).expect("json encode");
-        let text = std::str::from_utf8(&line[..line.len() - 1]).expect("utf8");
-        let decoded_json: ClientFrame = serde_json::from_str(text).expect("json decode");
-
-        // v6 binary frame.
         let frame = encode_events_binary(&events, trace_id);
+        let mut r = frame.as_slice();
         let mut scratch = Vec::new();
-        let (decoded_bin, bin_trace) =
-            read_binary_events(&mut frame.as_slice(), &mut scratch).expect("binary decode");
-
-        prop_assert_eq!(
-            decoded_json,
-            ClientFrame::Events { events: decoded_bin, trace_id: bin_trace }
-        );
+        let (decoded, decoded_trace) =
+            read_binary_events(&mut r, &mut scratch).expect("binary decode");
+        prop_assert!(r.is_empty());
+        prop_assert_eq!(decoded, events);
+        prop_assert_eq!(decoded_trace, trace_id);
     }
 
     /// Any truncation of a valid binary frame errors cleanly.

@@ -199,7 +199,6 @@ fn bounded_channels_apply_backpressure() {
     let dir = scratch("backpressure");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
     cfg.channel_capacity = 4;
-    cfg.batch_max = 8;
     let capacity = cfg.channel_capacity;
 
     let handle = Daemon::spawn(cfg).expect("spawn");
@@ -221,10 +220,6 @@ fn bounded_channels_apply_backpressure() {
         stats.max_queue_depth <= capacity,
         "queue depth {} must stay within the bound {capacity}",
         stats.max_queue_depth
-    );
-    assert!(
-        stats.batches_applied < stats.events_received,
-        "frames were coalesced into batches"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -275,7 +270,7 @@ fn metrics_query_reflects_ingestion() {
 
     // Every instrumented stage recorded at least one observation by now
     // (the query itself exercises socket_read and decode).
-    for stage in ["socket_read", "decode", "batcher_flush", "engine_apply"] {
+    for stage in ["socket_read", "decode", "engine_apply"] {
         let m = snap
             .find_with("seer_daemon_stage_seconds", &[("stage", stage)])
             .unwrap_or_else(|| panic!("stage {stage} registered"));

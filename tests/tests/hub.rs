@@ -4,10 +4,10 @@
 
 use seer_core::SeerEngine;
 use seer_daemon::{Daemon, DaemonClient, DaemonConfig, DaemonError};
-use seer_trace::wire::{QueryRequest, QueryResponse};
-use seer_trace::Trace;
+use seer_trace::wire::{self, ClientFrame, QueryRequest, QueryResponse, WIRE_VERSION};
+use seer_trace::{EventKind, Fd, OpenMode, Pid, RawPathId, Seq, Timestamp, Trace, TraceEvent};
 use seer_workload::{generate, MachineProfile};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -175,6 +175,61 @@ fn hostile_clients_only_kill_their_own_connection() {
         }
         drop(s);
     }
+    // 6–7. A valid handshake, then a frame that breaks the interning
+    //    rules: a sparse Intern id (a remap table indexed by it would
+    //    need 2^32 entries) and an events frame naming an id that was
+    //    never declared. The replies are drained to EOF so the Welcome
+    //    is read before the socket closes.
+    let open = TraceEvent {
+        seq: Seq(0),
+        time: Timestamp(0),
+        pid: Pid(1),
+        root: false,
+        kind: EventKind::Open {
+            path: RawPathId(0),
+            mode: OpenMode::Read,
+            fd: Fd(3),
+        },
+        error: None,
+    };
+    let mut sparse = Vec::new();
+    wire::write_frame(
+        &mut sparse,
+        &ClientFrame::Intern {
+            id: u32::MAX,
+            path: "/x".into(),
+        },
+    )
+    .expect("encode");
+    for bad in [sparse, wire::encode_events_binary(&[open], None)] {
+        let mut hello = Vec::new();
+        wire::write_frame(
+            &mut hello,
+            &ClientFrame::Hello {
+                client: "hostile".into(),
+                version: WIRE_VERSION,
+                tenant: None,
+            },
+        )
+        .expect("encode");
+        let mut s = UnixStream::connect(&sock).expect("connect");
+        s.write_all(&hello).expect("hello");
+        s.write_all(&bad).expect("write");
+        let _ = s.shutdown(std::net::Shutdown::Write);
+        let _ = s.read_to_end(&mut Vec::new());
+    }
+    // 8. An events frame before any Hello.
+    {
+        let mut s = TcpStream::connect(tcp).expect("connect");
+        let _ = s.write_all(&wire::encode_events_binary(&[open], None));
+        drop(s);
+    }
+    // 9. A Hello at a version other than the daemon's.
+    {
+        let mut s = TcpStream::connect(tcp).expect("connect");
+        let _ = s.write_all(b"{\"Hello\":{\"client\":\"old\",\"version\":7}}\n");
+        drop(s);
+    }
 
     // The connection-error counter catches up as the reader threads
     // notice their peers are gone; poll briefly rather than flake.
@@ -184,12 +239,12 @@ fn hostile_clients_only_kill_their_own_connection() {
             .metrics()
             .counter("seer_daemon_connection_errors_total")
             .unwrap_or(0);
-        if errors >= 5 {
+        if errors >= 9 {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "expected 5 connection errors, saw {errors}"
+            "expected 9 connection errors, saw {errors}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }

@@ -33,9 +33,9 @@ fn exactly_one<'a>(spans: &'a [SpanRecord], name: &str) -> &'a SpanRecord {
 /// Streams one traced events frame and poses one traced fresh hoard
 /// query, then asserts the flight recorder holds a complete causal
 /// picture of both exchanges: the ingest chain
-/// `socket_read → decode → batcher_flush → engine_apply` and the query
-/// tree `query → {flush_wait, engine_answer → recluster → shard_count*}`,
-/// each stage exactly once.
+/// `socket_read → decode → engine_apply` and the query tree
+/// `query → engine_answer → recluster → shard_count*`, each stage
+/// exactly once.
 #[test]
 fn traced_query_covers_every_pipeline_stage_exactly_once() {
     let trace = {
@@ -81,22 +81,18 @@ fn traced_query_covers_every_pipeline_stage_exactly_once() {
     // Ingest chain, each stage exactly once.
     let socket_read = exactly_one(&spans, "socket_read");
     let decode = exactly_one(&spans, "decode");
-    let batcher_flush = exactly_one(&spans, "batcher_flush");
     let engine_apply = exactly_one(&spans, "engine_apply");
     assert_eq!(socket_read.parent_id, None, "socket_read is the root");
     assert_eq!(decode.parent_id, Some(socket_read.span_id));
-    assert_eq!(batcher_flush.parent_id, Some(decode.span_id));
-    assert_eq!(engine_apply.parent_id, Some(batcher_flush.span_id));
+    assert_eq!(engine_apply.parent_id, Some(decode.span_id));
     assert_eq!(engine_apply.attr("events"), Some("8"));
 
     // Query tree, each stage exactly once; the fresh hoard forces the
     // one and only recluster, which fans out into per-shard spans.
     let query = exactly_one(&spans, "query");
-    let flush_wait = exactly_one(&spans, "flush_wait");
     let engine_answer = exactly_one(&spans, "engine_answer");
     let recluster = exactly_one(&spans, "recluster");
     assert_eq!(query.parent_id, None, "query is its exchange's root");
-    assert_eq!(flush_wait.parent_id, Some(query.span_id));
     assert_eq!(engine_answer.parent_id, Some(query.span_id));
     assert_eq!(engine_answer.attr("query"), Some("hoard"));
     assert_eq!(recluster.parent_id, Some(engine_answer.span_id));
@@ -124,10 +120,8 @@ fn traced_query_covers_every_pipeline_stage_exactly_once() {
     let known = [
         "socket_read",
         "decode",
-        "batcher_flush",
         "engine_apply",
         "query",
-        "flush_wait",
         "engine_answer",
         "recluster",
         "shard_count",
