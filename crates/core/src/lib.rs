@@ -34,5 +34,5 @@ pub use manager::{select_hoard, HoardSelection};
 pub use persist::{PersistError, SeerSnapshot};
 pub use rankers::{CodaInspiredRanker, HoardRanker, LruRanker, RankContext, SeerRanker};
 pub use replay::Replayer;
-pub use seer_cluster::{Clustering, PairCountCache};
+pub use seer_cluster::{ClusterRun, Clustering, PairCountCache};
 pub use seer_distance::TableDirty;

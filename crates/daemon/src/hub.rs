@@ -103,8 +103,8 @@ impl Write for HubStream {
     }
 }
 
-/// A listening socket of either transport, polled nonblocking by the
-/// accept loop.
+/// A listening socket of either transport, parked in a blocking
+/// `accept` by its listener thread.
 pub(crate) enum HubListener {
     Unix(UnixListener),
     Tcp(TcpListener),
@@ -201,37 +201,37 @@ impl Shards {
     }
 }
 
-/// Accept loop for one listener: polls nonblocking, spawning one reader
-/// thread per connection, until shutdown or kill is raised. Exiting
-/// drops this thread's clone of the shard inboxes, which is part of the
+/// Accept loop for one listener: blocks in `accept`, spawning one reader
+/// thread per connection, until shutdown or kill is raised
+/// ([`Shared::begin_shutdown`] wakes it by connecting). Exiting drops
+/// this thread's clone of the shard inboxes, which is part of the
 /// disconnect cascade (conn readers hold the rest).
 pub(crate) fn run_listener(listener: &HubListener, shared: &Arc<Shared>, shards: &Arc<Shards>) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) || shared.kill.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok(stream) => {
-                let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
-                shared.metrics.connections.inc();
-                tlog!(
-                    Level::Debug,
-                    "seer_daemon::hub",
-                    "connection accepted",
-                    conn = conn
-                );
-                if let Ok(dup) = stream.try_clone() {
-                    shared.conns.lock().push(dup);
-                }
-                let shared = Arc::clone(shared);
-                let shards = Arc::clone(shards);
-                thread::spawn(move || serve_conn(stream, conn, &shards, &shared));
+    while let Ok(stream) = listener.accept() {
+        let dup = stream.try_clone();
+        {
+            // Checked under the lock `begin_shutdown` drains, so a
+            // connection is either closed here or shut down there: none
+            // accepted after shutdown began is served.
+            let mut conns = shared.conns.lock();
+            if shared.shutdown.load(Ordering::SeqCst) || shared.kill.load(Ordering::SeqCst) {
+                return;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
+            if let Ok(dup) = dup {
+                conns.push(dup);
             }
-            Err(_) => return,
         }
+        let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
+        shared.metrics.connections.inc();
+        tlog!(
+            Level::Debug,
+            "seer_daemon::hub",
+            "connection accepted",
+            conn = conn
+        );
+        let shared = Arc::clone(shared);
+        let shards = Arc::clone(shards);
+        thread::spawn(move || serve_conn(stream, conn, &shards, &shared));
     }
 }
 

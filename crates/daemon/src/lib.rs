@@ -24,6 +24,12 @@
 //!   sockets. The deepest queue depth ever observed is reported in
 //!   [`DaemonStats::max_queue_depth`] and can never exceed the
 //!   configured capacity.
+//! - **An engine that never waits on background work.** SEER clustered
+//!   in a process separate from the trace-consuming correlator (§5.3).
+//!   Here each shard's engine actor blocks only on its inbox: periodic
+//!   reclusters and quality evaluations run on the shard's one
+//!   background worker thread, whatever its tenant count, and a fresh
+//!   hoard query reclusters in place instead of waiting on that worker.
 //! - **Batching.** The observer's per-event cost is what made SEER's
 //!   overhead noticeable; clients send events in binary frames of many
 //!   events each, and every frame is one engine batch, so engine locks
@@ -69,6 +75,7 @@ mod quality;
 mod server;
 mod snapshot;
 mod stats;
+mod worker;
 
 pub use client::DaemonClient;
 pub use server::{Daemon, DaemonConfig, DaemonError, DaemonHandle};
@@ -155,6 +162,31 @@ mod tests {
             stats.events_applied,
             trace.events.len() as u64,
             "flushed before exit"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The listeners block in `accept`; shutdown wakes each by
+    /// connecting, on loopback when the TCP listener is bound to every
+    /// interface. Without the wake this test would hang in `shutdown`.
+    #[test]
+    fn shutdown_wakes_a_listener_bound_to_every_interface() {
+        let dir = scratch_dir("anyaddr");
+        let mut cfg = DaemonConfig::new(dir.join("sock"));
+        cfg.tcp_addr = Some("0.0.0.0:0".into());
+        let handle = Daemon::spawn(cfg).expect("spawn");
+        let port = handle.tcp_addr().expect("tcp bound").port();
+        let mut client =
+            DaemonClient::connect_tcp(("127.0.0.1", port), "any", None).expect("connect");
+        match client.query(QueryRequest::Health).expect("health") {
+            QueryResponse::Health { healthy, .. } => assert!(healthy),
+            other => panic!("unexpected response: {other:?}"),
+        }
+        drop(client);
+        let stats = handle.shutdown();
+        assert_eq!(
+            stats.connections, 1,
+            "the wake-up connections are not served"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

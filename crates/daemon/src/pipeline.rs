@@ -15,9 +15,15 @@
 //! The inbox is bounded: when the engine falls behind it fills and the
 //! readers block in `send` — backpressure propagates all the way to the
 //! client sockets instead of growing an unbounded queue. A full `tick`
-//! with no ingest message is the actor's idle time, when it folds in
-//! finished background work, starts stale reclusters, syncs the WAL,
-//! and snapshots; queries neither wait for it nor defer it.
+//! with no ingest message is the actor's idle time, when it starts stale
+//! reclusters, syncs the WAL, and snapshots; queries neither wait for it
+//! nor defer it.
+//!
+//! The inbox is the actor's only blocking receive. Periodic reclusters
+//! and quality evaluations run on the shard's one background worker
+//! (`crate::worker`), whose results the actor drains without blocking at
+//! the top of every loop iteration. A fresh query never waits on that
+//! worker: it reclusters in place (see [`Actor::recluster_fresh`]).
 //!
 //! A shard's engine actor owns one [`TenantState`] per tenant routed to
 //! it: a full SEER instance with its own string table, WAL, snapshot
@@ -26,23 +32,21 @@
 
 use crate::health::{HealthConfig, HealthSignals, ShardBeat, TenantHealth};
 use crate::quality::{self, QualityState};
-use crate::snapshot::DaemonSnapshot;
+use crate::snapshot::{self, DaemonSnapshot};
 use crate::stats::{SharedMetrics, TenantMetrics};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TrySendError};
-use seer_core::{
-    Clustering, PairCountCache, ReclusterInput, Replayer, SeerConfig, SeerEngine, TableDirty,
-};
+use crate::worker::{Done, Job, Worker};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
+use seer_core::{ClusterRun, PairCountCache, SeerConfig, SeerEngine};
 use seer_telemetry::{tlog, Level, SpanContext};
 use seer_trace::wire::{
     ExplainNeighbor, MissPostmortem, QualityReport, QueryRequest, QueryResponse, TenantFleetStat,
 };
 use seer_trace::{EventSink, FileId, RawPathId, StringTable, TraceEvent};
-use seer_wal::{FsyncPolicy, Wal, WalConfig, WalRecord};
-use std::collections::{HashMap, VecDeque};
+use seer_wal::{FsyncPolicy, Wal, WalConfig};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// A tenant id as routed by the hub. `Arc<str>` so every message clones
@@ -183,100 +187,12 @@ pub(crate) struct ActorConfig {
     pub channel_capacity: usize,
 }
 
-/// A frozen reclustering job handed to the background worker. The input
-/// is an immutable copy of one tenant engine's neighbor lists and path
-/// table; the actor keeps applying batches while the worker computes.
-struct ReclusterJob {
-    tenant: Tenant,
-    input: ReclusterInput,
-    /// The neighbor-table delta since the previous job's view (drained
-    /// at the same moment `input` was captured), letting the worker
-    /// maintain its pair-count cache incrementally. `None` forces a
-    /// full recount.
-    dirty: Option<TableDirty>,
-    /// `events_applied` at snapshot time — the generation the finished
-    /// clustering will be tagged with.
-    generation: u64,
-    /// For a fresh-query-triggered job, the query's `engine_answer` span;
-    /// a periodic job has no inbound context and starts its own trace.
-    ctx: Option<SpanContext>,
-}
-
-/// A finished clustering coming back from the worker. Carries the raw
-/// timings instead of recorded spans: the *actor* records the
-/// `recluster`/`shard_count` spans at install time, where it knows
-/// whether a traced query ended up waiting on this job — an untraced
-/// periodic job a fresh query reuses still lands in that query's trace.
-struct ReclusterDone {
-    tenant: Tenant,
-    clustering: Clustering,
-    generation: u64,
-    /// When the worker started computing.
-    started: Instant,
-    /// Wall-clock time of the whole computation.
-    wall: Duration,
-    /// Per-shard duration of the shared-neighbor counting phase.
-    shard_seconds: Vec<Duration>,
-    /// Offset from `started` at which each counting shard began.
-    shard_start_offsets: Vec<Duration>,
-    /// Whether the counting phase ran incrementally off the worker's
-    /// pair-count cache (vs a full recount).
-    incremental: bool,
-    /// The context the job was *requested* with, if any.
-    ctx: Option<SpanContext>,
-}
-
-/// Consecutive incremental reclusterings after which the worker forces a
-/// full shared-neighbor recount (defense in depth against cache drift;
-/// incremental maintenance is exact either way and falls back to a full
-/// recount on structural change by itself).
+/// Consecutive incremental reclusterings after which a tenant's
+/// pair-count cache is dropped to force a full shared-neighbor recount
+/// (defense in depth against cache drift; incremental maintenance is
+/// exact either way and falls back to a full recount on structural
+/// change by itself).
 const RECLUSTER_FULL_EVERY: u64 = 16;
-
-/// The recluster worker: receives frozen jobs, computes clusterings with
-/// the configured shard count, and sends them back. Exits when the job
-/// channel disconnects (actor gone) or the done channel does.
-///
-/// The worker only computes and times; span recording happens on the
-/// actor when the result is installed (see [`ReclusterDone`]).
-fn run_recluster_worker(
-    job_rx: &Receiver<ReclusterJob>,
-    done_tx: &Sender<ReclusterDone>,
-    threads: usize,
-) {
-    // Pre-relation pair counts carried between consecutive jobs, keyed
-    // by tenant: the queue is FIFO and each job's dirty delta spans
-    // exactly the gap to *that tenant's* previous job's view, so each
-    // per-tenant cache chain stays valid even when tenants interleave.
-    // Every `RECLUSTER_FULL_EVERY` incremental runs a tenant's cache is
-    // dropped to force a fresh full recount.
-    let mut caches: HashMap<Tenant, (Option<PairCountCache>, u64)> = HashMap::new();
-    while let Ok(job) = job_rx.recv() {
-        let (cache, since_full) = caches.entry(job.tenant.clone()).or_insert((None, 0));
-        if *since_full >= RECLUSTER_FULL_EVERY {
-            *cache = None;
-        }
-        let started = Instant::now();
-        let run = job
-            .input
-            .compute_incremental(threads, job.dirty.as_ref(), cache);
-        *since_full = if run.incremental { *since_full + 1 } else { 0 };
-        let wall = started.elapsed();
-        let done = ReclusterDone {
-            tenant: job.tenant,
-            clustering: run.clustering,
-            generation: job.generation,
-            started,
-            wall,
-            shard_seconds: run.shard_count_seconds,
-            shard_start_offsets: run.shard_start_offsets,
-            incremental: run.incremental,
-            ctx: job.ctx,
-        };
-        if done_tx.send(done).is_err() {
-            return;
-        }
-    }
-}
 
 /// One tenant's complete engine state: a full SEER instance plus its
 /// string table, per-connection remaps, WAL, and quality plane. Each
@@ -297,13 +213,16 @@ pub(crate) struct TenantState {
     /// `events_applied` when the installed clustering was snapshotted;
     /// a query is *stale* when this lags the live counter.
     clustering_generation: u64,
-    /// Generations of jobs handed to the worker, oldest first. The
-    /// worker is FIFO, so completions arrive in this order per tenant.
-    inflight: VecDeque<u64>,
-    /// A drained dirty delta whose job never reached the worker (full
-    /// queue); merged into the next job so the worker's pair-count
-    /// cache chain stays unbroken.
-    pending_dirty: Option<TableDirty>,
+    /// Pre-relation pair counts as of the previous recluster's view,
+    /// which the next run updates from the engine's dirty delta instead
+    /// of recounting. `None` before the first run, while a background
+    /// job carries it, and after a job was lost to a dead worker.
+    cache: Option<PairCountCache>,
+    /// Incremental runs since the last full recount.
+    since_full: u64,
+    /// Generation of the background recluster in flight, if any. It
+    /// carries the cache, so the cache is away until its result lands.
+    recluster_job: Option<u64>,
     /// The write-ahead log, when the daemon runs with one. Appended
     /// before each batch reaches the engine; compacted after snapshots.
     wal: Option<Wal>,
@@ -367,16 +286,39 @@ impl TenantState {
             since_recluster: 0,
             since_snapshot: 0,
             clustering_generation: 0,
-            inflight: VecDeque::new(),
-            pending_dirty: None,
+            cache: None,
+            since_full: 0,
+            recluster_job: None,
             wal: seed.wal,
             wal_fault,
             wal_appends: 0,
-            quality: spawn_quality(cfg, metrics),
+            quality: (cfg.eval_every > Duration::ZERO).then(|| {
+                QualityState::new(
+                    cfg.eval_every,
+                    cfg.eval_window_secs,
+                    cfg.eval_budget,
+                    cfg.shadow_lru_cap,
+                    metrics,
+                )
+            }),
             tm,
             health: TenantHealth::new(&cfg.health),
             dropped_events: 0,
         }
+    }
+
+    /// Takes the pair-count cache for a run that will maintain it,
+    /// dropping it instead when a full recount is due.
+    fn take_cache(&mut self) -> Option<PairCountCache> {
+        let cache = self.cache.take();
+        cache.filter(|_| self.since_full < RECLUSTER_FULL_EVERY)
+    }
+
+    /// Takes a finished run's cache home and advances the full-recount
+    /// countdown.
+    fn return_cache(&mut self, cache: Option<PairCountCache>, incremental: bool) {
+        self.cache = cache;
+        self.since_full = if incremental { self.since_full + 1 } else { 0 };
     }
 }
 
@@ -384,81 +326,45 @@ impl TenantState {
 /// Lazy-path errors cannot fail a running daemon: a snapshot that will
 /// not load falls back (previous snapshot, then cold), and a WAL that
 /// will not open or replay leaves the tenant running *without* a log
-/// but with `wal_fault` set, so the degradation is visible in Health
-/// and the tenant never acknowledges batches it could not make durable.
+/// but with what replayed and `wal_fault` set, so the degradation is
+/// visible in Health and the tenant never acknowledges batches it could
+/// not make durable.
 fn create_tenant_state(name: Tenant, cfg: &ActorConfig, metrics: &SharedMetrics) -> TenantState {
-    let (mut engine, mut events_applied) = match &cfg.snapshot_path {
-        Some(base) => {
-            let path = tenant_snapshot_path(base, &name);
-            let _ = crate::snapshot::clean_stale(&path);
-            let (snap, warnings) = DaemonSnapshot::load_with_fallback(&path);
-            for warning in &warnings {
-                tlog!(
-                    Level::Warn,
-                    "seer_daemon::pipeline",
-                    "tenant snapshot recovery degraded",
-                    tenant = name.as_ref(),
-                    detail = warning.as_str(),
-                );
-            }
-            match snap {
-                Some(s) => (SeerEngine::from_snapshot(s.engine), s.events_applied),
-                None => (SeerEngine::new(cfg.engine.clone()), 0),
-            }
-        }
-        None => (SeerEngine::new(cfg.engine.clone()), 0),
-    };
-    let mut strings = StringTable::new();
+    let snapshot_path = cfg
+        .snapshot_path
+        .as_deref()
+        .map(|base| tenant_snapshot_path(base, &name));
+    if let Some(path) = &snapshot_path {
+        snapshot::clean_stale(path);
+    }
+    let mut rep = snapshot::load_base(snapshot_path.as_deref(), u64::MAX, &cfg.engine, &name);
     let mut wal = None;
     let mut wal_fault = None;
     if let Some(base) = &cfg.wal_dir {
-        let dir = tenant_wal_dir(base, &name);
         match Wal::open(WalConfig {
-            dir,
+            dir: tenant_wal_dir(base, &name),
             fsync: cfg.wal_fsync,
             segment_max_bytes: cfg.wal_segment_bytes,
         }) {
-            Ok((w, _report)) => {
-                let mut rep = Replayer::new(engine, StringTable::new(), events_applied);
-                let replayed = w.replay(|rec| {
-                    match rec {
-                        WalRecord::Interns { base, paths } => rep.declare(base, &paths),
-                        WalRecord::Batch { generation, events } => {
-                            rep.apply(generation, &events);
-                        }
-                    }
-                    true
-                });
-                let gaps = rep.gaps();
-                let (e, s, n) = rep.into_parts();
-                engine = e;
-                strings = s;
-                events_applied = n;
-                match replayed {
-                    Ok(_) => {
-                        if gaps > 0 {
-                            tlog!(
-                                Level::Warn,
-                                "seer_daemon::pipeline",
-                                "tenant wal replay incomplete",
-                                tenant = name.as_ref(),
-                                gaps = gaps,
-                            );
-                        }
-                        wal = Some(w);
-                    }
-                    Err(err) => {
-                        // A log we could not read back is not one we can
-                        // safely keep appending to.
-                        wal_fault = Some(format!("wal replay failed: {err}"));
-                    }
-                }
-            }
-            Err(err) => {
-                wal_fault = Some(format!("wal open failed: {err}"));
-            }
+            // A log we could not read back is not one we can safely keep
+            // appending to.
+            Ok((w, _report)) => match snapshot::replay_wal(&w, &mut rep, u64::MAX) {
+                Ok(_) => wal = Some(w),
+                Err(err) => wal_fault = Some(format!("wal replay failed: {err}")),
+            },
+            Err(err) => wal_fault = Some(format!("wal open failed: {err}")),
         }
     }
+    if rep.gaps() > 0 {
+        tlog!(
+            Level::Warn,
+            "seer_daemon::pipeline",
+            "tenant wal replay incomplete",
+            tenant = name.as_ref(),
+            gaps = rep.gaps(),
+        );
+    }
+    let (engine, strings, events_applied) = rep.into_parts();
     let seed = TenantSeed {
         engine,
         strings,
@@ -468,26 +374,11 @@ fn create_tenant_state(name: Tenant, cfg: &ActorConfig, metrics: &SharedMetrics)
     TenantState::new(name, seed, wal_fault, cfg, metrics)
 }
 
-fn spawn_quality(cfg: &ActorConfig, metrics: &SharedMetrics) -> Option<QualityState> {
-    if cfg.eval_every > Duration::ZERO {
-        Some(QualityState::spawn(
-            cfg.eval_every,
-            cfg.eval_window_secs,
-            cfg.eval_budget,
-            cfg.shadow_lru_cap,
-            metrics,
-        ))
-    } else {
-        None
-    }
-}
-
 /// State owned by one shard's engine actor thread: every tenant routed
-/// to this shard, plus the shard's recluster worker channels.
+/// to this shard, plus the shard's background worker.
 struct Actor {
     tenants: HashMap<Tenant, TenantState>,
-    job_tx: Sender<ReclusterJob>,
-    done_rx: Receiver<ReclusterDone>,
+    worker: Worker,
     cfg: ActorConfig,
     metrics: SharedMetrics,
 }
@@ -510,7 +401,11 @@ impl Actor {
     }
 
     fn update_inflight_gauge(&self) {
-        let total: usize = self.tenants.values().map(|t| t.inflight.len()).sum();
+        let total = self
+            .tenants
+            .values()
+            .filter(|t| t.recluster_job.is_some())
+            .count();
         self.metrics
             .recluster_inflight
             .set(i64::try_from(total).unwrap_or(i64::MAX));
@@ -582,7 +477,7 @@ impl Actor {
     /// snapshots are configured). Edge-latched inside [`ShardBeat`], so
     /// re-marking while busy keeps the original start time.
     fn refresh_beats(&self, beat: &ShardBeat) {
-        beat.set_recluster_busy(self.tenants.values().any(|t| !t.inflight.is_empty()));
+        beat.set_recluster_busy(self.tenants.values().any(|t| t.recluster_job.is_some()));
         beat.set_eval_busy(
             self.tenants
                 .values()
@@ -779,15 +674,10 @@ impl Actor {
             .observe_generation_lag(events_applied, clustering_generation);
         self.observe_tenant_health(tenant, depth);
         self.capture_postmortems(tenant);
-        self.poll_recluster_done();
-        self.poll_eval_done(tenant);
         self.maybe_request_eval(tenant);
         let ts = self.tenants.get(tenant).expect("ensured above");
-        if self.cfg.recluster_every > 0
-            && ts.since_recluster >= self.cfg.recluster_every
-            && ts.inflight.is_empty()
-        {
-            self.request_recluster(tenant, None);
+        if self.cfg.recluster_every > 0 && ts.since_recluster >= self.cfg.recluster_every {
+            self.request_recluster(tenant);
         }
         let ts = self.tenants.get(tenant).expect("ensured above");
         if self.cfg.snapshot_every > 0 && ts.since_snapshot >= self.cfg.snapshot_every {
@@ -795,67 +685,99 @@ impl Actor {
         }
     }
 
-    /// Hands the worker a frozen copy of one tenant engine's tables.
-    /// Returns `false` only when the worker is gone (channel
-    /// disconnected); a full job queue counts as success because the
-    /// queued jobs will finish first and the caller re-requests.
-    fn request_recluster(&mut self, tenant: &Tenant, ctx: Option<SpanContext>) -> bool {
+    /// Hands the worker a frozen copy of one tenant engine's tables,
+    /// with the pair-count cache and the dirty delta drained at the same
+    /// moment, so the delta describes exactly the changes since the
+    /// cache's view. A no-op while the tenant's previous job is in
+    /// flight or the worker's queue is full; the caller asks again later.
+    fn request_recluster(&mut self, tenant: &Tenant) {
         let Some(ts) = self.tenants.get_mut(tenant) else {
-            return true;
-        };
-        // The dirty delta is drained at the same moment the view is
-        // frozen, so it describes exactly the changes since the previous
-        // drain; any delta stranded by an earlier full queue merges in.
-        let mut dirty = ts.engine.take_dirty();
-        if let Some(prev) = ts.pending_dirty.take() {
-            dirty.merge(prev);
-        }
-        let job = ReclusterJob {
-            tenant: tenant.clone(),
-            input: ts.engine.recluster_input(),
-            dirty: Some(dirty),
-            generation: ts.events_applied,
-            ctx,
-        };
-        let ok = match self.job_tx.try_send(job) {
-            Ok(()) => {
-                let generation = ts.events_applied;
-                ts.inflight.push_back(generation);
-                ts.since_recluster = 0;
-                true
-            }
-            Err(TrySendError::Full(job)) => {
-                // The worker never saw this delta; carry it forward so
-                // the next job's delta still spans the full gap.
-                ts.pending_dirty = job.dirty;
-                true
-            }
-            Err(TrySendError::Disconnected(_)) => false,
-        };
-        self.update_inflight_gauge();
-        ok
-    }
-
-    /// Installs a finished clustering delivered by the worker. The
-    /// worker is FIFO and each tenant's generations are requested in
-    /// non-decreasing order, so installs never regress the generation.
-    ///
-    /// Records the `recluster` span (with `shard_count` children) here,
-    /// retroactively: under the job's own context when it was requested
-    /// by a traced query, else under `waiter_ctx` when a traced query is
-    /// blocked on this install, else under a fresh root trace.
-    fn install_recluster(&mut self, done: ReclusterDone, waiter_ctx: Option<SpanContext>) {
-        let Some(ts) = self.tenants.get_mut(&done.tenant) else {
             return;
         };
-        if let Some(pos) = ts.inflight.iter().position(|&g| g == done.generation) {
-            ts.inflight.remove(pos);
+        if ts.recluster_job.is_some() || !self.worker.has_room() {
+            return;
         }
+        let job = Job::Recluster {
+            tenant: tenant.clone(),
+            input: ts.engine.recluster_input(),
+            dirty: ts.engine.take_dirty(),
+            cache: ts.take_cache(),
+            generation: ts.events_applied,
+        };
+        // Only a dead worker refuses a job it had room for; the drained
+        // delta went with the job, so the cache is left empty and the
+        // next run recounts in full.
+        if self.worker.submit(job) {
+            ts.recluster_job = Some(ts.events_applied);
+            ts.since_recluster = 0;
+        }
+        self.update_inflight_gauge();
+    }
+
+    /// Folds in everything the shard's worker has finished, without
+    /// blocking: the one place background results land. A recluster
+    /// result always brings the tenant's cache home; its clustering is
+    /// installed unless a fresh query already installed a newer one.
+    fn drain_worker(&mut self) {
+        while let Some(done) = self.worker.try_done() {
+            match done {
+                Done::Recluster {
+                    tenant,
+                    generation,
+                    run,
+                    cache,
+                    started,
+                    wall,
+                } => {
+                    let Some(ts) = self.tenants.get_mut(&tenant) else {
+                        continue;
+                    };
+                    ts.recluster_job = None;
+                    ts.return_cache(cache, run.incremental);
+                    if generation >= ts.clustering_generation {
+                        self.install_recluster(&tenant, generation, run, started, wall, None);
+                    }
+                    self.update_inflight_gauge();
+                }
+                Done::Eval {
+                    tenant,
+                    report,
+                    wall,
+                } => {
+                    if let Some(q) = self
+                        .tenants
+                        .get_mut(&tenant)
+                        .and_then(|ts| ts.quality.as_mut())
+                    {
+                        q.inflight = false;
+                    }
+                    self.install_eval(&tenant, report, wall);
+                }
+            }
+        }
+    }
+
+    /// Installs a finished clustering at `generation` and records its
+    /// `recluster` span (with `shard_count` children) retroactively:
+    /// under `ctx` for a fresh query's in-place run, else under a fresh
+    /// root trace.
+    fn install_recluster(
+        &mut self,
+        tenant: &Tenant,
+        generation: u64,
+        run: ClusterRun,
+        started: Instant,
+        wall: Duration,
+        ctx: Option<SpanContext>,
+    ) {
+        let Some(ts) = self.tenants.get_mut(tenant) else {
+            return;
+        };
         let clusters = ts
             .engine
-            .install_clustering(done.clustering, done.wall, &done.shard_seconds)
+            .install_clustering(run.clustering, wall, &run.shard_count_seconds)
             .len();
-        let (trace, parent) = match done.ctx.or(waiter_ctx) {
+        let (trace, parent) = match ctx {
             Some(c) => (c.trace_id, Some(c.span_id)),
             None => (seer_telemetry::new_trace_id(), None),
         };
@@ -863,21 +785,21 @@ impl Actor {
             "recluster",
             trace,
             parent,
-            done.started,
-            done.wall,
+            started,
+            wall,
             &[
-                ("generation", done.generation.to_string()),
+                ("generation", generation.to_string()),
                 ("clusters", clusters.to_string()),
-                ("incremental", done.incremental.to_string()),
+                ("incremental", run.incremental.to_string()),
             ],
         );
-        for (i, (&shard_wall, &offset)) in done
-            .shard_seconds
+        for (i, (&shard_wall, &offset)) in run
+            .shard_count_seconds
             .iter()
-            .zip(&done.shard_start_offsets)
+            .zip(&run.shard_start_offsets)
             .enumerate()
         {
-            if let Some(shard_start) = done.started.checked_add(offset) {
+            if let Some(shard_start) = started.checked_add(offset) {
                 self.metrics.tracer.record_complete(
                     "shard_count",
                     trace,
@@ -888,154 +810,73 @@ impl Actor {
                 );
             }
         }
-        ts.clustering_generation = done.generation;
-        let (events_applied, clustering_generation) = (ts.events_applied, ts.clustering_generation);
+        ts.clustering_generation = generation;
+        let events_applied = ts.events_applied;
         self.metrics.reclusters.inc();
-        if done.incremental {
+        if run.incremental {
             self.metrics.reclusters_incremental.inc();
         }
-        self.metrics.stage_recluster.observe(done.wall);
+        self.metrics.stage_recluster.observe(wall);
         self.metrics
-            .observe_generation_lag(events_applied, clustering_generation);
-        self.update_inflight_gauge();
+            .observe_generation_lag(events_applied, generation);
         tlog!(
             Level::Debug,
             "seer_daemon::pipeline",
             "reclustered",
-            tenant = done.tenant.as_ref(),
+            tenant = tenant.as_ref(),
             clusters = clusters,
-            generation = done.generation,
+            generation = generation,
             events_applied = events_applied,
         );
     }
 
-    /// Folds in any clusterings the worker has finished, without blocking.
-    fn poll_recluster_done(&mut self) {
-        self.poll_recluster_done_for(None);
-    }
-
-    /// Like [`Self::poll_recluster_done`], but on behalf of a traced
-    /// fresh query: a pending result for the *same tenant* covering the
-    /// query's target generation is the clustering the query will answer
-    /// from, so its span is adopted into the query's trace.
-    fn poll_recluster_done_for(&mut self, waiter: Option<(&Tenant, u64, SpanContext)>) {
-        while let Ok(done) = self.done_rx.try_recv() {
-            let ctx = match waiter {
-                Some((t, target, c)) if done.tenant == *t && done.generation >= target => Some(c),
-                _ => None,
-            };
-            self.install_recluster(done, ctx);
-        }
-    }
-
-    /// Reclusters on the actor thread — the fallback when the worker is
-    /// unavailable. Still uses the configured shard count.
-    fn recluster_in_place(&mut self, tenant: &Tenant, ctx: Option<SpanContext>) {
+    /// Reclusters on the actor at the tenant's current generation, for a
+    /// fresh query (or the shutdown epilogue). With the pair-count cache
+    /// home the run is incremental: it drains the dirty delta and
+    /// updates the cache. With the cache away on a background job it is
+    /// a full recount that leaves the delta for the next job, and that
+    /// job's older result, when it lands, brings only its cache.
+    fn recluster_fresh(&mut self, tenant: &Tenant, ctx: Option<SpanContext>) {
+        let threads = self.cfg.recluster_threads.max(1);
         let Some(ts) = self.tenants.get_mut(tenant) else {
             return;
         };
-        ts.inflight.clear();
+        let input = ts.engine.recluster_input();
         let started = Instant::now();
-        let clusters = ts
-            .engine
-            .recluster_with_threads(self.cfg.recluster_threads)
-            .len();
-        ts.clustering_generation = ts.events_applied;
+        let run = if ts.recluster_job.is_some() {
+            tlog!(
+                Level::Debug,
+                "seer_daemon::pipeline",
+                "full recount: a background recluster holds the cache",
+                tenant = tenant.as_ref(),
+            );
+            input.compute(threads)
+        } else {
+            let dirty = ts.engine.take_dirty();
+            let mut cache = ts.take_cache();
+            let run = input.compute_incremental(threads, Some(&dirty), &mut cache);
+            ts.return_cache(cache, run.incremental);
+            run
+        };
+        let wall = started.elapsed();
         ts.since_recluster = 0;
-        let (events_applied, clustering_generation) = (ts.events_applied, ts.clustering_generation);
-        self.metrics.reclusters.inc();
-        self.metrics.stage_recluster.observe(started.elapsed());
-        self.metrics
-            .observe_generation_lag(events_applied, clustering_generation);
-        self.update_inflight_gauge();
-        let (trace, parent) = match ctx {
-            Some(c) => (c.trace_id, Some(c.span_id)),
-            None => (seer_telemetry::new_trace_id(), None),
-        };
-        self.metrics.tracer.record_complete(
-            "recluster",
-            trace,
-            parent,
-            started,
-            started.elapsed(),
-            &[
-                ("generation", clustering_generation.to_string()),
-                ("in_place", "true".to_owned()),
-            ],
-        );
-        tlog!(
-            Level::Debug,
-            "seer_daemon::pipeline",
-            "reclustered in place",
-            tenant = tenant.as_ref(),
-            clusters = clusters,
-            events_applied = events_applied,
-        );
-    }
-
-    /// Blocks until a clustering at the tenant's *current* generation is
-    /// installed. Reuses an in-flight background job when one covers the
-    /// target; falls back to an in-place recluster if the worker died.
-    /// Results for other tenants arriving in the meantime are installed
-    /// as they surface — waiting never starves a neighbor.
-    fn ensure_fresh_clustering(&mut self, tenant: &Tenant, ctx: Option<SpanContext>) {
-        let Some(ts) = self.tenants.get(tenant) else {
-            return;
-        };
-        let target = ts.events_applied;
-        self.poll_recluster_done_for(ctx.map(|c| (tenant, target, c)));
-        loop {
-            let (fresh, covered) = {
-                let Some(ts) = self.tenants.get(tenant) else {
-                    return;
-                };
-                (
-                    ts.engine.clustering().is_some() && ts.clustering_generation >= target,
-                    ts.inflight.back().is_some_and(|&g| g >= target),
-                )
-            };
-            if fresh {
-                return;
-            }
-            if !covered && !self.request_recluster(tenant, ctx) {
-                self.recluster_in_place(tenant, ctx);
-                return;
-            }
-            match self.done_rx.recv() {
-                // A done covering the target is causally part of this
-                // query even if the job predates it (an untraced
-                // periodic job the query reused): chain it under `ctx`.
-                Ok(done) => {
-                    let waiter = if done.tenant == *tenant && done.generation >= target {
-                        ctx
-                    } else {
-                        None
-                    };
-                    self.install_recluster(done, waiter);
-                }
-                Err(_) => {
-                    self.recluster_in_place(tenant, ctx);
-                    return;
-                }
-            }
-        }
+        let generation = ts.events_applied;
+        self.install_recluster(tenant, generation, run, started, wall, ctx);
     }
 
     /// Idle housekeeping after a full tick with no ingest message, for
-    /// every tenant on this shard: fold in finished clusterings and quality
-    /// evaluations, start background reclusters for tenants whose cache
-    /// went stale, keep the evaluator cadences alive, and snapshot
+    /// every tenant on this shard: start background reclusters for
+    /// tenants whose clustering went stale, keep the evaluator cadences
+    /// alive, and snapshot
     /// pending work so quiet periods converge. Health is sampled here
     /// too so burn windows decay (and alerts resolve) while a tenant is
     /// quiet.
     fn idle(&mut self, depth: usize) {
-        self.poll_recluster_done();
         let tenants: Vec<Tenant> = self.tenants.keys().cloned().collect();
         for tenant in &tenants {
-            self.poll_eval_done(tenant);
             let ts = self.tenants.get(tenant).expect("listed above");
-            if self.cfg.recluster_every > 0 && ts.since_recluster > 0 && ts.inflight.is_empty() {
-                self.request_recluster(tenant, None);
+            if self.cfg.recluster_every > 0 && ts.since_recluster > 0 {
+                self.request_recluster(tenant);
             }
             self.maybe_request_eval(tenant);
             self.observe_tenant_health(tenant, depth);
@@ -1186,13 +1027,13 @@ impl Actor {
     /// it sent.
     fn answer_history(&mut self, tenant: &Tenant, target: u64, budget: u64) -> QueryResponse {
         let err = |message: String| QueryResponse::Error { message };
-        let snapshot_base = self
+        let snapshot_path = self
             .cfg
             .snapshot_path
             .as_deref()
             .map(|p| tenant_snapshot_path(p, tenant));
         let recluster_threads = self.cfg.recluster_threads.max(1);
-        let (engine_cfg, file_size) = (self.cfg.engine.clone(), self.cfg.file_size);
+        let file_size = self.cfg.file_size;
         let Some(ts) = self.tenants.get_mut(tenant) else {
             return err("history unavailable: tenant has no state".into());
         };
@@ -1208,41 +1049,16 @@ impl Actor {
         if let Err(e) = wal.sync() {
             return err(format!("history unavailable: wal sync failed: {e}"));
         }
-        let compacted = wal.compacted_through();
-        // Base state: prefer the newest on-disk snapshot when it is at
-        // or below the target (fewer batches to replay); otherwise fall
-        // back to a cold engine, which needs the log to reach all the
-        // way back to generation zero.
-        let snap_base = snapshot_base
-            .as_deref()
-            .and_then(|p| match DaemonSnapshot::load(p) {
-                Ok(Some(s)) if s.events_applied <= target => Some(s),
-                _ => None,
-            });
-        let (base_engine, base_gen) = match snap_base {
-            Some(s) => (SeerEngine::from_snapshot(s.engine), s.events_applied),
-            None if compacted == 0 => (SeerEngine::new(engine_cfg), 0),
-            None => {
-                return err(format!(
-                    "generation {target} unreachable: log compacted through {compacted} \
-                     and no snapshot at or below the target exists"
-                ));
-            }
-        };
-        let mut rep = Replayer::new(base_engine, StringTable::new(), base_gen);
-        let stats = match wal.replay(|rec| match rec {
-            WalRecord::Interns { base, paths } => {
-                rep.declare(base, &paths);
-                true
-            }
-            WalRecord::Batch { generation, events } => {
-                if generation > target {
-                    return false;
-                }
-                rep.apply(generation, &events);
-                true
-            }
-        }) {
+        // Base state: the newest on-disk snapshot at or below the target
+        // (fewer batches to replay), else a cold engine, which needs the
+        // log to reach all the way back to generation zero.
+        let mut rep =
+            snapshot::load_base(snapshot_path.as_deref(), target, &self.cfg.engine, tenant);
+        let base_gen = rep.events_applied();
+        if let Err(message) = snapshot::reachable(base_gen, wal.compacted_through(), target) {
+            return err(message);
+        }
+        let stats = match snapshot::replay_wal(wal, &mut rep, target) {
             Ok(stats) => stats,
             Err(e) => return err(format!("history replay failed: {e}")),
         };
@@ -1358,44 +1174,25 @@ impl Actor {
         }
     }
 
-    /// Folds in any evaluations the tenant's worker finished, without
-    /// blocking.
-    fn poll_eval_done(&mut self, tenant: &Tenant) {
-        let Some(q) = self
-            .tenants
-            .get_mut(tenant)
-            .and_then(|ts| ts.quality.as_mut())
-        else {
-            return;
-        };
-        let mut finished = Vec::new();
-        while let Ok(done) = q.done_rx.try_recv() {
-            q.inflight = false;
-            finished.push(done);
-        }
-        for d in finished {
-            self.install_eval(tenant, d.report, d.wall);
-        }
-    }
-
-    /// Hands the tenant's evaluator a fresh job when the cadence timer
+    /// Hands the worker an evaluation when the tenant's cadence timer
     /// says one is due and none is in flight.
     fn maybe_request_eval(&mut self, tenant: &Tenant) {
         let Some(ts) = self.tenants.get(tenant) else {
             return;
         };
         let due = ts.quality.as_ref().is_some_and(QualityState::due);
-        if !due || ts.events_applied == 0 {
+        if !due || ts.events_applied == 0 || !self.worker.has_room() {
             return;
         }
-        let job = build_eval_job(ts, &self.cfg);
-        let ts = self.tenants.get_mut(tenant).expect("checked above");
-        let q = ts.quality.as_mut().expect("checked above");
-        if let Some(tx) = &q.job_tx {
-            if tx.try_send(job).is_ok() {
-                q.inflight = true;
-                q.last_eval = Some(Instant::now());
-            }
+        let job = Job::Eval {
+            tenant: tenant.clone(),
+            job: build_eval_job(ts, &self.cfg),
+        };
+        if self.worker.submit(job) {
+            let ts = self.tenants.get_mut(tenant).expect("checked above");
+            let q = ts.quality.as_mut().expect("checked above");
+            q.inflight = true;
+            q.last_eval = Some(Instant::now());
         }
     }
 
@@ -1520,11 +1317,12 @@ impl Actor {
     }
 
     /// Prepares the tenant's clustering for a hoard/clusters answer.
-    /// `fresh` blocks until the clustering reflects everything applied
-    /// so far — this makes an online hoard query equivalent to an
-    /// offline replay followed by recluster + choose_hoard. A non-fresh
-    /// query reuses the cached clustering (counting it as stale when the
-    /// generation lags), so it never waits on a recluster.
+    /// `fresh` reclusters in place unless the clustering already
+    /// reflects everything applied so far — this makes an online hoard
+    /// query equivalent to an offline replay followed by recluster +
+    /// choose_hoard. A non-fresh query reuses the cached clustering
+    /// (counting it as stale when the generation lags), so it never
+    /// reclusters unless there is no clustering at all.
     fn prepare_clustering(
         &mut self,
         tenant: &Tenant,
@@ -1534,15 +1332,9 @@ impl Actor {
         let Some(ts) = self.tenants.get(tenant) else {
             return (0, false);
         };
-        let waiter = if fresh {
-            ctx.map(|c| (tenant, ts.events_applied, c))
-        } else {
-            None
-        };
-        self.poll_recluster_done_for(waiter);
-        let ts = self.tenants.get(tenant).expect("checked above");
-        if fresh || ts.engine.clustering().is_none() {
-            self.ensure_fresh_clustering(tenant, ctx);
+        if ts.engine.clustering().is_none() || fresh && ts.clustering_generation < ts.events_applied
+        {
+            self.recluster_fresh(tenant, ctx);
         }
         let ts = self.tenants.get(tenant).expect("checked above");
         let stale = ts.clustering_generation < ts.events_applied;
@@ -1766,35 +1558,24 @@ fn neighbor_evidence(engine: &SeerEngine, file: FileId, k: usize) -> Vec<Explain
 
 /// Runs one shard's engine actor until every inbox sender is gone
 /// (graceful shutdown: the inbox is drained; recluster, snapshot every
-/// tenant, exit) or `kill` is raised (abrupt: exit immediately *without*
+/// tenant, exit) or `kill` is raised (abrupt: exit *without*
 /// snapshotting, leaving the last on-disk snapshots as the recovery
-/// points). `seed` is the eagerly restored default tenant — present on
+/// points). Either way the shard's `worker` is joined once its running
+/// job ends. `seed` is the eagerly restored default tenant — present on
 /// exactly the shard the default tenant routes to.
 pub(crate) fn run_engine_actor(
     seed: Option<TenantSeed>,
     cfg: ActorConfig,
     inbox: Receiver<Msg>,
+    worker: Worker,
     metrics: SharedMetrics,
     kill: Arc<AtomicBool>,
     beat: Arc<ShardBeat>,
 ) {
     let tick = cfg.tick;
-    // The recluster worker owns the expensive computation; both channels
-    // are small because the actor keeps at most one periodic job and one
-    // fresh-query job outstanding per tenant at a time.
-    let (job_tx, job_rx) = crossbeam::channel::bounded::<ReclusterJob>(4);
-    let (done_tx, done_rx) = crossbeam::channel::bounded::<ReclusterDone>(4);
-    let worker = {
-        let threads = cfg.recluster_threads.max(1);
-        thread::Builder::new()
-            .name("seer-recluster".into())
-            .spawn(move || run_recluster_worker(&job_rx, &done_tx, threads))
-            .ok()
-    };
     let mut actor = Actor {
         tenants: HashMap::new(),
-        job_tx,
-        done_rx,
+        worker,
         cfg,
         metrics,
     };
@@ -1819,8 +1600,10 @@ pub(crate) fn run_engine_actor(
             // exactly for reconstructing what led up to a crash, so dump
             // it before abandoning everything.
             dump_flight(&actor);
+            actor.worker.shutdown();
             return;
         }
+        actor.drain_worker();
         match inbox.recv_timeout(idle_at.saturating_duration_since(Instant::now())) {
             Ok(msg) => {
                 let ingest = !matches!(msg, Msg::Query { .. });
@@ -1838,12 +1621,12 @@ pub(crate) fn run_engine_actor(
         actor.refresh_beats(&beat);
     }
     // Graceful epilogue: every producer is gone and the inbox is drained.
-    actor.poll_recluster_done();
+    actor.drain_worker();
     let tenants: Vec<Tenant> = actor.tenants.keys().cloned().collect();
     for tenant in &tenants {
         let ts = actor.tenants.get(tenant).expect("listed above");
         if ts.engine.clustering().is_none() || ts.clustering_generation < ts.events_applied {
-            actor.ensure_fresh_clustering(tenant, None);
+            actor.recluster_fresh(tenant, None);
         }
         actor.write_snapshot(tenant);
         // The log's tail may still be unsynced under an interval policy;
@@ -1863,22 +1646,7 @@ pub(crate) fn run_engine_actor(
         }
     }
     dump_flight(&actor);
-    // Dropping the job sender lets the worker's recv disconnect; join so
-    // a graceful shutdown leaves no thread behind. (The kill path above
-    // returns without joining — the workers notice the disconnect and
-    // exit on their own.)
-    let Actor {
-        job_tx, tenants, ..
-    } = actor;
-    drop(job_tx);
-    for (_, ts) in tenants {
-        if let Some(mut q) = ts.quality {
-            q.shutdown();
-        }
-    }
-    if let Some(handle) = worker {
-        let _ = handle.join();
-    }
+    actor.worker.shutdown();
 }
 
 /// Writes the flight-recorder ring to the configured dump path, one
@@ -1919,7 +1687,7 @@ fn dump_flight(actor: &Actor) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seer_telemetry::{TraceId, Tracer};
+    use seer_telemetry::Tracer;
 
     fn test_cfg() -> ActorConfig {
         ActorConfig {
@@ -1945,175 +1713,162 @@ mod tests {
         }
     }
 
-    /// An actor holding one default tenant at `events_applied` with the
-    /// given in-flight recluster generations.
-    fn test_actor(
-        engine: SeerEngine,
-        events_applied: u64,
-        inflight: VecDeque<u64>,
-        job_tx: Sender<ReclusterJob>,
-        done_rx: Receiver<ReclusterDone>,
-    ) -> Actor {
+    /// An actor holding one empty default tenant, with a real worker.
+    fn test_actor() -> Actor {
         let name = default_tenant();
         let cfg = test_cfg();
-        let metrics = crate::stats::new_shared_with(Tracer::new(64, Duration::from_secs(1)));
+        let metrics = crate::stats::new_shared_with(Tracer::new(4096, Duration::from_secs(1)));
         let seed = TenantSeed {
-            engine,
+            engine: SeerEngine::default(),
             strings: StringTable::new(),
-            events_applied,
+            events_applied: 0,
             wal: None,
         };
-        let mut ts = TenantState::new(name.clone(), seed, None, &cfg, &metrics);
-        ts.inflight = inflight;
-        let tenants = HashMap::from([(name, ts)]);
+        let ts = TenantState::new(name.clone(), seed, None, &cfg, &metrics);
         Actor {
-            tenants,
-            job_tx,
-            done_rx,
+            tenants: HashMap::from([(name, ts)]),
+            worker: Worker::spawn(1).expect("spawn worker"),
             cfg,
             metrics,
         }
     }
 
-    fn done_for(
-        tenant: Tenant,
-        clustering: Clustering,
-        shard_seconds: Vec<Duration>,
-        shard_start_offsets: Vec<Duration>,
-        generation: u64,
-        wall: Duration,
-    ) -> ReclusterDone {
-        ReclusterDone {
-            tenant,
-            clustering,
-            generation,
-            started: Instant::now(),
-            wall,
-            shard_seconds,
-            shard_start_offsets,
-            incremental: false,
+    /// Machine A's trace cut into `parts` equal chunks of events, the
+    /// first carrying every path declaration.
+    fn chunked_trace(parts: usize) -> Vec<(Vec<String>, Vec<TraceEvent>)> {
+        let profile = seer_workload::MachineProfile::by_name("A")
+            .expect("machine A is built in")
+            .scaled_to_days(12);
+        let trace = seer_workload::generate(&profile, 7).trace;
+        let interns: Vec<String> = (0..trace.strings.len())
+            .map(|i| {
+                let id = RawPathId(u32::try_from(i).expect("few paths"));
+                trace.strings.resolve(id).expect("dense ids").to_owned()
+            })
+            .collect();
+        let size = trace.events.len().div_ceil(parts);
+        trace
+            .events
+            .chunks(size)
+            .enumerate()
+            .map(|(i, c)| {
+                let declare = if i == 0 { interns.clone() } else { Vec::new() };
+                (declare, c.to_vec())
+            })
+            .collect()
+    }
+
+    fn apply(actor: &mut Actor, (interns, events): (Vec<String>, Vec<TraceEvent>)) {
+        let msg = Msg::Batch {
+            conn: 1,
+            tenant: default_tenant(),
+            interns,
+            events,
             ctx: None,
+        };
+        actor.handle(msg, 0);
+    }
+
+    /// A fresh hoard through the actor; returns its generation.
+    fn fresh_hoard(actor: &mut Actor) -> u64 {
+        let query = QueryRequest::Hoard {
+            budget: 1 << 20,
+            fresh: true,
+        };
+        match actor.answer(&default_tenant(), query, None, 0) {
+            QueryResponse::Hoard {
+                generation, stale, ..
+            } => {
+                assert!(!stale, "a fresh answer is never stale");
+                generation
+            }
+            other => panic!("unexpected response: {other:?}"),
         }
     }
 
-    /// A traced fresh query that reuses an in-flight recluster job
-    /// *requested without a context* (a periodic or idle-tick job) must
-    /// adopt it: the `recluster` span recorded at install time lands in
-    /// the query's trace, parented under the waiting context.
-    #[test]
-    fn waiting_query_adopts_untraced_recluster_job() {
-        let (job_tx, _job_rx) = crossbeam::channel::bounded::<ReclusterJob>(1);
-        let (done_tx, done_rx) = crossbeam::channel::bounded::<ReclusterDone>(1);
-        let engine = SeerEngine::default();
-        let run = engine.recluster_input().compute(1);
-        // One untraced job already in flight, covering the target
-        // generation — exactly what the idle tick leaves behind.
-        let mut actor = test_actor(engine, 5, VecDeque::from([5u64]), job_tx, done_rx);
-        let tenant = default_tenant();
-        // The worker stand-in finishes the job only once the query is
-        // already blocked waiting on it.
-        let done = done_for(
-            tenant.clone(),
-            run.clustering,
-            run.shard_count_seconds,
-            run.shard_start_offsets,
-            5,
-            Duration::from_millis(3),
-        );
-        let sender = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            done_tx.send(done).expect("actor is waiting");
-        });
+    /// The installed clustering's fingerprint and a full recount's.
+    fn fingerprints(actor: &Actor) -> (HashMap<FileId, u64>, HashMap<FileId, u64>) {
+        let engine = &actor.tenants[&default_tenant()].engine;
+        let installed = engine.clustering().expect("installed");
+        let full = engine.recluster_input().compute(1).clustering;
+        (
+            installed.membership_fingerprint(),
+            full.membership_fingerprint(),
+        )
+    }
 
-        let ctx = actor.metrics.tracer.record_complete(
-            "engine_answer",
-            TraceId(42),
-            None,
-            Instant::now(),
-            Duration::ZERO,
-            &[],
-        );
-        actor.ensure_fresh_clustering(&tenant, Some(ctx));
-        sender.join().expect("worker stand-in");
-
-        assert_eq!(actor.tenants[&tenant].clustering_generation, 5);
-        let spans = actor.metrics.tracer.snapshot();
-        let recluster = spans
-            .iter()
-            .find(|s| s.name == "recluster")
-            .expect("install recorded the adopted job's span");
-        assert_eq!(recluster.trace_id, 42, "span joins the waiting trace");
-        assert_eq!(recluster.parent_id, Some(ctx.span_id.0));
-        for shard in spans.iter().filter(|s| s.name == "shard_count") {
-            assert_eq!(shard.parent_id, Some(recluster.span_id));
+    /// Drains the worker until the tenant's background recluster lands.
+    fn await_recluster(actor: &mut Actor) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while actor.tenants[&default_tenant()].recluster_job.is_some() {
+            assert!(
+                Instant::now() < deadline,
+                "background recluster never landed"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+            actor.drain_worker();
         }
     }
 
-    /// A traced fresh query whose covering job *already finished* — the
-    /// done is sitting in the channel when the query polls — still
-    /// adopts it: the clustering being installed is the one the query
-    /// answers from, so its span belongs in the query's trace.
+    /// A fresh query that lands while a background job holds the
+    /// pair-count cache recounts in full at the current generation; the
+    /// older background result, delivered afterwards, brings the cache
+    /// home without regressing the clustering, and the next incremental
+    /// run off that cache still equals a full recount.
     #[test]
-    fn traced_query_adopts_already_finished_recluster() {
-        let (job_tx, _job_rx) = crossbeam::channel::bounded::<ReclusterJob>(1);
-        let (done_tx, done_rx) = crossbeam::channel::bounded::<ReclusterDone>(1);
-        let engine = SeerEngine::default();
-        let run = engine.recluster_input().compute(1);
-        let mut actor = test_actor(engine, 7, VecDeque::from([7u64]), job_tx, done_rx);
+    fn fresh_query_while_background_job_holds_the_cache() {
+        let mut actor = test_actor();
         let tenant = default_tenant();
-        done_tx
-            .send(done_for(
-                tenant.clone(),
-                run.clustering,
-                run.shard_count_seconds,
-                run.shard_start_offsets,
-                7,
-                Duration::from_millis(2),
-            ))
-            .expect("bounded(1) has room");
+        let mut chunks = chunked_trace(4).into_iter();
+        apply(&mut actor, chunks.next().expect("chunk"));
+        fresh_hoard(&mut actor);
+        assert!(actor.tenants[&tenant].cache.is_some(), "first run fills it");
 
-        let ctx = actor.metrics.tracer.record_complete(
-            "engine_answer",
-            TraceId(77),
-            None,
-            Instant::now(),
-            Duration::ZERO,
-            &[],
+        apply(&mut actor, chunks.next().expect("chunk"));
+        actor.request_recluster(&tenant);
+        let background = actor.tenants[&tenant].recluster_job.expect("job in flight");
+        assert!(actor.tenants[&tenant].cache.is_none(), "the job carries it");
+
+        apply(&mut actor, chunks.next().expect("chunk"));
+        let current = actor.tenants[&tenant].events_applied;
+        assert!(current > background);
+        let incremental = actor.metrics.reclusters_incremental.get();
+        assert_eq!(fresh_hoard(&mut actor), current);
+        assert_eq!(actor.metrics.reclusters_incremental.get(), incremental);
+        let (installed, full) = fingerprints(&actor);
+        assert_eq!(installed, full, "the cache-away run is a full recount");
+
+        await_recluster(&mut actor);
+        let ts = &actor.tenants[&tenant];
+        assert_eq!(ts.clustering_generation, current, "no regression");
+        assert!(ts.cache.is_some(), "the older result's cache came home");
+        let (installed, _) = fingerprints(&actor);
+        assert_eq!(installed, full, "the older clustering was dropped");
+
+        apply(&mut actor, chunks.next().expect("chunk"));
+        let incremental = actor.metrics.reclusters_incremental.get();
+        let current = actor.tenants[&tenant].events_applied;
+        assert_eq!(fresh_hoard(&mut actor), current);
+        assert_eq!(
+            actor.metrics.reclusters_incremental.get(),
+            incremental + 1,
+            "the next in-place run maintains the returned cache"
         );
-        let (generation, stale) = actor.prepare_clustering(&tenant, true, Some(ctx));
-        assert_eq!(generation, 7);
-        assert!(!stale);
-
-        let spans = actor.metrics.tracer.snapshot();
-        let recluster = spans
-            .iter()
-            .find(|s| s.name == "recluster")
-            .expect("poll recorded the pending job's span");
-        assert_eq!(recluster.trace_id, 77, "span joins the querying trace");
-        assert_eq!(recluster.parent_id, Some(ctx.span_id.0));
+        let (installed, full) = fingerprints(&actor);
+        assert_eq!(installed, full, "incremental equals a full recount");
+        actor.worker.shutdown();
     }
 
-    /// The same install with nobody waiting starts its own root trace —
-    /// background reclusters never alias an unrelated query's trace.
+    /// A background recluster with nobody waiting starts its own root
+    /// trace — it never aliases an unrelated query's trace.
     #[test]
     fn background_recluster_records_under_fresh_trace() {
-        let (job_tx, _job_rx) = crossbeam::channel::bounded::<ReclusterJob>(1);
-        let (done_tx, done_rx) = crossbeam::channel::bounded::<ReclusterDone>(1);
-        let engine = SeerEngine::default();
-        let run = engine.recluster_input().compute(1);
-        let mut actor = test_actor(engine, 3, VecDeque::from([3u64]), job_tx, done_rx);
+        let mut actor = test_actor();
         let tenant = default_tenant();
-        done_tx
-            .send(done_for(
-                tenant,
-                run.clustering,
-                run.shard_count_seconds,
-                run.shard_start_offsets,
-                3,
-                Duration::from_millis(1),
-            ))
-            .expect("bounded(1) has room");
-        actor.poll_recluster_done();
+        let mut chunks = chunked_trace(2).into_iter();
+        apply(&mut actor, chunks.next().expect("chunk"));
+        actor.request_recluster(&tenant);
+        await_recluster(&mut actor);
 
         let spans = actor.metrics.tracer.snapshot();
         let recluster = spans
@@ -2122,6 +1877,7 @@ mod tests {
             .expect("install recorded the background job's span");
         assert_eq!(recluster.parent_id, None, "root of its own trace");
         assert_ne!(recluster.trace_id, 0);
+        actor.worker.shutdown();
     }
 
     /// A hostile tenant name cannot escape into path tricks; the default

@@ -9,11 +9,14 @@
 //! to be right now to survive a disconnection, and how much of that
 //! advantage comes from clustering rather than recency.
 //!
-//! Mechanically the evaluator mirrors the recluster worker: the actor
-//! freezes an immutable [`seer_core::EvalInput`] (activity, clustering,
-//! and the always-hoard set), ships it to a dedicated `seer-eval` thread
-//! over a bounded channel, and installs the resulting [`QualityReport`]
-//! when it polls the done channel. Ingest never blocks on evaluation.
+//! Mechanically an evaluation is a background job like a periodic
+//! recluster: the actor freezes an immutable [`seer_core::EvalInput`]
+//! (activity, clustering, and the always-hoard set) into an [`EvalJob`],
+//! hands it to the shard's one background worker (`crate::worker`),
+//! and installs the resulting [`QualityReport`] when it drains the
+//! worker's results at the top of its loop. Ingest never blocks on
+//! evaluation. A `Quality` query evaluates inline instead, so its
+//! answer reflects everything applied before it.
 //!
 //! The LRU baseline of §6.1 is reproduced by a [`ShadowLru`]: a
 //! memory-bounded recency list maintained on the apply path. Feeding its
@@ -21,14 +24,12 @@
 //! every report an apples-to-apples "SEER vs LRU" comparison.
 
 use crate::stats::SharedMetrics;
-use crossbeam::channel::{bounded, Receiver, Sender};
 use seer_core::EvalInput;
 use seer_replication::MissLog;
 use seer_telemetry::SeriesRing;
 use seer_trace::wire::{MissPostmortem, QualityReport};
 use seer_trace::{FileId, Timestamp};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Retained miss postmortems (ring; oldest evicted first).
@@ -88,8 +89,8 @@ impl ShadowLru {
     }
 }
 
-/// Everything the evaluator thread needs, frozen at job-construction
-/// time so the report is a pure function of the job.
+/// Everything an evaluation needs, frozen at job-construction time so
+/// the report is a pure function of the job.
 #[derive(Debug)]
 pub(crate) struct EvalJob {
     pub input: EvalInput,
@@ -102,13 +103,6 @@ pub(crate) struct EvalJob {
     pub misses_by_severity: [u64; 5],
     pub auto_misses: u64,
     pub eval_index: u64,
-}
-
-/// A finished evaluation, flowing back to the actor.
-#[derive(Debug)]
-pub(crate) struct EvalDone {
-    pub report: QualityReport,
-    pub wall: Duration,
 }
 
 /// Computes a quality report from a frozen job. Pure: no clocks, no
@@ -185,31 +179,13 @@ pub(crate) fn evaluate(job: &EvalJob) -> QualityReport {
     }
 }
 
-/// The evaluator worker loop: mirrors `run_recluster_worker`. Exits when
-/// the job channel closes.
-fn run_eval_worker(job_rx: Receiver<EvalJob>, done_tx: Sender<EvalDone>) {
-    while let Ok(job) = job_rx.recv() {
-        let started = Instant::now();
-        let report = evaluate(&job);
-        let done = EvalDone {
-            report,
-            wall: started.elapsed(),
-        };
-        if done_tx.send(done).is_err() {
-            break;
-        }
-    }
-}
-
 /// The actor-side state of the quality plane.
 pub(crate) struct QualityState {
-    pub job_tx: Option<Sender<EvalJob>>,
-    pub done_rx: Receiver<EvalDone>,
-    pub worker: Option<thread::JoinHandle<()>>,
     pub shadow: ShadowLru,
     pub series: SeriesRing,
     pub latest: Option<QualityReport>,
     pub evals: u64,
+    /// A background evaluation is queued or running on the worker.
     pub inflight: bool,
     pub last_eval: Option<Instant>,
     pub miss_log: MissLog,
@@ -222,26 +198,17 @@ pub(crate) struct QualityState {
 }
 
 impl QualityState {
-    /// Spawns the evaluator worker and returns a ready state.
-    pub(crate) fn spawn(
+    /// A ready state with no evaluation yet.
+    pub(crate) fn new(
         every: Duration,
         window_secs: u64,
         budget: u64,
         shadow_cap: usize,
         metrics: &SharedMetrics,
     ) -> QualityState {
-        let (job_tx, job_rx) = bounded::<EvalJob>(2);
-        let (done_tx, done_rx) = bounded::<EvalDone>(2);
-        let worker = thread::Builder::new()
-            .name("seer-eval".into())
-            .spawn(move || run_eval_worker(job_rx, done_tx))
-            .expect("spawn eval worker");
         let mut miss_log = MissLog::new();
         miss_log.attach_telemetry(&metrics.registry);
         QualityState {
-            job_tx: Some(job_tx),
-            done_rx,
-            worker: Some(worker),
             shadow: ShadowLru::new(shadow_cap),
             series: SeriesRing::new(SERIES_CAPACITY),
             latest: None,
@@ -285,14 +252,6 @@ impl QualityState {
             self.postmortems.pop_front();
         }
         self.postmortems.push_back(pm);
-    }
-
-    /// Closes the job channel and joins the worker (graceful epilogue).
-    pub(crate) fn shutdown(&mut self) {
-        self.job_tx = None;
-        if let Some(h) = self.worker.take() {
-            let _ = h.join();
-        }
     }
 }
 

@@ -5,14 +5,14 @@ use crate::hub::{self, HubListener, HubStream, Shards, SocketProbe};
 use crate::pipeline::{self, ActorConfig, TenantSeed};
 use crate::snapshot::DaemonSnapshot;
 use crate::stats::{self, DaemonStats, SharedMetrics};
+use crate::worker::Worker;
 use crossbeam::channel::bounded;
 use parking_lot::Mutex;
-use seer_core::{PersistError, Replayer, SeerConfig, SeerEngine};
+use seer_core::{PersistError, SeerConfig};
 use seer_telemetry::{tlog, Level, RegistrySnapshot, Tracer};
-use seer_trace::StringTable;
-use seer_wal::{FsyncPolicy, Wal, WalConfig, WalError, WalRecord};
-use std::net::{SocketAddr, TcpListener};
-use std::os::unix::net::UnixListener;
+use seer_wal::{FsyncPolicy, Wal, WalConfig, WalError};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -236,15 +236,32 @@ pub(crate) struct Shared {
     /// unblock readers parked in `read`.
     pub(crate) conns: Mutex<Vec<HubStream>>,
     pub(crate) next_conn: AtomicU64,
+    /// Where the listeners are bound, so shutdown can wake their
+    /// blocking `accept` by connecting once to each.
+    socket_path: PathBuf,
+    tcp_addr: Option<SocketAddr>,
 }
 
 impl Shared {
     /// Starts the shutdown cascade: stop accepting, then close every
     /// client socket so readers see EOF and drop their channel senders.
+    /// The listeners are parked in a blocking `accept`; one connection
+    /// to each wakes it to see the flag (and the woken connection is
+    /// closed unserved, like any accepted after shutdown began).
     pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for s in self.conns.lock().drain(..) {
             s.shutdown_both();
+        }
+        let _ = UnixStream::connect(&self.socket_path);
+        if let Some(mut addr) = self.tcp_addr {
+            // A listener bound to every interface is reachable on loopback.
+            match addr.ip() {
+                IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+                IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+                _ => {}
+            }
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
         }
     }
 }
@@ -276,7 +293,8 @@ impl Daemon {
     ///
     /// Returns [`DaemonError::SocketBusy`] if a live daemon already
     /// owns the socket path, [`DaemonError::Io`] if a socket cannot be
-    /// bound, [`DaemonError::Wal`] for an unrecoverable log, and
+    /// bound or a thread cannot be started, [`DaemonError::Wal`] for an
+    /// unrecoverable log, and
     /// [`DaemonError::Restore`] when `config.restore_to` cannot be
     /// honored.
     pub fn spawn(config: DaemonConfig) -> Result<DaemonHandle, DaemonError> {
@@ -284,40 +302,22 @@ impl Daemon {
         // surfaces at startup — and so recovery warnings are visible.
         seer_telemetry::init_from_env();
 
-        let (mut engine, mut events_applied) = match &config.snapshot_path {
-            Some(path) => {
-                if let Some(tmp) = crate::snapshot::clean_stale(path) {
-                    tlog!(
-                        Level::Warn,
-                        "seer_daemon",
-                        "removed stale snapshot temp file",
-                        path = tmp.display().to_string(),
-                    );
-                }
-                let (snap, warnings) = DaemonSnapshot::load_with_fallback(path);
-                for warning in &warnings {
-                    tlog!(
-                        Level::Warn,
-                        "seer_daemon",
-                        "snapshot recovery degraded",
-                        detail = warning.as_str(),
-                    );
-                }
-                match snap {
-                    Some(s) => (SeerEngine::from_snapshot(s.engine), s.events_applied),
-                    None => (SeerEngine::new(config.engine.clone()), 0),
-                }
-            }
-            None => (SeerEngine::new(config.engine.clone()), 0),
-        };
-
         if config.restore_to.is_some() && config.wal_dir.is_none() {
             return Err(DaemonError::Restore(
                 "restore requires a write-ahead log (set wal_dir / --wal-dir)".into(),
             ));
         }
-
-        let mut strings = StringTable::new();
+        if let Some(path) = &config.snapshot_path {
+            crate::snapshot::clean_stale(path);
+        }
+        // A snapshot newer than a restore target would smuggle the
+        // discarded suffix back in, so it does not count as a base.
+        let mut rep = crate::snapshot::load_base(
+            config.snapshot_path.as_deref(),
+            config.restore_to.unwrap_or(u64::MAX),
+            &config.engine,
+            pipeline::DEFAULT_TENANT,
+        );
         let mut wal = None;
         if let Some(dir) = &config.wal_dir {
             let (mut w, report) = Wal::open(WalConfig {
@@ -338,21 +338,8 @@ impl Daemon {
             );
 
             if let Some(target) = config.restore_to {
-                // A snapshot newer than the target would smuggle the
-                // discarded suffix back in; restoring past it means
-                // rebuilding from generation zero, which needs an
-                // uncompacted log.
-                if events_applied > target {
-                    if w.compacted_through() > 0 {
-                        return Err(DaemonError::Restore(format!(
-                            "generation {target} unreachable: the snapshot is at generation \
-                             {events_applied} and the log is compacted through {}",
-                            w.compacted_through()
-                        )));
-                    }
-                    engine = SeerEngine::new(config.engine.clone());
-                    events_applied = 0;
-                }
+                crate::snapshot::reachable(rep.events_applied(), w.compacted_through(), target)
+                    .map_err(DaemonError::Restore)?;
                 let achieved = w.truncate_after(target)?;
                 tlog!(
                     Level::Info,
@@ -363,12 +350,12 @@ impl Daemon {
                 );
             }
 
-            let recovered = replay_wal(&w, engine, events_applied)?;
-            if recovered.gaps > 0 {
+            crate::snapshot::replay_wal(&w, &mut rep, u64::MAX)?;
+            if rep.gaps() > 0 {
                 let message = format!(
                     "wal does not connect to the recovered snapshot \
                      ({} generation gaps)",
-                    recovered.gaps
+                    rep.gaps()
                 );
                 if config.restore_to.is_some() {
                     return Err(DaemonError::Restore(message));
@@ -380,30 +367,25 @@ impl Daemon {
                     detail = message.as_str(),
                 );
             }
-            engine = recovered.engine;
-            strings = recovered.strings;
-            events_applied = recovered.events_applied;
-
-            if let Some(target) = config.restore_to {
-                // Publish the restored state as the snapshot immediately,
-                // so a newer snapshot on disk can never resurrect the
-                // history the truncation just discarded.
-                if let Some(path) = &config.snapshot_path {
-                    let snap = DaemonSnapshot {
-                        engine: engine.snapshot(),
-                        events_applied,
-                    };
-                    snap.write_atomic(path)?;
-                }
-                tlog!(
-                    Level::Info,
-                    "seer_daemon",
-                    "restored to generation",
-                    target = target,
-                    events_applied = events_applied,
-                );
-            }
             wal = Some(w);
+        }
+        let (engine, strings, events_applied) = rep.into_parts();
+        if let (Some(target), Some(path)) = (config.restore_to, &config.snapshot_path) {
+            // Publish the restored state as the snapshot immediately, so a
+            // newer snapshot on disk can never resurrect the history the
+            // truncation just discarded.
+            let snap = DaemonSnapshot {
+                engine: engine.snapshot(),
+                events_applied,
+            };
+            snap.write_atomic(path)?;
+            tlog!(
+                Level::Info,
+                "seer_daemon",
+                "restored to generation",
+                target = target,
+                events_applied = events_applied,
+            );
         }
 
         // One registry per daemon: pipeline and engine metrics share it,
@@ -435,13 +417,11 @@ impl Daemon {
             SocketProbe::Absent => {}
         }
         let unix_listener = UnixListener::bind(&config.socket_path)?;
-        unix_listener.set_nonblocking(true)?;
 
         let mut listeners = vec![HubListener::Unix(unix_listener)];
         let mut tcp_addr = None;
         if let Some(addr) = &config.tcp_addr {
             let tcp = TcpListener::bind(addr)?;
-            tcp.set_nonblocking(true)?;
             tcp_addr = Some(tcp.local_addr()?);
             listeners.push(HubListener::Tcp(tcp));
         }
@@ -462,8 +442,15 @@ impl Daemon {
             metrics,
             conns: Mutex::new(Vec::new()),
             next_conn: AtomicU64::new(0),
+            socket_path: config.socket_path.clone(),
+            tcp_addr,
         });
 
+        // One background worker per shard, whatever the tenant count,
+        // started first so a failed spawn leaves no actor running.
+        let workers = (0..config.shards.max(1))
+            .map(|_| Worker::spawn(config.recluster_threads))
+            .collect::<Result<Vec<_>, _>>()?;
         // Per-shard inboxes, created before the threads so the routing
         // table exists first (the default tenant's seed goes to whichever
         // shard it hashes to).
@@ -485,7 +472,7 @@ impl Daemon {
             .map(|_| Arc::new(ShardBeat::new()))
             .collect();
         let mut actors = Vec::with_capacity(receivers.len());
-        for (i, inbox) in receivers.into_iter().enumerate() {
+        for (i, (inbox, worker)) in receivers.into_iter().zip(workers).enumerate() {
             let actor_cfg = ActorConfig {
                 snapshot_path: config.snapshot_path.clone(),
                 recluster_every: config.recluster_every,
@@ -521,9 +508,15 @@ impl Daemon {
             let metrics = Arc::clone(&shared.metrics);
             let kill = Arc::clone(&shared.kill);
             let beat = Arc::clone(&beats[i]);
-            actors.push(thread::spawn(move || {
-                pipeline::run_engine_actor(shard_seed, actor_cfg, inbox, metrics, kill, beat);
-            }));
+            actors.push(
+                thread::Builder::new()
+                    .name(format!("seer-shard-{i}"))
+                    .spawn(move || {
+                        pipeline::run_engine_actor(
+                            shard_seed, actor_cfg, inbox, worker, metrics, kill, beat,
+                        );
+                    })?,
+            );
         }
 
         let watchdog = if config.fleet_observability && config.watchdog_tick > Duration::ZERO {
@@ -579,44 +572,6 @@ fn run_watchdog(shared: &Shared, beats: &[Arc<ShardBeat>], cfg: &WatchdogConfig)
         }
         thread::sleep(cfg.tick);
     }
-}
-
-/// Engine state reconstructed from a snapshot base plus a WAL replay.
-struct Recovered {
-    engine: SeerEngine,
-    strings: StringTable,
-    events_applied: u64,
-    /// Generation discontinuities seen during replay; non-zero means the
-    /// log does not connect to the base state (e.g. the WAL was enabled
-    /// after the snapshotted history had already accumulated).
-    gaps: u64,
-}
-
-/// Replays the whole log on top of `engine` (already caught up through
-/// `events_applied` events). Batches at or below that watermark are
-/// skipped, so a snapshot newer than part of the log replays cleanly.
-/// The returned string table is rebuilt from the log's intern records —
-/// segments are self-contained, so even a compacted log declares every
-/// path it references.
-fn replay_wal(wal: &Wal, engine: SeerEngine, events_applied: u64) -> Result<Recovered, WalError> {
-    let mut rep = Replayer::new(engine, StringTable::new(), events_applied);
-    wal.replay(|rec| {
-        match rec {
-            WalRecord::Interns { base, paths } => rep.declare(base, &paths),
-            WalRecord::Batch { generation, events } => {
-                rep.apply(generation, &events);
-            }
-        }
-        true
-    })?;
-    let gaps = rep.gaps();
-    let (engine, strings, events_applied) = rep.into_parts();
-    Ok(Recovered {
-        engine,
-        strings,
-        events_applied,
-        gaps,
-    })
 }
 
 impl DaemonHandle {

@@ -1,6 +1,16 @@
-//! Crash-safe persistence of the daemon's engine state.
+//! Crash-safe persistence of the daemon's engine state, and the one
+//! recovery path every tenant takes back from disk: a snapshot base
+//! ([`load_base`]) plus a write-ahead-log replay ([`replay_wal`]).
+//!
+//! Three callers recover through it, each with its own failure policy:
+//! daemon startup (the default tenant; errors fail the start), a lazily
+//! created tenant (keeps what replayed and faults its WAL), and the
+//! `History` query (errors are in-band answers).
 
-use seer_core::{PersistError, SeerSnapshot};
+use seer_core::{PersistError, Replayer, SeerConfig, SeerEngine, SeerSnapshot};
+use seer_telemetry::{tlog, Level};
+use seer_trace::StringTable;
+use seer_wal::{ReplayStats, Wal, WalError, WalRecord};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io::{BufReader, BufWriter, Write};
@@ -105,14 +115,90 @@ impl DaemonSnapshot {
     }
 }
 
-/// Removes a stale `<path>.tmp` left by a crash mid-write. Returns the
-/// removed path, if there was one, so the caller can log it.
+/// Removes a stale `<path>.tmp` left by a crash mid-write, logging it.
+/// Returns the removed path, if there was one. Call it only before the
+/// tenant's own snapshots start, never on a live tenant.
 pub(crate) fn clean_stale(path: &Path) -> Option<std::path::PathBuf> {
     let tmp = tmp_path(path);
     if tmp.exists() && fs::remove_file(&tmp).is_ok() {
+        tlog!(
+            Level::Warn,
+            "seer_daemon",
+            "removed stale snapshot temp file",
+            path = tmp.display().to_string(),
+        );
         return Some(tmp);
     }
     None
+}
+
+/// The base a recovery replays the log onto, as a [`Replayer`] with an
+/// empty string table (the log re-declares every path): the snapshot at
+/// `path` — a damaged primary falls back to the previous one, and one
+/// above generation `at_most` counts as absent — or else a cold engine
+/// built from `cold` at generation zero. Degradations are logged
+/// against `tenant`.
+pub(crate) fn load_base(
+    path: Option<&Path>,
+    at_most: u64,
+    cold: &SeerConfig,
+    tenant: &str,
+) -> Replayer {
+    let snap = path.and_then(|path| {
+        let (snap, warnings) = DaemonSnapshot::load_with_fallback(path);
+        for warning in &warnings {
+            tlog!(
+                Level::Warn,
+                "seer_daemon",
+                "snapshot recovery degraded",
+                tenant = tenant,
+                detail = warning.as_str(),
+            );
+        }
+        snap
+    });
+    let (engine, generation) = match snap.filter(|s| s.events_applied <= at_most) {
+        Some(s) => (SeerEngine::from_snapshot(s.engine), s.events_applied),
+        None => (SeerEngine::new(cold.clone()), 0),
+    };
+    Replayer::new(engine, StringTable::new(), generation)
+}
+
+/// Whether a replay from a base at `base_generation` can reach
+/// `target` in a log compacted through `compacted`: a cold base needs
+/// the log to reach back to generation zero.
+pub(crate) fn reachable(base_generation: u64, compacted: u64, target: u64) -> Result<(), String> {
+    if base_generation == 0 && compacted > 0 {
+        return Err(format!(
+            "generation {target} unreachable: log compacted through {compacted} \
+             and no snapshot at or below the target exists"
+        ));
+    }
+    Ok(())
+}
+
+/// Replays `wal` into `rep`, stopping after the last batch at or below
+/// generation `through`. Batches the base already covers are skipped,
+/// so a snapshot newer than part of the log replays cleanly. On an
+/// error `rep` keeps everything replayed before it.
+pub(crate) fn replay_wal(
+    wal: &Wal,
+    rep: &mut Replayer,
+    through: u64,
+) -> Result<ReplayStats, WalError> {
+    wal.replay(|rec| match rec {
+        WalRecord::Interns { base, paths } => {
+            rep.declare(base, &paths);
+            true
+        }
+        WalRecord::Batch { generation, events } => {
+            if generation > through {
+                return false;
+            }
+            rep.apply(generation, &events);
+            true
+        }
+    })
 }
 
 fn tmp_path(path: &Path) -> std::path::PathBuf {

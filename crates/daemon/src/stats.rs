@@ -59,7 +59,7 @@ pub(crate) struct PipelineMetrics {
     pub wal_dropped_batches: Counter,
     pub reclusters: Counter,
     /// Reclusterings whose counting phase ran incrementally off the
-    /// worker's pair-count cache (a subset of `reclusters`).
+    /// tenant's pair-count cache (a subset of `reclusters`).
     pub reclusters_incremental: Counter,
     pub snapshots: Counter,
     pub connections: Counter,
@@ -281,7 +281,7 @@ impl PipelineMetrics {
             stage_evaluate: stage(
                 "evaluate",
                 "Pipeline stage latency: one quality evaluation (miss-free hoard \
-                 size, SEER vs shadow-LRU) on the evaluator worker or inline.",
+                 size, SEER vs shadow-LRU) on the background worker or inline.",
             ),
             quality_evals: registry.counter(
                 "seer_daemon_quality_evals_total",

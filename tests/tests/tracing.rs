@@ -151,10 +151,10 @@ fn traced_query_covers_every_pipeline_stage_exactly_once() {
 /// The on-shutdown flight-recorder dump must contain the traced spans as
 /// one JSON object per line.
 ///
-/// (The adoption case — a traced query reusing an in-flight *untraced*
-/// periodic recluster job — is timing-dependent end to end, so it is
-/// pinned deterministically by unit tests inside `seer-daemon`'s
-/// pipeline module instead.)
+/// (A fresh query reclusters in place on the engine actor, so its
+/// `recluster` span always chains under its own `engine_answer`; only a
+/// periodic job on the background worker starts a root trace, which
+/// `seer-daemon`'s pipeline unit tests pin.)
 #[test]
 fn shutdown_dumps_flight_recorder_to_disk() {
     let dir = scratch("flight");

@@ -5,7 +5,7 @@
 //! reproduce the answers the live daemon gave at that generation.
 
 use seer_core::SeerEngine;
-use seer_daemon::{Daemon, DaemonClient, DaemonConfig, FsyncPolicy};
+use seer_daemon::{Daemon, DaemonClient, DaemonConfig, DaemonSnapshot, FsyncPolicy};
 use seer_trace::wire::{QueryRequest, QueryResponse};
 use seer_trace::EventSink;
 use seer_workload::{generate, MachineProfile};
@@ -33,6 +33,33 @@ fn offline_hoard(trace: &seer_trace::Trace, prefix: usize, budget: u64) -> (Vec<
     for ev in &trace.events[..prefix] {
         engine.on_event(ev, &trace.strings);
     }
+    select_offline(engine, budget)
+}
+
+/// Offline reference for a daemon that recovered from a snapshot at
+/// generation `snapshot` plus a log replay up to `prefix`: the same
+/// events, with a snapshot round trip at that generation. A snapshot
+/// keeps the engine's knowledge but not its per-process state (see
+/// `seer_core::persist`), so this can differ from an uninterrupted
+/// replay when a process spans the snapshot.
+fn offline_hoard_restored(
+    trace: &seer_trace::Trace,
+    snapshot: usize,
+    prefix: usize,
+    budget: u64,
+) -> (Vec<String>, u64) {
+    let mut engine = SeerEngine::default();
+    for ev in &trace.events[..snapshot] {
+        engine.on_event(ev, &trace.strings);
+    }
+    let mut engine = SeerEngine::from_snapshot(engine.snapshot());
+    for ev in &trace.events[snapshot..prefix] {
+        engine.on_event(ev, &trace.strings);
+    }
+    select_offline(engine, budget)
+}
+
+fn select_offline(mut engine: SeerEngine, budget: u64) -> (Vec<String>, u64) {
     engine.recluster();
     let sel = engine.choose_hoard(budget, &|_| 1024);
     let files = sel
@@ -309,6 +336,78 @@ fn restore_to_reproduces_the_answers_the_daemon_gave() {
         "discarded history stays discarded"
     );
     drop(client);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Named tenants recover lazily, on first contact, through the same
+/// snapshot + WAL path as the eagerly restored default tenant. With
+/// small periodic snapshots each tenant restarts from a snapshot base
+/// plus a replayed log tail; after a kill, the default tenant and two
+/// named ones must each hold exactly their acknowledged events and
+/// answer a fresh hoard equal to an offline replay of that prefix
+/// through the same snapshot.
+#[test]
+fn named_tenants_recover_their_acked_prefix_after_a_kill() {
+    let budget: u64 = 2_000_000;
+    let dir = scratch("tenants");
+    let mut cfg = DaemonConfig::new(dir.join("sock"));
+    cfg.wal_dir = Some(dir.join("wal"));
+    cfg.snapshot_path = Some(dir.join("db.json"));
+    cfg.snapshot_every = 512;
+    let tenants = [(None, 41u64), (Some("alpha"), 43), (Some("beta"), 47)];
+    let traces: Vec<_> = tenants
+        .iter()
+        .map(|&(_, seed)| machine_a_trace(6, seed))
+        .collect();
+    let connect = |socket: &Path, tenant: Option<&str>, client: &str| match tenant {
+        Some(t) => DaemonClient::connect_tenant(socket, client, t).expect("connect"),
+        None => DaemonClient::connect(socket, client).expect("connect"),
+    };
+
+    let handle = Daemon::spawn(cfg.clone()).expect("spawn");
+    let mut acked = Vec::new();
+    for (&(tenant, _), trace) in tenants.iter().zip(&traces) {
+        let mut client = connect(handle.socket_path(), tenant, "load");
+        let prefix = trace.events.len() * 3 / 4;
+        for chunk in trace.events[..prefix].chunks(64) {
+            client.send_events(chunk, &trace.strings).expect("send");
+        }
+        acked.push(client.flush().expect("flush"));
+    }
+    handle.kill();
+    let snapshots: Vec<u64> = tenants
+        .iter()
+        .map(|&(tenant, _)| {
+            let path = dir.join(tenant.map_or("db.json".into(), |t| format!("db.json.{t}")));
+            DaemonSnapshot::load(&path)
+                .expect("snapshot loads")
+                .expect("snapshotted before the kill")
+                .events_applied
+        })
+        .collect();
+
+    let handle = Daemon::spawn(cfg).expect("respawn");
+    for (((&(tenant, _), trace), &acked), &snapshot) in
+        tenants.iter().zip(&traces).zip(&acked).zip(&snapshots)
+    {
+        assert!(
+            snapshot > 0 && snapshot <= acked,
+            "{tenant:?} at {snapshot}"
+        );
+        let mut client = connect(handle.socket_path(), tenant, "check");
+        assert_eq!(
+            applied_events(&mut client),
+            acked,
+            "{tenant:?} recovered its acknowledged events"
+        );
+        let (files, bytes, generation) = fresh_hoard(&mut client, budget);
+        assert_eq!(generation, acked);
+        let (offline_files, offline_bytes) =
+            offline_hoard_restored(trace, snapshot as usize, acked as usize, budget);
+        assert_eq!(files, offline_files, "{tenant:?} online equals offline");
+        assert_eq!(bytes, offline_bytes);
+    }
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
