@@ -574,88 +574,6 @@ fn main() {
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 
-    // Seventh experiment: what does the fleet observability plane cost
-    // the ingest path? With the plane on, every applied batch bumps the
-    // tenant's cached instrument twins and the health scorer samples
-    // burn windows on the actor's cadence; with it off, none of that
-    // runs. The twins are pre-interned handles (no label lookup per
-    // apply), so the delta should be a few counter increments.
-    let _ = writeln!(
-        out,
-        "\ningest latency with the fleet observability plane on vs off (frame size 64):"
-    );
-    let _ = writeln!(
-        out,
-        "  {:<22} {:>10} {:>10} {:>10} {:>10} {:>14}",
-        "configuration", "p50 µs", "p95 µs", "p99 µs", "applies", "tenant events"
-    );
-    let mut obs_p99 = [f64::NAN; 2];
-    for (i, (label, enabled)) in [("fleet plane off", false), ("fleet plane on", true)]
-        .iter()
-        .enumerate()
-    {
-        let dir =
-            std::env::temp_dir().join(format!("seer-throughput-fo{i}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let mut cfg = DaemonConfig::new(dir.join("sock"));
-        cfg.recluster_every = 0;
-        cfg.eval_every = std::time::Duration::ZERO;
-        cfg.fleet_observability = *enabled;
-        let handle = Daemon::spawn(cfg).expect("spawn");
-        // A named tenant so the run exercises the twin bundle path, not
-        // just the "default" tenant's.
-        let mut client =
-            DaemonClient::connect_tenant(handle.socket_path(), "fleet-obs-bench", "bench-tenant")
-                .expect("connect");
-        client.send_trace(&trace, 64).expect("warmup send");
-        client.flush().expect("warmup flush");
-        for _ in 0..2 {
-            client.send_trace(&trace, 64).expect("send");
-            client.flush().expect("flush");
-        }
-        let snap = match client.query(QueryRequest::Metrics).expect("metrics query") {
-            QueryResponse::Metrics { snapshot } => snapshot,
-            other => panic!("unexpected response: {other:?}"),
-        };
-        drop(client);
-        handle.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
-
-        let apply = snap
-            .find_with("seer_daemon_stage_seconds", &[("stage", "engine_apply")])
-            .expect("engine_apply stage");
-        let count = match &apply.value {
-            seer_telemetry::MetricValue::Histogram { count, .. } => *count,
-            _ => 0,
-        };
-        obs_p99[i] = apply.quantile(0.99).unwrap_or(f64::NAN);
-        let tenant_events = snap
-            .find_with(
-                "seer_daemon_tenant_events_total",
-                &[("tenant", "bench-tenant")],
-            )
-            .map_or(0, |m| match &m.value {
-                seer_telemetry::MetricValue::Counter { total } => *total,
-                _ => 0,
-            });
-        let _ = writeln!(
-            out,
-            "  {:<22} {:>10} {:>10} {:>10} {:>10} {:>14}",
-            label,
-            us(apply.quantile(0.50)),
-            us(apply.quantile(0.95)),
-            us(apply.quantile(0.99)),
-            count,
-            tenant_events,
-        );
-    }
-    let oratio = obs_p99[1] / obs_p99[0].max(1e-12);
-    let _ = writeln!(
-        out,
-        "  engine_apply p99 ratio (fleet plane on / off): {oratio:.2}x \
-         (target: within 1.10x — per-tenant accounting must be free at ingest)"
-    );
-
     let _ = writeln!(
         out,
         "\nthe paper's observer cost ~35 µs/event on 1997 hardware (§5.3); the\n\

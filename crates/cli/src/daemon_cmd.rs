@@ -89,10 +89,8 @@ pub fn cmd_daemon(args: &Args) -> Result<(), CliError> {
         cfg.tcp_addr = Some(a.to_owned());
     }
     cfg.shards = args.num_flag("shards", cfg.shards)?;
-    // Fleet-observability knobs: per-tenant instruments, health scoring,
-    // burn-rate alerts, and the self-watchdog are on by default;
-    // `--no-fleet` turns the whole plane off at once.
-    cfg.fleet_observability = !args.bool_flag("no-fleet");
+    // Fleet-observability knobs: the SLO budget, burn windows and
+    // threshold behind health scores and burn alerts, and the alert ring.
     cfg.slo_miss_rate = args.num_flag("slo-miss-rate", cfg.slo_miss_rate)?;
     cfg.burn_fast_window =
         Duration::from_secs(args.num_flag("burn-fast-secs", cfg.burn_fast_window.as_secs())?);

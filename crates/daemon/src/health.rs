@@ -37,6 +37,7 @@
 //!   `snapshot_stale_after` means the periodic snapshot trigger stopped
 //!   firing.
 
+use crate::DaemonConfig;
 use seer_telemetry::BurnGauge;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -47,9 +48,6 @@ pub const SELF_TENANT: &str = "_self";
 /// Health-scorer knobs, per daemon (shared by every tenant).
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
-    /// Master switch for the fleet observability plane: per-tenant
-    /// instruments, health scoring, and burn alerts.
-    pub enabled: bool,
     /// SLO error budget: the tolerated bad-op (miss + drop) fraction.
     pub slo_miss_rate: f64,
     /// Fast burn window (sensitive, quick to resolve).
@@ -60,14 +58,13 @@ pub struct HealthConfig {
     pub burn_threshold: f64,
 }
 
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
+impl From<&DaemonConfig> for HealthConfig {
+    fn from(cfg: &DaemonConfig) -> HealthConfig {
         HealthConfig {
-            enabled: true,
-            slo_miss_rate: 0.02,
-            fast_window: Duration::from_secs(300),
-            slow_window: Duration::from_secs(3600),
-            burn_threshold: 4.0,
+            slo_miss_rate: cfg.slo_miss_rate,
+            fast_window: cfg.burn_fast_window,
+            slow_window: cfg.burn_slow_window,
+            burn_threshold: cfg.burn_threshold,
         }
     }
 }
@@ -380,7 +377,6 @@ mod tests {
 
     fn fast_cfg() -> HealthConfig {
         HealthConfig {
-            enabled: true,
             slo_miss_rate: 0.02,
             fast_window: Duration::from_millis(400),
             slow_window: Duration::from_secs(2),

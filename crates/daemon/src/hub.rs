@@ -623,10 +623,9 @@ fn serve_conn(stream: HubStream, conn: u64, shards: &Shards, shared: &Shared) {
     };
     if let Err(e) = c.serve(&mut r, &mut w) {
         // A protocol violation or a mid-frame disconnect (not a clean
-        // EOF) kills this connection and nothing else — the counters
-        // are the blast-radius witness, charged to the tenant its
-        // handshake named (the default before one).
-        shared.metrics.connection_errors.inc();
+        // EOF) kills this connection and nothing else — the counter is
+        // the blast-radius witness, charged to the tenant its handshake
+        // named (the default before one).
         shared.metrics.tenant_connection_errors(&c.tenant).inc();
         if let WireError::Format(message) = e {
             tlog!(

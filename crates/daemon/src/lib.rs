@@ -56,14 +56,15 @@
 //!   connection, counted in `seer_daemon_connection_errors_total`; a
 //!   tenant whose WAL faults (e.g. ENOSPC) stops being acknowledged and
 //!   reports unhealthy, without perturbing other tenants.
-//! - **Fleet observability.** Every hot-path instrument has a
-//!   per-tenant twin (labeled series under `seer_daemon_tenant_*`,
+//! - **Fleet observability.** Every apply-path measurement is recorded
+//!   once, per tenant (labeled series under `seer_daemon_tenant_*`,
 //!   resolved once per tenant so the apply path never re-interns
-//!   labels); a health scorer folds each tenant's signals into a 0–100
-//!   score with multi-window SLO burn-rate alerts, and a watchdog
-//!   thread alerts on the daemon itself (pseudo-tenant `_self`) when a
-//!   shard stalls, a background worker wedges, or snapshots go stale.
-//!   The `Alerts` query reads the bounded alert ring.
+//!   labels), and its daemon-wide series is the sum over tenants, taken
+//!   when metrics are read; a health scorer folds each tenant's signals
+//!   into a 0–100 score with multi-window SLO burn-rate alerts, and a
+//!   watchdog thread alerts on the daemon itself (pseudo-tenant `_self`)
+//!   when a shard stalls, a background worker wedges, or snapshots go
+//!   stale. The `Alerts` query reads the bounded alert ring.
 
 #![warn(missing_docs)]
 

@@ -35,14 +35,15 @@ use crate::quality::{self, QualityState};
 use crate::snapshot::{self, DaemonSnapshot};
 use crate::stats::{SharedMetrics, TenantMetrics};
 use crate::worker::{Done, Job, Worker};
+use crate::DaemonConfig;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use seer_core::{ClusterRun, PairCountCache, SeerConfig, SeerEngine};
+use seer_core::{ClusterRun, PairCountCache, SeerEngine};
 use seer_telemetry::{tlog, Level, SpanContext};
 use seer_trace::wire::{
     ExplainNeighbor, MissPostmortem, QualityReport, QueryRequest, QueryResponse, TenantFleetStat,
 };
 use seer_trace::{EventSink, FileId, RawPathId, StringTable, TraceEvent};
-use seer_wal::{FsyncPolicy, Wal, WalConfig};
+use seer_wal::{Wal, WalConfig};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -140,53 +141,6 @@ pub(crate) enum Msg {
     ConnClosed { conn: u64, tenant: Tenant },
 }
 
-/// Tunables the actor needs (a subset of the server's `DaemonConfig`).
-pub(crate) struct ActorConfig {
-    /// Base snapshot path; per-tenant paths derive from it (see
-    /// [`tenant_snapshot_path`]).
-    pub snapshot_path: Option<PathBuf>,
-    pub recluster_every: u64,
-    pub snapshot_every: u64,
-    pub tick: Duration,
-    pub file_size: u64,
-    pub recluster_threads: usize,
-    /// Where to dump the flight-recorder ring (JSON lines) when the
-    /// actor exits, gracefully or by kill. `None` skips the dump.
-    pub flight_path: Option<PathBuf>,
-    /// Engine configuration for cold starts of lazily created tenants
-    /// and the *cold* base of a `History` replay.
-    pub engine: SeerConfig,
-    /// Base WAL directory; per-tenant directories derive from it (see
-    /// [`tenant_wal_dir`]). `None` runs every tenant without a WAL.
-    pub wal_dir: Option<PathBuf>,
-    pub wal_fsync: FsyncPolicy,
-    pub wal_segment_bytes: u64,
-    /// Fault injection for tests: after this many successful appends,
-    /// every WAL append for `wal_fail_tenant` fails. `None` disables.
-    pub wal_fail_after: Option<u64>,
-    /// The tenant whose WAL the injection above targets; `None` means
-    /// the default tenant.
-    pub wal_fail_tenant: Option<String>,
-    /// Cadence of background quality evaluations; `Duration::ZERO`
-    /// disables the whole quality plane (evaluator, shadow LRU, and
-    /// postmortem capture).
-    pub eval_every: Duration,
-    /// Simulated-disconnection window the evaluator scores against,
-    /// in trace seconds.
-    pub eval_window_secs: u64,
-    /// Byte budget for the evaluator's coverage-at-budget numbers.
-    pub eval_budget: u64,
-    /// Entry cap of the shadow-LRU comparator.
-    pub shadow_lru_cap: usize,
-    /// Health-scorer knobs; `health.enabled` is the master switch for
-    /// the fleet observability plane (per-tenant instruments, scoring,
-    /// burn alerts).
-    pub health: HealthConfig,
-    /// Capacity of the bounded inbox, so queue depth converts to a 0–1
-    /// fraction in health signals.
-    pub channel_capacity: usize,
-}
-
 /// Consecutive incremental reclusterings after which a tenant's
 /// pair-count cache is dropped to force a full shared-neighbor recount
 /// (defense in depth against cache drift; incremental maintenance is
@@ -265,12 +219,11 @@ impl TenantState {
         name: Tenant,
         mut seed: TenantSeed,
         wal_fault: Option<String>,
-        cfg: &ActorConfig,
+        cfg: &DaemonConfig,
         metrics: &SharedMetrics,
     ) -> TenantState {
         seed.engine.attach_telemetry(&metrics.registry);
         let tm = metrics.tenant(&name);
-        metrics.events_applied.add(seed.events_applied);
         tm.events_applied.set_total(seed.events_applied);
         if wal_fault.is_some() {
             metrics.wal_append_errors.inc();
@@ -302,7 +255,7 @@ impl TenantState {
                 )
             }),
             tm,
-            health: TenantHealth::new(&cfg.health),
+            health: TenantHealth::new(&HealthConfig::from(cfg)),
             dropped_events: 0,
         }
     }
@@ -329,7 +282,7 @@ impl TenantState {
 /// but with what replayed and `wal_fault` set, so the degradation is
 /// visible in Health and the tenant never acknowledges batches it could
 /// not make durable.
-fn create_tenant_state(name: Tenant, cfg: &ActorConfig, metrics: &SharedMetrics) -> TenantState {
+fn create_tenant_state(name: Tenant, cfg: &DaemonConfig, metrics: &SharedMetrics) -> TenantState {
     let snapshot_path = cfg
         .snapshot_path
         .as_deref()
@@ -379,7 +332,10 @@ fn create_tenant_state(name: Tenant, cfg: &ActorConfig, metrics: &SharedMetrics)
 struct Actor {
     tenants: HashMap<Tenant, TenantState>,
     worker: Worker,
-    cfg: ActorConfig,
+    /// The daemon's configuration, shared by every shard.
+    cfg: Arc<DaemonConfig>,
+    /// The health scorer's knobs, drawn from `cfg`.
+    health: HealthConfig,
     metrics: SharedMetrics,
 }
 
@@ -414,12 +370,8 @@ impl Actor {
     /// Folds one tenant's live signals into its health score and drives
     /// its `slo-burn` and `wal-fault` alerts. Called from the apply path
     /// (both success and drop) and the idle tick; throttled inside
-    /// [`TenantHealth::observe`] so at most one sample lands per gap. A
-    /// single branch when the plane is disabled.
+    /// [`TenantHealth::observe`] so at most one sample lands per gap.
     fn observe_tenant_health(&mut self, tenant: &Tenant, depth: usize) {
-        if !self.cfg.health.enabled {
-            return;
-        }
         let Some(ts) = self.tenants.get_mut(tenant) else {
             return;
         };
@@ -440,7 +392,7 @@ impl Actor {
             queue_frac,
             eval_stale,
         };
-        let Some(verdict) = ts.health.observe(&self.cfg.health, &sig) else {
+        let Some(verdict) = ts.health.observe(&self.health, &sig) else {
             return;
         };
         // Mirror the miss log into the per-tenant counter at sampling
@@ -450,7 +402,7 @@ impl Actor {
         ts.tm.health_score.set(verdict.score.round() as i64);
         let name = ts.name.clone();
         let wal_fault = ts.wal_fault.clone();
-        let th = self.cfg.health.burn_threshold;
+        let th = self.health.burn_threshold;
         // Multi-window burn rule with hysteresis: fire only when both
         // the fast and slow windows burn above threshold, resolve once
         // the fast window cools; in between, leave the alert as is.
@@ -499,15 +451,10 @@ impl Actor {
                 ctx,
             } => self.apply_batch(conn, &tenant, &interns, events, ctx, depth),
             Msg::Flush { conn, tenant, ack } => {
-                let ts = self.tenants.get(&tenant);
-                if self.cfg.health.enabled {
-                    if let Some(ts) = ts {
-                        ts.tm.flushes.inc();
-                    }
-                }
-                let applied = ts
-                    .and_then(|ts| ts.per_conn.get(&conn).copied())
-                    .unwrap_or(0);
+                let applied = self.tenants.get(&tenant).map_or(0, |ts| {
+                    ts.tm.flushes.inc();
+                    ts.per_conn.get(&conn).copied().unwrap_or(0)
+                });
                 let _ = ack.send(applied);
             }
             Msg::Query {
@@ -543,8 +490,8 @@ impl Actor {
         for path in interns {
             table.push(ts.strings.intern(path));
         }
-        let apply_timer = self.metrics.stage_engine_apply.start_timer();
-        let tenant_apply_start = self.cfg.health.enabled.then(Instant::now);
+        // Times the whole stage, batches dropped under a WAL fault too.
+        let apply_timer = ts.tm.stage_engine_apply.start_timer();
         let mut span = ctx.map(|c| self.metrics.tracer.child("engine_apply", c));
         let n = events.len() as u64;
         if ts.wal_fault.is_some() {
@@ -552,11 +499,8 @@ impl Actor {
             // would hand out state a restart cannot reproduce. Drop it
             // unacknowledged — the client's flush count stops advancing
             // and Health carries the fault.
-            self.metrics.wal_dropped_batches.inc();
+            ts.tm.wal_dropped_batches.inc();
             ts.dropped_events += n;
-            if self.cfg.health.enabled {
-                ts.tm.wal_dropped_batches.inc();
-            }
             self.observe_tenant_health(tenant, depth);
             return;
         }
@@ -581,7 +525,6 @@ impl Actor {
                     .as_deref()
                     .unwrap_or(DEFAULT_TENANT)
                     == ts.name.as_ref();
-            let append_timer = self.metrics.stage_wal_append.start_timer();
             let started = Instant::now();
             let result = if injected {
                 Err(format!(
@@ -592,17 +535,12 @@ impl Actor {
                 wal.append_batch(&ts.strings, generation, &events)
                     .map_err(|e| e.to_string())
             };
-            drop(append_timer);
-            if self.cfg.health.enabled {
-                ts.tm.stage_wal_append.observe(started.elapsed());
-            }
+            let elapsed = started.elapsed();
+            ts.tm.stage_wal_append.observe(elapsed);
             match result {
                 Ok(out) => {
                     ts.wal_appends += 1;
-                    self.metrics.wal_records.add(u64::from(out.records));
-                    if self.cfg.health.enabled {
-                        ts.tm.wal_records.add(u64::from(out.records));
-                    }
+                    ts.tm.wal_records.add(u64::from(out.records));
                     self.metrics.wal_appended_bytes.add(out.bytes);
                     if out.rotated {
                         self.metrics.wal_rotations.inc();
@@ -616,7 +554,7 @@ impl Actor {
                             c.trace_id,
                             Some(c.span_id),
                             started,
-                            started.elapsed(),
+                            elapsed,
                             &[("bytes", out.bytes.to_string())],
                         );
                     }
@@ -628,7 +566,7 @@ impl Actor {
                 Err(msg) => {
                     let fault = format!("wal append failed: {msg}");
                     self.metrics.wal_append_errors.inc();
-                    self.metrics.wal_dropped_batches.inc();
+                    ts.tm.wal_dropped_batches.inc();
                     tlog!(
                         Level::Warn,
                         "seer_daemon::pipeline",
@@ -639,9 +577,6 @@ impl Actor {
                     );
                     ts.wal_fault = Some(fault);
                     ts.dropped_events += n;
-                    if self.cfg.health.enabled {
-                        ts.tm.wal_dropped_batches.inc();
-                    }
                     self.observe_tenant_health(tenant, depth);
                     return;
                 }
@@ -654,16 +589,9 @@ impl Actor {
         *ts.per_conn.entry(conn).or_default() += n;
         ts.since_recluster += n;
         ts.since_snapshot += n;
-        if self.cfg.health.enabled {
-            ts.tm.events_applied.add(n);
-            ts.tm.batches_applied.inc();
-            if let Some(t0) = tenant_apply_start {
-                ts.tm.stage_engine_apply.observe(t0.elapsed());
-            }
-        }
+        ts.tm.events_applied.add(n);
+        ts.tm.batches_applied.inc();
         let (events_applied, clustering_generation) = (ts.events_applied, ts.clustering_generation);
-        self.metrics.events_applied.add(n);
-        self.metrics.batches_applied.inc();
         if let Some(s) = &mut span {
             s.attr("events", n);
             s.attr("events_applied", events_applied);
@@ -1423,9 +1351,8 @@ impl Actor {
             }
             QueryRequest::Metrics => {
                 self.metrics.observe_queue_depth(depth);
-                self.metrics.touch_uptime();
                 QueryResponse::Metrics {
-                    snapshot: self.metrics.registry.snapshot(),
+                    snapshot: self.metrics.snapshot(),
                 }
             }
             QueryRequest::Health => {
@@ -1491,7 +1418,7 @@ fn quality_ingest(ts: &mut TenantState, events: &[TraceEvent]) {
 }
 
 /// Freezes everything the tenant's evaluator needs into a job.
-fn build_eval_job(ts: &TenantState, cfg: &ActorConfig) -> quality::EvalJob {
+fn build_eval_job(ts: &TenantState, cfg: &DaemonConfig) -> quality::EvalJob {
     let q = ts.quality.as_ref().expect("quality enabled");
     quality::EvalJob {
         input: ts.engine.eval_input(),
@@ -1557,15 +1484,15 @@ fn neighbor_evidence(engine: &SeerEngine, file: FileId, k: usize) -> Vec<Explain
 }
 
 /// Runs one shard's engine actor until every inbox sender is gone
-/// (graceful shutdown: the inbox is drained; recluster, snapshot every
-/// tenant, exit) or `kill` is raised (abrupt: exit *without*
-/// snapshotting, leaving the last on-disk snapshots as the recovery
-/// points). Either way the shard's `worker` is joined once its running
+/// (graceful shutdown: the inbox is drained; recluster and snapshot
+/// every tenant that applied events, exit) or `kill` is raised (abrupt:
+/// exit *without* snapshotting, leaving the last on-disk snapshots as
+/// the recovery points). Either way the shard's `worker` is joined once its running
 /// job ends. `seed` is the eagerly restored default tenant — present on
 /// exactly the shard the default tenant routes to.
 pub(crate) fn run_engine_actor(
     seed: Option<TenantSeed>,
-    cfg: ActorConfig,
+    cfg: Arc<DaemonConfig>,
     inbox: Receiver<Msg>,
     worker: Worker,
     metrics: SharedMetrics,
@@ -1576,6 +1503,7 @@ pub(crate) fn run_engine_actor(
     let mut actor = Actor {
         tenants: HashMap::new(),
         worker,
+        health: HealthConfig::from(&*cfg),
         cfg,
         metrics,
     };
@@ -1621,10 +1549,15 @@ pub(crate) fn run_engine_actor(
         actor.refresh_beats(&beat);
     }
     // Graceful epilogue: every producer is gone and the inbox is drained.
+    // A tenant that never applied an event (one that only answered
+    // queries) has nothing to persist, so it leaves no snapshot file.
     actor.drain_worker();
     let tenants: Vec<Tenant> = actor.tenants.keys().cloned().collect();
     for tenant in &tenants {
         let ts = actor.tenants.get(tenant).expect("listed above");
+        if ts.events_applied == 0 {
+            continue;
+        }
         if ts.engine.clustering().is_none() || ts.clustering_generation < ts.events_applied {
             actor.recluster_fresh(tenant, None);
         }
@@ -1689,35 +1622,23 @@ mod tests {
     use super::*;
     use seer_telemetry::Tracer;
 
-    fn test_cfg() -> ActorConfig {
-        ActorConfig {
-            snapshot_path: None,
-            recluster_every: 0,
-            snapshot_every: 0,
-            tick: Duration::from_millis(50),
-            file_size: 1,
-            recluster_threads: 1,
-            flight_path: None,
-            engine: SeerConfig::default(),
-            wal_dir: None,
-            wal_fsync: FsyncPolicy::Never,
-            wal_segment_bytes: 8 * 1024 * 1024,
-            wal_fail_after: None,
-            wal_fail_tenant: None,
-            eval_every: Duration::ZERO,
-            eval_window_secs: 0,
-            eval_budget: 0,
-            shadow_lru_cap: 0,
-            health: HealthConfig::default(),
-            channel_capacity: 1024,
-        }
+    /// No periodic work and no quality plane: the tests drive reclusters.
+    fn test_cfg() -> DaemonConfig {
+        let mut cfg = DaemonConfig::new("unused.sock");
+        cfg.recluster_every = 0;
+        cfg.snapshot_every = 0;
+        cfg.file_size = 1;
+        cfg.recluster_threads = 1;
+        cfg.eval_every = Duration::ZERO;
+        cfg
     }
 
     /// An actor holding one empty default tenant, with a real worker.
     fn test_actor() -> Actor {
         let name = default_tenant();
-        let cfg = test_cfg();
-        let metrics = crate::stats::new_shared_with(Tracer::new(4096, Duration::from_secs(1)));
+        let cfg = Arc::new(test_cfg());
+        let tracer = Tracer::new(4096, Duration::from_secs(1));
+        let metrics = crate::stats::new_shared_full(tracer, 256);
         let seed = TenantSeed {
             engine: SeerEngine::default(),
             strings: StringTable::new(),
@@ -1728,6 +1649,7 @@ mod tests {
         Actor {
             tenants: HashMap::from([(name, ts)]),
             worker: Worker::spawn(1).expect("spawn worker"),
+            health: HealthConfig::from(&*cfg),
             cfg,
             metrics,
         }

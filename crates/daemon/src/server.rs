@@ -1,8 +1,8 @@
 //! The daemon itself: listeners, sharded pipelines, and lifecycle.
 
-use crate::health::{watchdog_check, HealthConfig, ShardBeat, WatchdogConfig, SELF_TENANT};
+use crate::health::{watchdog_check, ShardBeat, WatchdogConfig, SELF_TENANT};
 use crate::hub::{self, HubListener, HubStream, Shards, SocketProbe};
-use crate::pipeline::{self, ActorConfig, TenantSeed};
+use crate::pipeline::{self, TenantSeed};
 use crate::snapshot::DaemonSnapshot;
 use crate::stats::{self, DaemonStats, SharedMetrics};
 use crate::worker::Worker;
@@ -48,8 +48,8 @@ pub struct DaemonConfig {
     /// compute a clustering on demand.
     pub recluster_every: u64,
     /// Snapshot after this many applied events. `0` disables periodic
-    /// snapshots; the final snapshot on graceful shutdown is still
-    /// written whenever `snapshot_path` is set.
+    /// snapshots; with `snapshot_path` set, graceful shutdown still
+    /// writes a final one for every tenant that applied events.
     pub snapshot_every: u64,
     /// Engine actor idle tick: a full tick with no ingest message runs
     /// the idle housekeeping (stale-work folding, WAL sync, snapshots);
@@ -108,10 +108,6 @@ pub struct DaemonConfig {
     pub eval_budget: u64,
     /// Entry cap of the shadow-LRU comparator (bounds its memory).
     pub shadow_lru_cap: usize,
-    /// Master switch for the fleet observability plane: per-tenant
-    /// instrument twins, health scoring, SLO burn alerts, and the
-    /// self-watchdog thread.
-    pub fleet_observability: bool,
     /// SLO error budget: the tolerated bad-op fraction (hoard misses
     /// plus WAL-dropped events, over events applied plus dropped).
     pub slo_miss_rate: f64,
@@ -127,7 +123,8 @@ pub struct DaemonConfig {
     /// first). `0` disables alert retention entirely.
     pub alert_ring: usize,
     /// Watchdog check cadence; `Duration::ZERO` disables the watchdog
-    /// thread (the rest of the plane still runs).
+    /// thread. Per-tenant metrics, health scores, and SLO burn alerts
+    /// do not depend on it.
     pub watchdog_tick: Duration,
     /// Shard heartbeat age above which `_self` reports the shard stalled.
     pub watchdog_stall_after: Duration,
@@ -162,7 +159,6 @@ impl DaemonConfig {
             eval_window_secs: 86_400,
             eval_budget: 1 << 20,
             shadow_lru_cap: 65_536,
-            fleet_observability: true,
             slo_miss_rate: 0.02,
             burn_fast_window: Duration::from_secs(300),
             burn_slow_window: Duration::from_secs(3600),
@@ -458,6 +454,7 @@ impl Daemon {
             .map(|_| bounded(config.channel_capacity))
             .unzip();
         let shards = Arc::new(Shards { inboxes });
+        let config = Arc::new(config);
         let default_shard = shards.index_for(pipeline::DEFAULT_TENANT);
         let mut seed = Some(TenantSeed {
             engine,
@@ -473,33 +470,7 @@ impl Daemon {
             .collect();
         let mut actors = Vec::with_capacity(receivers.len());
         for (i, (inbox, worker)) in receivers.into_iter().zip(workers).enumerate() {
-            let actor_cfg = ActorConfig {
-                snapshot_path: config.snapshot_path.clone(),
-                recluster_every: config.recluster_every,
-                snapshot_every: config.snapshot_every,
-                tick: config.tick,
-                file_size: config.file_size,
-                recluster_threads: config.recluster_threads,
-                flight_path: config.flight_path.clone(),
-                engine: config.engine.clone(),
-                wal_dir: config.wal_dir.clone(),
-                wal_fsync: config.wal_fsync,
-                wal_segment_bytes: config.wal_segment_bytes,
-                wal_fail_after: config.wal_fail_after,
-                wal_fail_tenant: config.wal_fail_tenant.clone(),
-                eval_every: config.eval_every,
-                eval_window_secs: config.eval_window_secs,
-                eval_budget: config.eval_budget,
-                shadow_lru_cap: config.shadow_lru_cap,
-                health: HealthConfig {
-                    enabled: config.fleet_observability,
-                    slo_miss_rate: config.slo_miss_rate,
-                    fast_window: config.burn_fast_window,
-                    slow_window: config.burn_slow_window,
-                    burn_threshold: config.burn_threshold,
-                },
-                channel_capacity: config.channel_capacity,
-            };
+            let cfg = Arc::clone(&config);
             let shard_seed = if i == default_shard {
                 seed.take()
             } else {
@@ -513,13 +484,13 @@ impl Daemon {
                     .name(format!("seer-shard-{i}"))
                     .spawn(move || {
                         pipeline::run_engine_actor(
-                            shard_seed, actor_cfg, inbox, worker, metrics, kill, beat,
+                            shard_seed, cfg, inbox, worker, metrics, kill, beat,
                         );
                     })?,
             );
         }
 
-        let watchdog = if config.fleet_observability && config.watchdog_tick > Duration::ZERO {
+        let watchdog = if config.watchdog_tick > Duration::ZERO {
             let wcfg = WatchdogConfig {
                 tick: config.watchdog_tick,
                 stall_after: config.watchdog_stall_after,
@@ -548,7 +519,7 @@ impl Daemon {
 
         Ok(DaemonHandle {
             shared,
-            socket_path: config.socket_path,
+            socket_path: config.socket_path.clone(),
             tcp_addr,
             listeners: listener_threads,
             actors,
@@ -600,8 +571,7 @@ impl DaemonHandle {
     /// query, without needing a connection.
     #[must_use]
     pub fn metrics(&self) -> RegistrySnapshot {
-        self.shared.metrics.touch_uptime();
-        self.shared.metrics.registry.snapshot()
+        self.shared.metrics.snapshot()
     }
 
     /// Blocks until the daemon exits (a client sent
@@ -614,14 +584,12 @@ impl DaemonHandle {
         stats
     }
 
-    /// Gracefully stops the daemon: in-flight batches are applied, a
-    /// final snapshot is written, and all threads join.
-    pub fn shutdown(mut self) -> DaemonStats {
+    /// Gracefully stops the daemon: in-flight batches are applied, every
+    /// tenant that applied events writes a final snapshot, and all
+    /// threads join.
+    pub fn shutdown(self) -> DaemonStats {
         self.shared.begin_shutdown();
-        self.join_all();
-        let stats = self.shared.metrics.snapshot_view();
-        let _ = std::fs::remove_file(&self.socket_path);
-        stats
+        self.wait()
     }
 
     /// Kills the daemon abruptly: pending work is dropped and **no**

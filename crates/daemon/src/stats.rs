@@ -1,18 +1,19 @@
 //! Pipeline metrics: registry-backed counters, gauges, and stage timers.
 //!
-//! The registry is the single source of truth; [`DaemonStats`] survives
-//! only as a point-in-time *view* assembled from it, keeping the wire
-//! protocol's `stats` answer and the [`crate::DaemonHandle`] API stable
-//! while the hot path records through lock-free atomics instead of a
-//! shared mutex.
+//! The registry is the single source of truth. Each apply-path
+//! measurement is recorded once, for its tenant ([`TenantMetrics`]);
+//! [`PipelineMetrics::snapshot`] derives the daemon-wide series as sums
+//! of the tenant families ([`DERIVED`]). [`DaemonStats`] survives only as
+//! a *view* of that snapshot, keeping the wire protocol's `stats` answer
+//! and the [`crate::DaemonHandle`] API stable while the hot path records
+//! through lock-free atomics instead of a shared mutex.
 
-use seer_telemetry::{AlertCenter, AlertTransition, Counter, Gauge, Histogram, Registry, Tracer};
+use seer_telemetry::{
+    AlertCenter, AlertTransition, Counter, Gauge, Histogram, MetricSnapshot, MetricValue, Registry,
+    RegistrySnapshot, Tracer,
+};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Default bounded-alert-ring capacity when none is configured.
-#[cfg(test)]
-pub(crate) const DEFAULT_ALERT_CAPACITY: usize = 256;
 
 /// Counters describing the daemon's ingestion pipeline.
 ///
@@ -46,17 +47,8 @@ pub(crate) struct PipelineMetrics {
     /// records into. Disabled (`trace_capacity: 0`) it costs one branch.
     pub tracer: Tracer,
     pub events_received: Counter,
-    pub events_applied: Counter,
-    pub batches_applied: Counter,
-    /// Connections torn down by a protocol violation or mid-frame I/O
-    /// failure (hostile or broken clients). Each kills only its own
-    /// connection; this counter is the blast-radius witness.
-    pub connection_errors: Counter,
     /// Tenants the engine shards currently hold state for.
     pub tenants: Gauge,
-    /// Batches dropped (not applied, not acknowledged) because the
-    /// tenant's write-ahead log has faulted.
-    pub wal_dropped_batches: Counter,
     pub reclusters: Counter,
     /// Reclusterings whose counting phase ran incrementally off the
     /// tenant's pair-count cache (a subset of `reclusters`).
@@ -78,8 +70,6 @@ pub(crate) struct PipelineMetrics {
     /// Seconds since the daemon started, refreshed on metrics queries so
     /// scrapers can derive events/sec without wall-clock access.
     uptime_seconds: Gauge,
-    /// WAL records appended (interns + batches).
-    pub wal_records: Counter,
     /// WAL bytes appended, framing included.
     pub wal_appended_bytes: Counter,
     /// WAL appends that failed (logged, never fatal to ingest).
@@ -95,10 +85,8 @@ pub(crate) struct PipelineMetrics {
     /// Per-stage latency histograms (`seer_daemon_stage_seconds`).
     pub stage_socket_read: Histogram,
     pub stage_decode: Histogram,
-    pub stage_engine_apply: Histogram,
     pub stage_recluster: Histogram,
     pub stage_snapshot_write: Histogram,
-    pub stage_wal_append: Histogram,
     pub stage_wal_fsync: Histogram,
     pub stage_evaluate: Histogram,
     /// Quality evaluations completed (background + inline query-driven).
@@ -127,8 +115,8 @@ pub(crate) struct PipelineMetrics {
 /// cheap (each handle is an `Arc` around its atomics).
 ///
 /// Per-tenant stage histograms live under their own metric name
-/// (`seer_daemon_tenant_stage_seconds`) so the global per-stage tables
-/// keyed on `seer_daemon_stage_seconds` stay tenant-agnostic.
+/// (`seer_daemon_tenant_stage_seconds`); their daemon-wide sums appear
+/// under `seer_daemon_stage_seconds` only in [`PipelineMetrics::snapshot`].
 #[derive(Debug, Clone)]
 pub(crate) struct TenantMetrics {
     /// Events applied for this tenant.
@@ -140,11 +128,11 @@ pub(crate) struct TenantMetrics {
     /// Hoard misses (real + auto-detected), mirrored from the quality
     /// plane's miss log at health-sampling cadence.
     pub misses: Counter,
-    /// WAL records appended for this tenant.
+    /// WAL records appended for this tenant (interns + batches).
     pub wal_records: Counter,
-    /// Per-tenant twin of `seer_daemon_wal_dropped_batches_total`.
+    /// Batches dropped unacknowledged under this tenant's WAL fault.
     pub wal_dropped_batches: Counter,
-    /// Engine-apply latency for this tenant's batches.
+    /// Engine-apply latency for this tenant's batches, dropped ones too.
     pub stage_engine_apply: Histogram,
     /// WAL-append latency for this tenant's batches.
     pub stage_wal_append: Histogram,
@@ -166,14 +154,6 @@ impl PipelineMetrics {
                 "seer_daemon_events_received_total",
                 "Events accepted off client sockets.",
             ),
-            events_applied: registry.counter(
-                "seer_daemon_events_applied_total",
-                "Events applied to the engine.",
-            ),
-            batches_applied: registry.counter(
-                "seer_daemon_batches_applied_total",
-                "Batches applied to the engine.",
-            ),
             reclusters: registry
                 .counter("seer_daemon_reclusters_total", "Reclusterings performed."),
             reclusters_incremental: registry.counter(
@@ -186,17 +166,9 @@ impl PipelineMetrics {
                 "seer_daemon_connections_total",
                 "Client connections accepted.",
             ),
-            connection_errors: registry.counter(
-                "seer_daemon_connection_errors_total",
-                "Connections torn down by a protocol violation or mid-frame I/O failure.",
-            ),
             tenants: registry.gauge(
                 "seer_daemon_tenants",
                 "Tenants the engine shards currently hold state for.",
-            ),
-            wal_dropped_batches: registry.counter(
-                "seer_daemon_wal_dropped_batches_total",
-                "Batches dropped unacknowledged because the tenant's WAL has faulted.",
             ),
             recluster_inflight: registry.gauge(
                 "seer_daemon_recluster_inflight",
@@ -230,10 +202,6 @@ impl PipelineMetrics {
                 "decode",
                 "Pipeline stage latency: decoding one frame (binary events or a JSON control line).",
             ),
-            stage_engine_apply: stage(
-                "engine_apply",
-                "Pipeline stage latency: remapping and applying one batch to the engine.",
-            ),
             stage_recluster: stage(
                 "recluster",
                 "Pipeline stage latency: one full reclustering in the engine actor.",
@@ -241,10 +209,6 @@ impl PipelineMetrics {
             stage_snapshot_write: stage(
                 "snapshot_write",
                 "Pipeline stage latency: writing one snapshot atomically to disk.",
-            ),
-            wal_records: registry.counter(
-                "seer_wal_records_total",
-                "WAL records appended (intern declarations and event batches).",
             ),
             wal_appended_bytes: registry.counter(
                 "seer_wal_appended_bytes_total",
@@ -267,11 +231,6 @@ impl PipelineMetrics {
             wal_disk_bytes: registry.gauge(
                 "seer_wal_disk_bytes",
                 "Total bytes across WAL segment files.",
-            ),
-            stage_wal_append: stage(
-                "wal_append",
-                "Pipeline stage latency: appending one batch (plus intern deltas) \
-                 to the write-ahead log, fsync included when the policy syncs.",
             ),
             stage_wal_fsync: stage(
                 "wal_fsync",
@@ -377,8 +336,9 @@ impl PipelineMetrics {
         }
     }
 
-    /// The per-tenant connection-error twin alone, resolved by the hub
-    /// when a connection ends in error.
+    /// A tenant's connection-error counter alone, resolved by the hub
+    /// when a protocol violation or mid-frame I/O failure kills one of
+    /// its connections (and only that one): the blast-radius witness.
     pub(crate) fn tenant_connection_errors(&self, tenant: &str) -> Counter {
         self.registry.counter_with(
             "seer_daemon_tenant_connection_errors_total",
@@ -418,37 +378,126 @@ impl PipelineMetrics {
         self.queue_depth_max.set_max(d);
     }
 
-    /// Refreshes the uptime gauge; called before registry snapshots.
-    pub(crate) fn touch_uptime(&self) {
+    /// Every metric now, uptime refreshed, plus each [`DERIVED`] series as
+    /// the sum of its tenant family (zero before any tenant exists). The
+    /// `Metrics` query, [`crate::DaemonHandle::metrics`], and
+    /// [`Self::snapshot_view`] all read through here.
+    pub(crate) fn snapshot(&self) -> RegistrySnapshot {
         let secs = i64::try_from(self.started.elapsed().as_secs()).unwrap_or(i64::MAX);
         self.uptime_seconds.set(secs);
+        let mut snap = self.registry.snapshot();
+        for d in &DERIVED {
+            let labels: Vec<(String, String)> = d
+                .stage
+                .iter()
+                .map(|s| ("stage".into(), (*s).into()))
+                .collect();
+            let mut value = d.zero();
+            for m in &snap.metrics {
+                if m.name == d.family && labels.iter().all(|l| m.labels.contains(l)) {
+                    value.accumulate(&m.value);
+                }
+            }
+            snap.insert(MetricSnapshot {
+                name: d.name.into(),
+                help: d.help.into(),
+                labels,
+                value,
+            });
+        }
+        snap
     }
 
-    /// Assembles the legacy counters view from the registry handles.
+    /// The legacy counters view, read off [`Self::snapshot`].
     pub(crate) fn snapshot_view(&self) -> DaemonStats {
+        let snap = self.snapshot();
+        let counter = |name| snap.counter(name).unwrap_or(0);
+        let max_queue_depth = snap.gauge("seer_daemon_queue_depth_max").unwrap_or(0);
         DaemonStats {
-            events_received: self.events_received.get(),
-            events_applied: self.events_applied.get(),
-            batches_applied: self.batches_applied.get(),
-            max_queue_depth: usize::try_from(self.queue_depth_max.get()).unwrap_or(0),
-            reclusters: self.reclusters.get(),
-            snapshots: self.snapshots.get(),
-            connections: self.connections.get(),
+            events_received: counter("seer_daemon_events_received_total"),
+            events_applied: counter("seer_daemon_events_applied_total"),
+            batches_applied: counter("seer_daemon_batches_applied_total"),
+            max_queue_depth: usize::try_from(max_queue_depth).unwrap_or(0),
+            reclusters: counter("seer_daemon_reclusters_total"),
+            snapshots: counter("seer_daemon_snapshots_total"),
+            connections: counter("seer_daemon_connections_total"),
         }
     }
 }
+
+/// A daemon-wide series never recorded itself: the sum of a per-tenant
+/// family, counters by total and histograms by count, sum, and bucket.
+struct Derived {
+    name: &'static str,
+    /// The `stage` label of a stage histogram (its family carries it too).
+    stage: Option<&'static str>,
+    help: &'static str,
+    family: &'static str,
+}
+
+impl Derived {
+    /// The series' value with no tenant: a stage histogram or a counter.
+    fn zero(&self) -> MetricValue {
+        match self.stage {
+            Some(_) => Histogram::default().snapshot(),
+            None => MetricValue::Counter { total: 0 },
+        }
+    }
+}
+
+/// Every daemon-wide series derived from a tenant family.
+const DERIVED: [Derived; 7] = [
+    Derived {
+        name: "seer_daemon_events_applied_total",
+        stage: None,
+        help: "Events applied to the engine.",
+        family: "seer_daemon_tenant_events_total",
+    },
+    Derived {
+        name: "seer_daemon_batches_applied_total",
+        stage: None,
+        help: "Batches applied to the engine.",
+        family: "seer_daemon_tenant_batches_total",
+    },
+    Derived {
+        name: "seer_daemon_connection_errors_total",
+        stage: None,
+        help: "Connections torn down by a protocol violation or mid-frame I/O failure.",
+        family: "seer_daemon_tenant_connection_errors_total",
+    },
+    Derived {
+        name: "seer_daemon_wal_dropped_batches_total",
+        stage: None,
+        help: "Batches dropped unacknowledged because the tenant's WAL has faulted.",
+        family: "seer_daemon_tenant_wal_dropped_batches_total",
+    },
+    Derived {
+        name: "seer_wal_records_total",
+        stage: None,
+        help: "WAL records appended (intern declarations and event batches).",
+        family: "seer_daemon_tenant_wal_records_total",
+    },
+    Derived {
+        name: "seer_daemon_stage_seconds",
+        stage: Some("engine_apply"),
+        help: "Pipeline stage latency: remapping and applying one batch to the engine.",
+        family: "seer_daemon_tenant_stage_seconds",
+    },
+    Derived {
+        name: "seer_daemon_stage_seconds",
+        stage: Some("wal_append"),
+        help: "Pipeline stage latency: appending one batch (plus intern deltas) \
+               to the write-ahead log, fsync included when the policy syncs.",
+        family: "seer_daemon_tenant_stage_seconds",
+    },
+];
 
 /// Metrics handle shared between server, pipeline, and callers.
 pub(crate) type SharedMetrics = Arc<PipelineMetrics>;
 
 #[cfg(test)]
 pub(crate) fn new_shared() -> SharedMetrics {
-    new_shared_with(Tracer::disabled())
-}
-
-#[cfg(test)]
-pub(crate) fn new_shared_with(tracer: Tracer) -> SharedMetrics {
-    new_shared_full(tracer, DEFAULT_ALERT_CAPACITY)
+    new_shared_full(Tracer::disabled(), 256)
 }
 
 pub(crate) fn new_shared_full(tracer: Tracer, alert_capacity: usize) -> SharedMetrics {
@@ -466,9 +515,10 @@ mod tests {
     #[test]
     fn snapshot_view_mirrors_registry() {
         let m = new_shared();
+        let t = m.tenant("a");
         m.events_received.add(10);
-        m.events_applied.add(8);
-        m.batches_applied.inc();
+        t.events_applied.add(8);
+        t.batches_applied.inc();
         m.observe_queue_depth(5);
         m.observe_queue_depth(2); // live drops, high-water holds
         m.connections.inc();
@@ -490,7 +540,7 @@ mod tests {
         let again = m.tenant("machine-a");
         a.events_applied.add(5);
         again.events_applied.add(2);
-        let snap = m.registry.snapshot();
+        let snap = m.snapshot();
         assert_eq!(
             snap.find_with(
                 "seer_daemon_tenant_events_total",
@@ -543,9 +593,8 @@ mod tests {
     fn stage_histograms_share_one_metric_name() {
         let m = new_shared();
         m.stage_decode.observe_nanos(1_000);
-        m.stage_engine_apply.observe_nanos(2_000);
-        m.touch_uptime();
-        let snap = m.registry.snapshot();
+        m.tenant("a").stage_engine_apply.observe_nanos(2_000);
+        let snap = m.snapshot();
         let stages: Vec<_> = snap
             .metrics
             .iter()
@@ -556,5 +605,51 @@ mod tests {
             .find_with("seer_daemon_stage_seconds", &[("stage", "decode")])
             .is_some());
         assert!(snap.gauge("seer_daemon_uptime_seconds").is_some());
+    }
+
+    /// Every daemon-wide series is exactly the sum of its tenant family,
+    /// and reads zero before any tenant exists.
+    #[test]
+    fn daemon_wide_series_are_tenant_sums() {
+        let m = new_shared();
+        let empty = m.snapshot();
+        for d in &DERIVED {
+            let labels: Vec<_> = d.stage.iter().map(|s| ("stage", *s)).collect();
+            let series = empty.find_with(d.name, &labels).expect("present at zero");
+            assert_eq!(series.value, d.zero(), "{} {labels:?}", d.name);
+        }
+        // Tenant a observes 2^-9 s, tenant b 2^-3 s: different buckets,
+        // and seconds that add without rounding.
+        let expected = Histogram::default();
+        for (k, tenant, nanos) in [(1, "a", 1_953_125), (2, "b", 125_000_000)] {
+            let t = m.tenant(tenant);
+            t.events_applied.add(100 * k);
+            t.batches_applied.add(10 * k);
+            t.wal_records.add(20 * k);
+            t.wal_dropped_batches.add(k);
+            m.tenant_connection_errors(tenant).add(3 * k);
+            t.stage_engine_apply.observe_nanos(nanos);
+            t.stage_wal_append.observe_nanos(nanos);
+            expected.observe_nanos(nanos);
+        }
+        let snap = m.snapshot();
+        assert!(snap
+            .metrics
+            .is_sorted_by(|x, y| (&x.name, &x.labels) < (&y.name, &y.labels)));
+        for (name, total) in [
+            ("seer_daemon_events_applied_total", 300),
+            ("seer_daemon_batches_applied_total", 30),
+            ("seer_wal_records_total", 60),
+            ("seer_daemon_wal_dropped_batches_total", 3),
+            ("seer_daemon_connection_errors_total", 9),
+        ] {
+            assert_eq!(snap.counter(name), Some(total), "{name}");
+        }
+        for stage in ["engine_apply", "wal_append"] {
+            let series = snap.find_with("seer_daemon_stage_seconds", &[("stage", stage)]);
+            assert_eq!(series.expect(stage).value, expected.snapshot(), "{stage}");
+        }
+        let view = m.snapshot_view();
+        assert_eq!((view.events_applied, view.batches_applied), (300, 30));
     }
 }

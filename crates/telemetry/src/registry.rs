@@ -142,7 +142,9 @@ impl Histogram {
         self.0.count.load(Ordering::Relaxed)
     }
 
-    fn snapshot(&self) -> MetricValue {
+    /// This histogram's value now; a fresh one gives the empty value.
+    #[must_use]
+    pub fn snapshot(&self) -> MetricValue {
         let inner = &*self.0;
         let mut buckets = Vec::with_capacity(NUM_BUCKETS);
         for (i, b) in inner.buckets.iter().enumerate() {
@@ -358,6 +360,37 @@ pub enum MetricValue {
     },
 }
 
+impl MetricValue {
+    /// Adds `other` into `self`: counter totals, and histogram counts,
+    /// sums and buckets. Gauges and mismatched kinds are left as they are.
+    pub fn accumulate(&mut self, other: &MetricValue) {
+        match (self, other) {
+            (MetricValue::Counter { total }, MetricValue::Counter { total: more }) => {
+                *total = total.saturating_add(*more);
+            }
+            (
+                MetricValue::Histogram {
+                    count,
+                    sum_seconds,
+                    buckets,
+                },
+                MetricValue::Histogram {
+                    count: more,
+                    sum_seconds: more_seconds,
+                    buckets: more_buckets,
+                },
+            ) => {
+                *count = count.saturating_add(*more);
+                *sum_seconds += more_seconds;
+                for (b, more) in buckets.iter_mut().zip(more_buckets) {
+                    b.count = b.count.saturating_add(more.count);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 /// One metric in a [`RegistrySnapshot`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricSnapshot {
@@ -400,6 +433,14 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
+    /// Adds a metric at its place in the name-then-labels order.
+    pub fn insert(&mut self, metric: MetricSnapshot) {
+        let at = self
+            .metrics
+            .partition_point(|m| (&m.name, &m.labels) < (&metric.name, &metric.labels));
+        self.metrics.insert(at, metric);
+    }
+
     /// Finds a metric by name, ignoring labels (first match).
     #[must_use]
     pub fn find(&self, name: &str) -> Option<&MetricSnapshot> {

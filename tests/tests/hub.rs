@@ -4,6 +4,7 @@
 
 use seer_core::SeerEngine;
 use seer_daemon::{Daemon, DaemonClient, DaemonConfig, DaemonError};
+use seer_telemetry::MetricValue;
 use seer_trace::wire::{self, ClientFrame, QueryRequest, QueryResponse, WIRE_VERSION};
 use seer_trace::{EventKind, Fd, OpenMode, Pid, RawPathId, Seq, Timestamp, Trace, TraceEvent};
 use seer_workload::{generate, MachineProfile};
@@ -512,7 +513,65 @@ fn fleet_query_reports_all_tenants() {
         QueryResponse::Fleet { per_tenant, .. } => assert_eq!(per_tenant.len(), 2),
         other => panic!("unexpected response: {other:?}"),
     }
+
+    let snap = handle.metrics();
+    let tenant_events: u64 = (snap.metrics.iter())
+        .filter(|m| m.name == "seer_daemon_tenant_events_total")
+        .map(|m| match m.value {
+            MetricValue::Counter { total } => total,
+            _ => panic!("a counter family"),
+        })
+        .sum();
+    let daemon_wide = snap.counter("seer_daemon_events_applied_total");
+    assert_eq!(
+        (handle.stats().events_applied, daemon_wide, tenant_events),
+        (sent, Some(sent), sent),
+        "Stats, the daemon-wide series, and the tenant family agree"
+    );
     drop(observer);
     handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A tenant that only answered queries has nothing to persist: graceful
+/// shutdown writes no snapshot file for it and counts no recluster or
+/// snapshot on its behalf. The default tenant is no exception; a tenant
+/// that applied events keeps its final snapshot.
+#[test]
+fn query_only_tenants_leave_no_state_at_shutdown() {
+    let dir = scratch("queryonly");
+    let mut cfg = DaemonConfig::new(dir.join("sock"));
+    cfg.snapshot_path = Some(dir.join("db.json"));
+    // No periodic work: every recluster and snapshot counted comes from
+    // the shutdown epilogue.
+    cfg.recluster_every = 0;
+    cfg.snapshot_every = 0;
+    let handle = Daemon::spawn(cfg).expect("spawn");
+    let sock = handle.socket_path().to_path_buf();
+    for tenant in ["a", "b"] {
+        let mut probe = DaemonClient::connect_tenant(&sock, "probe", tenant).expect("connect");
+        // A tenant-scoped query creates the tenant's state.
+        probe.query(QueryRequest::Health).expect("health");
+    }
+    let trace = machine_trace("A", 2, 3);
+    let mut loader = DaemonClient::connect_tenant(&sock, "loader", "z").expect("connect");
+    loader.send_trace(&trace, 64).expect("send");
+    assert_eq!(loader.flush().expect("flush"), trace.len() as u64);
+    drop(loader);
+
+    let stats = handle.shutdown();
+    for (file, kept) in [
+        ("db.json", false),
+        ("db.json.a", false),
+        ("db.json.b", false),
+        ("db.json.z", true),
+    ] {
+        assert_eq!(dir.join(file).exists(), kept, "{file}");
+    }
+    assert_eq!(
+        (stats.reclusters, stats.snapshots),
+        (1, 1),
+        "only tenant z reclusters and snapshots at exit"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
