@@ -351,80 +351,7 @@ fn main() {
          (target: within 1.25x — durability must not throttle ingestion)"
     );
 
-    // Fifth experiment: what does the live quality plane cost the ingest
-    // path? The shadow-LRU touch rides inside the engine_apply stage and
-    // the evaluator runs off-actor on its own worker, so only the touch
-    // (one hash insert per referenced path) should show up in the p99.
-    let _ = writeln!(
-        out,
-        "\ningest latency with the quality plane on vs off (frame size 64):"
-    );
-    let _ = writeln!(
-        out,
-        "  {:<22} {:>10} {:>10} {:>10} {:>10} {:>12}",
-        "configuration", "p50 µs", "p95 µs", "p99 µs", "applies", "evals"
-    );
-    let mut quality_p99 = [f64::NAN; 2];
-    for (i, (label, enabled)) in [("quality off", false), ("quality on", true)]
-        .iter()
-        .enumerate()
-    {
-        let dir = std::env::temp_dir().join(format!("seer-throughput-q{i}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let mut cfg = DaemonConfig::new(dir.join("sock"));
-        cfg.recluster_every = 0;
-        if !enabled {
-            cfg.eval_every = std::time::Duration::ZERO;
-        }
-        let handle = Daemon::spawn(cfg).expect("spawn");
-        let mut client =
-            DaemonClient::connect(handle.socket_path(), "quality-bench").expect("connect");
-        client.send_trace(&trace, 64).expect("warmup send");
-        client.flush().expect("warmup flush");
-        for _ in 0..2 {
-            client.send_trace(&trace, 64).expect("send");
-            client.flush().expect("flush");
-        }
-        if *enabled {
-            // One inline evaluation so the evals column is never zero
-            // even when the run outpaces the background cadence.
-            client.quality().expect("quality report");
-        }
-        let snap = match client.query(QueryRequest::Metrics).expect("metrics query") {
-            QueryResponse::Metrics { snapshot } => snapshot,
-            other => panic!("unexpected response: {other:?}"),
-        };
-        drop(client);
-        handle.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
-
-        let apply = snap
-            .find_with("seer_daemon_stage_seconds", &[("stage", "engine_apply")])
-            .expect("engine_apply stage");
-        let count = match &apply.value {
-            seer_telemetry::MetricValue::Histogram { count, .. } => *count,
-            _ => 0,
-        };
-        quality_p99[i] = apply.quantile(0.99).unwrap_or(f64::NAN);
-        let _ = writeln!(
-            out,
-            "  {:<22} {:>10} {:>10} {:>10} {:>10} {:>12}",
-            label,
-            us(apply.quantile(0.50)),
-            us(apply.quantile(0.95)),
-            us(apply.quantile(0.99)),
-            count,
-            snap.counter("seer_daemon_quality_evals_total").unwrap_or(0),
-        );
-    }
-    let qratio = quality_p99[1] / quality_p99[0].max(1e-12);
-    let _ = writeln!(
-        out,
-        "  engine_apply p99 ratio (quality on / off): {qratio:.2}x \
-         (target: within 1.10x — evaluation must stay off the hot path)"
-    );
-
-    // Sixth experiment: the fleet. All nine paper machines (A–I) stream
+    // Fifth experiment: the fleet. All nine paper machines (A–I) stream
     // concurrently, each as its own tenant with several replica clients
     // over a mix of unix and tcp transports, into one daemon sharded
     // across engine actors. Reported: aggregate events/s across the
@@ -457,7 +384,6 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
     cfg.recluster_every = 0;
-    cfg.eval_every = std::time::Duration::ZERO;
     cfg.tcp_addr = Some("127.0.0.1:0".into());
     cfg.shards = FLEET_SHARDS;
     let handle = Daemon::spawn(cfg).expect("spawn");

@@ -1,6 +1,7 @@
 //! Minimal flag parser (no external dependencies).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A parsed command line: positionals plus `--flag value` / `--flag`
@@ -9,6 +10,9 @@ use std::fmt;
 pub struct Args {
     positional: Vec<String>,
     flags: HashMap<String, String>,
+    /// Every flag name a command has asked for, given or not, so a
+    /// command can refuse the flags it never reads.
+    asked: RefCell<HashSet<String>>,
 }
 
 /// CLI-level errors with user-facing messages.
@@ -86,6 +90,7 @@ impl Args {
     /// A string flag.
     #[must_use]
     pub fn flag(&self, name: &str) -> Option<&str> {
+        self.asked.borrow_mut().insert(name.to_owned());
         self.flags.get(name).map(String::as_str)
     }
 
@@ -108,7 +113,22 @@ impl Args {
     /// Whether a boolean flag is present.
     #[must_use]
     pub fn bool_flag(&self, name: &str) -> bool {
-        self.flags.contains_key(name)
+        self.flag(name).is_some()
+    }
+
+    /// Refuses, naming them, the given flags no call so far has asked
+    /// for: a mistyped or retired flag would otherwise be ignored.
+    pub fn refuse_unread_flags(&self) -> Result<(), CliError> {
+        let asked = self.asked.borrow();
+        let mut unread: Vec<String> = (self.flags.keys())
+            .filter(|name| !asked.contains(*name))
+            .map(|name| format!("--{name}"))
+            .collect();
+        if unread.is_empty() {
+            return Ok(());
+        }
+        unread.sort_unstable();
+        Err(CliError(format!("unknown flag: {}", unread.join(", "))))
     }
 }
 

@@ -38,15 +38,14 @@ USAGE:
               [--recluster-threads N] [--trace-capacity N] [--slow-span-ms MS]
               [--flight FILE] [--wal-dir DIR] [--fsync always|never|interval:<ms>]
               [--wal-segment-bytes N] [--restore-to GENERATION]
-              [--eval-every-ms MS] [--eval-window-secs S] [--eval-budget BYTES]
-              [--shadow-lru-cap N]
+              [--eval-every-ms MS] [--eval-window-secs S]
+              [--burn-fast-secs S] [--burn-slow-secs S]
               (N = 0 for --recluster-every / --snapshot-every means never;
                --trace-capacity 0 disables the flight recorder;
                --wal-dir enables the write-ahead log; --restore-to discards
                every batch past that generation before starting;
-               --eval-every-ms 0 disables the quality plane;
                --tcp also listens on that address, --shards spreads the
-               engine actors across cores)
+               engine actors across cores; any other flag is refused)
               (every client/trace/explain/top command below also accepts
                --tcp ADDR instead of --socket and --tenant NAME to
                address one observed machine on a multi-tenant daemon)

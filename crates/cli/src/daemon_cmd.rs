@@ -73,31 +73,33 @@ pub fn cmd_daemon(args: &Args) -> Result<(), CliError> {
         })?;
         cfg.restore_to = Some(target);
     }
-    // Quality-plane knobs: evaluation cadence (0 disables the evaluator,
-    // shadow LRU, and postmortem capture entirely), the simulated
-    // disconnection window, and the coverage budget.
+    // Quality-plane knobs: the background evaluation cadence and the
+    // simulated disconnection window.
     cfg.eval_every = Duration::from_millis(args.num_flag(
         "eval-every-ms",
         u64::try_from(cfg.eval_every.as_millis()).unwrap_or(2000),
     )?);
+    if cfg.eval_every.is_zero() {
+        return Err(CliError(
+            "--eval-every-ms wants at least 1 (the quality plane always runs)".into(),
+        ));
+    }
     cfg.eval_window_secs = args.num_flag("eval-window-secs", cfg.eval_window_secs)?;
-    cfg.eval_budget = args.num_flag("eval-budget", cfg.eval_budget)?;
-    cfg.shadow_lru_cap = args.num_flag("shadow-lru-cap", cfg.shadow_lru_cap)?;
     // Hub knobs: an extra TCP listener and the engine-shard count
     // (tenants hash across shards; each shard is one actor thread).
     if let Some(a) = args.flag("tcp") {
         cfg.tcp_addr = Some(a.to_owned());
     }
     cfg.shards = args.num_flag("shards", cfg.shards)?;
-    // Fleet-observability knobs: the SLO budget, burn windows and
-    // threshold behind health scores and burn alerts, and the alert ring.
-    cfg.slo_miss_rate = args.num_flag("slo-miss-rate", cfg.slo_miss_rate)?;
+    // Fleet-observability knobs: the burn windows behind health scores
+    // and burn alerts.
     cfg.burn_fast_window =
         Duration::from_secs(args.num_flag("burn-fast-secs", cfg.burn_fast_window.as_secs())?);
     cfg.burn_slow_window =
         Duration::from_secs(args.num_flag("burn-slow-secs", cfg.burn_slow_window.as_secs())?);
-    cfg.burn_threshold = args.num_flag("burn-threshold", cfg.burn_threshold)?;
-    cfg.alert_ring = args.num_flag("alert-ring", cfg.alert_ring)?;
+    // Every flag is read by now; a mistyped or retired one must not
+    // start a daemon configured otherwise than the user asked.
+    args.refuse_unread_flags()?;
 
     let recovered = cfg.snapshot_path.as_deref().is_some_and(Path::exists);
     let handle = Daemon::spawn(cfg)?;
@@ -474,8 +476,8 @@ pub fn cmd_explain(args: &Args) -> Result<(), CliError> {
 
 /// `seer top --socket PATH [--interval SECS]` — a human-readable view of
 /// the daemon's telemetry: throughput, queue depth, per-stage latency
-/// percentiles, and (when the quality plane is on) the live SEER-vs-LRU
-/// quality line with sparklines. With `--interval` it refreshes on that
+/// percentiles, and the live SEER-vs-LRU quality line with sparklines.
+/// With `--interval` it refreshes on that
 /// cadence over one connection until interrupted; with `--tenant NAME`
 /// the quality section tracks that tenant's engine instead of the
 /// default one. `--fleet` switches to the per-tenant health view
@@ -642,13 +644,9 @@ fn top_once(client: &mut DaemonClient, target: &str) -> Result<(), CliError> {
             counter("seer_replication_auto_misses_total"),
         );
     }
-    // The quality plane is optional; a daemon running with
-    // --eval-every-ms 0 answers Quality with an in-band error, which
-    // the client surfaces as a Format error — skip the section then.
-    if let Ok((report, series)) = client.quality() {
-        println!();
-        print_quality(&report, &series);
-    }
+    let (report, series) = client.quality()?;
+    println!();
+    print_quality(&report, &series);
     println!();
     println!(
         "{:<16} {:>10} {:>10} {:>10} {:>10} {:>12}",

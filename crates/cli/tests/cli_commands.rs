@@ -104,6 +104,20 @@ fn errors_are_reported_not_panicked() {
     assert!(run("hoard").is_err());
     assert!(run("missfree /nope --period monthly").is_err());
     assert!(run("frobnicate").is_err());
+    // The daemon refuses a mistyped, retired, or zero-valued flag by
+    // name before it binds its socket.
+    let dir = tmpdir("daemon-flags");
+    let sock = dir.join("sock");
+    for (flags, named) in [
+        ("--fsyn always", "--fsyn"),
+        ("--eval-budget 1", "--eval-budget"),
+        ("--eval-every-ms 0", "--eval-every-ms"),
+    ] {
+        let err = run(&format!("daemon --socket {} {flags}", sock.display())).expect_err(flags);
+        assert!(err.0.contains(named), "{flags}: {err}");
+        assert!(!sock.exists(), "{flags}: the socket was bound");
+    }
+    std::fs::remove_dir_all(&dir).ok();
     run("help").expect("help always works");
 }
 

@@ -327,8 +327,8 @@ impl DaemonClient {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::Format`] if the daemon replies with an error
-    /// (e.g. the quality plane is disabled).
+    /// Returns [`WireError::Format`] if the daemon replies with an
+    /// error.
     pub fn quality(
         &mut self,
     ) -> Result<(wire::QualityReport, seer_telemetry::SeriesSnapshot), WireError> {
@@ -369,7 +369,7 @@ impl DaemonClient {
     /// # Errors
     ///
     /// Returns [`WireError::Format`] if the daemon replies with an error
-    /// (unknown id, or the quality plane is disabled).
+    /// (an unknown id).
     pub fn misses(&mut self, id: Option<u64>) -> Result<Vec<wire::MissPostmortem>, WireError> {
         match self.query(QueryRequest::Miss { id })? {
             QueryResponse::Misses { postmortems } => Ok(postmortems),

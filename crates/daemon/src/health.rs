@@ -8,7 +8,7 @@
 //! burn    = max(burn_fast, burn_slow)          // miss+drop rate / SLO budget
 //! score   = 100
 //!         - 40 · [wal fault present]
-//!         - 30 · min(1, burn / (2 · burn_threshold))
+//!         - 30 · min(1, burn / (2 · BURN_THRESHOLD))
 //!         - 20 · clamp(ingest queue depth / capacity, 0, 1)
 //!         - 10 · [evaluator stale: no eval in 4 · eval_every]
 //! ```
@@ -18,7 +18,7 @@
 //! whose batches are being dropped unacknowledged is burning its error
 //! budget even though it records no misses. The SLO burn alert follows
 //! the classic multi-window rule: it **fires** when both the fast and
-//! slow windows burn above `burn_threshold`, and **resolves** once the
+//! slow windows burn above [`BURN_THRESHOLD`], and **resolves** once the
 //! fast window drops back below it.
 //!
 //! The watchdog side ([`ShardBeat`], [`watchdog_check`]) gives every
@@ -45,26 +45,29 @@ use std::time::{Duration, Instant};
 /// The pseudo-tenant the watchdog alerts under.
 pub const SELF_TENANT: &str = "_self";
 
-/// Health-scorer knobs, per daemon (shared by every tenant).
+/// SLO error budget: the tolerated bad-op (miss + drop) fraction.
+const SLO_MISS_RATE: f64 = 0.02;
+
+/// Burn-rate multiple of the SLO budget above which the `slo-burn`
+/// alert fires (both windows must exceed it; it resolves once the fast
+/// window cools).
+pub const BURN_THRESHOLD: f64 = 4.0;
+
+/// The health scorer's burn windows, per daemon (shared by every
+/// tenant).
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
-    /// SLO error budget: the tolerated bad-op (miss + drop) fraction.
-    pub slo_miss_rate: f64,
     /// Fast burn window (sensitive, quick to resolve).
     pub fast_window: Duration,
     /// Slow burn window (suppresses blips).
     pub slow_window: Duration,
-    /// Burn rate above which the SLO alert fires (both windows).
-    pub burn_threshold: f64,
 }
 
 impl From<&DaemonConfig> for HealthConfig {
     fn from(cfg: &DaemonConfig) -> HealthConfig {
         HealthConfig {
-            slo_miss_rate: cfg.slo_miss_rate,
             fast_window: cfg.burn_fast_window,
             slow_window: cfg.burn_slow_window,
-            burn_threshold: cfg.burn_threshold,
         }
     }
 }
@@ -156,17 +159,17 @@ impl TenantHealth {
         self.burn.sample(sig.total_ops, sig.bad_ops);
         let burn_fast = self
             .burn
-            .burn_over(cfg.fast_window.as_secs_f64(), cfg.slo_miss_rate);
+            .burn_over(cfg.fast_window.as_secs_f64(), SLO_MISS_RATE);
         let burn_slow = self
             .burn
-            .burn_over(cfg.slow_window.as_secs_f64(), cfg.slo_miss_rate);
+            .burn_over(cfg.slow_window.as_secs_f64(), SLO_MISS_RATE);
 
         let mut score = 100.0;
         if sig.wal_fault {
             score -= 40.0;
         }
         let burn = burn_fast.max(burn_slow);
-        score -= 30.0 * (burn / (2.0 * cfg.burn_threshold)).min(1.0);
+        score -= 30.0 * (burn / (2.0 * BURN_THRESHOLD)).min(1.0);
         score -= 20.0 * sig.queue_frac.clamp(0.0, 1.0);
         if sig.eval_stale {
             score -= 10.0;
@@ -187,7 +190,7 @@ impl TenantHealth {
 /// Watchdog knobs, per daemon.
 #[derive(Debug, Clone)]
 pub struct WatchdogConfig {
-    /// Check cadence; `Duration::ZERO` disables the watchdog thread.
+    /// Check cadence.
     pub tick: Duration,
     /// Heartbeat age above which a shard counts as stalled.
     pub stall_after: Duration,
@@ -377,10 +380,8 @@ mod tests {
 
     fn fast_cfg() -> HealthConfig {
         HealthConfig {
-            slo_miss_rate: 0.02,
             fast_window: Duration::from_millis(400),
             slow_window: Duration::from_secs(2),
-            burn_threshold: 4.0,
         }
     }
 
@@ -454,7 +455,7 @@ mod tests {
         }
         let v = verdict.expect("sampled");
         assert!(
-            v.burn_fast > cfg.burn_threshold && v.burn_slow > cfg.burn_threshold,
+            v.burn_fast > BURN_THRESHOLD && v.burn_slow > BURN_THRESHOLD,
             "all-bad traffic burns both windows: {v:?}"
         );
         // Quiet period: flat samples decay the fast window back to zero.
@@ -472,7 +473,7 @@ mod tests {
             )
             .expect("sampled");
         assert!(
-            v.burn_fast < cfg.burn_threshold,
+            v.burn_fast < BURN_THRESHOLD,
             "fast burn decays when quiet: {v:?}"
         );
     }

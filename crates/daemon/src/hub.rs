@@ -13,7 +13,8 @@
 //! to every shard and merges the per-shard answers.
 //!
 //! A connection is a blast-radius boundary: protocol violations (a
-//! missing or repeated handshake, out-of-order or undeclared path ids,
+//! missing or repeated handshake, a tenant name outside the rule of
+//! `pipeline::check_tenant_name`, out-of-order or undeclared path ids,
 //! oversized frames) and mid-frame disconnects kill only the offending
 //! connection (counted in `seer_daemon_connection_errors_total`), never
 //! the daemon.
@@ -485,6 +486,9 @@ impl Conn<'_> {
                 _,
             )) => {
                 if let Some(name) = tenant {
+                    // Refused before it becomes this connection's tenant,
+                    // so its error is charged to the default tenant.
+                    pipeline::check_tenant_name(&name).map_err(WireError::Format)?;
                     self.tenant = Arc::from(name);
                     self.inbox = self.shards.inbox_for(&self.tenant);
                 }

@@ -30,7 +30,9 @@
 //! path, and quality plane. Tenants other than the default are created
 //! lazily on first contact, restoring from their own snapshot + WAL.
 
-use crate::health::{HealthConfig, HealthSignals, ShardBeat, TenantHealth};
+use crate::health::{
+    HealthConfig, HealthSignals, ShardBeat, TenantHealth, BURN_THRESHOLD, SELF_TENANT,
+};
 use crate::quality::{self, QualityState};
 use crate::snapshot::{self, DaemonSnapshot};
 use crate::stats::{SharedMetrics, TenantMetrics};
@@ -62,25 +64,26 @@ pub(crate) fn default_tenant() -> Tenant {
     Arc::from(DEFAULT_TENANT)
 }
 
-/// A tenant name reduced to `[A-Za-z0-9._-]` for use in file-system
-/// paths (snapshot suffixes, WAL directory names). Anything else maps
-/// to `_`; an empty or all-dots name becomes a single `_` so it can
-/// never alias `.` or `..`.
-pub(crate) fn sanitize_tenant(tenant: &str) -> String {
-    let mut out: String = tenant
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    if out.is_empty() || out.chars().all(|c| c == '.') {
-        out = "_".into();
+/// Names a tenant may not take: the default tenant's snapshot writes
+/// `<path>.tmp` and keeps `<path>.prev` beside `<path>`, where tenants
+/// `tmp` and `prev` would snapshot, and `_self` is the watchdog's
+/// pseudo-tenant in alerts.
+const RESERVED_TENANTS: [&str; 3] = ["tmp", "prev", SELF_TENANT];
+
+/// The rule every tenant name a `Hello` carries must pass before it
+/// names a file, a directory, or a metric label: 1–64 bytes of
+/// `[A-Za-z0-9_-]`, and none of [`RESERVED_TENANTS`]. With no `.` or
+/// `/` allowed, distinct names map to distinct snapshot paths and WAL
+/// directories, none of them a file the default tenant writes.
+pub(crate) fn check_tenant_name(name: &str) -> Result<(), String> {
+    let allowed = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'-';
+    if name.is_empty() || name.len() > 64 || !name.bytes().all(allowed) {
+        return Err("a tenant name must be 1-64 bytes of [A-Za-z0-9_-]".into());
     }
-    out
+    if RESERVED_TENANTS.contains(&name) {
+        return Err(format!("tenant name {name} is reserved"));
+    }
+    Ok(())
 }
 
 /// The snapshot path for a tenant. The default tenant keeps the
@@ -90,7 +93,7 @@ pub(crate) fn tenant_snapshot_path(base: &Path, tenant: &str) -> PathBuf {
     if tenant == DEFAULT_TENANT {
         base.to_path_buf()
     } else {
-        PathBuf::from(format!("{}.{}", base.display(), sanitize_tenant(tenant)))
+        PathBuf::from(format!("{}.{tenant}", base.display()))
     }
 }
 
@@ -102,7 +105,7 @@ pub(crate) fn tenant_wal_dir(base: &Path, tenant: &str) -> PathBuf {
     if tenant == DEFAULT_TENANT {
         base.to_path_buf()
     } else {
-        PathBuf::from(format!("{}-{}", base.display(), sanitize_tenant(tenant)))
+        PathBuf::from(format!("{}-{tenant}", base.display()))
     }
 }
 
@@ -186,9 +189,9 @@ pub(crate) struct TenantState {
     wal_fault: Option<String>,
     /// Successful appends so far (drives fault injection in tests).
     wal_appends: u64,
-    /// The quality plane: evaluator worker, shadow LRU, series rings,
-    /// miss log, and retained postmortems. `None` when disabled.
-    quality: Option<QualityState>,
+    /// The quality plane: evaluation cadence, shadow LRU, series rings,
+    /// miss log, and retained postmortems.
+    quality: QualityState,
     /// Per-tenant instrument handles, resolved (label sets interned)
     /// exactly once here so the apply path only touches atomics.
     tm: TenantMetrics,
@@ -245,15 +248,7 @@ impl TenantState {
             wal: seed.wal,
             wal_fault,
             wal_appends: 0,
-            quality: (cfg.eval_every > Duration::ZERO).then(|| {
-                QualityState::new(
-                    cfg.eval_every,
-                    cfg.eval_window_secs,
-                    cfg.eval_budget,
-                    cfg.shadow_lru_cap,
-                    metrics,
-                )
-            }),
+            quality: QualityState::new(cfg.eval_every, cfg.eval_window_secs, metrics),
             tm,
             health: TenantHealth::new(&HealthConfig::from(cfg)),
             dropped_events: 0,
@@ -376,10 +371,10 @@ impl Actor {
             return;
         };
         let misses = tenant_misses(ts);
-        let eval_stale = ts.quality.as_ref().is_some_and(|q| {
-            q.last_eval
-                .is_some_and(|t| t.elapsed() > self.cfg.eval_every * 4)
-        });
+        let eval_stale = ts
+            .quality
+            .last_eval
+            .is_some_and(|t| t.elapsed() > self.cfg.eval_every * 4);
         let queue_frac = if self.cfg.channel_capacity > 0 {
             depth as f64 / self.cfg.channel_capacity as f64
         } else {
@@ -402,19 +397,18 @@ impl Actor {
         ts.tm.health_score.set(verdict.score.round() as i64);
         let name = ts.name.clone();
         let wal_fault = ts.wal_fault.clone();
-        let th = self.health.burn_threshold;
         // Multi-window burn rule with hysteresis: fire only when both
         // the fast and slow windows burn above threshold, resolve once
         // the fast window cools; in between, leave the alert as is.
-        if verdict.burn_fast > th && verdict.burn_slow > th {
+        if verdict.burn_fast > BURN_THRESHOLD && verdict.burn_slow > BURN_THRESHOLD {
             self.metrics.alert(&name, "slo-burn", true, || {
                 format!(
                     "error budget burning at {:.1}x (fast) / {:.1}x (slow) the SLO rate \
-                     (threshold {th:.1}x)",
+                     (threshold {BURN_THRESHOLD:.1}x)",
                     verdict.burn_fast, verdict.burn_slow
                 )
             });
-        } else if verdict.burn_fast < th {
+        } else if verdict.burn_fast < BURN_THRESHOLD {
             self.metrics.alert(&name, "slo-burn", false, String::new);
         }
         self.metrics
@@ -430,11 +424,7 @@ impl Actor {
     /// re-marking while busy keeps the original start time.
     fn refresh_beats(&self, beat: &ShardBeat) {
         beat.set_recluster_busy(self.tenants.values().any(|t| t.recluster_job.is_some()));
-        beat.set_eval_busy(
-            self.tenants
-                .values()
-                .any(|t| t.quality.as_ref().is_some_and(|q| q.inflight)),
-        );
+        beat.set_eval_busy(self.tenants.values().any(|t| t.quality.inflight));
         beat.set_snapshot_dirty(
             self.cfg.snapshot_every > 0 && self.tenants.values().any(|t| t.since_snapshot > 0),
         );
@@ -672,12 +662,8 @@ impl Actor {
                     report,
                     wall,
                 } => {
-                    if let Some(q) = self
-                        .tenants
-                        .get_mut(&tenant)
-                        .and_then(|ts| ts.quality.as_mut())
-                    {
-                        q.inflight = false;
+                    if let Some(ts) = self.tenants.get_mut(&tenant) {
+                        ts.quality.inflight = false;
                     }
                     self.install_eval(&tenant, report, wall);
                 }
@@ -1030,12 +1016,8 @@ impl Actor {
         let Some(ts) = self.tenants.get_mut(tenant) else {
             return;
         };
-        if ts.quality.is_none() {
-            return;
-        }
-        let auto = ts.engine.take_misses();
-        let q = ts.quality.as_mut().expect("checked above");
-        for f in auto {
+        let q = &mut ts.quality;
+        for f in ts.engine.take_misses() {
             q.miss_log.record_auto(f, q.last_event_time);
         }
         // The daemon has no reconnection cycle to consume the
@@ -1075,31 +1057,25 @@ impl Actor {
         }
     }
 
-    /// Records a finished evaluation: stage timer, gauges, and the
-    /// series rings backing `seer top` sparklines.
+    /// Records a finished evaluation: stage timer, the tenant's gauges,
+    /// and the series rings backing `seer top` sparklines.
     fn install_eval(&mut self, tenant: &Tenant, report: QualityReport, wall: Duration) {
         self.metrics.stage_evaluate.observe(wall);
         self.metrics.quality_evals.inc();
+        let Some(ts) = self.tenants.get_mut(tenant) else {
+            return;
+        };
         let clamp = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
-        self.metrics
-            .quality_seer_missfree_bytes
+        let tm = &ts.tm;
+        tm.quality_seer_missfree_bytes
             .set(clamp(report.seer_missfree_bytes));
-        self.metrics
-            .quality_lru_missfree_bytes
+        tm.quality_lru_missfree_bytes
             .set(clamp(report.lru_missfree_bytes));
-        self.metrics
-            .quality_working_set_bytes
+        tm.quality_working_set_bytes
             .set(clamp(report.working_set_bytes));
-        self.metrics
-            .quality_needed_files
+        tm.quality_needed_files
             .set(clamp(report.needed_files as u64));
-        if let Some(q) = self
-            .tenants
-            .get_mut(tenant)
-            .and_then(|ts| ts.quality.as_mut())
-        {
-            q.install(report);
-        }
+        ts.quality.install(report);
     }
 
     /// Hands the worker an evaluation when the tenant's cadence timer
@@ -1108,8 +1084,7 @@ impl Actor {
         let Some(ts) = self.tenants.get(tenant) else {
             return;
         };
-        let due = ts.quality.as_ref().is_some_and(QualityState::due);
-        if !due || ts.events_applied == 0 || !self.worker.has_room() {
+        if !ts.quality.due() || ts.events_applied == 0 || !self.worker.has_room() {
             return;
         }
         let job = Job::Eval {
@@ -1117,8 +1092,7 @@ impl Actor {
             job: build_eval_job(ts, &self.cfg),
         };
         if self.worker.submit(job) {
-            let ts = self.tenants.get_mut(tenant).expect("checked above");
-            let q = ts.quality.as_mut().expect("checked above");
+            let q = &mut self.tenants.get_mut(tenant).expect("checked above").quality;
             q.inflight = true;
             q.last_eval = Some(Instant::now());
         }
@@ -1168,38 +1142,20 @@ impl Actor {
     /// online quality query equals an offline evaluation of the same
     /// events (the equivalence test pins this).
     fn answer_quality(&mut self, tenant: &Tenant) -> QueryResponse {
-        let Some(ts) = self.tenants.get(tenant) else {
-            return QueryResponse::Error {
-                message: "quality plane disabled (run with a nonzero eval interval)".into(),
-            };
-        };
-        if ts.quality.is_none() {
-            return QueryResponse::Error {
-                message: "quality plane disabled (run with a nonzero eval interval)".into(),
-            };
-        }
+        let ts = self.tenants.get(tenant).expect("ensured by answer");
         let job = build_eval_job(ts, &self.cfg);
         let started = Instant::now();
         let report = quality::evaluate(&job);
         self.install_eval(tenant, report.clone(), started.elapsed());
-        let q = self
-            .tenants
-            .get(tenant)
-            .and_then(|ts| ts.quality.as_ref())
-            .expect("checked above");
         QueryResponse::Quality {
             report,
-            series: q.series.snapshot(),
+            series: self.tenants[tenant].quality.series.snapshot(),
         }
     }
 
     /// Answers a `Miss` query from the tenant's retained postmortems.
     fn answer_miss(&self, tenant: &Tenant, id: Option<u64>) -> QueryResponse {
-        let Some(q) = self.tenants.get(tenant).and_then(|ts| ts.quality.as_ref()) else {
-            return QueryResponse::Error {
-                message: "miss postmortems unavailable: quality plane disabled".into(),
-            };
-        };
+        let q = &self.tenants.get(tenant).expect("ensured by answer").quality;
         match id {
             None => QueryResponse::Misses {
                 postmortems: q.postmortems.iter().cloned().collect(),
@@ -1389,17 +1345,14 @@ impl Actor {
 }
 
 /// Quality-plane work on the ingest path: advance trace time and feed
-/// every referenced path into the shadow-LRU comparator. A no-op (one
-/// branch) when the plane is disabled.
+/// every referenced path into the shadow-LRU comparator.
 ///
 /// Paths resolve through the *canonical* table, so references the
 /// observer filtered out (or paths it rewrote during canonicalization)
 /// are skipped — the shadow only ranks files SEER itself could have
 /// hoarded, keeping the comparison fair.
 fn quality_ingest(ts: &mut TenantState, events: &[TraceEvent]) {
-    let Some(q) = ts.quality.as_mut() else {
-        return;
-    };
+    let q = &mut ts.quality;
     let strings = &ts.strings;
     let engine = &ts.engine;
     for ev in events {
@@ -1419,12 +1372,12 @@ fn quality_ingest(ts: &mut TenantState, events: &[TraceEvent]) {
 
 /// Freezes everything the tenant's evaluator needs into a job.
 fn build_eval_job(ts: &TenantState, cfg: &DaemonConfig) -> quality::EvalJob {
-    let q = ts.quality.as_ref().expect("quality enabled");
+    let q = &ts.quality;
     quality::EvalJob {
         input: ts.engine.eval_input(),
         shadow: q.shadow.order(),
         window_secs: q.window_secs,
-        budget: q.budget,
+        budget: quality::EVAL_BUDGET,
         file_size: cfg.file_size,
         generation: ts.events_applied,
         clustering_generation: ts.clustering_generation,
@@ -1435,11 +1388,10 @@ fn build_eval_job(ts: &TenantState, cfg: &DaemonConfig) -> quality::EvalJob {
 }
 
 /// Cumulative hoard misses (real + auto-detected) from the quality
-/// plane's miss log; zero with the plane disabled.
+/// plane's miss log.
 fn tenant_misses(ts: &TenantState) -> u64 {
-    ts.quality.as_ref().map_or(0, |q| {
-        q.miss_log.severity_histogram().iter().sum::<u64>() + q.miss_log.auto_count() as u64
-    })
+    let log = &ts.quality.miss_log;
+    log.severity_histogram().iter().sum::<u64>() + log.auto_count() as u64
 }
 
 /// One tenant's row in a fleet answer.
@@ -1622,14 +1574,13 @@ mod tests {
     use super::*;
     use seer_telemetry::Tracer;
 
-    /// No periodic work and no quality plane: the tests drive reclusters.
+    /// No periodic reclusters or snapshots: the tests drive reclusters.
     fn test_cfg() -> DaemonConfig {
         let mut cfg = DaemonConfig::new("unused.sock");
         cfg.recluster_every = 0;
         cfg.snapshot_every = 0;
         cfg.file_size = 1;
         cfg.recluster_threads = 1;
-        cfg.eval_every = Duration::ZERO;
         cfg
     }
 
@@ -1638,7 +1589,7 @@ mod tests {
         let name = default_tenant();
         let cfg = Arc::new(test_cfg());
         let tracer = Tracer::new(4096, Duration::from_secs(1));
-        let metrics = crate::stats::new_shared_full(tracer, 256);
+        let metrics = crate::stats::new_shared(tracer);
         let seed = TenantSeed {
             engine: SeerEngine::default(),
             strings: StringTable::new(),
@@ -1802,27 +1753,50 @@ mod tests {
         actor.worker.shutdown();
     }
 
-    /// A hostile tenant name cannot escape into path tricks; the default
-    /// tenant keeps the exact legacy paths.
+    /// Tenant names pass one rule before they name anything: names
+    /// that could escape into path tricks, alias a file of the default
+    /// tenant, or pose as the watchdog are refused. Accepted names map
+    /// to distinct files, none of them one the default tenant writes,
+    /// and the default tenant keeps the exact legacy paths.
     #[test]
     fn tenant_paths_are_sanitized_and_default_preserves_legacy() {
-        let base = Path::new("/tmp/seer.snap");
+        let long = "x".repeat(65);
+        for bad in [
+            "",
+            "a b",
+            "a.b",
+            "..",
+            "../../etc/passwd",
+            "é",
+            "tmp",
+            "prev",
+            "_self",
+            &long,
+        ] {
+            assert!(check_tenant_name(bad).is_err(), "{bad:?} accepted");
+        }
+        let (base, wal) = (Path::new("/tmp/db.json"), Path::new("/tmp/wal"));
         assert_eq!(tenant_snapshot_path(base, DEFAULT_TENANT), base);
-        assert_eq!(
-            tenant_snapshot_path(base, "machine-a"),
-            PathBuf::from("/tmp/seer.snap.machine-a")
-        );
-        assert_eq!(
-            tenant_snapshot_path(base, "../../etc/passwd"),
-            PathBuf::from("/tmp/seer.snap..._.._etc_passwd")
-        );
-        assert_eq!(sanitize_tenant(".."), "_");
-        assert_eq!(sanitize_tenant(""), "_");
-        let wal = Path::new("/tmp/wal");
         assert_eq!(tenant_wal_dir(wal, DEFAULT_TENANT), wal);
-        assert_eq!(
-            tenant_wal_dir(wal, "machine b"),
-            PathBuf::from("/tmp/wal-machine_b")
-        );
+        let files = |snap: PathBuf, wal: PathBuf| {
+            let sibling = |suffix: &str| PathBuf::from(format!("{}{suffix}", snap.display()));
+            [sibling(".tmp"), sibling(".prev"), snap, wal]
+        };
+        let mut seen: std::collections::HashSet<PathBuf> =
+            files(base.to_path_buf(), wal.to_path_buf()).into();
+        let longest = "x".repeat(64);
+        for name in [
+            "a", "a_b", "a-b", "A", "0", "tmp-", "prev_", "self", &longest,
+        ] {
+            assert_eq!(check_tenant_name(name), Ok(()), "{name}");
+            let paths = files(tenant_snapshot_path(base, name), tenant_wal_dir(wal, name));
+            for path in paths {
+                assert!(
+                    seen.insert(path.clone()),
+                    "{name} reuses {}",
+                    path.display()
+                );
+            }
+        }
     }
 }

@@ -38,6 +38,13 @@ pub(crate) const POSTMORTEM_CAP: usize = 64;
 /// How many points each quality series keeps for sparklines.
 const SERIES_CAPACITY: usize = 240;
 
+/// Byte budget for the evaluator's coverage-at-budget and
+/// time-to-first-miss numbers.
+pub(crate) const EVAL_BUDGET: u64 = 1 << 20;
+
+/// Entry cap of the shadow-LRU comparator (bounds its memory).
+const SHADOW_LRU_CAP: usize = 65_536;
+
 /// A memory-bounded shadow of strict-LRU ordering, maintained on the
 /// apply path. Holds at most ~`cap * 5/4` entries: eviction is amortized
 /// by letting the map overshoot 25% before trimming back down to `cap`,
@@ -194,22 +201,15 @@ pub(crate) struct QualityState {
     pub last_event_time: Timestamp,
     pub every: Duration,
     pub window_secs: u64,
-    pub budget: u64,
 }
 
 impl QualityState {
     /// A ready state with no evaluation yet.
-    pub(crate) fn new(
-        every: Duration,
-        window_secs: u64,
-        budget: u64,
-        shadow_cap: usize,
-        metrics: &SharedMetrics,
-    ) -> QualityState {
+    pub(crate) fn new(every: Duration, window_secs: u64, metrics: &SharedMetrics) -> QualityState {
         let mut miss_log = MissLog::new();
         miss_log.attach_telemetry(&metrics.registry);
         QualityState {
-            shadow: ShadowLru::new(shadow_cap),
+            shadow: ShadowLru::new(SHADOW_LRU_CAP),
             series: SeriesRing::new(SERIES_CAPACITY),
             latest: None,
             evals: 0,
@@ -221,7 +221,6 @@ impl QualityState {
             last_event_time: Timestamp::ZERO,
             every,
             window_secs,
-            budget,
         }
     }
 

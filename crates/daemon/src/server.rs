@@ -94,37 +94,22 @@ pub struct DaemonConfig {
     /// (applied-event count) before starting. Requires `wal_dir`.
     /// Applies to the default tenant's log.
     pub restore_to: Option<u64>,
-    /// Cadence of background quality evaluations (live miss-free hoard
-    /// size, SEER vs shadow-LRU). `Duration::ZERO` disables the quality
-    /// plane entirely — no evaluator worker, no shadow LRU on the apply
-    /// path, no postmortem capture.
+    /// Cadence of each tenant's background quality evaluation (live
+    /// miss-free hoard size, SEER vs shadow-LRU). Must be nonzero: a
+    /// zero cadence would evaluate back to back. `Quality` queries
+    /// evaluate inline whatever the cadence.
     pub eval_every: Duration,
     /// Simulated-disconnection window the evaluator scores against, in
     /// trace seconds (default: one day, the paper's canonical
     /// disconnection scale).
     pub eval_window_secs: u64,
-    /// Byte budget for the evaluator's coverage-at-budget and
-    /// time-to-first-miss numbers.
-    pub eval_budget: u64,
-    /// Entry cap of the shadow-LRU comparator (bounds its memory).
-    pub shadow_lru_cap: usize,
-    /// SLO error budget: the tolerated bad-op fraction (hoard misses
-    /// plus WAL-dropped events, over events applied plus dropped).
-    pub slo_miss_rate: f64,
     /// Fast SLO burn window (sensitive, quick to fire and resolve).
     pub burn_fast_window: Duration,
     /// Slow SLO burn window (suppresses short blips).
     pub burn_slow_window: Duration,
-    /// Burn-rate multiple of the SLO budget above which the `slo-burn`
-    /// alert fires (both windows must exceed it; it resolves once the
-    /// fast window cools).
-    pub burn_threshold: f64,
-    /// Capacity of the bounded alert ring (resolved alerts are evicted
-    /// first). `0` disables alert retention entirely.
-    pub alert_ring: usize,
-    /// Watchdog check cadence; `Duration::ZERO` disables the watchdog
-    /// thread. Per-tenant metrics, health scores, and SLO burn alerts
-    /// do not depend on it.
+    /// Cadence of the watchdog thread's checks. Must be nonzero.
+    /// Per-tenant metrics, health scores, and SLO burn alerts do not
+    /// depend on it.
     pub watchdog_tick: Duration,
     /// Shard heartbeat age above which `_self` reports the shard stalled.
     pub watchdog_stall_after: Duration,
@@ -157,13 +142,8 @@ impl DaemonConfig {
             restore_to: None,
             eval_every: Duration::from_secs(2),
             eval_window_secs: 86_400,
-            eval_budget: 1 << 20,
-            shadow_lru_cap: 65_536,
-            slo_miss_rate: 0.02,
             burn_fast_window: Duration::from_secs(300),
             burn_slow_window: Duration::from_secs(3600),
-            burn_threshold: 4.0,
-            alert_ring: 256,
             watchdog_tick: Duration::from_millis(250),
             watchdog_stall_after: Duration::from_secs(5),
         }
@@ -388,7 +368,7 @@ impl Daemon {
         // and every instance (parallel tests included) stays isolated.
         let tracer = Tracer::new(config.trace_capacity, config.slow_span);
         seer_telemetry::register_flight_recorder("daemon", &tracer);
-        let metrics = stats::new_shared_full(tracer, config.alert_ring);
+        let metrics = stats::new_shared(tracer);
 
         // Reap the socket path only when it is provably dead. A path a
         // live daemon owns refuses the start instead of being stolen
@@ -490,21 +470,15 @@ impl Daemon {
             );
         }
 
-        let watchdog = if config.watchdog_tick > Duration::ZERO {
-            let wcfg = WatchdogConfig {
-                tick: config.watchdog_tick,
-                stall_after: config.watchdog_stall_after,
-                ..WatchdogConfig::default()
-            };
-            let shared = Arc::clone(&shared);
-            Some(
-                thread::Builder::new()
-                    .name("seer-watchdog".into())
-                    .spawn(move || run_watchdog(&shared, &beats, &wcfg))?,
-            )
-        } else {
-            None
+        let wcfg = WatchdogConfig {
+            tick: config.watchdog_tick,
+            stall_after: config.watchdog_stall_after,
+            ..WatchdogConfig::default()
         };
+        let watchdog_shared = Arc::clone(&shared);
+        let watchdog = thread::Builder::new()
+            .name("seer-watchdog".into())
+            .spawn(move || run_watchdog(&watchdog_shared, &beats, &wcfg))?;
 
         let listener_threads = listeners
             .into_iter()
@@ -523,7 +497,7 @@ impl Daemon {
             tcp_addr,
             listeners: listener_threads,
             actors,
-            watchdog,
+            watchdog: Some(watchdog),
         })
     }
 }

@@ -15,6 +15,10 @@ use seer_telemetry::{
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Records the alert ring retains, firing and resolved; resolved ones
+/// are evicted first.
+const ALERT_RING: usize = 256;
+
 /// Counters describing the daemon's ingestion pipeline.
 ///
 /// `max_queue_depth` is the backpressure witness: it records the deepest
@@ -91,14 +95,6 @@ pub(crate) struct PipelineMetrics {
     pub stage_evaluate: Histogram,
     /// Quality evaluations completed (background + inline query-driven).
     pub quality_evals: Counter,
-    /// Latest SEER miss-free hoard size in bytes.
-    pub quality_seer_missfree_bytes: Gauge,
-    /// Latest shadow-LRU miss-free hoard size in bytes.
-    pub quality_lru_missfree_bytes: Gauge,
-    /// Latest simulated-disconnection working-set size in bytes.
-    pub quality_working_set_bytes: Gauge,
-    /// Files the latest evaluation's needed set contained.
-    pub quality_needed_files: Gauge,
     /// The fleet alert ring: SLO burn, WAL fault, and watchdog alerts
     /// with firing/resolved transitions, shared by every shard actor,
     /// the hub, and the watchdog thread.
@@ -138,14 +134,18 @@ pub(crate) struct TenantMetrics {
     pub stage_wal_append: Histogram,
     /// The folded 0–100 health score.
     pub health_score: Gauge,
+    /// The tenant's latest SEER miss-free hoard size in bytes.
+    pub quality_seer_missfree_bytes: Gauge,
+    /// The tenant's latest shadow-LRU miss-free hoard size in bytes.
+    pub quality_lru_missfree_bytes: Gauge,
+    /// The tenant's latest simulated-disconnection working-set size.
+    pub quality_working_set_bytes: Gauge,
+    /// Files the tenant's latest evaluation's needed set contained.
+    pub quality_needed_files: Gauge,
 }
 
 impl PipelineMetrics {
-    pub(crate) fn with_alert_capacity(
-        registry: Arc<Registry>,
-        tracer: Tracer,
-        alert_capacity: usize,
-    ) -> PipelineMetrics {
+    fn new(registry: Arc<Registry>, tracer: Tracer) -> PipelineMetrics {
         let stage = |name: &str, help: &str| {
             registry.histogram_with("seer_daemon_stage_seconds", help, &[("stage", name)])
         };
@@ -246,23 +246,7 @@ impl PipelineMetrics {
                 "seer_daemon_quality_evals_total",
                 "Quality evaluations completed (background and query-driven).",
             ),
-            quality_seer_missfree_bytes: registry.gauge(
-                "seer_daemon_quality_seer_missfree_bytes",
-                "Latest SEER miss-free hoard size for the simulated disconnection window.",
-            ),
-            quality_lru_missfree_bytes: registry.gauge(
-                "seer_daemon_quality_lru_missfree_bytes",
-                "Latest shadow-LRU miss-free hoard size for the same window.",
-            ),
-            quality_working_set_bytes: registry.gauge(
-                "seer_daemon_quality_working_set_bytes",
-                "Latest simulated-disconnection working-set size (the optimal floor).",
-            ),
-            quality_needed_files: registry.gauge(
-                "seer_daemon_quality_needed_files",
-                "Files referenced inside the latest simulated disconnection window.",
-            ),
-            alerts: AlertCenter::new(alert_capacity),
+            alerts: AlertCenter::new(ALERT_RING),
             alerts_fired: registry.counter(
                 "seer_daemon_alerts_fired_total",
                 "Alerts ever fired (SLO burn, WAL fault, watchdog).",
@@ -331,6 +315,26 @@ impl PipelineMetrics {
             health_score: self.registry.gauge_with(
                 "seer_daemon_tenant_health_score",
                 "Folded 0-100 per-tenant health score (100 = healthy).",
+                t,
+            ),
+            quality_seer_missfree_bytes: self.registry.gauge_with(
+                "seer_daemon_quality_seer_missfree_bytes",
+                "Latest SEER miss-free hoard size for the simulated disconnection window.",
+                t,
+            ),
+            quality_lru_missfree_bytes: self.registry.gauge_with(
+                "seer_daemon_quality_lru_missfree_bytes",
+                "Latest shadow-LRU miss-free hoard size for the same window.",
+                t,
+            ),
+            quality_working_set_bytes: self.registry.gauge_with(
+                "seer_daemon_quality_working_set_bytes",
+                "Latest simulated-disconnection working-set size (the optimal floor).",
+                t,
+            ),
+            quality_needed_files: self.registry.gauge_with(
+                "seer_daemon_quality_needed_files",
+                "Files referenced inside the latest simulated disconnection window.",
                 t,
             ),
         }
@@ -495,17 +499,8 @@ const DERIVED: [Derived; 7] = [
 /// Metrics handle shared between server, pipeline, and callers.
 pub(crate) type SharedMetrics = Arc<PipelineMetrics>;
 
-#[cfg(test)]
-pub(crate) fn new_shared() -> SharedMetrics {
-    new_shared_full(Tracer::disabled(), 256)
-}
-
-pub(crate) fn new_shared_full(tracer: Tracer, alert_capacity: usize) -> SharedMetrics {
-    Arc::new(PipelineMetrics::with_alert_capacity(
-        Arc::new(Registry::new()),
-        tracer,
-        alert_capacity,
-    ))
+pub(crate) fn new_shared(tracer: Tracer) -> SharedMetrics {
+    Arc::new(PipelineMetrics::new(Arc::new(Registry::new()), tracer))
 }
 
 #[cfg(test)]
@@ -514,7 +509,7 @@ mod tests {
 
     #[test]
     fn snapshot_view_mirrors_registry() {
-        let m = new_shared();
+        let m = new_shared(Tracer::disabled());
         let t = m.tenant("a");
         m.events_received.add(10);
         t.events_applied.add(8);
@@ -535,7 +530,7 @@ mod tests {
 
     #[test]
     fn tenant_bundle_interns_once_and_stays_off_the_global_stage_name() {
-        let m = new_shared();
+        let m = new_shared(Tracer::disabled());
         let a = m.tenant("machine-a");
         let again = m.tenant("machine-a");
         a.events_applied.add(5);
@@ -575,7 +570,7 @@ mod tests {
 
     #[test]
     fn alert_helper_tracks_fired_and_firing() {
-        let m = new_shared();
+        let m = new_shared(Tracer::disabled());
         m.alert("a", "slo-burn", true, || "burning".into());
         m.alert("a", "slo-burn", true, || "still".into());
         assert_eq!(m.alerts_fired.get(), 1, "one edge, one fired");
@@ -591,7 +586,7 @@ mod tests {
 
     #[test]
     fn stage_histograms_share_one_metric_name() {
-        let m = new_shared();
+        let m = new_shared(Tracer::disabled());
         m.stage_decode.observe_nanos(1_000);
         m.tenant("a").stage_engine_apply.observe_nanos(2_000);
         let snap = m.snapshot();
@@ -611,7 +606,7 @@ mod tests {
     /// and reads zero before any tenant exists.
     #[test]
     fn daemon_wide_series_are_tenant_sums() {
-        let m = new_shared();
+        let m = new_shared(Tracer::disabled());
         let empty = m.snapshot();
         for d in &DERIVED {
             let labels: Vec<_> = d.stage.iter().map(|s| ("stage", *s)).collect();

@@ -88,12 +88,12 @@ impl std::fmt::Debug for AlertCenter {
 }
 
 impl AlertCenter {
-    /// A center retaining up to `capacity` records (firing and resolved).
-    /// A capacity of zero disables recording entirely.
+    /// A center retaining up to `capacity` records (firing and resolved),
+    /// and at least one.
     #[must_use]
     pub fn new(capacity: usize) -> AlertCenter {
         AlertCenter {
-            capacity,
+            capacity: capacity.max(1),
             started: Instant::now(),
             inner: Mutex::new(CenterInner {
                 ring: VecDeque::new(),
@@ -121,9 +121,6 @@ impl AlertCenter {
         firing: bool,
         message: impl FnOnce() -> String,
     ) -> Option<AlertTransition> {
-        if self.capacity == 0 {
-            return None;
-        }
         let now = self.uptime_secs();
         let mut inner = self.inner.lock().expect("alert center poisoned");
         let key = (tenant.to_owned(), kind.to_owned());
@@ -344,14 +341,6 @@ mod tests {
         assert_eq!(snap.len(), 3);
         assert!(snap.iter().all(AlertRecord::is_firing));
         assert_eq!(c.firing_count(), 3);
-    }
-
-    #[test]
-    fn zero_capacity_disables_alerting() {
-        let c = AlertCenter::new(0);
-        assert_eq!(c.observe("a", "k", true, || "m".into()), None);
-        assert!(c.snapshot(None).is_empty());
-        assert_eq!(c.firing_count(), 0);
     }
 
     #[test]

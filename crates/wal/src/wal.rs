@@ -253,6 +253,14 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+/// Creates `dir` if it is missing and syncs its parent, so the new
+/// directory entry survives a crash along with what is written into it.
+fn create_dir_durably(dir: &Path) -> std::io::Result<()> {
+    fs::create_dir_all(dir)?;
+    let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
+    sync_dir(parent.unwrap_or(Path::new(".")))
+}
+
 /// One decoded walk over a segment's bytes.
 struct SegmentScan {
     /// Bytes of magic + valid records.
@@ -378,8 +386,10 @@ pub fn replay_dir(
 }
 
 impl Wal {
-    /// Opens (or creates) the log in `cfg.dir`, truncating any torn or
-    /// corrupt tail so the surviving prefix is entirely valid.
+    /// Opens the log in `cfg.dir`, truncating any torn or corrupt tail
+    /// so the surviving prefix is entirely valid. A missing directory is
+    /// an empty log; it is created with the log's first segment, so a
+    /// log that is never appended to leaves nothing on disk.
     ///
     /// # Errors
     ///
@@ -387,7 +397,6 @@ impl Wal {
     /// [`WalError::Corrupt`] when `wal.meta` exists but does not parse
     /// (guessing at compaction state could silently fabricate history).
     pub fn open(cfg: WalConfig) -> Result<(Wal, RecoveryReport), WalError> {
-        fs::create_dir_all(&cfg.dir)?;
         let meta_path = cfg.dir.join(META_FILE);
         let meta = match fs::read_to_string(&meta_path) {
             Ok(text) => serde_json::from_str(&text).map_err(|e| WalError::Corrupt {
@@ -420,7 +429,10 @@ impl Wal {
         self.declared = 0;
         self.last_generation = 0;
         let mut report = RecoveryReport::default();
-        let listed = list_segments(&self.cfg.dir)?;
+        let listed = match list_segments(&self.cfg.dir) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            listed => listed?,
+        };
         self.next_seq = listed.iter().map(|(s, _)| s + 1).max().unwrap_or(0);
         let mut damaged_at: Option<usize> = None;
         for (i, (_seq, path)) in listed.iter().enumerate() {
@@ -564,6 +576,7 @@ impl Wal {
             None => {
                 // The log's very first segment is a creation, not a
                 // rotation: nothing was sealed.
+                create_dir_durably(&self.cfg.dir)?;
                 self.create_segment(strings)?;
             }
             Some(s) if s.bytes >= self.cfg.segment_max_bytes => {

@@ -231,6 +231,19 @@ fn hostile_clients_only_kill_their_own_connection() {
         let _ = s.write_all(b"{\"Hello\":{\"client\":\"old\",\"version\":7}}\n");
         drop(s);
     }
+    // 10–11. A Hello naming a tenant outside the name rule, and one
+    //    naming the default tenant's snapshot fallback (`<path>.prev`).
+    for tenant in ["a b", "prev"] {
+        let mut s = UnixStream::connect(&sock).expect("connect");
+        let hello = ClientFrame::Hello {
+            client: "hostile".into(),
+            version: WIRE_VERSION,
+            tenant: Some(tenant.into()),
+        };
+        wire::write_frame(&mut s, &hello).expect("hello");
+        let _ = s.shutdown(std::net::Shutdown::Write);
+        let _ = s.read_to_end(&mut Vec::new());
+    }
 
     // The connection-error counter catches up as the reader threads
     // notice their peers are gone; poll briefly rather than flake.
@@ -240,15 +253,21 @@ fn hostile_clients_only_kill_their_own_connection() {
             .metrics()
             .counter("seer_daemon_connection_errors_total")
             .unwrap_or(0);
-        if errors >= 9 {
+        if errors >= 11 {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "expected 9 connection errors, saw {errors}"
+            "expected 11 connection errors, saw {errors}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+    // A refused tenant name is charged to the default tenant; it never
+    // becomes a label.
+    let labels = handle.metrics().metrics.into_iter().flat_map(|m| m.labels);
+    assert!(labels
+        .filter(|(key, _)| key == "tenant")
+        .all(|(_, tenant)| tenant == "default"));
 
     // The witness connection survived every one of them.
     assert_eq!(good.flush().expect("flush"), trace.len() as u64);
@@ -459,6 +478,9 @@ fn fleet_query_reports_all_tenants() {
     let mut cfg = DaemonConfig::new(dir.join("sock"));
     cfg.tcp_addr = Some("127.0.0.1:0".into());
     cfg.shards = 4;
+    // One background evaluation per tenant, at its first batch: the
+    // quality gauges then move only with the `Quality` queries below.
+    cfg.eval_every = Duration::from_secs(3600);
     let handle = Daemon::spawn(cfg).expect("spawn");
     let sock = handle.socket_path().to_path_buf();
     let tcp = handle.tcp_addr().expect("tcp bound");
@@ -514,6 +536,33 @@ fn fleet_query_reports_all_tenants() {
         other => panic!("unexpected response: {other:?}"),
     }
 
+    // Each tenant's quality gauges are its own latest evaluation.
+    for name in ["alpha", "beta", "gamma"] {
+        let mut c = DaemonClient::connect_tenant(&sock, "quality", name).expect("connect");
+        let (report, _) = c.quality().expect("quality");
+        let snap = handle.metrics();
+        let gauge = |metric| match snap.find_with(metric, &[("tenant", name)])?.value {
+            MetricValue::Gauge { value } => u64::try_from(value).ok(),
+            _ => None,
+        };
+        assert_eq!(
+            [
+                gauge("seer_daemon_quality_seer_missfree_bytes"),
+                gauge("seer_daemon_quality_lru_missfree_bytes"),
+                gauge("seer_daemon_quality_working_set_bytes"),
+                gauge("seer_daemon_quality_needed_files"),
+            ],
+            [
+                report.seer_missfree_bytes,
+                report.lru_missfree_bytes,
+                report.working_set_bytes,
+                report.needed_files as u64,
+            ]
+            .map(Some),
+            "{name}"
+        );
+    }
+
     let snap = handle.metrics();
     let tenant_events: u64 = (snap.metrics.iter())
         .filter(|m| m.name == "seer_daemon_tenant_events_total")
@@ -533,15 +582,17 @@ fn fleet_query_reports_all_tenants() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A tenant that only answered queries has nothing to persist: graceful
-/// shutdown writes no snapshot file for it and counts no recluster or
-/// snapshot on its behalf. The default tenant is no exception; a tenant
-/// that applied events keeps its final snapshot.
+/// A tenant that only answered queries has nothing to persist: it
+/// leaves no WAL directory, graceful shutdown writes no snapshot file
+/// for it, and counts no recluster or snapshot on its behalf. The
+/// default tenant is no exception; a tenant that applied events keeps
+/// its log and its final snapshot.
 #[test]
 fn query_only_tenants_leave_no_state_at_shutdown() {
     let dir = scratch("queryonly");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
     cfg.snapshot_path = Some(dir.join("db.json"));
+    cfg.wal_dir = Some(dir.join("wal"));
     // No periodic work: every recluster and snapshot counted comes from
     // the shutdown epilogue.
     cfg.recluster_every = 0;
@@ -565,6 +616,10 @@ fn query_only_tenants_leave_no_state_at_shutdown() {
         ("db.json.a", false),
         ("db.json.b", false),
         ("db.json.z", true),
+        ("wal", false),
+        ("wal-a", false),
+        ("wal-b", false),
+        ("wal-z", true),
     ] {
         assert_eq!(dir.join(file).exists(), kept, "{file}");
     }

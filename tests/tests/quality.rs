@@ -5,6 +5,7 @@
 
 use seer_core::SeerEngine;
 use seer_daemon::{Daemon, DaemonClient, DaemonConfig};
+use seer_telemetry::MetricValue;
 use seer_trace::wire::{QueryRequest, QueryResponse};
 use seer_trace::FileId;
 use seer_workload::{generate, MachineProfile};
@@ -269,11 +270,14 @@ fn background_evaluator_populates_metrics() {
     loop {
         let m = handle.metrics();
         if m.counter("seer_daemon_quality_evals_total").unwrap_or(0) > 0 {
+            let working_set = m.find_with(
+                "seer_daemon_quality_working_set_bytes",
+                &[("tenant", "default")],
+            );
             assert!(
-                m.gauge("seer_daemon_quality_working_set_bytes")
-                    .unwrap_or(0)
-                    > 0,
-                "gauges follow the report"
+                working_set
+                    .is_some_and(|g| matches!(g.value, MetricValue::Gauge { value } if value > 0)),
+                "gauges follow the report: {working_set:?}"
             );
             break;
         }
@@ -282,26 +286,6 @@ fn background_evaluator_populates_metrics() {
             "no background evaluation within 5s"
         );
         std::thread::sleep(Duration::from_millis(5));
-    }
-    drop(client);
-    handle.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// With the evaluator disabled (`eval_every: 0`), quality queries fail
-/// in-band and the rest of the protocol keeps working.
-#[test]
-fn disabled_quality_plane_answers_in_band_errors() {
-    let dir = scratch("disabled");
-    let mut cfg = DaemonConfig::new(dir.join("sock"));
-    cfg.eval_every = Duration::ZERO;
-    let handle = Daemon::spawn(cfg).expect("spawn");
-    let mut client = DaemonClient::connect(handle.socket_path(), "disabled").expect("connect");
-    assert!(client.quality().is_err());
-    assert!(client.misses(None).is_err());
-    match client.query(QueryRequest::Health).expect("alive") {
-        QueryResponse::Health { healthy, .. } => assert!(healthy),
-        other => panic!("unexpected response: {other:?}"),
     }
     drop(client);
     handle.shutdown();
