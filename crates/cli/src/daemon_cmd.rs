@@ -131,13 +131,18 @@ pub fn cmd_daemon(args: &Args) -> Result<(), CliError> {
 
 /// Connects per the shared transport flags: `--socket PATH` for Unix,
 /// `--tcp HOST:PORT` for TCP, and `--tenant NAME` to land on a named
-/// tenant instead of the default.
+/// tenant instead of the default. Callers read every other flag first:
+/// a flag no call has read is refused before connecting, so a mistyped
+/// `--tenant` cannot stream into the default tenant.
 fn connect_from_args(args: &Args, client_name: &str) -> Result<DaemonClient, CliError> {
     let tenant = args.flag("tenant");
-    if let Some(addr) = args.flag("tcp") {
+    let (tcp, socket) = (args.flag("tcp"), args.flag("socket"));
+    args.refuse_unread_flags()?;
+    if let Some(addr) = tcp {
         return Ok(DaemonClient::connect_tcp(addr, client_name, tenant)?);
     }
-    let socket = Path::new(args.require_flag("socket")?);
+    let socket =
+        Path::new(socket.ok_or_else(|| CliError("missing required flag: --socket".into()))?);
     Ok(match tenant {
         Some(t) => DaemonClient::connect_tenant(socket, client_name, t)?,
         None => DaemonClient::connect(socket, client_name)?,
@@ -199,9 +204,9 @@ fn client_load(args: &Args) -> Result<(), CliError> {
     profile = profile.scaled_to_days(days);
     let seed: u64 = args.num_flag("seed", 1)?;
     let chunk: usize = args.num_flag("chunk", DEFAULT_CHUNK)?;
+    let mut client = connect_from_args(args, "seer-cli load")?;
     let workload = generate(&profile, seed);
 
-    let mut client = connect_from_args(args, "seer-cli load")?;
     let start = std::time::Instant::now();
     client.send_trace(&workload.trace, chunk)?;
     let applied = client.flush()?;
@@ -217,9 +222,8 @@ fn client_load(args: &Args) -> Result<(), CliError> {
 }
 
 fn client_query(args: &Args) -> Result<(), CliError> {
-    let mut client = connect_from_args(args, "seer-cli query")?;
-    let response = match args.positional(2) {
-        Some("trace") => return client_query_trace(args, client),
+    let query = match args.positional(2) {
+        Some("trace") => return client_query_trace(args),
         Some("hoard") => {
             let budget: u64 = args
                 .require_flag("budget")?
@@ -228,18 +232,18 @@ fn client_query(args: &Args) -> Result<(), CliError> {
             // `--cached` answers from the last computed clustering
             // immediately (possibly marked stale); the default waits for
             // a clustering that reflects every applied event.
-            client.query(QueryRequest::Hoard {
+            QueryRequest::Hoard {
                 budget,
                 fresh: !args.bool_flag("cached"),
-            })?
+            }
         }
-        Some("clusters") => client.query(QueryRequest::Clusters {
+        Some("clusters") => QueryRequest::Clusters {
             fresh: !args.bool_flag("cached"),
-        })?,
-        Some("stats") => client.query(QueryRequest::Stats)?,
-        Some("metrics") => client.query(QueryRequest::Metrics)?,
-        Some("health") => client.query(QueryRequest::Health)?,
-        Some("dump") => client.query(QueryRequest::Dump)?,
+        },
+        Some("stats") => QueryRequest::Stats,
+        Some("metrics") => QueryRequest::Metrics,
+        Some("health") => QueryRequest::Health,
+        Some("dump") => QueryRequest::Dump,
         // `fleet` aggregates across every tenant on every shard;
         // `--top N` keeps only the N worst tenants by miss rate.
         Some("fleet") => {
@@ -250,7 +254,7 @@ fn client_query(args: &Args) -> Result<(), CliError> {
                 ),
                 None => None,
             };
-            client.query(QueryRequest::Fleet { top_k })?
+            QueryRequest::Fleet { top_k }
         }
         // `history` replays the daemon's WAL up to --generation and
         // answers the hoard selection the daemon would have given then.
@@ -260,7 +264,7 @@ fn client_query(args: &Args) -> Result<(), CliError> {
                 .parse()
                 .map_err(|_| CliError("--generation wants an applied-event count".into()))?;
             let budget: u64 = args.num_flag("budget", 1 << 20)?;
-            client.query(QueryRequest::History { generation, budget })?
+            QueryRequest::History { generation, budget }
         }
         Some("explain") => {
             let path = args
@@ -270,31 +274,9 @@ fn client_query(args: &Args) -> Result<(), CliError> {
                     CliError("explain wants a path: seer client query explain <path>".into())
                 })?
                 .to_owned();
-            client.query(QueryRequest::Explain { path })?
+            QueryRequest::Explain { path }
         }
-        Some("quality") => {
-            let response = client.query(QueryRequest::Quality)?;
-            // Dashboard export: the series history behind the report as
-            // a standalone HTML page or raw JSON.
-            if let QueryResponse::Quality { series, .. } = &response {
-                if let Some(p) = args.flag("html") {
-                    std::fs::write(
-                        p,
-                        seer_telemetry::render_dashboard_html(series, "seer quality"),
-                    )?;
-                    eprintln!("quality dashboard written to {p}");
-                }
-                if let Some(p) = args.flag("series-json") {
-                    std::fs::write(
-                        p,
-                        serde_json::to_string_pretty(series)
-                            .map_err(|e| CliError(e.to_string()))?,
-                    )?;
-                    eprintln!("quality series written to {p}");
-                }
-            }
-            response
-        }
+        Some("quality") => QueryRequest::Quality,
         Some("miss") => {
             let id = match args.flag("id").or_else(|| args.positional(3)) {
                 Some(s) => Some(
@@ -303,7 +285,7 @@ fn client_query(args: &Args) -> Result<(), CliError> {
                 ),
                 None => None,
             };
-            client.query(QueryRequest::Miss { id })?
+            QueryRequest::Miss { id }
         }
         // `alerts` dumps the daemon's alert ring in firing order;
         // `--for NAME` (or a trailing positional) filters to one tenant,
@@ -313,7 +295,7 @@ fn client_query(args: &Args) -> Result<(), CliError> {
                 .flag("for")
                 .or_else(|| args.positional(3))
                 .map(str::to_owned);
-            client.query(QueryRequest::Alerts { tenant })?
+            QueryRequest::Alerts { tenant }
         }
         other => {
             return Err(CliError(format!(
@@ -323,18 +305,47 @@ fn client_query(args: &Args) -> Result<(), CliError> {
             )))
         }
     };
-    if let QueryResponse::Metrics { snapshot } = &response {
-        // `--format prom` renders the text exposition format a scraper
-        // would ingest; the default is pretty JSON.
-        match args.flag("format") {
-            Some("prom") => print!("{}", seer_telemetry::render_prometheus(snapshot)),
-            Some("json") | None => println!(
-                "{}",
-                serde_json::to_string_pretty(snapshot).map_err(|e| CliError(e.to_string()))?
-            ),
-            Some(other) => return Err(CliError(format!("unknown format: {other} (json|prom)"))),
+    // `metrics --format prom` renders the text exposition format a
+    // scraper would ingest; the default is pretty JSON.
+    let prom = match args.flag("format") {
+        Some("prom") => true,
+        Some("json") | None => false,
+        Some(other) => return Err(CliError(format!("unknown format: {other} (json|prom)"))),
+    };
+    // Dashboard export for `quality`: the series history behind the
+    // report as a standalone HTML page or raw JSON.
+    let (html, series_json) = (args.flag("html"), args.flag("series-json"));
+    let mut client = connect_from_args(args, "seer-cli query")?;
+    let response = client.query(query)?;
+    match &response {
+        QueryResponse::Metrics { snapshot } => {
+            if prom {
+                print!("{}", seer_telemetry::render_prometheus(snapshot));
+            } else {
+                println!(
+                    "{}",
+                    serde_json::to_string_pretty(snapshot).map_err(|e| CliError(e.to_string()))?
+                );
+            }
+            return Ok(());
         }
-        return Ok(());
+        QueryResponse::Quality { series, .. } => {
+            if let Some(p) = html {
+                std::fs::write(
+                    p,
+                    seer_telemetry::render_dashboard_html(series, "seer quality"),
+                )?;
+                eprintln!("quality dashboard written to {p}");
+            }
+            if let Some(p) = series_json {
+                std::fs::write(
+                    p,
+                    serde_json::to_string_pretty(series).map_err(|e| CliError(e.to_string()))?,
+                )?;
+                eprintln!("quality series written to {p}");
+            }
+        }
+        _ => {}
     }
     print_response(&response);
     Ok(())
@@ -350,23 +361,28 @@ fn client_query(args: &Args) -> Result<(), CliError> {
 /// daemon; `--events FILE` streams a real trace file instead. The query
 /// itself is a *fresh* hoard selection, which forces a recluster and so
 /// exercises every pipeline stage.
-fn client_query_trace(args: &Args, mut client: DaemonClient) -> Result<(), CliError> {
+fn client_query_trace(args: &Args) -> Result<(), CliError> {
+    let events = match args.flag("events") {
+        Some(path) => Some((
+            crate::commands::load_trace(path)?,
+            args.num_flag("chunk", 64)?,
+        )),
+        None => None,
+    };
+    let budget: u64 = args.num_flag("budget", 1 << 20)?;
+    let out = args.flag("out");
+    let mut client = connect_from_args(args, "seer-cli query")?;
     let trace_id = seer_telemetry::new_trace_id().0;
     client.set_trace_id(Some(trace_id));
 
-    match args.flag("events") {
-        Some(path) => {
-            let trace = crate::commands::load_trace(path)?;
-            let chunk: usize = args.num_flag("chunk", 64)?;
-            client.send_trace(&trace, chunk)?;
-        }
+    match events {
+        Some((trace, chunk)) => client.send_trace(&trace, chunk)?,
         None => {
             let (events, strings) = probe_events();
             client.send_events(&events, &strings)?;
         }
     }
     client.flush()?;
-    let budget: u64 = args.num_flag("budget", 1 << 20)?;
     client.query(QueryRequest::Hoard {
         budget,
         fresh: true,
@@ -387,7 +403,7 @@ fn client_query_trace(args: &Args, mut client: DaemonClient) -> Result<(), CliEr
         ));
     }
     let json = seer_telemetry::render_chrome_trace(&ours);
-    match args.flag("out") {
+    match out {
         Some(path) => {
             let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
             w.write_all(json.as_bytes())?;
@@ -429,22 +445,23 @@ fn probe_events() -> (Vec<seer_trace::TraceEvent>, seer_trace::StringTable) {
 /// `seer trace <hoard|clusters> --socket PATH` — sends one traced query
 /// and pretty-prints the span tree the daemon recorded for it.
 pub fn cmd_trace(args: &Args) -> Result<(), CliError> {
-    let mut client = connect_from_args(args, "seer-trace")?;
-    let trace_id = seer_telemetry::new_trace_id().0;
-    client.set_trace_id(Some(trace_id));
     let fresh = !args.bool_flag("cached");
-    let response = match args.positional(1) {
-        Some("hoard") => {
-            let budget: u64 = args.num_flag("budget", 1 << 20)?;
-            client.query(QueryRequest::Hoard { budget, fresh })?
-        }
-        Some("clusters") | None => client.query(QueryRequest::Clusters { fresh })?,
+    let query = match args.positional(1) {
+        Some("hoard") => QueryRequest::Hoard {
+            budget: args.num_flag("budget", 1 << 20)?,
+            fresh,
+        },
+        Some("clusters") | None => QueryRequest::Clusters { fresh },
         Some(other) => {
             return Err(CliError(format!(
                 "unknown traced query: {other} (hoard|clusters)"
             )))
         }
     };
+    let mut client = connect_from_args(args, "seer-trace")?;
+    let trace_id = seer_telemetry::new_trace_id().0;
+    client.set_trace_id(Some(trace_id));
+    let response = client.query(query)?;
     client.set_trace_id(None);
     let (spans, _dropped) = client.dump_spans()?;
     let ours: Vec<SpanRecord> = spans
@@ -485,16 +502,17 @@ pub fn cmd_explain(args: &Args) -> Result<(), CliError> {
 /// additionally exports that view as a standalone dashboard page on
 /// every refresh.
 pub fn cmd_top(args: &Args) -> Result<(), CliError> {
-    let mut client = connect_from_args(args, "seer-top")?;
     let target = match args.flag("tenant") {
         Some(t) => format!("{} (tenant {t})", target_label(args)),
         None => target_label(args),
     };
     let interval: u64 = args.num_flag("interval", 0)?;
     let fleet = args.bool_flag("fleet");
+    let html = args.flag("html");
+    let mut client = connect_from_args(args, "seer-top")?;
     loop {
         if fleet {
-            top_fleet_once(&mut client, &target, args.flag("html"))?;
+            top_fleet_once(&mut client, &target, html)?;
         } else {
             top_once(&mut client, &target)?;
         }

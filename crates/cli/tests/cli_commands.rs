@@ -117,6 +117,14 @@ fn errors_are_reported_not_panicked() {
         assert!(err.0.contains(named), "{flags}: {err}");
         assert!(!sock.exists(), "{flags}: the socket was bound");
     }
+    // A client refuses a flag it does not read by name, before it
+    // connects: a mistyped `--tenant` must not stream into `default`.
+    let err = run(&format!(
+        "client load --tenat zz --machine A --days 2 --socket {}",
+        sock.display()
+    ))
+    .expect_err("--tenat");
+    assert!(err.0.contains("--tenat"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
     run("help").expect("help always works");
 }

@@ -91,6 +91,8 @@ pub struct DaemonClient {
     /// Stamped on every outgoing events/query frame when set, tying the
     /// daemon-side pipeline spans into one causal trace.
     trace_id: Option<u64>,
+    /// The events frame being written, reused across frames.
+    frame: Vec<u8>,
 }
 
 impl DaemonClient {
@@ -158,6 +160,7 @@ impl DaemonClient {
             declared: 0,
             sent: 0,
             trace_id: None,
+            frame: Vec::new(),
         };
         wire::write_frame(
             &mut c.w,
@@ -235,8 +238,9 @@ impl DaemonClient {
             wire::write_frame(&mut self.w, &ClientFrame::Intern { id, path })?;
         }
         self.declared = self.strings.len();
-        let frame = wire::encode_events_binary(&translated, self.trace_id);
-        self.w.write_all(&frame)?;
+        self.frame.clear();
+        wire::put_events_frame(&mut self.frame, &translated, self.trace_id);
+        self.w.write_all(&self.frame)?;
         self.sent += events.len() as u64;
         Ok(())
     }

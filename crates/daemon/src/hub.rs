@@ -50,6 +50,10 @@ const MAX_LINE_BYTES: usize = 64 * 1024;
 /// mid-frame refills, which show as a `socket_read` p99 outlier.
 const READ_BUFFER: usize = 256 * 1024;
 
+/// Pause after a failed `accept` (say, `EMFILE` while descriptors run
+/// out) before the listener tries again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(50);
+
 /// A client connection over either transport. Reading and writing
 /// dispatch to the underlying socket; everything above this enum is
 /// transport-agnostic.
@@ -204,25 +208,41 @@ impl Shards {
 
 /// Accept loop for one listener: blocks in `accept`, spawning one reader
 /// thread per connection, until shutdown or kill is raised
-/// ([`Shared::begin_shutdown`] wakes it by connecting). Exiting drops
-/// this thread's clone of the shard inboxes, which is part of the
-/// disconnect cascade (conn readers hold the rest).
+/// ([`Shared::begin_shutdown`] wakes it by connecting). A failed accept
+/// is logged and retried, never the end of the loop. Exiting drops this
+/// thread's clone of the shard inboxes, which is part of the disconnect
+/// cascade (conn readers hold the rest).
 pub(crate) fn run_listener(listener: &HubListener, shared: &Arc<Shared>, shards: &Arc<Shards>) {
-    while let Ok(stream) = listener.accept() {
+    let stopping = || shared.shutdown.load(Ordering::SeqCst) || shared.kill.load(Ordering::SeqCst);
+    loop {
+        let stream = match listener.accept() {
+            Ok(stream) => stream,
+            Err(_) if stopping() => return,
+            Err(e) => {
+                tlog!(
+                    Level::Warn,
+                    "seer_daemon::hub",
+                    "accept failed; retrying",
+                    error = e.to_string(),
+                );
+                thread::sleep(ACCEPT_RETRY);
+                continue;
+            }
+        };
+        let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
         let dup = stream.try_clone();
         {
             // Checked under the lock `begin_shutdown` drains, so a
             // connection is either closed here or shut down there: none
             // accepted after shutdown began is served.
             let mut conns = shared.conns.lock();
-            if shared.shutdown.load(Ordering::SeqCst) || shared.kill.load(Ordering::SeqCst) {
+            if stopping() {
                 return;
             }
             if let Ok(dup) = dup {
-                conns.push(dup);
+                conns.insert(conn, dup);
             }
         }
-        let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
         shared.metrics.connections.inc();
         tlog!(
             Level::Debug,
@@ -230,9 +250,24 @@ pub(crate) fn run_listener(listener: &HubListener, shared: &Arc<Shared>, shards:
             "connection accepted",
             conn = conn
         );
-        let shared = Arc::clone(shared);
-        let shards = Arc::clone(shards);
-        thread::spawn(move || serve_conn(stream, conn, &shards, &shared));
+        let reader_shared = Arc::clone(shared);
+        let reader_shards = Arc::clone(shards);
+        let spawned = thread::Builder::new()
+            .spawn(move || serve_conn(stream, conn, &reader_shards, &reader_shared));
+        if let Err(e) = spawned {
+            // The failed spawn dropped its half of the stream; closing
+            // the parked duplicate ends the connection.
+            if let Some(dup) = shared.conns.lock().remove(&conn) {
+                dup.shutdown_both();
+            }
+            tlog!(
+                Level::Warn,
+                "seer_daemon::hub",
+                "connection reader failed to start; connection closed",
+                conn = conn,
+                error = e.to_string(),
+            );
+        }
     }
 }
 
@@ -611,6 +646,7 @@ impl Conn<'_> {
 /// how it ended and tells the tenant's shard it is gone.
 fn serve_conn(stream: HubStream, conn: u64, shards: &Shards, shared: &Shared) {
     let Ok(reader) = stream.try_clone() else {
+        shared.conns.lock().remove(&conn);
         return;
     };
     let mut r = BufReader::with_capacity(READ_BUFFER, reader);
@@ -648,11 +684,11 @@ fn serve_conn(stream: HubStream, conn: u64, shards: &Shards, shared: &Shared) {
         "connection closed",
         conn = conn
     );
-    // Shut the socket down explicitly: the accept loop parked a
-    // duplicate handle in `shared.conns` (for the shutdown cascade), so
-    // dropping our halves alone would leave the connection half-open —
-    // and a peer mid-write (e.g. the hostile client whose oversized
-    // frame got it evicted) would block forever instead of seeing EPIPE.
+    // Release the duplicate handle the accept loop parked for the
+    // shutdown cascade, and shut the socket down before the possibly
+    // blocking send below: a peer mid-write (e.g. the hostile client
+    // whose oversized frame got it evicted) sees EPIPE at once.
+    shared.conns.lock().remove(&conn);
     w.get_ref().shutdown_both();
     let _ = c.inbox.send(Msg::ConnClosed {
         conn,

@@ -11,6 +11,7 @@ use parking_lot::Mutex;
 use seer_core::{PersistError, SeerConfig};
 use seer_telemetry::{tlog, Level, RegistrySnapshot, Tracer};
 use seer_wal::{FsyncPolicy, Wal, WalConfig, WalError};
+use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -82,7 +83,8 @@ pub struct DaemonConfig {
     /// acknowledged batch durable; the default interval policy bounds
     /// loss to the window instead of paying an fsync per batch.
     pub wal_fsync: FsyncPolicy,
-    /// Rotate WAL segments once they exceed this many bytes.
+    /// Rotate WAL segments once they exceed this many bytes (default
+    /// 1 MiB, about 60k events).
     pub wal_segment_bytes: u64,
     /// Fault injection (tests only): fail every WAL append for
     /// `wal_fail_tenant` once its append count reaches this value.
@@ -136,7 +138,7 @@ impl DaemonConfig {
             flight_path: None,
             wal_dir: None,
             wal_fsync: FsyncPolicy::Interval(Duration::from_millis(50)),
-            wal_segment_bytes: 8 * 1024 * 1024,
+            wal_segment_bytes: 1024 * 1024,
             wal_fail_after: None,
             wal_fail_tenant: None,
             restore_to: None,
@@ -208,9 +210,10 @@ pub(crate) struct Shared {
     /// threads poll it independently of the rest of the shared state.
     pub(crate) kill: Arc<AtomicBool>,
     pub(crate) metrics: SharedMetrics,
-    /// Duplicate handles of every live client socket, so shutdown can
-    /// unblock readers parked in `read`.
-    pub(crate) conns: Mutex<Vec<HubStream>>,
+    /// Duplicate handles of every live client socket by connection id,
+    /// so shutdown can unblock readers parked in `read`. A connection's
+    /// reader removes its entry when the connection ends.
+    pub(crate) conns: Mutex<HashMap<u64, HubStream>>,
     pub(crate) next_conn: AtomicU64,
     /// Where the listeners are bound, so shutdown can wake their
     /// blocking `accept` by connecting once to each.
@@ -226,7 +229,7 @@ impl Shared {
     /// closed unserved, like any accepted after shutdown began).
     pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for s in self.conns.lock().drain(..) {
+        for (_, s) in self.conns.lock().drain() {
             s.shutdown_both();
         }
         let _ = UnixStream::connect(&self.socket_path);
@@ -416,7 +419,7 @@ impl Daemon {
             shutdown: AtomicBool::new(false),
             kill: Arc::new(AtomicBool::new(false)),
             metrics,
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             next_conn: AtomicU64::new(0),
             socket_path: config.socket_path.clone(),
             tcp_addr,

@@ -32,7 +32,9 @@ impl DaemonSnapshot {
     /// crash mid-write leaves the previous snapshot intact, never a
     /// truncated one. The snapshot being replaced is kept as
     /// `<path>.prev`, the fallback [`DaemonSnapshot::load_with_fallback`]
-    /// reaches for when the primary is damaged.
+    /// reaches for when the primary is damaged. The parent directory is
+    /// synced after the rename, so the new snapshot is durable before
+    /// the log compaction that relies on it deletes anything.
     ///
     /// # Errors
     ///
@@ -51,6 +53,8 @@ impl DaemonSnapshot {
         // block publishing the new one.
         let _ = fs::rename(path, prev_path(path));
         fs::rename(&tmp, path)?;
+        let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+        fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()?;
         Ok(())
     }
 

@@ -575,7 +575,9 @@ pub const BINARY_MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 /// Flag bit: the payload opens with an 8-byte little-endian trace id.
 const BIN_FLAG_TRACE_ID: u8 = 0x01;
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` as an unsigned LEB128 varint: seven bits a byte, low
+/// bits first, the high bit set on every byte but the last.
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7f) as u8;
         v >>= 7;
@@ -630,6 +632,20 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Reads one varint written by [`put_varint`] off the front of `input`,
+/// advancing it past the varint.
+///
+/// # Errors
+///
+/// Returns [`WireError::Format`] when `input` ends mid-varint or the
+/// varint overflows a `u64`.
+pub fn take_varint(input: &mut &[u8]) -> Result<u64, WireError> {
+    let mut c = Cursor { buf: input, pos: 0 };
+    let v = c.varint()?;
+    *input = &input[c.pos..];
+    Ok(v)
+}
+
 /// Encodes an event batch as one self-delimiting binary frame:
 ///
 /// ```text
@@ -650,8 +666,24 @@ impl<'a> Cursor<'a> {
 #[must_use]
 pub fn encode_events_binary(events: &[TraceEvent], trace_id: Option<u64>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + events.len() * 12);
+    put_events_frame(&mut buf, events, trace_id);
+    buf
+}
+
+/// Appends the frame [`encode_events_binary`] returns to `buf`, so a
+/// writer can reuse one buffer across frames.
+pub fn put_events_frame(buf: &mut Vec<u8>, events: &[TraceEvent], trace_id: Option<u64>) {
     buf.push(BINARY_EVENTS_MAGIC);
+    let len_at = buf.len();
     buf.extend_from_slice(&[0; 4]); // Length backpatched below.
+    put_events_payload(buf, events, trace_id);
+    let len = (buf.len() - len_at - 4) as u32;
+    buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Appends a binary events payload — the frame without its magic and
+/// length prefix, as [`decode_events_binary`] reads it — to `buf`.
+pub fn put_events_payload(buf: &mut Vec<u8>, events: &[TraceEvent], trace_id: Option<u64>) {
     match trace_id {
         Some(t) => {
             buf.push(BIN_FLAG_TRACE_ID);
@@ -659,7 +691,7 @@ pub fn encode_events_binary(events: &[TraceEvent], trace_id: Option<u64>) -> Vec
         }
         None => buf.push(0),
     }
-    put_varint(&mut buf, events.len() as u64);
+    put_varint(buf, events.len() as u64);
     for ev in events {
         let err = match ev.error {
             None => 0u8,
@@ -669,45 +701,42 @@ pub fn encode_events_binary(events: &[TraceEvent], trace_id: Option<u64>) -> Vec
         };
         let tag = ev.kind.index() as u8 | (err << 4) | (u8::from(ev.root) << 6);
         buf.push(tag);
-        put_varint(&mut buf, ev.seq.0);
-        put_varint(&mut buf, ev.time.0);
-        put_varint(&mut buf, u64::from(ev.pid.0));
+        put_varint(buf, ev.seq.0);
+        put_varint(buf, ev.time.0);
+        put_varint(buf, u64::from(ev.pid.0));
         match ev.kind {
             EventKind::Open { path, mode, fd } => {
-                put_varint(&mut buf, u64::from(path.0));
+                put_varint(buf, u64::from(path.0));
                 buf.push(match mode {
                     OpenMode::Read => 0,
                     OpenMode::Write => 1,
                     OpenMode::ReadWrite => 2,
                 });
-                put_varint(&mut buf, u64::from(fd.0));
+                put_varint(buf, u64::from(fd.0));
             }
-            EventKind::Close { fd } => put_varint(&mut buf, u64::from(fd.0)),
+            EventKind::Close { fd } => put_varint(buf, u64::from(fd.0)),
             EventKind::OpenDir { path, fd } => {
-                put_varint(&mut buf, u64::from(path.0));
-                put_varint(&mut buf, u64::from(fd.0));
+                put_varint(buf, u64::from(path.0));
+                put_varint(buf, u64::from(fd.0));
             }
             EventKind::ReadDir { fd, entries } => {
-                put_varint(&mut buf, u64::from(fd.0));
-                put_varint(&mut buf, u64::from(entries));
+                put_varint(buf, u64::from(fd.0));
+                put_varint(buf, u64::from(entries));
             }
             EventKind::Exec { path }
             | EventKind::Unlink { path }
             | EventKind::Create { path }
             | EventKind::Stat { path }
             | EventKind::SetAttr { path }
-            | EventKind::Chdir { path } => put_varint(&mut buf, u64::from(path.0)),
+            | EventKind::Chdir { path } => put_varint(buf, u64::from(path.0)),
             EventKind::Exit => {}
-            EventKind::Fork { child } => put_varint(&mut buf, u64::from(child.0)),
+            EventKind::Fork { child } => put_varint(buf, u64::from(child.0)),
             EventKind::Rename { from, to } => {
-                put_varint(&mut buf, u64::from(from.0));
-                put_varint(&mut buf, u64::from(to.0));
+                put_varint(buf, u64::from(from.0));
+                put_varint(buf, u64::from(to.0));
             }
         }
     }
-    let len = (buf.len() - 5) as u32;
-    buf[1..5].copy_from_slice(&len.to_le_bytes());
-    buf
 }
 
 /// Decodes the payload of a binary events frame (everything after the

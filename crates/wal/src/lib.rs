@@ -8,14 +8,17 @@
 //!
 //! Design points:
 //!
-//! - **Framing** ([`record`]): every record is length-prefixed and
-//!   CRC-32-checksummed JSON; decoding classifies damage as a torn tail
-//!   (truncate and continue) or corruption (truncate and continue), and
-//!   never panics or over-allocates on garbage.
+//! - **Framing** ([`record`]): every record is a length-prefixed,
+//!   CRC-32-checksummed binary payload; a batch stores its events in the
+//!   wire's binary events encoding, about 15 bytes an event. Decoding
+//!   classifies damage as a torn tail (truncate and continue) or
+//!   corruption (truncate and continue), and never panics or
+//!   over-allocates on garbage.
 //! - **Segments** ([`wal`]): the log is a directory of numbered segment
 //!   files rotated at a size threshold. Each segment opens with a full
 //!   string-table snapshot, so compaction can drop any prefix of sealed
-//!   segments once a daemon snapshot covers their batches.
+//!   segments once a daemon snapshot covers their batches. Segments of
+//!   the retired JSON format (`SEERWAL1`) are refused, never repaired.
 //! - **Fsync policy**: `always` (no acknowledged batch is ever lost to
 //!   `kill -9`), `interval:<ms>` (loss bounded by the window), or
 //!   `never` (page-cache durability only).

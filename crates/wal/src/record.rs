@@ -1,28 +1,47 @@
-//! On-disk record framing: length-prefixed, CRC-checksummed JSON.
+//! On-disk record framing: length-prefixed, CRC-checksummed binary
+//! records.
 //!
 //! Every record in a segment is framed as
 //!
 //! ```text
-//! [u32 LE payload length][u32 LE CRC-32 of payload][payload JSON bytes]
+//! [u32 LE payload length][u32 LE CRC-32 of payload][payload]
 //! ```
 //!
+//! and the payload is one of
+//!
+//! ```text
+//! interns = 0x01 | base: varint | count: varint | count × (len: varint | UTF-8 bytes)
+//! batch   = 0x02 | generation: varint | the wire's binary events payload
+//! ```
+//!
+//! A batch's events are stored exactly as a binary events frame carries
+//! them ([`seer_trace::wire::put_events_payload`], without a trace id),
+//! so the log and the socket share one codec. Varints are
+//! [`seer_trace::wire::put_varint`]'s.
+//!
 //! The checksum covers only the payload; a flipped bit anywhere in the
-//! frame fails either the length sanity check, the CRC, or the JSON
-//! parse, and decoding classifies the damage as *incomplete* (a torn
+//! frame fails either the length sanity check, the CRC, or the payload
+//! decode, and decoding classifies the damage as *incomplete* (a torn
 //! tail — more bytes might have made it whole) or *corrupt* (no suffix
 //! could repair it). Recovery truncates at the first record that is
 //! either, so a crash mid-`write` never poisons earlier records.
 
+use seer_trace::wire::{self, put_varint, take_varint};
 use seer_trace::TraceEvent;
-use serde::{Deserialize, Serialize};
 
 /// Upper bound on a single record's payload. A length prefix above this
 /// is treated as corruption rather than an allocation request — a torn
-/// header bit-flipped into a huge length must not wedge recovery.
+/// header bit-flipped into a huge length must not wedge recovery — and
+/// an append that would exceed it is refused.
 pub const MAX_RECORD_BYTES: usize = 64 * 1024 * 1024;
 
 /// Bytes of framing overhead per record (length + checksum).
 pub const RECORD_HEADER_BYTES: usize = 8;
+
+/// Payload tag of a [`WalRecord::Interns`] record.
+const TAG_INTERNS: u8 = 0x01;
+/// Payload tag of a [`WalRecord::Batch`] record.
+const TAG_BATCH: u8 = 0x02;
 
 /// One logical entry in the log.
 ///
@@ -34,7 +53,7 @@ pub const RECORD_HEADER_BYTES: usize = 8;
 /// batch — the same generation clusterings and snapshots are tagged
 /// with, which is what makes point-in-time restore line up with live
 /// query answers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// Declares global string ids `base..base + paths.len()`, in order.
     ///
@@ -98,20 +117,78 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// Frames a record for appending: header + JSON payload.
+/// Frames a record for appending: header + binary payload.
+///
+/// # Panics
+///
+/// If the payload exceeds [`MAX_RECORD_BYTES`].
 #[must_use]
 pub fn encode(record: &WalRecord) -> Vec<u8> {
-    let payload = serde_json::to_string(record).expect("WalRecord serializes");
-    let payload = payload.as_bytes();
-    let mut buf = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
-    buf.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("record < 4 GiB")
-            .to_le_bytes(),
-    );
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+    let mut buf = Vec::new();
+    match record {
+        WalRecord::Interns { base, paths } => {
+            put_interns(&mut buf, *base, paths.iter().map(String::as_str))
+        }
+        WalRecord::Batch { generation, events } => put_batch(&mut buf, *generation, events),
+    }
+    .expect("record within MAX_RECORD_BYTES");
     buf
+}
+
+/// Appends a framed `Interns` record declaring `paths` from id `base`.
+/// On error `buf` is left as it was.
+pub(crate) fn put_interns<'a>(
+    buf: &mut Vec<u8>,
+    base: u32,
+    paths: impl ExactSizeIterator<Item = &'a str>,
+) -> std::io::Result<()> {
+    let start = begin_frame(buf);
+    buf.push(TAG_INTERNS);
+    put_varint(buf, u64::from(base));
+    put_varint(buf, paths.len() as u64);
+    for path in paths {
+        put_varint(buf, path.len() as u64);
+        buf.extend_from_slice(path.as_bytes());
+    }
+    end_frame(buf, start)
+}
+
+/// Appends a framed `Batch` record. On error `buf` is left as it was.
+pub(crate) fn put_batch(
+    buf: &mut Vec<u8>,
+    generation: u64,
+    events: &[TraceEvent],
+) -> std::io::Result<()> {
+    let start = begin_frame(buf);
+    buf.push(TAG_BATCH);
+    put_varint(buf, generation);
+    wire::put_events_payload(buf, events, None);
+    end_frame(buf, start)
+}
+
+/// Reserves a record header at the end of `buf`, returning its offset.
+fn begin_frame(buf: &mut Vec<u8>) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; RECORD_HEADER_BYTES]);
+    start
+}
+
+/// Fills in the header reserved at `start` for the payload after it, or
+/// drops the record when the payload is too large to ever decode.
+fn end_frame(buf: &mut Vec<u8>, start: usize) -> std::io::Result<()> {
+    let body = start + RECORD_HEADER_BYTES;
+    let len = buf.len() - body;
+    if len > MAX_RECORD_BYTES {
+        buf.truncate(start);
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("a {len}-byte record exceeds the {MAX_RECORD_BYTES}-byte cap"),
+        ));
+    }
+    let crc = crc32(&buf[body..]);
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    buf[start + 4..body].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// Outcome of decoding one record from the front of `buf`.
@@ -155,15 +232,57 @@ pub fn decode(buf: &[u8]) -> Decoded {
     if crc32(payload) != expected {
         return Decoded::Corrupt("checksum mismatch");
     }
-    let Ok(text) = std::str::from_utf8(payload) else {
-        return Decoded::Corrupt("payload is not UTF-8");
-    };
-    match serde_json::from_str::<WalRecord>(text) {
+    match decode_payload(payload) {
         Ok(record) => Decoded::Record {
             record,
             consumed: total,
         },
-        Err(_) => Decoded::Corrupt("payload is not a record"),
+        Err(why) => Decoded::Corrupt(why),
+    }
+}
+
+/// Decodes a checksummed payload. Every count and length is bounded by
+/// the bytes left before anything is allocated for it.
+fn decode_payload(payload: &[u8]) -> Result<WalRecord, &'static str> {
+    let (&tag, mut rest) = payload.split_first().ok_or("empty payload")?;
+    match tag {
+        TAG_INTERNS => {
+            let base = take_varint(&mut rest)
+                .ok()
+                .and_then(|b| u32::try_from(b).ok())
+                .ok_or("interns base is not a u32 varint")?;
+            let count = take_varint(&mut rest).map_err(|_| "interns count is not a varint")?;
+            // Each path takes at least its one-byte length.
+            if count > rest.len() as u64 {
+                return Err("interns count exceeds the payload");
+            }
+            let mut paths = Vec::with_capacity(count as usize);
+            for _ in 0..count {
+                let len = take_varint(&mut rest)
+                    .ok()
+                    .and_then(|l| usize::try_from(l).ok())
+                    .filter(|&l| l <= rest.len())
+                    .ok_or("interned path overruns the payload")?;
+                let (path, tail) = rest.split_at(len);
+                let path = std::str::from_utf8(path).map_err(|_| "interned path is not UTF-8")?;
+                paths.push(path.to_owned());
+                rest = tail;
+            }
+            if !rest.is_empty() {
+                return Err("trailing bytes after interns");
+            }
+            Ok(WalRecord::Interns { base, paths })
+        }
+        TAG_BATCH => {
+            let generation =
+                take_varint(&mut rest).map_err(|_| "batch generation is not a varint")?;
+            match wire::decode_events_binary(rest) {
+                Ok((events, None)) => Ok(WalRecord::Batch { generation, events }),
+                Ok((_, Some(_))) => Err("batch carries a trace id"),
+                Err(_) => Err("batch events do not decode"),
+            }
+        }
+        _ => Err("unknown record tag"),
     }
 }
 

@@ -2,14 +2,18 @@
 //! point-in-time truncation.
 //!
 //! A log directory holds numbered segment files (`wal-00000042.seg`),
-//! each beginning with an 8-byte magic and containing framed
-//! [`WalRecord`]s (see [`crate::record`]), plus a small `wal.meta` JSON
-//! noting the generation compaction has discarded history through.
-//! Appends go to the highest-numbered segment; at a size threshold the
-//! segment is sealed and a new one started. Every segment opens with a
-//! full string-table snapshot, so any *prefix* of sealed segments can be
-//! deleted once a snapshot covers their batches — replay of the
-//! remaining suffix still resolves every id.
+//! each beginning with the 8-byte magic [`SEGMENT_MAGIC`] and containing
+//! framed binary [`WalRecord`]s (see [`crate::record`]), plus a small
+//! `wal.meta` JSON noting the generation compaction has discarded
+//! history through. Appends go to the highest-numbered segment; at a
+//! size threshold the segment is sealed and a new one started. Every
+//! segment opens with a full string-table snapshot, so any *prefix* of
+//! sealed segments can be deleted once a snapshot covers their batches —
+//! replay of the remaining suffix still resolves every id.
+//!
+//! A segment of the retired `SEERWAL1` format (JSON records) is refused
+//! with [`WalError::Corrupt`], never repaired: read as a torn segment it
+//! would be deleted, with every segment after it.
 
 use crate::record::{self, Decoded, WalRecord};
 use seer_trace::{RawPathId, StringTable, TraceEvent};
@@ -20,7 +24,10 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// First 8 bytes of every segment file.
-pub const SEGMENT_MAGIC: &[u8; 8] = b"SEERWAL1";
+pub const SEGMENT_MAGIC: &[u8; 8] = b"SEERWAL2";
+
+/// First 8 bytes of a segment in the retired JSON-record format.
+const RETIRED_MAGIC: &[u8; 8] = b"SEERWAL1";
 
 /// The compaction bookkeeping file kept next to the segments.
 const META_FILE: &str = "wal.meta";
@@ -78,13 +85,14 @@ pub struct WalConfig {
 }
 
 impl WalConfig {
-    /// Defaults: 50 ms interval fsync, 8 MiB segments.
+    /// Defaults: 50 ms interval fsync, 1 MiB segments (about 60k
+    /// events of binary records).
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>) -> WalConfig {
         WalConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Interval(Duration::from_millis(50)),
-            segment_max_bytes: 8 * 1024 * 1024,
+            segment_max_bytes: 1024 * 1024,
         }
     }
 }
@@ -236,6 +244,8 @@ pub struct Wal {
     last_sync: Instant,
     /// Unsynced appends outstanding.
     dirty: bool,
+    /// The records being appended, reused across appends.
+    buf: Vec<u8>,
 }
 
 fn segment_file_name(seq: u64) -> String {
@@ -261,6 +271,11 @@ fn create_dir_durably(dir: &Path) -> std::io::Result<()> {
     sync_dir(parent.unwrap_or(Path::new(".")))
 }
 
+/// The strings of `strings` with ids from `from` on, in id order.
+fn paths_from(strings: &StringTable, from: u32) -> impl ExactSizeIterator<Item = &str> {
+    (from..strings.len() as u32).map(|id| strings.resolve(RawPathId(id)).expect("dense table"))
+}
+
 /// One decoded walk over a segment's bytes.
 struct SegmentScan {
     /// Bytes of magic + valid records.
@@ -277,12 +292,25 @@ struct SegmentScan {
 
 /// Walks a segment, calling `f` for each valid record; `f` returning
 /// `false` stops the walk (not counted as damage).
+///
+/// # Errors
+///
+/// Returns [`WalError::Corrupt`] for a segment of the retired
+/// `SEERWAL1` format, and [`WalError::Io`] when the file cannot be read.
 fn scan_segment(
     path: &Path,
     mut f: impl FnMut(WalRecord) -> bool,
-) -> std::io::Result<(SegmentScan, bool)> {
+) -> Result<(SegmentScan, bool), WalError> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
+    if bytes.starts_with(RETIRED_MAGIC) {
+        return Err(WalError::Corrupt {
+            path: path.to_owned(),
+            detail: "segment is in the retired SEERWAL1 format (JSON records); this build \
+                     reads only SEERWAL2, so move the log directory aside to start a new log"
+                .into(),
+        });
+    }
     let file_len = bytes.len() as u64;
     let mut scan = SegmentScan {
         valid_len: 0,
@@ -357,8 +385,9 @@ fn list_segments(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
 ///
 /// # Errors
 ///
-/// Returns [`WalError::Io`] on filesystem failure; a missing directory
-/// replays nothing.
+/// Returns [`WalError::Io`] on filesystem failure and
+/// [`WalError::Corrupt`] on reaching a `SEERWAL1` segment; a missing
+/// directory replays nothing.
 pub fn replay_dir(
     dir: &Path,
     mut f: impl FnMut(WalRecord) -> bool,
@@ -395,7 +424,9 @@ impl Wal {
     ///
     /// Returns [`WalError::Io`] on filesystem failure and
     /// [`WalError::Corrupt`] when `wal.meta` exists but does not parse
-    /// (guessing at compaction state could silently fabricate history).
+    /// (guessing at compaction state could silently fabricate history)
+    /// or when any segment is in the retired `SEERWAL1` format; either
+    /// way nothing on disk is changed.
     pub fn open(cfg: WalConfig) -> Result<(Wal, RecoveryReport), WalError> {
         let meta_path = cfg.dir.join(META_FILE);
         let meta = match fs::read_to_string(&meta_path) {
@@ -416,6 +447,7 @@ impl Wal {
             last_generation: 0,
             last_sync: Instant::now(),
             dirty: false,
+            buf: Vec::new(),
         };
         let report = wal.recover()?;
         Ok((wal, report))
@@ -434,19 +466,24 @@ impl Wal {
             listed => listed?,
         };
         self.next_seq = listed.iter().map(|(s, _)| s + 1).max().unwrap_or(0);
-        let mut damaged_at: Option<usize> = None;
-        for (i, (_seq, path)) in listed.iter().enumerate() {
-            if damaged_at.is_some() {
+        // Every segment is scanned before any is repaired, so a refused
+        // one leaves the directory as it was.
+        let scans = listed
+            .iter()
+            .map(|(_, path)| scan_segment(path, |_| true).map(|(scan, _)| scan))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut damaged = false;
+        for ((_seq, path), scan) in listed.iter().zip(scans) {
+            if damaged {
                 // A damaged predecessor leaves a generation gap; batches
                 // here are unreachable for contiguous replay. Drop them.
-                report.truncated_bytes += fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+                report.truncated_bytes += scan.file_len;
                 report.dropped_segments += 1;
                 fs::remove_file(path)?;
                 continue;
             }
-            let (scan, _) = scan_segment(path, |_| true)?;
             if scan.damage.is_some() {
-                damaged_at = Some(i);
+                damaged = true;
                 report.truncated_bytes += scan.file_len - scan.valid_len;
                 if scan.valid_len <= SEGMENT_MAGIC.len() as u64 {
                     // Nothing valid in it (possibly not even the magic —
@@ -512,8 +549,13 @@ impl Wal {
     }
 
     /// Starts a fresh segment whose first record snapshots the entire
-    /// string table, making the segment self-contained.
+    /// string table, making the segment self-contained. The records are
+    /// encoded before the file is created, so a table too large to log
+    /// leaves no empty segment behind.
     fn create_segment(&mut self, strings: &StringTable) -> Result<(), WalError> {
+        self.buf.clear();
+        self.buf.extend_from_slice(SEGMENT_MAGIC);
+        record::put_interns(&mut self.buf, 0, paths_from(strings, 0))?;
         let seq = self.next_seq;
         self.next_seq += 1;
         let path = self.cfg.dir.join(segment_file_name(seq));
@@ -522,16 +564,12 @@ impl Wal {
             .write(true)
             .read(true)
             .open(&path)?;
-        let mut buf = Vec::with_capacity(SEGMENT_MAGIC.len() + 64);
-        buf.extend_from_slice(SEGMENT_MAGIC);
-        let paths: Vec<String> = strings.iter().map(|(_, s)| s.to_owned()).collect();
-        buf.extend_from_slice(&record::encode(&WalRecord::Interns { base: 0, paths }));
-        file.write_all(&buf)?;
+        file.write_all(&self.buf)?;
         sync_dir(&self.cfg.dir)?;
         self.declared = strings.len() as u32;
         self.segments.push(SegmentState {
             path,
-            bytes: buf.len() as u64,
+            bytes: self.buf.len() as u64,
             last_generation: None,
         });
         self.active = Some(file);
@@ -563,8 +601,10 @@ impl Wal {
     ///
     /// # Errors
     ///
-    /// Returns [`WalError::Io`] on write or sync failure; the in-memory
-    /// high-water marks are only advanced on success.
+    /// Returns [`WalError::Io`] on write or sync failure, or when a
+    /// record would exceed [`crate::MAX_RECORD_BYTES`] (and so could
+    /// never be read back); the in-memory high-water marks are only
+    /// advanced on success.
     pub fn append_batch(
         &mut self,
         strings: &StringTable,
@@ -585,36 +625,27 @@ impl Wal {
             }
             Some(_) => {}
         }
-        let mut buf = Vec::new();
+        self.buf.clear();
         let mut records = 0u32;
         let table_len = strings.len() as u32;
         if table_len > self.declared {
-            let paths: Vec<String> = (self.declared..table_len)
-                .map(|id| {
-                    strings
-                        .resolve(RawPathId(id))
-                        .expect("dense table")
-                        .to_owned()
-                })
-                .collect();
-            buf.extend_from_slice(&record::encode(&WalRecord::Interns {
-                base: self.declared,
-                paths,
-            }));
+            record::put_interns(
+                &mut self.buf,
+                self.declared,
+                paths_from(strings, self.declared),
+            )?;
             records += 1;
         }
-        buf.extend_from_slice(&record::encode(&WalRecord::Batch {
-            generation,
-            events: events.to_vec(),
-        }));
+        record::put_batch(&mut self.buf, generation, events)?;
         records += 1;
         let file = self.active.as_mut().expect("segment created above");
-        file.write_all(&buf)?;
+        file.write_all(&self.buf)?;
         self.dirty = true;
         self.declared = self.declared.max(table_len);
         self.last_generation = self.last_generation.max(generation);
+        let bytes = self.buf.len() as u64;
         let seg = self.segments.last_mut().expect("segment created above");
-        seg.bytes += buf.len() as u64;
+        seg.bytes += bytes;
         seg.last_generation = Some(
             seg.last_generation
                 .map_or(generation, |g| g.max(generation)),
@@ -625,7 +656,7 @@ impl Wal {
             FsyncPolicy::Interval(_) | FsyncPolicy::Never => None,
         };
         Ok(AppendOutcome {
-            bytes: buf.len() as u64,
+            bytes,
             records,
             rotated,
             fsync,
@@ -935,10 +966,61 @@ mod tests {
     }
 
     #[test]
+    fn retired_json_segments_are_refused_not_repaired() {
+        let dir = scratch("v1");
+        let mut strings = StringTable::new();
+        {
+            let (mut wal, _) = Wal::open(WalConfig::new(&dir)).expect("open");
+            fill(&mut wal, &mut strings, 0, 2);
+            wal.sync().expect("sync");
+        }
+        // A torn tail on the current segment, then a segment written in
+        // the retired format: repairing the first would delete the second.
+        let current = dir.join(segment_file_name(0));
+        let mut f = OpenOptions::new()
+            .append(true)
+            .open(&current)
+            .expect("open");
+        f.write_all(&[0x13, 0x00]).expect("tear");
+        drop(f);
+        let payload = br#"{"Interns":{"base":0,"paths":["/a"]}}"#;
+        let mut v1 = RETIRED_MAGIC.to_vec();
+        v1.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        v1.extend_from_slice(&record::crc32(payload).to_le_bytes());
+        v1.extend_from_slice(payload);
+        let retired = dir.join(segment_file_name(1));
+        fs::write(&retired, &v1).expect("write v1 segment");
+        let contents = |d: &Path| {
+            let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(d)
+                .expect("list")
+                .map(|e| {
+                    let p = e.expect("entry").path();
+                    let bytes = fs::read(&p).expect("read");
+                    (p, bytes)
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = contents(&dir);
+
+        match Wal::open(WalConfig::new(&dir)) {
+            Err(WalError::Corrupt { path, detail }) => {
+                assert_eq!(path, retired);
+                assert!(detail.contains("SEERWAL1"), "{detail}");
+            }
+            Ok(_) => panic!("a SEERWAL1 segment opened"),
+            Err(other) => panic!("expected Corrupt, got {other}"),
+        }
+        assert_eq!(contents(&dir), before, "refusal changed the directory");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn rotation_starts_self_contained_segments() {
         let dir = scratch("rot");
         let mut cfg = WalConfig::new(&dir);
-        cfg.segment_max_bytes = 256; // force rotation every record or two
+        cfg.segment_max_bytes = 64; // force rotation every record or two
         let (mut wal, _) = Wal::open(cfg).expect("open");
         let mut strings = StringTable::new();
         fill(&mut wal, &mut strings, 0, 10);
@@ -965,7 +1047,7 @@ mod tests {
     fn compaction_drops_covered_prefix_only() {
         let dir = scratch("compact");
         let mut cfg = WalConfig::new(&dir);
-        cfg.segment_max_bytes = 256;
+        cfg.segment_max_bytes = 64;
         let (mut wal, _) = Wal::open(cfg).expect("open");
         let mut strings = StringTable::new();
         fill(&mut wal, &mut strings, 0, 12);

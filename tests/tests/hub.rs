@@ -8,12 +8,13 @@ use seer_telemetry::MetricValue;
 use seer_trace::wire::{self, ClientFrame, QueryRequest, QueryResponse, WIRE_VERSION};
 use seer_trace::{EventKind, Fd, OpenMode, Pid, RawPathId, Seq, Timestamp, Trace, TraceEvent};
 use seer_workload::{generate, MachineProfile};
+use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn scratch(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("seer-hub-{tag}-{}", std::process::id()));
@@ -628,5 +629,57 @@ fn query_only_tenants_leave_no_state_at_shutdown() {
         (1, 1),
         "only tenant z reclusters and snapshots at exit"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Descriptors this process holds on sockets bound to `sock`: the
+/// daemon's listener plus every connection it accepted there and still
+/// holds. Only sockets `/proc/self/net/unix` lists under `sock` count,
+/// so the daemons and clients of tests running beside this one do not.
+fn daemon_socket_fds(sock: &Path) -> usize {
+    let sock = sock.to_str().expect("UTF-8 socket path");
+    let table = std::fs::read_to_string("/proc/self/net/unix").expect("unix socket table");
+    let bound: HashSet<&str> = table
+        .lines()
+        .skip(1)
+        .filter_map(|line| {
+            let cols: Vec<&str> = line.split_whitespace().collect();
+            (cols.get(7) == Some(&sock)).then(|| cols[6])
+        })
+        .collect();
+    std::fs::read_dir("/proc/self/fd")
+        .expect("descriptor table")
+        .filter_map(|entry| std::fs::read_link(entry.ok()?.path()).ok())
+        .filter(|target| {
+            target
+                .to_str()
+                .and_then(|t| t.strip_prefix("socket:[")?.strip_suffix(']'))
+                .is_some_and(|inode| bound.contains(inode))
+        })
+        .count()
+}
+
+/// A connection's descriptors go when it ends: after 200 sequential
+/// connections the daemon holds no more descriptors than before them.
+#[test]
+fn sequential_connections_release_their_descriptors() {
+    let dir = scratch("fds");
+    let handle = Daemon::spawn(DaemonConfig::new(dir.join("sock"))).expect("spawn");
+    let sock = handle.socket_path().to_path_buf();
+    let before = daemon_socket_fds(&sock);
+    assert!(before > 0, "the listener is counted");
+    for _ in 0..200 {
+        let mut client = DaemonClient::connect(&sock, "fd-probe").expect("connect");
+        client.query(QueryRequest::Health).expect("health");
+    }
+    // Readers notice their peer's close on their own threads.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut held = daemon_socket_fds(&sock);
+    while held > before && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+        held = daemon_socket_fds(&sock);
+    }
+    assert_eq!(held, before, "descriptors left behind by ended connections");
+    handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
