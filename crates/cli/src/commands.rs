@@ -25,9 +25,9 @@ USAGE:
   seer generate --machine <A..I> [--days N] [--seed N]
                 [--trace FILE] [--fs FILE] [--corpus FILE]
   seer stats <trace.jsonl>
-  seer observe <trace.jsonl> --state <out.json> [--state-in <prev.json>]
-  seer clusters <state.json> [--min-size N] [--top N]
-  seer hoard <state.json> --budget <bytes> [--fs <fs.json>]
+  seer observe <trace.jsonl> --state <out.state> [--state-in <prev.state>]
+  seer clusters <state> [--min-size N] [--top N]
+  seer hoard <state> --budget <bytes> [--fs <fs.json>] [--seed N]
   seer missfree <trace> [--period daily|weekly] [--fs <fs.json>]
   seer convert <in> <out> [--format text|json]
   seer live --machine <A..I> [--days N] [--seed N] [--budget BYTES]
@@ -72,6 +72,8 @@ USAGE:
   seer top --socket PATH [--interval SECS]
   seer demo [--days N]
   seer help
+
+Every command refuses, by name, a flag it does not read.
 ",
         queries = seer_trace::wire::QueryRequest::NAMES.join("|"),
     )
@@ -145,12 +147,14 @@ fn cmd_generate(args: &Args) -> Result<(), CliError> {
     let mut profile = MachineProfile::by_name(machine)
         .ok_or_else(|| CliError(format!("unknown machine: {machine} (use A..I)")))?;
     let days: u32 = args.num_flag("days", profile.days)?;
-    profile = profile.scaled_to_days(days);
     let seed: u64 = args.num_flag("seed", 1)?;
-    let workload = generate(&profile, seed);
-
     let trace_path = args.flag("trace").unwrap_or("trace.jsonl");
     let format = args.flag("format").unwrap_or("json");
+    let fs_path = args.flag("fs");
+    let corpus_path = args.flag("corpus");
+    args.refuse_unread_flags()?;
+    profile = profile.scaled_to_days(days);
+    let workload = generate(&profile, seed);
     save_trace(&workload.trace, trace_path, format)?;
     println!(
         "wrote {} events over {} days to {trace_path} ({format})",
@@ -158,7 +162,7 @@ fn cmd_generate(args: &Args) -> Result<(), CliError> {
         profile.days
     );
 
-    if let Some(fs_path) = args.flag("fs") {
+    if let Some(fs_path) = fs_path {
         let w = BufWriter::new(File::create(fs_path)?);
         serde_json::to_writer(w, &workload.fs)?;
         println!(
@@ -166,7 +170,7 @@ fn cmd_generate(args: &Args) -> Result<(), CliError> {
             workload.fs.len()
         );
     }
-    if let Some(corpus_path) = args.flag("corpus") {
+    if let Some(corpus_path) = corpus_path {
         let entries: Vec<(&str, &str)> = workload.corpus.iter().collect();
         let w = BufWriter::new(File::create(corpus_path)?);
         serde_json::to_writer(w, &entries)?;
@@ -179,7 +183,9 @@ fn cmd_generate(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_stats(args: &Args) -> Result<(), CliError> {
-    let trace = load_trace(args.require_positional(1, "trace file")?)?;
+    let path = args.require_positional(1, "trace file")?;
+    args.refuse_unread_flags()?;
+    let trace = load_trace(path)?;
     let stats = trace.stats();
     println!("machine:        {}", trace.meta.machine);
     println!("events:         {}", stats.events);
@@ -195,8 +201,12 @@ fn cmd_stats(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_observe(args: &Args) -> Result<(), CliError> {
-    let trace = load_trace(args.require_positional(1, "trace file")?)?;
-    let mut engine = match args.flag("state-in") {
+    let path = args.require_positional(1, "trace file")?;
+    let state_in = args.flag("state-in");
+    let out = args.require_flag("state")?;
+    args.refuse_unread_flags()?;
+    let trace = load_trace(path)?;
+    let mut engine = match state_in {
         Some(prev) => load_state(prev)?,
         None => SeerEngine::default(),
     };
@@ -204,7 +214,6 @@ fn cmd_observe(args: &Args) -> Result<(), CliError> {
         engine.on_event(ev, &trace.strings);
     }
     engine.recluster();
-    let out = args.require_flag("state")?;
     let mut w = BufWriter::new(File::create(out)?);
     engine.snapshot().save(&mut w)?;
     w.flush()?;
@@ -221,9 +230,11 @@ fn cmd_observe(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_clusters(args: &Args) -> Result<(), CliError> {
-    let mut engine = load_state(args.require_positional(1, "state file")?)?;
+    let path = args.require_positional(1, "state file")?;
     let min_size: usize = args.num_flag("min-size", 2)?;
     let top: usize = args.num_flag("top", usize::MAX)?;
+    args.refuse_unread_flags()?;
+    let mut engine = load_state(path)?;
     let clustering = engine.recluster().clone();
     let mut clusters: Vec<&seer_cluster::Cluster> = clustering
         .clusters
@@ -248,13 +259,16 @@ fn cmd_clusters(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_hoard(args: &Args) -> Result<(), CliError> {
-    let mut engine = load_state(args.require_positional(1, "state file")?)?;
+    let path = args.require_positional(1, "state file")?;
     let budget: u64 = args
         .require_flag("budget")?
         .parse()
         .map_err(|_| CliError("--budget wants a byte count".into()))?;
-    let fs = load_fs(args.flag("fs"))?;
+    let fs_path = args.flag("fs");
     let seed: u64 = args.num_flag("seed", 1)?;
+    args.refuse_unread_flags()?;
+    let mut engine = load_state(path)?;
+    let fs = load_fs(fs_path)?;
     let mut sizes = SizeModel::new(&fs, seed);
     engine.recluster();
     let mut size_by_id: HashMap<FileId, u64> = HashMap::new();
@@ -278,13 +292,16 @@ fn cmd_hoard(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_missfree(args: &Args) -> Result<(), CliError> {
-    let trace = load_trace(args.require_positional(1, "trace file")?)?;
-    let fs = load_fs(args.flag("fs"))?;
+    let path = args.require_positional(1, "trace file")?;
+    let fs_path = args.flag("fs");
     let cfg = match args.flag("period").unwrap_or("weekly") {
         "daily" => MissFreeConfig::daily(),
         "weekly" => MissFreeConfig::weekly(),
         other => return Err(CliError(format!("unknown period: {other} (daily|weekly)"))),
     };
+    args.refuse_unread_flags()?;
+    let trace = load_trace(path)?;
+    let fs = load_fs(fs_path)?;
     let out = run_missfree_parts(
         MissFreeInput {
             trace: &trace,
@@ -314,6 +331,7 @@ fn cmd_convert(args: &Args) -> Result<(), CliError> {
     let input = args.require_positional(1, "input trace")?;
     let output = args.require_positional(2, "output trace")?;
     let format = args.flag("format").unwrap_or("text");
+    args.refuse_unread_flags()?;
     let trace = load_trace(input)?;
     save_trace(&trace, output, format)?;
     println!("converted {} events to {output} ({format})", trace.len());
@@ -326,10 +344,8 @@ fn cmd_live(args: &Args) -> Result<(), CliError> {
     let mut profile = MachineProfile::by_name(machine)
         .ok_or_else(|| CliError(format!("unknown machine: {machine} (use A..I)")))?;
     let days: u32 = args.num_flag("days", profile.days)?;
-    profile = profile.scaled_to_days(days);
     let seed: u64 = args.num_flag("seed", 1)?;
     let budget: u64 = args.num_flag("budget", u64::MAX)?;
-    let workload = generate(&profile, seed);
     let refill = match args.flag("refill-hours") {
         None => RefillPolicy::OnDisconnect,
         Some(h) => RefillPolicy::Periodic(
@@ -337,6 +353,9 @@ fn cmd_live(args: &Args) -> Result<(), CliError> {
                 .map_err(|_| CliError(format!("bad --refill-hours: {h}")))?,
         ),
     };
+    args.refuse_unread_flags()?;
+    profile = profile.scaled_to_days(days);
+    let workload = generate(&profile, seed);
     let cfg = LiveConfig {
         hoard_bytes: budget,
         size_seed: seed,
@@ -379,6 +398,7 @@ fn cmd_live(args: &Args) -> Result<(), CliError> {
 
 fn cmd_demo(args: &Args) -> Result<(), CliError> {
     let days: u32 = args.num_flag("days", 15)?;
+    args.refuse_unread_flags()?;
     let profile = MachineProfile::by_name("A")
         .expect("machine A is built in")
         .scaled_to_days(days);

@@ -125,6 +125,29 @@ fn errors_are_reported_not_panicked() {
     ))
     .expect_err("--tenat");
     assert!(err.0.contains("--tenat"), "{err}");
+    // Offline commands refuse one too, before they write anything.
+    let trace = dir.join("t.jsonl");
+    let err = run(&format!(
+        "generate --machine A --dayz 2 --trace {}",
+        trace.display()
+    ))
+    .expect_err("--dayz");
+    assert!(err.0.contains("--dayz"), "{err}");
+    assert!(!trace.exists(), "generate wrote a trace");
+    run(&format!(
+        "generate --machine A --days 2 --trace {}",
+        trace.display()
+    ))
+    .expect("generate");
+    let state = dir.join("s.state");
+    let err = run(&format!(
+        "observe {} --state {} --state-inn old.bin",
+        trace.display(),
+        state.display()
+    ))
+    .expect_err("--state-inn");
+    assert!(err.0.contains("--state-inn"), "{err}");
+    assert!(!state.exists(), "observe saved a state");
     std::fs::remove_dir_all(&dir).ok();
     run("help").expect("help always works");
 }

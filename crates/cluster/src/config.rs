@@ -28,6 +28,14 @@ pub struct ClusterConfig {
     pub include_singletons: bool,
 }
 
+seer_trace::codec_struct!(ClusterConfig {
+    kn,
+    kf,
+    directory_weight,
+    force_strength,
+    include_singletons,
+});
+
 impl Default for ClusterConfig {
     fn default() -> ClusterConfig {
         // Chosen by the `tune_params` sweep over the calibrated machine

@@ -5,7 +5,7 @@ use seer_observer::{RefKind, Reference, ReferenceSink};
 use seer_trace::{FileId, PathTable, Seq, Timestamp};
 
 /// Most recent reference per file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LastRef {
     /// Sequence number of the most recent reference.
     pub seq: Seq,
@@ -14,6 +14,8 @@ pub struct LastRef {
     /// Total references observed for the file.
     pub count: u64,
 }
+
+seer_trace::codec_struct!(LastRef { seq, time, count } min_bytes = 3);
 
 /// A [`ReferenceSink`] recording, for every file, when it was last
 /// referenced and how often.

@@ -79,14 +79,16 @@ impl Correlator {
     }
 }
 
-/// Serializable persistent state of a [`Correlator`].
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+/// Persistent state of a [`Correlator`].
+#[derive(Debug, Clone)]
 pub struct CorrelatorSnapshot {
     /// Distance-engine state.
     pub distance: seer_distance::DistanceSnapshot,
     /// Per-file recency records.
     pub activity: Vec<(FileId, crate::activity::LastRef)>,
 }
+
+seer_trace::codec_struct!(CorrelatorSnapshot { distance, activity });
 
 impl ReferenceSink for Correlator {
     fn on_reference(&mut self, r: &Reference, paths: &PathTable) {

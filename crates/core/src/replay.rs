@@ -176,9 +176,14 @@ mod tests {
         assert_eq!(rep.gaps(), 0);
         let (replayed, strings, _) = rep.into_parts();
         assert_eq!(strings.len(), table.len());
+        let encode = |engine: &SeerEngine| {
+            let mut buf = Vec::new();
+            seer_trace::codec::Codec::encode(&engine.snapshot(), &mut buf);
+            buf
+        };
         assert_eq!(
-            serde_json::to_string(&replayed.snapshot()).unwrap(),
-            serde_json::to_string(&direct.snapshot()).unwrap(),
+            encode(&replayed),
+            encode(&direct),
             "replayed state must be bit-identical to direct application"
         );
     }

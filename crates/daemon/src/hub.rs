@@ -55,7 +55,9 @@ const READ_BUFFER: usize = 256 * 1024;
 const ACCEPT_RETRY: Duration = Duration::from_millis(50);
 
 /// A client connection over either transport. Reading and writing
-/// dispatch to the underlying socket; everything above this enum is
+/// dispatch to the underlying socket through a shared reference, so a
+/// connection's reader, its writer, and the shutdown registry all use
+/// the one accepted descriptor; everything above this enum is
 /// transport-agnostic.
 pub(crate) enum HubStream {
     Unix(UnixStream),
@@ -63,13 +65,6 @@ pub(crate) enum HubStream {
 }
 
 impl HubStream {
-    pub(crate) fn try_clone(&self) -> std::io::Result<HubStream> {
-        match self {
-            HubStream::Unix(s) => s.try_clone().map(HubStream::Unix),
-            HubStream::Tcp(s) => s.try_clone().map(HubStream::Tcp),
-        }
-    }
-
     /// Closes both directions so a reader parked in `read` unblocks.
     pub(crate) fn shutdown_both(&self) {
         match self {
@@ -83,27 +78,27 @@ impl HubStream {
     }
 }
 
-impl Read for HubStream {
+impl Read for &HubStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            HubStream::Unix(s) => s.read(buf),
-            HubStream::Tcp(s) => s.read(buf),
+            HubStream::Unix(s) => (&*s).read(buf),
+            HubStream::Tcp(s) => (&*s).read(buf),
         }
     }
 }
 
-impl Write for HubStream {
+impl Write for &HubStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            HubStream::Unix(s) => s.write(buf),
-            HubStream::Tcp(s) => s.write(buf),
+            HubStream::Unix(s) => (&*s).write(buf),
+            HubStream::Tcp(s) => (&*s).write(buf),
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
-            HubStream::Unix(s) => s.flush(),
-            HubStream::Tcp(s) => s.flush(),
+            HubStream::Unix(s) => (&*s).flush(),
+            HubStream::Tcp(s) => (&*s).flush(),
         }
     }
 }
@@ -230,7 +225,7 @@ pub(crate) fn run_listener(listener: &HubListener, shared: &Arc<Shared>, shards:
             }
         };
         let conn = shared.next_conn.fetch_add(1, Ordering::SeqCst);
-        let dup = stream.try_clone();
+        let stream = Arc::new(stream);
         {
             // Checked under the lock `begin_shutdown` drains, so a
             // connection is either closed here or shut down there: none
@@ -239,9 +234,7 @@ pub(crate) fn run_listener(listener: &HubListener, shared: &Arc<Shared>, shards:
             if stopping() {
                 return;
             }
-            if let Ok(dup) = dup {
-                conns.insert(conn, dup);
-            }
+            conns.insert(conn, Arc::clone(&stream));
         }
         shared.metrics.connections.inc();
         tlog!(
@@ -255,10 +248,10 @@ pub(crate) fn run_listener(listener: &HubListener, shared: &Arc<Shared>, shards:
         let spawned = thread::Builder::new()
             .spawn(move || serve_conn(stream, conn, &reader_shards, &reader_shared));
         if let Err(e) = spawned {
-            // The failed spawn dropped its half of the stream; closing
-            // the parked duplicate ends the connection.
-            if let Some(dup) = shared.conns.lock().remove(&conn) {
-                dup.shutdown_both();
+            // The failed spawn dropped its handle on the stream; the
+            // registry's is the last, and dropping it closes the socket.
+            if let Some(stream) = shared.conns.lock().remove(&conn) {
+                stream.shutdown_both();
             }
             tlog!(
                 Level::Warn,
@@ -644,13 +637,9 @@ impl Conn<'_> {
 
 /// One connection's reader thread: serves its frames, then accounts for
 /// how it ended and tells the tenant's shard it is gone.
-fn serve_conn(stream: HubStream, conn: u64, shards: &Shards, shared: &Shared) {
-    let Ok(reader) = stream.try_clone() else {
-        shared.conns.lock().remove(&conn);
-        return;
-    };
-    let mut r = BufReader::with_capacity(READ_BUFFER, reader);
-    let mut w = BufWriter::new(stream);
+fn serve_conn(stream: Arc<HubStream>, conn: u64, shards: &Shards, shared: &Shared) {
+    let mut r = BufReader::with_capacity(READ_BUFFER, &*stream);
+    let mut w = BufWriter::new(&*stream);
     let tenant = pipeline::default_tenant();
     let mut c = Conn {
         id: conn,
@@ -684,12 +673,12 @@ fn serve_conn(stream: HubStream, conn: u64, shards: &Shards, shared: &Shared) {
         "connection closed",
         conn = conn
     );
-    // Release the duplicate handle the accept loop parked for the
-    // shutdown cascade, and shut the socket down before the possibly
-    // blocking send below: a peer mid-write (e.g. the hostile client
-    // whose oversized frame got it evicted) sees EPIPE at once.
+    // Release the handle the accept loop registered for the shutdown
+    // cascade, and shut the socket down before the possibly blocking
+    // send below: a peer mid-write (e.g. the hostile client whose
+    // oversized frame got it evicted) sees EPIPE at once.
     shared.conns.lock().remove(&conn);
-    w.get_ref().shutdown_both();
+    stream.shutdown_both();
     let _ = c.inbox.send(Msg::ConnClosed {
         conn,
         tenant: c.tenant,

@@ -27,15 +27,18 @@
 //! - **An engine that never waits on background work.** SEER clustered
 //!   in a process separate from the trace-consuming correlator (§5.3).
 //!   Here each shard's engine actor blocks only on its inbox: periodic
-//!   reclusters and quality evaluations run on the shard's one
-//!   background worker thread, whatever its tenant count, and a fresh
+//!   reclusters, quality evaluations, and snapshot writes run on the
+//!   shard's one background worker thread, whatever its tenant count,
+//!   and a fresh
 //!   hoard query reclusters in place instead of waiting on that worker.
 //! - **Batching.** The observer's per-event cost is what made SEER's
 //!   overhead noticeable; clients send events in binary frames of many
 //!   events each, and every frame is one engine batch, so engine locks
 //!   and table lookups amortize.
 //! - **Crash safety.** The engine's knowledge is periodically written
-//!   with an atomic temp-file-and-rename snapshot. With a write-ahead
+//!   as a checksummed binary snapshot with an atomic
+//!   temp-file-and-rename; the engine actor only freezes the bytes, and
+//!   the shard's background worker writes them. With a write-ahead
 //!   log configured ([`DaemonConfig::wal_dir`]), every acknowledged
 //!   batch is also appended to a segmented, checksummed log *before* it
 //!   reaches the engine; a killed daemon recovers as snapshot + WAL

@@ -19,11 +19,13 @@
 //! reclusters, syncs the WAL, and snapshots; queries neither wait for it
 //! nor defer it.
 //!
-//! The inbox is the actor's only blocking receive. Periodic reclusters
-//! and quality evaluations run on the shard's one background worker
-//! (`crate::worker`), whose results the actor drains without blocking at
-//! the top of every loop iteration. A fresh query never waits on that
-//! worker: it reclusters in place (see [`Actor::recluster_fresh`]).
+//! The inbox is the actor's only blocking receive. Periodic reclusters,
+//! quality evaluations, and snapshot writes run on the shard's one
+//! background worker (`crate::worker`), whose results the actor drains
+//! without blocking at the top of every loop iteration; for a snapshot
+//! the actor only freezes the tenant into the file's bytes. A fresh
+//! query never waits on that worker: it reclusters in place (see
+//! [`Actor::recluster_fresh`]).
 //!
 //! A shard's engine actor owns one [`TenantState`] per tenant routed to
 //! it: a full SEER instance with its own string table, WAL, snapshot
@@ -39,7 +41,7 @@ use crate::stats::{SharedMetrics, TenantMetrics};
 use crate::worker::{Done, Job, Worker};
 use crate::DaemonConfig;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use seer_core::{ClusterRun, PairCountCache, SeerEngine};
+use seer_core::{ClusterRun, PairCountCache, PersistError, SeerEngine};
 use seer_telemetry::{tlog, Level, SpanContext};
 use seer_trace::wire::{
     ExplainNeighbor, MissPostmortem, QualityReport, QueryRequest, QueryResponse, TenantFleetStat,
@@ -180,8 +182,12 @@ pub(crate) struct TenantState {
     /// Generation of the background recluster in flight, if any. It
     /// carries the cache, so the cache is away until its result lands.
     recluster_job: Option<u64>,
+    /// Generation of the snapshot the worker is writing, if any. A
+    /// tenant has at most one in flight.
+    snapshot_job: Option<u64>,
     /// The write-ahead log, when the daemon runs with one. Appended
-    /// before each batch reaches the engine; compacted after snapshots.
+    /// before each batch reaches the engine; compacted after each
+    /// written snapshot, through that snapshot's generation.
     wal: Option<Wal>,
     /// Set on the first WAL append/sync failure. A faulted tenant stops
     /// applying (and acknowledging) batches — acknowledged state must
@@ -245,6 +251,7 @@ impl TenantState {
             cache: None,
             since_full: 0,
             recluster_job: None,
+            snapshot_job: None,
             wal: seed.wal,
             wal_fault,
             wal_appends: 0,
@@ -599,7 +606,7 @@ impl Actor {
         }
         let ts = self.tenants.get(tenant).expect("ensured above");
         if self.cfg.snapshot_every > 0 && ts.since_snapshot >= self.cfg.snapshot_every {
-            self.write_snapshot(tenant);
+            self.request_snapshot(tenant);
         }
     }
 
@@ -633,41 +640,53 @@ impl Actor {
     }
 
     /// Folds in everything the shard's worker has finished, without
-    /// blocking: the one place background results land. A recluster
-    /// result always brings the tenant's cache home; its clustering is
-    /// installed unless a fresh query already installed a newer one.
+    /// blocking.
     fn drain_worker(&mut self) {
         while let Some(done) = self.worker.try_done() {
-            match done {
-                Done::Recluster {
-                    tenant,
-                    generation,
-                    run,
-                    cache,
-                    started,
-                    wall,
-                } => {
-                    let Some(ts) = self.tenants.get_mut(&tenant) else {
-                        continue;
-                    };
-                    ts.recluster_job = None;
-                    ts.return_cache(cache, run.incremental);
-                    if generation >= ts.clustering_generation {
-                        self.install_recluster(&tenant, generation, run, started, wall, None);
-                    }
-                    self.update_inflight_gauge();
+            self.fold(done);
+        }
+    }
+
+    /// Folds in one finished background result: the one place they
+    /// land. A recluster result always brings the tenant's cache home;
+    /// its clustering is installed unless a fresh query already
+    /// installed a newer one.
+    fn fold(&mut self, done: Done) {
+        match done {
+            Done::Recluster {
+                tenant,
+                generation,
+                run,
+                cache,
+                started,
+                wall,
+            } => {
+                let Some(ts) = self.tenants.get_mut(&tenant) else {
+                    return;
+                };
+                ts.recluster_job = None;
+                ts.return_cache(cache, run.incremental);
+                if generation >= ts.clustering_generation {
+                    self.install_recluster(&tenant, generation, run, started, wall, None);
                 }
-                Done::Eval {
-                    tenant,
-                    report,
-                    wall,
-                } => {
-                    if let Some(ts) = self.tenants.get_mut(&tenant) {
-                        ts.quality.inflight = false;
-                    }
-                    self.install_eval(&tenant, report, wall);
-                }
+                self.update_inflight_gauge();
             }
+            Done::Eval {
+                tenant,
+                report,
+                wall,
+            } => {
+                if let Some(ts) = self.tenants.get_mut(&tenant) {
+                    ts.quality.inflight = false;
+                }
+                self.install_eval(&tenant, report, wall);
+            }
+            Done::Snapshot {
+                tenant,
+                generation,
+                result,
+                wall,
+            } => self.finish_snapshot(&tenant, generation, result, wall),
         }
     }
 
@@ -796,85 +815,149 @@ impl Actor {
             self.observe_tenant_health(tenant, depth);
             let ts = self.tenants.get(tenant).expect("listed above");
             if self.cfg.snapshot_every > 0 && ts.since_snapshot > 0 {
-                self.write_snapshot(tenant);
+                self.request_snapshot(tenant);
             }
         }
         self.wal_idle();
     }
 
-    fn write_snapshot(&mut self, tenant: &Tenant) {
+    /// The tenant frozen into a snapshot file's bytes, with the file's
+    /// path and the snapshot's generation. `None`, and nothing pending
+    /// any more, when the daemon runs without a snapshot path.
+    fn freeze_snapshot(&mut self, tenant: &Tenant) -> Option<(u64, PathBuf, Vec<u8>)> {
+        let ts = self.tenants.get_mut(tenant)?;
+        let Some(base) = &self.cfg.snapshot_path else {
+            ts.since_snapshot = 0;
+            return None;
+        };
+        let generation = ts.events_applied;
+        let snap = DaemonSnapshot {
+            engine: ts.engine.snapshot(),
+            events_applied: generation,
+        };
+        ts.since_snapshot = 0;
+        Some((
+            generation,
+            tenant_snapshot_path(base, tenant),
+            snap.to_bytes(),
+        ))
+    }
+
+    /// Hands the worker a snapshot of the tenant to write. A no-op while
+    /// the tenant's previous snapshot is in flight or the worker's queue
+    /// is full: the snapshot then waits for the next batch or idle tick.
+    fn request_snapshot(&mut self, tenant: &Tenant) {
+        let busy = self
+            .tenants
+            .get(tenant)
+            .is_none_or(|ts| ts.snapshot_job.is_some());
+        if busy || !self.worker.has_room() {
+            return;
+        }
+        let Some((generation, path, bytes)) = self.freeze_snapshot(tenant) else {
+            return;
+        };
+        let job = Job::Snapshot {
+            tenant: tenant.clone(),
+            generation,
+            path,
+            bytes,
+        };
+        // Only a dead worker refuses a job it had room for; the tenant
+        // then snapshots again after its next `snapshot_every` events.
+        if self.worker.submit(job) {
+            let ts = self.tenants.get_mut(tenant).expect("frozen above");
+            ts.snapshot_job = Some(generation);
+        }
+    }
+
+    /// Writes the tenant's snapshot on the actor, through the worker's
+    /// writer (the shutdown epilogue, once no snapshot is in flight).
+    fn write_snapshot_now(&mut self, tenant: &Tenant) {
+        let Some((generation, path, bytes)) = self.freeze_snapshot(tenant) else {
+            return;
+        };
+        let started = Instant::now();
+        let result = snapshot::write_file_atomic(&path, &bytes);
+        self.finish_snapshot(tenant, generation, result, started.elapsed());
+    }
+
+    /// Folds in a written snapshot at `generation`. A durable snapshot
+    /// covers every batch at or below its generation, so sealed WAL
+    /// segments entirely below it are dead weight; compaction runs
+    /// through that generation, never the live count, and never after a
+    /// *failed* write — the log must keep covering whatever the last
+    /// good snapshot missed.
+    fn finish_snapshot(
+        &mut self,
+        tenant: &Tenant,
+        generation: u64,
+        result: Result<(), PersistError>,
+        wall: Duration,
+    ) {
+        self.metrics.stage_snapshot_write.observe(wall);
         let Some(ts) = self.tenants.get_mut(tenant) else {
             return;
         };
-        let mut written = false;
-        if let Some(base) = &self.cfg.snapshot_path {
-            let path = tenant_snapshot_path(base, tenant);
-            let _t = self.metrics.stage_snapshot_write.start_timer();
-            let snap = DaemonSnapshot {
-                engine: ts.engine.snapshot(),
-                events_applied: ts.events_applied,
-            };
-            match snap.write_atomic(&path) {
-                Ok(()) => {
-                    written = true;
-                    self.metrics.snapshots.inc();
+        ts.snapshot_job = None;
+        if let Err(e) = result {
+            tlog!(
+                Level::Warn,
+                "seer_daemon::pipeline",
+                "snapshot write failed",
+                tenant = tenant.as_ref(),
+                generation = generation,
+                error = e.to_string(),
+            );
+            return;
+        }
+        self.metrics.snapshots.inc();
+        tlog!(
+            Level::Info,
+            "seer_daemon::pipeline",
+            "snapshot written",
+            tenant = tenant.as_ref(),
+            events_applied = generation,
+        );
+        if let Some(wal) = &mut ts.wal {
+            match wal.compact(generation) {
+                Ok(report) if report.segments_dropped > 0 => {
+                    self.metrics
+                        .wal_segments_compacted
+                        .add(report.segments_dropped as u64);
                     tlog!(
-                        Level::Info,
+                        Level::Debug,
                         "seer_daemon::pipeline",
-                        "snapshot written",
+                        "wal compacted",
                         tenant = tenant.as_ref(),
-                        path = path.display().to_string(),
-                        events_applied = ts.events_applied,
+                        segments_dropped = report.segments_dropped as u64,
+                        bytes_dropped = report.bytes_dropped,
                     );
                 }
+                Ok(_) => {}
                 Err(e) => {
                     tlog!(
                         Level::Warn,
                         "seer_daemon::pipeline",
-                        "snapshot write failed",
+                        "wal compaction failed",
                         tenant = tenant.as_ref(),
-                        path = path.display().to_string(),
                         error = e.to_string(),
                     );
                 }
             }
         }
-        // A durable snapshot covers every batch at or below its
-        // generation, so sealed WAL segments entirely below it are dead
-        // weight. Compaction never runs after a *failed* write — the
-        // log must keep covering whatever the last good snapshot missed.
-        if written {
-            if let Some(wal) = &mut ts.wal {
-                match wal.compact(ts.events_applied) {
-                    Ok(report) if report.segments_dropped > 0 => {
-                        self.metrics
-                            .wal_segments_compacted
-                            .add(report.segments_dropped as u64);
-                        tlog!(
-                            Level::Debug,
-                            "seer_daemon::pipeline",
-                            "wal compacted",
-                            tenant = tenant.as_ref(),
-                            segments_dropped = report.segments_dropped as u64,
-                            bytes_dropped = report.bytes_dropped,
-                        );
-                    }
-                    Ok(_) => {}
-                    Err(e) => {
-                        tlog!(
-                            Level::Warn,
-                            "seer_daemon::pipeline",
-                            "wal compaction failed",
-                            tenant = tenant.as_ref(),
-                            error = e.to_string(),
-                        );
-                    }
-                }
-            }
-            self.wal_update_gauges();
-        }
-        if let Some(ts) = self.tenants.get_mut(tenant) {
-            ts.since_snapshot = 0;
+        self.wal_update_gauges();
+    }
+
+    /// Waits until no snapshot is in flight on the worker, folding in
+    /// whatever it finishes meanwhile, so no older snapshot can rename
+    /// over one written after it.
+    fn await_snapshots(&mut self) {
+        while self.tenants.values().any(|t| t.snapshot_job.is_some()) {
+            let Some(done) = self.worker.recv_done() else {
+                return;
+            };
+            self.fold(done);
         }
     }
 
@@ -1137,11 +1220,13 @@ impl Actor {
         }
     }
 
-    /// Answers a `Quality` query by evaluating *inline* on the actor,
-    /// so after a flush the answer reflects everything applied — an
-    /// online quality query equals an offline evaluation of the same
-    /// events (the equivalence test pins this).
-    fn answer_quality(&mut self, tenant: &Tenant) -> QueryResponse {
+    /// Answers a `Quality` query by reclustering to the current
+    /// generation (as a fresh hoard does) and evaluating *inline* on the
+    /// actor, so after a flush the answer reflects everything applied —
+    /// an online quality query equals an offline evaluation of the same
+    /// events (the equivalence tests pin this).
+    fn answer_quality(&mut self, tenant: &Tenant, ctx: Option<SpanContext>) -> QueryResponse {
+        self.prepare_clustering(tenant, true, ctx);
         let ts = self.tenants.get(tenant).expect("ensured by answer");
         let job = build_eval_job(ts, &self.cfg);
         let started = Instant::now();
@@ -1328,7 +1413,7 @@ impl Actor {
                 self.answer_history(tenant, generation, budget)
             }
             QueryRequest::Explain { path } => self.answer_explain(tenant, &path, span_ctx),
-            QueryRequest::Quality => self.answer_quality(tenant),
+            QueryRequest::Quality => self.answer_quality(tenant, span_ctx),
             QueryRequest::Miss { id } => self.answer_miss(tenant, id),
             QueryRequest::Fleet { top_k } => self.answer_fleet(top_k),
             QueryRequest::Alerts { tenant: filter } => {
@@ -1503,7 +1588,11 @@ pub(crate) fn run_engine_actor(
     // Graceful epilogue: every producer is gone and the inbox is drained.
     // A tenant that never applied an event (one that only answered
     // queries) has nothing to persist, so it leaves no snapshot file.
+    // Snapshots still on the worker land first: the final ones below
+    // compact the log through the live count, and an older write landing
+    // after that would replace a snapshot the log no longer backs.
     actor.drain_worker();
+    actor.await_snapshots();
     let tenants: Vec<Tenant> = actor.tenants.keys().cloned().collect();
     for tenant in &tenants {
         let ts = actor.tenants.get(tenant).expect("listed above");
@@ -1513,7 +1602,7 @@ pub(crate) fn run_engine_actor(
         if ts.engine.clustering().is_none() || ts.clustering_generation < ts.events_applied {
             actor.recluster_fresh(tenant, None);
         }
-        actor.write_snapshot(tenant);
+        actor.write_snapshot_now(tenant);
         // The log's tail may still be unsynced under an interval policy;
         // a graceful exit leaves nothing for the fsync window to lose.
         if let Some(ts) = actor.tenants.get_mut(tenant) {

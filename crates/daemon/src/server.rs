@@ -210,10 +210,11 @@ pub(crate) struct Shared {
     /// threads poll it independently of the rest of the shared state.
     pub(crate) kill: Arc<AtomicBool>,
     pub(crate) metrics: SharedMetrics,
-    /// Duplicate handles of every live client socket by connection id,
-    /// so shutdown can unblock readers parked in `read`. A connection's
-    /// reader removes its entry when the connection ends.
-    pub(crate) conns: Mutex<HashMap<u64, HubStream>>,
+    /// Every live client socket by connection id, shared with its
+    /// reader (one descriptor per connection), so shutdown can unblock
+    /// readers parked in `read`. A connection's reader removes its entry
+    /// when the connection ends.
+    pub(crate) conns: Mutex<HashMap<u64, Arc<HubStream>>>,
     pub(crate) next_conn: AtomicU64,
     /// Where the listeners are bound, so shutdown can wake their
     /// blocking `accept` by connecting once to each.

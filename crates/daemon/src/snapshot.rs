@@ -2,23 +2,38 @@
 //! recovery path every tenant takes back from disk: a snapshot base
 //! ([`load_base`]) plus a write-ahead-log replay ([`replay_wal`]).
 //!
+//! A snapshot file is one checksummed frame of `seer_core::persist`'s
+//! binary format under the magic `SEERSNP1`; its payload is the
+//! applied-event count (a varint), then the engine snapshot. The engine
+//! actor freezes a tenant into those bytes ([`DaemonSnapshot::to_bytes`])
+//! and hands them to the shard's worker, which writes them with
+//! [`write_file_atomic`]; the shutdown epilogue writes its final snapshot
+//! through the same writer. A file that is torn, fails its checksum, or does not open with
+//! the magic (a retired JSON snapshot among them) is a
+//! [`PersistError::Format`], and recovery falls back to the previous
+//! snapshot, then to a cold start.
+//!
 //! Three callers recover through it, each with its own failure policy:
 //! daemon startup (the default tenant; errors fail the start), a lazily
 //! created tenant (keeps what replayed and faults its WAL), and the
 //! `History` query (errors are in-band answers).
 
+use seer_core::persist::{frame, unframe};
 use seer_core::{PersistError, Replayer, SeerConfig, SeerEngine, SeerSnapshot};
 use seer_telemetry::{tlog, Level};
+use seer_trace::codec::{Codec, Reader};
 use seer_trace::StringTable;
 use seer_wal::{ReplayStats, Wal, WalError, WalRecord};
-use serde::{Deserialize, Serialize};
 use std::fs;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::Write;
 use std::path::Path;
+
+/// The magic opening a daemon snapshot file.
+const SNAPSHOT_MAGIC: [u8; 8] = *b"SEERSNP1";
 
 /// Everything the daemon persists: the engine's knowledge plus enough
 /// pipeline bookkeeping to report how far ingestion had progressed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DaemonSnapshot {
     /// The engine's persistent knowledge.
     pub engine: SeerSnapshot,
@@ -27,52 +42,62 @@ pub struct DaemonSnapshot {
 }
 
 impl DaemonSnapshot {
-    /// Writes the snapshot atomically: the JSON goes to `<path>.tmp`,
-    /// which replaces `path` only after a complete, flushed write. A
-    /// crash mid-write leaves the previous snapshot intact, never a
-    /// truncated one. The snapshot being replaced is kept as
-    /// `<path>.prev`, the fallback [`DaemonSnapshot::load_with_fallback`]
-    /// reaches for when the primary is damaged. The parent directory is
-    /// synced after the rename, so the new snapshot is durable before
-    /// the log compaction that relies on it deletes anything.
+    /// The snapshot file's bytes: one `seer_core::persist` frame under
+    /// the magic `SEERSNP1`.
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        frame(&SNAPSHOT_MAGIC, |buf| {
+            self.events_applied.encode(buf);
+            self.engine.encode(buf);
+        })
+    }
+
+    /// Decodes a snapshot file's bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PersistError::Format`] unless `bytes` is exactly one
+    /// whole, checksummed snapshot frame.
+    pub fn from_bytes(bytes: &[u8]) -> Result<DaemonSnapshot, PersistError> {
+        let mut r = Reader::new(unframe(&SNAPSHOT_MAGIC, bytes)?);
+        let events_applied = u64::decode(&mut r)?;
+        let engine = SeerSnapshot::decode(&mut r)?;
+        r.finish()?;
+        Ok(DaemonSnapshot {
+            engine,
+            events_applied,
+        })
+    }
+
+    /// Writes the snapshot atomically: the bytes go to `<path>.tmp`,
+    /// which is synced and only then replaces `path`. A crash mid-write
+    /// leaves the previous snapshot intact, never a truncated one. The
+    /// snapshot being replaced is kept as `<path>.prev`, the fallback
+    /// [`DaemonSnapshot::load_with_fallback`] reaches for when the
+    /// primary is damaged. The parent directory is synced after the
+    /// rename, so the new snapshot is durable before the log compaction
+    /// that relies on it deletes anything.
     ///
     /// # Errors
     ///
     /// Returns [`PersistError::Io`] on any filesystem failure.
     pub fn write_atomic(&self, path: &Path) -> Result<(), PersistError> {
-        let tmp = tmp_path(path);
-        {
-            let file = fs::File::create(&tmp)?;
-            let mut w = BufWriter::new(file);
-            serde_json::to_writer(&mut w, self).map_err(|e| PersistError::Format(e.to_string()))?;
-            w.flush()?;
-            w.get_ref().sync_all()?;
-        }
-        // Keep the outgoing snapshot as the fallback generation. Best
-        // effort: a failure here (e.g. no current snapshot yet) must not
-        // block publishing the new one.
-        let _ = fs::rename(path, prev_path(path));
-        fs::rename(&tmp, path)?;
-        let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
-        fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()?;
-        Ok(())
+        write_file_atomic(path, &self.to_bytes())
     }
 
     /// Loads the latest snapshot; `Ok(None)` when none has been written.
     ///
     /// # Errors
     ///
-    /// Returns [`PersistError::Format`] if the file exists but does not
-    /// parse (a corrupt database is an error, not a silent cold start).
+    /// Returns [`PersistError::Format`] if the file exists but is not a
+    /// whole, checksummed snapshot (a corrupt database is an error, not
+    /// a silent cold start).
     pub fn load(path: &Path) -> Result<Option<DaemonSnapshot>, PersistError> {
-        let file = match fs::File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        let snap = serde_json::from_reader(&mut BufReader::new(file))
-            .map_err(|e| PersistError::Format(e.to_string()))?;
-        Ok(Some(snap))
+        match fs::read(path) {
+            Ok(bytes) => DaemonSnapshot::from_bytes(&bytes).map(Some),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Recovery-oriented load: prefers the primary snapshot, falling
@@ -117,6 +142,30 @@ impl DaemonSnapshot {
             }
         }
     }
+}
+
+/// Writes a snapshot file's `bytes` to `path` the way
+/// [`DaemonSnapshot::write_atomic`] does; the shard's worker writes the
+/// bytes the actor froze through it.
+///
+/// # Errors
+///
+/// Returns [`PersistError::Io`] on any filesystem failure.
+pub(crate) fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+    let tmp = tmp_path(path);
+    {
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+    }
+    // Keep the outgoing snapshot as the fallback generation. Best
+    // effort: a failure here (e.g. no current snapshot yet) must not
+    // block publishing the new one.
+    let _ = fs::rename(path, prev_path(path));
+    fs::rename(&tmp, path)?;
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()?;
+    Ok(())
 }
 
 /// Removes a stale `<path>.tmp` left by a crash mid-write, logging it.

@@ -208,7 +208,7 @@ impl PipelineMetrics {
             ),
             stage_snapshot_write: stage(
                 "snapshot_write",
-                "Pipeline stage latency: writing one snapshot atomically to disk.",
+                "Pipeline stage latency: writing one snapshot atomically to disk, on the shard's worker.",
             ),
             wal_appended_bytes: registry.counter(
                 "seer_wal_appended_bytes_total",

@@ -1,5 +1,6 @@
 //! A shard's one background worker: the thread that runs the engine
-//! actor's detachable work, so the actor never waits on it.
+//! actor's detachable work (reclusters, quality evaluations, and
+//! snapshot writes), so the actor never waits on it.
 //!
 //! ```text
 //! engine actor ──try_send Job──► seer-worker ──Done──► engine actor
@@ -16,16 +17,19 @@
 
 use crate::pipeline::Tenant;
 use crate::quality::{self, EvalJob};
+use crate::snapshot;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use seer_core::{ClusterRun, PairCountCache, ReclusterInput, TableDirty};
+use seer_core::{ClusterRun, PairCountCache, PersistError, ReclusterInput, TableDirty};
 use seer_telemetry::{tlog, Level};
 use seer_trace::wire::QualityReport;
+use std::path::PathBuf;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Jobs queued behind the running one. Each tenant keeps at most one
-/// recluster and one evaluation outstanding, so with many tenants on a
-/// shard the queue can fill; the actor then retries on a later batch.
+/// recluster, one evaluation, and one snapshot outstanding, so with many
+/// tenants on a shard the queue can fill; the actor then retries on a
+/// later batch or idle tick.
 const QUEUE: usize = 8;
 
 /// Work handed to the worker, frozen so it runs while the actor goes on.
@@ -43,6 +47,15 @@ pub(crate) enum Job {
     },
     /// A background quality evaluation.
     Eval { tenant: Tenant, job: EvalJob },
+    /// A snapshot the actor froze into a file's bytes, to be written to
+    /// `path` atomically.
+    Snapshot {
+        tenant: Tenant,
+        /// `events_applied` at freeze time: the snapshot's generation.
+        generation: u64,
+        path: PathBuf,
+        bytes: Vec<u8>,
+    },
 }
 
 /// Finished work coming back to the actor.
@@ -60,6 +73,12 @@ pub(crate) enum Done {
     Eval {
         tenant: Tenant,
         report: QualityReport,
+        wall: Duration,
+    },
+    Snapshot {
+        tenant: Tenant,
+        generation: u64,
+        result: Result<(), PersistError>,
         wall: Duration,
     },
 }
@@ -98,6 +117,12 @@ impl Worker {
     /// The next finished result, without blocking.
     pub(crate) fn try_done(&self) -> Option<Done> {
         self.done.try_recv().ok()
+    }
+
+    /// The next finished result, waiting for it; `None` once the worker
+    /// is gone.
+    pub(crate) fn recv_done(&self) -> Option<Done> {
+        self.done.recv().ok()
     }
 
     /// Stops the worker: queued work is abandoned, the running job
@@ -142,6 +167,17 @@ fn run(jobs: &Receiver<Job>, done: &Sender<Done>, threads: usize) {
             Job::Eval { tenant, job } => Done::Eval {
                 tenant,
                 report: quality::evaluate(&job),
+                wall: started.elapsed(),
+            },
+            Job::Snapshot {
+                tenant,
+                generation,
+                path,
+                bytes,
+            } => Done::Snapshot {
+                tenant,
+                generation,
+                result: snapshot::write_file_atomic(&path, &bytes),
                 wall: started.elapsed(),
             },
         };

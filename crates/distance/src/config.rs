@@ -61,6 +61,29 @@ pub struct DistanceConfig {
     pub seed: u64,
 }
 
+seer_trace::codec_tags!(DistanceKind {
+    Temporal = 0,
+    Sequence = 1,
+    Lifetime = 2,
+});
+
+seer_trace::codec_tags!(ReductionKind {
+    Arithmetic = 0,
+    Geometric = 1,
+});
+
+seer_trace::codec_struct!(DistanceConfig {
+    kind,
+    reduction,
+    n_neighbors,
+    window_m,
+    per_process,
+    elide_repeats,
+    aging_refs,
+    deletion_delay,
+    seed,
+});
+
 impl Default for DistanceConfig {
     fn default() -> DistanceConfig {
         DistanceConfig {

@@ -4,11 +4,11 @@ use crate::config::DistanceConfig;
 use crate::history::{Observation, ProcessHistory};
 use crate::table::NeighborTable;
 use seer_observer::{RefKind, Reference, ReferenceSink};
+use seer_trace::codec::{Codec, DecodeError, Reader};
 use seer_trace::{FileId, IdHashMap, PathTable, Pid};
-use serde::{Deserialize, Serialize};
 
 /// Counters describing distance-engine activity.
-#[derive(Debug, Default, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy)]
 pub struct DistanceStats {
     /// Whole-file opening references processed.
     pub opens: u64,
@@ -17,8 +17,8 @@ pub struct DistanceStats {
     /// Observations capped to the window bound `M` (§3.1.3).
     pub compensated: u64,
     /// Live neighbors displaced from full rows by closer or fresher
-    /// candidates (the O(n) approximation's forgetting, §3.1.3).
-    #[serde(skip)]
+    /// candidates (the O(n) approximation's forgetting, §3.1.3). Not
+    /// persisted: a restored engine counts from zero.
     pub evictions: u64,
     /// Files purged after delayed deletion (§4.8).
     pub purged: u64,
@@ -26,8 +26,31 @@ pub struct DistanceStats {
     pub merges: u64,
 }
 
-/// Serializable persistent state of a [`DistanceEngine`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Encoded as its counters, varints in declaration order, except
+/// `evictions`.
+impl Codec for DistanceStats {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.opens.encode(buf);
+        self.observations.encode(buf);
+        self.compensated.encode(buf);
+        self.purged.encode(buf);
+        self.merges.encode(buf);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<DistanceStats, DecodeError> {
+        Ok(DistanceStats {
+            opens: Codec::decode(r)?,
+            observations: Codec::decode(r)?,
+            compensated: Codec::decode(r)?,
+            evictions: 0,
+            purged: Codec::decode(r)?,
+            merges: Codec::decode(r)?,
+        })
+    }
+}
+
+/// Persistent state of a [`DistanceEngine`].
+#[derive(Debug, Clone)]
 pub struct EngineSnapshot {
     /// Distance configuration.
     pub config: DistanceConfig,
@@ -36,6 +59,12 @@ pub struct EngineSnapshot {
     /// Accumulated statistics.
     pub stats: DistanceStats,
 }
+
+seer_trace::codec_struct!(EngineSnapshot {
+    config,
+    table,
+    stats,
+});
 
 /// The correlator's first half: consumes the observer's [`Reference`]
 /// stream and maintains the semantic-distance [`NeighborTable`].

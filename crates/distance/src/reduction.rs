@@ -1,7 +1,6 @@
 //! Online reduction of event distances to a single file distance (§3.1.2).
 
 use crate::config::ReductionKind;
-use serde::{Deserialize, Serialize};
 
 /// Streaming summary of the distances observed between one ordered file
 /// pair.
@@ -10,13 +9,16 @@ use serde::{Deserialize, Serialize};
 /// summary is updatable online in O(1) space — one of the paper's explicit
 /// requirements ("easy to calculate, updatable on-line, small in storage").
 /// Zero distances (lifetime overlaps) are handled by the `1 + d` shift.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairSummary {
     /// `Σ ln(1 + dᵢ)` for geometric reduction, `Σ dᵢ` for arithmetic.
     acc: f64,
     /// Number of observations.
     count: u32,
 }
+
+// Encoded as the raw accumulator (8 bytes, bit-exact) and the count.
+seer_trace::codec_struct!(PairSummary { acc, count } min_bytes = 9);
 
 /// Precomputed `ln(1 + k)` for small integer distances.
 ///

@@ -22,11 +22,11 @@ use crate::config::ReductionKind;
 use crate::reduction::PairSummary;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use seer_trace::codec::{Codec, DecodeError, Reader};
 use seer_trace::FileId;
-use serde::{Deserialize, Serialize};
 
 /// One stored neighbor relation `from → to`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NeighborEntry {
     /// The related file.
     pub to: FileId,
@@ -36,8 +36,19 @@ pub struct NeighborEntry {
     pub last_update: u64,
 }
 
+seer_trace::codec_struct!(NeighborEntry {
+    to,
+    summary,
+    last_update,
+} min_bytes = 1 + PairSummary::MIN_BYTES + 1);
+
 /// Sentinel in the dense mark array: not marked for deletion.
 const UNMARKED: u64 = u64::MAX;
+
+/// The most neighbors per file a decoded table may keep: restoring
+/// allocates `n` slots per row, so a damaged `n` is refused rather than
+/// honoured as an allocation request.
+const MAX_DECODED_NEIGHBORS: usize = 1 << 16;
 
 /// The rows whose neighbor *membership* changed since the last
 /// [`NeighborTable::take_dirty`], for incremental shared-neighbor
@@ -764,8 +775,8 @@ impl ClusterView {
     }
 }
 
-/// Serializable state of a [`NeighborTable`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Persistent state of a [`NeighborTable`].
+#[derive(Debug, Clone)]
 pub struct TableSnapshot {
     /// Neighbors kept per file.
     pub n: usize,
@@ -785,6 +796,45 @@ pub struct TableSnapshot {
     pub marked: Vec<(FileId, u64)>,
     /// Fully purged files.
     pub dead: Vec<FileId>,
+}
+
+/// Encoded field by field, in declaration order. Decoding refuses a
+/// neighbor count above 65 536 and a row longer than its table's
+/// neighbor count.
+impl Codec for TableSnapshot {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.n.encode(buf);
+        self.reduction.encode(buf);
+        self.aging_refs.encode(buf);
+        self.deletion_delay.encode(buf);
+        self.deletion_tick.encode(buf);
+        self.clock.encode(buf);
+        self.rows.encode(buf);
+        self.marked.encode(buf);
+        self.dead.encode(buf);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<TableSnapshot, DecodeError> {
+        let n = usize::decode(r)?;
+        if n > MAX_DECODED_NEIGHBORS {
+            return Err(DecodeError("implausible neighbors per file"));
+        }
+        let snap = TableSnapshot {
+            n,
+            reduction: Codec::decode(r)?,
+            aging_refs: Codec::decode(r)?,
+            deletion_delay: Codec::decode(r)?,
+            deletion_tick: Codec::decode(r)?,
+            clock: Codec::decode(r)?,
+            rows: Codec::decode(r)?,
+            marked: Codec::decode(r)?,
+            dead: Codec::decode(r)?,
+        };
+        if snap.rows.iter().any(|(_, entries)| entries.len() > n) {
+            return Err(DecodeError("a row holds more than n neighbors"));
+        }
+        Ok(snap)
+    }
 }
 
 #[cfg(test)]
@@ -949,8 +999,9 @@ mod tests {
         t.tick();
         t.note_deletion(FileId(9));
         let snap = t.snapshot();
-        let json = serde_json::to_string(&snap).expect("serialize");
-        let back: TableSnapshot = serde_json::from_str(&json).expect("deserialize");
+        let mut buf = Vec::new();
+        snap.encode(&mut buf);
+        let back: TableSnapshot = seer_trace::codec::decode_all(&buf).expect("decode");
         let restored = NeighborTable::from_snapshot(back, 7);
         assert_eq!(restored.clock(), t.clock());
         let (a, b) = (
@@ -959,7 +1010,7 @@ mod tests {
         );
         assert!(
             (a - b).abs() < 1e-9,
-            "JSON float round-trip within tolerance"
+            "binary float round-trip within tolerance"
         );
         assert!(restored.is_marked_deleted(FileId(9)));
         assert_eq!(restored.total_entries(), t.total_entries());

@@ -86,6 +86,31 @@ pub struct ObserverConfig {
     pub emit_dir_events: bool,
 }
 
+seer_trace::codec_tags!(MeaninglessStrategy {
+    ControlListOnly = 0,
+    DirOpenForever = 1,
+    DirOpenWhileOpen = 2,
+    PotentialAccessRatio = 3,
+});
+
+seer_trace::codec_struct!(ObserverConfig {
+    temp_dirs,
+    critical_prefixes,
+    device_prefixes,
+    exclude_dot_files,
+    meaningless_programs,
+    meaningless_strategy,
+    meaningless_ratio,
+    meaningless_min_learned,
+    frequent_fraction,
+    frequent_min_total,
+    frequent_min_accesses,
+    exclude_superuser,
+    detect_getcwd,
+    default_cwd,
+    emit_dir_events,
+});
+
 impl Default for ObserverConfig {
     fn default() -> ObserverConfig {
         ObserverConfig {

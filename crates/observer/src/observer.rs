@@ -12,12 +12,10 @@ use seer_trace::{
     ErrorKind, EventKind, EventSink, FileId, IdHashMap, OpenMode, PathTable, Pid, RawPathId, Seq,
     StringTable, Timestamp, TraceEvent,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
-/// Serializable persistent state of an [`Observer`] (see
-/// [`Observer::snapshot`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Persistent state of an [`Observer`] (see [`Observer::snapshot`]).
+#[derive(Debug, Clone)]
 pub struct ObserverSnapshot {
     /// Observer configuration.
     pub config: ObserverConfig,
@@ -36,6 +34,17 @@ pub struct ObserverSnapshot {
     /// Accumulated statistics.
     pub stats: ObserverStats,
 }
+
+seer_trace::codec_struct!(ObserverSnapshot {
+    config,
+    paths,
+    always_hoard,
+    known_dirs,
+    freq_counts,
+    freq_total,
+    program_history,
+    stats,
+});
 
 /// One reference queued for filtered delivery.
 #[derive(Debug, Clone, Copy)]
@@ -210,8 +219,7 @@ impl<S: ReferenceSink> Observer<S> {
     /// Restores an observer from a snapshot, delivering future references
     /// to `sink`.
     #[must_use]
-    pub fn from_snapshot(mut snap: ObserverSnapshot, sink: S) -> Observer<S> {
-        snap.paths.rebuild_index();
+    pub fn from_snapshot(snap: ObserverSnapshot, sink: S) -> Observer<S> {
         let mut obs = Observer::new(snap.config, sink);
         obs.paths = snap.paths;
         obs.always_hoard = snap.always_hoard.into_iter().collect();

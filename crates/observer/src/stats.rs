@@ -1,12 +1,10 @@
 //! Counters describing what the observer saw and why it filtered.
 
-use serde::{Deserialize, Serialize};
-
 /// Filtering and classification counters, one per suppression reason.
 ///
 /// These make the §4 heuristics observable: tests assert on them and the
 /// ablation benches report them.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ObserverStats {
     /// Raw trace events processed.
     pub events: u64,
@@ -56,6 +54,25 @@ impl ObserverStats {
             + self.suppressed_directory
     }
 }
+
+// Encoded as its counters, varints in declaration order.
+seer_trace::codec_struct!(ObserverStats {
+    events,
+    refs_emitted,
+    suppressed_superuser,
+    suppressed_meaningless,
+    suppressed_getcwd,
+    suppressed_temp,
+    suppressed_critical,
+    suppressed_dotfile,
+    suppressed_device,
+    suppressed_frequent,
+    suppressed_failed,
+    suppressed_directory,
+    stats_collapsed,
+    hoard_misses,
+    processes_marked_meaningless,
+});
 
 #[cfg(test)]
 mod tests {

@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod error;
 pub mod event;
 pub mod fs;

@@ -1,7 +1,7 @@
 //! Canonical absolute-path table and path manipulation helpers.
 
+use crate::codec::{Codec, DecodeError, Reader};
 use crate::ids::FileId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Interning table for canonical absolute paths.
@@ -12,10 +12,9 @@ use std::collections::HashMap;
 /// hoarding. The table also answers the structural queries those layers
 /// need: parent directory, basename, dot-file detection, and the
 /// directory-distance measure of §3.2.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct PathTable {
     paths: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, FileId>,
 }
 
@@ -70,16 +69,6 @@ impl PathTable {
         self.paths.is_empty()
     }
 
-    /// Rebuilds the lookup index after deserialization (serde skips it).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .paths
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), FileId(i as u32)))
-            .collect();
-    }
-
     /// Iterates over all `(id, path)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (FileId, &str)> {
         self.paths
@@ -119,6 +108,26 @@ impl PathTable {
         let da = self.dir_of(a)?;
         let db = self.dir_of(b)?;
         Some(directory_distance(da, db))
+    }
+}
+
+/// Encoded as the paths in id order; decoding rebuilds the lookup
+/// index and refuses a path listed twice.
+impl Codec for PathTable {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.paths.encode(buf);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<PathTable, DecodeError> {
+        let paths = Vec::<String>::decode(r)?;
+        let mut index = HashMap::with_capacity(paths.len());
+        for (i, path) in paths.iter().enumerate() {
+            let id = FileId(u32::try_from(i).map_err(|_| DecodeError("too many paths"))?);
+            if index.insert(path.clone(), id).is_some() {
+                return Err(DecodeError("path table lists a path twice"));
+            }
+        }
+        Ok(PathTable { paths, index })
     }
 }
 
@@ -283,14 +292,18 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_index_after_serde() {
+    fn decode_rebuilds_the_index() {
         let mut t = PathTable::new();
         t.intern("/a");
         t.intern("/b");
-        let json = serde_json::to_string(&t).expect("serialize");
-        let mut back: PathTable = serde_json::from_str(&json).expect("deserialize");
-        back.rebuild_index();
+        let mut buf = Vec::new();
+        t.encode(&mut buf);
+        let back: PathTable = crate::codec::decode_all(&buf).expect("decode");
         assert_eq!(back.get("/b"), Some(FileId(1)));
+        t.paths.push("/a".into());
+        let mut dup = Vec::new();
+        t.encode(&mut dup);
+        assert!(crate::codec::decode_all::<PathTable>(&dup).is_err());
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! could repair it). Recovery truncates at the first record that is
 //! either, so a crash mid-`write` never poisons earlier records.
 
+pub use seer_trace::codec::crc32;
+use seer_trace::codec::{Codec, Reader};
 use seer_trace::wire::{self, put_varint, take_varint};
 use seer_trace::TraceEvent;
 
@@ -85,36 +87,6 @@ impl WalRecord {
             WalRecord::Interns { .. } => None,
         }
     }
-}
-
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-#[must_use]
-pub fn crc32(data: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            t[i] = c;
-            i += 1;
-        }
-        t
-    }
-    static TABLE: [u32; 256] = table();
-    let mut c = 0xFFFF_FFFF_u32;
-    for &b in data {
-        c = TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
 }
 
 /// Frames a record for appending: header + binary payload.
@@ -242,35 +214,16 @@ pub fn decode(buf: &[u8]) -> Decoded {
 }
 
 /// Decodes a checksummed payload. Every count and length is bounded by
-/// the bytes left before anything is allocated for it.
+/// the bytes left before anything is allocated for it
+/// ([`seer_trace::codec::Reader`]).
 fn decode_payload(payload: &[u8]) -> Result<WalRecord, &'static str> {
     let (&tag, mut rest) = payload.split_first().ok_or("empty payload")?;
     match tag {
         TAG_INTERNS => {
-            let base = take_varint(&mut rest)
-                .ok()
-                .and_then(|b| u32::try_from(b).ok())
-                .ok_or("interns base is not a u32 varint")?;
-            let count = take_varint(&mut rest).map_err(|_| "interns count is not a varint")?;
-            // Each path takes at least its one-byte length.
-            if count > rest.len() as u64 {
-                return Err("interns count exceeds the payload");
-            }
-            let mut paths = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let len = take_varint(&mut rest)
-                    .ok()
-                    .and_then(|l| usize::try_from(l).ok())
-                    .filter(|&l| l <= rest.len())
-                    .ok_or("interned path overruns the payload")?;
-                let (path, tail) = rest.split_at(len);
-                let path = std::str::from_utf8(path).map_err(|_| "interned path is not UTF-8")?;
-                paths.push(path.to_owned());
-                rest = tail;
-            }
-            if !rest.is_empty() {
-                return Err("trailing bytes after interns");
-            }
+            let mut r = Reader::new(rest);
+            let base = u32::decode(&mut r).map_err(|_| "interns base is not a u32 varint")?;
+            let paths = Vec::<String>::decode(&mut r).map_err(|e| e.0)?;
+            r.finish().map_err(|_| "trailing bytes after interns")?;
             Ok(WalRecord::Interns { base, paths })
         }
         TAG_BATCH => {

@@ -245,9 +245,19 @@ fn metrics_query_reflects_ingestion() {
     client.send_trace(&trace, 64).expect("send");
     assert_eq!(client.flush().expect("flush"), trace.len() as u64);
 
-    let snap = match client.query(QueryRequest::Metrics).expect("query") {
-        QueryResponse::Metrics { snapshot } => snapshot,
-        other => panic!("unexpected response: {other:?}"),
+    // Snapshots are written on the shard's worker, and counted once the
+    // engine actor folds the worker's result in: poll until one is.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let snap = loop {
+        let snap = match client.query(QueryRequest::Metrics).expect("query") {
+            QueryResponse::Metrics { snapshot } => snapshot,
+            other => panic!("unexpected response: {other:?}"),
+        };
+        let written = snap.counter("seer_daemon_snapshots_total").unwrap_or(0);
+        if written > 0 || Instant::now() > deadline {
+            break snap;
+        }
+        std::thread::sleep(Duration::from_millis(10));
     };
     drop(client);
     let stats = handle.shutdown();

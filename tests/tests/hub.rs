@@ -683,3 +683,25 @@ fn sequential_connections_release_their_descriptors() {
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A live connection costs the daemon one descriptor: its reader, its
+/// writer, and the shutdown registry share the accepted socket.
+#[test]
+fn live_connections_hold_one_descriptor_each() {
+    let dir = scratch("fds-live");
+    let handle = Daemon::spawn(DaemonConfig::new(dir.join("sock"))).expect("spawn");
+    let sock = handle.socket_path().to_path_buf();
+    let idle = daemon_socket_fds(&sock);
+    let clients: Vec<DaemonClient> = (0..8)
+        .map(|_| {
+            let mut client = DaemonClient::connect(&sock, "fd-live").expect("connect");
+            // Answered: the daemon accepted it and its reader is running.
+            client.query(QueryRequest::Health).expect("health");
+            client
+        })
+        .collect();
+    assert_eq!(daemon_socket_fds(&sock), idle + clients.len());
+    drop(clients);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}

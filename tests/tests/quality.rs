@@ -119,6 +119,53 @@ fn online_quality_equals_offline_missfree() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The offline miss-free bytes of machine A's `trace` over the last
+/// `window_secs`, scored as the daemon's evaluator scores it.
+fn offline_missfree_bytes(trace: &seer_trace::Trace, window_secs: u64, file_size: u64) -> u64 {
+    let mut engine = SeerEngine::default();
+    trace.replay(&mut engine);
+    engine.recluster();
+    let input = engine.eval_input();
+    let refs = input.activity().export();
+    let now = refs.iter().map(|(_, r)| r.time.as_secs()).max();
+    let cutoff = now.unwrap_or(0).saturating_sub(window_secs);
+    let needed: HashSet<FileId> = refs
+        .iter()
+        .filter(|(_, r)| r.time.as_secs() > cutoff)
+        .map(|(f, _)| *f)
+        .collect();
+    seer_sim::miss_free_size(&input.rank(), &needed, &mut |_| file_size).bytes
+}
+
+/// A `Quality` answer reflects everything applied even when no query
+/// pinned a clustering first: the daemon reclusters to the current
+/// generation before it evaluates, as a fresh hoard does, so the answer
+/// depends on the applied events alone, not on background timing.
+#[test]
+fn quality_without_a_pinning_hoard_equals_offline_missfree() {
+    let trace = machine_a_trace(12, 7);
+    let (window_secs, file_size) = (86_400, 1024);
+    let offline = offline_missfree_bytes(&trace, window_secs, file_size);
+
+    let dir = scratch("unpinned");
+    let mut cfg = DaemonConfig::new(dir.join("sock"));
+    cfg.recluster_every = 0; // no background clustering at all
+    cfg.eval_window_secs = window_secs;
+    cfg.file_size = file_size;
+    let handle = Daemon::spawn(cfg).expect("spawn");
+    let mut client = DaemonClient::connect(handle.socket_path(), "unpinned").expect("connect");
+    client.send_trace(&trace, 64).expect("send");
+    assert_eq!(client.flush().expect("flush"), trace.len() as u64);
+    let (report, _) = client.quality().expect("quality");
+    drop(client);
+    handle.shutdown();
+
+    assert_eq!(report.generation, trace.len() as u64);
+    assert_eq!(report.clustering_generation, trace.len() as u64);
+    assert_eq!(report.seer_missfree_bytes, offline);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Decision provenance over the wire: a hoarded file explains itself
 /// with a rank and at least one scored semantic neighbor backed by
 /// evidence, and an unknown path is an in-band error.

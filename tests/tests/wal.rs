@@ -151,6 +151,73 @@ fn kill_during_append_loses_no_acknowledged_events() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Snapshots are written on the shard's worker, and one that cannot be
+/// written is only a missed snapshot: acknowledgements keep flowing,
+/// nothing counts as written, and the log keeps every segment, since no
+/// good snapshot covers them. Once the obstacle is gone the next
+/// snapshot lands and compacts the log through its own generation.
+#[test]
+fn failed_snapshot_writes_keep_acks_and_the_whole_log() {
+    let trace = machine_a_trace(10, 37);
+    let half = trace.events.len() / 2;
+    let dir = scratch("snapfail");
+    let db = dir.join("db.json");
+    // The worker's temp file cannot be created over a directory
+    // (EISDIR); permission bits would not stop a root test run.
+    let blocker = dir.join("db.json.tmp");
+    std::fs::create_dir_all(&blocker).expect("mkdir");
+    let mut cfg = DaemonConfig::new(dir.join("sock"));
+    cfg.snapshot_path = Some(db.clone());
+    cfg.snapshot_every = 512;
+    cfg.wal_dir = Some(dir.join("wal"));
+    cfg.wal_segment_bytes = 4 * 1024;
+
+    let handle = Daemon::spawn(cfg).expect("spawn");
+    let mut client = DaemonClient::connect(handle.socket_path(), "snapfail").expect("connect");
+    for chunk in trace.events[..half].chunks(64) {
+        client.send_events(chunk, &trace.strings).expect("send");
+    }
+    assert_eq!(client.flush().expect("flush"), half as u64, "acks continue");
+    assert!(half > 4 * 512, "several snapshot periods passed");
+    let metrics = handle.metrics();
+    assert!(metrics.counter("seer_wal_rotations_total").unwrap_or(0) > 1);
+    assert_eq!(metrics.counter("seer_daemon_snapshots_total"), Some(0));
+    assert_eq!(
+        metrics.counter("seer_wal_segments_compacted_total"),
+        Some(0)
+    );
+    assert!(!db.exists(), "no snapshot was published");
+
+    std::fs::remove_dir(&blocker).expect("rmdir");
+    for chunk in trace.events[half..].chunks(64) {
+        client.send_events(chunk, &trace.strings).expect("send");
+    }
+    assert_eq!(client.flush().expect("flush"), trace.events.len() as u64);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let metrics = handle.metrics();
+        let written = metrics.counter("seer_daemon_snapshots_total").unwrap_or(0);
+        let compacted = metrics
+            .counter("seer_wal_segments_compacted_total")
+            .unwrap_or(0);
+        if written > 0 && compacted > 0 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no snapshot landed and compacted ({written} written, {compacted} compacted)"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let snap = DaemonSnapshot::load(&db)
+        .expect("readable")
+        .expect("written");
+    assert!(snap.events_applied > half as u64);
+    drop(client);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Tiny segments force a rotation every few batches, so recovery walks
 /// many sealed segments (each self-contained, re-declaring the string
 /// table). A kill right after the final ack must replay the whole stream
