@@ -1,15 +1,21 @@
 //! Microbenchmarks for the neighbor-table row update — the single hottest
 //! call in the ingest path (one [`NeighborTable::observe`] per distance
-//! observation, ~4 per trace event on desktop workloads).
+//! observation: 6.4 per trace event on perfbench's `stream` workload,
+//! 6.8 on `hoard`).
 //!
-//! Three regimes bracket the real cost:
+//! Four regimes bracket the real cost:
 //!
 //! - `existing_hot`: repeated updates to one cache-resident row — the pure
 //!   ALU cost of the find-and-fold path.
 //! - `existing_cold`: updates scattered over thousands of rows — adds the
 //!   cache-miss cost of real table sizes (§5.3 reports ~10k tracked files).
-//! - `full_row_reject`: a far candidate probing a full row — the worst-case
-//!   priority scan (deletion scan, then max-distance scan over all n).
+//! - `full_row_reject`: a far candidate probing a full row. The first
+//!   probe scans the row and records its bound; every later one is
+//!   refused by that bound without reading the row's slots.
+//! - `full_row_rescan`: the same probe after a deletion elsewhere, which
+//!   outdates every row bound, so each probe walks the full priority scan
+//!   (deletion scan, then one pass for the largest distance and the
+//!   stalest stamp over all n).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use seer_distance::{NeighborTable, ReductionKind};
@@ -63,8 +69,20 @@ fn bench_full_row_reject(c: &mut Criterion) {
     let mut t = full_table(64);
     c.bench_function("table_update/full_row_reject", |b| {
         b.iter(|| {
-            // Candidate distance far above every stored entry: walks
-            // priority 1 and 2 in full, then rejects.
+            // Candidate distance far above every stored entry: refused by
+            // the row bound once a first probe has set it.
+            std::hint::black_box(t.observe(FileId(3), FileId(60), 1.0e6));
+        });
+    });
+}
+
+fn bench_full_row_rescan(c: &mut Criterion) {
+    let mut t = full_table(64);
+    c.bench_function("table_update/full_row_rescan", |b| {
+        b.iter(|| {
+            // A deletion naming no file marks and purges nothing, but
+            // outdates every row bound.
+            t.note_deletion(FileId::NONE);
             std::hint::black_box(t.observe(FileId(3), FileId(60), 1.0e6));
         });
     });
@@ -74,6 +92,7 @@ criterion_group!(
     benches,
     bench_existing_hot,
     bench_existing_cold,
-    bench_full_row_reject
+    bench_full_row_reject,
+    bench_full_row_rescan
 );
 criterion_main!(benches);

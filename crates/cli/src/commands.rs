@@ -115,12 +115,38 @@ pub(crate) fn load_trace(path: &str) -> Result<Trace, CliError> {
     }
 }
 
-fn save_trace(trace: &Trace, path: &str, format: &str) -> Result<(), CliError> {
+/// A trace file format. The `--format` flag is parsed where it is read,
+/// so an unknown value is refused before anything is generated or any
+/// output file is created.
+#[derive(Debug, Clone, Copy)]
+enum TraceFormat {
+    Text,
+    Json,
+}
+
+impl TraceFormat {
+    fn from_flag(args: &Args, default: TraceFormat) -> Result<TraceFormat, CliError> {
+        match args.flag("format") {
+            None => Ok(default),
+            Some("text") => Ok(TraceFormat::Text),
+            Some("json") => Ok(TraceFormat::Json),
+            Some(other) => Err(CliError(format!("unknown format: {other} (text|json)"))),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            TraceFormat::Text => "text",
+            TraceFormat::Json => "json",
+        }
+    }
+}
+
+fn save_trace(trace: &Trace, path: &str, format: TraceFormat) -> Result<(), CliError> {
     let mut w = BufWriter::new(File::create(path)?);
     match format {
-        "text" => trace.save_text(&mut w)?,
-        "json" => trace.save_jsonl(&mut w)?,
-        other => return Err(CliError(format!("unknown format: {other} (text|json)"))),
+        TraceFormat::Text => trace.save_text(&mut w)?,
+        TraceFormat::Json => trace.save_jsonl(&mut w)?,
     }
     w.flush()?;
     Ok(())
@@ -149,7 +175,7 @@ fn cmd_generate(args: &Args) -> Result<(), CliError> {
     let days: u32 = args.num_flag("days", profile.days)?;
     let seed: u64 = args.num_flag("seed", 1)?;
     let trace_path = args.flag("trace").unwrap_or("trace.jsonl");
-    let format = args.flag("format").unwrap_or("json");
+    let format = TraceFormat::from_flag(args, TraceFormat::Json)?;
     let fs_path = args.flag("fs");
     let corpus_path = args.flag("corpus");
     args.refuse_unread_flags()?;
@@ -157,9 +183,10 @@ fn cmd_generate(args: &Args) -> Result<(), CliError> {
     let workload = generate(&profile, seed);
     save_trace(&workload.trace, trace_path, format)?;
     println!(
-        "wrote {} events over {} days to {trace_path} ({format})",
+        "wrote {} events over {} days to {trace_path} ({})",
         workload.trace.len(),
-        profile.days
+        profile.days,
+        format.name()
     );
 
     if let Some(fs_path) = fs_path {
@@ -330,11 +357,15 @@ fn cmd_missfree(args: &Args) -> Result<(), CliError> {
 fn cmd_convert(args: &Args) -> Result<(), CliError> {
     let input = args.require_positional(1, "input trace")?;
     let output = args.require_positional(2, "output trace")?;
-    let format = args.flag("format").unwrap_or("text");
+    let format = TraceFormat::from_flag(args, TraceFormat::Text)?;
     args.refuse_unread_flags()?;
     let trace = load_trace(input)?;
     save_trace(&trace, output, format)?;
-    println!("converted {} events to {output} ({format})", trace.len());
+    println!(
+        "converted {} events to {output} ({})",
+        trace.len(),
+        format.name()
+    );
     Ok(())
 }
 

@@ -590,6 +590,16 @@ fn top_once(client: &mut DaemonClient, target: &str) -> Result<(), CliError> {
 
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let gauge = |name: &str| snap.gauge(name).unwrap_or(0);
+    // Engine gauges are per tenant; the header shows the fleet's total.
+    let gauge_sum = |name: &str| -> i64 {
+        (snap.metrics.iter())
+            .filter(|m| m.name == name)
+            .filter_map(|m| match m.value {
+                seer_telemetry::MetricValue::Gauge { value } => Some(value),
+                _ => None,
+            })
+            .sum()
+    };
     let uptime = gauge("seer_daemon_uptime_seconds").max(0) as f64;
     let received = counter("seer_daemon_events_received_total");
     let rate = received as f64 / uptime.max(1.0);
@@ -614,8 +624,8 @@ fn top_once(client: &mut DaemonClient, target: &str) -> Result<(), CliError> {
     println!(
         "engine: {} files known, {} clusters, {} distance observations, \
          generation lag {} events",
-        gauge("seer_engine_files_known"),
-        gauge("seer_cluster_count"),
+        gauge_sum("seer_engine_files_known"),
+        gauge_sum("seer_cluster_count"),
         counter("seer_distance_observations_total"),
         gauge("seer_daemon_generation_lag"),
     );

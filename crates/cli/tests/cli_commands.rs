@@ -139,6 +139,27 @@ fn errors_are_reported_not_panicked() {
         trace.display()
     ))
     .expect("generate");
+    // An unknown --format is refused before any output file is created
+    // or truncated: the bytes already there survive.
+    let prior = std::fs::read(&trace).expect("generated trace");
+    let out = dir.join("out.txt");
+    std::fs::write(&out, b"prior bytes").expect("write");
+    for cmd in [
+        format!(
+            "convert {} {} --format yaml",
+            trace.display(),
+            out.display()
+        ),
+        format!(
+            "generate --machine A --days 1 --trace {} --format yaml",
+            trace.display()
+        ),
+    ] {
+        let err = run(&cmd).expect_err(&cmd);
+        assert!(err.0.contains("unknown format: yaml"), "{cmd}: {err}");
+    }
+    assert_eq!(std::fs::read(&out).expect("out"), b"prior bytes");
+    assert_eq!(std::fs::read(&trace).expect("trace"), prior);
     let state = dir.join("s.state");
     let err = run(&format!(
         "observe {} --state {} --state-inn old.bin",

@@ -15,12 +15,12 @@ use seer_trace::{EventKind, EventSink, FileId, PathTable, StringTable, TraceEven
 use std::collections::HashSet;
 use std::time::Duration;
 
-/// Registry handles the engine updates while processing events; present
-/// only after [`SeerEngine::attach_telemetry`]. Counting is lock-free, so
-/// the unattached and attached hot paths differ by a few relaxed atomic
-/// adds per batch.
-#[derive(Debug)]
-struct EngineTelemetry {
+/// Registry handles the engine updates while processing events, attached
+/// with [`SeerEngine::attach_telemetry`]. Counting is lock-free, so the
+/// unattached and attached hot paths differ by a few relaxed atomic adds
+/// per batch. Cloning shares the same atomics.
+#[derive(Debug, Clone)]
+pub struct EngineTelemetry {
     /// Ingested events by syscall kind, indexed by [`EventKind::index`].
     events_by_kind: Vec<Counter>,
     files_known: Gauge,
@@ -37,59 +37,67 @@ struct EngineTelemetry {
 }
 
 impl EngineTelemetry {
-    fn new(registry: &Registry) -> EngineTelemetry {
+    /// Registers one engine's series in `registry`, each carrying
+    /// `labels` (none for a lone engine; a daemon labels each tenant's).
+    #[must_use]
+    pub fn register(registry: &Registry, labels: &[(&str, &str)]) -> EngineTelemetry {
+        let counter = |name: &str, help: &str| registry.counter_with(name, help, labels);
+        let gauge = |name: &str, help: &str| registry.gauge_with(name, help, labels);
+        let histogram = |name: &str, help: &str| registry.histogram_with(name, help, labels);
         EngineTelemetry {
             events_by_kind: EventKind::NAMES
                 .iter()
                 .map(|kind| {
+                    let mut kind_labels = vec![("kind", *kind)];
+                    kind_labels.extend_from_slice(labels);
                     registry.counter_with(
                         "seer_engine_events_total",
                         "Trace events ingested by the engine, by syscall kind.",
-                        &[("kind", kind)],
+                        &kind_labels,
                     )
                 })
                 .collect(),
-            files_known: registry.gauge(
+            files_known: gauge(
                 "seer_engine_files_known",
                 "Canonical paths known to the engine.",
             ),
-            activity_tracked: registry.gauge(
+            activity_tracked: gauge(
                 "seer_engine_activity_tracked",
                 "Files with recorded reference activity.",
             ),
-            distance_opens: registry.counter(
+            distance_opens: counter(
                 "seer_distance_opens_total",
                 "Whole-file opening references processed by the distance engine.",
             ),
-            distance_observations: registry.counter(
+            distance_observations: counter(
                 "seer_distance_observations_total",
                 "Pairwise distance observations folded into the neighbor table.",
             ),
-            distance_evictions: registry.counter(
+            distance_evictions: counter(
                 "seer_distance_evictions_total",
                 "Live neighbors displaced from full neighbor-table rows.",
             ),
-            distance_purged: registry.counter(
+            distance_purged: counter(
                 "seer_distance_purged_total",
                 "Files purged from the neighbor table after delayed deletion.",
             ),
-            recluster_seconds: registry.histogram(
+            recluster_seconds: histogram(
                 "seer_cluster_recluster_seconds",
                 "Wall time of full reclusterings.",
             ),
-            shard_count_seconds: registry.histogram(
+            shard_count_seconds: histogram(
                 "seer_cluster_shard_count_seconds",
                 "Wall time of each shared-neighbor counting shard within a reclustering.",
             ),
-            hoard_select_seconds: registry.histogram(
+            hoard_select_seconds: histogram(
                 "seer_engine_hoard_select_seconds",
                 "Wall time of hoard selection (excluding any recluster it triggers).",
             ),
-            cluster_count: registry.gauge(
+            cluster_count: gauge(
                 "seer_cluster_count",
                 "Clusters in the current project assignment.",
             ),
-            cluster_churn: registry.counter(
+            cluster_churn: counter(
                 "seer_cluster_churn_total",
                 "Files whose cluster membership changed across reclusterings.",
             ),
@@ -151,13 +159,12 @@ impl SeerEngine {
         }
     }
 
-    /// Registers this engine's metrics (ingest counters by event kind,
-    /// table and activity gauges, recluster timings and churn) in
-    /// `registry` and starts updating them as events flow. Gauges and
-    /// mirrored counters are synced immediately, so attaching to a
-    /// recovered engine reports its restored state.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.telemetry = Some(EngineTelemetry::new(registry));
+    /// Starts updating `telemetry`'s series (ingest counters by event
+    /// kind, table and activity gauges, recluster timings and churn) as
+    /// events flow. Gauges and mirrored counters are synced immediately,
+    /// so attaching to a recovered engine reports its restored state.
+    pub fn attach_telemetry(&mut self, telemetry: EngineTelemetry) {
+        self.telemetry = Some(telemetry);
         self.sync_telemetry();
     }
 
@@ -504,8 +511,14 @@ impl EventSink for SeerEngine {
 
     fn on_batch(&mut self, events: &[TraceEvent], strings: &StringTable) {
         if let Some(t) = &self.telemetry {
+            let mut by_kind = [0u64; EventKind::COUNT];
             for ev in events {
-                t.events_by_kind[ev.kind.index()].inc();
+                by_kind[ev.kind.index()] += 1;
+            }
+            for (counter, n) in t.events_by_kind.iter().zip(by_kind) {
+                if n > 0 {
+                    counter.add(n);
+                }
             }
         }
         self.observer.on_batch(events, strings);
@@ -604,7 +617,7 @@ mod tests {
     fn telemetry_tracks_engine_activity() {
         let registry = Registry::new();
         let mut engine = SeerEngine::default();
-        engine.attach_telemetry(&registry);
+        engine.attach_telemetry(EngineTelemetry::register(&registry, &[]));
         two_project_trace().replay(&mut engine);
         engine.recluster();
         engine.recluster(); // A no-op repeat: zero churn, but timed.
@@ -653,7 +666,7 @@ mod tests {
 
         let registry = Registry::new();
         let mut engine = SeerEngine::default();
-        engine.attach_telemetry(&registry);
+        engine.attach_telemetry(EngineTelemetry::register(&registry, &[]));
         trace.replay(&mut engine);
         let input = engine.recluster_input();
         for threads in [1, 4] {

@@ -29,7 +29,7 @@ pub mod replay;
 pub use activity::ActivityTracker;
 pub use config::SeerConfig;
 pub use correlator::Correlator;
-pub use engine::{EvalInput, ReclusterInput, SeerEngine};
+pub use engine::{EngineTelemetry, EvalInput, ReclusterInput, SeerEngine};
 pub use manager::{select_hoard, HoardSelection};
 pub use persist::{PersistError, SeerSnapshot};
 pub use rankers::{CodaInspiredRanker, HoardRanker, LruRanker, RankContext, SeerRanker};

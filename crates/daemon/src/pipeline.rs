@@ -231,8 +231,8 @@ impl TenantState {
         cfg: &DaemonConfig,
         metrics: &SharedMetrics,
     ) -> TenantState {
-        seed.engine.attach_telemetry(&metrics.registry);
         let tm = metrics.tenant(&name);
+        seed.engine.attach_telemetry(tm.engine.clone());
         tm.events_applied.set_total(seed.events_applied);
         if wal_fault.is_some() {
             metrics.wal_append_errors.inc();
@@ -1435,20 +1435,19 @@ impl Actor {
 /// Paths resolve through the *canonical* table, so references the
 /// observer filtered out (or paths it rewrote during canonicalization)
 /// are skipped — the shadow only ranks files SEER itself could have
-/// hoarded, keeping the comparison fair.
+/// hoarded, keeping the comparison fair. The tenant's memo of raw to
+/// canonical ids spares each reference the string lookups.
 fn quality_ingest(ts: &mut TenantState, events: &[TraceEvent]) {
     let q = &mut ts.quality;
     let strings = &ts.strings;
-    let engine = &ts.engine;
+    let paths = ts.engine.paths();
     for ev in events {
         if ev.time > q.last_event_time {
             q.last_event_time = ev.time;
         }
         let _ = ev.kind.map_paths(&mut |p| {
-            if let Some(s) = strings.resolve(p) {
-                if let Some(f) = engine.paths().get(s) {
-                    q.shadow.touch(f);
-                }
+            if let Some(f) = q.canonical.resolve(p, strings, paths) {
+                q.shadow.touch(f);
             }
             p
         });

@@ -28,8 +28,8 @@ use seer_core::EvalInput;
 use seer_replication::MissLog;
 use seer_telemetry::SeriesRing;
 use seer_trace::wire::{MissPostmortem, QualityReport};
-use seer_trace::{FileId, Timestamp};
-use std::collections::{HashMap, HashSet, VecDeque};
+use seer_trace::{FileId, IdHashMap, PathTable, RawPathId, StringTable, Timestamp};
+use std::collections::{HashSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Retained miss postmortems (ring; oldest evicted first).
@@ -51,7 +51,7 @@ const SHADOW_LRU_CAP: usize = 65_536;
 /// so the common-case touch is one hash insert.
 #[derive(Debug)]
 pub(crate) struct ShadowLru {
-    last: HashMap<FileId, u64>,
+    last: IdHashMap<FileId, u64>,
     tick: u64,
     cap: usize,
 }
@@ -59,7 +59,7 @@ pub(crate) struct ShadowLru {
 impl ShadowLru {
     pub(crate) fn new(cap: usize) -> ShadowLru {
         ShadowLru {
-            last: HashMap::new(),
+            last: IdHashMap::default(),
             tick: 0,
             cap: cap.max(1),
         }
@@ -93,6 +93,47 @@ impl ShadowLru {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.last.len()
+    }
+}
+
+/// A tenant's raw path ids resolved to the engine's canonical ids, so
+/// the shadow LRU's apply path hashes no strings. A found id is final:
+/// the canonical table only grows and never renumbers. A raw id the
+/// table does not hold is looked up again only once the table has grown.
+#[derive(Debug, Default)]
+pub(crate) struct CanonicalIds {
+    /// Per raw id: the canonical id once found (else `FileId::NONE`), and
+    /// the canonical table's length at the last lookup (`usize::MAX`
+    /// before the first).
+    slots: Vec<(FileId, usize)>,
+}
+
+impl CanonicalIds {
+    /// The canonical id of raw path `raw`, if `paths` holds its string.
+    pub(crate) fn resolve(
+        &mut self,
+        raw: RawPathId,
+        strings: &StringTable,
+        paths: &PathTable,
+    ) -> Option<FileId> {
+        let i = raw.0 as usize;
+        if i >= strings.len() {
+            return None;
+        }
+        if i >= self.slots.len() {
+            self.slots.resize(strings.len(), (FileId::NONE, usize::MAX));
+        }
+        let slot = &mut self.slots[i];
+        if slot.0 != FileId::NONE {
+            return Some(slot.0);
+        }
+        if slot.1 == paths.len() {
+            return None;
+        }
+        slot.1 = paths.len();
+        let id = paths.get(strings.resolve(raw)?)?;
+        slot.0 = id;
+        Some(id)
     }
 }
 
@@ -197,6 +238,8 @@ pub(crate) struct QualityState {
     pub last_eval: Option<Instant>,
     pub miss_log: MissLog,
     pub postmortems: VecDeque<MissPostmortem>,
+    /// Raw to canonical ids for the shadow LRU.
+    pub canonical: CanonicalIds,
     pub next_miss_id: u64,
     pub last_event_time: Timestamp,
     pub every: Duration,
@@ -217,6 +260,7 @@ impl QualityState {
             last_eval: None,
             miss_log,
             postmortems: VecDeque::new(),
+            canonical: CanonicalIds::default(),
             next_miss_id: 0,
             last_event_time: Timestamp::ZERO,
             every,
@@ -292,6 +336,38 @@ mod tests {
             s.touch(FileId(0)); // keep file 0 hot throughout
         }
         assert!(s.order().contains(&FileId(0)));
+    }
+
+    #[test]
+    fn canonical_ids_retry_a_miss_only_after_the_table_grows() {
+        let mut strings = StringTable::new();
+        let (a, b) = (strings.intern("/p/a"), strings.intern("/p/b"));
+        let mut paths = PathTable::new();
+        let mut ids = CanonicalIds::default();
+        assert_eq!(ids.resolve(a, &strings, &paths), None);
+        let fa = paths.intern("/p/a");
+        assert_eq!(
+            ids.resolve(a, &strings, &paths),
+            Some(fa),
+            "retried after growth"
+        );
+        assert_eq!(ids.resolve(b, &strings, &paths), None);
+        // A miss is not looked up again while the table keeps its length.
+        assert_eq!(ids.slots[b.0 as usize].1, paths.len());
+        paths.intern("/p/c");
+        assert_eq!(ids.resolve(b, &strings, &paths), None);
+        assert_eq!(ids.slots[b.0 as usize].1, paths.len(), "retried once");
+        let fb = paths.intern("/p/b");
+        assert_eq!(ids.resolve(b, &strings, &paths), Some(fb));
+        assert_eq!(
+            ids.resolve(a, &strings, &paths),
+            Some(fa),
+            "found ids are final"
+        );
+        // Ids the tenant never interned resolve to nothing and allocate
+        // nothing.
+        assert_eq!(ids.resolve(RawPathId(1 << 30), &strings, &paths), None);
+        assert_eq!(ids.slots.len(), strings.len());
     }
 
     fn job_with(

@@ -8,10 +8,12 @@
 //! and the [`crate::DaemonHandle`] API stable while the hot path records
 //! through lock-free atomics instead of a shared mutex.
 
+use seer_core::EngineTelemetry;
 use seer_telemetry::{
     AlertCenter, AlertTransition, Counter, Gauge, Histogram, MetricSnapshot, MetricValue, Registry,
     RegistrySnapshot, Tracer,
 };
+use seer_trace::EventKind;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -142,6 +144,9 @@ pub(crate) struct TenantMetrics {
     pub quality_working_set_bytes: Gauge,
     /// Files the tenant's latest evaluation's needed set contained.
     pub quality_needed_files: Gauge,
+    /// The tenant engine's own series (`seer_engine_*`, `seer_distance_*`,
+    /// `seer_cluster_*`), labelled with the tenant.
+    pub engine: EngineTelemetry,
 }
 
 impl PipelineMetrics {
@@ -337,6 +342,7 @@ impl PipelineMetrics {
                 "Files referenced inside the latest simulated disconnection window.",
                 t,
             ),
+            engine: EngineTelemetry::register(&self.registry, t),
         }
     }
 
@@ -382,7 +388,7 @@ impl PipelineMetrics {
         self.queue_depth_max.set_max(d);
     }
 
-    /// Every metric now, uptime refreshed, plus each [`DERIVED`] series as
+    /// Every metric now, uptime refreshed, plus each [`derived`] series as
     /// the sum of its tenant family (zero before any tenant exists). The
     /// `Metrics` query, [`crate::DaemonHandle::metrics`], and
     /// [`Self::snapshot_view`] all read through here.
@@ -390,15 +396,15 @@ impl PipelineMetrics {
         let secs = i64::try_from(self.started.elapsed().as_secs()).unwrap_or(i64::MAX);
         self.uptime_seconds.set(secs);
         let mut snap = self.registry.snapshot();
-        for d in &DERIVED {
-            let labels: Vec<(String, String)> = d
-                .stage
-                .iter()
-                .map(|s| ("stage".into(), (*s).into()))
-                .collect();
+        for d in derived() {
+            let labels: Vec<(String, String)> =
+                d.label.iter().map(|&(k, v)| (k.into(), v.into())).collect();
             let mut value = d.zero();
             for m in &snap.metrics {
-                if m.name == d.family && labels.iter().all(|l| m.labels.contains(l)) {
+                if m.name == d.family
+                    && m.labels.iter().any(|(k, _)| k == "tenant")
+                    && labels.iter().all(|l| m.labels.contains(l))
+                {
                     value.accumulate(&m.value);
                 }
             }
@@ -431,70 +437,151 @@ impl PipelineMetrics {
 
 /// A daemon-wide series never recorded itself: the sum of a per-tenant
 /// family, counters by total and histograms by count, sum, and bucket.
+#[derive(Clone, Copy)]
 struct Derived {
     name: &'static str,
-    /// The `stage` label of a stage histogram (its family carries it too).
-    stage: Option<&'static str>,
+    /// The one family label the series keeps (a stage histogram's
+    /// `stage`, an engine event counter's `kind`); the sum runs over the
+    /// family members carrying it and a `tenant` label.
+    label: Option<(&'static str, &'static str)>,
     help: &'static str,
+    /// The per-tenant family: a `seer_daemon_tenant_*` name, or the
+    /// series' own name when its members differ by the `tenant` label
+    /// alone (the engine's series).
     family: &'static str,
+    histogram: bool,
 }
 
 impl Derived {
-    /// The series' value with no tenant: a stage histogram or a counter.
+    /// The series' value with no tenant.
     fn zero(&self) -> MetricValue {
-        match self.stage {
-            Some(_) => Histogram::default().snapshot(),
-            None => MetricValue::Counter { total: 0 },
+        if self.histogram {
+            Histogram::default().snapshot()
+        } else {
+            MetricValue::Counter { total: 0 }
+        }
+    }
+
+    /// A daemon-wide counter summed from its own tenant-labelled name.
+    const fn engine_counter(name: &'static str, help: &'static str) -> Derived {
+        Derived {
+            name,
+            label: None,
+            help,
+            family: name,
+            histogram: false,
+        }
+    }
+
+    /// A daemon-wide histogram summed from its own tenant-labelled name.
+    const fn engine_histogram(name: &'static str, help: &'static str) -> Derived {
+        Derived {
+            histogram: true,
+            ..Derived::engine_counter(name, help)
         }
     }
 }
 
-/// Every daemon-wide series derived from a tenant family.
-const DERIVED: [Derived; 7] = [
+/// The daemon-wide series kept as tenant sums by their own family names.
+const DERIVED: [Derived; 15] = [
     Derived {
         name: "seer_daemon_events_applied_total",
-        stage: None,
+        label: None,
         help: "Events applied to the engine.",
         family: "seer_daemon_tenant_events_total",
+        histogram: false,
     },
     Derived {
         name: "seer_daemon_batches_applied_total",
-        stage: None,
+        label: None,
         help: "Batches applied to the engine.",
         family: "seer_daemon_tenant_batches_total",
+        histogram: false,
     },
     Derived {
         name: "seer_daemon_connection_errors_total",
-        stage: None,
+        label: None,
         help: "Connections torn down by a protocol violation or mid-frame I/O failure.",
         family: "seer_daemon_tenant_connection_errors_total",
+        histogram: false,
     },
     Derived {
         name: "seer_daemon_wal_dropped_batches_total",
-        stage: None,
+        label: None,
         help: "Batches dropped unacknowledged because the tenant's WAL has faulted.",
         family: "seer_daemon_tenant_wal_dropped_batches_total",
+        histogram: false,
     },
     Derived {
         name: "seer_wal_records_total",
-        stage: None,
+        label: None,
         help: "WAL records appended (intern declarations and event batches).",
         family: "seer_daemon_tenant_wal_records_total",
+        histogram: false,
     },
     Derived {
         name: "seer_daemon_stage_seconds",
-        stage: Some("engine_apply"),
+        label: Some(("stage", "engine_apply")),
         help: "Pipeline stage latency: remapping and applying one batch to the engine.",
         family: "seer_daemon_tenant_stage_seconds",
+        histogram: true,
     },
     Derived {
         name: "seer_daemon_stage_seconds",
-        stage: Some("wal_append"),
+        label: Some(("stage", "wal_append")),
         help: "Pipeline stage latency: appending one batch (plus intern deltas) \
                to the write-ahead log, fsync included when the policy syncs.",
         family: "seer_daemon_tenant_stage_seconds",
+        histogram: true,
     },
+    Derived::engine_counter(
+        "seer_distance_opens_total",
+        "Whole-file opening references processed by the distance engines.",
+    ),
+    Derived::engine_counter(
+        "seer_distance_observations_total",
+        "Pairwise distance observations folded into the neighbor tables.",
+    ),
+    Derived::engine_counter(
+        "seer_distance_evictions_total",
+        "Live neighbors displaced from full neighbor-table rows.",
+    ),
+    Derived::engine_counter(
+        "seer_distance_purged_total",
+        "Files purged from the neighbor tables after delayed deletion.",
+    ),
+    Derived::engine_counter(
+        "seer_cluster_churn_total",
+        "Files whose cluster membership changed across reclusterings.",
+    ),
+    Derived::engine_histogram(
+        "seer_cluster_recluster_seconds",
+        "Wall time of full reclusterings.",
+    ),
+    Derived::engine_histogram(
+        "seer_cluster_shard_count_seconds",
+        "Wall time of each shared-neighbor counting shard within a reclustering.",
+    ),
+    Derived::engine_histogram(
+        "seer_engine_hoard_select_seconds",
+        "Wall time of hoard selection (excluding any recluster it triggers).",
+    ),
 ];
+
+/// Every daemon-wide series derived from a tenant family: [`DERIVED`],
+/// then the engines' ingest counter for each event kind. The engine
+/// gauges have no daemon-wide sum; they stay per tenant.
+fn derived() -> impl Iterator<Item = Derived> {
+    DERIVED
+        .into_iter()
+        .chain(EventKind::NAMES.into_iter().map(|kind| Derived {
+            label: Some(("kind", kind)),
+            ..Derived::engine_counter(
+                "seer_engine_events_total",
+                "Trace events ingested by the engines, by syscall kind.",
+            )
+        }))
+}
 
 /// Metrics handle shared between server, pipeline, and callers.
 pub(crate) type SharedMetrics = Arc<PipelineMetrics>;
@@ -608,8 +695,8 @@ mod tests {
     fn daemon_wide_series_are_tenant_sums() {
         let m = new_shared(Tracer::disabled());
         let empty = m.snapshot();
-        for d in &DERIVED {
-            let labels: Vec<_> = d.stage.iter().map(|s| ("stage", *s)).collect();
+        for d in derived() {
+            let labels: Vec<_> = d.label.into_iter().collect();
             let series = empty.find_with(d.name, &labels).expect("present at zero");
             assert_eq!(series.value, d.zero(), "{} {labels:?}", d.name);
         }

@@ -11,12 +11,23 @@
 //! # Storage layout
 //!
 //! Rows are stored struct-of-arrays, indexed by the dense [`FileId`] space:
-//! the row of file index `i` occupies slots `[i*n, i*n + row_len[i])` of
+//! the row of file index `i` occupies slots `[i*n, i*n + len)` of
 //! three parallel arrays (target id, streaming summary, last-update clock).
 //! The hot path — one [`NeighborTable::observe`] per distance observation —
 //! therefore never hashes a key: row lookup is one multiply, and the
 //! priority scans walk a few contiguous cache lines. Deletion marks and
 //! dead files are dense bitmaps for the same reason.
+//!
+//! # Row bounds
+//!
+//! Most misses on a full row are refusals: the candidate is farther than
+//! every stored neighbor, nothing is marked, and nothing is stale. Each
+//! row header therefore keeps what its last full scan proved — an upper
+//! bound on every slot's reduced distance, a lower bound on its update
+//! stamps, and the deletion epoch it was taken at — and a miss the bound
+//! already decides is refused without reading the row's slots (see
+//! `NeighborTable::refuses_by_bound` for why that refusal is exactly the
+//! scan's).
 
 use crate::config::ReductionKind;
 use crate::reduction::PairSummary;
@@ -76,6 +87,42 @@ impl TableDirty {
     }
 }
 
+/// Relative slack on each side of the row-bound test; see
+/// [`NeighborTable::refuses_by_bound`].
+const BOUND_SLACK: f64 = 1.0 / 16_384.0;
+
+/// The largest candidate distance (2^64) the row-bound test decides; a
+/// farther candidate takes the scan. Every distance the engine produces
+/// is far below it.
+const BOUND_MAX_DISTANCE: f64 = 18_446_744_073_709_551_616.0;
+
+/// A row's entry count plus what its last full scan proved, side by side
+/// so the hit path, which reads `len` and raises `bound`, touches one
+/// cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(32))]
+struct RowHeader {
+    /// Entries in use.
+    len: u32,
+    /// Upper bound on every slot's reduced distance; `INFINITY` while
+    /// unknown (a new, filling, or restored row).
+    bound: f64,
+    /// Lower bound on every slot's update stamp.
+    stalest: u64,
+    /// The table's deletion epoch when the bound was taken; the bound
+    /// holds only while no mark or purge has happened since.
+    epoch: u64,
+}
+
+impl RowHeader {
+    const EMPTY: RowHeader = RowHeader {
+        len: 0,
+        bound: f64::INFINITY,
+        stalest: 0,
+        epoch: 0,
+    };
+}
+
 /// Per-slot payload rewritten together on every fold: the running pair
 /// summary and the last-update stamp. One array element (24 bytes) so a
 /// hit touches a single payload cache line.
@@ -104,8 +151,8 @@ pub struct NeighborTable {
     /// counts start at 1). Spares the priority-2 scan an `exp` per entry.
     slot_dist: Vec<f64>,
     slot_dist_count: Vec<u32>,
-    /// Entries in use per row, indexed by file.
-    row_len: Vec<u32>,
+    /// Entry count and scan bounds per row, indexed by file.
+    rows: Vec<RowHeader>,
     live_rows: usize,
     entries: usize,
     /// Deletion-mark tick per file ([`UNMARKED`] = live), §4.8's delayed
@@ -126,6 +173,9 @@ pub struct NeighborTable {
     /// allocation.
     scratch_idxs: Vec<usize>,
     deletion_tick: u64,
+    /// Bumped by every [`NeighborTable::note_deletion`] (its mark and any
+    /// purge), so a row bound taken before it no longer holds.
+    mark_epoch: u64,
     clock: u64,
     rng: SmallRng,
 }
@@ -149,7 +199,7 @@ impl NeighborTable {
             slot_meta: Vec::new(),
             slot_dist: Vec::new(),
             slot_dist_count: Vec::new(),
-            row_len: Vec::new(),
+            rows: Vec::new(),
             live_rows: 0,
             entries: 0,
             marked_tick: Vec::new(),
@@ -162,6 +212,7 @@ impl NeighborTable {
             structural: false,
             scratch_idxs: Vec::new(),
             deletion_tick: 0,
+            mark_epoch: 0,
             clock: 0,
             rng: SmallRng::seed_from_u64(seed),
         }
@@ -188,8 +239,8 @@ impl NeighborTable {
     /// Grows the per-file metadata arrays to cover `file`.
     fn ensure_meta(&mut self, file: FileId) {
         let need = file.index() + 1;
-        if need > self.row_len.len() {
-            self.row_len.resize(need, 0);
+        if need > self.rows.len() {
+            self.rows.resize(need, RowHeader::EMPTY);
             self.marked_tick.resize(need, UNMARKED);
             self.in_marked_list.resize(need, false);
             self.dead.resize(need, false);
@@ -230,7 +281,7 @@ impl NeighborTable {
         {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
             let i = file.index();
-            if i >= self.row_len.len() {
+            if i >= self.rows.len() {
                 return;
             }
             if let Some(first) = self.slot_to.get(i * self.n) {
@@ -354,7 +405,8 @@ impl NeighborTable {
         let reduction = self.reduction;
         let i = from.index();
         let base = i * self.n;
-        let len = self.row_len[i] as usize;
+        let header = self.rows[i];
+        let len = header.len as usize;
         // Slice scan (not an indexed loop) so the search for an existing
         // entry compiles bounds-check-free — this is the hottest loop in
         // the observation path.
@@ -363,45 +415,51 @@ impl NeighborTable {
             let m = &mut self.slot_meta[s];
             m.summary.observe(reduction, distance);
             m.update = clock;
+            // The slot's new mean lies between its old one and this
+            // observation (a negative or NaN one folds as 0, below any
+            // bound), so the raised bound still covers the slot.
+            self.rows[i].bound = header.bound.max(distance);
             return false;
         }
-        let summary = PairSummary::first(reduction, distance);
         if len < self.n {
-            self.slot_to[base + len] = to;
-            self.slot_meta[base + len] = SlotMeta {
-                summary,
-                update: clock,
-            };
-            self.slot_dist_count[base + len] = 0;
+            // A filling row's bound is unknown: rows only shrink by a
+            // purge, which kills the row, so no scan has bounded it yet.
+            self.put(
+                from,
+                base + len,
+                to,
+                PairSummary::first(reduction, distance),
+            );
             if len == 0 {
                 self.live_rows += 1;
             }
-            self.row_len[i] += 1;
+            self.rows[i].len += 1;
             self.entries += 1;
-            self.mark_row_dirty(from);
             return false;
         }
+        if self.refuses_by_bound(&header, distance) {
+            return false;
+        }
+        let summary = PairSummary::first(reduction, distance);
         // Priority 1: replace a neighbor marked for deletion (or dead).
         for s in base..base + len {
             let t = self.slot_to[s];
             if self.is_marked(t) || self.is_dead(t) {
-                self.slot_to[s] = to;
-                self.slot_meta[s] = SlotMeta {
-                    summary,
-                    update: clock,
-                };
-                self.slot_dist_count[s] = 0;
-                self.mark_row_dirty(from);
+                self.put(from, s, to, summary);
+                self.rows[i].bound = f64::INFINITY;
                 return false;
             }
         }
-        // Priority 2: replace the largest-distance neighbor (random tie
-        // break) if it is farther than the candidate.
+        // One pass finds the largest-distance neighbors for priority 2
+        // and the stalest entry for priority 3, and bounds the row.
         let mut max_idxs = std::mem::take(&mut self.scratch_idxs);
         max_idxs.clear();
         let mut max_d = f64::NEG_INFINITY;
+        let mut hi = 0.0f64;
+        let (mut stalest_k, mut stalest) = (0, u64::MAX);
         for k in 0..len {
             let d = self.slot_distance(base + k);
+            hi = hi.max(d);
             if d > max_d + 1e-12 {
                 max_d = d;
                 max_idxs.clear();
@@ -409,44 +467,90 @@ impl NeighborTable {
             } else if (d - max_d).abs() <= 1e-12 {
                 max_idxs.push(k);
             }
+            let update = self.slot_meta[base + k].update;
+            if update < stalest {
+                stalest = update;
+                stalest_k = k;
+            }
         }
+        // The new bounds hold whatever follows: priority 2 stores a slot
+        // closer than `hi`, and after priority 3 the stalest stamp is past
+        // `aging_refs`, so the bound refuses nothing until a scan
+        // rewrites it.
+        self.rows[i] = RowHeader {
+            len: header.len,
+            bound: hi,
+            stalest,
+            epoch: self.mark_epoch,
+        };
+        // Priority 2: replace the largest-distance neighbor (random tie
+        // break) if it is farther than the candidate.
         let new_d = summary.distance(reduction);
         if max_d > new_d {
             let pick = max_idxs[self.rng.gen_range(0..max_idxs.len())];
             self.scratch_idxs = max_idxs;
-            self.slot_to[base + pick] = to;
-            self.slot_meta[base + pick] = SlotMeta {
-                summary,
-                update: clock,
-            };
-            self.slot_dist_count[base + pick] = 0;
-            self.mark_row_dirty(from);
+            self.put(from, base + pick, to, summary);
             return true;
         }
         self.scratch_idxs = max_idxs;
         // Priority 3: aging — replace the stalest entry if it has been
         // inactive long enough.
-        if len > 0 {
-            let mut stalest_k = 0;
-            let mut stalest = self.slot_meta[base].update;
-            for k in 1..len {
-                if self.slot_meta[base + k].update < stalest {
-                    stalest = self.slot_meta[base + k].update;
-                    stalest_k = k;
-                }
-            }
-            if clock.saturating_sub(stalest) > self.aging_refs {
-                self.slot_to[base + stalest_k] = to;
-                self.slot_meta[base + stalest_k] = SlotMeta {
-                    summary,
-                    update: clock,
-                };
-                self.slot_dist_count[base + stalest_k] = 0;
-                self.mark_row_dirty(from);
-                return true;
-            }
+        if len > 0 && clock.saturating_sub(stalest) > self.aging_refs {
+            self.put(from, base + stalest_k, to, summary);
+            return true;
         }
         false
+    }
+
+    /// Whether a miss on the full row with `header` is refused by the
+    /// row's bound alone, which makes reading its slots unnecessary.
+    ///
+    /// The refusal equals the scan's, which in turn refuses without a
+    /// side effect (no random draw, no dirty row):
+    ///
+    /// - Priority 1 cannot fire. The epoch is current, so no mark or purge
+    ///   happened since a scan found no marked or dead target, and every
+    ///   target stored since was live and unmarked.
+    /// - Priority 3 cannot fire. Stamps only grow, so the stalest is
+    ///   within `aging_refs`.
+    /// - Priority 2 replaces only when a slot's computed distance `d_s`
+    ///   exceeds the candidate's computed `new_d`. A slot's distance is
+    ///   the mean of its observations' terms (`d` arithmetic, `ln(1 + d)`
+    ///   geometric) mapped back to a distance. At the scan every `d_s`
+    ///   was at most the bound, every observation folded since is at
+    ///   most the bound, and a mean lies between its parts, so in exact
+    ///   arithmetic `1 + d_s <= 1 + bound`.
+    ///
+    /// Floating point moves `d_s` by the rounding of a running sum of up
+    /// to `u32::MAX` non-negative terms: `2^32 * 2^-53 = 2^-21` relative in
+    /// the mean, counted twice (from the scan's value to the exact mean,
+    /// and back to the computed one), plus a few ulps for `ln`, `exp`,
+    /// and the division. Geometrically that is a factor of at most
+    /// `(1 + bound)^(2^-20)`, under `1 + 4.3e-5` for every bound below
+    /// [`BOUND_MAX_DISTANCE`] (`ln(1 + 2^64) < 44.4`); arithmetically at
+    /// most `1 + 2^-20`. On the candidate's side, `new_d` is `x` itself
+    /// (arithmetic) or `exp(ln(1 + x)) - 1`, a few ulps from `x`. The test
+    /// keeps a margin of `2^-14` on each side, `1.2e-4` in all, so when it
+    /// passes every `d_s` is below `new_d` and the scan would refuse.
+    #[inline]
+    fn refuses_by_bound(&self, header: &RowHeader, distance: f64) -> bool {
+        let x = distance.max(0.0);
+        header.epoch == self.mark_epoch
+            && self.clock.saturating_sub(header.stalest) <= self.aging_refs
+            && x <= BOUND_MAX_DISTANCE
+            && (1.0 + header.bound) * (1.0 + BOUND_SLACK) < (1.0 + x) * (1.0 - BOUND_SLACK)
+    }
+
+    /// Stores a new neighbor `to` with `summary` in slot `s` of `from`'s
+    /// row: a membership change.
+    fn put(&mut self, from: FileId, s: usize, to: FileId, summary: PairSummary) {
+        self.slot_to[s] = to;
+        self.slot_meta[s] = SlotMeta {
+            summary,
+            update: self.clock,
+        };
+        self.slot_dist_count[s] = 0;
+        self.mark_row_dirty(from);
     }
 
     /// Marks `file` as deleted; actual purging happens after
@@ -454,6 +558,7 @@ impl NeighborTable {
     /// this deletion.
     pub fn note_deletion(&mut self, file: FileId) -> Vec<FileId> {
         self.deletion_tick += 1;
+        self.mark_epoch += 1;
         if file != FileId::NONE {
             self.ensure_meta(file);
             let i = file.index();
@@ -489,12 +594,12 @@ impl NeighborTable {
                 let j = f.index();
                 self.dead[j] = true;
                 self.dead_list.push(f);
-                let len = self.row_len[j] as usize;
+                let len = self.rows[j].len as usize;
                 if len > 0 {
                     self.entries -= len;
                     self.live_rows -= 1;
-                    self.row_len[j] = 0;
                 }
+                self.rows[j] = RowHeader::EMPTY;
                 self.mark_row_dirty(f);
             }
             // A purge changes the frozen view of exactly the dead rows and
@@ -502,8 +607,8 @@ impl NeighborTable {
             // targets are filtered from views). Marking those rows dirty
             // keeps the delta precise, so incremental shared-neighbor
             // maintenance survives deletions without a full recount.
-            for i in 0..self.row_len.len() {
-                let len = self.row_len[i] as usize;
+            for i in 0..self.rows.len() {
+                let len = self.rows[i].len as usize;
                 if len == 0 {
                     continue;
                 }
@@ -542,7 +647,7 @@ impl NeighborTable {
     /// The stored neighbors of `file` (dead targets filtered out).
     pub fn neighbors(&self, file: FileId) -> impl Iterator<Item = NeighborEntry> + '_ {
         let i = file.index();
-        let len = self.row_len.get(i).copied().unwrap_or(0) as usize;
+        let len = self.rows.get(i).map_or(0, |h| h.len as usize);
         let base = i * self.n;
         (base..base + len)
             .filter(|&s| !self.is_dead(self.slot_to[s]))
@@ -572,7 +677,7 @@ impl NeighborTable {
     #[must_use]
     pub fn distance(&self, from: FileId, to: FileId) -> Option<f64> {
         let i = from.index();
-        let len = self.row_len.get(i).copied().unwrap_or(0) as usize;
+        let len = self.rows.get(i).map_or(0, |h| h.len as usize);
         let base = i * self.n;
         (base..base + len)
             .find(|&s| self.slot_to[s] == to)
@@ -581,10 +686,10 @@ impl NeighborTable {
 
     /// All files with at least one stored neighbor, in id order.
     pub fn files(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.row_len
+        self.rows
             .iter()
             .enumerate()
-            .filter(|&(_, &len)| len > 0)
+            .filter(|&(_, h)| h.len > 0)
             .map(|(i, _)| FileId(i as u32))
     }
 
@@ -618,12 +723,12 @@ impl NeighborTable {
     #[must_use]
     pub fn cluster_view(&self) -> ClusterView {
         let mut rows: Vec<(FileId, Vec<FileId>)> = Vec::with_capacity(self.live_rows);
-        for (i, &len) in self.row_len.iter().enumerate() {
-            if len == 0 {
+        for (i, h) in self.rows.iter().enumerate() {
+            if h.len == 0 {
                 continue;
             }
             let base = i * self.n;
-            let targets: Vec<FileId> = self.slot_to[base..base + len as usize]
+            let targets: Vec<FileId> = self.slot_to[base..base + h.len as usize]
                 .iter()
                 .copied()
                 .filter(|&t| !self.is_dead(t))
@@ -638,12 +743,12 @@ impl NeighborTable {
     #[must_use]
     pub fn snapshot(&self) -> TableSnapshot {
         let mut rows: Vec<(FileId, Vec<NeighborEntry>)> = Vec::with_capacity(self.live_rows);
-        for (i, &len) in self.row_len.iter().enumerate() {
-            if len == 0 {
+        for (i, h) in self.rows.iter().enumerate() {
+            if h.len == 0 {
                 continue;
             }
             let base = i * self.n;
-            let entries: Vec<NeighborEntry> = (base..base + len as usize)
+            let entries: Vec<NeighborEntry> = (base..base + h.len as usize)
                 .map(|s| NeighborEntry {
                     to: self.slot_to[s],
                     summary: self.slot_meta[s].summary,
@@ -705,7 +810,8 @@ impl NeighborTable {
                     update: e.last_update,
                 };
             }
-            t.row_len[i] = len as u32;
+            // The row's bound stays unknown: its first miss scans it.
+            t.rows[i].len = len as u32;
             t.live_rows += 1;
             t.entries += len;
         }
@@ -1097,6 +1203,145 @@ mod tests {
             restored.take_dirty().structural,
             "a restored table has no incremental baseline"
         );
+    }
+
+    /// Whether the row of `from` would refuse a candidate at `distance`
+    /// by its bound alone, without a scan.
+    fn bound_refuses(t: &NeighborTable, from: u32, distance: f64) -> bool {
+        t.refuses_by_bound(&t.rows[from as usize], distance)
+    }
+
+    /// Row 0 full with neighbors 1 (distance 5) and 2 (distance 8), and
+    /// a refused far candidate having set its bound.
+    fn bounded(aging_refs: u64, deletion_delay: u64) -> NeighborTable {
+        let mut t = NeighborTable::new(2, ReductionKind::Geometric, aging_refs, deletion_delay, 42);
+        t.observe(FileId(0), FileId(1), 5.0);
+        t.observe(FileId(0), FileId(2), 8.0);
+        assert!(!bound_refuses(&t, 0, 100.0), "a filled row has no bound");
+        assert!(!t.observe(FileId(0), FileId(3), 100.0), "refused");
+        assert!(t.distance(FileId(0), FileId(3)).is_none());
+        t
+    }
+
+    #[test]
+    fn refusal_sets_the_row_bound() {
+        let mut t = bounded(1_000, 3);
+        assert!(bound_refuses(&t, 0, 100.0));
+        assert!(bound_refuses(&t, 0, 8.01));
+        assert!(!bound_refuses(&t, 0, 8.0), "no refusal inside the slack");
+        assert!(!bound_refuses(&t, 0, 1.0));
+        // The bound's refusal changes nothing.
+        t.take_dirty();
+        assert!(!t.observe(FileId(0), FileId(4), 100.0));
+        assert!(t.take_dirty().rows.is_empty());
+        assert_eq!(t.neighbors(FileId(0)).count(), 2);
+        // A closer candidate still evicts the farthest neighbor.
+        assert!(t.observe(FileId(0), FileId(5), 6.0));
+        assert!(t.distance(FileId(0), FileId(2)).is_none());
+        assert!(bound_refuses(&t, 0, 100.0), "an eviction keeps a bound");
+    }
+
+    #[test]
+    fn a_deletion_mark_forces_the_scan_and_priority_one_wins() {
+        let mut t = bounded(1_000, 3);
+        t.note_deletion(FileId(2));
+        assert!(!bound_refuses(&t, 0, 100.0));
+        // Farther than every neighbor, yet the marked one gives way.
+        assert!(!t.observe(FileId(0), FileId(3), 100.0));
+        assert!(t.distance(FileId(0), FileId(2)).is_none());
+        assert!(t.distance(FileId(0), FileId(3)).is_some());
+    }
+
+    #[test]
+    fn a_purge_forces_the_scan() {
+        // Delay 0: the deletion marks and purges in one call.
+        let mut t = bounded(1_000, 0);
+        assert_eq!(t.note_deletion(FileId(2)), vec![FileId(2)]);
+        assert!(!bound_refuses(&t, 0, 100.0));
+        assert!(!t.observe(FileId(0), FileId(3), 100.0));
+        assert!(
+            t.distance(FileId(0), FileId(3)).is_some(),
+            "dead slot reused"
+        );
+        // Any later mark or purge outdates a bound, whichever file it names.
+        assert!(!t.observe(FileId(0), FileId(4), 1_000.0));
+        assert!(bound_refuses(&t, 0, 1_000.0));
+        t.note_deletion(FileId(9));
+        assert!(!bound_refuses(&t, 0, 1_000.0));
+    }
+
+    #[test]
+    fn aging_past_the_threshold_forces_the_scan() {
+        let mut t = bounded(10, 3);
+        for _ in 0..10 {
+            t.tick();
+        }
+        assert!(
+            bound_refuses(&t, 0, 100.0),
+            "stalest is exactly at the limit"
+        );
+        t.tick();
+        assert!(!bound_refuses(&t, 0, 100.0));
+        assert!(
+            t.observe(FileId(0), FileId(3), 100.0),
+            "the stalest ages out"
+        );
+        assert!(t.distance(FileId(0), FileId(1)).is_none());
+        assert!(t.distance(FileId(0), FileId(3)).is_some());
+    }
+
+    #[test]
+    fn a_hit_lifts_the_bound_above_its_observation() {
+        let mut t = bounded(1_000, 3);
+        assert!(bound_refuses(&t, 0, 20.0));
+        // Neighbor 1 moves to about sqrt(6 * 201) - 1 = 33.7, past 20.
+        assert!(!t.observe(FileId(0), FileId(1), 200.0));
+        assert!(!bound_refuses(&t, 0, 20.0));
+        assert!(
+            t.observe(FileId(0), FileId(3), 20.0),
+            "the lifted slot is evicted"
+        );
+        assert!(t.distance(FileId(0), FileId(1)).is_none());
+        assert!(t.distance(FileId(0), FileId(3)).is_some());
+    }
+
+    /// Folding an observation equal to a slot's mean leaves the exact
+    /// mean where it is, but the running log-sum drifts: the computed
+    /// distance creeps past a bound no hit raised. The slack keeps a
+    /// candidate between the two from being refused.
+    #[test]
+    fn the_slack_covers_a_running_sum_drifting_past_the_bound() {
+        let mut t = NeighborTable::new(2, ReductionKind::Geometric, 1_000, 3, 42);
+        t.observe(FileId(0), FileId(1), 100.0);
+        t.observe(FileId(0), FileId(2), 1.0);
+        assert!(!t.observe(FileId(0), FileId(3), 1_000.0));
+        let bound = t.rows[0].bound;
+        let mut folds = 0;
+        while t.distance(FileId(0), FileId(1)).expect("stored") <= bound {
+            assert!(!t.observe(FileId(0), FileId(1), 100.0));
+            folds += 1;
+            assert!(folds < 1_000, "the running sum never drifted");
+        }
+        assert_eq!(t.rows[0].bound, bound, "no hit raised the bound");
+        let x = bound.next_up();
+        let new_d =
+            PairSummary::first(ReductionKind::Geometric, x).distance(ReductionKind::Geometric);
+        assert!(t.distance(FileId(0), FileId(1)).expect("stored") > new_d);
+        assert!(!bound_refuses(&t, 0, x));
+        assert!(
+            t.observe(FileId(0), FileId(3), x),
+            "the drifted slot is evicted"
+        );
+        assert!(t.distance(FileId(0), FileId(1)).is_none());
+    }
+
+    #[test]
+    fn a_restored_table_scans_before_it_bounds() {
+        let t = bounded(1_000, 3);
+        let mut restored = NeighborTable::from_snapshot(t.snapshot(), 42);
+        assert!(!bound_refuses(&restored, 0, 100.0));
+        assert!(!restored.observe(FileId(0), FileId(3), 100.0));
+        assert!(bound_refuses(&restored, 0, 100.0));
     }
 
     #[test]

@@ -583,6 +583,83 @@ fn fleet_query_reports_all_tenants() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Each tenant's engine series carry its `tenant` label and equal an
+/// offline engine fed that tenant's events; the daemon-wide counters
+/// are their sums, so no `_total` series falls when a second tenant
+/// starts loading.
+#[test]
+fn engine_series_are_per_tenant_and_never_decrease() {
+    let dir = scratch("engine-series");
+    let handle = Daemon::spawn(DaemonConfig::new(dir.join("sock"))).expect("spawn");
+    let sock = handle.socket_path().to_path_buf();
+    let totals = |snap: seer_telemetry::RegistrySnapshot| {
+        (snap.metrics.into_iter())
+            .filter(|m| m.name.ends_with("_total"))
+            .filter(|m| matches!(m.value, MetricValue::Counter { .. }))
+            .collect::<Vec<_>>()
+    };
+    let mut previous = totals(handle.metrics());
+    let traces = [
+        ("a", machine_trace("A", 10, 3)),
+        ("b", machine_trace("B", 2, 3)),
+    ];
+    for (tenant, trace) in &traces {
+        let mut c = DaemonClient::connect_tenant(&sock, "loader", tenant).expect("connect");
+        c.send_trace(trace, 64).expect("send");
+        assert_eq!(c.flush().expect("flush"), trace.len() as u64);
+        let snap = handle.metrics();
+        for before in &previous {
+            let labels: Vec<(&str, &str)> = (before.labels.iter())
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            let (name, now) = (&before.name, snap.find_with(&before.name, &labels));
+            match (&before.value, now.map(|m| &m.value)) {
+                (MetricValue::Counter { total: was }, Some(MetricValue::Counter { total })) => {
+                    assert!(total >= was, "{name} {labels:?} fell from {was} to {total}");
+                }
+                (_, other) => panic!("{name} {labels:?} vanished: {other:?}"),
+            }
+        }
+        previous = totals(snap);
+    }
+
+    let snap = handle.metrics();
+    let mut observations = 0;
+    for (tenant, trace) in &traces {
+        let registry = seer_telemetry::Registry::new();
+        let mut offline = SeerEngine::default();
+        offline.attach_telemetry(seer_core::EngineTelemetry::register(&registry, &[]));
+        trace.replay(&mut offline);
+        let mut compared = 0;
+        for m in registry.snapshot().metrics {
+            let engine_series =
+                m.name.starts_with("seer_engine_") || m.name.starts_with("seer_distance_");
+            if !engine_series || matches!(m.value, MetricValue::Histogram { .. }) {
+                continue;
+            }
+            let mut labels: Vec<(&str, &str)> = m
+                .labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            labels.push(("tenant", tenant));
+            let online = snap.find_with(&m.name, &labels).map(|o| &o.value);
+            assert_eq!(online, Some(&m.value), "{} {labels:?}", m.name);
+            compared += 1;
+        }
+        assert!(compared > 10, "{tenant}: only {compared} engine series");
+        observations += offline.correlator().distance().stats().observations;
+    }
+    assert!(observations > 0);
+    assert_eq!(
+        snap.counter("seer_distance_observations_total"),
+        Some(observations),
+        "the daemon-wide counter sums its tenants"
+    );
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A tenant that only answered queries has nothing to persist: it
 /// leaves no WAL directory, graceful shutdown writes no snapshot file
 /// for it, and counts no recluster or snapshot on its behalf. The
