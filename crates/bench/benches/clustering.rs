@@ -1,13 +1,25 @@
 //! Criterion bench: cluster formation cost (§5.3's "about 2 minutes of
 //! CPU time", §3.3.1's linear-time requirement).
 //!
-//! Verifies the O(N·n) scaling of the modified Jarvis–Patrick algorithm by
-//! clustering synthetic neighbor tables of increasing size.
+//! Two groups:
+//!
+//! - `clustering/files/*` verifies the O(N·n) scaling of the modified
+//!   Jarvis–Patrick algorithm by clustering synthetic neighbor tables of
+//!   increasing size.
+//! - `recluster_g/*` times the daemon's recluster on real state: machine
+//!   G's trace (the one perfbench's `hoard` workload streams), warmed
+//!   with 40,000 events in 4,096-event batches as that workload warms its
+//!   daemon. `full/1` and `full/4` time a full recount
+//!   ([`ReclusterInput::compute`]) on one and four threads;
+//!   `incremental` times [`ReclusterInput::compute_incremental`] after a
+//!   further 1,024-event delta, from the baseline the warm state left.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use seer_cluster::{cluster_files, ClusterConfig};
+use seer_core::{ReclusterInput, SeerEngine};
 use seer_distance::{DistanceConfig, NeighborTable};
-use seer_trace::{FileId, PathTable};
+use seer_trace::{EventSink, FileId, PathTable};
+use seer_workload::{generate, MachineProfile};
 
 /// Builds a table of `n_files` files in implicit projects of ~12, each
 /// file related to its project neighbors.
@@ -52,5 +64,74 @@ fn bench_clustering(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_clustering);
+/// Events the warm state has seen, as perfbench's `hoard` warm-up.
+const WARMUP: usize = 40_000;
+
+/// Warm-up batch size, as perfbench's `hoard` bursts.
+const BATCH: usize = 4_096;
+
+/// Events between the baseline and the incremental recluster.
+const DELTA: usize = 1_024;
+
+/// The warm machine-G engine's recluster inputs: the full-recount input
+/// at the warm state, and the incremental run's baseline, dirty delta,
+/// and input after [`DELTA`] more events.
+struct WarmG {
+    warm: ReclusterInput,
+    baseline: Option<seer_core::PairCountCache>,
+    dirty: seer_core::TableDirty,
+    next: ReclusterInput,
+}
+
+fn warm_g() -> WarmG {
+    let profile = MachineProfile::by_name("G").expect("machine G");
+    let trace = generate(&profile, 1).trace;
+    assert!(
+        trace.events.len() >= WARMUP + DELTA,
+        "machine G generates {} events",
+        trace.events.len()
+    );
+    let mut engine = SeerEngine::default();
+    for batch in trace.events[..WARMUP].chunks(BATCH) {
+        engine.on_batch(batch, &trace.strings);
+    }
+    let dirty = engine.take_dirty();
+    let warm = engine.recluster_input();
+    let mut baseline = None;
+    let _ = warm.compute_incremental(1, Some(&dirty), &mut baseline);
+    engine.on_batch(&trace.events[WARMUP..WARMUP + DELTA], &trace.strings);
+    let dirty = engine.take_dirty();
+    let next = engine.recluster_input();
+    WarmG {
+        warm,
+        baseline,
+        dirty,
+        next,
+    }
+}
+
+fn bench_recluster_g(c: &mut Criterion) {
+    let g = warm_g();
+    let mut group = c.benchmark_group("recluster_g");
+    group.sample_size(15);
+    for threads in [1usize, 4] {
+        group.bench_with_input(BenchmarkId::new("full", threads), &threads, |b, &t| {
+            b.iter(|| g.warm.compute(t));
+        });
+    }
+    group.bench_function("incremental", |b| {
+        b.iter_batched(
+            || g.baseline.clone(),
+            |mut cache| {
+                let run = g.next.compute_incremental(1, Some(&g.dirty), &mut cache);
+                assert!(run.incremental, "the baseline is reused");
+                run
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_clustering, bench_recluster_g);
 criterion_main!(benches);

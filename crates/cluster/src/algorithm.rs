@@ -1,28 +1,42 @@
 //! The two-phase combine/overlap clustering algorithm (§3.3.2, §3.3.3).
+//!
+//! One recluster runs over dense data throughout: the neighbor sets sit
+//! in one flat array ([`SharedNeighborCounter`]), each row's shared
+//! counts come from stamping its set once and counting every listed
+//! file's set against the stamp, directory distance is an integer walk
+//! in the path table's directory tree ([`DirTree`]), and the two phases
+//! run over dense file indices. Pair counts are stored in one flat array
+//! aligned with the sets, which is also the incremental baseline
+//! ([`PairCountCache`]).
 
 use crate::config::ClusterConfig;
 use crate::relation::ExternalRelation;
 use crate::result::Clustering;
-use crate::shared::SharedNeighborCounter;
-use crate::unionfind::UnionFind;
+use crate::shared::{SharedNeighborCounter, Stamp};
+use crate::unionfind::DenseUnionFind;
 use seer_distance::{ClusterView, NeighborTable, TableDirty};
-use seer_trace::{FileId, PathTable};
+use seer_trace::{DirTree, FileId, PathTable};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Pre-relation adjusted pair counts carried between consecutive
 /// reclusterings, plus the context they were computed under.
 ///
-/// [`cluster_view_incremental`] reuses the cached counts when the
-/// exclusion set and configuration still match and the caller supplies
-/// the rows whose neighbor membership changed since the cache was built;
-/// only pairs touching a dirty row are then recounted. The cache holds
-/// *raw* adjusted counts — investigator relations are overlaid per run
-/// and never persisted, so a relation added or removed between runs
-/// cannot poison the baseline.
+/// The counts sit in one flat array aligned with the neighbor sets they
+/// were taken over: slot `k` of row `a` holds the count of pair
+/// `(a, b)` for the set's `k`-th member `b` (a row's own slot is unused).
+/// [`cluster_view_incremental`] reuses them when the exclusion set and
+/// configuration still match and the caller supplies the rows whose
+/// neighbor membership changed since the cache was built; only pairs
+/// touching a dirty row are then recounted. The cache holds *raw*
+/// adjusted counts — investigator relations are overlaid per run and
+/// never persisted, so a relation added or removed between runs cannot
+/// poison the baseline.
 #[derive(Debug, Default, Clone)]
 pub struct PairCountCache {
-    counts: HashMap<(FileId, FileId), f64>,
+    sets: SharedNeighborCounter,
+    counts: Vec<f64>,
     exclude: Vec<FileId>,
     config: ClusterConfig,
 }
@@ -31,22 +45,27 @@ impl PairCountCache {
     /// Directed pairs currently cached.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.counts.len()
+        self.sets.pair_count()
     }
 
     /// Whether the cache holds no pairs.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.len() == 0
+    }
+
+    /// The cached count of pair `(a, b)`, if it is a candidate pair.
+    fn get(&self, a: FileId, b: FileId) -> Option<f64> {
+        self.sets.pair_slot(a, b).map(|k| self.counts[k])
     }
 }
 
 /// Clusters from explicit candidate pairs with precomputed (already
 /// adjusted) shared-neighbor counts.
 ///
-/// This is the algorithm core used by [`cluster_files`]; it is public so
-/// tests and benches can drive it with literal inputs such as the paper's
-/// Table 2 example.
+/// This is the algorithm core the clustering pipeline runs; it is public
+/// so tests and benches can drive it with literal inputs such as the
+/// paper's Table 2 example.
 ///
 /// Phase one combines the clusters of every pair with `count ≥ kn`. Phase
 /// two inserts the files of every pair with `kf ≤ count < kn` into each
@@ -58,47 +77,64 @@ pub fn cluster_from_counts(
     universe: &[FileId],
     config: &ClusterConfig,
 ) -> Clustering {
-    let mut uf = UnionFind::new();
-    for &f in universe {
-        uf.insert(f);
-    }
-    for &(a, b, _) in pairs {
-        uf.insert(a);
-        uf.insert(b);
-    }
+    let mut files: Vec<FileId> = universe.to_vec();
+    files.extend(pairs.iter().flat_map(|&(a, b, _)| [a, b]));
+    files.sort_unstable();
+    files.dedup();
+    let index = |f: FileId| files.binary_search(&f).expect("every endpoint is listed") as u32;
+    let dense: Vec<(u32, u32, f64)> = pairs
+        .iter()
+        .filter(|p| acts(p.2, config))
+        .map(|&(a, b, count)| (index(a), index(b), count))
+        .collect();
+    combine_and_overlap(&files, &dense, config)
+}
+
+/// Whether a pair with `count` takes part in either phase.
+fn acts(count: f64, config: &ClusterConfig) -> bool {
+    count >= config.kn || count >= config.kf
+}
+
+/// Phases one and two over a dense universe: `files` ascending, and
+/// each pair `(a, b, count)` naming its files by index into `files`.
+/// Only pairs that [`acts`] accepts need be listed, in any order: the
+/// phase-one partition and the phase-two insertions do not depend on
+/// it, and [`Clustering::from_members`] sorts what they produce.
+fn combine_and_overlap(
+    files: &[FileId],
+    pairs: &[(u32, u32, f64)],
+    config: &ClusterConfig,
+) -> Clustering {
     // Phase one: combine.
+    let mut forest = DenseUnionFind::new(files.len());
     for &(a, b, count) in pairs {
         if count >= config.kn {
-            uf.union(a, b);
+            forest.union(a, b);
         }
     }
     // Materialize phase-one groups.
-    let groups = uf.groups();
-    let mut members: Vec<Vec<FileId>> = groups;
-    let mut group_of: HashMap<FileId, usize> = HashMap::new();
-    for (i, g) in members.iter().enumerate() {
-        for &f in g {
-            group_of.insert(f, i);
+    let mut group_of_root = vec![u32::MAX; files.len()];
+    let mut group = vec![0u32; files.len()];
+    let mut members: Vec<Vec<FileId>> = Vec::new();
+    for (i, &f) in files.iter().enumerate() {
+        let root = forest.find(i as u32) as usize;
+        if group_of_root[root] == u32::MAX {
+            group_of_root[root] = members.len() as u32;
+            members.push(Vec::new());
         }
+        group[i] = group_of_root[root];
+        members[group[i] as usize].push(f);
     }
     // Phase two: overlap. Each file of a mid-strength pair joins the other
     // file's cluster, but the clusters stay distinct. Two mid-strength
-    // pairs sharing a file — (a,b) and (a,c) with b, c in one phase-one
-    // group — would insert `a` into that group twice; `inserted` keeps
-    // each membership unique.
-    let mut inserted: HashSet<(usize, FileId)> = HashSet::new();
+    // pairs sharing a file may insert it into one group twice;
+    // `Clustering::from_members` keeps each membership once.
     for &(a, b, count) in pairs {
         if count >= config.kf && count < config.kn {
-            let (Some(&ga), Some(&gb)) = (group_of.get(&a), group_of.get(&b)) else {
-                continue;
-            };
+            let (ga, gb) = (group[a as usize], group[b as usize]);
             if ga != gb {
-                if inserted.insert((gb, a)) {
-                    members[gb].push(a);
-                }
-                if inserted.insert((ga, b)) {
-                    members[ga].push(b);
-                }
+                members[gb as usize].push(files[a as usize]);
+                members[ga as usize].push(files[b as usize]);
             }
         }
     }
@@ -132,7 +168,15 @@ pub fn cluster_files_excluding(
     exclude: &HashSet<FileId>,
     config: &ClusterConfig,
 ) -> Clustering {
-    cluster_view_excluding(&table.cluster_view(), paths, relations, exclude, config, 1).clustering
+    cluster_view_excluding(
+        &table.cluster_view(),
+        paths.directories(),
+        relations,
+        exclude,
+        config,
+        1,
+    )
+    .clustering
 }
 
 /// Outcome of one clustering computation: the assignment plus the wall
@@ -155,25 +199,26 @@ pub struct ClusterRun {
 
 /// Full clustering pipeline over a frozen [`ClusterView`], with the
 /// shared-neighbor counting phase sharded across `threads` worker
-/// threads.
+/// threads. `dirs` is the directory tree of the path table the view's
+/// file ids come from.
 ///
 /// Candidate pairs are directed — pair `(a, b)` originates from `a`'s
 /// neighbor row and nowhere else — so partitioning the rows partitions
-/// the pairs, per-shard results merge without collisions, and the merged
-/// pair set is *identical* to the serial one. The merged pairs are then
-/// sorted before the combine/overlap phases, making the resulting
-/// [`Clustering`] bit-identical regardless of `threads`.
+/// the pairs: each shard stamps into its own array and writes its rows'
+/// counts into its own run of the flat count array, in row order, so the
+/// counts and the [`Clustering`] are bit-identical regardless of
+/// `threads`.
 #[must_use]
 pub fn cluster_view_excluding(
     view: &ClusterView,
-    paths: &PathTable,
+    dirs: &DirTree,
     relations: &[ExternalRelation],
     exclude: &HashSet<FileId>,
     config: &ClusterConfig,
     threads: usize,
 ) -> ClusterRun {
     cluster_view_incremental(
-        view, paths, relations, exclude, config, threads, None, &mut None,
+        view, dirs, relations, exclude, config, threads, None, &mut None,
     )
 }
 
@@ -191,18 +236,18 @@ pub fn cluster_view_excluding(
 /// Exclusion-set changes fold into the delta (the flipped files plus
 /// every row whose raw targets mention one); file deaths arrive
 /// pre-folded the same way from the table's purge path. Everything else
-/// falls back to the sharded full recount.
+/// falls back to the sharded full recount. The incremental recount runs
+/// on the calling thread.
 ///
 /// Either way the result is **bit-identical** to
-/// [`cluster_view_excluding`] on the same view: unchanged pairs reuse a
-/// count that identical inputs would reproduce exactly, and the sorted
-/// pair order into the combine/overlap phases is the same. On return
+/// [`cluster_view_excluding`] on the same view: an unchanged pair reuses
+/// a count that identical inputs would reproduce exactly. On return
 /// `cache` holds the baseline for the next call.
 #[allow(clippy::too_many_arguments)]
 #[must_use]
 pub fn cluster_view_incremental(
     view: &ClusterView,
-    paths: &PathTable,
+    dirs: &DirTree,
     relations: &[ExternalRelation],
     exclude: &HashSet<FileId>,
     config: &ClusterConfig,
@@ -210,200 +255,224 @@ pub fn cluster_view_incremental(
     dirty: Option<&TableDirty>,
     cache: &mut Option<PairCountCache>,
 ) -> ClusterRun {
-    let counter = SharedNeighborCounter::from_view_excluding(view, exclude);
+    let sets = SharedNeighborCounter::from_view_excluding(view, exclude);
     let mut exclude_sorted: Vec<FileId> = exclude.iter().copied().collect();
     exclude_sorted.sort_unstable();
-    let reusable = matches!(
-        (dirty, cache.as_ref()),
-        (Some(d), Some(c)) if !d.structural && c.config == *config
-    );
-    let (counts, shard_count_seconds, shard_start_offsets, incremental) = if reusable {
-        let d = dirty.expect("reusable implies dirty");
-        let cached = cache.take().expect("reusable implies cache");
-        let mut counts = cached.counts;
-        let started = Instant::now();
-        let mut dirty_rows: HashSet<FileId> = d.rows.iter().copied().collect();
-        // An exclusion-set change (§4.2 frequency threshold crossings) is
-        // itself a precise row delta: the files whose excluded status
-        // flipped, plus every row whose raw targets mention one — those
-        // are exactly the neighbor sets whose membership moves.
-        let (old, new) = (&cached.exclude, &exclude_sorted);
-        let (mut i, mut j) = (0usize, 0usize);
-        let mut flipped: Vec<FileId> = Vec::new();
-        while i < old.len() && j < new.len() {
-            match old[i].cmp(&new[j]) {
-                std::cmp::Ordering::Less => {
-                    flipped.push(old[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    flipped.push(new[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        flipped.extend_from_slice(&old[i..]);
-        flipped.extend_from_slice(&new[j..]);
-        if !flipped.is_empty() {
-            dirty_rows.extend(flipped.iter().copied());
-            for (f, targets) in view.rows() {
-                if targets.iter().any(|t| flipped.binary_search(t).is_ok()) {
-                    dirty_rows.insert(*f);
-                }
-            }
-        }
-        // A dirty first endpoint invalidates the whole row: drop its
-        // pairs and recount the row from scratch below.
-        counts.retain(|&(a, _), _| !dirty_rows.contains(&a));
-        // A dirty second endpoint leaves the pair in place (the first
-        // row's membership is unchanged) but moves its shared count.
-        let stale: Vec<(FileId, FileId)> = counts
-            .keys()
-            .filter(|&&(_, b)| dirty_rows.contains(&b))
-            .copied()
-            .collect();
-        for (a, b) in stale {
-            counts.insert((a, b), adjusted_count(&counter, paths, config, a, b));
-        }
-        let mut local = Vec::new();
-        for &a in &dirty_rows {
-            count_row(&counter, paths, config, a, &mut local);
-        }
-        counts.extend(local);
-        (counts, vec![started.elapsed()], vec![Duration::ZERO], true)
-    } else {
-        let (counts, secs, offsets) = count_pairs_sharded(&counter, paths, config, threads);
-        (counts, secs, offsets, false)
+    let previous = match (dirty, cache.take()) {
+        (Some(d), Some(c)) if !d.structural && c.config == *config => Some((d, c)),
+        _ => None,
     };
-    // Investigator relations are tested regardless of whether a semantic
-    // distance was independently stored (§3.3.3). They overlay the raw
-    // counts rather than mutating them, so the cached baseline stays
-    // relation-free; chained relations on one pair compound through the
-    // overlay exactly as sequential inserts would.
-    let mut overlay: HashMap<(FileId, FileId), f64> = HashMap::new();
-    for rel in relations {
-        for (a, b) in rel.pairs() {
-            let base = overlay
-                .get(&(a, b))
-                .or_else(|| counts.get(&(a, b)))
-                .copied()
-                .unwrap_or_else(|| adjusted_count(&counter, paths, config, a, b));
-            let adjusted = base + rel.strength;
-            // A sufficiently strong relation forces combination outright.
-            let forced = rel.strength >= config.force_strength;
-            overlay.insert((a, b), if forced { f64::INFINITY } else { adjusted });
+    let (counts, shard_count_seconds, shard_start_offsets, incremental) = match previous {
+        Some((d, previous)) => {
+            let started = Instant::now();
+            let reuse = Reuse {
+                dirty: dirty_files(view, d, &previous.exclude, &exclude_sorted, sets.id_bound()),
+                previous,
+            };
+            let mut counts = vec![0.0; sets.slot_count()];
+            count_rows(
+                &sets,
+                0..sets.rows(),
+                dirs,
+                config,
+                Some(&reuse),
+                &mut counts,
+            );
+            (counts, vec![started.elapsed()], vec![Duration::ZERO], true)
         }
-    }
-    let mut pairs: Vec<(FileId, FileId, f64)> = counts
-        .iter()
-        .map(|(&(a, b), &c)| (a, b, overlay.get(&(a, b)).copied().unwrap_or(c)))
-        .collect();
-    for (&(a, b), &c) in &overlay {
-        if !counts.contains_key(&(a, b)) {
-            pairs.push((a, b, c));
+        None => {
+            let (counts, secs, offsets) = count_sharded(&sets, dirs, config, threads);
+            (counts, secs, offsets, false)
         }
-    }
-    // Deterministic order into the combine/overlap phases: the serial and
-    // every parallel schedule see the same sequence.
-    pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
-    let universe = counter.all_files();
-    *cache = Some(PairCountCache {
+    };
+    let baseline = PairCountCache {
+        sets,
         counts,
         exclude: exclude_sorted,
         config: *config,
-    });
+    };
+    let clustering = cluster_counted(&baseline, dirs, relations, config);
+    *cache = Some(baseline);
     ClusterRun {
-        clustering: cluster_from_counts(&pairs, &universe, config),
+        clustering,
         shard_count_seconds,
         shard_start_offsets,
         incremental,
     }
 }
 
-/// Shared-neighbor count of `(a, b)`, adjusted by weighted directory
+/// The files whose neighbor sets may differ from the previous run's: the
+/// rows `dirty` names, the files whose excluded status flipped between
+/// `old` and `new` (both sorted), and every row whose raw targets mention
+/// a flipped file — an exclusion change (§4.2 frequency threshold
+/// crossings) moves exactly those sets. Indexed by file id below `bound`.
+fn dirty_files(
+    view: &ClusterView,
+    dirty: &TableDirty,
+    old: &[FileId],
+    new: &[FileId],
+    bound: usize,
+) -> Vec<bool> {
+    let mut flags = vec![false; bound];
+    let mut flag = |f: FileId| {
+        if let Some(x) = flags.get_mut(f.index()) {
+            *x = true;
+        }
+    };
+    for &f in &dirty.rows {
+        flag(f);
+    }
+    let (mut i, mut j) = (0usize, 0usize);
+    let mut flipped: Vec<FileId> = Vec::new();
+    while i < old.len() && j < new.len() {
+        match old[i].cmp(&new[j]) {
+            std::cmp::Ordering::Less => {
+                flipped.push(old[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                flipped.push(new[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    flipped.extend_from_slice(&old[i..]);
+    flipped.extend_from_slice(&new[j..]);
+    if !flipped.is_empty() {
+        for &f in &flipped {
+            flag(f);
+        }
+        for (f, targets) in view.rows() {
+            if targets.iter().any(|t| flipped.binary_search(t).is_ok()) {
+                flag(*f);
+            }
+        }
+    }
+    flags
+}
+
+/// What an incremental run may reuse: the previous run's baseline and
+/// the files whose sets may have changed since (see [`dirty_files`]).
+struct Reuse {
+    previous: PairCountCache,
+    dirty: Vec<bool>,
+}
+
+impl Reuse {
+    /// The previous counts of clean row `a`, whose set is `set`. Slots
+    /// align only when the set is unchanged, which a clean row's is; a
+    /// row whose set moved anyway is recounted rather than misaligned.
+    fn clean_row(&self, a: FileId, set: &[FileId]) -> Option<&[f64]> {
+        if self.dirty[a.index()] {
+            return None;
+        }
+        let r = self.previous.sets.row_index(a)?;
+        (self.previous.sets.set(r) == set)
+            .then(|| &self.previous.counts[self.previous.sets.slots(r)])
+    }
+}
+
+/// Shared-neighbor count of a pair, adjusted by weighted directory
 /// distance (§3.3.3: widely-separated directories argue against
 /// clustering, subtracted from the shared-neighbor count).
-fn adjusted_count(
-    counter: &SharedNeighborCounter,
-    paths: &PathTable,
-    config: &ClusterConfig,
-    a: FileId,
-    b: FileId,
-) -> f64 {
-    let mut count = f64::from(counter.shared(a, b));
-    if let Some(dd) = paths.directory_distance(a, b) {
+fn adjusted(shared: u32, directory_distance: Option<u32>, config: &ClusterConfig) -> f64 {
+    let mut count = f64::from(shared);
+    if let Some(dd) = directory_distance {
         count -= config.directory_weight * f64::from(dd);
     }
     count
 }
 
-/// Counts every directed candidate pair of one row into `out`.
-fn count_row(
-    counter: &SharedNeighborCounter,
-    paths: &PathTable,
+/// Counts every candidate pair of rows `rows` into `out`, which holds
+/// exactly those rows' slots. Each row's set is stamped once, then every
+/// listed file's set is counted against it. With `reuse`, a clean row
+/// keeps its previous count for every clean listed file.
+fn count_rows(
+    sets: &SharedNeighborCounter,
+    rows: Range<usize>,
+    dirs: &DirTree,
     config: &ClusterConfig,
-    a: FileId,
-    out: &mut Vec<((FileId, FileId), f64)>,
+    reuse: Option<&Reuse>,
+    out: &mut [f64],
 ) {
-    let Some(targets) = counter.neighbors(a) else {
-        return;
+    let mut stamp = Stamp::new(sets.id_bound());
+    let base = if rows.is_empty() {
+        0
+    } else {
+        sets.slots(rows.start).start
     };
-    for &b in targets {
-        if b != a {
-            out.push(((a, b), adjusted_count(counter, paths, config, a, b)));
+    for r in rows {
+        let a = sets.row_file(r);
+        let set = sets.set(r);
+        let slots = sets.slots(r);
+        let out = &mut out[slots.start - base..slots.end - base];
+        let previous = reuse.and_then(|re| re.clean_row(a, set));
+        let mut stamped = false;
+        for (k, &b) in set.iter().enumerate() {
+            if b == a {
+                continue;
+            }
+            if let (Some(re), Some(counts)) = (reuse, previous) {
+                if !re.dirty[b.index()] {
+                    out[k] = counts[k];
+                    continue;
+                }
+            }
+            if !stamped {
+                stamp.mark(set);
+                stamped = true;
+            }
+            out[k] = adjusted(sets.count_stamped(&stamp, b), dirs.distance(a, b), config);
         }
     }
 }
 
-/// One shard's output: its directed pair counts, how long the counting
-/// took (fed to the per-shard latency histogram), and when the shard
-/// started relative to the phase entry (fed to trace spans).
-type CountShard = (Vec<((FileId, FileId), f64)>, Duration, Duration);
-
-/// The O(files × neighbors) counting phase, partitioned by candidate
-/// row across at most `threads` scoped threads. Row partitioning makes
-/// the shards disjoint in their output keys, so the merge is a plain
-/// extend and the result is independent of the schedule.
-#[allow(clippy::type_complexity)]
-fn count_pairs_sharded(
-    counter: &SharedNeighborCounter,
-    paths: &PathTable,
+/// The full counting phase, partitioned by candidate row across at most
+/// `threads` scoped threads. Each shard counts a contiguous run of rows
+/// into its own run of the flat count array, so the result is
+/// independent of the schedule. Returns the counts, each shard's wall
+/// time, and when each shard started relative to the phase entry.
+fn count_sharded(
+    sets: &SharedNeighborCounter,
+    dirs: &DirTree,
     config: &ClusterConfig,
     threads: usize,
-) -> (HashMap<(FileId, FileId), f64>, Vec<Duration>, Vec<Duration>) {
-    let rows = counter.files_sorted();
-    let threads = threads.clamp(1, rows.len().max(1));
+) -> (Vec<f64>, Vec<Duration>, Vec<Duration>) {
+    let rows = sets.rows();
+    let threads = threads.clamp(1, rows.max(1));
     let base = Instant::now();
-    let mut merged: HashMap<(FileId, FileId), f64> = HashMap::new();
-    let mut timings = Vec::with_capacity(threads);
-    let mut offsets = Vec::with_capacity(threads);
+    let mut counts = vec![0.0; sets.slot_count()];
     if threads == 1 {
         let started = Instant::now();
-        let mut local = Vec::new();
-        for &a in &rows {
-            count_row(counter, paths, config, a, &mut local);
-        }
-        merged.extend(local);
-        offsets.push(started.duration_since(base));
-        timings.push(started.elapsed());
-        return (merged, timings, offsets);
+        count_rows(sets, 0..rows, dirs, config, None, &mut counts);
+        return (
+            counts,
+            vec![started.elapsed()],
+            vec![started.duration_since(base)],
+        );
     }
-    let chunk = rows.len().div_ceil(threads);
-    let shards: Vec<CountShard> = std::thread::scope(|s| {
-        let handles: Vec<_> = rows
-            .chunks(chunk)
-            .map(|part| {
+    let chunk = rows.div_ceil(threads);
+    let mut parts: Vec<(Range<usize>, &mut [f64])> = Vec::with_capacity(threads);
+    let mut rest: &mut [f64] = &mut counts;
+    for start in (0..rows).step_by(chunk) {
+        let range = start..(start + chunk).min(rows);
+        let len = sets.slots(range.end - 1).end - sets.slots(range.start).start;
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        parts.push((range, part));
+        rest = tail;
+    }
+    let shards: Vec<(Duration, Duration)> = std::thread::scope(|s| {
+        let handles: Vec<_> = parts
+            .into_iter()
+            .map(|(range, part)| {
                 s.spawn(move || {
                     let started = Instant::now();
-                    let mut local = Vec::new();
-                    for &a in part {
-                        count_row(counter, paths, config, a, &mut local);
-                    }
-                    (local, started.elapsed(), started.duration_since(base))
+                    count_rows(sets, range, dirs, config, None, part);
+                    (started.elapsed(), started.duration_since(base))
                 })
             })
             .collect();
@@ -412,12 +481,87 @@ fn count_pairs_sharded(
             .map(|h| h.join().expect("count shard panicked"))
             .collect()
     });
-    for (local, wall, offset) in shards {
-        merged.extend(local);
-        timings.push(wall);
-        offsets.push(offset);
+    let (timings, offsets) = shards.into_iter().unzip();
+    (counts, timings, offsets)
+}
+
+/// Phases one and two over `counted`'s pair counts, with investigator
+/// relations overlaid.
+///
+/// Relations are tested regardless of whether a semantic distance was
+/// independently stored (§3.3.3). They overlay the raw counts rather
+/// than mutating them, so the cached baseline stays relation-free;
+/// chained relations on one pair compound through the overlay exactly as
+/// sequential inserts would.
+fn cluster_counted(
+    counted: &PairCountCache,
+    dirs: &DirTree,
+    relations: &[ExternalRelation],
+    config: &ClusterConfig,
+) -> Clustering {
+    let sets = &counted.sets;
+    let mut overlay: HashMap<(FileId, FileId), f64> = HashMap::new();
+    if !relations.is_empty() {
+        let mut stamp = Stamp::new(sets.id_bound());
+        for rel in relations {
+            for (a, b) in rel.pairs() {
+                let base = overlay
+                    .get(&(a, b))
+                    .copied()
+                    .or_else(|| counted.get(a, b))
+                    .unwrap_or_else(|| {
+                        stamp.mark(sets.neighbors(a).unwrap_or(&[]));
+                        adjusted(sets.count_stamped(&stamp, b), dirs.distance(a, b), config)
+                    });
+                let adjusted = base + rel.strength;
+                // A sufficiently strong relation forces combination outright.
+                let forced = rel.strength >= config.force_strength;
+                overlay.insert((a, b), if forced { f64::INFINITY } else { adjusted });
+            }
+        }
     }
-    (merged, timings, offsets)
+    // The universe: every row, every listed file, and every file of a
+    // relation pair, indexed densely in ascending id order.
+    let bound = overlay
+        .keys()
+        .map(|(a, b)| a.index().max(b.index()) + 1)
+        .fold(sets.id_bound(), usize::max);
+    let mut present = vec![false; bound];
+    for r in 0..sets.rows() {
+        present[sets.row_file(r).index()] = true;
+        for &b in sets.set(r) {
+            present[b.index()] = true;
+        }
+    }
+    for &(a, b) in overlay.keys() {
+        present[a.index()] = true;
+        present[b.index()] = true;
+    }
+    let mut dense = vec![u32::MAX; bound];
+    let mut files = Vec::new();
+    for (i, _) in present.iter().enumerate().filter(|&(_, &p)| p) {
+        dense[i] = files.len() as u32;
+        files.push(FileId(i as u32));
+    }
+    let mut pairs: Vec<(u32, u32, f64)> = Vec::new();
+    for r in 0..sets.rows() {
+        let a = sets.row_file(r);
+        for (&b, &count) in sets.set(r).iter().zip(&counted.counts[sets.slots(r)]) {
+            if b == a {
+                continue;
+            }
+            let count = overlay.get(&(a, b)).copied().unwrap_or(count);
+            if acts(count, config) {
+                pairs.push((dense[a.index()], dense[b.index()], count));
+            }
+        }
+    }
+    for (&(a, b), &count) in &overlay {
+        if sets.pair_slot(a, b).is_none() && acts(count, config) {
+            pairs.push((dense[a.index()], dense[b.index()], count));
+        }
+    }
+    combine_and_overlap(&files, &pairs, config)
 }
 
 #[cfg(test)]
@@ -605,10 +749,17 @@ mod tests {
         let config = ClusterConfig::default();
         let view = t.cluster_view();
         let rels = std::slice::from_ref(&rel);
-        let serial = cluster_view_excluding(&view, &paths, rels, &exclude, &config, 1);
+        let serial = cluster_view_excluding(&view, paths.directories(), rels, &exclude, &config, 1);
         assert_eq!(serial.shard_count_seconds.len(), 1);
         for threads in [2, 3, 8, 64] {
-            let par = cluster_view_excluding(&view, &paths, rels, &exclude, &config, threads);
+            let par = cluster_view_excluding(
+                &view,
+                paths.directories(),
+                rels,
+                &exclude,
+                &config,
+                threads,
+            );
             assert_eq!(
                 par.clustering.membership_fingerprint(),
                 serial.clustering.membership_fingerprint(),
@@ -668,7 +819,7 @@ mod tests {
         let d0 = t.take_dirty();
         let first = cluster_view_incremental(
             &t.cluster_view(),
-            &paths,
+            paths.directories(),
             &[],
             &exclude,
             &config,
@@ -685,7 +836,7 @@ mod tests {
             let view = t.cluster_view();
             let inc = cluster_view_incremental(
                 &view,
-                &paths,
+                paths.directories(),
                 &[],
                 &exclude,
                 &config,
@@ -694,7 +845,8 @@ mod tests {
                 &mut cache,
             );
             assert!(inc.incremental, "round {round} should reuse the cache");
-            let full = cluster_view_excluding(&view, &paths, &[], &exclude, &config, 1);
+            let full =
+                cluster_view_excluding(&view, paths.directories(), &[], &exclude, &config, 1);
             assert_eq!(
                 inc.clustering.clusters, full.clustering.clusters,
                 "round {round} diverged from the full recount"
@@ -709,7 +861,7 @@ mod tests {
         let rels = std::slice::from_ref(&rel);
         let inc = cluster_view_incremental(
             &view,
-            &paths,
+            paths.directories(),
             rels,
             &exclude,
             &config,
@@ -718,11 +870,11 @@ mod tests {
             &mut cache,
         );
         assert!(inc.incremental);
-        let full = cluster_view_excluding(&view, &paths, rels, &exclude, &config, 1);
+        let full = cluster_view_excluding(&view, paths.directories(), rels, &exclude, &config, 1);
         assert_eq!(inc.clustering.clusters, full.clustering.clusters);
         let no_rel = cluster_view_incremental(
             &view,
-            &paths,
+            paths.directories(),
             &[],
             &exclude,
             &config,
@@ -738,7 +890,7 @@ mod tests {
         let view = t.cluster_view();
         let inc = cluster_view_incremental(
             &view,
-            &paths,
+            paths.directories(),
             &[],
             &exclude,
             &config,
@@ -750,7 +902,7 @@ mod tests {
             inc.incremental,
             "exclusion change is absorbed incrementally"
         );
-        let full = cluster_view_excluding(&view, &paths, &[], &exclude, &config, 1);
+        let full = cluster_view_excluding(&view, paths.directories(), &[], &exclude, &config, 1);
         assert_eq!(inc.clustering.clusters, full.clustering.clusters);
         // Un-excluding restores the original pairs, still incrementally.
         exclude.remove(&FileId(5));
@@ -758,7 +910,7 @@ mod tests {
         let view = t.cluster_view();
         let inc = cluster_view_incremental(
             &view,
-            &paths,
+            paths.directories(),
             &[],
             &exclude,
             &config,
@@ -767,7 +919,7 @@ mod tests {
             &mut cache,
         );
         assert!(inc.incremental, "un-exclusion is absorbed incrementally");
-        let full = cluster_view_excluding(&view, &paths, &[], &exclude, &config, 1);
+        let full = cluster_view_excluding(&view, paths.directories(), &[], &exclude, &config, 1);
         assert_eq!(inc.clustering.clusters, full.clustering.clusters);
         // A file death stays on the incremental path: the purge marks the
         // dead row plus every row that listed it, and the cached counts
@@ -784,7 +936,7 @@ mod tests {
         let view = t.cluster_view();
         let inc = cluster_view_incremental(
             &view,
-            &paths,
+            paths.directories(),
             &[],
             &exclude,
             &config,
@@ -793,7 +945,7 @@ mod tests {
             &mut cache,
         );
         assert!(inc.incremental, "a purge is absorbed incrementally");
-        let full = cluster_view_excluding(&view, &paths, &[], &exclude, &config, 1);
+        let full = cluster_view_excluding(&view, paths.directories(), &[], &exclude, &config, 1);
         assert_eq!(inc.clustering.clusters, full.clustering.clusters);
     }
 

@@ -11,7 +11,7 @@ use seer_cluster::{
 use seer_distance::{ClusterView, TableDirty};
 use seer_observer::Observer;
 use seer_telemetry::{Counter, Gauge, Histogram, Registry};
-use seer_trace::{EventKind, EventSink, FileId, PathTable, StringTable, TraceEvent};
+use seer_trace::{DirTree, EventKind, EventSink, FileId, PathTable, StringTable, TraceEvent};
 use std::collections::HashSet;
 use std::time::Duration;
 
@@ -233,7 +233,7 @@ impl SeerEngine {
         let started = std::time::Instant::now();
         let run = cluster_view_excluding(
             &self.correlator().distance().table().cluster_view(),
-            self.observer.paths(),
+            self.observer.paths().directories(),
             &self.relations,
             self.observer.always_hoard(),
             &self.cluster_config,
@@ -244,19 +244,20 @@ impl SeerEngine {
 
     /// Captures everything a detached worker needs to compute a
     /// clustering equivalent to [`SeerEngine::recluster`]: a frozen
-    /// neighbor view, the path table, investigator relations, the
-    /// exclusion set, and the configuration.
+    /// neighbor view, the path table's directory tree, investigator
+    /// relations, the exclusion set, and the configuration.
     ///
-    /// The snapshot is O(files) — neighbor ids and path strings are
-    /// copied, distances are not — and is fully detached: the engine can
-    /// keep applying events while [`ReclusterInput::compute`] runs
+    /// The snapshot is O(files) — neighbor ids plus one directory node
+    /// per file and a parent and depth per directory are copied; path
+    /// strings and distances are not — and is fully detached: the engine
+    /// can keep applying events while [`ReclusterInput::compute`] runs
     /// elsewhere, and the finished [`Clustering`] is folded back in with
     /// [`SeerEngine::install_clustering`].
     #[must_use]
     pub fn recluster_input(&self) -> ReclusterInput {
         ReclusterInput {
             view: self.correlator().distance().table().cluster_view(),
-            paths: self.observer.paths().clone(),
+            dirs: self.observer.paths().directories().clone(),
             relations: self.relations.clone(),
             exclude: self.observer.always_hoard().clone(),
             config: self.cluster_config,
@@ -407,12 +408,15 @@ impl SeerEngine {
 }
 
 /// A self-contained snapshot of the engine state a reclustering reads
-/// (see [`SeerEngine::recluster_input`]). Owns everything it needs, so
-/// it can be sent to a worker thread while the engine keeps mutating.
+/// (see [`SeerEngine::recluster_input`]): the neighbor view, the path
+/// table's directory tree (what directory distance reads; no path
+/// strings), the relations, the exclusion set, and the configuration.
+/// Owns everything it needs, so it can be sent to a worker thread while
+/// the engine keeps mutating.
 #[derive(Debug, Clone)]
 pub struct ReclusterInput {
     view: ClusterView,
-    paths: PathTable,
+    dirs: DirTree,
     relations: Vec<ExternalRelation>,
     exclude: HashSet<FileId>,
     config: seer_cluster::ClusterConfig,
@@ -427,7 +431,7 @@ impl ReclusterInput {
     pub fn compute(&self, threads: usize) -> ClusterRun {
         cluster_view_excluding(
             &self.view,
-            &self.paths,
+            &self.dirs,
             &self.relations,
             &self.exclude,
             &self.config,
@@ -451,7 +455,7 @@ impl ReclusterInput {
     ) -> ClusterRun {
         cluster_view_incremental(
             &self.view,
-            &self.paths,
+            &self.dirs,
             &self.relations,
             &self.exclude,
             &self.config,

@@ -67,24 +67,14 @@ const MAX_DECODED_NEIGHBORS: usize = 1 << 16;
 /// row: clustering consumes neighbor identities, not distances.
 #[derive(Debug, Default, Clone)]
 pub struct TableDirty {
-    /// Files whose neighbor target lists gained or swapped members.
+    /// Files whose neighbor target lists gained or swapped members, and,
+    /// after a purge, the dead rows and every row that listed one.
     pub rows: Vec<FileId>,
-    /// Whether a structural change (a file died and was purged) occurred;
-    /// a dead file disappears from *every* row's live view, so incremental
-    /// consumers must fall back to a full recount.
+    /// Whether the table was restored from a snapshot since the last
+    /// drain: a restored table has no baseline to describe a delta
+    /// against, so incremental consumers must fall back to a full
+    /// recount.
     pub structural: bool,
-}
-
-impl TableDirty {
-    /// Folds `other` into this delta: the union describes the combined
-    /// span of table changes, so two consecutive deltas merge into one
-    /// that is valid against the older baseline.
-    pub fn merge(&mut self, other: TableDirty) {
-        self.rows.extend(other.rows);
-        self.rows.sort_unstable();
-        self.rows.dedup();
-        self.structural |= other.structural;
-    }
 }
 
 /// Relative slack on each side of the row-bound test; see
@@ -554,8 +544,10 @@ impl NeighborTable {
     }
 
     /// Marks `file` as deleted; actual purging happens after
-    /// `deletion_delay` further deletions (§4.8). Returns files purged by
-    /// this deletion.
+    /// `deletion_delay` further deletions (§4.8). Returns the files whose
+    /// marks came due with this deletion. A file deleted again after its
+    /// purge comes due again, but purging it again leaves the table as it
+    /// was: no second dead-list entry, no rescan, no dirty row.
     pub fn note_deletion(&mut self, file: FileId) -> Vec<FileId> {
         self.deletion_tick += 1;
         self.mark_epoch += 1;
@@ -589,8 +581,15 @@ impl NeighborTable {
             true
         });
         self.marked_list = list;
-        if !due.is_empty() {
-            for &f in &due {
+        // A file deleted again after its purge is due again, but it is
+        // already out of every view: purging it changes nothing.
+        let newly_dead: Vec<FileId> = due
+            .iter()
+            .copied()
+            .filter(|f| !self.dead[f.index()])
+            .collect();
+        if !newly_dead.is_empty() {
+            for &f in &newly_dead {
                 let j = f.index();
                 self.dead[j] = true;
                 self.dead_list.push(f);
@@ -615,7 +614,7 @@ impl NeighborTable {
                 let base = i * self.n;
                 if self.slot_to[base..base + len]
                     .iter()
-                    .any(|t| due.contains(t))
+                    .any(|t| newly_dead.contains(t))
                 {
                     self.mark_row_dirty(FileId(i as u32));
                 }
@@ -1192,6 +1191,30 @@ mod tests {
         assert!(d.rows.contains(&FileId(2)), "the dead row goes dirty");
         assert!(d.rows.contains(&FileId(1)), "the referrer's view changed");
         assert!(!d.rows.contains(&FileId(3)), "unrelated rows stay clean");
+    }
+
+    /// Deleting a purged file again lists it dead once, dirties no row,
+    /// and leaves a table that encodes like its restored copy.
+    #[test]
+    fn purging_a_dead_file_again_changes_nothing() {
+        let encoded = |t: &NeighborTable| {
+            let mut buf = Vec::new();
+            t.snapshot().encode(&mut buf);
+            buf
+        };
+        let mut t = NeighborTable::new(5, ReductionKind::Geometric, 1000, 0, 42);
+        t.observe(FileId(1), FileId(2), 1.0);
+        t.observe(FileId(3), FileId(4), 1.0);
+        assert_eq!(t.note_deletion(FileId(2)), vec![FileId(2)]);
+        assert!(t.take_dirty().rows.contains(&FileId(1)));
+        t.observe(FileId(1), FileId(4), 1.0);
+        t.take_dirty();
+        t.note_deletion(FileId(2));
+        let d = t.take_dirty();
+        assert!(d.rows.is_empty(), "no view changed: {:?}", d.rows);
+        assert_eq!(t.snapshot().dead, vec![FileId(2)]);
+        let restored = NeighborTable::from_snapshot(t.snapshot(), 42);
+        assert_eq!(encoded(&t), encoded(&restored));
     }
 
     #[test]

@@ -146,7 +146,9 @@ impl Reference {
             .collect();
         for f in &due {
             self.marked.remove(f);
-            self.dead.push(*f);
+            if !self.dead.contains(f) {
+                self.dead.push(*f);
+            }
             self.rows.remove(f);
         }
         due
@@ -297,10 +299,6 @@ fn run(n: usize, reduction: ReductionKind, aging_refs: u64, deletion_delay: u64,
             Op::Restore(seed) => {
                 table = NeighborTable::from_snapshot(table.snapshot(), seed);
                 reference.rng = SmallRng::seed_from_u64(seed);
-                // A file deleted again after its purge is listed dead
-                // twice; a restore keeps one.
-                reference.dead.sort_unstable();
-                reference.dead.dedup();
             }
         }
         prop_assert!(

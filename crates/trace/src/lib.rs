@@ -36,7 +36,7 @@ pub use event::{ErrorKind, EventKind, OpenMode, TraceEvent};
 pub use fs::{FileKind, FsEntry, FsImage};
 pub use hash::{IdHashMap, IdHashSet};
 pub use ids::{Fd, FileId, Pid, RawPathId, Seq};
-pub use path::PathTable;
+pub use path::{DirTree, PathTable};
 pub use strings::StringTable;
 pub use time::Timestamp;
 pub use trace::{EventSink, Trace, TraceBuilder, TraceMeta, TraceStats};

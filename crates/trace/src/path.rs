@@ -2,6 +2,7 @@
 
 use crate::codec::{Codec, DecodeError, Reader};
 use crate::ids::FileId;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Interning table for canonical absolute paths.
@@ -12,10 +13,21 @@ use std::collections::HashMap;
 /// hoarding. The table also answers the structural queries those layers
 /// need: parent directory, basename, dot-file detection, and the
 /// directory-distance measure of §3.2.
+///
+/// Interning also places each file's directory in a tree of directory
+/// prefixes ([`DirTree`]), so directory distance is an integer walk
+/// rather than a comparison of path strings.
 #[derive(Debug, Default, Clone)]
 pub struct PathTable {
     paths: Vec<String>,
     index: HashMap<String, FileId>,
+    dirs: DirTree,
+    /// Node of each directory string seen, as spelled.
+    dir_index: HashMap<String, u32>,
+    /// Id of each distinct directory component name.
+    dir_names: HashMap<String, u32>,
+    /// Child node of each `(node, component name id)` seen.
+    dir_children: HashMap<(u32, u32), u32>,
 }
 
 impl PathTable {
@@ -39,10 +51,70 @@ impl PathTable {
         if let Some(&id) = self.index.get(path) {
             return id;
         }
+        self.push(path.to_owned())
+            .expect("a path missing from the index is new")
+    }
+
+    /// Appends `path` under the next id and places its directory in the
+    /// tree, unless the table already lists it.
+    fn push(&mut self, path: String) -> Option<FileId> {
         let id = FileId(self.paths.len() as u32);
-        self.paths.push(path.to_owned());
-        self.index.insert(path.to_owned(), id);
-        id
+        match self.index.entry(path.clone()) {
+            Entry::Occupied(_) => return None,
+            Entry::Vacant(slot) => slot.insert(id),
+        };
+        let dir = self.dir_node(dirname(&path));
+        self.dirs.file_dir.push(dir);
+        self.paths.push(path);
+        Some(id)
+    }
+
+    /// The tree node of directory `dir`. The last path's directory and
+    /// every directory seen before answer without a walk; a new one walks
+    /// down from the root, adding missing nodes. Nodes are identified by
+    /// their components, so `/a//b` and `/a/b/` name the node of `/a/b`,
+    /// and the walk hashes each component once, however deep the
+    /// directory.
+    fn dir_node(&mut self, dir: &str) -> u32 {
+        if let (Some(last), Some(&node)) = (self.paths.last(), self.dirs.file_dir.last()) {
+            if dirname(last) == dir {
+                return node;
+            }
+        }
+        if let Some(&node) = self.dir_index.get(dir) {
+            return node;
+        }
+        if self.dirs.parent.is_empty() {
+            self.dirs.parent.push(ROOT);
+            self.dirs.depth.push(0);
+        }
+        let mut node = ROOT;
+        for name in components(dir) {
+            let name = match self.dir_names.get(name) {
+                Some(&id) => id,
+                None => {
+                    let id = self.dir_names.len() as u32;
+                    self.dir_names.insert(name.to_owned(), id);
+                    id
+                }
+            };
+            let next_node = self.dirs.parent.len() as u32;
+            let child = *self.dir_children.entry((node, name)).or_insert(next_node);
+            if child == next_node {
+                self.dirs.parent.push(node);
+                self.dirs.depth.push(self.dirs.depth[node as usize] + 1);
+            }
+            node = child;
+        }
+        self.dir_index.insert(dir.to_owned(), node);
+        node
+    }
+
+    /// The directory tree of every interned file: what directory
+    /// distance needs, detached from the path strings.
+    #[must_use]
+    pub fn directories(&self) -> &DirTree {
+        &self.dirs
     }
 
     /// Looks up a path without inserting it.
@@ -105,14 +177,12 @@ impl PathTable {
     /// ancestor. Returns `None` if either id is unknown.
     #[must_use]
     pub fn directory_distance(&self, a: FileId, b: FileId) -> Option<u32> {
-        let da = self.dir_of(a)?;
-        let db = self.dir_of(b)?;
-        Some(directory_distance(da, db))
+        self.dirs.distance(a, b)
     }
 }
 
 /// Encoded as the paths in id order; decoding rebuilds the lookup
-/// index and refuses a path listed twice.
+/// index and the directory tree, and refuses a path listed twice.
 impl Codec for PathTable {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.paths.encode(buf);
@@ -120,14 +190,67 @@ impl Codec for PathTable {
 
     fn decode(r: &mut Reader<'_>) -> Result<PathTable, DecodeError> {
         let paths = Vec::<String>::decode(r)?;
-        let mut index = HashMap::with_capacity(paths.len());
-        for (i, path) in paths.iter().enumerate() {
-            let id = FileId(u32::try_from(i).map_err(|_| DecodeError("too many paths"))?);
-            if index.insert(path.clone(), id).is_some() {
+        if u32::try_from(paths.len()).is_err() {
+            return Err(DecodeError("too many paths"));
+        }
+        let mut table = PathTable {
+            paths: Vec::with_capacity(paths.len()),
+            index: HashMap::with_capacity(paths.len()),
+            ..PathTable::default()
+        };
+        table.dirs.file_dir.reserve(paths.len());
+        for path in paths {
+            if table.push(path).is_none() {
                 return Err(DecodeError("path table lists a path twice"));
             }
         }
-        Ok(PathTable { paths, index })
+        Ok(table)
+    }
+}
+
+/// The root's node in a [`DirTree`].
+const ROOT: u32 = 0;
+
+/// The directories of a [`PathTable`]'s files as a tree of directory
+/// prefixes: each file's directory node, and each node's parent and
+/// depth (components below the root). Two files' directory distance is
+/// the walk from their nodes up to the deepest common ancestor.
+///
+/// Node ids are assigned in order of first appearance as paths are
+/// interned, so a table rebuilt from its paths has the same tree.
+#[derive(Debug, Default, Clone)]
+pub struct DirTree {
+    /// Directory node of each file, indexed by [`FileId`].
+    file_dir: Vec<u32>,
+    /// Parent of each node; the root is its own parent.
+    parent: Vec<u32>,
+    /// Depth of each node; the root is at 0.
+    depth: Vec<u32>,
+}
+
+impl DirTree {
+    /// Directory distance between two files (see
+    /// [`PathTable::directory_distance`]), or `None` if either id is
+    /// unknown.
+    #[must_use]
+    pub fn distance(&self, a: FileId, b: FileId) -> Option<u32> {
+        let mut x = *self.file_dir.get(a.index())? as usize;
+        let mut y = *self.file_dir.get(b.index())? as usize;
+        let mut steps = 0;
+        while self.depth[x] > self.depth[y] {
+            x = self.parent[x] as usize;
+            steps += 1;
+        }
+        while self.depth[y] > self.depth[x] {
+            y = self.parent[y] as usize;
+            steps += 1;
+        }
+        while x != y {
+            x = self.parent[x] as usize;
+            y = self.parent[y] as usize;
+            steps += 2;
+        }
+        Some(steps)
     }
 }
 
