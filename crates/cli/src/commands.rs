@@ -35,7 +35,7 @@ USAGE:
   seer daemon --socket PATH [--tcp ADDR] [--shards N]
               [--snapshot FILE] [--capacity N]
               [--recluster-every N] [--snapshot-every N] [--file-size BYTES]
-              [--recluster-threads N] [--trace-capacity N] [--slow-span-ms MS]
+              [--trace-capacity N] [--slow-span-ms MS]
               [--flight FILE] [--wal-dir DIR] [--fsync always|never|interval:<ms>]
               [--wal-segment-bytes N] [--restore-to GENERATION]
               [--eval-every-ms MS] [--eval-window-secs S]

@@ -36,14 +36,6 @@ pub fn cmd_daemon(args: &Args) -> Result<(), CliError> {
     cfg.recluster_every = args.num_flag("recluster-every", cfg.recluster_every)?;
     cfg.snapshot_every = args.num_flag("snapshot-every", cfg.snapshot_every)?;
     cfg.file_size = args.num_flag("file-size", cfg.file_size)?;
-    cfg.recluster_threads = args.num_flag("recluster-threads", cfg.recluster_threads)?;
-    if cfg.recluster_threads == 0 {
-        return Err(CliError(
-            "--recluster-threads wants at least 1 (the clustering is \
-             bit-identical for any thread count)"
-                .into(),
-        ));
-    }
     // Flight-recorder knobs: ring capacity (0 disables tracing), the
     // slow-span promotion threshold, and an optional on-exit dump file.
     cfg.trace_capacity = args.num_flag("trace-capacity", cfg.trace_capacity)?;
@@ -611,13 +603,12 @@ fn top_once(client: &mut DaemonClient, target: &str) -> Result<(), CliError> {
         counter("seer_daemon_batches_applied_total"),
     );
     println!(
-        "queue depth {} (peak {})   connections {}   reclusters {} ({} in flight)   \
+        "queue depth {} (peak {})   connections {}   reclusters {}   \
          snapshots {}   stale queries {}",
         gauge("seer_daemon_queue_depth"),
         gauge("seer_daemon_queue_depth_max"),
         counter("seer_daemon_connections_total"),
         counter("seer_daemon_reclusters_total"),
-        gauge("seer_daemon_recluster_inflight"),
         counter("seer_daemon_snapshots_total"),
         counter("seer_daemon_stale_queries_total"),
     );

@@ -49,14 +49,19 @@ proptest! {
                 uf.union(a, b);
             }
         }
-        for &(a, b, c) in &pairs {
-            if c >= config.kn {
-                let ca = r.clusters_of(a);
-                let cb = r.clusters_of(b);
-                prop_assert!(
-                    ca.iter().any(|x| cb.contains(x)),
-                    "{a:?} and {b:?} combined but share no cluster"
-                );
+        let mut files: Vec<FileId> = pairs.iter().flat_map(|&(a, b, _)| [a, b]).collect();
+        files.sort_unstable();
+        files.dedup();
+        for (i, &a) in files.iter().enumerate() {
+            for &b in &files[i + 1..] {
+                if uf.same(a, b) {
+                    let ca = r.clusters_of(a);
+                    let cb = r.clusters_of(b);
+                    prop_assert!(
+                        ca.iter().any(|x| cb.contains(x)),
+                        "{a:?} and {b:?} chained by strong pairs but share no cluster"
+                    );
+                }
             }
         }
     }

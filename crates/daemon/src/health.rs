@@ -29,10 +29,8 @@
 //!
 //! - **liveness**: each actor stamps its heartbeat once per loop
 //!   iteration, so a heartbeat older than `stall_after` means the shard
-//!   is stuck inside one message (or deadlocked);
-//! - **worker progress**: a recluster or eval job continuously in
-//!   flight for longer than `wedge_after` means the background worker
-//!   is wedged;
+//!   is stuck inside one message or one in-place recluster or
+//!   evaluation (or deadlocked);
 //! - **durability freshness**: unsnapshotted state older than
 //!   `snapshot_stale_after` means the periodic snapshot trigger stopped
 //!   firing.
@@ -194,9 +192,6 @@ pub struct WatchdogConfig {
     pub tick: Duration,
     /// Heartbeat age above which a shard counts as stalled.
     pub stall_after: Duration,
-    /// Continuous recluster/eval in-flight time above which the worker
-    /// counts as wedged.
-    pub wedge_after: Duration,
     /// Unsnapshotted-state age above which durability counts as stale.
     pub snapshot_stale_after: Duration,
 }
@@ -206,7 +201,6 @@ impl Default for WatchdogConfig {
         WatchdogConfig {
             tick: Duration::from_millis(250),
             stall_after: Duration::from_secs(5),
-            wedge_after: Duration::from_secs(60),
             snapshot_stale_after: Duration::from_secs(300),
         }
     }
@@ -214,14 +208,12 @@ impl Default for WatchdogConfig {
 
 /// Millisecond timestamps a shard actor stamps as it runs, read by the
 /// watchdog thread. All times are milliseconds since the beat's own
-/// creation; zero means "never" (heartbeat) or "not currently" (busy
-/// and dirty marks).
+/// creation; zero means "never" (heartbeat) or "not currently" (dirty
+/// mark).
 #[derive(Debug)]
 pub struct ShardBeat {
     epoch: Instant,
     heartbeat_ms: AtomicU64,
-    recluster_busy_ms: AtomicU64,
-    eval_busy_ms: AtomicU64,
     snapshot_dirty_ms: AtomicU64,
 }
 
@@ -238,8 +230,6 @@ impl ShardBeat {
         ShardBeat {
             epoch: Instant::now(),
             heartbeat_ms: AtomicU64::new(0),
-            recluster_busy_ms: AtomicU64::new(0),
-            eval_busy_ms: AtomicU64::new(0),
             snapshot_dirty_ms: AtomicU64::new(0),
         }
     }
@@ -256,16 +246,6 @@ impl ShardBeat {
     /// actor loop iteration).
     pub fn stamp_heartbeat(&self) {
         self.heartbeat_ms.store(self.now_ms(), Ordering::Relaxed);
-    }
-
-    /// Marks whether any recluster job is in flight on this shard.
-    pub fn set_recluster_busy(&self, busy: bool) {
-        Self::mark(&self.recluster_busy_ms, busy, self.now_ms());
-    }
-
-    /// Marks whether any eval job is in flight on this shard.
-    pub fn set_eval_busy(&self, busy: bool) {
-        Self::mark(&self.eval_busy_ms, busy, self.now_ms());
     }
 
     /// Marks whether any tenant on this shard has unsnapshotted state.
@@ -295,18 +275,6 @@ impl ShardBeat {
         self.age(&self.heartbeat_ms)
     }
 
-    /// How long a recluster job has been continuously in flight.
-    #[must_use]
-    pub fn recluster_busy_for(&self) -> Option<Duration> {
-        self.age(&self.recluster_busy_ms)
-    }
-
-    /// How long an eval job has been continuously in flight.
-    #[must_use]
-    pub fn eval_busy_for(&self) -> Option<Duration> {
-        self.age(&self.eval_busy_ms)
-    }
-
     /// How long unsnapshotted state has been pending.
     #[must_use]
     pub fn snapshot_dirty_for(&self) -> Option<Duration> {
@@ -334,7 +302,7 @@ pub fn watchdog_check(
     beat: &ShardBeat,
     cfg: &WatchdogConfig,
 ) -> Vec<WatchdogFinding> {
-    let mut findings = Vec::with_capacity(4);
+    let mut findings = Vec::with_capacity(2);
     let mut push = |name: &str, age: Option<Duration>, limit: Duration, what: &str| {
         let firing = age.is_some_and(|a| a > limit);
         findings.push(WatchdogFinding {
@@ -352,18 +320,6 @@ pub fn watchdog_check(
         beat.heartbeat_age(),
         cfg.stall_after,
         "no actor heartbeat",
-    );
-    push(
-        "recluster-wedged",
-        beat.recluster_busy_for(),
-        cfg.wedge_after,
-        "recluster job in flight",
-    );
-    push(
-        "eval-wedged",
-        beat.eval_busy_for(),
-        cfg.wedge_after,
-        "eval job in flight",
     );
     push(
         "snapshot-stale",
@@ -479,31 +435,26 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_flags_stall_wedge_and_snapshot_age() {
+    fn watchdog_flags_stall_and_snapshot_age() {
         let beat = ShardBeat::new();
         let cfg = WatchdogConfig {
             tick: Duration::from_millis(10),
             stall_after: Duration::from_millis(20),
-            wedge_after: Duration::from_millis(20),
             snapshot_stale_after: Duration::from_millis(20),
         };
         // Nothing stamped yet: every age is None, nothing fires.
         assert!(watchdog_check(0, &beat, &cfg).iter().all(|f| !f.firing));
 
         beat.stamp_heartbeat();
-        beat.set_recluster_busy(true);
-        beat.set_eval_busy(true);
         beat.set_snapshot_dirty(true);
         std::thread::sleep(Duration::from_millis(40));
         let findings = watchdog_check(3, &beat, &cfg);
-        assert_eq!(findings.len(), 4);
-        assert!(findings.iter().all(|f| f.firing), "all four invariants");
+        assert_eq!(findings.len(), 2);
+        assert!(findings.iter().all(|f| f.firing), "both invariants");
         assert!(findings.iter().all(|f| f.kind.starts_with("shard3/")));
 
-        // Fresh stamps and cleared marks resolve everything.
+        // A fresh stamp and a cleared mark resolve everything.
         beat.stamp_heartbeat();
-        beat.set_recluster_busy(false);
-        beat.set_eval_busy(false);
         beat.set_snapshot_dirty(false);
         assert!(watchdog_check(3, &beat, &cfg).iter().all(|f| !f.firing));
     }
@@ -511,12 +462,12 @@ mod tests {
     #[test]
     fn busy_mark_latches_the_first_edge() {
         let beat = ShardBeat::new();
-        beat.set_recluster_busy(true);
-        let first = beat.recluster_busy_for().expect("latched");
+        beat.set_snapshot_dirty(true);
+        let first = beat.snapshot_dirty_for().expect("latched");
         std::thread::sleep(Duration::from_millis(15));
-        // Re-marking busy must not reset the latch time.
-        beat.set_recluster_busy(true);
-        let later = beat.recluster_busy_for().expect("still latched");
+        // Re-marking dirty must not reset the latch time.
+        beat.set_snapshot_dirty(true);
+        let later = beat.snapshot_dirty_for().expect("still latched");
         assert!(
             later >= first + Duration::from_millis(10),
             "age kept growing"

@@ -24,13 +24,16 @@
 //!   sockets. The deepest queue depth ever observed is reported in
 //!   [`DaemonStats::max_queue_depth`] and can never exceed the
 //!   configured capacity.
-//! - **An engine that never waits on background work.** SEER clustered
-//!   in a process separate from the trace-consuming correlator (§5.3).
-//!   Here each shard's engine actor blocks only on its inbox: periodic
-//!   reclusters, quality evaluations, and snapshot writes run on the
-//!   shard's one background worker thread, whatever its tenant count,
-//!   and a fresh
-//!   hoard query reclusters in place instead of waiting on that worker.
+//! - **One compute path per shard.** SEER clustered in a process
+//!   separate from the trace-consuming correlator because a ~20k-file
+//!   recluster took about two CPU minutes (§5.3). Here an incremental
+//!   recluster takes well under a millisecond, so each shard's engine
+//!   actor is the only thread that computes on its tenants' engines:
+//!   every recluster and quality evaluation runs in place between
+//!   messages, and the actor blocks only on its inbox. Snapshot files,
+//!   the one piece of file I/O that stays off the ack path, are written
+//!   by the shard's one background worker thread, whatever its tenant
+//!   count.
 //! - **Batching.** The observer's per-event cost is what made SEER's
 //!   overhead noticeable; clients send events in binary frames of many
 //!   events each, and every frame is one engine batch, so engine locks
@@ -66,8 +69,8 @@
 //!   when metrics are read; a health scorer folds each tenant's signals
 //!   into a 0–100 score with multi-window SLO burn-rate alerts, and a
 //!   watchdog thread alerts on the daemon itself (pseudo-tenant `_self`)
-//!   when a shard stalls, a background worker wedges, or snapshots go
-//!   stale. The `Alerts` query reads the bounded alert ring.
+//!   when a shard stalls (a stuck in-place recluster included) or
+//!   snapshots go stale. The `Alerts` query reads the bounded alert ring.
 
 #![warn(missing_docs)]
 

@@ -15,17 +15,18 @@
 //! The inbox is bounded: when the engine falls behind it fills and the
 //! readers block in `send` — backpressure propagates all the way to the
 //! client sockets instead of growing an unbounded queue. A full `tick`
-//! with no ingest message is the actor's idle time, when it starts stale
-//! reclusters, syncs the WAL, and snapshots; queries neither wait for it
-//! nor defer it.
+//! with no ingest message is the actor's idle time, when it reclusters
+//! stale tenants, syncs the WAL, and snapshots; queries neither wait for
+//! it nor defer it.
 //!
-//! The inbox is the actor's only blocking receive. Periodic reclusters,
-//! quality evaluations, and snapshot writes run on the shard's one
-//! background worker (`crate::worker`), whose results the actor drains
-//! without blocking at the top of every loop iteration; for a snapshot
-//! the actor only freezes the tenant into the file's bytes. A fresh
-//! query never waits on that worker: it reclusters in place (see
-//! [`Actor::recluster_fresh`]).
+//! The actor is the only thread that computes on a tenant's engine:
+//! every recluster (fresh query, `recluster_every` threshold, idle tick,
+//! shutdown) runs in place between messages (see
+//! [`Actor::recluster_fresh`]), and so does every quality evaluation.
+//! The inbox is its only blocking receive. Snapshot files are written
+//! by the shard's one background worker (`crate::worker`): the actor
+//! only freezes the tenant into the file's bytes, and drains finished
+//! writes without blocking at the top of every loop iteration.
 //!
 //! A shard's engine actor owns one [`TenantState`] per tenant routed to
 //! it: a full SEER instance with its own string table, WAL, snapshot
@@ -41,10 +42,10 @@ use crate::stats::{SharedMetrics, TenantMetrics};
 use crate::worker::{Done, Job, Worker};
 use crate::DaemonConfig;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use seer_core::{ClusterRun, PairCountCache, PersistError, SeerEngine};
+use seer_core::{PairCountCache, SeerEngine};
 use seer_telemetry::{tlog, Level, SpanContext};
 use seer_trace::wire::{
-    ExplainNeighbor, MissPostmortem, QualityReport, QueryRequest, QueryResponse, TenantFleetStat,
+    ExplainNeighbor, MissPostmortem, QueryRequest, QueryResponse, TenantFleetStat,
 };
 use seer_trace::{EventSink, FileId, RawPathId, StringTable, TraceEvent};
 use seer_wal::{Wal, WalConfig};
@@ -52,7 +53,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A tenant id as routed by the hub. `Arc<str>` so every message clones
 /// a pointer, not a string.
@@ -174,14 +175,10 @@ pub(crate) struct TenantState {
     clustering_generation: u64,
     /// Pre-relation pair counts as of the previous recluster's view,
     /// which the next run updates from the engine's dirty delta instead
-    /// of recounting. `None` before the first run, while a background
-    /// job carries it, and after a job was lost to a dead worker.
+    /// of recounting. `None` before the first run.
     cache: Option<PairCountCache>,
     /// Incremental runs since the last full recount.
     since_full: u64,
-    /// Generation of the background recluster in flight, if any. It
-    /// carries the cache, so the cache is away until its result lands.
-    recluster_job: Option<u64>,
     /// Generation of the snapshot the worker is writing, if any. A
     /// tenant has at most one in flight.
     snapshot_job: Option<u64>,
@@ -193,8 +190,6 @@ pub(crate) struct TenantState {
     /// applying (and acknowledging) batches — acknowledged state must
     /// stay replayable — and surfaces the fault in Health answers.
     wal_fault: Option<String>,
-    /// Successful appends so far (drives fault injection in tests).
-    wal_appends: u64,
     /// The quality plane: evaluation cadence, shadow LRU, series rings,
     /// miss log, and retained postmortems.
     quality: QualityState,
@@ -250,30 +245,14 @@ impl TenantState {
             clustering_generation: 0,
             cache: None,
             since_full: 0,
-            recluster_job: None,
             snapshot_job: None,
             wal: seed.wal,
             wal_fault,
-            wal_appends: 0,
             quality: QualityState::new(cfg.eval_every, cfg.eval_window_secs, metrics),
             tm,
             health: TenantHealth::new(&HealthConfig::from(cfg)),
             dropped_events: 0,
         }
-    }
-
-    /// Takes the pair-count cache for a run that will maintain it,
-    /// dropping it instead when a full recount is due.
-    fn take_cache(&mut self) -> Option<PairCountCache> {
-        let cache = self.cache.take();
-        cache.filter(|_| self.since_full < RECLUSTER_FULL_EVERY)
-    }
-
-    /// Takes a finished run's cache home and advances the full-recount
-    /// countdown.
-    fn return_cache(&mut self, cache: Option<PairCountCache>, incremental: bool) {
-        self.cache = cache;
-        self.since_full = if incremental { self.since_full + 1 } else { 0 };
     }
 }
 
@@ -330,7 +309,7 @@ fn create_tenant_state(name: Tenant, cfg: &DaemonConfig, metrics: &SharedMetrics
 }
 
 /// State owned by one shard's engine actor thread: every tenant routed
-/// to this shard, plus the shard's background worker.
+/// to this shard, plus the shard's snapshot-writing worker.
 struct Actor {
     tenants: HashMap<Tenant, TenantState>,
     worker: Worker,
@@ -356,17 +335,6 @@ impl Actor {
         );
         let ts = create_tenant_state(tenant.clone(), &self.cfg, &self.metrics);
         self.tenants.insert(tenant.clone(), ts);
-    }
-
-    fn update_inflight_gauge(&self) {
-        let total = self
-            .tenants
-            .values()
-            .filter(|t| t.recluster_job.is_some())
-            .count();
-        self.metrics
-            .recluster_inflight
-            .set(i64::try_from(total).unwrap_or(i64::MAX));
     }
 
     /// Folds one tenant's live signals into its health score and drives
@@ -424,14 +392,11 @@ impl Actor {
             });
     }
 
-    /// Publishes this shard's busy/dirty marks for the watchdog: any
-    /// recluster generation in flight, any eval job in flight, any
-    /// tenant with unsnapshotted state (only meaningful when periodic
-    /// snapshots are configured). Edge-latched inside [`ShardBeat`], so
-    /// re-marking while busy keeps the original start time.
+    /// Publishes this shard's dirty mark for the watchdog: any tenant
+    /// with unsnapshotted state (only meaningful when periodic snapshots
+    /// are configured). Edge-latched inside [`ShardBeat`], so re-marking
+    /// while dirty keeps the original start time.
     fn refresh_beats(&self, beat: &ShardBeat) {
-        beat.set_recluster_busy(self.tenants.values().any(|t| t.recluster_job.is_some()));
-        beat.set_eval_busy(self.tenants.values().any(|t| t.quality.inflight));
         beat.set_snapshot_dirty(
             self.cfg.snapshot_every > 0 && self.tenants.values().any(|t| t.since_snapshot > 0),
         );
@@ -515,28 +480,12 @@ impl Actor {
         if let Some(wal) = ts.wal.as_mut() {
             let parent = span.as_ref().map(seer_telemetry::Span::context);
             let generation = ts.events_applied + n;
-            let injected = matches!(self.cfg.wal_fail_after, Some(limit) if ts.wal_appends >= limit)
-                && self
-                    .cfg
-                    .wal_fail_tenant
-                    .as_deref()
-                    .unwrap_or(DEFAULT_TENANT)
-                    == ts.name.as_ref();
             let started = Instant::now();
-            let result = if injected {
-                Err(format!(
-                    "injected append failure (after {} appends)",
-                    ts.wal_appends
-                ))
-            } else {
-                wal.append_batch(&ts.strings, generation, &events)
-                    .map_err(|e| e.to_string())
-            };
+            let result = wal.append_batch(&ts.strings, generation, &events);
             let elapsed = started.elapsed();
             ts.tm.stage_wal_append.observe(elapsed);
             match result {
                 Ok(out) => {
-                    ts.wal_appends += 1;
                     ts.tm.wal_records.add(u64::from(out.records));
                     self.metrics.wal_appended_bytes.add(out.bytes);
                     if out.rotated {
@@ -560,8 +509,7 @@ impl Actor {
                         // Re-borrow after the gauge refresh released it.
                     }
                 }
-                Err(msg) => {
-                    let fault = format!("wal append failed: {msg}");
+                Err(err) => {
                     self.metrics.wal_append_errors.inc();
                     ts.tm.wal_dropped_batches.inc();
                     tlog!(
@@ -570,9 +518,9 @@ impl Actor {
                         "wal append failed; tenant faulted",
                         tenant = ts.name.as_ref(),
                         generation = generation,
-                        error = msg.as_str(),
+                        error = err.to_string(),
                     );
-                    ts.wal_fault = Some(fault);
+                    ts.wal_fault = Some(format!("wal append failed: {err}"));
                     ts.dropped_events += n;
                     self.observe_tenant_health(tenant, depth);
                     return;
@@ -599,10 +547,10 @@ impl Actor {
             .observe_generation_lag(events_applied, clustering_generation);
         self.observe_tenant_health(tenant, depth);
         self.capture_postmortems(tenant);
-        self.maybe_request_eval(tenant);
+        self.maybe_eval(tenant);
         let ts = self.tenants.get(tenant).expect("ensured above");
         if self.cfg.recluster_every > 0 && ts.since_recluster >= self.cfg.recluster_every {
-            self.request_recluster(tenant);
+            self.recluster_fresh(tenant, None);
         }
         let ts = self.tenants.get(tenant).expect("ensured above");
         if self.cfg.snapshot_every > 0 && ts.since_snapshot >= self.cfg.snapshot_every {
@@ -610,102 +558,40 @@ impl Actor {
         }
     }
 
-    /// Hands the worker a frozen copy of one tenant engine's tables,
-    /// with the pair-count cache and the dirty delta drained at the same
-    /// moment, so the delta describes exactly the changes since the
-    /// cache's view. A no-op while the tenant's previous job is in
-    /// flight or the worker's queue is full; the caller asks again later.
-    fn request_recluster(&mut self, tenant: &Tenant) {
-        let Some(ts) = self.tenants.get_mut(tenant) else {
-            return;
-        };
-        if ts.recluster_job.is_some() || !self.worker.has_room() {
-            return;
-        }
-        let job = Job::Recluster {
-            tenant: tenant.clone(),
-            input: ts.engine.recluster_input(),
-            dirty: ts.engine.take_dirty(),
-            cache: ts.take_cache(),
-            generation: ts.events_applied,
-        };
-        // Only a dead worker refuses a job it had room for; the drained
-        // delta went with the job, so the cache is left empty and the
-        // next run recounts in full.
-        if self.worker.submit(job) {
-            ts.recluster_job = Some(ts.events_applied);
-            ts.since_recluster = 0;
-        }
-        self.update_inflight_gauge();
-    }
-
-    /// Folds in everything the shard's worker has finished, without
-    /// blocking.
+    /// Folds in every snapshot write the shard's worker has finished,
+    /// without blocking.
     fn drain_worker(&mut self) {
         while let Some(done) = self.worker.try_done() {
-            self.fold(done);
+            self.finish_snapshot(done);
         }
     }
 
-    /// Folds in one finished background result: the one place they
-    /// land. A recluster result always brings the tenant's cache home;
-    /// its clustering is installed unless a fresh query already
-    /// installed a newer one.
-    fn fold(&mut self, done: Done) {
-        match done {
-            Done::Recluster {
-                tenant,
-                generation,
-                run,
-                cache,
-                started,
-                wall,
-            } => {
-                let Some(ts) = self.tenants.get_mut(&tenant) else {
-                    return;
-                };
-                ts.recluster_job = None;
-                ts.return_cache(cache, run.incremental);
-                if generation >= ts.clustering_generation {
-                    self.install_recluster(&tenant, generation, run, started, wall, None);
-                }
-                self.update_inflight_gauge();
-            }
-            Done::Eval {
-                tenant,
-                report,
-                wall,
-            } => {
-                if let Some(ts) = self.tenants.get_mut(&tenant) {
-                    ts.quality.inflight = false;
-                }
-                self.install_eval(&tenant, report, wall);
-            }
-            Done::Snapshot {
-                tenant,
-                generation,
-                result,
-                wall,
-            } => self.finish_snapshot(&tenant, generation, result, wall),
-        }
-    }
-
-    /// Installs a finished clustering at `generation` and records its
-    /// `recluster` span (with `shard_count` children) retroactively:
-    /// under `ctx` for a fresh query's in-place run, else under a fresh
-    /// root trace.
-    fn install_recluster(
-        &mut self,
-        tenant: &Tenant,
-        generation: u64,
-        run: ClusterRun,
-        started: Instant,
-        wall: Duration,
-        ctx: Option<SpanContext>,
-    ) {
+    /// Reclusters the tenant at its current generation, on the actor:
+    /// for a fresh query, a crossed `recluster_every` threshold, an idle
+    /// tick, or the shutdown epilogue. The run is incremental off the
+    /// tenant's pair-count cache, draining the engine's dirty delta,
+    /// except every `RECLUSTER_FULL_EVERY`-th run, which recounts in
+    /// full. It installs the clustering and records its `recluster`
+    /// span (with `shard_count` children) retroactively: under `ctx`
+    /// for a query, else under a fresh root trace.
+    fn recluster_fresh(&mut self, tenant: &Tenant, ctx: Option<SpanContext>) {
         let Some(ts) = self.tenants.get_mut(tenant) else {
             return;
         };
+        let input = ts.engine.recluster_input();
+        let started = Instant::now();
+        if ts.since_full >= RECLUSTER_FULL_EVERY {
+            ts.cache = None;
+        }
+        let run = input.compute_incremental(1, Some(&ts.engine.take_dirty()), &mut ts.cache);
+        let wall = started.elapsed();
+        ts.since_full = if run.incremental {
+            ts.since_full + 1
+        } else {
+            0
+        };
+        ts.since_recluster = 0;
+        let generation = ts.events_applied;
         let clusters = ts
             .engine
             .install_clustering(run.clustering, wall, &run.shard_count_seconds)
@@ -744,14 +630,12 @@ impl Actor {
             }
         }
         ts.clustering_generation = generation;
-        let events_applied = ts.events_applied;
         self.metrics.reclusters.inc();
         if run.incremental {
             self.metrics.reclusters_incremental.inc();
         }
         self.metrics.stage_recluster.observe(wall);
-        self.metrics
-            .observe_generation_lag(events_applied, generation);
+        self.metrics.observe_generation_lag(generation, generation);
         tlog!(
             Level::Debug,
             "seer_daemon::pipeline",
@@ -759,48 +643,12 @@ impl Actor {
             tenant = tenant.as_ref(),
             clusters = clusters,
             generation = generation,
-            events_applied = events_applied,
         );
     }
 
-    /// Reclusters on the actor at the tenant's current generation, for a
-    /// fresh query (or the shutdown epilogue). With the pair-count cache
-    /// home the run is incremental: it drains the dirty delta and
-    /// updates the cache. With the cache away on a background job it is
-    /// a full recount that leaves the delta for the next job, and that
-    /// job's older result, when it lands, brings only its cache.
-    fn recluster_fresh(&mut self, tenant: &Tenant, ctx: Option<SpanContext>) {
-        let threads = self.cfg.recluster_threads.max(1);
-        let Some(ts) = self.tenants.get_mut(tenant) else {
-            return;
-        };
-        let input = ts.engine.recluster_input();
-        let started = Instant::now();
-        let run = if ts.recluster_job.is_some() {
-            tlog!(
-                Level::Debug,
-                "seer_daemon::pipeline",
-                "full recount: a background recluster holds the cache",
-                tenant = tenant.as_ref(),
-            );
-            input.compute(threads)
-        } else {
-            let dirty = ts.engine.take_dirty();
-            let mut cache = ts.take_cache();
-            let run = input.compute_incremental(threads, Some(&dirty), &mut cache);
-            ts.return_cache(cache, run.incremental);
-            run
-        };
-        let wall = started.elapsed();
-        ts.since_recluster = 0;
-        let generation = ts.events_applied;
-        self.install_recluster(tenant, generation, run, started, wall, ctx);
-    }
-
     /// Idle housekeeping after a full tick with no ingest message, for
-    /// every tenant on this shard: start background reclusters for
-    /// tenants whose clustering went stale, keep the evaluator cadences
-    /// alive, and snapshot
+    /// every tenant on this shard: recluster tenants whose clustering
+    /// went stale, keep the evaluator cadences alive, and snapshot
     /// pending work so quiet periods converge. Health is sampled here
     /// too so burn windows decay (and alerts resolve) while a tenant is
     /// quiet.
@@ -809,9 +657,9 @@ impl Actor {
         for tenant in &tenants {
             let ts = self.tenants.get(tenant).expect("listed above");
             if self.cfg.recluster_every > 0 && ts.since_recluster > 0 {
-                self.request_recluster(tenant);
+                self.recluster_fresh(tenant, None);
             }
-            self.maybe_request_eval(tenant);
+            self.maybe_eval(tenant);
             self.observe_tenant_health(tenant, depth);
             let ts = self.tenants.get(tenant).expect("listed above");
             if self.cfg.snapshot_every > 0 && ts.since_snapshot > 0 {
@@ -821,10 +669,10 @@ impl Actor {
         self.wal_idle();
     }
 
-    /// The tenant frozen into a snapshot file's bytes, with the file's
-    /// path and the snapshot's generation. `None`, and nothing pending
-    /// any more, when the daemon runs without a snapshot path.
-    fn freeze_snapshot(&mut self, tenant: &Tenant) -> Option<(u64, PathBuf, Vec<u8>)> {
+    /// The tenant frozen into a snapshot file's bytes, ready to write.
+    /// `None`, and nothing pending any more, when the daemon runs
+    /// without a snapshot path.
+    fn freeze_snapshot(&mut self, tenant: &Tenant) -> Option<Job> {
         let ts = self.tenants.get_mut(tenant)?;
         let Some(base) = &self.cfg.snapshot_path else {
             ts.since_snapshot = 0;
@@ -836,11 +684,12 @@ impl Actor {
             events_applied: generation,
         };
         ts.since_snapshot = 0;
-        Some((
+        Some(Job {
+            tenant: tenant.clone(),
             generation,
-            tenant_snapshot_path(base, tenant),
-            snap.to_bytes(),
-        ))
+            path: tenant_snapshot_path(base, tenant),
+            bytes: snap.to_bytes(),
+        })
     }
 
     /// Hands the worker a snapshot of the tenant to write. A no-op while
@@ -854,15 +703,10 @@ impl Actor {
         if busy || !self.worker.has_room() {
             return;
         }
-        let Some((generation, path, bytes)) = self.freeze_snapshot(tenant) else {
+        let Some(job) = self.freeze_snapshot(tenant) else {
             return;
         };
-        let job = Job::Snapshot {
-            tenant: tenant.clone(),
-            generation,
-            path,
-            bytes,
-        };
+        let generation = job.generation;
         // Only a dead worker refuses a job it had room for; the tenant
         // then snapshots again after its next `snapshot_every` events.
         if self.worker.submit(job) {
@@ -874,29 +718,26 @@ impl Actor {
     /// Writes the tenant's snapshot on the actor, through the worker's
     /// writer (the shutdown epilogue, once no snapshot is in flight).
     fn write_snapshot_now(&mut self, tenant: &Tenant) {
-        let Some((generation, path, bytes)) = self.freeze_snapshot(tenant) else {
-            return;
-        };
-        let started = Instant::now();
-        let result = snapshot::write_file_atomic(&path, &bytes);
-        self.finish_snapshot(tenant, generation, result, started.elapsed());
+        if let Some(job) = self.freeze_snapshot(tenant) {
+            self.finish_snapshot(job.run());
+        }
     }
 
-    /// Folds in a written snapshot at `generation`. A durable snapshot
+    /// Folds in a written snapshot at its generation. A durable snapshot
     /// covers every batch at or below its generation, so sealed WAL
     /// segments entirely below it are dead weight; compaction runs
     /// through that generation, never the live count, and never after a
     /// *failed* write — the log must keep covering whatever the last
     /// good snapshot missed.
-    fn finish_snapshot(
-        &mut self,
-        tenant: &Tenant,
-        generation: u64,
-        result: Result<(), PersistError>,
-        wall: Duration,
-    ) {
+    fn finish_snapshot(&mut self, done: Done) {
+        let Done {
+            tenant,
+            generation,
+            result,
+            wall,
+        } = done;
         self.metrics.stage_snapshot_write.observe(wall);
-        let Some(ts) = self.tenants.get_mut(tenant) else {
+        let Some(ts) = self.tenants.get_mut(&tenant) else {
             return;
         };
         ts.snapshot_job = None;
@@ -957,7 +798,7 @@ impl Actor {
             let Some(done) = self.worker.recv_done() else {
                 return;
             };
-            self.fold(done);
+            self.finish_snapshot(done);
         }
     }
 
@@ -1029,7 +870,6 @@ impl Actor {
             .snapshot_path
             .as_deref()
             .map(|p| tenant_snapshot_path(p, tenant));
-        let recluster_threads = self.cfg.recluster_threads.max(1);
         let file_size = self.cfg.file_size;
         let Some(ts) = self.tenants.get_mut(tenant) else {
             return err("history unavailable: tenant has no state".into());
@@ -1073,7 +913,7 @@ impl Actor {
             ));
         }
         let (mut engine, _strings, achieved) = rep.into_parts();
-        let clusters = engine.recluster_with_threads(recluster_threads).len();
+        let clusters = engine.recluster().len();
         let sel = engine.choose_hoard(budget, &|_| file_size);
         let files = sel
             .files
@@ -1140,14 +980,20 @@ impl Actor {
         }
     }
 
-    /// Records a finished evaluation: stage timer, the tenant's gauges,
-    /// and the series rings backing `seer top` sparklines.
-    fn install_eval(&mut self, tenant: &Tenant, report: QualityReport, wall: Duration) {
-        self.metrics.stage_evaluate.observe(wall);
-        self.metrics.quality_evals.inc();
+    /// Evaluates the tenant's hoard quality on the actor, against its
+    /// installed clustering, and records the report: stage timer, the
+    /// tenant's gauges, and the series rings backing `seer top`
+    /// sparklines. A `Quality` query and the cadence timer both land
+    /// here.
+    fn evaluate(&mut self, tenant: &Tenant) {
         let Some(ts) = self.tenants.get_mut(tenant) else {
             return;
         };
+        let job = build_eval_job(ts, &self.cfg);
+        let started = Instant::now();
+        let report = quality::evaluate(&job);
+        self.metrics.stage_evaluate.observe(started.elapsed());
+        self.metrics.quality_evals.inc();
         let clamp = |v: u64| i64::try_from(v).unwrap_or(i64::MAX);
         let tm = &ts.tm;
         tm.quality_seer_missfree_bytes
@@ -1161,23 +1007,14 @@ impl Actor {
         ts.quality.install(report);
     }
 
-    /// Hands the worker an evaluation when the tenant's cadence timer
-    /// says one is due and none is in flight.
-    fn maybe_request_eval(&mut self, tenant: &Tenant) {
-        let Some(ts) = self.tenants.get(tenant) else {
+    /// Evaluates when the tenant's cadence timer says one is due.
+    fn maybe_eval(&mut self, tenant: &Tenant) {
+        let Some(ts) = self.tenants.get_mut(tenant) else {
             return;
         };
-        if !ts.quality.due() || ts.events_applied == 0 || !self.worker.has_room() {
-            return;
-        }
-        let job = Job::Eval {
-            tenant: tenant.clone(),
-            job: build_eval_job(ts, &self.cfg),
-        };
-        if self.worker.submit(job) {
-            let q = &mut self.tenants.get_mut(tenant).expect("checked above").quality;
-            q.inflight = true;
-            q.last_eval = Some(Instant::now());
+        if ts.quality.due() && ts.events_applied > 0 {
+            ts.quality.last_eval = Some(Instant::now());
+            self.evaluate(tenant);
         }
     }
 
@@ -1221,20 +1058,17 @@ impl Actor {
     }
 
     /// Answers a `Quality` query by reclustering to the current
-    /// generation (as a fresh hoard does) and evaluating *inline* on the
-    /// actor, so after a flush the answer reflects everything applied —
+    /// generation (as a fresh hoard does) before evaluating, so after a
+    /// flush the answer reflects everything applied —
     /// an online quality query equals an offline evaluation of the same
     /// events (the equivalence tests pin this).
     fn answer_quality(&mut self, tenant: &Tenant, ctx: Option<SpanContext>) -> QueryResponse {
         self.prepare_clustering(tenant, true, ctx);
-        let ts = self.tenants.get(tenant).expect("ensured by answer");
-        let job = build_eval_job(ts, &self.cfg);
-        let started = Instant::now();
-        let report = quality::evaluate(&job);
-        self.install_eval(tenant, report.clone(), started.elapsed());
+        self.evaluate(tenant);
+        let q = &self.tenants.get(tenant).expect("ensured by answer").quality;
         QueryResponse::Quality {
-            report,
-            series: self.tenants[tenant].quality.series.snapshot(),
+            report: q.latest.clone().expect("evaluated above"),
+            series: q.series.snapshot(),
         }
     }
 
@@ -1523,9 +1357,9 @@ fn neighbor_evidence(engine: &SeerEngine, file: FileId, k: usize) -> Vec<Explain
 /// (graceful shutdown: the inbox is drained; recluster and snapshot
 /// every tenant that applied events, exit) or `kill` is raised (abrupt:
 /// exit *without* snapshotting, leaving the last on-disk snapshots as
-/// the recovery points). Either way the shard's `worker` is joined once its running
-/// job ends. `seed` is the eagerly restored default tenant — present on
-/// exactly the shard the default tenant routes to.
+/// the recovery points). Either way the shard's `worker` is joined once
+/// its running write ends. `seed` is the eagerly restored default
+/// tenant — present on exactly the shard the default tenant routes to.
 pub(crate) fn run_engine_actor(
     seed: Option<TenantSeed>,
     cfg: Arc<DaemonConfig>,
@@ -1661,21 +1495,18 @@ fn dump_flight(actor: &Actor) {
 mod tests {
     use super::*;
     use seer_telemetry::Tracer;
+    use std::time::Duration;
 
-    /// No periodic reclusters or snapshots: the tests drive reclusters.
-    fn test_cfg() -> DaemonConfig {
+    /// An actor holding one empty default tenant, with a real worker,
+    /// reclustering every `recluster_every` events and never
+    /// snapshotting.
+    fn test_actor(recluster_every: u64) -> Actor {
+        let name = default_tenant();
         let mut cfg = DaemonConfig::new("unused.sock");
-        cfg.recluster_every = 0;
+        cfg.recluster_every = recluster_every;
         cfg.snapshot_every = 0;
         cfg.file_size = 1;
-        cfg.recluster_threads = 1;
-        cfg
-    }
-
-    /// An actor holding one empty default tenant, with a real worker.
-    fn test_actor() -> Actor {
-        let name = default_tenant();
-        let cfg = Arc::new(test_cfg());
+        let cfg = Arc::new(cfg);
         let tracer = Tracer::new(4096, Duration::from_secs(1));
         let metrics = crate::stats::new_shared(tracer);
         let seed = TenantSeed {
@@ -1687,16 +1518,16 @@ mod tests {
         let ts = TenantState::new(name.clone(), seed, None, &cfg, &metrics);
         Actor {
             tenants: HashMap::from([(name, ts)]),
-            worker: Worker::spawn(1).expect("spawn worker"),
+            worker: Worker::spawn().expect("spawn worker"),
             health: HealthConfig::from(&*cfg),
             cfg,
             metrics,
         }
     }
 
-    /// Machine A's trace cut into `parts` equal chunks of events, the
-    /// first carrying every path declaration.
-    fn chunked_trace(parts: usize) -> Vec<(Vec<String>, Vec<TraceEvent>)> {
+    /// The first half of machine A's trace as one batch declaring every
+    /// path.
+    fn half_trace() -> (Vec<String>, Vec<TraceEvent>) {
         let profile = seer_workload::MachineProfile::by_name("A")
             .expect("machine A is built in")
             .scaled_to_days(12);
@@ -1707,137 +1538,37 @@ mod tests {
                 trace.strings.resolve(id).expect("dense ids").to_owned()
             })
             .collect();
-        let size = trace.events.len().div_ceil(parts);
-        trace
-            .events
-            .chunks(size)
-            .enumerate()
-            .map(|(i, c)| {
-                let declare = if i == 0 { interns.clone() } else { Vec::new() };
-                (declare, c.to_vec())
-            })
-            .collect()
+        let half = trace.events.len() / 2;
+        (interns, trace.events[..half].to_vec())
     }
 
-    fn apply(actor: &mut Actor, (interns, events): (Vec<String>, Vec<TraceEvent>)) {
+    /// A periodic recluster runs in place right after the batch that
+    /// crosses `recluster_every`, and starts its own root trace: it
+    /// never aliases the trace of the batch that triggered it.
+    #[test]
+    fn background_recluster_records_under_fresh_trace() {
+        let mut actor = test_actor(1);
+        let batch = actor.metrics.tracer.root("decode").context();
+        let (interns, events) = half_trace();
         let msg = Msg::Batch {
             conn: 1,
             tenant: default_tenant(),
             interns,
             events,
-            ctx: None,
+            ctx: Some(batch),
         };
         actor.handle(msg, 0);
-    }
 
-    /// A fresh hoard through the actor; returns its generation.
-    fn fresh_hoard(actor: &mut Actor) -> u64 {
-        let query = QueryRequest::Hoard {
-            budget: 1 << 20,
-            fresh: true,
-        };
-        match actor.answer(&default_tenant(), query, None, 0) {
-            QueryResponse::Hoard {
-                generation, stale, ..
-            } => {
-                assert!(!stale, "a fresh answer is never stale");
-                generation
-            }
-            other => panic!("unexpected response: {other:?}"),
-        }
-    }
-
-    /// The installed clustering's fingerprint and a full recount's.
-    fn fingerprints(actor: &Actor) -> (HashMap<FileId, u64>, HashMap<FileId, u64>) {
-        let engine = &actor.tenants[&default_tenant()].engine;
-        let installed = engine.clustering().expect("installed");
-        let full = engine.recluster_input().compute(1).clustering;
-        (
-            installed.membership_fingerprint(),
-            full.membership_fingerprint(),
-        )
-    }
-
-    /// Drains the worker until the tenant's background recluster lands.
-    fn await_recluster(actor: &mut Actor) {
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while actor.tenants[&default_tenant()].recluster_job.is_some() {
-            assert!(
-                Instant::now() < deadline,
-                "background recluster never landed"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-            actor.drain_worker();
-        }
-    }
-
-    /// A fresh query that lands while a background job holds the
-    /// pair-count cache recounts in full at the current generation; the
-    /// older background result, delivered afterwards, brings the cache
-    /// home without regressing the clustering, and the next incremental
-    /// run off that cache still equals a full recount.
-    #[test]
-    fn fresh_query_while_background_job_holds_the_cache() {
-        let mut actor = test_actor();
-        let tenant = default_tenant();
-        let mut chunks = chunked_trace(4).into_iter();
-        apply(&mut actor, chunks.next().expect("chunk"));
-        fresh_hoard(&mut actor);
-        assert!(actor.tenants[&tenant].cache.is_some(), "first run fills it");
-
-        apply(&mut actor, chunks.next().expect("chunk"));
-        actor.request_recluster(&tenant);
-        let background = actor.tenants[&tenant].recluster_job.expect("job in flight");
-        assert!(actor.tenants[&tenant].cache.is_none(), "the job carries it");
-
-        apply(&mut actor, chunks.next().expect("chunk"));
-        let current = actor.tenants[&tenant].events_applied;
-        assert!(current > background);
-        let incremental = actor.metrics.reclusters_incremental.get();
-        assert_eq!(fresh_hoard(&mut actor), current);
-        assert_eq!(actor.metrics.reclusters_incremental.get(), incremental);
-        let (installed, full) = fingerprints(&actor);
-        assert_eq!(installed, full, "the cache-away run is a full recount");
-
-        await_recluster(&mut actor);
-        let ts = &actor.tenants[&tenant];
-        assert_eq!(ts.clustering_generation, current, "no regression");
-        assert!(ts.cache.is_some(), "the older result's cache came home");
-        let (installed, _) = fingerprints(&actor);
-        assert_eq!(installed, full, "the older clustering was dropped");
-
-        apply(&mut actor, chunks.next().expect("chunk"));
-        let incremental = actor.metrics.reclusters_incremental.get();
-        let current = actor.tenants[&tenant].events_applied;
-        assert_eq!(fresh_hoard(&mut actor), current);
-        assert_eq!(
-            actor.metrics.reclusters_incremental.get(),
-            incremental + 1,
-            "the next in-place run maintains the returned cache"
-        );
-        let (installed, full) = fingerprints(&actor);
-        assert_eq!(installed, full, "incremental equals a full recount");
-        actor.worker.shutdown();
-    }
-
-    /// A background recluster with nobody waiting starts its own root
-    /// trace — it never aliases an unrelated query's trace.
-    #[test]
-    fn background_recluster_records_under_fresh_trace() {
-        let mut actor = test_actor();
-        let tenant = default_tenant();
-        let mut chunks = chunked_trace(2).into_iter();
-        apply(&mut actor, chunks.next().expect("chunk"));
-        actor.request_recluster(&tenant);
-        await_recluster(&mut actor);
-
+        let ts = &actor.tenants[&default_tenant()];
+        assert_eq!(ts.clustering_generation, ts.events_applied);
         let spans = actor.metrics.tracer.snapshot();
         let recluster = spans
             .iter()
             .find(|s| s.name == "recluster")
-            .expect("install recorded the background job's span");
+            .expect("the crossed threshold recorded its recluster");
         assert_eq!(recluster.parent_id, None, "root of its own trace");
         assert_ne!(recluster.trace_id, 0);
+        assert_ne!(recluster.trace_id, batch.trace_id.0);
         actor.worker.shutdown();
     }
 

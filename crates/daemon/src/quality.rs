@@ -9,14 +9,14 @@
 //! to be right now to survive a disconnection, and how much of that
 //! advantage comes from clustering rather than recency.
 //!
-//! Mechanically an evaluation is a background job like a periodic
-//! recluster: the actor freezes an immutable [`seer_core::EvalInput`]
-//! (activity, clustering, and the always-hoard set) into an [`EvalJob`],
-//! hands it to the shard's one background worker (`crate::worker`),
-//! and installs the resulting [`QualityReport`] when it drains the
-//! worker's results at the top of its loop. Ingest never blocks on
-//! evaluation. A `Quality` query evaluates inline instead, so its
-//! answer reflects everything applied before it.
+//! Mechanically an evaluation runs on the shard's engine actor, between
+//! messages: when a tenant's cadence timer is due (checked after each
+//! batch and on idle ticks) the actor freezes an immutable
+//! [`seer_core::EvalInput`] (activity, clustering, and the always-hoard
+//! set) into an [`EvalJob`], evaluates it, and installs the resulting
+//! [`QualityReport`]. A `Quality` query takes the same path after
+//! reclustering to the current generation, so its answer reflects
+//! everything applied before it.
 //!
 //! The LRU baseline of §6.1 is reproduced by a [`ShadowLru`]: a
 //! memory-bounded recency list maintained on the apply path. Feeding its
@@ -233,8 +233,7 @@ pub(crate) struct QualityState {
     pub series: SeriesRing,
     pub latest: Option<QualityReport>,
     pub evals: u64,
-    /// A background evaluation is queued or running on the worker.
-    pub inflight: bool,
+    /// When the cadence timer last started an evaluation.
     pub last_eval: Option<Instant>,
     pub miss_log: MissLog,
     pub postmortems: VecDeque<MissPostmortem>,
@@ -256,7 +255,6 @@ impl QualityState {
             series: SeriesRing::new(SERIES_CAPACITY),
             latest: None,
             evals: 0,
-            inflight: false,
             last_eval: None,
             miss_log,
             postmortems: VecDeque::new(),
@@ -268,9 +266,9 @@ impl QualityState {
         }
     }
 
-    /// Whether the cadence timer says another background eval is due.
+    /// Whether the cadence timer says another evaluation is due.
     pub(crate) fn due(&self) -> bool {
-        !self.inflight && self.last_eval.is_none_or(|t| t.elapsed() >= self.every)
+        self.last_eval.is_none_or(|t| t.elapsed() >= self.every)
     }
 
     /// Folds a finished report into the series rings and latest slot.

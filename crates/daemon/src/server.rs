@@ -44,26 +44,24 @@ pub struct DaemonConfig {
     /// Capacity of each shard's bounded inbox. Connection readers block
     /// when it is full — this is the backpressure knob.
     pub channel_capacity: usize,
-    /// Start a background recluster after this many applied events.
-    /// `0` disables periodic reclustering entirely; queries still
-    /// compute a clustering on demand.
+    /// Recluster a tenant in place on its shard's actor once this many
+    /// events were applied since its last recluster, right after the
+    /// batch that crosses the threshold. `0` disables periodic (and
+    /// idle-tick) reclustering entirely; queries still compute a
+    /// clustering on demand.
     pub recluster_every: u64,
     /// Snapshot after this many applied events. `0` disables periodic
     /// snapshots; with `snapshot_path` set, graceful shutdown still
     /// writes a final one for every tenant that applied events.
     pub snapshot_every: u64,
     /// Engine actor idle tick: a full tick with no ingest message runs
-    /// the idle housekeeping (stale-work folding, WAL sync, snapshots);
+    /// the idle housekeeping (stale reclusters, WAL sync, snapshots);
     /// the actor also polls the kill flag at this cadence.
     pub tick: Duration,
     /// Nominal size, in bytes, assumed for every file when answering
     /// hoard queries (the daemon has no investigator measuring real
     /// sizes; a uniform model keeps selections deterministic).
     pub file_size: u64,
-    /// Shards for the shared-neighbor counting phase of reclustering.
-    /// The clustering is bit-identical for any value; more threads only
-    /// shorten the count phase. Clamped to at least 1.
-    pub recluster_threads: usize,
     /// Spans retained by the flight-recorder ring (oldest overwritten
     /// first). `0` disables tracing entirely.
     pub trace_capacity: usize,
@@ -86,12 +84,6 @@ pub struct DaemonConfig {
     /// Rotate WAL segments once they exceed this many bytes (default
     /// 1 MiB, about 60k events).
     pub wal_segment_bytes: u64,
-    /// Fault injection (tests only): fail every WAL append for
-    /// `wal_fail_tenant` once its append count reaches this value.
-    pub wal_fail_after: Option<u64>,
-    /// Which tenant `wal_fail_after` targets; `None` means the default
-    /// tenant.
-    pub wal_fail_tenant: Option<String>,
     /// Point-in-time restore: discard every batch past this generation
     /// (applied-event count) before starting. Requires `wal_dir`.
     /// Applies to the default tenant's log.
@@ -132,15 +124,12 @@ impl DaemonConfig {
             snapshot_every: 20_000,
             tick: Duration::from_millis(50),
             file_size: 1024,
-            recluster_threads: 4,
             trace_capacity: 4096,
             slow_span: Duration::from_millis(100),
             flight_path: None,
             wal_dir: None,
             wal_fsync: FsyncPolicy::Interval(Duration::from_millis(50)),
             wal_segment_bytes: 1024 * 1024,
-            wal_fail_after: None,
-            wal_fail_tenant: None,
             restore_to: None,
             eval_every: Duration::from_secs(2),
             eval_window_secs: 86_400,
@@ -426,10 +415,10 @@ impl Daemon {
             tcp_addr,
         });
 
-        // One background worker per shard, whatever the tenant count,
+        // One snapshot writer per shard, whatever the tenant count,
         // started first so a failed spawn leaves no actor running.
         let workers = (0..config.shards.max(1))
-            .map(|_| Worker::spawn(config.recluster_threads))
+            .map(|_| Worker::spawn())
             .collect::<Result<Vec<_>, _>>()?;
         // Per-shard inboxes, created before the threads so the routing
         // table exists first (the default tenant's seed goes to whichever

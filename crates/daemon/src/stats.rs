@@ -61,10 +61,8 @@ pub(crate) struct PipelineMetrics {
     pub reclusters_incremental: Counter,
     pub snapshots: Counter,
     pub connections: Counter,
-    /// Recluster jobs queued or running on the background worker.
-    pub recluster_inflight: Gauge,
     /// Hoard/cluster queries answered from a clustering older than the
-    /// applied event count (non-fresh queries during a recluster).
+    /// applied event count (non-fresh queries after events arrived).
     pub stale_queries: Counter,
     /// Events applied since the installed clustering was computed — how
     /// far the hoard's view of the project structure lags reality.
@@ -95,7 +93,7 @@ pub(crate) struct PipelineMetrics {
     pub stage_snapshot_write: Histogram,
     pub stage_wal_fsync: Histogram,
     pub stage_evaluate: Histogram,
-    /// Quality evaluations completed (background + inline query-driven).
+    /// Quality evaluations completed (cadence-driven and query-driven).
     pub quality_evals: Counter,
     /// The fleet alert ring: SLO burn, WAL fault, and watchdog alerts
     /// with firing/resolved transitions, shared by every shard actor,
@@ -175,10 +173,6 @@ impl PipelineMetrics {
                 "seer_daemon_tenants",
                 "Tenants the engine shards currently hold state for.",
             ),
-            recluster_inflight: registry.gauge(
-                "seer_daemon_recluster_inflight",
-                "Recluster jobs queued or running on the background worker.",
-            ),
             stale_queries: registry.counter(
                 "seer_daemon_stale_queries_total",
                 "Queries answered from a cached clustering older than the applied event count.",
@@ -209,7 +203,7 @@ impl PipelineMetrics {
             ),
             stage_recluster: stage(
                 "recluster",
-                "Pipeline stage latency: one full reclustering in the engine actor.",
+                "Pipeline stage latency: one reclustering in the engine actor.",
             ),
             stage_snapshot_write: stage(
                 "snapshot_write",
@@ -245,11 +239,11 @@ impl PipelineMetrics {
             stage_evaluate: stage(
                 "evaluate",
                 "Pipeline stage latency: one quality evaluation (miss-free hoard \
-                 size, SEER vs shadow-LRU) on the background worker or inline.",
+                 size, SEER vs shadow-LRU) in the engine actor.",
             ),
             quality_evals: registry.counter(
                 "seer_daemon_quality_evals_total",
-                "Quality evaluations completed (background and query-driven).",
+                "Quality evaluations completed (cadence-driven and query-driven).",
             ),
             alerts: AlertCenter::new(ALERT_RING),
             alerts_fired: registry.counter(

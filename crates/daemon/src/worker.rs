@@ -1,86 +1,66 @@
-//! A shard's one background worker: the thread that runs the engine
-//! actor's detachable work (reclusters, quality evaluations, and
-//! snapshot writes), so the actor never waits on it.
+//! A shard's one background worker: the thread that writes the engine
+//! actor's snapshots, so the file I/O stays off the ack path.
 //!
 //! ```text
 //! engine actor ──try_send Job──► seer-worker ──Done──► engine actor
-//!   (freezes input)               (computes)          (drains at loop top)
+//!   (freezes bytes)               (writes file)       (drains at loop top)
 //! ```
 //!
-//! The actor freezes an input into a [`Job`] and goes back to its inbox;
-//! the worker computes and answers with a [`Done`] on its own channel,
-//! which the actor drains without blocking at the top of its loop.
-//! Results do not travel the inbox: a worker holding a sender to its own
-//! shard's inbox would keep it connected, and the graceful-shutdown
-//! cascade (the actor exits once every inbox sender is gone) would never
-//! fire.
+//! The actor freezes a tenant into a snapshot file's bytes, hands them
+//! over as a [`Job`], and goes back to its inbox; the worker writes the
+//! file and answers with a [`Done`] on its own channel, which the actor
+//! drains without blocking at the top of its loop. Every computation on
+//! a tenant's engine (reclusters and quality evaluations included) runs
+//! on the actor itself. Results do not travel the inbox: a worker
+//! holding a sender to its own shard's inbox would keep it connected,
+//! and the graceful-shutdown cascade (the actor exits once every inbox
+//! sender is gone) would never fire.
 
 use crate::pipeline::Tenant;
-use crate::quality::{self, EvalJob};
 use crate::snapshot;
 use crossbeam::channel::{bounded, Receiver, Sender};
-use seer_core::{ClusterRun, PairCountCache, PersistError, ReclusterInput, TableDirty};
+use seer_core::PersistError;
 use seer_telemetry::{tlog, Level};
-use seer_trace::wire::QualityReport;
 use std::path::PathBuf;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Jobs queued behind the running one. Each tenant keeps at most one
-/// recluster, one evaluation, and one snapshot outstanding, so with many
-/// tenants on a shard the queue can fill; the actor then retries on a
-/// later batch or idle tick.
+/// snapshot outstanding, so with many tenants on a shard the queue can
+/// fill; the actor then retries on a later batch or idle tick.
 const QUEUE: usize = 8;
 
-/// Work handed to the worker, frozen so it runs while the actor goes on.
-pub(crate) enum Job {
-    /// A periodic recluster. It carries the tenant's pair-count cache
-    /// and the dirty delta drained at the moment `input` was frozen, so
-    /// the run is incremental; the cache comes home with the result.
-    Recluster {
-        tenant: Tenant,
-        input: ReclusterInput,
-        dirty: TableDirty,
-        cache: Option<PairCountCache>,
-        /// `events_applied` at freeze time: the clustering's generation.
-        generation: u64,
-    },
-    /// A background quality evaluation.
-    Eval { tenant: Tenant, job: EvalJob },
-    /// A snapshot the actor froze into a file's bytes, to be written to
-    /// `path` atomically.
-    Snapshot {
-        tenant: Tenant,
-        /// `events_applied` at freeze time: the snapshot's generation.
-        generation: u64,
-        path: PathBuf,
-        bytes: Vec<u8>,
-    },
+/// A snapshot the actor froze into a file's bytes, to be written to
+/// `path` atomically.
+pub(crate) struct Job {
+    pub(crate) tenant: Tenant,
+    /// `events_applied` at freeze time: the snapshot's generation.
+    pub(crate) generation: u64,
+    pub(crate) path: PathBuf,
+    pub(crate) bytes: Vec<u8>,
 }
 
-/// Finished work coming back to the actor.
-pub(crate) enum Done {
-    Recluster {
-        tenant: Tenant,
-        generation: u64,
-        run: ClusterRun,
-        cache: Option<PairCountCache>,
-        /// When the computation started, and its wall time; the actor
-        /// records the spans when it folds the result in.
-        started: Instant,
-        wall: Duration,
-    },
-    Eval {
-        tenant: Tenant,
-        report: QualityReport,
-        wall: Duration,
-    },
-    Snapshot {
-        tenant: Tenant,
-        generation: u64,
-        result: Result<(), PersistError>,
-        wall: Duration,
-    },
+/// A finished snapshot write coming back to the actor.
+pub(crate) struct Done {
+    pub(crate) tenant: Tenant,
+    pub(crate) generation: u64,
+    pub(crate) result: Result<(), PersistError>,
+    pub(crate) wall: Duration,
+}
+
+impl Job {
+    /// Writes the snapshot file; the worker's one job, also run inline
+    /// by the shutdown epilogue.
+    pub(crate) fn run(self) -> Done {
+        let started = Instant::now();
+        let result = snapshot::write_file_atomic(&self.path, &self.bytes);
+        Done {
+            tenant: self.tenant,
+            generation: self.generation,
+            result,
+            wall: started.elapsed(),
+        }
+    }
 }
 
 /// The actor's handle on its shard's worker thread.
@@ -91,20 +71,26 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    /// Starts a `seer-worker` thread whose reclusters shard their
-    /// counting phase across `threads`.
-    pub(crate) fn spawn(threads: usize) -> std::io::Result<Worker> {
-        let (jobs, job_rx) = bounded(QUEUE);
+    /// Starts a `seer-worker` thread.
+    pub(crate) fn spawn() -> std::io::Result<Worker> {
+        let (jobs, job_rx) = bounded::<Job>(QUEUE);
         let (done_tx, done) = bounded(QUEUE);
         let thread = thread::Builder::new()
             .name("seer-worker".into())
-            .spawn(move || run(&job_rx, &done_tx, threads.max(1)))?;
+            .spawn(move || {
+                // Exits when the actor drops either end.
+                while let Ok(job) = job_rx.recv() {
+                    if done_tx.send(job.run()).is_err() {
+                        return;
+                    }
+                }
+            })?;
         Ok(Worker { jobs, done, thread })
     }
 
     /// Whether a job handed over now would be accepted. Only the actor
     /// submits, so room seen here is still there at [`Worker::submit`];
-    /// checking first spares freezing an input nobody will run.
+    /// checking first spares freezing a snapshot nobody will write.
     pub(crate) fn has_room(&self) -> bool {
         !self.thread.is_finished() && !self.jobs.is_full()
     }
@@ -137,52 +123,6 @@ impl Worker {
                 "seer_daemon::worker",
                 "background worker panicked"
             );
-        }
-    }
-}
-
-/// The worker loop: compute each job and send the result back. Exits
-/// when the actor drops either end.
-fn run(jobs: &Receiver<Job>, done: &Sender<Done>, threads: usize) {
-    while let Ok(job) = jobs.recv() {
-        let started = Instant::now();
-        let result = match job {
-            Job::Recluster {
-                tenant,
-                input,
-                dirty,
-                mut cache,
-                generation,
-            } => {
-                let run = input.compute_incremental(threads, Some(&dirty), &mut cache);
-                Done::Recluster {
-                    tenant,
-                    generation,
-                    run,
-                    cache,
-                    started,
-                    wall: started.elapsed(),
-                }
-            }
-            Job::Eval { tenant, job } => Done::Eval {
-                tenant,
-                report: quality::evaluate(&job),
-                wall: started.elapsed(),
-            },
-            Job::Snapshot {
-                tenant,
-                generation,
-                path,
-                bytes,
-            } => Done::Snapshot {
-                tenant,
-                generation,
-                result: snapshot::write_file_atomic(&path, &bytes),
-                wall: started.elapsed(),
-            },
-        };
-        if done.send(result).is_err() {
-            return;
         }
     }
 }

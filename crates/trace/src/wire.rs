@@ -80,9 +80,9 @@ pub enum ClientFrame {
 /// applied) it was computed from. With `fresh: false` the daemon answers
 /// from the cached clustering immediately, reporting its generation and
 /// whether events have been applied since (`stale`). With `fresh: true`
-/// the daemon first waits for a clustering at the current generation —
-/// reusing an in-flight background reclustering when one covers it — so
-/// the answer reflects everything applied so far.
+/// the daemon first reclusters to the current generation, unless the
+/// installed clustering is already there, so the answer reflects
+/// everything applied so far.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum QueryRequest {
     /// Select hoard contents for a disconnection within `budget` bytes.

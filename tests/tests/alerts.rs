@@ -65,7 +65,7 @@ fn alerts_for(client: &mut DaemonClient, tenant: Option<&str>) -> Vec<AlertRecor
 
 /// The tentpole end-to-end: two tenants on one daemon — `steady`
 /// ingests normally, `sick` records forced hoard misses and then hits
-/// an injected WAL fault that drops everything after its first batch.
+/// a WAL fault that drops everything after its first batch.
 /// The per-tenant metric twins diverge, the sick tenant's health score
 /// drops below the healthy tenant's, the `slo-burn` alert fires and
 /// then resolves once the tenant goes quiet, `wal-fault` stays firing,
@@ -75,10 +75,10 @@ fn fleet_health_diverges_and_burn_alert_fires_then_resolves() {
     let dir = scratch("fleet-health");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
     cfg.wal_dir = Some(dir.join("wal"));
-    // The first append (the miss batch below) succeeds; every later
-    // append for tenant `sick` fails.
-    cfg.wal_fail_after = Some(1);
-    cfg.wal_fail_tenant = Some("sick".into());
+    // Segments this small rotate on every append, so `sick`'s second
+    // append (after the miss batch below) creates its second segment,
+    // which the test blocks to fail that append and every later one.
+    cfg.wal_segment_bytes = 64;
     // Shrunken burn windows so firing and resolution both happen within
     // test time. Threshold stays at the default 4x of a 2% SLO: the
     // alert fires above an 8% bad-op rate on BOTH windows and resolves
@@ -115,6 +115,9 @@ fn fleet_health_diverges_and_burn_alert_fires_then_resolves() {
         miss_trace.len() as u64,
         "the miss batch lands before the WAL fault trips"
     );
+    // The log creates each segment with `create_new`: a directory at the
+    // next segment's name fails the rotation with EEXIST, also as root.
+    std::fs::create_dir_all(dir.join("wal-sick").join("wal-00000001.seg")).expect("mkdir");
 
     // Phase 2: a real workload the faulted WAL drops wholesale — every
     // dropped event is a bad op against the SLO.

@@ -74,8 +74,8 @@ fn online_hoard_equals_offline_replay() {
         }
         other => panic!("unexpected response: {other:?}"),
     };
-    // The clustering behind that answer matches the serial offline one
-    // structurally too (the daemon reclusters in parallel shards).
+    // The clustering behind that answer matches the offline one
+    // structurally too.
     match client
         .query(QueryRequest::Clusters { fresh: true })
         .expect("clusters")
@@ -84,7 +84,7 @@ fn online_hoard_equals_offline_replay() {
             assert_eq!(
                 count,
                 engine.clustering().expect("offline clustering").len(),
-                "parallel online clustering has the same cluster count as serial offline"
+                "online clustering has the same cluster count as offline"
             );
         }
         other => panic!("unexpected response: {other:?}"),
@@ -424,9 +424,57 @@ fn cached_queries_report_stale_generations() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Killing the daemon while background reclusterings are in flight must
-/// not corrupt anything: the next daemon recovers from the last periodic
-/// snapshot and a fresh hoard query works.
+/// A periodic recluster runs in place on the engine actor, right after
+/// the batch that crosses `recluster_every`: with a tick too long for any
+/// idle recluster, a cached query answered without polling carries
+/// exactly that batch's applied count as its generation.
+#[test]
+fn periodic_recluster_runs_in_place_at_the_threshold() {
+    let trace = machine_a_trace(10, 23);
+    let dir = scratch("cadence");
+    let mut cfg = DaemonConfig::new(dir.join("sock"));
+    cfg.recluster_every = 1000;
+    cfg.tick = Duration::from_secs(600);
+    let every = cfg.recluster_every;
+
+    let handle = Daemon::spawn(cfg).expect("spawn");
+    let mut client = DaemonClient::connect(handle.socket_path(), "cadence").expect("connect");
+    let (mut applied, mut crossed) = (0, None);
+    for chunk in trace.events.chunks(64).take(25) {
+        client.send_events(chunk, &trace.strings).expect("send");
+        applied += chunk.len() as u64;
+        if applied >= every && crossed.is_none() {
+            crossed = Some(applied);
+        }
+    }
+    let crossed = crossed.expect("the stream crosses the threshold");
+    assert!(applied < crossed + every, "exactly one crossing");
+    assert_eq!(client.flush().expect("flush"), applied);
+
+    match client
+        .query(QueryRequest::Clusters { fresh: false })
+        .expect("cached clusters")
+    {
+        QueryResponse::Clusters {
+            generation, stale, ..
+        } => {
+            assert_eq!(generation, crossed, "reclustered at the crossing batch");
+            assert!(stale, "events arrived after the threshold");
+        }
+        other => panic!("unexpected response: {other:?}"),
+    }
+    drop(client);
+    assert_eq!(
+        handle.metrics().counter("seer_daemon_reclusters_total"),
+        Some(1)
+    );
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Killing the daemon amid periodic reclusterings must not corrupt
+/// anything: the next daemon recovers from the last periodic snapshot
+/// and a fresh hoard query works.
 #[test]
 fn kill_during_background_recluster_recovers() {
     let trace = machine_a_trace(10, 19);
@@ -434,8 +482,8 @@ fn kill_during_background_recluster_recovers() {
     let db = dir.join("db.json");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
     cfg.snapshot_path = Some(db.clone());
-    // Small thresholds keep recluster jobs continuously in flight while
-    // the stream runs, so the kill lands mid-computation.
+    // Small thresholds recluster and snapshot every few batches while
+    // the stream runs, so the kill lands amid that work.
     cfg.recluster_every = 200;
     cfg.snapshot_every = 500;
     cfg.tick = Duration::from_millis(10);

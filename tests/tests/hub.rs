@@ -288,20 +288,24 @@ fn hostile_clients_only_kill_their_own_connection() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Satellite 3: a WAL append failure (injected here; ENOSPC in life)
-/// degrades gracefully — the faulted tenant stops being acknowledged
-/// and reports unhealthy with the fault string, the actor does not
-/// panic, and an unfaulted tenant on the same daemon is untouched.
+/// A WAL append failure (a segment that cannot be created here;
+/// ENOSPC in life) degrades gracefully — the faulted tenant stops being
+/// acknowledged and reports unhealthy with the fault string, the actor
+/// does not panic, and an unfaulted tenant on the same daemon is
+/// untouched.
 #[test]
 fn wal_fault_degrades_gracefully_and_stays_per_tenant() {
     let dir = scratch("walfault");
     let budget: u64 = 2_000_000;
     let mut cfg = DaemonConfig::new(dir.join("sock"));
     cfg.wal_dir = Some(dir.join("wal"));
-    // The default tenant's first WAL append fails; tenant "good" is on
-    // its own log and never faults.
-    cfg.wal_fail_after = Some(0);
     let handle = Daemon::spawn(cfg).expect("spawn");
+    // The log creates each segment with `create_new`, so a directory at
+    // the default tenant's first segment name fails its first append
+    // with EEXIST, also as root. Made before the spawn, it would fail
+    // the log's open instead. Tenant "good" is on its own log and never
+    // faults.
+    std::fs::create_dir_all(dir.join("wal").join("wal-00000000.seg")).expect("mkdir");
 
     // Machine C at 2 scaled days generates an empty trace (its activity
     // pattern needs a longer window) — 4 days gives a real workload.

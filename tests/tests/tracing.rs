@@ -34,7 +34,7 @@ fn exactly_one<'a>(spans: &'a [SpanRecord], name: &str) -> &'a SpanRecord {
 /// query, then asserts the flight recorder holds a complete causal
 /// picture of both exchanges: the ingest chain
 /// `socket_read → decode → engine_apply` and the query tree
-/// `query → engine_answer → recluster → shard_count*`, each stage
+/// `query → engine_answer → recluster → shard_count`, each stage
 /// exactly once.
 #[test]
 fn traced_query_covers_every_pipeline_stage_exactly_once() {
@@ -50,7 +50,6 @@ fn traced_query_covers_every_pipeline_stage_exactly_once() {
     // ring must be the one the fresh query forces.
     cfg.recluster_every = 0;
     cfg.snapshot_every = 0;
-    cfg.recluster_threads = 3;
     let handle = Daemon::spawn(cfg).expect("spawn");
 
     let mut client = DaemonClient::connect(handle.socket_path(), "ttest").expect("connect");
@@ -88,7 +87,7 @@ fn traced_query_covers_every_pipeline_stage_exactly_once() {
     assert_eq!(engine_apply.attr("events"), Some("8"));
 
     // Query tree, each stage exactly once; the fresh hoard forces the
-    // one and only recluster, which fans out into per-shard spans.
+    // one and only recluster, which counts on the actor in one shard.
     let query = exactly_one(&spans, "query");
     let engine_answer = exactly_one(&spans, "engine_answer");
     let recluster = exactly_one(&spans, "recluster");
@@ -97,24 +96,13 @@ fn traced_query_covers_every_pipeline_stage_exactly_once() {
     assert_eq!(engine_answer.attr("query"), Some("hoard"));
     assert_eq!(recluster.parent_id, Some(engine_answer.span_id));
 
-    let shards = by_name(&spans, "shard_count");
+    let shard = exactly_one(&spans, "shard_count");
+    assert_eq!(shard.parent_id, Some(recluster.span_id));
+    assert_eq!(shard.attr("shard"), Some("0"));
     assert!(
-        !shards.is_empty() && shards.len() <= 3,
-        "between one and `recluster_threads` counting shards, got {}",
-        shards.len()
+        shard.start_unix_nanos >= recluster.start_unix_nanos,
+        "the shard starts inside the recluster span"
     );
-    for (i, s) in shards.iter().enumerate() {
-        assert_eq!(s.parent_id, Some(recluster.span_id));
-        let idx = i.to_string();
-        assert!(
-            shards.iter().any(|x| x.attr("shard") == Some(idx.as_str())),
-            "shard index {i} present"
-        );
-        assert!(
-            s.start_unix_nanos >= recluster.start_unix_nanos,
-            "shards start inside the recluster span"
-        );
-    }
 
     // Nothing else leaked into this trace.
     let known = [
