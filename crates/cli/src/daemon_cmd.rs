@@ -582,7 +582,8 @@ fn top_once(client: &mut DaemonClient, target: &str) -> Result<(), CliError> {
 
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let gauge = |name: &str| snap.gauge(name).unwrap_or(0);
-    // Engine gauges are per tenant; the header shows the fleet's total.
+    // Engine, WAL, and generation-lag gauges are per tenant; the header
+    // shows the fleet's total.
     let gauge_sum = |name: &str| -> i64 {
         (snap.metrics.iter())
             .filter(|m| m.name == name)
@@ -618,16 +619,16 @@ fn top_once(client: &mut DaemonClient, target: &str) -> Result<(), CliError> {
         gauge_sum("seer_engine_files_known"),
         gauge_sum("seer_cluster_count"),
         counter("seer_distance_observations_total"),
-        gauge("seer_daemon_generation_lag"),
+        gauge_sum("seer_daemon_generation_lag"),
     );
     // The WAL metrics are registered unconditionally but only ever move
     // on daemons running with --wal-dir; show the row once they have.
-    if gauge("seer_wal_segments") > 0 || counter("seer_wal_records_total") > 0 {
+    if gauge_sum("seer_wal_segments") > 0 || counter("seer_wal_records_total") > 0 {
         println!(
             "wal: {} segments ({} bytes on disk), {} records / {} bytes appended, \
              {} rotations, {} compacted, {} append errors",
-            gauge("seer_wal_segments"),
-            gauge("seer_wal_disk_bytes"),
+            gauge_sum("seer_wal_segments"),
+            gauge_sum("seer_wal_disk_bytes"),
             counter("seer_wal_records_total"),
             counter("seer_wal_appended_bytes_total"),
             counter("seer_wal_rotations_total"),

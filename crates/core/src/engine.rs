@@ -222,14 +222,6 @@ impl SeerEngine {
     /// Runs the clustering algorithm over the current distance table,
     /// replacing any previous project assignment.
     pub fn recluster(&mut self) -> &Clustering {
-        self.recluster_with_threads(1)
-    }
-
-    /// [`SeerEngine::recluster`] with the shared-neighbor counting phase
-    /// sharded across `threads` worker threads. The result is
-    /// bit-identical to the serial path (see
-    /// [`seer_cluster::cluster_view_excluding`]).
-    pub fn recluster_with_threads(&mut self, threads: usize) -> &Clustering {
         let started = std::time::Instant::now();
         let run = cluster_view_excluding(
             &self.correlator().distance().table().cluster_view(),
@@ -237,7 +229,7 @@ impl SeerEngine {
             &self.relations,
             self.observer.always_hoard(),
             &self.cluster_config,
-            threads,
+            1,
         );
         self.install_clustering(run.clustering, started.elapsed(), &run.shard_count_seconds)
     }
@@ -269,9 +261,8 @@ impl SeerEngine {
     /// tracker, the installed clustering, and the always-hoard pins.
     ///
     /// Like [`SeerEngine::recluster_input`] the snapshot is fully
-    /// detached — O(tracked files) copied — so the evaluator can compute
-    /// miss-free hoard sizes on a worker thread while the engine keeps
-    /// applying events.
+    /// detached — O(tracked files) copied. The daemon evaluates it in
+    /// place, between two batches, on the thread that applies them.
     #[must_use]
     pub fn eval_input(&self) -> EvalInput {
         EvalInput {
@@ -281,9 +272,10 @@ impl SeerEngine {
         }
     }
 
-    /// Installs a clustering computed elsewhere (typically from a
-    /// [`ReclusterInput`] on a worker thread), updating recluster
-    /// telemetry exactly as an in-place [`SeerEngine::recluster`] would:
+    /// Installs a clustering computed from a [`ReclusterInput`] (the
+    /// daemon's incremental runs, on the thread that applies batches),
+    /// updating recluster telemetry exactly as [`SeerEngine::recluster`]
+    /// would:
     /// `wall` is the computation's wall time and `shard_seconds` the
     /// per-shard count-phase timings.
     pub fn install_clustering(
@@ -468,7 +460,7 @@ impl ReclusterInput {
 
 /// A self-contained snapshot of the ranking state a quality evaluation
 /// reads (see [`SeerEngine::eval_input`]). Owns everything it needs, so
-/// it can be sent to a worker thread while the engine keeps mutating.
+/// an evaluation reads one fixed state whatever the engine does next.
 #[derive(Debug, Clone)]
 pub struct EvalInput {
     activity: crate::activity::ActivityTracker,

@@ -29,7 +29,6 @@
 //! bit-exact little-endian `f64`s, and length-prefixed UTF-8 paths. A
 //! decoded snapshot never names a file its own path table does not hold.
 
-use crate::config::SeerConfig;
 use crate::correlator::CorrelatorSnapshot;
 use crate::engine::SeerEngine;
 use seer_cluster::ClusterConfig;
@@ -231,16 +230,6 @@ impl SeerEngine {
     pub fn from_snapshot(snap: SeerSnapshot) -> SeerEngine {
         let correlator = crate::correlator::Correlator::from_snapshot(snap.correlator);
         SeerEngine::from_restored_parts(snap.observer, correlator, snap.cluster)
-    }
-
-    /// The effective configuration of a snapshot-restored or live engine.
-    #[must_use]
-    pub fn effective_config(&self) -> SeerConfig {
-        SeerConfig {
-            observer: self.observer_snapshot().config,
-            distance: self.correlator().distance().config().clone(),
-            cluster: *self.cluster_config(),
-        }
     }
 }
 

@@ -87,7 +87,6 @@ pub struct DaemonClient {
     strings: StringTable,
     /// Ids below this are already declared on the wire.
     declared: usize,
-    sent: u64,
     /// Stamped on every outgoing events/query frame when set, tying the
     /// daemon-side pipeline spans into one causal trace.
     trace_id: Option<u64>,
@@ -158,7 +157,6 @@ impl DaemonClient {
             bytes,
             strings: StringTable::new(),
             declared: 0,
-            sent: 0,
             trace_id: None,
             frame: Vec::new(),
         };
@@ -177,12 +175,6 @@ impl DaemonClient {
                 "expected Welcome, got {other:?}"
             ))),
         }
-    }
-
-    /// Events sent on this connection so far.
-    #[must_use]
-    pub fn events_sent(&self) -> u64 {
-        self.sent
     }
 
     /// Bytes written to the socket so far (frames that reached the
@@ -241,7 +233,6 @@ impl DaemonClient {
         self.frame.clear();
         wire::put_events_frame(&mut self.frame, &translated, self.trace_id);
         self.w.write_all(&self.frame)?;
-        self.sent += events.len() as u64;
         Ok(())
     }
 

@@ -51,33 +51,11 @@ const SLO_MISS_RATE: f64 = 0.02;
 /// window cools).
 pub const BURN_THRESHOLD: f64 = 4.0;
 
-/// The health scorer's burn windows, per daemon (shared by every
-/// tenant).
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Fast burn window (sensitive, quick to resolve).
-    pub fast_window: Duration,
-    /// Slow burn window (suppresses blips).
-    pub slow_window: Duration,
-}
-
-impl From<&DaemonConfig> for HealthConfig {
-    fn from(cfg: &DaemonConfig) -> HealthConfig {
-        HealthConfig {
-            fast_window: cfg.burn_fast_window,
-            slow_window: cfg.burn_slow_window,
-        }
-    }
-}
-
-impl HealthConfig {
-    /// Minimum spacing between burn samples: an eighth of the fast
-    /// window, clamped to 50 ms..1 s so shrunken test windows still get
-    /// several samples and production windows don't sample needlessly.
-    #[must_use]
-    pub fn sample_gap(&self) -> Duration {
-        (self.fast_window / 8).clamp(Duration::from_millis(50), Duration::from_secs(1))
-    }
+/// Minimum spacing between a tenant's burn samples: an eighth of the
+/// fast window, clamped to 50 ms..1 s so shrunken test windows still get
+/// several samples and production windows don't sample needlessly.
+fn sample_gap(cfg: &DaemonConfig) -> Duration {
+    (cfg.burn_fast_window / 8).clamp(Duration::from_millis(50), Duration::from_secs(1))
 }
 
 /// Retained health-score history per tenant (sparkline length).
@@ -121,11 +99,11 @@ pub struct TenantHealth {
 }
 
 impl TenantHealth {
-    /// Fresh state at full health.
+    /// Fresh state at full health, sized for the daemon's burn windows.
     #[must_use]
-    pub fn new(cfg: &HealthConfig) -> TenantHealth {
+    pub fn new(cfg: &DaemonConfig) -> TenantHealth {
         TenantHealth {
-            burn: BurnGauge::new(cfg.slow_window.as_secs_f64() * 1.25),
+            burn: BurnGauge::new(cfg.burn_slow_window.as_secs_f64() * 1.25),
             last_sample: None,
             score: 100.0,
             spark: std::collections::VecDeque::new(),
@@ -144,23 +122,25 @@ impl TenantHealth {
         self.spark.iter().copied().collect()
     }
 
-    /// Folds the signals into a new score, throttled to the configured
-    /// sample gap. Returns `None` when throttled (state unchanged).
-    pub fn observe(&mut self, cfg: &HealthConfig, sig: &HealthSignals) -> Option<HealthVerdict> {
-        let now = Instant::now();
+    /// Folds the signals into a new score at `now`, at most one sample
+    /// per sample gap. Returns `None` when throttled (state unchanged).
+    pub fn observe(
+        &mut self,
+        cfg: &DaemonConfig,
+        sig: &HealthSignals,
+        now: Instant,
+    ) -> Option<HealthVerdict> {
         if let Some(last) = self.last_sample {
-            if now.duration_since(last) < cfg.sample_gap() {
+            if now.saturating_duration_since(last) < sample_gap(cfg) {
                 return None;
             }
         }
         self.last_sample = Some(now);
-        self.burn.sample(sig.total_ops, sig.bad_ops);
-        let burn_fast = self
-            .burn
-            .burn_over(cfg.fast_window.as_secs_f64(), SLO_MISS_RATE);
-        let burn_slow = self
-            .burn
-            .burn_over(cfg.slow_window.as_secs_f64(), SLO_MISS_RATE);
+        self.burn.sample(now, sig.total_ops, sig.bad_ops);
+        let burn_over =
+            |window: Duration| (self.burn).burn_over(now, window.as_secs_f64(), SLO_MISS_RATE);
+        let burn_fast = burn_over(cfg.burn_fast_window);
+        let burn_slow = burn_over(cfg.burn_slow_window);
 
         let mut score = 100.0;
         if sig.wal_fault {
@@ -207,9 +187,9 @@ impl Default for WatchdogConfig {
 }
 
 /// Millisecond timestamps a shard actor stamps as it runs, read by the
-/// watchdog thread. All times are milliseconds since the beat's own
-/// creation; zero means "never" (heartbeat) or "not currently" (dirty
-/// mark).
+/// watchdog thread. All times are milliseconds since the beat's `epoch`,
+/// read off the `now` each caller passes in; zero means "never"
+/// (heartbeat) or "not currently" (dirty mark).
 #[derive(Debug)]
 pub struct ShardBeat {
     epoch: Instant,
@@ -217,68 +197,60 @@ pub struct ShardBeat {
     snapshot_dirty_ms: AtomicU64,
 }
 
-impl Default for ShardBeat {
-    fn default() -> ShardBeat {
-        ShardBeat::new()
-    }
-}
-
 impl ShardBeat {
-    /// A beat with no stamps yet.
+    /// A beat with no stamps yet, counting from `epoch`.
     #[must_use]
-    pub fn new() -> ShardBeat {
+    pub fn new(epoch: Instant) -> ShardBeat {
         ShardBeat {
-            epoch: Instant::now(),
+            epoch,
             heartbeat_ms: AtomicU64::new(0),
             snapshot_dirty_ms: AtomicU64::new(0),
         }
     }
 
-    /// Milliseconds since this beat was created, clamped to ≥ 1 so a
-    /// stamp is never confused with the "never" sentinel.
-    fn now_ms(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_millis())
-            .unwrap_or(u64::MAX)
-            .max(1)
+    /// Milliseconds from the epoch to `now`, clamped to ≥ 1 so a stamp
+    /// is never confused with the "never" sentinel.
+    fn ms(&self, now: Instant) -> u64 {
+        let since = now.saturating_duration_since(self.epoch).as_millis();
+        u64::try_from(since).unwrap_or(u64::MAX).max(1)
     }
 
-    /// Stamps the liveness heartbeat (one relaxed store; called once per
-    /// actor loop iteration).
-    pub fn stamp_heartbeat(&self) {
-        self.heartbeat_ms.store(self.now_ms(), Ordering::Relaxed);
+    /// Stamps the liveness heartbeat at `now` (one relaxed store; called
+    /// once per actor loop iteration).
+    pub fn stamp_heartbeat(&self, now: Instant) {
+        self.heartbeat_ms.store(self.ms(now), Ordering::Relaxed);
     }
 
-    /// Marks whether any tenant on this shard has unsnapshotted state.
-    pub fn set_snapshot_dirty(&self, dirty: bool) {
-        Self::mark(&self.snapshot_dirty_ms, dirty, self.now_ms());
-    }
-
-    /// Latches `now` on the false→true edge, clears on true→false.
-    fn mark(cell: &AtomicU64, active: bool, now: u64) {
-        if active {
-            let _ = cell.compare_exchange(0, now, Ordering::Relaxed, Ordering::Relaxed);
+    /// Marks whether any tenant on this shard has unsnapshotted state:
+    /// the mark latches `now` on the false→true edge and clears on
+    /// true→false.
+    pub fn set_snapshot_dirty(&self, dirty: bool, now: Instant) {
+        let cell = &self.snapshot_dirty_ms;
+        if dirty {
+            let _ = cell.compare_exchange(0, self.ms(now), Ordering::Relaxed, Ordering::Relaxed);
         } else {
             cell.store(0, Ordering::Relaxed);
         }
     }
 
-    fn age(&self, cell: &AtomicU64) -> Option<Duration> {
+    fn age(&self, cell: &AtomicU64, now: Instant) -> Option<Duration> {
         match cell.load(Ordering::Relaxed) {
             0 => None,
-            t => Some(Duration::from_millis(self.now_ms().saturating_sub(t))),
+            t => Some(Duration::from_millis(self.ms(now).saturating_sub(t))),
         }
     }
 
-    /// Age of the last heartbeat (`None` before the first stamp).
+    /// Age of the last heartbeat at `now` (`None` before the first
+    /// stamp).
     #[must_use]
-    pub fn heartbeat_age(&self) -> Option<Duration> {
-        self.age(&self.heartbeat_ms)
+    pub fn heartbeat_age(&self, now: Instant) -> Option<Duration> {
+        self.age(&self.heartbeat_ms, now)
     }
 
-    /// How long unsnapshotted state has been pending.
+    /// How long unsnapshotted state has been pending at `now`.
     #[must_use]
-    pub fn snapshot_dirty_for(&self) -> Option<Duration> {
-        self.age(&self.snapshot_dirty_ms)
+    pub fn snapshot_dirty_for(&self, now: Instant) -> Option<Duration> {
+        self.age(&self.snapshot_dirty_ms, now)
     }
 }
 
@@ -293,14 +265,15 @@ pub struct WatchdogFinding {
     pub message: String,
 }
 
-/// Evaluates every watchdog invariant for one shard. Pure so it can be
-/// unit-tested without threads; the daemon's watchdog thread feeds the
-/// findings to the alert center under [`SELF_TENANT`].
+/// Evaluates every watchdog invariant for one shard at `now`. Pure so
+/// it can be unit-tested without threads; the daemon's watchdog thread
+/// feeds the findings to the alert center under [`SELF_TENANT`].
 #[must_use]
 pub fn watchdog_check(
     shard: usize,
     beat: &ShardBeat,
     cfg: &WatchdogConfig,
+    now: Instant,
 ) -> Vec<WatchdogFinding> {
     let mut findings = Vec::with_capacity(2);
     let mut push = |name: &str, age: Option<Duration>, limit: Duration, what: &str| {
@@ -317,13 +290,13 @@ pub fn watchdog_check(
     };
     push(
         "stalled",
-        beat.heartbeat_age(),
+        beat.heartbeat_age(now),
         cfg.stall_after,
         "no actor heartbeat",
     );
     push(
         "snapshot-stale",
-        beat.snapshot_dirty_for(),
+        beat.snapshot_dirty_for(now),
         cfg.snapshot_stale_after,
         "unsnapshotted state pending",
     );
@@ -334,10 +307,20 @@ pub fn watchdog_check(
 mod tests {
     use super::*;
 
-    fn fast_cfg() -> HealthConfig {
-        HealthConfig {
-            fast_window: Duration::from_millis(400),
-            slow_window: Duration::from_secs(2),
+    fn fast_cfg() -> DaemonConfig {
+        let mut cfg = DaemonConfig::new("unused.sock");
+        cfg.burn_fast_window = Duration::from_millis(400);
+        cfg.burn_slow_window = Duration::from_secs(2);
+        cfg
+    }
+
+    fn signals(total_ops: u64, bad_ops: u64) -> HealthSignals {
+        HealthSignals {
+            total_ops,
+            bad_ops,
+            wal_fault: false,
+            queue_frac: 0.0,
+            eval_stale: false,
         }
     }
 
@@ -346,30 +329,19 @@ mod tests {
         let cfg = fast_cfg();
         let mut healthy = TenantHealth::new(&cfg);
         let mut sick = TenantHealth::new(&cfg);
+        let mut now = Instant::now();
         let mut total = 0;
         for _ in 0..4 {
             total += 1000;
-            let _ = healthy.observe(
-                &cfg,
-                &HealthSignals {
-                    total_ops: total,
-                    bad_ops: 0,
-                    wal_fault: false,
-                    queue_frac: 0.0,
-                    eval_stale: false,
-                },
-            );
-            let _ = sick.observe(
-                &cfg,
-                &HealthSignals {
-                    total_ops: total,
-                    bad_ops: total, // everything dropped
-                    wal_fault: true,
-                    queue_frac: 0.5,
-                    eval_stale: true,
-                },
-            );
-            std::thread::sleep(cfg.sample_gap() + Duration::from_millis(5));
+            let _ = healthy.observe(&cfg, &signals(total, 0), now);
+            let everything_dropped = HealthSignals {
+                wal_fault: true,
+                queue_frac: 0.5,
+                eval_stale: true,
+                ..signals(total, total)
+            };
+            let _ = sick.observe(&cfg, &everything_dropped, now);
+            now += sample_gap(&cfg) + Duration::from_millis(5);
         }
         assert!(healthy.score() > 95.0, "healthy: {}", healthy.score());
         // 40 (wal) + 30 (saturated burn) + 10 (queue) + 10 (eval) gone.
@@ -382,32 +354,25 @@ mod tests {
     fn observation_is_throttled_to_the_sample_gap() {
         let cfg = fast_cfg();
         let mut h = TenantHealth::new(&cfg);
-        let sig = HealthSignals {
-            total_ops: 10,
-            bad_ops: 0,
-            wal_fault: false,
-            queue_frac: 0.0,
-            eval_stale: false,
-        };
-        assert!(h.observe(&cfg, &sig).is_some(), "first sample always lands");
-        assert!(h.observe(&cfg, &sig).is_none(), "back-to-back is throttled");
+        let sig = signals(10, 0);
+        let now = Instant::now();
+        assert!(h.observe(&cfg, &sig, now).is_some(), "first sample lands");
+        let almost = now + sample_gap(&cfg) - Duration::from_millis(1);
+        assert!(h.observe(&cfg, &sig, almost).is_none(), "throttled");
+        let gap = now + sample_gap(&cfg);
+        assert!(h.observe(&cfg, &sig, gap).is_some(), "a full gap later");
     }
 
     #[test]
     fn burn_verdict_crosses_threshold_then_decays() {
         let cfg = fast_cfg();
         let mut h = TenantHealth::new(&cfg);
+        let mut now = Instant::now();
         let mut verdict = None;
         for i in 0..3 {
-            let sig = HealthSignals {
-                total_ops: (i + 1) * 100,
-                bad_ops: (i + 1) * 100,
-                wal_fault: false,
-                queue_frac: 0.0,
-                eval_stale: false,
-            };
-            verdict = h.observe(&cfg, &sig).or(verdict);
-            std::thread::sleep(cfg.sample_gap() + Duration::from_millis(5));
+            let sig = signals((i + 1) * 100, (i + 1) * 100);
+            verdict = h.observe(&cfg, &sig, now).or(verdict);
+            now += sample_gap(&cfg) + Duration::from_millis(5);
         }
         let v = verdict.expect("sampled");
         assert!(
@@ -415,19 +380,8 @@ mod tests {
             "all-bad traffic burns both windows: {v:?}"
         );
         // Quiet period: flat samples decay the fast window back to zero.
-        std::thread::sleep(cfg.fast_window + Duration::from_millis(50));
-        let v = h
-            .observe(
-                &cfg,
-                &HealthSignals {
-                    total_ops: 300,
-                    bad_ops: 300,
-                    wal_fault: false,
-                    queue_frac: 0.0,
-                    eval_stale: false,
-                },
-            )
-            .expect("sampled");
+        now += cfg.burn_fast_window + Duration::from_millis(50);
+        let v = h.observe(&cfg, &signals(300, 300), now).expect("sampled");
         assert!(
             v.burn_fast < BURN_THRESHOLD,
             "fast burn decays when quiet: {v:?}"
@@ -436,41 +390,43 @@ mod tests {
 
     #[test]
     fn watchdog_flags_stall_and_snapshot_age() {
-        let beat = ShardBeat::new();
+        let start = Instant::now();
+        let beat = ShardBeat::new(start);
         let cfg = WatchdogConfig {
             tick: Duration::from_millis(10),
             stall_after: Duration::from_millis(20),
             snapshot_stale_after: Duration::from_millis(20),
         };
         // Nothing stamped yet: every age is None, nothing fires.
-        assert!(watchdog_check(0, &beat, &cfg).iter().all(|f| !f.firing));
+        let findings = watchdog_check(0, &beat, &cfg, start + Duration::from_secs(1));
+        assert!(findings.iter().all(|f| !f.firing));
 
-        beat.stamp_heartbeat();
-        beat.set_snapshot_dirty(true);
-        std::thread::sleep(Duration::from_millis(40));
-        let findings = watchdog_check(3, &beat, &cfg);
+        beat.stamp_heartbeat(start);
+        beat.set_snapshot_dirty(true, start);
+        let later = start + Duration::from_millis(40);
+        let findings = watchdog_check(3, &beat, &cfg, later);
         assert_eq!(findings.len(), 2);
         assert!(findings.iter().all(|f| f.firing), "both invariants");
         assert!(findings.iter().all(|f| f.kind.starts_with("shard3/")));
 
         // A fresh stamp and a cleared mark resolve everything.
-        beat.stamp_heartbeat();
-        beat.set_snapshot_dirty(false);
-        assert!(watchdog_check(3, &beat, &cfg).iter().all(|f| !f.firing));
+        beat.stamp_heartbeat(later);
+        beat.set_snapshot_dirty(false, later);
+        let findings = watchdog_check(3, &beat, &cfg, later);
+        assert!(findings.iter().all(|f| !f.firing));
     }
 
     #[test]
     fn busy_mark_latches_the_first_edge() {
-        let beat = ShardBeat::new();
-        beat.set_snapshot_dirty(true);
-        let first = beat.snapshot_dirty_for().expect("latched");
-        std::thread::sleep(Duration::from_millis(15));
+        let start = Instant::now();
+        let beat = ShardBeat::new(start);
+        let first = start + Duration::from_millis(5);
+        beat.set_snapshot_dirty(true, first);
+        assert_eq!(beat.snapshot_dirty_for(first), Some(Duration::ZERO));
         // Re-marking dirty must not reset the latch time.
-        beat.set_snapshot_dirty(true);
-        let later = beat.snapshot_dirty_for().expect("still latched");
-        assert!(
-            later >= first + Duration::from_millis(10),
-            "age kept growing"
-        );
+        let later = first + Duration::from_millis(15);
+        beat.set_snapshot_dirty(true, later);
+        let age = beat.snapshot_dirty_for(later).expect("still latched");
+        assert_eq!(age, Duration::from_millis(15), "age kept growing");
     }
 }

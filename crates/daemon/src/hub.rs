@@ -14,14 +14,15 @@
 //!
 //! A connection is a blast-radius boundary: protocol violations (a
 //! missing or repeated handshake, a tenant name outside the rule of
-//! `pipeline::check_tenant_name`, out-of-order or undeclared path ids,
+//! `tenant::check_tenant_name`, out-of-order or undeclared path ids,
 //! oversized frames) and mid-frame disconnects kill only the offending
 //! connection (counted in `seer_daemon_connection_errors_total`), never
 //! the daemon.
 
-use crate::pipeline::{self, Msg, Tenant};
+use crate::pipeline::Msg;
 use crate::server::Shared;
 use crate::stats::PipelineMetrics;
+use crate::tenant::{self, Tenant};
 use crossbeam::channel::{bounded, Sender};
 use seer_telemetry::{tlog, Level, SpanContext, TraceId, Tracer};
 use seer_trace::wire::{
@@ -49,6 +50,11 @@ const MAX_LINE_BYTES: usize = 64 * 1024;
 /// an events frame arrives in one kernel read. A smaller buffer forces
 /// mid-frame refills, which show as a `socket_read` p99 outlier.
 const READ_BUFFER: usize = 256 * 1024;
+
+/// Stack of each connection reader thread. A control line's JSON nests
+/// at most 128 deep (the parser's bound), which a debug build parses in
+/// under a quarter of this.
+const READER_STACK: usize = 1024 * 1024;
 
 /// Pause after a failed `accept` (say, `EMFILE` while descriptors run
 /// out) before the listener tries again.
@@ -246,6 +252,7 @@ pub(crate) fn run_listener(listener: &HubListener, shared: &Arc<Shared>, shards:
         let reader_shared = Arc::clone(shared);
         let reader_shards = Arc::clone(shards);
         let spawned = thread::Builder::new()
+            .stack_size(READER_STACK)
             .spawn(move || serve_conn(stream, conn, &reader_shards, &reader_shared));
         if let Err(e) = spawned {
             // The failed spawn dropped its handle on the stream; the
@@ -359,9 +366,10 @@ fn read_bounded_line(
 ///
 /// The framing is sniffed from the first byte: [`wire::BINARY_EVENTS_MAGIC`]
 /// introduces a binary events frame (read into `scratch`, reused across
-/// calls, and decoded without serde); anything else is a JSON control
-/// line. Both paths are length-capped, so no client input can balloon
-/// the daemon's memory.
+/// calls, and decoded without serde, by the two halves of
+/// [`wire::read_binary_events`]); anything else is a JSON control line.
+/// Both paths are length-capped, and a line's JSON nesting is bounded,
+/// so no client input can balloon the daemon's memory or its stack.
 fn read_timed_frame(
     r: &mut impl BufRead,
     metrics: &PipelineMetrics,
@@ -379,18 +387,7 @@ fn read_timed_frame(
             }
         };
         if first == wire::BINARY_EVENTS_MAGIC {
-            let mut header = [0u8; 5];
-            r.read_exact(&mut header)?;
-            let len = u32::from_le_bytes([header[1], header[2], header[3], header[4]]) as usize;
-            if len > wire::BINARY_MAX_PAYLOAD {
-                return Err(WireError::Format(format!(
-                    "binary frame length {len} exceeds cap {}",
-                    wire::BINARY_MAX_PAYLOAD
-                )));
-            }
-            scratch.clear();
-            scratch.resize(len, 0);
-            r.read_exact(scratch)?;
+            let bytes = wire::read_binary_payload(r, scratch)?;
             read_timer.stop();
             let read_time = read_start.elapsed();
             let decode_start = Instant::now();
@@ -404,7 +401,7 @@ fn read_timed_frame(
                     read_time,
                     decode_start,
                     decode_time: decode_start.elapsed(),
-                    bytes: header.len() + len,
+                    bytes,
                 },
             )));
         }
@@ -516,7 +513,7 @@ impl Conn<'_> {
                 if let Some(name) = tenant {
                     // Refused before it becomes this connection's tenant,
                     // so its error is charged to the default tenant.
-                    pipeline::check_tenant_name(&name).map_err(WireError::Format)?;
+                    tenant::check_tenant_name(&name).map_err(WireError::Format)?;
                     self.tenant = Arc::from(name);
                     self.inbox = self.shards.inbox_for(&self.tenant);
                 }
@@ -640,7 +637,7 @@ impl Conn<'_> {
 fn serve_conn(stream: Arc<HubStream>, conn: u64, shards: &Shards, shared: &Shared) {
     let mut r = BufReader::with_capacity(READ_BUFFER, &*stream);
     let mut w = BufWriter::new(&*stream);
-    let tenant = pipeline::default_tenant();
+    let tenant = tenant::default_tenant();
     let mut c = Conn {
         id: conn,
         shards,

@@ -34,6 +34,12 @@
 //!   the one piece of file I/O that stays off the ack path, are written
 //!   by the shard's one background worker thread, whatever its tenant
 //!   count.
+//! - **One tenant core.** The actor only routes: a tenant's state and
+//!   every transition on it (apply a batch, answer a query, idle
+//!   housekeeping, freeze and fold in a snapshot, recover from disk)
+//!   live in one module, which reads no clock to decide anything — the
+//!   actor passes the time in — and starts no thread. Startup and a
+//!   tenant's first contact recover through the same function.
 //! - **Batching.** The observer's per-event cost is what made SEER's
 //!   overhead noticeable; clients send events in binary frames of many
 //!   events each, and every frame is one engine batch, so engine locks
@@ -58,15 +64,17 @@
 //!   queries see only their tenant; the `Fleet` query fans out across
 //!   shards and merges.
 //! - **Blast-radius isolation.** A hostile or broken client (garbage
-//!   bytes, oversized frames, mid-frame disconnects) kills only its own
-//!   connection, counted in `seer_daemon_connection_errors_total`; a
-//!   tenant whose WAL faults (e.g. ENOSPC) stops being acknowledged and
-//!   reports unhealthy, without perturbing other tenants.
+//!   bytes, oversized frames, JSON nested past the parser's bound,
+//!   mid-frame disconnects) kills only its own connection, counted in
+//!   `seer_daemon_connection_errors_total`; a tenant whose WAL faults
+//!   (e.g. ENOSPC) stops being acknowledged and reports unhealthy,
+//!   without perturbing other tenants.
 //! - **Fleet observability.** Every apply-path measurement is recorded
 //!   once, per tenant (labeled series under `seer_daemon_tenant_*`,
 //!   resolved once per tenant so the apply path never re-interns
 //!   labels), and its daemon-wide series is the sum over tenants, taken
-//!   when metrics are read; a health scorer folds each tenant's signals
+//!   when metrics are read; gauges (engine sizes, WAL size, generation
+//!   lag) stay per tenant; a health scorer folds each tenant's signals
 //!   into a 0–100 score with multi-window SLO burn-rate alerts, and a
 //!   watchdog thread alerts on the daemon itself (pseudo-tenant `_self`)
 //!   when a shard stalls (a stuck in-place recluster included) or
@@ -82,6 +90,7 @@ mod quality;
 mod server;
 mod snapshot;
 mod stats;
+mod tenant;
 mod worker;
 
 pub use client::DaemonClient;

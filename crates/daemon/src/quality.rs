@@ -9,14 +9,15 @@
 //! to be right now to survive a disconnection, and how much of that
 //! advantage comes from clustering rather than recency.
 //!
-//! Mechanically an evaluation runs on the shard's engine actor, between
-//! messages: when a tenant's cadence timer is due (checked after each
-//! batch and on idle ticks) the actor freezes an immutable
+//! Mechanically an evaluation is a tenant transition (`crate::tenant`),
+//! run on the shard's engine actor between messages: when the tenant's
+//! cadence is due at the `now` its caller passes (checked after each
+//! batch and in idle housekeeping), the tenant freezes an immutable
 //! [`seer_core::EvalInput`] (activity, clustering, and the always-hoard
 //! set) into an [`EvalJob`], evaluates it, and installs the resulting
 //! [`QualityReport`]. A `Quality` query takes the same path after
 //! reclustering to the current generation, so its answer reflects
-//! everything applied before it.
+//! everything applied before it. Nothing here reads a clock.
 //!
 //! The LRU baseline of §6.1 is reproduced by a [`ShadowLru`]: a
 //! memory-bounded recency list maintained on the apply path. Feeding its
@@ -233,7 +234,7 @@ pub(crate) struct QualityState {
     pub series: SeriesRing,
     pub latest: Option<QualityReport>,
     pub evals: u64,
-    /// When the cadence timer last started an evaluation.
+    /// When the cadence last started an evaluation, as its caller's `now`.
     pub last_eval: Option<Instant>,
     pub miss_log: MissLog,
     pub postmortems: VecDeque<MissPostmortem>,
@@ -266,9 +267,10 @@ impl QualityState {
         }
     }
 
-    /// Whether the cadence timer says another evaluation is due.
-    pub(crate) fn due(&self) -> bool {
-        self.last_eval.is_none_or(|t| t.elapsed() >= self.every)
+    /// Whether another evaluation is due at `now`: none has run yet, or
+    /// the last one started a full cadence ago.
+    pub(crate) fn due(&self, now: Instant) -> bool {
+        (self.last_eval).is_none_or(|t| now.saturating_duration_since(t) >= self.every)
     }
 
     /// Folds a finished report into the series rings and latest slot.

@@ -2,15 +2,15 @@
 
 use crate::health::{watchdog_check, ShardBeat, WatchdogConfig, SELF_TENANT};
 use crate::hub::{self, HubListener, HubStream, Shards, SocketProbe};
-use crate::pipeline::{self, TenantSeed};
-use crate::snapshot::DaemonSnapshot;
+use crate::pipeline;
 use crate::stats::{self, DaemonStats, SharedMetrics};
+use crate::tenant::{self, TenantState};
 use crate::worker::Worker;
 use crossbeam::channel::bounded;
 use parking_lot::Mutex;
 use seer_core::{PersistError, SeerConfig};
 use seer_telemetry::{tlog, Level, RegistrySnapshot, Tracer};
-use seer_wal::{FsyncPolicy, Wal, WalConfig, WalError};
+use seer_wal::{FsyncPolicy, WalError};
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Configuration for a [`Daemon`].
 #[derive(Debug, Clone)]
@@ -276,92 +276,18 @@ impl Daemon {
                 "restore requires a write-ahead log (set wal_dir / --wal-dir)".into(),
             ));
         }
-        if let Some(path) = &config.snapshot_path {
-            crate::snapshot::clean_stale(path);
-        }
-        // A snapshot newer than a restore target would smuggle the
-        // discarded suffix back in, so it does not count as a base.
-        let mut rep = crate::snapshot::load_base(
-            config.snapshot_path.as_deref(),
-            config.restore_to.unwrap_or(u64::MAX),
-            &config.engine,
-            pipeline::DEFAULT_TENANT,
-        );
-        let mut wal = None;
-        if let Some(dir) = &config.wal_dir {
-            let (mut w, report) = Wal::open(WalConfig {
-                dir: dir.clone(),
-                fsync: config.wal_fsync,
-                segment_max_bytes: config.wal_segment_bytes,
-            })?;
-            tlog!(
-                Level::Info,
-                "seer_daemon",
-                "wal recovered",
-                dir = dir.display().to_string(),
-                segments = report.segments as u64,
-                records = report.records,
-                last_generation = report.last_generation,
-                truncated_bytes = report.truncated_bytes,
-                dropped_segments = report.dropped_segments as u64,
-            );
-
-            if let Some(target) = config.restore_to {
-                crate::snapshot::reachable(rep.events_applied(), w.compacted_through(), target)
-                    .map_err(DaemonError::Restore)?;
-                let achieved = w.truncate_after(target)?;
-                tlog!(
-                    Level::Info,
-                    "seer_daemon",
-                    "wal truncated for restore",
-                    target = target,
-                    achieved = achieved,
-                );
-            }
-
-            crate::snapshot::replay_wal(&w, &mut rep, u64::MAX)?;
-            if rep.gaps() > 0 {
-                let message = format!(
-                    "wal does not connect to the recovered snapshot \
-                     ({} generation gaps)",
-                    rep.gaps()
-                );
-                if config.restore_to.is_some() {
-                    return Err(DaemonError::Restore(message));
-                }
-                tlog!(
-                    Level::Warn,
-                    "seer_daemon",
-                    "wal replay incomplete",
-                    detail = message.as_str(),
-                );
-            }
-            wal = Some(w);
-        }
-        let (engine, strings, events_applied) = rep.into_parts();
-        if let (Some(target), Some(path)) = (config.restore_to, &config.snapshot_path) {
-            // Publish the restored state as the snapshot immediately, so a
-            // newer snapshot on disk can never resurrect the history the
-            // truncation just discarded.
-            let snap = DaemonSnapshot {
-                engine: engine.snapshot(),
-                events_applied,
-            };
-            snap.write_atomic(path)?;
-            tlog!(
-                Level::Info,
-                "seer_daemon",
-                "restored to generation",
-                target = target,
-                events_applied = events_applied,
-            );
-        }
-
         // One registry per daemon: pipeline and engine metrics share it,
         // and every instance (parallel tests included) stays isolated.
         let tracer = Tracer::new(config.trace_capacity, config.slow_span);
         seer_telemetry::register_flight_recorder("daemon", &tracer);
         let metrics = stats::new_shared(tracer);
+        let config = Arc::new(config);
+        // The default tenant recovers before the socket binds, so a log
+        // it cannot open, restore, or replay fails the start instead of
+        // surfacing mid-flight; other tenants recover on first contact.
+        let name = tenant::default_tenant();
+        let (default, recovered) = TenantState::recover(name, &config, &metrics, config.restore_to);
+        recovered?;
 
         // Reap the socket path only when it is provably dead. A path a
         // live daemon owns refuses the start instead of being stolen
@@ -402,7 +328,7 @@ impl Daemon {
             socket = config.socket_path.display().to_string(),
             tcp = tcp_addr.map_or_else(|| "off".to_string(), |a| a.to_string()),
             shards = config.shards.max(1) as u64,
-            recovered_events = events_applied,
+            recovered_events = default.events_applied(),
         );
 
         let shared = Arc::new(Shared {
@@ -421,34 +347,25 @@ impl Daemon {
             .map(|_| Worker::spawn())
             .collect::<Result<Vec<_>, _>>()?;
         // Per-shard inboxes, created before the threads so the routing
-        // table exists first (the default tenant's seed goes to whichever
-        // shard it hashes to).
+        // table exists first (the default tenant goes to whichever shard
+        // it hashes to).
         let (inboxes, receivers): (Vec<_>, Vec<_>) = (0..config.shards.max(1))
             .map(|_| bounded(config.channel_capacity))
             .unzip();
         let shards = Arc::new(Shards { inboxes });
-        let config = Arc::new(config);
-        let default_shard = shards.index_for(pipeline::DEFAULT_TENANT);
-        let mut seed = Some(TenantSeed {
-            engine,
-            strings,
-            events_applied,
-            wal,
-        });
+        let default_shard = shards.index_for(tenant::DEFAULT_TENANT);
+        let mut default = Some(default);
 
         // One beat per shard: the actor stamps it, the watchdog reads it.
+        let epoch = Instant::now();
         let beats: Vec<Arc<ShardBeat>> = receivers
             .iter()
-            .map(|_| Arc::new(ShardBeat::new()))
+            .map(|_| Arc::new(ShardBeat::new(epoch)))
             .collect();
         let mut actors = Vec::with_capacity(receivers.len());
         for (i, (inbox, worker)) in receivers.into_iter().zip(workers).enumerate() {
             let cfg = Arc::clone(&config);
-            let shard_seed = if i == default_shard {
-                seed.take()
-            } else {
-                None
-            };
+            let home = default.take_if(|_| i == default_shard);
             let metrics = Arc::clone(&shared.metrics);
             let kill = Arc::clone(&shared.kill);
             let beat = Arc::clone(&beats[i]);
@@ -456,9 +373,7 @@ impl Daemon {
                 thread::Builder::new()
                     .name(format!("seer-shard-{i}"))
                     .spawn(move || {
-                        pipeline::run_engine_actor(
-                            shard_seed, cfg, inbox, worker, metrics, kill, beat,
-                        );
+                        pipeline::run_engine_actor(home, cfg, inbox, worker, metrics, kill, beat);
                     })?,
             );
         }
@@ -501,8 +416,9 @@ impl Daemon {
 /// shutdown waits at most one tick for it).
 fn run_watchdog(shared: &Shared, beats: &[Arc<ShardBeat>], cfg: &WatchdogConfig) {
     while !(shared.shutdown.load(Ordering::SeqCst) || shared.kill.load(Ordering::SeqCst)) {
+        let now = Instant::now();
         for (i, beat) in beats.iter().enumerate() {
-            for f in watchdog_check(i, beat, cfg) {
+            for f in watchdog_check(i, beat, cfg, now) {
                 shared
                     .metrics
                     .alert(SELF_TENANT, &f.kind, f.firing, || f.message.clone());

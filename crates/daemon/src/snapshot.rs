@@ -13,10 +13,9 @@
 //! [`PersistError::Format`], and recovery falls back to the previous
 //! snapshot, then to a cold start.
 //!
-//! Three callers recover through it, each with its own failure policy:
-//! daemon startup (the default tenant; errors fail the start), a lazily
-//! created tenant (keeps what replayed and faults its WAL), and the
-//! `History` query (errors are in-band answers).
+//! Two callers recover through it: a tenant's one recovery sequence
+//! (`crate::tenant`, for startup and lazy creation alike) and the
+//! `History` query, whose errors are in-band answers.
 
 use seer_core::persist::{frame, unframe};
 use seer_core::{PersistError, Replayer, SeerConfig, SeerEngine, SeerSnapshot};

@@ -64,9 +64,6 @@ pub(crate) struct PipelineMetrics {
     /// Hoard/cluster queries answered from a clustering older than the
     /// applied event count (non-fresh queries after events arrived).
     pub stale_queries: Counter,
-    /// Events applied since the installed clustering was computed — how
-    /// far the hoard's view of the project structure lags reality.
-    pub generation_lag: Gauge,
     /// Ingest-queue depth sampled at each event send.
     pub queue_depth: Gauge,
     /// High-water mark of `queue_depth` over the daemon's lifetime.
@@ -82,10 +79,6 @@ pub(crate) struct PipelineMetrics {
     pub wal_rotations: Counter,
     /// WAL segments deleted by snapshot-driven compaction.
     pub wal_segments_compacted: Counter,
-    /// WAL segment files currently on disk.
-    pub wal_segments: Gauge,
-    /// Total bytes across WAL segment files.
-    pub wal_disk_bytes: Gauge,
     /// Per-stage latency histograms (`seer_daemon_stage_seconds`).
     pub stage_socket_read: Histogram,
     pub stage_decode: Histogram,
@@ -142,6 +135,14 @@ pub(crate) struct TenantMetrics {
     pub quality_working_set_bytes: Gauge,
     /// Files the tenant's latest evaluation's needed set contained.
     pub quality_needed_files: Gauge,
+    /// Events the tenant applied since its installed clustering's
+    /// generation — how far its hoard's view of the project structure
+    /// lags reality.
+    pub generation_lag: Gauge,
+    /// Segment files in the tenant's WAL directory.
+    pub wal_segments: Gauge,
+    /// Total bytes across the tenant's WAL segment files.
+    pub wal_disk_bytes: Gauge,
     /// The tenant engine's own series (`seer_engine_*`, `seer_distance_*`,
     /// `seer_cluster_*`), labelled with the tenant.
     pub engine: EngineTelemetry,
@@ -176,10 +177,6 @@ impl PipelineMetrics {
             stale_queries: registry.counter(
                 "seer_daemon_stale_queries_total",
                 "Queries answered from a cached clustering older than the applied event count.",
-            ),
-            generation_lag: registry.gauge(
-                "seer_daemon_generation_lag",
-                "Events applied since the installed clustering's generation.",
             ),
             queue_depth: registry.gauge(
                 "seer_daemon_queue_depth",
@@ -224,12 +221,6 @@ impl PipelineMetrics {
             wal_segments_compacted: registry.counter(
                 "seer_wal_segments_compacted_total",
                 "WAL segments deleted by snapshot-driven compaction.",
-            ),
-            wal_segments: registry
-                .gauge("seer_wal_segments", "WAL segment files currently on disk."),
-            wal_disk_bytes: registry.gauge(
-                "seer_wal_disk_bytes",
-                "Total bytes across WAL segment files.",
             ),
             stage_wal_fsync: stage(
                 "wal_fsync",
@@ -336,6 +327,21 @@ impl PipelineMetrics {
                 "Files referenced inside the latest simulated disconnection window.",
                 t,
             ),
+            generation_lag: self.registry.gauge_with(
+                "seer_daemon_generation_lag",
+                "Events applied since the installed clustering's generation, per tenant.",
+                t,
+            ),
+            wal_segments: self.registry.gauge_with(
+                "seer_wal_segments",
+                "WAL segment files currently on disk, per tenant.",
+                t,
+            ),
+            wal_disk_bytes: self.registry.gauge_with(
+                "seer_wal_disk_bytes",
+                "Total bytes across WAL segment files, per tenant.",
+                t,
+            ),
             engine: EngineTelemetry::register(&self.registry, t),
         }
     }
@@ -366,13 +372,6 @@ impl PipelineMetrics {
         }
         self.alerts_firing
             .set(i64::try_from(self.alerts.firing_count()).unwrap_or(i64::MAX));
-    }
-
-    /// Refreshes the generation-lag gauge from the live counters.
-    pub(crate) fn observe_generation_lag(&self, events_applied: u64, generation: u64) {
-        let lag = events_applied.saturating_sub(generation);
-        self.generation_lag
-            .set(i64::try_from(lag).unwrap_or(i64::MAX));
     }
 
     /// Records a queue-depth observation (live value + high-water mark).
@@ -563,8 +562,8 @@ const DERIVED: [Derived; 15] = [
 ];
 
 /// Every daemon-wide series derived from a tenant family: [`DERIVED`],
-/// then the engines' ingest counter for each event kind. The engine
-/// gauges have no daemon-wide sum; they stay per tenant.
+/// then the engines' ingest counter for each event kind. Gauges stay
+/// per tenant, with no daemon-wide sum.
 fn derived() -> impl Iterator<Item = Derived> {
     DERIVED
         .into_iter()

@@ -16,8 +16,8 @@
 //! and the graceful-shutdown cascade (the actor exits once every inbox
 //! sender is gone) would never fire.
 
-use crate::pipeline::Tenant;
 use crate::snapshot;
+use crate::tenant::Tenant;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use seer_core::PersistError;
 use seer_telemetry::{tlog, Level};

@@ -122,12 +122,6 @@ impl DistanceEngine {
         self.table.take_dirty()
     }
 
-    /// Consumes the engine, returning the table.
-    #[must_use]
-    pub fn into_table(self) -> NeighborTable {
-        self.table
-    }
-
     /// Captures the engine's persistent state (configuration, table, and
     /// statistics). Per-process reference histories are transient — the
     /// processes they describe do not survive a restart — and are not

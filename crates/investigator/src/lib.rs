@@ -39,15 +39,3 @@ pub trait Investigator {
     /// interned into `paths` as needed.
     fn investigate(&self, corpus: &SourceCorpus, paths: &mut PathTable) -> Vec<ExternalRelation>;
 }
-
-/// Runs every investigator and concatenates the relations.
-pub fn run_investigators(
-    investigators: &[Box<dyn Investigator>],
-    corpus: &SourceCorpus,
-    paths: &mut PathTable,
-) -> Vec<ExternalRelation> {
-    investigators
-        .iter()
-        .flat_map(|i| i.investigate(corpus, paths))
-        .collect()
-}

@@ -205,17 +205,16 @@ impl AlertCenter {
     }
 }
 
-/// One cumulative sample: (seconds since gauge creation, total ops, bad
-/// ops).
-type BurnSample = (f64, u64, u64);
+/// One cumulative sample: (when it was taken, total ops, bad ops).
+type BurnSample = (Instant, u64, u64);
 
 /// A sliding-window burn-rate gauge over a cumulative good/bad stream.
 ///
 /// Not thread-safe by design — each owner (one tenant's health state)
-/// samples and reads from a single thread.
+/// samples and reads from a single thread. It reads no clock: every
+/// sample and every question carries the caller's `now`.
 #[derive(Debug)]
 pub struct BurnGauge {
-    started: Instant,
     retain_secs: f64,
     samples: VecDeque<BurnSample>,
 }
@@ -226,41 +225,40 @@ impl BurnGauge {
     #[must_use]
     pub fn new(retain_secs: f64) -> BurnGauge {
         BurnGauge {
-            started: Instant::now(),
             retain_secs: retain_secs.max(1e-3),
             samples: VecDeque::new(),
         }
     }
 
-    /// Records the current cumulative totals. Callers throttle the
+    /// Records the cumulative totals at `now`. Callers throttle the
     /// cadence; every call appends one sample (flat samples are what
     /// lets a quiet window's rate decay back to zero).
-    pub fn sample(&mut self, total: u64, bad: u64) {
-        let now = self.started.elapsed().as_secs_f64();
+    pub fn sample(&mut self, now: Instant, total: u64, bad: u64) {
         self.samples.push_back((now, total, bad));
         // Keep one sample *older* than the retention horizon as the
         // baseline anchor for full-width windows.
-        let horizon = now - self.retain_secs;
-        while self.samples.len() > 2 && self.samples[1].0 <= horizon {
+        let age = |s: &BurnSample| now.saturating_duration_since(s.0).as_secs_f64();
+        while self.samples.len() > 2 && age(&self.samples[1]) >= self.retain_secs {
             self.samples.pop_front();
         }
     }
 
-    /// The bad fraction of ops over the trailing `window_secs`: 0.0 when
-    /// nothing happened in the window.
+    /// The bad fraction of ops over the `window_secs` before `now`: 0.0
+    /// when nothing happened in the window.
     #[must_use]
-    pub fn rate_over(&self, window_secs: f64) -> f64 {
+    pub fn rate_over(&self, now: Instant, window_secs: f64) -> f64 {
         let (Some(&end), Some(&front)) = (self.samples.back(), self.samples.front()) else {
             return 0.0;
         };
-        let start_t = self.started.elapsed().as_secs_f64() - window_secs;
-        if end.0 <= start_t {
+        let before_window =
+            |s: &BurnSample| now.saturating_duration_since(s.0).as_secs_f64() >= window_secs;
+        if before_window(&end) {
             return 0.0; // all activity predates the window
         }
         let mut base = front;
-        for &s in &self.samples {
-            if s.0 <= start_t {
-                base = s;
+        for s in &self.samples {
+            if before_window(s) {
+                base = *s;
             } else {
                 break;
             }
@@ -278,8 +276,8 @@ impl BurnGauge {
     /// budget `slo` (the allowed bad fraction): the burn rate. 1.0 means
     /// the budget is consumed exactly as fast as it accrues.
     #[must_use]
-    pub fn burn_over(&self, window_secs: f64, slo: f64) -> f64 {
-        self.rate_over(window_secs) / slo.max(1e-9)
+    pub fn burn_over(&self, now: Instant, window_secs: f64, slo: f64) -> f64 {
+        self.rate_over(now, window_secs) / slo.max(1e-9)
     }
 }
 
@@ -346,24 +344,25 @@ mod tests {
     #[test]
     fn burn_rate_rises_with_bad_ops_and_decays_when_quiet() {
         let mut g = BurnGauge::new(10.0);
-        g.sample(0, 0);
-        std::thread::sleep(Duration::from_millis(5));
-        g.sample(100, 50);
-        let rate = g.rate_over(10.0);
+        let start = Instant::now();
+        g.sample(start, 0, 0);
+        let burst = start + Duration::from_millis(5);
+        g.sample(burst, 100, 50);
+        let rate = g.rate_over(burst, 10.0);
         assert!((rate - 0.5).abs() < 1e-9, "half the ops were bad: {rate}");
-        assert!(g.burn_over(10.0, 0.05) > 9.0, "burn = rate / budget");
+        assert!(g.burn_over(burst, 10.0, 0.05) > 9.0, "burn = rate / budget");
 
         // A tiny window that excludes the burst sees nothing.
-        std::thread::sleep(Duration::from_millis(30));
-        g.sample(100, 50); // flat sample: no new ops
-        assert_eq!(g.rate_over(0.02), 0.0, "quiet window decays to zero");
+        let quiet = burst + Duration::from_millis(30);
+        g.sample(quiet, 100, 50); // flat sample: no new ops
+        assert_eq!(g.rate_over(quiet, 0.02), 0.0, "quiet window decays to zero");
     }
 
     #[test]
     fn empty_gauge_reports_zero() {
         let g = BurnGauge::new(5.0);
-        assert_eq!(g.rate_over(1.0), 0.0);
-        assert_eq!(g.burn_over(1.0, 0.01), 0.0);
+        assert_eq!(g.rate_over(Instant::now(), 1.0), 0.0);
+        assert_eq!(g.burn_over(Instant::now(), 1.0, 0.01), 0.0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::event::{ErrorKind, EventKind, OpenMode, TraceEvent};
 use crate::ids::{Fd, Pid, RawPathId, Seq};
 use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Protocol revision. Every client lives in this repository and is
 /// built against the same revision, so the daemon accepts exactly this
@@ -870,19 +870,20 @@ pub fn decode_events_binary(payload: &[u8]) -> Result<(Vec<TraceEvent>, Option<u
 }
 
 /// Reads one binary events frame — magic byte, length prefix, payload —
-/// into `scratch` (reused across calls to keep the read loop
-/// allocation-free) and decodes it.
+/// leaving the payload in `scratch` (reused across calls to keep the
+/// read loop allocation-free) for [`decode_events_binary`]. Returns the
+/// frame's size on the wire. The daemon's connection reader calls the
+/// two separately, to time the read and the decode as stages of their
+/// own.
 ///
 /// Call after peeking [`BINARY_EVENTS_MAGIC`] on the stream.
 ///
 /// # Errors
 ///
 /// Returns [`WireError::Io`] if the stream ends mid-frame and
-/// [`WireError::Format`] for a corrupt length or payload.
-pub fn read_binary_events<R: BufRead>(
-    r: &mut R,
-    scratch: &mut Vec<u8>,
-) -> Result<(Vec<TraceEvent>, Option<u64>), WireError> {
+/// [`WireError::Format`] for a bad magic byte or a length past
+/// [`BINARY_MAX_PAYLOAD`], refused before anything is allocated.
+pub fn read_binary_payload<R: Read>(r: &mut R, scratch: &mut Vec<u8>) -> Result<usize, WireError> {
     let mut header = [0u8; 5];
     r.read_exact(&mut header)?;
     if header[0] != BINARY_EVENTS_MAGIC {
@@ -900,6 +901,20 @@ pub fn read_binary_events<R: BufRead>(
     scratch.clear();
     scratch.resize(len, 0);
     r.read_exact(scratch)?;
+    Ok(header.len() + len)
+}
+
+/// Reads and decodes one binary events frame: [`read_binary_payload`],
+/// then [`decode_events_binary`], as the daemon's reader runs them.
+///
+/// # Errors
+///
+/// As [`read_binary_payload`] and [`decode_events_binary`].
+pub fn read_binary_events<R: Read>(
+    r: &mut R,
+    scratch: &mut Vec<u8>,
+) -> Result<(Vec<TraceEvent>, Option<u64>), WireError> {
+    read_binary_payload(r, scratch)?;
     decode_events_binary(scratch)
 }
 

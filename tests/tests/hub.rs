@@ -245,6 +245,44 @@ fn hostile_clients_only_kill_their_own_connection() {
         let _ = s.shutdown(std::net::Shutdown::Write);
         let _ = s.read_to_end(&mut Vec::new());
     }
+    // 12–15. JSON the parser must refuse without recursing off the end
+    //    of the reader's stack or misreading a surrogate pair: 15,000
+    //    nested `[`, and a high surrogate followed by `\u0041`. Each
+    //    goes once as the first frame and once inside a Query after a
+    //    valid Hello, and each gets an Error reply.
+    let encode = |frame: &ClientFrame| {
+        let mut line = Vec::new();
+        wire::write_frame(&mut line, frame).expect("encode");
+        String::from_utf8(line).expect("utf8")
+    };
+    let hello = ClientFrame::Hello {
+        client: "X".into(),
+        version: WIRE_VERSION,
+        tenant: None,
+    };
+    let explain = ClientFrame::Query {
+        query: QueryRequest::Explain { path: "X".into() },
+        trace_id: None,
+    };
+    let nested = "[".repeat(15_000);
+    let surrogate = r#""\ud800\u0041""#;
+    for (after_hello, line) in [
+        (false, format!("{nested}\n")),
+        (false, encode(&hello).replace(r#""X""#, surrogate)),
+        (true, encode(&explain).replace(r#""X""#, &nested)),
+        (true, encode(&explain).replace(r#""X""#, surrogate)),
+    ] {
+        let mut s = UnixStream::connect(&sock).expect("connect");
+        if after_hello {
+            s.write_all(encode(&hello).as_bytes()).expect("hello");
+        }
+        s.write_all(line.as_bytes()).expect("write");
+        let _ = s.shutdown(std::net::Shutdown::Write);
+        let mut reply = Vec::new();
+        let _ = s.read_to_end(&mut reply);
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(reply.contains(r#"{"Error""#), "no Error reply: {reply}");
+    }
 
     // The connection-error counter catches up as the reader threads
     // notice their peers are gone; poll briefly rather than flake.
@@ -254,12 +292,12 @@ fn hostile_clients_only_kill_their_own_connection() {
             .metrics()
             .counter("seer_daemon_connection_errors_total")
             .unwrap_or(0);
-        if errors >= 11 {
+        if errors >= 15 {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "expected 11 connection errors, saw {errors}"
+            "expected 15 connection errors, saw {errors}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -366,6 +404,62 @@ fn wal_fault_degrades_gracefully_and_stays_per_tenant() {
     drop(faulted);
     drop(good);
     // Graceful shutdown must not panic despite the faulted tenant.
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each tenant's WAL gauges are its own series. Tenants `a` and `b`
+/// hash to different shards of two; with both logs rotated, the
+/// `seer_wal_segments` series sum to the segment files in both
+/// directories. A daemon-wide gauge that each shard sets to its own
+/// tenants' sum reads whichever shard wrote last.
+#[test]
+fn wal_gauges_are_per_tenant_and_sum_across_shards() {
+    let dir = scratch("walgauges");
+    let mut cfg = DaemonConfig::new(dir.join("sock"));
+    cfg.shards = 2;
+    cfg.wal_dir = Some(dir.join("wal"));
+    cfg.wal_segment_bytes = 1024;
+    let handle = Daemon::spawn(cfg).expect("spawn");
+    for (tenant, machine) in [("a", "A"), ("b", "B")] {
+        let trace = machine_trace(machine, 2, 7);
+        let mut client =
+            DaemonClient::connect_tenant(handle.socket_path(), "loader", tenant).expect("connect");
+        client.send_trace(&trace, 64).expect("send");
+        assert_eq!(client.flush().expect("flush"), trace.len() as u64);
+    }
+    let segments = |tenant: &str| {
+        let entries = std::fs::read_dir(dir.join(format!("wal-{tenant}"))).expect("wal dir");
+        let names = entries.map(|e| e.expect("entry").file_name());
+        names
+            .filter(|n| n.to_string_lossy().ends_with(".seg"))
+            .count() as i64
+    };
+    let on_disk = [segments("a"), segments("b")];
+    assert!(on_disk.iter().all(|&n| n > 1), "both rotated: {on_disk:?}");
+    let metrics = handle.metrics();
+    let gauge_sum = |name: &str| -> i64 {
+        (metrics.metrics.iter())
+            .filter(|m| m.name == name)
+            .map(|m| match m.value {
+                MetricValue::Gauge { value } => value,
+                _ => 0,
+            })
+            .sum()
+    };
+    assert_eq!(
+        gauge_sum("seer_wal_segments"),
+        on_disk.iter().sum::<i64>(),
+        "{on_disk:?}"
+    );
+    let bytes: u64 = ["wal-a", "wal-b"]
+        .iter()
+        .flat_map(|d| std::fs::read_dir(dir.join(d)).expect("wal dir"))
+        .map(|e| e.expect("entry"))
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".seg"))
+        .map(|e| e.metadata().expect("stat").len())
+        .sum();
+    assert_eq!(gauge_sum("seer_wal_disk_bytes"), bytes as i64);
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
