@@ -12,7 +12,10 @@
 //!   daemon. `full/1` and `full/4` time a full recount
 //!   ([`ReclusterInput::compute`]) on one and four threads;
 //!   `incremental` times [`ReclusterInput::compute_incremental`] after a
-//!   further 1,024-event delta, from the baseline the warm state left.
+//!   further 1,024-event delta, from the baseline the warm state left;
+//!   `input_incremental` times the same run together with the
+//!   [`SeerEngine::recluster_input`] call that builds its input, as a
+//!   daemon tenant reclusters.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use seer_cluster::{cluster_files, ClusterConfig};
@@ -75,12 +78,13 @@ const DELTA: usize = 1_024;
 
 /// The warm machine-G engine's recluster inputs: the full-recount input
 /// at the warm state, and the incremental run's baseline, dirty delta,
-/// and input after [`DELTA`] more events.
+/// and input after [`DELTA`] more events, with the engine they came from.
 struct WarmG {
     warm: ReclusterInput,
     baseline: Option<seer_core::PairCountCache>,
     dirty: seer_core::TableDirty,
     next: ReclusterInput,
+    engine: SeerEngine,
 }
 
 fn warm_g() -> WarmG {
@@ -107,6 +111,7 @@ fn warm_g() -> WarmG {
         baseline,
         dirty,
         next,
+        engine,
     }
 }
 
@@ -124,6 +129,18 @@ fn bench_recluster_g(c: &mut Criterion) {
             || g.baseline.clone(),
             |mut cache| {
                 let run = g.next.compute_incremental(1, Some(&g.dirty), &mut cache);
+                assert!(run.incremental, "the baseline is reused");
+                run
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    group.bench_function("input_incremental", |b| {
+        b.iter_batched(
+            || g.baseline.clone(),
+            |mut cache| {
+                let input = g.engine.recluster_input();
+                let run = input.compute_incremental(1, Some(&g.dirty), &mut cache);
                 assert!(run.incremental, "the baseline is reused");
                 run
             },

@@ -1,59 +1,50 @@
 //! The two-phase combine/overlap clustering algorithm (§3.3.2, §3.3.3).
 //!
-//! One recluster runs over dense data throughout: the neighbor sets sit
-//! in one flat array ([`SharedNeighborCounter`]), each row's shared
-//! counts come from stamping its set once and counting every listed
-//! file's set against the stamp, directory distance is an integer walk
-//! in the path table's directory tree ([`DirTree`]), and the two phases
-//! run over dense file indices. Pair counts are stored in one flat array
-//! aligned with the sets, which is also the incremental baseline
-//! ([`PairCountCache`]).
+//! One recluster runs over dense data throughout: the neighbor sets are
+//! built from the distance table in one pass into one flat array
+//! ([`SharedNeighborCounter`]), each row's shared counts come from
+//! stamping its set once and counting every listed file's set against
+//! the stamp, directory distance is an integer walk in the path table's
+//! directory tree ([`DirTree`]), and the two phases run over dense file
+//! indices. Pair counts are stored in one flat array aligned with the
+//! sets, which is also the incremental baseline ([`PairCountCache`]).
+//! Every entry point — [`cluster_files_excluding`], and the engine's
+//! in-place and detached reclusters — reaches [`cluster_sets`].
 
 use crate::config::ClusterConfig;
 use crate::relation::ExternalRelation;
 use crate::result::Clustering;
 use crate::shared::{SharedNeighborCounter, Stamp};
 use crate::unionfind::DenseUnionFind;
-use seer_distance::{ClusterView, NeighborTable, TableDirty};
+use seer_distance::{NeighborTable, TableDirty};
 use seer_trace::{DirTree, FileId, PathTable};
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Pre-relation adjusted pair counts carried between consecutive
-/// reclusterings, plus the context they were computed under.
+/// reclusterings, plus the neighbor sets and configuration they were
+/// computed under.
 ///
-/// The counts sit in one flat array aligned with the neighbor sets they
-/// were taken over: slot `k` of row `a` holds the count of pair
-/// `(a, b)` for the set's `k`-th member `b` (a row's own slot is unused).
-/// [`cluster_view_incremental`] reuses them when the exclusion set and
-/// configuration still match and the caller supplies the rows whose
-/// neighbor membership changed since the cache was built; only pairs
-/// touching a dirty row are then recounted. The cache holds *raw*
-/// adjusted counts — investigator relations are overlaid per run and
-/// never persisted, so a relation added or removed between runs cannot
-/// poison the baseline.
-#[derive(Debug, Default, Clone)]
+/// The counts sit in one flat array aligned with the sets: slot `k` of
+/// row `a` holds the count of pair `(a, b)` for the set's `k`-th member
+/// `b` (a row's own slot is unused). [`cluster_sets`] reuses them when
+/// the configuration still matches and the caller supplies the rows
+/// whose neighbor membership changed since the cache was built; only
+/// pairs touching a changed set are then recounted. The cache holds
+/// *raw* adjusted counts — investigator relations are overlaid per run
+/// and never persisted, so a relation added or removed between runs
+/// cannot poison the baseline. The sets are shared, not copied, with the
+/// input they came from.
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct PairCountCache {
-    sets: SharedNeighborCounter,
+    sets: Arc<SharedNeighborCounter>,
     counts: Vec<f64>,
-    exclude: Vec<FileId>,
     config: ClusterConfig,
 }
 
 impl PairCountCache {
-    /// Directed pairs currently cached.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sets.pair_count()
-    }
-
-    /// Whether the cache holds no pairs.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The cached count of pair `(a, b)`, if it is a candidate pair.
     fn get(&self, a: FileId, b: FileId) -> Option<f64> {
         self.sets.pair_slot(a, b).map(|k| self.counts[k])
@@ -168,13 +159,15 @@ pub fn cluster_files_excluding(
     exclude: &HashSet<FileId>,
     config: &ClusterConfig,
 ) -> Clustering {
-    cluster_view_excluding(
-        &table.cluster_view(),
+    let sets = SharedNeighborCounter::from_table_excluding(table, exclude);
+    cluster_sets(
+        Arc::new(sets),
         paths.directories(),
         relations,
-        exclude,
         config,
         1,
+        None,
+        &mut None,
     )
     .clustering
 }
@@ -197,67 +190,47 @@ pub struct ClusterRun {
     pub incremental: bool,
 }
 
-/// Full clustering pipeline over a frozen [`ClusterView`], with the
-/// shared-neighbor counting phase sharded across `threads` worker
-/// threads. `dirs` is the directory tree of the path table the view's
-/// file ids come from.
-///
-/// Candidate pairs are directed — pair `(a, b)` originates from `a`'s
-/// neighbor row and nowhere else — so partitioning the rows partitions
-/// the pairs: each shard stamps into its own array and writes its rows'
-/// counts into its own run of the flat count array, in row order, so the
-/// counts and the [`Clustering`] are bit-identical regardless of
-/// `threads`.
-#[must_use]
-pub fn cluster_view_excluding(
-    view: &ClusterView,
-    dirs: &DirTree,
-    relations: &[ExternalRelation],
-    exclude: &HashSet<FileId>,
-    config: &ClusterConfig,
-    threads: usize,
-) -> ClusterRun {
-    cluster_view_incremental(
-        view, dirs, relations, exclude, config, threads, None, &mut None,
-    )
-}
-
-/// [`cluster_view_excluding`] with incremental shared-neighbor
-/// maintenance across consecutive runs.
+/// The clustering pipeline over flat neighbor sets (built with
+/// [`SharedNeighborCounter::from_table_excluding`]): shared-neighbor
+/// counts adjusted by directory distance, investigator relations
+/// overlaid (§3.3.3), then the two phases. `dirs` is the directory tree
+/// of the path table the sets' file ids come from.
 ///
 /// `cache` carries the pre-relation pair counts from the previous call;
 /// `dirty` lists the rows whose neighbor membership changed since that
-/// call (from [`seer_distance::NeighborTable::take_dirty`], drained at
-/// the same moment `view` was captured). When the cache is valid — same
-/// configuration, no structural change (snapshot restore) — only pairs
-/// touching a dirty row are recounted: a dirty *first* endpoint
-/// invalidates its whole row (pairs may have appeared or vanished), a
-/// dirty *second* endpoint keeps the pair but refreshes its count.
-/// Exclusion-set changes fold into the delta (the flipped files plus
-/// every row whose raw targets mention one); file deaths arrive
-/// pre-folded the same way from the table's purge path. Everything else
-/// falls back to the sharded full recount. The incremental recount runs
-/// on the calling thread.
+/// call (from [`seer_distance::NeighborTable::take_dirty`], drained when
+/// `sets` were built). When the cache is valid — same configuration, no
+/// structural change (snapshot restore) — only pairs touching a changed
+/// set are recounted: a changed *first* endpoint invalidates its whole
+/// row (pairs may have appeared or vanished), a changed *second*
+/// endpoint keeps the pair but refreshes its count. Besides the dirty
+/// rows, the sets that changed are those holding a file whose exclusion
+/// flipped between the cached sets and these, found by scanning both;
+/// file deaths arrive pre-folded from the table's purge path. The
+/// incremental recount runs on the calling thread.
 ///
-/// Either way the result is **bit-identical** to
-/// [`cluster_view_excluding`] on the same view: an unchanged pair reuses
-/// a count that identical inputs would reproduce exactly. On return
-/// `cache` holds the baseline for the next call.
-#[allow(clippy::too_many_arguments)]
+/// Otherwise the counting phase is sharded across `threads` scoped
+/// threads. Candidate pairs are directed — pair `(a, b)` originates from
+/// `a`'s neighbor row and nowhere else — so partitioning the rows
+/// partitions the pairs: each shard stamps into its own array and writes
+/// its rows' counts into its own run of the flat count array, in row
+/// order, so the counts and the [`Clustering`] are bit-identical
+/// regardless of `threads`.
+///
+/// Either way the result is **bit-identical** to a full recount of the
+/// same sets: an unchanged pair reuses a count that identical inputs
+/// would reproduce exactly. On return `cache` holds the baseline for the
+/// next call.
 #[must_use]
-pub fn cluster_view_incremental(
-    view: &ClusterView,
+pub fn cluster_sets(
+    sets: Arc<SharedNeighborCounter>,
     dirs: &DirTree,
     relations: &[ExternalRelation],
-    exclude: &HashSet<FileId>,
     config: &ClusterConfig,
     threads: usize,
     dirty: Option<&TableDirty>,
     cache: &mut Option<PairCountCache>,
 ) -> ClusterRun {
-    let sets = SharedNeighborCounter::from_view_excluding(view, exclude);
-    let mut exclude_sorted: Vec<FileId> = exclude.iter().copied().collect();
-    exclude_sorted.sort_unstable();
     let previous = match (dirty, cache.take()) {
         (Some(d), Some(c)) if !d.structural && c.config == *config => Some((d, c)),
         _ => None,
@@ -266,7 +239,7 @@ pub fn cluster_view_incremental(
         Some((d, previous)) => {
             let started = Instant::now();
             let reuse = Reuse {
-                dirty: dirty_files(view, d, &previous.exclude, &exclude_sorted, sets.id_bound()),
+                dirty: dirty_files(&previous.sets, &sets, d),
                 previous,
             };
             let mut counts = vec![0.0; sets.slot_count()];
@@ -288,7 +261,6 @@ pub fn cluster_view_incremental(
     let baseline = PairCountCache {
         sets,
         counts,
-        exclude: exclude_sorted,
         config: *config,
     };
     let clustering = cluster_counted(&baseline, dirs, relations, config);
@@ -301,19 +273,19 @@ pub fn cluster_view_incremental(
     }
 }
 
-/// The files whose neighbor sets may differ from the previous run's: the
-/// rows `dirty` names, the files whose excluded status flipped between
-/// `old` and `new` (both sorted), and every row whose raw targets mention
-/// a flipped file — an exclusion change (§4.2 frequency threshold
-/// crossings) moves exactly those sets. Indexed by file id below `bound`.
+/// The files whose neighbor sets may differ between `old` and `new`: the
+/// rows `dirty` names, and every row whose set in `old` or in `new`
+/// holds a file whose exclusion flipped between the two. A flipped file
+/// leaves (or joins) exactly the sets of the rows listing it, its own
+/// included: the old sets hold the newly excluded, the new sets the
+/// newly included (§4.2 frequency threshold crossings move both ways).
+/// Indexed by file id below `new`'s bound.
 fn dirty_files(
-    view: &ClusterView,
+    old: &SharedNeighborCounter,
+    new: &SharedNeighborCounter,
     dirty: &TableDirty,
-    old: &[FileId],
-    new: &[FileId],
-    bound: usize,
 ) -> Vec<bool> {
-    let mut flags = vec![false; bound];
+    let mut flags = vec![false; new.id_bound()];
     let mut flag = |f: FileId| {
         if let Some(x) = flags.get_mut(f.index()) {
             *x = true;
@@ -322,16 +294,17 @@ fn dirty_files(
     for &f in &dirty.rows {
         flag(f);
     }
+    let (was, is) = (old.excluded(), new.excluded());
     let (mut i, mut j) = (0usize, 0usize);
     let mut flipped: Vec<FileId> = Vec::new();
-    while i < old.len() && j < new.len() {
-        match old[i].cmp(&new[j]) {
+    while i < was.len() && j < is.len() {
+        match was[i].cmp(&is[j]) {
             std::cmp::Ordering::Less => {
-                flipped.push(old[i]);
+                flipped.push(was[i]);
                 i += 1;
             }
             std::cmp::Ordering::Greater => {
-                flipped.push(new[j]);
+                flipped.push(is[j]);
                 j += 1;
             }
             std::cmp::Ordering::Equal => {
@@ -340,15 +313,14 @@ fn dirty_files(
             }
         }
     }
-    flipped.extend_from_slice(&old[i..]);
-    flipped.extend_from_slice(&new[j..]);
+    flipped.extend_from_slice(&was[i..]);
+    flipped.extend_from_slice(&is[j..]);
     if !flipped.is_empty() {
-        for &f in &flipped {
-            flag(f);
-        }
-        for (f, targets) in view.rows() {
-            if targets.iter().any(|t| flipped.binary_search(t).is_ok()) {
-                flag(*f);
+        for sets in [old, new] {
+            for r in 0..sets.rows() {
+                if sets.set(r).iter().any(|t| flipped.binary_search(t).is_ok()) {
+                    flag(sets.row_file(r));
+                }
             }
         }
     }
@@ -364,15 +336,17 @@ struct Reuse {
 
 impl Reuse {
     /// The previous counts of clean row `a`, whose set is `set`. Slots
-    /// align only when the set is unchanged, which a clean row's is; a
-    /// row whose set moved anyway is recounted rather than misaligned.
+    /// align only when the set is unchanged, which a clean row's is (see
+    /// [`dirty_files`]; tests assert it); a row whose set moved anyway is
+    /// recounted rather than misaligned.
     fn clean_row(&self, a: FileId, set: &[FileId]) -> Option<&[f64]> {
         if self.dirty[a.index()] {
             return None;
         }
         let r = self.previous.sets.row_index(a)?;
-        (self.previous.sets.set(r) == set)
-            .then(|| &self.previous.counts[self.previous.sets.slots(r)])
+        let unchanged = self.previous.sets.set(r) == set;
+        debug_assert!(unchanged, "clean row {a:?} moved");
+        unchanged.then(|| &self.previous.counts[self.previous.sets.slots(r)])
     }
 }
 
@@ -747,19 +721,24 @@ mod tests {
         let rel = ExternalRelation::new(vec![FileId(0), FileId(35)], 3.0);
         let exclude: HashSet<FileId> = [FileId(7)].into_iter().collect();
         let config = ClusterConfig::default();
-        let view = t.cluster_view();
+        let sets = Arc::new(SharedNeighborCounter::from_table_excluding(&t, &exclude));
         let rels = std::slice::from_ref(&rel);
-        let serial = cluster_view_excluding(&view, paths.directories(), rels, &exclude, &config, 1);
-        assert_eq!(serial.shard_count_seconds.len(), 1);
-        for threads in [2, 3, 8, 64] {
-            let par = cluster_view_excluding(
-                &view,
+        let run = |threads| {
+            let sets = Arc::clone(&sets);
+            cluster_sets(
+                sets,
                 paths.directories(),
                 rels,
-                &exclude,
                 &config,
                 threads,
-            );
+                None,
+                &mut None,
+            )
+        };
+        let serial = run(1);
+        assert_eq!(serial.shard_count_seconds.len(), 1);
+        for threads in [2, 3, 8, 64] {
+            let par = run(threads);
             assert_eq!(
                 par.clustering.membership_fingerprint(),
                 serial.clustering.membership_fingerprint(),
@@ -814,39 +793,29 @@ mod tests {
             // Cross-project traffic so rows bridge partitions.
             t.observe(FileId(round % 40), FileId((round * 7 + 13) % 40), 8.0);
         };
+        // One recluster of the table's current sets: incremental from
+        // `cache` with `dirty`, or a full recount without either.
+        let run = |t: &NeighborTable,
+                   exclude: &HashSet<FileId>,
+                   rels: &[ExternalRelation],
+                   dirty: Option<&TableDirty>,
+                   cache: &mut Option<PairCountCache>| {
+            let sets = Arc::new(SharedNeighborCounter::from_table_excluding(t, exclude));
+            cluster_sets(sets, paths.directories(), rels, &config, 1, dirty, cache)
+        };
         // Establish a baseline (first call has no cache: full recount).
         observe_round(&mut t, 0);
         let d0 = t.take_dirty();
-        let first = cluster_view_incremental(
-            &t.cluster_view(),
-            paths.directories(),
-            &[],
-            &exclude,
-            &config,
-            1,
-            Some(&d0),
-            &mut cache,
-        );
+        let first = run(&t, &exclude, &[], Some(&d0), &mut cache);
         assert!(!first.incremental, "no cache yet: full recount");
         // Several incremental rounds, each checked against a full
-        // recount of the same view.
+        // recount of the same sets.
         for round in 1..5u32 {
             observe_round(&mut t, round);
             let dirty = t.take_dirty();
-            let view = t.cluster_view();
-            let inc = cluster_view_incremental(
-                &view,
-                paths.directories(),
-                &[],
-                &exclude,
-                &config,
-                1,
-                Some(&dirty),
-                &mut cache,
-            );
+            let inc = run(&t, &exclude, &[], Some(&dirty), &mut cache);
             assert!(inc.incremental, "round {round} should reuse the cache");
-            let full =
-                cluster_view_excluding(&view, paths.directories(), &[], &exclude, &config, 1);
+            let full = run(&t, &exclude, &[], None, &mut None);
             assert_eq!(
                 inc.clustering.clusters, full.clustering.clusters,
                 "round {round} diverged from the full recount"
@@ -857,69 +826,30 @@ mod tests {
         let rel = ExternalRelation::new(vec![FileId(0), FileId(35)], 4.0);
         observe_round(&mut t, 5);
         let dirty = t.take_dirty();
-        let view = t.cluster_view();
         let rels = std::slice::from_ref(&rel);
-        let inc = cluster_view_incremental(
-            &view,
-            paths.directories(),
-            rels,
-            &exclude,
-            &config,
-            1,
-            Some(&dirty),
-            &mut cache,
-        );
+        let inc = run(&t, &exclude, rels, Some(&dirty), &mut cache);
         assert!(inc.incremental);
-        let full = cluster_view_excluding(&view, paths.directories(), rels, &exclude, &config, 1);
+        let full = run(&t, &exclude, rels, None, &mut None);
         assert_eq!(inc.clustering.clusters, full.clustering.clusters);
-        let no_rel = cluster_view_incremental(
-            &view,
-            paths.directories(),
-            &[],
-            &exclude,
-            &config,
-            1,
-            Some(&TableDirty::default()),
-            &mut cache,
-        );
+        let no_rel = run(&t, &exclude, &[], Some(&TableDirty::default()), &mut cache);
         assert!(no_rel.incremental, "relation overlay left the cache clean");
         // A changed exclusion set folds into the delta instead of
         // invalidating the cache.
         exclude.insert(FileId(5));
         let dirty = t.take_dirty();
-        let view = t.cluster_view();
-        let inc = cluster_view_incremental(
-            &view,
-            paths.directories(),
-            &[],
-            &exclude,
-            &config,
-            1,
-            Some(&dirty),
-            &mut cache,
-        );
+        let inc = run(&t, &exclude, &[], Some(&dirty), &mut cache);
         assert!(
             inc.incremental,
             "exclusion change is absorbed incrementally"
         );
-        let full = cluster_view_excluding(&view, paths.directories(), &[], &exclude, &config, 1);
+        let full = run(&t, &exclude, &[], None, &mut None);
         assert_eq!(inc.clustering.clusters, full.clustering.clusters);
         // Un-excluding restores the original pairs, still incrementally.
         exclude.remove(&FileId(5));
         let dirty = t.take_dirty();
-        let view = t.cluster_view();
-        let inc = cluster_view_incremental(
-            &view,
-            paths.directories(),
-            &[],
-            &exclude,
-            &config,
-            1,
-            Some(&dirty),
-            &mut cache,
-        );
+        let inc = run(&t, &exclude, &[], Some(&dirty), &mut cache);
         assert!(inc.incremental, "un-exclusion is absorbed incrementally");
-        let full = cluster_view_excluding(&view, paths.directories(), &[], &exclude, &config, 1);
+        let full = run(&t, &exclude, &[], None, &mut None);
         assert_eq!(inc.clustering.clusters, full.clustering.clusters);
         // A file death stays on the incremental path: the purge marks the
         // dead row plus every row that listed it, and the cached counts
@@ -933,19 +863,9 @@ mod tests {
         let dirty = t.take_dirty();
         assert!(!dirty.structural, "a purge is a precise row delta");
         assert!(dirty.rows.contains(&FileId(17)), "the dead row goes dirty");
-        let view = t.cluster_view();
-        let inc = cluster_view_incremental(
-            &view,
-            paths.directories(),
-            &[],
-            &exclude,
-            &config,
-            1,
-            Some(&dirty),
-            &mut cache,
-        );
+        let inc = run(&t, &exclude, &[], Some(&dirty), &mut cache);
         assert!(inc.incremental, "a purge is absorbed incrementally");
-        let full = cluster_view_excluding(&view, paths.directories(), &[], &exclude, &config, 1);
+        let full = run(&t, &exclude, &[], None, &mut None);
         assert_eq!(inc.clustering.clusters, full.clustering.clusters);
     }
 

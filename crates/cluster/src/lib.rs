@@ -30,8 +30,8 @@ pub mod shared;
 pub mod unionfind;
 
 pub use algorithm::{
-    cluster_files, cluster_files_excluding, cluster_from_counts, cluster_view_excluding,
-    cluster_view_incremental, ClusterRun, PairCountCache,
+    cluster_files, cluster_files_excluding, cluster_from_counts, cluster_sets, ClusterRun,
+    PairCountCache,
 };
 pub use config::ClusterConfig;
 pub use relation::ExternalRelation;

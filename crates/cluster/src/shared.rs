@@ -1,6 +1,12 @@
-//! Shared-neighbor counting from the stored n-neighbor lists.
+//! Flat shared-neighbor sets, built from the distance table in one pass.
+//!
+//! A recluster reads the table's rows in place (see
+//! [`NeighborTable::rows`]) and writes each surviving row's set straight
+//! into one flat array; the counting phase then intersects sets by
+//! stamping each row's set once and counting every listed file's set
+//! against the stamp.
 
-use seer_distance::{ClusterView, NeighborTable};
+use seer_distance::NeighborTable;
 use seer_trace::FileId;
 use std::collections::HashSet;
 use std::ops::Range;
@@ -14,8 +20,10 @@ const NO_ROW: u32 = u32::MAX;
 ///
 /// Rows are the files with a set, ascending; row `r`'s set is
 /// `members[offsets[r]..offsets[r + 1]]`, sorted ascending. A dense
-/// file-to-row map finds the set of any file without hashing.
-#[derive(Debug, Default, Clone)]
+/// file-to-row map finds the set of any file without hashing. The sets
+/// keep the sorted list of files they leave out, so an incremental
+/// recluster can tell whose exclusion flipped since the previous sets.
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct SharedNeighborCounter {
     files: Vec<FileId>,
     offsets: Vec<u32>,
@@ -23,78 +31,51 @@ pub struct SharedNeighborCounter {
     /// Row of each file, indexed by [`FileId`], or [`NO_ROW`]; covers every
     /// row and every member.
     row_of: Vec<u32>,
+    /// The excluded files, sorted.
+    excluded: Vec<FileId>,
 }
 
 impl SharedNeighborCounter {
-    /// Builds the counter from a distance table.
+    /// Builds the sets in one pass over the table's rows, dropping
+    /// purged targets and ignoring `exclude`d files entirely — neither as
+    /// rows nor as neighbor-set members. Nothing is allocated per row.
     ///
     /// As in Jarvis & Patrick's formulation, every file is a member of its
     /// own neighbor set, so two mutually-listed files share at least
-    /// themselves.
-    #[must_use]
-    pub fn from_table(table: &NeighborTable) -> SharedNeighborCounter {
-        SharedNeighborCounter::from_table_excluding(table, &HashSet::new())
-    }
-
-    /// Builds the counter, ignoring `exclude`d files entirely — neither as
-    /// rows nor as neighbor-set members.
-    ///
-    /// Frequently-referenced files are "eliminated from the calculation of
-    /// semantic distances and file relationships" (§4.2); passing the
-    /// always-hoard set here removes the bridges that would otherwise fuse
-    /// unrelated projects through shared libraries.
+    /// themselves. Frequently-referenced files are "eliminated from the
+    /// calculation of semantic distances and file relationships" (§4.2);
+    /// passing the always-hoard set as `exclude` removes the bridges that
+    /// would otherwise fuse unrelated projects through shared libraries.
     #[must_use]
     pub fn from_table_excluding(
         table: &NeighborTable,
         exclude: &HashSet<FileId>,
     ) -> SharedNeighborCounter {
-        SharedNeighborCounter::from_view_excluding(&table.cluster_view(), exclude)
-    }
-
-    /// Builds the counter from a frozen [`ClusterView`], applying the same
-    /// exclusion rule as [`SharedNeighborCounter::from_table_excluding`].
-    ///
-    /// A view taken with [`seer_distance::NeighborTable::cluster_view`]
-    /// yields exactly the counter the live table would, so a clustering
-    /// computed off-thread from the view is identical to one computed
-    /// in place.
-    #[must_use]
-    pub fn from_view_excluding(
-        view: &ClusterView,
-        exclude: &HashSet<FileId>,
-    ) -> SharedNeighborCounter {
-        let mut excluded = vec![false; exclude.iter().map(|f| f.index() + 1).max().unwrap_or(0)];
-        for f in exclude {
-            excluded[f.index()] = true;
+        let mut excluded: Vec<FileId> = exclude.iter().copied().collect();
+        excluded.sort_unstable();
+        let mut flags = vec![false; excluded.last().map_or(0, |f| f.index() + 1)];
+        for f in &excluded {
+            flags[f.index()] = true;
         }
-        let is_excluded = |f: FileId| excluded.get(f.index()).copied().unwrap_or(false);
+        let is_excluded = |f: FileId| flags.get(f.index()).copied().unwrap_or(false);
         let mut counter = SharedNeighborCounter::default();
         let mut set = Vec::new();
-        for (f, targets) in view.rows() {
-            if is_excluded(*f) {
+        for (f, targets) in table.rows() {
+            if is_excluded(f) {
                 continue;
             }
             set.clear();
-            set.push(*f);
-            set.extend(targets.iter().copied().filter(|&t| !is_excluded(t)));
-            counter.push_row(*f, &mut set);
+            set.push(f);
+            set.extend(
+                targets
+                    .iter()
+                    .copied()
+                    .filter(|&t| !table.is_dead(t) && !is_excluded(t)),
+            );
+            counter.push_row(f, &mut set);
         }
         counter.index_rows();
-        counter
-    }
-
-    /// Builds the counter directly from neighbor lists (for tests and
-    /// synthetic inputs). A file listed twice keeps its last list.
-    #[must_use]
-    pub fn from_lists(mut lists: Vec<(FileId, Vec<FileId>)>) -> SharedNeighborCounter {
-        lists.reverse();
-        lists.sort_by_key(|(f, _)| *f);
-        lists.dedup_by_key(|(f, _)| *f);
-        let mut counter = SharedNeighborCounter::default();
-        for (f, mut targets) in lists {
-            counter.push_row(f, &mut targets);
-        }
-        counter.index_rows();
+        counter.excluded = excluded;
         counter
     }
 
@@ -125,42 +106,10 @@ impl SharedNeighborCounter {
         }
     }
 
-    /// Number of neighbors `a` and `b` share.
-    #[must_use]
-    pub fn shared(&self, a: FileId, b: FileId) -> u32 {
-        let mut stamp = Stamp::new(self.id_bound());
-        stamp.mark(self.neighbors(a).unwrap_or(&[]));
-        self.count_stamped(&stamp, b)
-    }
-
     /// Members of `b`'s set stamped in `stamp` — the neighbors `b` shares
     /// with the set stamped last (none if `b` has no set).
     pub(crate) fn count_stamped(&self, stamp: &Stamp, b: FileId) -> u32 {
         self.neighbors(b).map_or(0, |set| stamp.count(set))
-    }
-
-    /// The directed candidate pairs `(A, B)` where `B` appears in `A`'s
-    /// neighbor list — the only pairs the O(N) variation examines
-    /// (§3.3.2) — in `(A, B)` order.
-    pub fn candidate_pairs(&self) -> impl Iterator<Item = (FileId, FileId)> + '_ {
-        (0..self.rows())
-            .flat_map(move |r| self.set(r).iter().map(move |&b| (self.files[r], b)))
-            .filter(|(a, b)| a != b)
-    }
-
-    /// All files with a stored neighbor set, sorted.
-    #[must_use]
-    pub fn files_sorted(&self) -> Vec<FileId> {
-        self.files.clone()
-    }
-
-    /// Every file mentioned anywhere (as a row or as a neighbor).
-    #[must_use]
-    pub fn all_files(&self) -> Vec<FileId> {
-        let mut v: Vec<FileId> = self.files.iter().chain(&self.members).copied().collect();
-        v.sort_unstable();
-        v.dedup();
-        v
     }
 
     /// The neighbor set of `file`, if stored.
@@ -207,6 +156,11 @@ impl SharedNeighborCounter {
         self.row_of.len()
     }
 
+    /// The excluded files, sorted.
+    pub(crate) fn excluded(&self) -> &[FileId] {
+        &self.excluded
+    }
+
     /// The slot of pair `(a, b)` when `b` is in `a`'s set and is not `a`.
     pub(crate) fn pair_slot(&self, a: FileId, b: FileId) -> Option<usize> {
         if a == b {
@@ -215,16 +169,6 @@ impl SharedNeighborCounter {
         let r = self.row_index(a)?;
         let k = self.set(r).binary_search(&b).ok()?;
         Some(self.slots(r).start + k)
-    }
-
-    /// Number of directed candidate pairs.
-    pub(crate) fn pair_count(&self) -> usize {
-        (0..self.rows())
-            .map(|r| {
-                let own = usize::from(self.set(r).binary_search(&self.files[r]).is_ok());
-                self.set(r).len() - own
-            })
-            .sum()
     }
 }
 
@@ -270,38 +214,10 @@ impl Stamp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use seer_distance::DistanceConfig;
 
-    fn counter() -> SharedNeighborCounter {
-        SharedNeighborCounter::from_lists(vec![
-            (FileId(1), vec![FileId(10), FileId(11), FileId(12)]),
-            (FileId(2), vec![FileId(11), FileId(12), FileId(13)]),
-            (FileId(3), vec![FileId(20)]),
-        ])
-    }
-
-    #[test]
-    fn shared_counts_intersection() {
-        let c = counter();
-        assert_eq!(c.shared(FileId(1), FileId(2)), 2);
-        assert_eq!(c.shared(FileId(1), FileId(3)), 0);
-        assert_eq!(
-            c.shared(FileId(1), FileId(99)),
-            0,
-            "unknown file shares nothing"
-        );
-    }
-
-    #[test]
-    fn candidate_pairs_are_directed_by_listing() {
-        let c = counter();
-        let pairs: Vec<_> = c.candidate_pairs().collect();
-        assert!(pairs.contains(&(FileId(1), FileId(10))));
-        assert!(!pairs.contains(&(FileId(10), FileId(1))), "10 has no list");
-    }
-
-    #[test]
-    fn view_counter_matches_table_counter() {
-        use seer_distance::{DistanceConfig, NeighborTable};
+    /// A table whose rows list `targets` in the given order.
+    fn table(rows: &[(u32, &[u32])]) -> NeighborTable {
         let dc = DistanceConfig::default();
         let mut t = NeighborTable::new(
             dc.n_neighbors,
@@ -310,6 +226,56 @@ mod tests {
             dc.deletion_delay,
             dc.seed,
         );
+        for &(from, targets) in rows {
+            for &to in targets {
+                t.observe(FileId(from), FileId(to), 1.0);
+            }
+        }
+        t
+    }
+
+    fn counter() -> SharedNeighborCounter {
+        let t = table(&[(1, &[10, 11, 12]), (2, &[11, 12, 13]), (3, &[20])]);
+        SharedNeighborCounter::from_table_excluding(&t, &HashSet::new())
+    }
+
+    /// Neighbors `a` and `b` share, counted as the recount does.
+    fn shared(c: &SharedNeighborCounter, a: FileId, b: FileId) -> u32 {
+        let mut stamp = Stamp::new(c.id_bound());
+        stamp.mark(c.neighbors(a).unwrap_or(&[]));
+        c.count_stamped(&stamp, b)
+    }
+
+    #[test]
+    fn shared_counts_intersection() {
+        let c = counter();
+        // {1, 10, 11, 12} and {2, 11, 12, 13} share 11 and 12.
+        assert_eq!(shared(&c, FileId(1), FileId(2)), 2);
+        assert_eq!(shared(&c, FileId(1), FileId(3)), 0);
+        assert_eq!(
+            shared(&c, FileId(1), FileId(99)),
+            0,
+            "unknown file shares nothing"
+        );
+    }
+
+    #[test]
+    fn candidate_pairs_are_directed_by_listing() {
+        let c = counter();
+        assert!(c.pair_slot(FileId(1), FileId(10)).is_some());
+        assert!(
+            c.pair_slot(FileId(10), FileId(1)).is_none(),
+            "10 has no list"
+        );
+        assert!(c.pair_slot(FileId(1), FileId(1)).is_none(), "no self pair");
+    }
+
+    /// The one-pass sets equal a reference built from the table's
+    /// snapshot rows: each row's file plus its targets, less purged and
+    /// excluded files, sorted.
+    #[test]
+    fn sets_match_the_table_snapshot() {
+        let mut t = table(&[]);
         for i in 0..6u32 {
             for j in 0..6u32 {
                 if i != j {
@@ -317,54 +283,71 @@ mod tests {
                 }
             }
         }
-        let exclude: std::collections::HashSet<FileId> = [FileId(2)].into_iter().collect();
-        let from_table = SharedNeighborCounter::from_table_excluding(&t, &exclude);
-        let from_view = SharedNeighborCounter::from_view_excluding(&t.cluster_view(), &exclude);
-        assert_eq!(from_table.files_sorted(), from_view.files_sorted());
-        for f in from_table.files_sorted() {
-            assert_eq!(from_table.neighbors(f), from_view.neighbors(f));
+        // Purge 4 once its mark comes due.
+        t.note_deletion(FileId(4));
+        for k in 0..DistanceConfig::default().deletion_delay {
+            t.note_deletion(FileId(100 + k as u32));
         }
+        assert!(t.is_dead(FileId(4)));
+        let exclude: HashSet<FileId> = [FileId(2)].into_iter().collect();
+        let c = SharedNeighborCounter::from_table_excluding(&t, &exclude);
+        let snap = t.snapshot();
+        let mut rows = 0;
+        for (f, entries) in &snap.rows {
+            let mut want: Vec<FileId> = std::iter::once(*f)
+                .chain(entries.iter().map(|e| e.to))
+                .filter(|g| !exclude.contains(g) && !snap.dead.contains(g))
+                .collect();
+            want.sort_unstable();
+            want.dedup();
+            if exclude.contains(f) {
+                assert_eq!(c.neighbors(*f), None, "{f:?} is excluded");
+            } else {
+                assert_eq!(c.neighbors(*f), Some(&want[..]), "row {f:?}");
+                rows += 1;
+            }
+        }
+        assert_eq!(c.rows(), rows);
+        assert_eq!(c.excluded(), &[FileId(2)]);
     }
 
+    /// Every file mentioned anywhere, as a row or only as a neighbor, is
+    /// indexed, so a stamp can mark any set.
     #[test]
     fn all_files_includes_targets() {
         let c = counter();
-        let all = c.all_files();
-        assert!(all.contains(&FileId(1)));
-        assert!(all.contains(&FileId(20)));
-        assert_eq!(all.len(), 8);
+        assert_eq!(c.id_bound(), 21, "target 20 is covered");
+        assert_eq!(c.row_index(FileId(20)), None, "20 has no set of its own");
+        assert_eq!(c.row_index(FileId(3)), Some(2));
+        let mut stamp = Stamp::new(c.id_bound());
+        stamp.mark(c.neighbors(FileId(3)).expect("3 has a set"));
+        assert_eq!(c.count_stamped(&stamp, FileId(3)), 2);
     }
 
     /// The flat layout keeps every set sorted with the file itself in it,
-    /// drops excluded files as rows and as members, and lists candidate
-    /// pairs in `(a, b)` order.
+    /// drops excluded files as rows and as members, and lays candidate
+    /// pairs out in `(a, b)` order.
     #[test]
     fn flat_sets_are_sorted_self_inclusive_and_ordered() {
-        let view = ClusterView::from_rows(vec![
-            (FileId(5), vec![FileId(9), FileId(1), FileId(7)]),
-            (FileId(1), vec![FileId(5), FileId(7)]),
-            (FileId(7), vec![FileId(5)]),
-        ]);
+        let t = table(&[(5, &[9, 1, 7]), (1, &[5, 7]), (7, &[5])]);
         let exclude: HashSet<FileId> = [FileId(7)].into_iter().collect();
-        let c = SharedNeighborCounter::from_view_excluding(&view, &exclude);
-        assert_eq!(c.files_sorted(), vec![FileId(1), FileId(5)]);
+        let c = SharedNeighborCounter::from_table_excluding(&t, &exclude);
+        let files: Vec<FileId> = (0..c.rows()).map(|r| c.row_file(r)).collect();
+        assert_eq!(files, vec![FileId(1), FileId(5)]);
         assert_eq!(c.neighbors(FileId(1)), Some(&[FileId(1), FileId(5)][..]));
         assert_eq!(
             c.neighbors(FileId(5)),
             Some(&[FileId(1), FileId(5), FileId(9)][..])
         );
         assert_eq!(c.neighbors(FileId(7)), None);
-        let pairs: Vec<_> = c.candidate_pairs().collect();
-        assert_eq!(
-            pairs,
-            vec![
-                (FileId(1), FileId(5)),
-                (FileId(5), FileId(1)),
-                (FileId(5), FileId(9))
-            ]
-        );
-        assert_eq!(c.pair_count(), 3);
-        assert_eq!(c.shared(FileId(1), FileId(5)), 2);
+        let slots: Vec<Option<usize>> = [(1, 5), (5, 1), (5, 9)]
+            .into_iter()
+            .map(|(a, b)| c.pair_slot(FileId(a), FileId(b)))
+            .collect();
+        assert!(slots.iter().all(Option::is_some), "{slots:?}");
+        assert!(slots.windows(2).all(|w| w[0] < w[1]), "{slots:?}");
+        assert_eq!(c.slot_count(), 5, "three pairs plus two own slots");
+        assert_eq!(shared(&c, FileId(1), FileId(5)), 2);
     }
 
     /// A stamp counts intersections across many sets and survives its

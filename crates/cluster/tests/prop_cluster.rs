@@ -1,8 +1,14 @@
 //! Property tests for the clustering algorithm's invariants.
 
 use proptest::prelude::*;
-use seer_cluster::{cluster_from_counts, ClusterConfig, UnionFind};
-use seer_trace::FileId;
+use seer_cluster::{
+    cluster_from_counts, cluster_sets, ClusterConfig, PairCountCache, SharedNeighborCounter,
+    UnionFind,
+};
+use seer_distance::{NeighborTable, ReductionKind};
+use seer_trace::{FileId, PathTable};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 fn pairs_strategy(files: u32, len: usize) -> impl Strategy<Value = Vec<(FileId, FileId, f64)>> {
     prop::collection::vec((0..files, 0..files, 0.0f64..8.0), 0..len).prop_map(|v| {
@@ -11,6 +17,54 @@ fn pairs_strategy(files: u32, len: usize) -> impl Strategy<Value = Vec<(FileId, 
             .map(|(a, b, c)| (FileId(a), FileId(b), c))
             .collect()
     })
+}
+
+/// Files the table histories below draw from.
+const FILES: u32 = 24;
+
+/// One step of a random table history.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Fold these `from → to` observations, then tick the table clock.
+    Observe(Vec<(u32, u32, f64)>),
+    /// Delete a file; its mark comes due two deletions later.
+    Delete(u32),
+    /// Flip whether a file is excluded from clustering.
+    Flip(u32),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let observe =
+        || prop::collection::vec((0..FILES, 0..FILES, 0.0f64..8.0), 1..12).prop_map(Step::Observe);
+    prop_oneof![
+        observe(),
+        observe(),
+        observe(),
+        (0..FILES).prop_map(Step::Delete),
+        (0..FILES).prop_map(Step::Flip),
+    ]
+}
+
+/// The neighbor set of every file, built naively from the table's
+/// snapshot rows: the file itself plus its stored targets, less purged
+/// and excluded files, sorted; `None` for a file with no row or one
+/// that is excluded.
+fn reference_sets(table: &NeighborTable, exclude: &HashSet<FileId>) -> Vec<Option<Vec<FileId>>> {
+    let snap = table.snapshot();
+    let mut sets = vec![None; FILES as usize];
+    for (f, entries) in &snap.rows {
+        if exclude.contains(f) {
+            continue;
+        }
+        let mut set: Vec<FileId> = std::iter::once(*f)
+            .chain(entries.iter().map(|e| e.to))
+            .filter(|g| !exclude.contains(g) && !snap.dead.contains(g))
+            .collect();
+        set.sort_unstable();
+        set.dedup();
+        sets[f.index()] = Some(set);
+    }
+    sets
 }
 
 proptest! {
@@ -98,5 +152,65 @@ proptest! {
             "clusters {} exceed phase-one groups {phase_one}",
             r.len()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Through observations, deletions past the delay (so files purge),
+    /// and exclusion flips, the one-pass sets equal the naive reference
+    /// at every step, and the incremental recluster — cache carried from
+    /// step to step — equals a full recount of the same sets, pair count
+    /// for pair count.
+    #[test]
+    fn incremental_sets_track_the_table(steps in prop::collection::vec(step_strategy(), 1..40)) {
+        let mut table = NeighborTable::new(4, ReductionKind::Geometric, 16, 2, 7);
+        let mut paths = PathTable::new();
+        for f in 0..FILES {
+            paths.intern(&format!("/p{}/f{f}.c", f % 3));
+        }
+        let config = ClusterConfig {
+            directory_weight: 0.5,
+            ..ClusterConfig::default()
+        };
+        let mut exclude: HashSet<FileId> = HashSet::new();
+        let mut cache: Option<PairCountCache> = None;
+        for (i, step) in steps.into_iter().enumerate() {
+            match step {
+                Step::Observe(observations) => {
+                    for (from, to, d) in observations {
+                        table.observe(FileId(from), FileId(to), d);
+                    }
+                    table.tick();
+                }
+                Step::Delete(f) => {
+                    table.note_deletion(FileId(f));
+                }
+                Step::Flip(f) => {
+                    if !exclude.remove(&FileId(f)) {
+                        exclude.insert(FileId(f));
+                    }
+                }
+            }
+            let dirty = table.take_dirty();
+            let sets = Arc::new(SharedNeighborCounter::from_table_excluding(&table, &exclude));
+            for (f, want) in reference_sets(&table, &exclude).iter().enumerate() {
+                prop_assert_eq!(
+                    sets.neighbors(FileId(f as u32)),
+                    want.as_deref(),
+                    "step {}: set of file {}",
+                    i,
+                    f
+                );
+            }
+            let dirs = paths.directories();
+            let inc = cluster_sets(Arc::clone(&sets), dirs, &[], &config, 1, Some(&dirty), &mut cache);
+            let mut full_cache = None;
+            let full = cluster_sets(sets, dirs, &[], &config, 1, None, &mut full_cache);
+            prop_assert_eq!(inc.incremental, i > 0, "step {}", i);
+            prop_assert_eq!(&cache, &full_cache, "step {}: pair counts diverged", i);
+            prop_assert_eq!(inc.clustering.clusters, full.clustering.clusters, "step {}", i);
+        }
     }
 }

@@ -1,18 +1,24 @@
 //! The assembled SEER engine.
+//!
+//! A recluster builds flat neighbor sets from the distance table in one
+//! pass and clusters them: in place ([`SeerEngine::recluster`]), or
+//! through a [`ReclusterInput`] for a caller that carries a pair-count
+//! cache between runs. A quality evaluation borrows the engine
+//! ([`SeerEngine::eval_input`]) and copies nothing.
 
 use crate::config::SeerConfig;
 use crate::correlator::Correlator;
 use crate::manager::{select_hoard, HoardSelection};
 use crate::rankers::{HoardRanker, RankContext, SeerRanker};
 use seer_cluster::{
-    cluster_view_excluding, cluster_view_incremental, ClusterRun, Clustering, ExternalRelation,
-    PairCountCache,
+    cluster_sets, ClusterRun, Clustering, ExternalRelation, PairCountCache, SharedNeighborCounter,
 };
-use seer_distance::{ClusterView, TableDirty};
+use seer_distance::TableDirty;
 use seer_observer::Observer;
 use seer_telemetry::{Counter, Gauge, Histogram, Registry};
 use seer_trace::{DirTree, EventKind, EventSink, FileId, PathTable, StringTable, TraceEvent};
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Registry handles the engine updates while processing events, attached
@@ -223,53 +229,56 @@ impl SeerEngine {
     /// replacing any previous project assignment.
     pub fn recluster(&mut self) -> &Clustering {
         let started = std::time::Instant::now();
-        let run = cluster_view_excluding(
-            &self.correlator().distance().table().cluster_view(),
+        let run = cluster_sets(
+            self.neighbor_sets(),
             self.observer.paths().directories(),
             &self.relations,
-            self.observer.always_hoard(),
             &self.cluster_config,
             1,
+            None,
+            &mut None,
         );
         self.install_clustering(run.clustering, started.elapsed(), &run.shard_count_seconds)
     }
 
-    /// Captures everything a detached worker needs to compute a
-    /// clustering equivalent to [`SeerEngine::recluster`]: a frozen
-    /// neighbor view, the path table's directory tree, investigator
-    /// relations, the exclusion set, and the configuration.
+    /// The flat neighbor sets a recluster counts over, built from the
+    /// distance table in one pass with the always-hoard set left out
+    /// (§4.2).
+    fn neighbor_sets(&self) -> Arc<SharedNeighborCounter> {
+        Arc::new(SharedNeighborCounter::from_table_excluding(
+            self.correlator().distance().table(),
+            self.observer.always_hoard(),
+        ))
+    }
+
+    /// Captures what a clustering equivalent to [`SeerEngine::recluster`]
+    /// reads, detached from the engine: the flat neighbor sets (with the
+    /// sorted list of files they leave out), the path table's directory
+    /// tree, investigator relations, and the configuration.
     ///
-    /// The snapshot is O(files) — neighbor ids plus one directory node
-    /// per file and a parent and depth per directory are copied; path
-    /// strings and distances are not — and is fully detached: the engine
-    /// can keep applying events while [`ReclusterInput::compute`] runs
-    /// elsewhere, and the finished [`Clustering`] is folded back in with
+    /// Building the sets is the only O(files × n) step, and it is the
+    /// step every recluster takes; the directory tree (one node per file,
+    /// a parent and depth per directory) and the relations are copied,
+    /// path strings and distances are not. The engine can keep applying
+    /// events while [`ReclusterInput::compute`] runs, and the finished
+    /// [`Clustering`] is folded back in with
     /// [`SeerEngine::install_clustering`].
     #[must_use]
     pub fn recluster_input(&self) -> ReclusterInput {
         ReclusterInput {
-            view: self.correlator().distance().table().cluster_view(),
+            sets: self.neighbor_sets(),
             dirs: self.observer.paths().directories().clone(),
             relations: self.relations.clone(),
-            exclude: self.observer.always_hoard().clone(),
             config: self.cluster_config,
         }
     }
 
-    /// Captures everything a detached quality evaluator needs to rank
-    /// files exactly as the engine would right now: the activity
-    /// tracker, the installed clustering, and the always-hoard pins.
-    ///
-    /// Like [`SeerEngine::recluster_input`] the snapshot is fully
-    /// detached — O(tracked files) copied. The daemon evaluates it in
-    /// place, between two batches, on the thread that applies them.
+    /// The state a quality evaluation reads — the activity tracker, and
+    /// SEER's ranking of it under the installed clustering and the
+    /// always-hoard pins — borrowed from the engine: nothing is copied.
     #[must_use]
-    pub fn eval_input(&self) -> EvalInput {
-        EvalInput {
-            activity: self.correlator().activity().clone(),
-            clustering: self.clustering.clone(),
-            always_hoard: self.observer.always_hoard().clone(),
-        }
+    pub fn eval_input(&self) -> EvalInput<'_> {
+        EvalInput { engine: self }
     }
 
     /// Installs a clustering computed from a [`ReclusterInput`] (the
@@ -364,7 +373,7 @@ impl SeerEngine {
     /// previous call — the delta incremental recluster maintenance
     /// consumes (see [`ReclusterInput::compute_incremental`]). Drain it
     /// at the same moment as [`SeerEngine::recluster_input`] so the
-    /// delta describes exactly what changed between consecutive views.
+    /// delta describes exactly what changed between consecutive inputs.
     pub fn take_dirty(&mut self) -> TableDirty {
         self.observer.sink_mut().take_dirty()
     }
@@ -399,36 +408,27 @@ impl SeerEngine {
     }
 }
 
-/// A self-contained snapshot of the engine state a reclustering reads
-/// (see [`SeerEngine::recluster_input`]): the neighbor view, the path
-/// table's directory tree (what directory distance reads; no path
-/// strings), the relations, the exclusion set, and the configuration.
-/// Owns everything it needs, so it can be sent to a worker thread while
-/// the engine keeps mutating.
+/// The engine state a reclustering reads, detached from the engine (see
+/// [`SeerEngine::recluster_input`]): the flat neighbor sets with their
+/// exclusion list, the path table's directory tree (what directory
+/// distance reads; no path strings), the relations, and the
+/// configuration.
 #[derive(Debug, Clone)]
 pub struct ReclusterInput {
-    view: ClusterView,
+    sets: Arc<SharedNeighborCounter>,
     dirs: DirTree,
     relations: Vec<ExternalRelation>,
-    exclude: HashSet<FileId>,
     config: seer_cluster::ClusterConfig,
 }
 
 impl ReclusterInput {
-    /// Computes the clustering this snapshot describes, sharding the
-    /// counting phase across `threads` worker threads. Bit-identical to
-    /// what [`SeerEngine::recluster`] would have produced at snapshot
-    /// time, for any `threads`.
+    /// Computes the clustering this input describes, sharding the
+    /// counting phase across `threads` threads. Bit-identical to what
+    /// [`SeerEngine::recluster`] would have produced when the input was
+    /// captured, for any `threads`.
     #[must_use]
     pub fn compute(&self, threads: usize) -> ClusterRun {
-        cluster_view_excluding(
-            &self.view,
-            &self.dirs,
-            &self.relations,
-            &self.exclude,
-            &self.config,
-            threads,
-        )
+        self.compute_incremental(threads, None, &mut None)
     }
 
     /// Like [`ReclusterInput::compute`], but maintains `cache` across
@@ -437,7 +437,7 @@ impl ReclusterInput {
     /// [`SeerEngine::take_dirty`] at the moment this input was captured)
     /// and nothing structural happened, only affected pair counts are
     /// recomputed. Bit-identical to [`ReclusterInput::compute`] either
-    /// way (see [`seer_cluster::cluster_view_incremental`]).
+    /// way (see [`seer_cluster::cluster_sets`]).
     #[must_use]
     pub fn compute_incremental(
         &self,
@@ -445,11 +445,10 @@ impl ReclusterInput {
         dirty: Option<&TableDirty>,
         cache: &mut Option<PairCountCache>,
     ) -> ClusterRun {
-        cluster_view_incremental(
-            &self.view,
+        cluster_sets(
+            Arc::clone(&self.sets),
             &self.dirs,
             &self.relations,
-            &self.exclude,
             &self.config,
             threads,
             dirty,
@@ -458,41 +457,24 @@ impl ReclusterInput {
     }
 }
 
-/// A self-contained snapshot of the ranking state a quality evaluation
-/// reads (see [`SeerEngine::eval_input`]). Owns everything it needs, so
-/// an evaluation reads one fixed state whatever the engine does next.
-#[derive(Debug, Clone)]
-pub struct EvalInput {
-    activity: crate::activity::ActivityTracker,
-    clustering: Option<Clustering>,
-    always_hoard: HashSet<FileId>,
+/// The ranking state a quality evaluation reads, borrowed from the
+/// engine (see [`SeerEngine::eval_input`]).
+#[derive(Debug, Clone, Copy)]
+pub struct EvalInput<'a> {
+    engine: &'a SeerEngine,
 }
 
-impl EvalInput {
-    /// The frozen activity tracker (drives the needed-set derivation).
+impl<'a> EvalInput<'a> {
+    /// The activity tracker (drives the needed-set derivation).
     #[must_use]
-    pub fn activity(&self) -> &crate::activity::ActivityTracker {
-        &self.activity
+    pub fn activity(&self) -> &'a crate::activity::ActivityTracker {
+        self.engine.correlator().activity()
     }
 
-    /// SEER's full priority ranking at snapshot time — identical to what
-    /// [`SeerEngine::rank`] would have produced when the snapshot was
-    /// taken.
+    /// SEER's full priority ranking — [`SeerEngine::rank`].
     #[must_use]
     pub fn rank(&self) -> Vec<FileId> {
-        let ctx = RankContext {
-            activity: &self.activity,
-            clustering: self.clustering.as_ref(),
-            always_hoard: &self.always_hoard,
-        };
-        SeerRanker.rank(&ctx)
-    }
-
-    /// The pure recency ranking at snapshot time, most recent first —
-    /// the paper's LRU baseline (§6.1).
-    #[must_use]
-    pub fn lru_order(&self) -> Vec<FileId> {
-        self.activity.lru_order()
+        self.engine.rank()
     }
 }
 

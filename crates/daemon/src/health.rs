@@ -28,11 +28,11 @@
 //! watched:
 //!
 //! - **liveness**: each actor stamps its heartbeat once per loop
-//!   iteration, so a heartbeat older than `stall_after` means the shard
-//!   is stuck inside one message or one in-place recluster or
-//!   evaluation (or deadlocked);
+//!   iteration, so a heartbeat older than the configured
+//!   `watchdog_stall_after` means the shard is stuck inside one message
+//!   or one in-place recluster or evaluation (or deadlocked);
 //! - **durability freshness**: unsnapshotted state older than
-//!   `snapshot_stale_after` means the periodic snapshot trigger stopped
+//!   [`SNAPSHOT_STALE_AFTER`] means the periodic snapshot trigger stopped
 //!   firing.
 
 use crate::DaemonConfig;
@@ -165,26 +165,8 @@ impl TenantHealth {
     }
 }
 
-/// Watchdog knobs, per daemon.
-#[derive(Debug, Clone)]
-pub struct WatchdogConfig {
-    /// Check cadence.
-    pub tick: Duration,
-    /// Heartbeat age above which a shard counts as stalled.
-    pub stall_after: Duration,
-    /// Unsnapshotted-state age above which durability counts as stale.
-    pub snapshot_stale_after: Duration,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> WatchdogConfig {
-        WatchdogConfig {
-            tick: Duration::from_millis(250),
-            stall_after: Duration::from_secs(5),
-            snapshot_stale_after: Duration::from_secs(300),
-        }
-    }
-}
+/// Unsnapshotted-state age above which durability counts as stale.
+pub const SNAPSHOT_STALE_AFTER: Duration = Duration::from_secs(300);
 
 /// Millisecond timestamps a shard actor stamps as it runs, read by the
 /// watchdog thread. All times are milliseconds since the beat's `epoch`,
@@ -272,7 +254,7 @@ pub struct WatchdogFinding {
 pub fn watchdog_check(
     shard: usize,
     beat: &ShardBeat,
-    cfg: &WatchdogConfig,
+    cfg: &DaemonConfig,
     now: Instant,
 ) -> Vec<WatchdogFinding> {
     let mut findings = Vec::with_capacity(2);
@@ -291,13 +273,13 @@ pub fn watchdog_check(
     push(
         "stalled",
         beat.heartbeat_age(now),
-        cfg.stall_after,
+        cfg.watchdog_stall_after,
         "no actor heartbeat",
     );
     push(
         "snapshot-stale",
         beat.snapshot_dirty_for(now),
-        cfg.snapshot_stale_after,
+        SNAPSHOT_STALE_AFTER,
         "unsnapshotted state pending",
     );
     findings
@@ -392,18 +374,25 @@ mod tests {
     fn watchdog_flags_stall_and_snapshot_age() {
         let start = Instant::now();
         let beat = ShardBeat::new(start);
-        let cfg = WatchdogConfig {
-            tick: Duration::from_millis(10),
-            stall_after: Duration::from_millis(20),
-            snapshot_stale_after: Duration::from_millis(20),
-        };
+        let mut cfg = fast_cfg();
+        cfg.watchdog_stall_after = Duration::from_millis(20);
         // Nothing stamped yet: every age is None, nothing fires.
-        let findings = watchdog_check(0, &beat, &cfg, start + Duration::from_secs(1));
+        let findings = watchdog_check(0, &beat, &cfg, start + SNAPSHOT_STALE_AFTER * 2);
         assert!(findings.iter().all(|f| !f.firing));
 
         beat.stamp_heartbeat(start);
         beat.set_snapshot_dirty(true, start);
-        let later = start + Duration::from_millis(40);
+        // Past the stall limit only.
+        let stalled = start + Duration::from_millis(40);
+        let findings = watchdog_check(3, &beat, &cfg, stalled);
+        let firing: Vec<&str> = findings
+            .iter()
+            .filter(|f| f.firing)
+            .map(|f| f.kind.as_str())
+            .collect();
+        assert_eq!(firing, ["shard3/stalled"]);
+        // Past both limits.
+        let later = start + SNAPSHOT_STALE_AFTER + Duration::from_secs(1);
         let findings = watchdog_check(3, &beat, &cfg, later);
         assert_eq!(findings.len(), 2);
         assert!(findings.iter().all(|f| f.firing), "both invariants");

@@ -709,14 +709,7 @@ fn run_fleet_query(
             other => return Ok(other),
         }
     }
-    per_tenant.sort_by(|a, b| {
-        b.miss_rate
-            .total_cmp(&a.miss_rate)
-            .then_with(|| a.tenant.cmp(&b.tenant))
-    });
-    if let Some(k) = top_k {
-        per_tenant.truncate(k);
-    }
+    tenant::rank_fleet(&mut per_tenant, top_k);
     Ok(QueryResponse::Fleet {
         tenants,
         total_events,

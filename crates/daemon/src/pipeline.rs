@@ -241,16 +241,7 @@ impl Actor {
     fn answer_fleet(&self, top_k: Option<usize>) -> QueryResponse {
         let mut per_tenant: Vec<TenantFleetStat> =
             self.tenants.values().map(TenantState::fleet_stat).collect();
-        per_tenant.sort_by(|a, b| {
-            b.miss_rate
-                .total_cmp(&a.miss_rate)
-                .then_with(|| a.tenant.cmp(&b.tenant))
-        });
-        // Truncating per shard is sound: a tenant lives on exactly one
-        // shard, so the global top-k is a subset of the shard top-ks.
-        if let Some(k) = top_k {
-            per_tenant.truncate(k);
-        }
+        tenant::rank_fleet(&mut per_tenant, top_k);
         QueryResponse::Fleet {
             tenants: self.tenants.len(),
             total_events: self.tenants.values().map(TenantState::events_applied).sum(),

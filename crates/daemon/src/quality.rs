@@ -12,9 +12,10 @@
 //! Mechanically an evaluation is a tenant transition (`crate::tenant`),
 //! run on the shard's engine actor between messages: when the tenant's
 //! cadence is due at the `now` its caller passes (checked after each
-//! batch and in idle housekeeping), the tenant freezes an immutable
-//! [`seer_core::EvalInput`] (activity, clustering, and the always-hoard
-//! set) into an [`EvalJob`], evaluates it, and installs the resulting
+//! batch and in idle housekeeping), the tenant gathers the report's
+//! scalars into an [`EvalJob`], [`evaluate`]s it against its engine,
+//! which it reads in place (activity, clustering, and the always-hoard
+//! set; nothing is copied), and installs the resulting
 //! [`QualityReport`]. A `Quality` query takes the same path after
 //! reclustering to the current generation, so its answer reflects
 //! everything applied before it. Nothing here reads a clock.
@@ -25,7 +26,7 @@
 //! every report an apples-to-apples "SEER vs LRU" comparison.
 
 use crate::stats::SharedMetrics;
-use seer_core::EvalInput;
+use seer_core::SeerEngine;
 use seer_replication::MissLog;
 use seer_telemetry::SeriesRing;
 use seer_trace::wire::{MissPostmortem, QualityReport};
@@ -138,12 +139,10 @@ impl CanonicalIds {
     }
 }
 
-/// Everything an evaluation needs, frozen at job-construction time so
-/// the report is a pure function of the job.
+/// The scalars of an evaluation: its window, budget and size model, and
+/// the counters the report carries through.
 #[derive(Debug)]
 pub(crate) struct EvalJob {
-    pub input: EvalInput,
-    pub shadow: Vec<FileId>,
     pub window_secs: u64,
     pub budget: u64,
     pub file_size: u64,
@@ -154,12 +153,12 @@ pub(crate) struct EvalJob {
     pub eval_index: u64,
 }
 
-/// Computes a quality report from a frozen job. Pure: no clocks, no
-/// engine access — an offline caller feeding the same activity, ranking,
-/// and window gets bit-identical numbers (the equivalence test relies on
-/// this).
-pub(crate) fn evaluate(job: &EvalJob) -> QualityReport {
-    let refs = job.input.activity().export();
+/// Computes a quality report of `engine`'s ranking against the LRU
+/// order `shadow`, read in place. Pure: no clocks, no mutation — an
+/// offline caller feeding the same activity, ranking, and window gets
+/// bit-identical numbers (the equivalence test relies on this).
+pub(crate) fn evaluate(engine: &SeerEngine, shadow: &[FileId], job: &EvalJob) -> QualityReport {
+    let refs = engine.correlator().activity().export();
     // "Now" is trace time, not wall time: the latest recorded reference.
     let now = refs
         .iter()
@@ -179,9 +178,9 @@ pub(crate) fn evaluate(job: &EvalJob) -> QualityReport {
     let fs = job.file_size.max(1);
     let mut sizes = |_f: FileId| fs;
     let working_set_bytes = seer_sim::working_set_bytes(&needed, &mut sizes);
-    let seer_rank = job.input.rank();
+    let seer_rank = engine.rank();
     let seer = seer_sim::miss_free_size(&seer_rank, &needed, &mut sizes);
-    let lru = seer_sim::miss_free_size(&job.shadow, &needed, &mut sizes);
+    let lru = seer_sim::miss_free_size(shadow, &needed, &mut sizes);
 
     // Coverage at the configured budget, and a retrospective
     // time-to-first-miss: had the disconnection started at the window
@@ -205,7 +204,7 @@ pub(crate) fn evaluate(job: &EvalJob) -> QualityReport {
         (coverage, first_miss)
     };
     let (seer_coverage, seer_first_miss_secs) = assess(&seer_rank);
-    let (lru_coverage, lru_first_miss_secs) = assess(&job.shadow);
+    let (lru_coverage, lru_first_miss_secs) = assess(shadow);
 
     QualityReport {
         generation: job.generation,
@@ -370,16 +369,8 @@ mod tests {
         assert_eq!(ids.slots.len(), strings.len());
     }
 
-    fn job_with(
-        input: EvalInput,
-        shadow: Vec<FileId>,
-        window_secs: u64,
-        budget: u64,
-        file_size: u64,
-    ) -> EvalJob {
+    fn job_with(window_secs: u64, budget: u64, file_size: u64) -> EvalJob {
         EvalJob {
-            input,
-            shadow,
             window_secs,
             budget,
             file_size,
@@ -417,11 +408,10 @@ mod tests {
     #[test]
     fn evaluate_windows_the_needed_set_by_trace_time() {
         let engine = engine_with_activity();
-        let input = engine.eval_input();
         // A 1-hour window sees only the two recent files (plus whatever
         // the correlator attributes inside it); 1000 hours sees old.txt.
-        let narrow = evaluate(&job_with(input.clone(), vec![], 3600, 1 << 20, 1024));
-        let wide = evaluate(&job_with(input, vec![], 3600 * 1000, 1 << 20, 1024));
+        let narrow = evaluate(&engine, &[], &job_with(3600, 1 << 20, 1024));
+        let wide = evaluate(&engine, &[], &job_with(3600 * 1000, 1 << 20, 1024));
         assert!(narrow.needed_files < wide.needed_files);
         assert!(wide.working_set_bytes > narrow.working_set_bytes);
         assert_eq!(narrow.evals, 1);
@@ -430,11 +420,10 @@ mod tests {
     #[test]
     fn evaluate_scores_both_managers_with_the_same_metric() {
         let engine = engine_with_activity();
-        let input = engine.eval_input();
         // Shadow order equal to SEER's own ranking must yield identical
         // miss-free bytes: the metric is manager-agnostic.
-        let rank = input.rank();
-        let report = evaluate(&job_with(input, rank, 3600 * 1000, 1 << 20, 1024));
+        let rank = engine.rank();
+        let report = evaluate(&engine, &rank, &job_with(3600 * 1000, 1 << 20, 1024));
         assert_eq!(report.seer_missfree_bytes, report.lru_missfree_bytes);
         assert_eq!(report.seer_uncovered, 0, "seer ranks every known file");
         assert!(report.seer_coverage > 0.99);
@@ -443,8 +432,7 @@ mod tests {
     #[test]
     fn evaluate_charges_an_empty_shadow_the_working_set() {
         let engine = engine_with_activity();
-        let input = engine.eval_input();
-        let report = evaluate(&job_with(input, vec![], 3600 * 1000, 1 << 20, 1024));
+        let report = evaluate(&engine, &[], &job_with(3600 * 1000, 1 << 20, 1024));
         // An LRU that has seen nothing covers nothing.
         assert_eq!(report.lru_missfree_bytes, report.working_set_bytes);
         assert_eq!(report.lru_uncovered, report.needed_files);
@@ -461,8 +449,7 @@ mod tests {
     #[test]
     fn evaluate_reports_no_first_miss_at_full_coverage() {
         let engine = engine_with_activity();
-        let input = engine.eval_input();
-        let report = evaluate(&job_with(input, vec![], 3600 * 1000, 1 << 30, 1024));
+        let report = evaluate(&engine, &[], &job_with(3600 * 1000, 1 << 30, 1024));
         assert!(report.seer_coverage > 0.99);
         assert_eq!(report.seer_first_miss_secs, None);
     }

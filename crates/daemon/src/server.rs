@@ -1,6 +1,6 @@
 //! The daemon itself: listeners, sharded pipelines, and lifecycle.
 
-use crate::health::{watchdog_check, ShardBeat, WatchdogConfig, SELF_TENANT};
+use crate::health::{watchdog_check, ShardBeat, SELF_TENANT};
 use crate::hub::{self, HubListener, HubStream, Shards, SocketProbe};
 use crate::pipeline;
 use crate::stats::{self, DaemonStats, SharedMetrics};
@@ -8,7 +8,7 @@ use crate::tenant::{self, TenantState};
 use crate::worker::Worker;
 use crossbeam::channel::bounded;
 use parking_lot::Mutex;
-use seer_core::{PersistError, SeerConfig};
+use seer_core::PersistError;
 use seer_telemetry::{tlog, Level, RegistrySnapshot, Tracer};
 use seer_wal::{FsyncPolicy, WalError};
 use std::collections::HashMap;
@@ -38,9 +38,6 @@ pub struct DaemonConfig {
     /// the *default* tenant's path — other tenants persist next to it
     /// (`<path>.<tenant>`).
     pub snapshot_path: Option<PathBuf>,
-    /// Engine configuration (used only on a cold start; a snapshot's
-    /// embedded configuration wins on recovery).
-    pub engine: SeerConfig,
     /// Capacity of each shard's bounded inbox. Connection readers block
     /// when it is full — this is the backpressure knob.
     pub channel_capacity: usize,
@@ -118,7 +115,6 @@ impl DaemonConfig {
             tcp_addr: None,
             shards: 2,
             snapshot_path: None,
-            engine: SeerConfig::default(),
             channel_capacity: 256,
             recluster_every: 50_000,
             snapshot_every: 20_000,
@@ -378,15 +374,11 @@ impl Daemon {
             );
         }
 
-        let wcfg = WatchdogConfig {
-            tick: config.watchdog_tick,
-            stall_after: config.watchdog_stall_after,
-            ..WatchdogConfig::default()
-        };
         let watchdog_shared = Arc::clone(&shared);
+        let watchdog_cfg = Arc::clone(&config);
         let watchdog = thread::Builder::new()
             .name("seer-watchdog".into())
-            .spawn(move || run_watchdog(&watchdog_shared, &beats, &wcfg))?;
+            .spawn(move || run_watchdog(&watchdog_shared, &beats, &watchdog_cfg))?;
 
         let listener_threads = listeners
             .into_iter()
@@ -414,7 +406,7 @@ impl Daemon {
 /// beat against the thresholds and drive the corresponding `_self`
 /// alerts. Exits when shutdown or kill is raised (so a graceful
 /// shutdown waits at most one tick for it).
-fn run_watchdog(shared: &Shared, beats: &[Arc<ShardBeat>], cfg: &WatchdogConfig) {
+fn run_watchdog(shared: &Shared, beats: &[Arc<ShardBeat>], cfg: &DaemonConfig) {
     while !(shared.shutdown.load(Ordering::SeqCst) || shared.kill.load(Ordering::SeqCst)) {
         let now = Instant::now();
         for (i, beat) in beats.iter().enumerate() {
@@ -424,7 +416,7 @@ fn run_watchdog(shared: &Shared, beats: &[Arc<ShardBeat>], cfg: &WatchdogConfig)
                     .alert(SELF_TENANT, &f.kind, f.firing, || f.message.clone());
             }
         }
-        thread::sleep(cfg.tick);
+        thread::sleep(cfg.watchdog_tick);
     }
 }
 

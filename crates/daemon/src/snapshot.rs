@@ -18,7 +18,7 @@
 //! `History` query, whose errors are in-band answers.
 
 use seer_core::persist::{frame, unframe};
-use seer_core::{PersistError, Replayer, SeerConfig, SeerEngine, SeerSnapshot};
+use seer_core::{PersistError, Replayer, SeerEngine, SeerSnapshot};
 use seer_telemetry::{tlog, Level};
 use seer_trace::codec::{Codec, Reader};
 use seer_trace::StringTable;
@@ -188,14 +188,9 @@ pub(crate) fn clean_stale(path: &Path) -> Option<std::path::PathBuf> {
 /// empty string table (the log re-declares every path): the snapshot at
 /// `path` — a damaged primary falls back to the previous one, and one
 /// above generation `at_most` counts as absent — or else a cold engine
-/// built from `cold` at generation zero. Degradations are logged
-/// against `tenant`.
-pub(crate) fn load_base(
-    path: Option<&Path>,
-    at_most: u64,
-    cold: &SeerConfig,
-    tenant: &str,
-) -> Replayer {
+/// with the default configuration at generation zero. Degradations are
+/// logged against `tenant`.
+pub(crate) fn load_base(path: Option<&Path>, at_most: u64, tenant: &str) -> Replayer {
     let snap = path.and_then(|path| {
         let (snap, warnings) = DaemonSnapshot::load_with_fallback(path);
         for warning in &warnings {
@@ -211,7 +206,7 @@ pub(crate) fn load_base(
     });
     let (engine, generation) = match snap.filter(|s| s.events_applied <= at_most) {
         Some(s) => (SeerEngine::from_snapshot(s.engine), s.events_applied),
-        None => (SeerEngine::new(cold.clone()), 0),
+        None => (SeerEngine::default(), 0),
     };
     Replayer::new(engine, StringTable::new(), generation)
 }

@@ -161,8 +161,8 @@ pub(crate) struct TenantState {
 
 impl TenantState {
     /// Recovers the tenant from disk: the newest snapshot that loads (a
-    /// damaged one falls back to the previous, then to a cold engine
-    /// built from `cfg.engine`), with the tenant's log replayed on top.
+    /// damaged one falls back to the previous, then to a cold engine with
+    /// the default configuration), with the tenant's log replayed on top.
     /// With `restore_to`, the log is first truncated after that
     /// generation, a snapshot above it does not count as a base, and the
     /// restored state is published as the snapshot at once, so no newer
@@ -186,7 +186,7 @@ impl TenantState {
             snapshot::clean_stale(path);
         }
         let at_most = restore_to.unwrap_or(u64::MAX);
-        let mut rep = snapshot::load_base(snapshot_path.as_deref(), at_most, &cfg.engine, &name);
+        let mut rep = snapshot::load_base(snapshot_path.as_deref(), at_most, &name);
         let (wal, mut recovered) = match open_log(&name, cfg, &mut rep, restore_to) {
             Ok(wal) => (wal, Ok(())),
             Err(e) => (None, Err(e)),
@@ -753,7 +753,7 @@ impl TenantState {
         // (fewer batches to replay), else a cold engine, which needs the
         // log to reach all the way back to generation zero.
         let path = self.snapshot_path.as_deref();
-        let mut rep = snapshot::load_base(path, target, &self.cfg.engine, &self.name);
+        let mut rep = snapshot::load_base(path, target, &self.name);
         let base_gen = rep.events_applied();
         if let Err(message) = snapshot::reachable(base_gen, wal.compacted_through(), target) {
             return err(message);
@@ -922,8 +922,6 @@ impl TenantState {
     fn evaluate(&mut self) {
         let q = &self.quality;
         let job = quality::EvalJob {
-            input: self.engine.eval_input(),
-            shadow: q.shadow.order(),
             window_secs: q.window_secs,
             budget: quality::EVAL_BUDGET,
             file_size: self.cfg.file_size,
@@ -933,8 +931,9 @@ impl TenantState {
             auto_misses: q.miss_log.auto_count() as u64,
             eval_index: q.evals + 1,
         };
+        let shadow = q.shadow.order();
         let started = Instant::now();
-        let report = quality::evaluate(&job);
+        let report = quality::evaluate(&self.engine, &shadow, &job);
         self.metrics.stage_evaluate.observe(started.elapsed());
         self.metrics.quality_evals.inc();
         let tm = &self.tm;
@@ -1042,6 +1041,22 @@ impl TenantState {
             alerts_firing: self.metrics.alerts.firing_count_for(&self.name) as u64,
             score_spark: self.health.spark(),
         }
+    }
+}
+
+/// Ranks fleet rows worst first — by miss rate, then by tenant name —
+/// and keeps the first `top_k`. A shard ranks its own tenants and the
+/// hub re-ranks the merged rows; cutting per shard is sound because a
+/// tenant lives on exactly one shard, so the global top-k is a subset
+/// of the shard top-ks.
+pub(crate) fn rank_fleet(rows: &mut Vec<TenantFleetStat>, top_k: Option<usize>) {
+    rows.sort_by(|a, b| {
+        b.miss_rate
+            .total_cmp(&a.miss_rate)
+            .then_with(|| a.tenant.cmp(&b.tenant))
+    });
+    if let Some(k) = top_k {
+        rows.truncate(k);
     }
 }
 

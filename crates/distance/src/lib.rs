@@ -33,4 +33,4 @@ pub mod table;
 
 pub use config::{DistanceConfig, DistanceKind, ReductionKind};
 pub use engine::{DistanceEngine, EngineSnapshot as DistanceSnapshot};
-pub use table::{ClusterView, NeighborEntry, NeighborTable, TableDirty, TableSnapshot};
+pub use table::{NeighborEntry, NeighborTable, TableDirty, TableSnapshot};

@@ -28,6 +28,15 @@
 //! already decides is refused without reading the row's slots (see
 //! `NeighborTable::refuses_by_bound` for why that refusal is exactly the
 //! scan's).
+//!
+//! # Reads for clustering
+//!
+//! A recluster reads the rows in place: [`NeighborTable::rows`] lends
+//! each row's slice of target ids and [`NeighborTable::is_dead`] says
+//! which targets were purged, so the clustering crate builds its flat
+//! neighbor sets in one pass with nothing copied first.
+//! [`NeighborTable::take_dirty`] names the rows whose membership changed
+//! since the previous read.
 
 use crate::config::ReductionKind;
 use crate::reduction::PairSummary;
@@ -305,8 +314,12 @@ impl NeighborTable {
         d
     }
 
+    /// Whether `file` was purged (§4.8). Rows keep a purged target until
+    /// its slot is reused, so a reader of [`NeighborTable::rows`] drops
+    /// the targets this reports.
     #[inline]
-    fn is_dead(&self, file: FileId) -> bool {
+    #[must_use]
+    pub fn is_dead(&self, file: FileId) -> bool {
         self.dead.get(file.index()).copied().unwrap_or(false)
     }
 
@@ -582,7 +595,7 @@ impl NeighborTable {
         });
         self.marked_list = list;
         // A file deleted again after its purge is due again, but it is
-        // already out of every view: purging it changes nothing.
+        // already out of every neighbor set: purging it changes nothing.
         let newly_dead: Vec<FileId> = due
             .iter()
             .copied()
@@ -601,9 +614,9 @@ impl NeighborTable {
                 self.rows[j] = RowHeader::EMPTY;
                 self.mark_row_dirty(f);
             }
-            // A purge changes the frozen view of exactly the dead rows and
-            // every surviving row that listed a dead file as a target (dead
-            // targets are filtered from views). Marking those rows dirty
+            // A purge changes the neighbor sets of exactly the dead rows
+            // and every surviving row that listed a dead file as a target
+            // (readers drop dead targets). Marking those rows dirty
             // keeps the delta precise, so incremental shared-neighbor
             // maintenance survives deletions without a full recount.
             for i in 0..self.rows.len() {
@@ -630,9 +643,10 @@ impl NeighborTable {
     }
 
     /// Takes the set of rows dirtied since the previous call, resetting
-    /// the accumulator. Call at the moment a [`ClusterView`] is captured:
-    /// the delta then describes exactly what changed between consecutive
-    /// views, which is what incremental shared-neighbor maintenance needs.
+    /// the accumulator. Call at the moment the rows are read for a
+    /// recluster: the delta then describes exactly what changed between
+    /// consecutive reads, which is what incremental shared-neighbor
+    /// maintenance needs.
     pub fn take_dirty(&mut self) -> TableDirty {
         let rows = std::mem::take(&mut self.dirty_rows);
         for f in &rows {
@@ -685,11 +699,7 @@ impl NeighborTable {
 
     /// All files with at least one stored neighbor, in id order.
     pub fn files(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|&(_, h)| h.len > 0)
-            .map(|(i, _)| FileId(i as u32))
+        self.rows().map(|(f, _)| f)
     }
 
     /// Number of files with stored rows.
@@ -710,31 +720,19 @@ impl NeighborTable {
         self.entries
     }
 
-    /// Captures an immutable view of the neighbor *identities* for
-    /// clustering off-thread: per-file target lists with dead entries
-    /// filtered out, sorted by file id.
-    ///
-    /// This is the cheap snapshot the daemon hands to its recluster
-    /// worker — O(files × n) id copies, no distances, no RNG state —
-    /// so the table can keep absorbing observations while a clustering
-    /// is computed from the frozen view. Rows are stored in id order, so
-    /// the capture is a single ordered sweep with no sort.
-    #[must_use]
-    pub fn cluster_view(&self) -> ClusterView {
-        let mut rows: Vec<(FileId, Vec<FileId>)> = Vec::with_capacity(self.live_rows);
-        for (i, h) in self.rows.iter().enumerate() {
-            if h.len == 0 {
-                continue;
-            }
-            let base = i * self.n;
-            let targets: Vec<FileId> = self.slot_to[base..base + h.len as usize]
-                .iter()
-                .copied()
-                .filter(|&t| !self.is_dead(t))
-                .collect();
-            rows.push((FileId(i as u32), targets));
-        }
-        ClusterView { rows }
+    /// Every stored row in id order, as `(file, targets)`, lent from the
+    /// table's slot array: nothing is copied. Targets are in slot order
+    /// and may include purged files; filter them with
+    /// [`NeighborTable::is_dead`].
+    pub fn rows(&self) -> impl Iterator<Item = (FileId, &[FileId])> + '_ {
+        self.rows
+            .iter()
+            .enumerate()
+            .filter(|&(_, h)| h.len > 0)
+            .map(|(i, h)| {
+                let base = i * self.n;
+                (FileId(i as u32), &self.slot_to[base..base + h.len as usize])
+            })
     }
 
     /// Captures the table's persistent state (the SEER database of known
@@ -839,44 +837,6 @@ impl NeighborTable {
         // A restored table has no valid incremental baseline.
         t.structural = true;
         t
-    }
-}
-
-/// A frozen snapshot of who neighbors whom, detached from the live
-/// [`NeighborTable`] (see [`NeighborTable::cluster_view`]). Clustering
-/// needs only the neighbor identities, so the view carries no distance
-/// summaries and can be cloned and shipped across threads freely.
-#[derive(Debug, Clone, Default)]
-pub struct ClusterView {
-    /// Per-file neighbor targets, sorted by file id.
-    rows: Vec<(FileId, Vec<FileId>)>,
-}
-
-impl ClusterView {
-    /// Builds a view directly from `(file, targets)` rows (tests and
-    /// synthetic inputs).
-    #[must_use]
-    pub fn from_rows(mut rows: Vec<(FileId, Vec<FileId>)>) -> ClusterView {
-        rows.sort_unstable_by_key(|(f, _)| *f);
-        ClusterView { rows }
-    }
-
-    /// The `(file, targets)` rows, sorted by file id.
-    #[must_use]
-    pub fn rows(&self) -> &[(FileId, Vec<FileId>)] {
-        &self.rows
-    }
-
-    /// Number of files with a stored row.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the view holds no rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 }
 
@@ -1122,7 +1082,7 @@ mod tests {
     }
 
     #[test]
-    fn cluster_view_freezes_live_neighbors() {
+    fn rows_lend_stored_targets_and_flag_the_dead() {
         let mut t = NeighborTable::new(5, ReductionKind::Geometric, 1000, 1, 42);
         t.observe(FileId(1), FileId(2), 1.0);
         t.observe(FileId(1), FileId(3), 2.0);
@@ -1130,15 +1090,24 @@ mod tests {
         // Purge 3: its name dies after one further deletion (delay 1).
         t.note_deletion(FileId(3));
         t.note_deletion(FileId(9));
-        let view = t.cluster_view();
-        assert_eq!(view.len(), 2);
-        let rows = view.rows();
-        assert_eq!(rows[0].0, FileId(1), "rows sorted by file id");
-        assert_eq!(rows[0].1, vec![FileId(2)], "dead target filtered");
-        assert!(rows[1].1.is_empty(), "row 2 pointed only at the dead file");
-        // Mutating the table afterwards leaves the view untouched.
+        assert!(t.is_dead(FileId(3)) && !t.is_dead(FileId(2)));
+        let rows: Vec<(FileId, Vec<FileId>)> =
+            t.rows().map(|(f, targets)| (f, targets.to_vec())).collect();
+        assert_eq!(
+            rows,
+            vec![
+                (FileId(1), vec![FileId(2), FileId(3)]),
+                (FileId(2), vec![FileId(3)]),
+            ],
+            "rows in id order, the dead target still stored"
+        );
+        // The rows are the table's own: a later observation shows in the
+        // next read.
         t.observe(FileId(1), FileId(7), 1.0);
-        assert_eq!(view.rows()[0].1.len(), 1);
+        assert_eq!(
+            t.rows().next(),
+            Some((FileId(1), &[FileId(2), FileId(3), FileId(7)][..]))
+        );
     }
 
     #[test]
