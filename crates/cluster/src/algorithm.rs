@@ -740,11 +740,9 @@ mod tests {
         for threads in [2, 3, 8, 64] {
             let par = run(threads);
             assert_eq!(
-                par.clustering.membership_fingerprint(),
-                serial.clustering.membership_fingerprint(),
+                par.clustering.clusters, serial.clustering.clusters,
                 "threads={threads} diverged from serial"
             );
-            assert_eq!(par.clustering.clusters, serial.clustering.clusters);
             assert!(!par.shard_count_seconds.is_empty());
         }
         // The table-based entry point is the same computation.

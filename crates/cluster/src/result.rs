@@ -2,6 +2,7 @@
 
 use seer_trace::FileId;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Identifier of a cluster within one [`Clustering`].
@@ -47,7 +48,9 @@ impl Cluster {
 /// A complete cluster assignment.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Clustering {
-    /// All clusters, in deterministic order.
+    /// All clusters, sorted by member list and free of duplicates
+    /// ([`Clustering::from_members`]); [`Clustering::churn_from`] relies
+    /// on the order.
     pub clusters: Vec<Cluster>,
     membership: HashMap<FileId, Vec<ClusterId>>,
 }
@@ -127,38 +130,54 @@ impl Clustering {
         v
     }
 
-    /// A per-file fingerprint of cluster membership: each file maps to a
-    /// hash of the member lists of every cluster containing it. Cluster
-    /// *ids* are not stable across reclusterings, but member lists are
-    /// deterministic, so equal fingerprints mean the file sits in the
-    /// same projects with the same co-members.
-    #[must_use]
-    pub fn membership_fingerprint(&self) -> HashMap<FileId, u64> {
-        use std::hash::{Hash, Hasher};
-        self.membership
-            .iter()
-            .map(|(&file, ids)| {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                for &id in ids {
-                    self.clusters[id.index()].files.hash(&mut h);
-                }
-                (file, h.finish())
-            })
-            .collect()
-    }
-
     /// Number of files whose cluster membership differs between `previous`
     /// and `self` — files that joined, left, or whose project's member set
     /// changed. This is the churn a reclustering introduced; telemetry
     /// tracks its running total to show how unstable project boundaries
     /// are under a given workload.
+    ///
+    /// A file is unchanged when the clusters holding it have the same
+    /// member lists before and after. Both cluster lists are sorted and
+    /// deduplicated ([`Clustering::from_members`]), so one merge pairs
+    /// each previous cluster with its identical successor, if it has one.
+    /// A file's old cluster ids map one to one onto its new ones exactly
+    /// when every cluster holding it, on either side, is paired, so the
+    /// churn is the number of files held by an unpaired cluster. That
+    /// takes O(clusters + memberships), with a map lookup only for the
+    /// files of unpaired new clusters.
     #[must_use]
     pub fn churn_from(&self, previous: &Clustering) -> usize {
-        let old = previous.membership_fingerprint();
-        let new = self.membership_fingerprint();
-        let changed_or_new = new.iter().filter(|(f, fp)| old.get(f) != Some(fp)).count();
-        let departed = old.keys().filter(|f| !new.contains_key(f)).count();
-        changed_or_new + departed
+        let (old, new) = (&previous.clusters, &self.clusters);
+        let sorted = |cs: &[Cluster]| cs.windows(2).all(|w| w[0].files < w[1].files);
+        debug_assert!(sorted(old) && sorted(new), "built by from_members");
+        let mut old_paired = vec![false; old.len()];
+        let mut new_paired = vec![false; new.len()];
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() && j < new.len() {
+            match old[i].files.cmp(&new[j].files) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    old_paired[i] = true;
+                    new_paired[j] = true;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        let unpaired = |paired: &[bool], ids: &[ClusterId]| ids.iter().any(|c| !paired[c.index()]);
+        // Files that left a cluster with no successor, departed files
+        // included, then the rest of those that joined one with no
+        // predecessor, new files included.
+        let left = (previous.membership.values())
+            .filter(|ids| unpaired(&old_paired, ids))
+            .count();
+        let joined = (self.membership.iter())
+            .filter(|&(&f, ids)| {
+                unpaired(&new_paired, ids) && !unpaired(&old_paired, previous.clusters_of(f))
+            })
+            .count();
+        left + joined
     }
 }
 

@@ -2,12 +2,14 @@
 
 use proptest::prelude::*;
 use seer_cluster::{
-    cluster_from_counts, cluster_sets, ClusterConfig, PairCountCache, SharedNeighborCounter,
-    UnionFind,
+    cluster_from_counts, cluster_sets, ClusterConfig, Clustering, PairCountCache,
+    SharedNeighborCounter, UnionFind,
 };
 use seer_distance::{NeighborTable, ReductionKind};
 use seer_trace::{FileId, PathTable};
-use std::collections::HashSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 fn pairs_strategy(files: u32, len: usize) -> impl Strategy<Value = Vec<(FileId, FileId, f64)>> {
@@ -212,5 +214,64 @@ proptest! {
             prop_assert_eq!(&cache, &full_cache, "step {}: pair counts diverged", i);
             prop_assert_eq!(inc.clustering.clusters, full.clustering.clusters, "step {}", i);
         }
+    }
+}
+
+/// The churn definition `Clustering::churn_from` must reproduce: each
+/// file gets a fingerprint hashing the member lists of every cluster
+/// holding it, in cluster order, and counts as churned when its
+/// fingerprint differs between the two clusterings or it is in only
+/// one of them.
+fn churn_by_fingerprint(new: &Clustering, old: &Clustering) -> usize {
+    let fingerprints = |c: &Clustering| -> HashMap<FileId, u64> {
+        (c.all_files().into_iter())
+            .map(|f| {
+                let mut h = DefaultHasher::new();
+                for &id in c.clusters_of(f) {
+                    c.cluster(id).files.hash(&mut h);
+                }
+                (f, h.finish())
+            })
+            .collect()
+    };
+    let (old, new) = (fingerprints(old), fingerprints(new));
+    let changed_or_new = new.iter().filter(|(f, fp)| old.get(f) != Some(fp)).count();
+    let departed = old.keys().filter(|f| !new.contains_key(f)).count();
+    changed_or_new + departed
+}
+
+/// Up to nine member lists over files below `files`, each up to five
+/// draws long: lists may be empty, repeat a file, or share files with
+/// other lists (overlapping clusters).
+fn member_lists(files: u32) -> impl Strategy<Value = Vec<Vec<FileId>>> {
+    prop::collection::vec(
+        prop::collection::vec((0..files).prop_map(FileId), 0..6),
+        0..10,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The merge-based churn equals the fingerprint definition in both
+    /// directions. The successor drops, keeps, or doubles each previous
+    /// member list and adds lists of its own, some over files the
+    /// previous clustering never held; files held only by dropped lists
+    /// depart. An identical copy has no churn.
+    #[test]
+    fn churn_matches_the_fingerprint_definition(
+        old in member_lists(16),
+        copies in prop::collection::vec(0usize..3, 9..10),
+        added in member_lists(24),
+    ) {
+        let mut new: Vec<Vec<FileId>> = (old.iter().zip(&copies))
+            .flat_map(|(list, &n)| std::iter::repeat_n(list.clone(), n))
+            .collect();
+        new.extend(added);
+        let before = Clustering::from_members(old.clone());
+        let after = Clustering::from_members(new);
+        prop_assert_eq!(after.churn_from(&before), churn_by_fingerprint(&after, &before));
+        prop_assert_eq!(before.churn_from(&after), churn_by_fingerprint(&before, &after));
+        prop_assert_eq!(Clustering::from_members(old).churn_from(&before), 0);
     }
 }

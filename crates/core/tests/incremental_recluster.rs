@@ -37,11 +37,6 @@ fn incremental_recluster_matches_full_on_machine_traces() {
                 inc.clustering.clusters, full.clustering.clusters,
                 "machine {name}: incremental diverged from full recount"
             );
-            assert_eq!(
-                inc.clustering.membership_fingerprint(),
-                full.clustering.membership_fingerprint(),
-                "machine {name}: fingerprints diverged"
-            );
             incremental_runs += u32::from(inc.incremental);
         }
         assert!(

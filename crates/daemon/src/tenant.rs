@@ -415,14 +415,17 @@ impl TenantState {
     /// `RECLUSTER_FULL_EVERY`-th run, which recounts in full. It installs
     /// the clustering and records its `recluster` span (with
     /// `shard_count` children) retroactively: under `ctx` for a query,
-    /// else under a fresh root trace.
+    /// else under a fresh root trace. The span and the `recluster` stage
+    /// cover building the neighbor sets as well as clustering them, as
+    /// [`SeerEngine::recluster`]'s timing does.
     fn recluster(&mut self, ctx: Option<SpanContext>) {
-        let input = self.engine.recluster_input();
         let started = Instant::now();
+        let input = self.engine.recluster_input();
         if self.since_full >= RECLUSTER_FULL_EVERY {
             self.cache = None;
         }
         let dirty = self.engine.take_dirty();
+        let built = started.elapsed();
         let run = input.compute_incremental(1, Some(&dirty), &mut self.cache);
         let wall = started.elapsed();
         self.since_full = if run.incremental {
@@ -454,7 +457,7 @@ impl TenantState {
         );
         let shards = run.shard_count_seconds.iter().zip(&run.shard_start_offsets);
         for (i, (&shard_wall, &offset)) in shards.enumerate() {
-            if let Some(shard_start) = started.checked_add(offset) {
+            if let Some(shard_start) = started.checked_add(built + offset) {
                 tracer.record_complete(
                     "shard_count",
                     trace,

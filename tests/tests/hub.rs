@@ -250,6 +250,10 @@ fn hostile_clients_only_kill_their_own_connection() {
     //    nested `[`, and a high surrogate followed by `\u0041`. Each
     //    goes once as the first frame and once inside a Query after a
     //    valid Hello, and each gets an Error reply.
+    // 16. A Hello whose tenant name is 30,000 `é`s, just under the line
+    //    cap, which the parser must read in linear time before the name
+    //    rule refuses it: a quadratic parser holds the reader for
+    //    seconds.
     let encode = |frame: &ClientFrame| {
         let mut line = Vec::new();
         wire::write_frame(&mut line, frame).expect("encode");
@@ -266,11 +270,17 @@ fn hostile_clients_only_kill_their_own_connection() {
     };
     let nested = "[".repeat(15_000);
     let surrogate = r#""\ud800\u0041""#;
+    let long_name = ClientFrame::Hello {
+        client: "X".into(),
+        version: WIRE_VERSION,
+        tenant: Some("é".repeat(30_000)),
+    };
     for (after_hello, line) in [
         (false, format!("{nested}\n")),
         (false, encode(&hello).replace(r#""X""#, surrogate)),
         (true, encode(&explain).replace(r#""X""#, &nested)),
         (true, encode(&explain).replace(r#""X""#, surrogate)),
+        (false, encode(&long_name)),
     ] {
         let mut s = UnixStream::connect(&sock).expect("connect");
         if after_hello {
@@ -292,12 +302,12 @@ fn hostile_clients_only_kill_their_own_connection() {
             .metrics()
             .counter("seer_daemon_connection_errors_total")
             .unwrap_or(0);
-        if errors >= 15 {
+        if errors >= 16 {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "expected 15 connection errors, saw {errors}"
+            "expected 16 connection errors, saw {errors}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
