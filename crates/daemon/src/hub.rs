@@ -363,6 +363,10 @@ fn read_bounded_line(
 /// separate pipeline stages. The read timing includes waiting for the
 /// client, so its tail shows client pauses, not daemon slowness; the
 /// decode timing is pure CPU. `Ok(None)` signals a clean end of stream.
+/// The clock is read once at each boundary: read start, read end (also
+/// decode start), and decode end. Every read observes `socket_read`,
+/// blank lines and the end of stream included; every decode attempted
+/// observes `decode`.
 ///
 /// The framing is sniffed from the first byte: [`wire::BINARY_EVENTS_MAGIC`]
 /// introduces a binary events frame (read into `scratch`, reused across
@@ -378,57 +382,44 @@ fn read_timed_frame(
 ) -> Result<Option<(Frame, FrameTiming)>, WireError> {
     loop {
         let read_start = Instant::now();
-        let read_timer = metrics.stage_socket_read.start_timer();
-        let first = match r.fill_buf()?.first() {
-            Some(&b) => b,
-            None => {
-                read_timer.stop();
-                return Ok(None);
-            }
+        let first = r.fill_buf().map(|buf| buf.first().copied());
+        let binary = matches!(first, Ok(Some(wire::BINARY_EVENTS_MAGIC)));
+        // The frame's size on the wire; 0 only at the end of the stream.
+        let read = match first {
+            Err(e) => Err(e.into()),
+            Ok(None) => Ok(0),
+            Ok(Some(_)) if binary => wire::read_binary_payload(r, scratch),
+            Ok(Some(_)) => read_bounded_line(r, line, MAX_LINE_BYTES),
         };
-        if first == wire::BINARY_EVENTS_MAGIC {
-            let bytes = wire::read_binary_payload(r, scratch)?;
-            read_timer.stop();
-            let read_time = read_start.elapsed();
-            let decode_start = Instant::now();
-            let decode_timer = metrics.stage_decode.start_timer();
-            let (events, trace_id) = wire::decode_events_binary(scratch)?;
-            decode_timer.stop();
-            return Ok(Some((
-                Frame::Events { events, trace_id },
-                FrameTiming {
-                    read_start,
-                    read_time,
-                    decode_start,
-                    decode_time: decode_start.elapsed(),
-                    bytes,
-                },
-            )));
-        }
-        let n = read_bounded_line(r, line, MAX_LINE_BYTES)?;
-        read_timer.stop();
-        let read_time = read_start.elapsed();
-        if n == 0 {
+        let decode_start = Instant::now();
+        let read_time = decode_start - read_start;
+        metrics.stage_socket_read.observe(read_time);
+        let bytes = read?;
+        if bytes == 0 {
             return Ok(None);
         }
-        let text = std::str::from_utf8(line)
-            .map_err(|e| WireError::Format(format!("frame is not valid UTF-8: {e}")))?;
-        if !text.trim().is_empty() {
-            let decode_start = Instant::now();
-            let decode_timer = metrics.stage_decode.start_timer();
-            let frame = serde_json::from_str(text.trim_end())?;
-            decode_timer.stop();
-            return Ok(Some((
-                Frame::Control(frame),
-                FrameTiming {
-                    read_start,
-                    read_time,
-                    decode_start,
-                    decode_time: decode_start.elapsed(),
-                    bytes: n,
-                },
-            )));
-        }
+        let frame = if binary {
+            let events = wire::decode_events_binary(scratch);
+            events.map(|(events, trace_id)| Frame::Events { events, trace_id })
+        } else {
+            let text = std::str::from_utf8(line)
+                .map_err(|e| WireError::Format(format!("frame is not valid UTF-8: {e}")))?;
+            if text.trim().is_empty() {
+                continue;
+            }
+            let frame = serde_json::from_str(text.trim_end()).map(Frame::Control);
+            frame.map_err(WireError::from)
+        };
+        let decode_time = decode_start.elapsed();
+        metrics.stage_decode.observe(decode_time);
+        let timing = FrameTiming {
+            read_start,
+            read_time,
+            decode_start,
+            decode_time,
+            bytes,
+        };
+        return frame.map(|frame| Some((frame, timing)));
     }
 }
 

@@ -1,6 +1,7 @@
 //! One tenant: a full SEER instance with its string table,
-//! per-connection remaps, write-ahead log, snapshot bookkeeping, quality
-//! plane, and health score, and every transition on it.
+//! per-connection id tables and ack counts, write-ahead log, snapshot
+//! bookkeeping, quality plane, and health score, and every transition
+//! on it.
 //!
 //! ```text
 //!   recover / open ──► TenantState ◄── apply_batch · answer · housekeep · close
@@ -39,7 +40,7 @@ use seer_trace::wire::{
     ExplainNeighbor, MissPostmortem, QueryRequest, QueryResponse, TenantFleetStat,
 };
 use seer_trace::{EventSink, FileId, RawPathId, StringTable, TraceEvent};
-use seer_wal::{Wal, WalConfig};
+use seer_wal::{AppendOutcome, Wal, WalConfig, WalError};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -109,6 +110,17 @@ pub(crate) fn tenant_wal_dir(base: &Path, tenant: &str) -> PathBuf {
 /// change by itself).
 const RECLUSTER_FULL_EVERY: u64 = 16;
 
+/// What a tenant holds for one live connection.
+#[derive(Default)]
+struct Conn {
+    /// Translation from the connection's wire-local ids (dense from
+    /// zero) to the tenant's global ids.
+    ids: Vec<RawPathId>,
+    /// Events of the connection's batches applied so far (for flush
+    /// acks).
+    applied: u64,
+}
+
 /// One tenant's complete state and the daemon-wide context its
 /// transitions read: the configuration and the metrics registry.
 pub(crate) struct TenantState {
@@ -119,11 +131,9 @@ pub(crate) struct TenantState {
     snapshot_path: Option<PathBuf>,
     engine: SeerEngine,
     strings: StringTable,
-    /// Per-connection translation from wire-local ids (dense from zero)
-    /// to global ids.
-    remap: HashMap<u64, Vec<RawPathId>>,
-    /// Per-connection count of events applied (for flush acks).
-    per_conn: HashMap<u64, u64>,
+    /// Each live connection's state, by connection id; dropped whole
+    /// when the connection hangs up.
+    conns: HashMap<u64, Conn>,
     events_applied: u64,
     since_recluster: u64,
     since_snapshot: u64,
@@ -205,8 +215,7 @@ impl TenantState {
             snapshot_path,
             engine,
             strings,
-            remap: HashMap::new(),
-            per_conn: HashMap::new(),
+            conns: HashMap::new(),
             events_applied,
             since_recluster: 0,
             since_snapshot: 0,
@@ -265,12 +274,12 @@ impl TenantState {
     /// applied so far.
     pub(crate) fn flushed(&self, conn: u64) -> u64 {
         self.tm.flushes.inc();
-        self.per_conn.get(&conn).copied().unwrap_or(0)
+        self.conns.get(&conn).map_or(0, |c| c.applied)
     }
 
-    /// Forgets the remap table of a connection that hung up.
+    /// Forgets a connection that hung up: its id table and its count.
     pub(crate) fn conn_closed(&mut self, conn: u64) {
-        self.remap.remove(&conn);
+        self.conns.remove(&conn);
     }
 
     /// Applies one events frame from connection `conn`, preceded by the
@@ -291,11 +300,12 @@ impl TenantState {
         depth: usize,
         now: Instant,
     ) {
+        // One lookup serves the declarations, the remap and the count.
         // Declarations count even when a fault drops the batch below:
         // this connection's later batches name these ids too.
-        let table = self.remap.entry(conn).or_default();
+        let c = self.conns.entry(conn).or_default();
         for path in interns {
-            table.push(self.strings.intern(path));
+            c.ids.push(self.strings.intern(path));
         }
         // Times the whole stage, batches dropped under a log fault too.
         let apply_timer = self.tm.stage_engine_apply.start_timer();
@@ -305,9 +315,17 @@ impl TenantState {
             // The reader refused every frame naming an undeclared id, so
             // each id has an entry.
             for ev in &mut events {
-                ev.kind = ev.kind.map_paths(&mut |p| table[p.index()]);
+                ev.kind = ev.kind.map_paths(&mut |p| c.ids[p.index()]);
             }
-            self.append(&events, span.as_ref())
+            // The log records the remapped batch before the engine sees
+            // it, so an acknowledged batch is replayable.
+            let started = Instant::now();
+            let appended = (self.wal.as_mut())
+                .map(|wal| wal.append_batch(&self.strings, self.events_applied + n, &events));
+            if !matches!(appended, Some(Err(_))) {
+                c.applied += n;
+            }
+            self.finish_append(appended, started, span.as_ref())
         };
         if !durable {
             // A faulted log can no longer record this batch; applying it
@@ -322,7 +340,6 @@ impl TenantState {
         self.engine.on_batch(&events, &self.strings);
         self.quality_ingest(&events);
         self.events_applied += n;
-        *self.per_conn.entry(conn).or_default() += n;
         self.since_recluster += n;
         self.since_snapshot += n;
         self.tm.events_applied.add(n);
@@ -342,18 +359,20 @@ impl TenantState {
         }
     }
 
-    /// Appends the remapped batch (and the intern deltas that make its
-    /// ids meaningful) to the log before the engine sees it, so an
-    /// acknowledged batch is replayable; `false` when the append faulted
-    /// the log. The append's time stays inside the `engine_apply` stage:
-    /// the ingest latency clients see includes it.
-    fn append(&mut self, events: &[TraceEvent], span: Option<&Span>) -> bool {
-        let Some(wal) = self.wal.as_mut() else {
+    /// Accounts for a batch's log append (the batch and the intern
+    /// deltas that make its ids meaningful), started at `started`, and
+    /// faults the log when it failed; `false` then. `None`: the tenant
+    /// runs without a log. The append's time stays inside the
+    /// `engine_apply` stage: the ingest latency clients see includes it.
+    fn finish_append(
+        &mut self,
+        appended: Option<Result<AppendOutcome, WalError>>,
+        started: Instant,
+        span: Option<&Span>,
+    ) -> bool {
+        let Some(result) = appended else {
             return true;
         };
-        let generation = self.events_applied + events.len() as u64;
-        let started = Instant::now();
-        let result = wal.append_batch(&self.strings, generation, events);
         let elapsed = started.elapsed();
         self.tm.stage_wal_append.observe(elapsed);
         let out = match result {
@@ -1194,6 +1213,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A connection that hangs up leaves nothing behind: its id table
+    /// and its flush count go together.
+    #[test]
+    fn a_closed_connection_is_forgotten_whole() {
+        use seer_trace::{EventKind, Pid, Seq, Timestamp};
+        let cfg = Arc::new(DaemonConfig::new("unused.sock"));
+        let metrics = crate::stats::new_shared(Tracer::disabled());
+        let (mut ts, recovered) = TenantState::recover(default_tenant(), &cfg, &metrics, None);
+        recovered.expect("a cold start without files recovers");
+        let batch: Vec<TraceEvent> = [
+            EventKind::Exec { path: RawPathId(0) },
+            EventKind::Stat { path: RawPathId(1) },
+            EventKind::Exit,
+        ]
+        .into_iter()
+        .zip(0..)
+        .map(|(kind, seq)| TraceEvent {
+            seq: Seq(seq),
+            time: Timestamp(seq),
+            pid: Pid(1),
+            root: false,
+            kind,
+            error: None,
+        })
+        .collect();
+        let paths = ["/bin/cc".to_owned(), "/home/u/a.c".to_owned()];
+        ts.apply_batch(1, &paths, batch, None, 0, Instant::now());
+        assert_eq!(ts.flushed(1), 3);
+        ts.conn_closed(1);
+        assert_eq!(ts.flushed(1), 0);
+        assert!(ts.conns.is_empty());
+        assert_eq!(ts.events_applied(), 3, "the tenant keeps what it applied");
     }
 
     /// One tenant, driven on this thread with chosen times and no

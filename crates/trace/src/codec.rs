@@ -1,27 +1,35 @@
-//! Binary codec primitives for the persistent formats: the write-ahead
-//! log's records and the engine snapshots.
+//! Binary codec primitives: the one encoding of every binary byte the
+//! daemon reads or writes.
 //!
-//! A persistent type implements [`Codec`] next to its definition,
+//! A binary type implements [`Codec`] next to its definition,
 //! appending its fields in declaration order — most of them through
 //! [`crate::codec_struct!`] and [`crate::codec_tags!`], which expand
 //! encode and decode from one field or variant list. The encodings are
 //! fixed:
 //!
-//! - ids, counts, and other integers are the wire's LEB128 varints
-//!   ([`crate::wire::put_varint`]);
+//! - ids, counts, and other integers are unsigned LEB128 varints:
+//!   [`put_varint`] writes them and [`Reader::varint`], the one varint
+//!   decoder, reads them back;
 //! - an `f64` is its 8 little-endian bytes, so values round-trip
 //!   bit-exact;
 //! - a string is its byte length as a varint, then its UTF-8 bytes;
 //! - a `bool` is one byte, 0 or 1; a fieldless enum is one tag byte;
-//! - a `Vec` is its length as a varint, then its items.
+//! - a slice or `Vec` is its length as a varint, then its items;
+//! - a [`crate::TraceEvent`] is a tag byte, then varints (its impl has
+//!   the layout).
+//!
+//! Events cross the socket and the write-ahead log as a sequence of
+//! `TraceEvent`s, after a flags byte: the wire's binary events frame
+//! ([`crate::wire::put_events_payload`]) and the log's batch record both
+//! carry them. The log's intern records and the engine snapshots are
+//! built from the same primitives.
 //!
 //! Decoding reads through a [`Reader`], which bounds every count by the
 //! bytes left before allocating for it, so damaged or hostile input is a
 //! [`DecodeError`], never a panic or an outsized allocation.
 
-use crate::ids::{FileId, Seq};
+use crate::ids::{Fd, FileId, Pid, RawPathId, Seq};
 use crate::time::Timestamp;
-use crate::wire::{put_varint, take_varint};
 use std::fmt;
 
 /// Slicing-by-8 tables for [`crc32`]: `T[0]` is the classic bytewise
@@ -94,6 +102,21 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// Appends `v` as an unsigned LEB128 varint: seven bits a byte, low
+/// bits first, the high bit set on every byte but the last.
+#[inline]
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let b = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            buf.push(b);
+            return;
+        }
+        buf.push(b | 0x80);
+    }
+}
+
 /// A bounds-checked cursor over an encoded payload.
 #[derive(Debug)]
 pub struct Reader<'a> {
@@ -126,17 +149,36 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// When no byte is left.
+    #[inline]
     pub fn byte(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.bytes(1)?[0])
+        let (&b, rest) = self
+            .rest
+            .split_first()
+            .ok_or(DecodeError("payload truncated"))?;
+        self.rest = rest;
+        Ok(b)
     }
 
-    /// The next varint.
+    /// The next varint, as [`put_varint`] writes it.
     ///
     /// # Errors
     ///
     /// When the payload ends mid-varint or the varint overflows a `u64`.
+    #[inline]
     pub fn varint(&mut self) -> Result<u64, DecodeError> {
-        take_varint(&mut self.rest).map_err(|_| DecodeError("malformed varint"))
+        let (mut v, mut shift) = (0u64, 0u32);
+        loop {
+            let b = self.byte()?;
+            // A tenth byte above 1 overflows; one of 0 or 1 ends the varint.
+            if shift == 63 && b > 1 {
+                return Err(DecodeError("varint overflows a u64"));
+            }
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
     }
 
     /// A count of items that each take at least `min_bytes`, checked
@@ -168,7 +210,7 @@ impl<'a> Reader<'a> {
 }
 
 /// A type with a fixed binary encoding (see the module docs).
-pub trait Codec: Sized {
+pub trait Codec {
     /// The fewest bytes one encoded value takes; bounds decoded counts.
     const MIN_BYTES: usize = 1;
 
@@ -180,24 +222,30 @@ pub trait Codec: Sized {
     /// # Errors
     ///
     /// When the input is truncated or does not hold a valid value.
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError>
+    where
+        Self: Sized;
 }
 
 impl Codec for u64 {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, *self);
     }
 
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<u64, DecodeError> {
         r.varint()
     }
 }
 
 impl Codec for u32 {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, u64::from(*self));
     }
 
+    #[inline]
     fn decode(r: &mut Reader<'_>) -> Result<u32, DecodeError> {
         u32::try_from(r.varint()?).map_err(|_| DecodeError("varint exceeds a u32"))
     }
@@ -240,10 +288,17 @@ impl Codec for bool {
     }
 }
 
-impl Codec for String {
+/// Encode-only; it decodes as a `String`.
+impl Codec for str {
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.len() as u64);
         buf.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl Codec for String {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.as_str().encode(buf);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<String, DecodeError> {
@@ -255,35 +310,31 @@ impl Codec for String {
     }
 }
 
-impl Codec for FileId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
+/// Implements [`Codec`] for single-field id types as their integer.
+macro_rules! codec_newtype {
+    ($($ty:ident($int:ty)),+ $(,)?) => {$(
+        impl Codec for $ty {
+            #[inline]
+            fn encode(&self, buf: &mut Vec<u8>) {
+                self.0.encode(buf);
+            }
 
-    fn decode(r: &mut Reader<'_>) -> Result<FileId, DecodeError> {
-        u32::decode(r).map(FileId)
-    }
+            #[inline]
+            fn decode(r: &mut Reader<'_>) -> Result<$ty, DecodeError> {
+                <$int>::decode(r).map($ty)
+            }
+        }
+    )+};
 }
 
-impl Codec for Seq {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Seq, DecodeError> {
-        u64::decode(r).map(Seq)
-    }
-}
-
-impl Codec for Timestamp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Timestamp, DecodeError> {
-        u64::decode(r).map(Timestamp)
-    }
-}
+codec_newtype!(
+    FileId(u32),
+    RawPathId(u32),
+    Pid(u32),
+    Fd(u32),
+    Seq(u64),
+    Timestamp(u64),
+);
 
 impl<A: Codec, B: Codec> Codec for (A, B) {
     const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
@@ -312,12 +363,20 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
     }
 }
 
-impl<T: Codec> Codec for Vec<T> {
+/// Encode-only, so a borrowed batch is written without a copy; it
+/// decodes as a `Vec`.
+impl<T: Codec> Codec for [T] {
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, self.len() as u64);
         for item in self {
             item.encode(buf);
         }
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.as_slice().encode(buf);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Vec<T>, DecodeError> {
@@ -464,6 +523,20 @@ mod tests {
         put_varint(&mut buf, 8);
         buf.extend_from_slice(&[0; 56]);
         assert!(decode_all::<Vec<f64>>(&buf).is_err());
+    }
+
+    #[test]
+    fn varints_end_by_their_tenth_byte() {
+        let mut max = vec![0xff; 9];
+        max.push(0x01);
+        assert_eq!(decode_all::<u64>(&max), Ok(u64::MAX));
+        // A tenth byte above 1 carries bits past the 64th.
+        *max.last_mut().expect("ten bytes") = 0x02;
+        assert!(decode_all::<u64>(&max).is_err());
+        let mut long = vec![0x80; 10];
+        long.push(0x00);
+        assert!(decode_all::<u64>(&long).is_err());
+        assert!(decode_all::<u64>(&[0x80]).is_err());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Trace event types: one record per observed system call.
 
+use crate::codec::{Codec, DecodeError, Reader};
 use crate::ids::{Fd, Pid, RawPathId, Seq};
 use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
@@ -22,6 +23,12 @@ impl OpenMode {
         matches!(self, OpenMode::Write | OpenMode::ReadWrite)
     }
 }
+
+crate::codec_tags!(OpenMode {
+    Read = 0,
+    Write = 1,
+    ReadWrite = 2,
+});
 
 /// Failure cause for an unsuccessful call.
 ///
@@ -256,6 +263,132 @@ impl TraceEvent {
     #[must_use]
     pub fn ok(&self) -> bool {
         self.error.is_none()
+    }
+}
+
+/// The encoding events take on the socket and in the log:
+///
+/// ```text
+/// event = tag: u8       bits 0–3 kind index, 4–5 error code (0 ok /
+///                       1 not-found / 2 not-hoarded / 3 other), bit 6 root
+///         seq: varint   time: varint (µs)   pid: varint
+///         kind fields, varints in declaration order (open mode is one
+///         byte: 0 read / 1 write / 2 read-write)
+/// ```
+impl Codec for TraceEvent {
+    /// A tag byte and three one-byte varints.
+    const MIN_BYTES: usize = 4;
+
+    #[inline]
+    fn encode(&self, buf: &mut Vec<u8>) {
+        let error = match self.error {
+            None => 0u8,
+            Some(ErrorKind::NotFound) => 1,
+            Some(ErrorKind::NotHoarded) => 2,
+            Some(ErrorKind::Other) => 3,
+        };
+        buf.push(self.kind.index() as u8 | error << 4 | u8::from(self.root) << 6);
+        self.seq.encode(buf);
+        self.time.encode(buf);
+        self.pid.encode(buf);
+        match self.kind {
+            EventKind::Open { path, mode, fd } => {
+                path.encode(buf);
+                mode.encode(buf);
+                fd.encode(buf);
+            }
+            EventKind::Close { fd } => fd.encode(buf),
+            EventKind::OpenDir { path, fd } => {
+                path.encode(buf);
+                fd.encode(buf);
+            }
+            EventKind::ReadDir { fd, entries } => {
+                fd.encode(buf);
+                entries.encode(buf);
+            }
+            EventKind::Exec { path }
+            | EventKind::Unlink { path }
+            | EventKind::Create { path }
+            | EventKind::Stat { path }
+            | EventKind::SetAttr { path }
+            | EventKind::Chdir { path } => path.encode(buf),
+            EventKind::Exit => {}
+            EventKind::Fork { child } => child.encode(buf),
+            EventKind::Rename { from, to } => {
+                from.encode(buf);
+                to.encode(buf);
+            }
+        }
+    }
+
+    #[inline]
+    fn decode(r: &mut Reader<'_>) -> Result<TraceEvent, DecodeError> {
+        let tag = r.byte()?;
+        if tag & 0x80 != 0 {
+            return Err(DecodeError("reserved event tag bit set"));
+        }
+        let seq = Seq::decode(r)?;
+        let time = Timestamp::decode(r)?;
+        let pid = Pid::decode(r)?;
+        let kind = match tag & 0x0f {
+            0 => EventKind::Open {
+                path: Codec::decode(r)?,
+                mode: Codec::decode(r)?,
+                fd: Codec::decode(r)?,
+            },
+            1 => EventKind::Close {
+                fd: Codec::decode(r)?,
+            },
+            2 => EventKind::OpenDir {
+                path: Codec::decode(r)?,
+                fd: Codec::decode(r)?,
+            },
+            3 => EventKind::ReadDir {
+                fd: Codec::decode(r)?,
+                entries: Codec::decode(r)?,
+            },
+            4 => EventKind::Exec {
+                path: Codec::decode(r)?,
+            },
+            5 => EventKind::Exit,
+            6 => EventKind::Fork {
+                child: Codec::decode(r)?,
+            },
+            7 => EventKind::Unlink {
+                path: Codec::decode(r)?,
+            },
+            8 => EventKind::Create {
+                path: Codec::decode(r)?,
+            },
+            9 => EventKind::Rename {
+                from: Codec::decode(r)?,
+                to: Codec::decode(r)?,
+            },
+            10 => EventKind::Stat {
+                path: Codec::decode(r)?,
+            },
+            11 => EventKind::SetAttr {
+                path: Codec::decode(r)?,
+            },
+            12 => EventKind::Chdir {
+                path: Codec::decode(r)?,
+            },
+            _ => return Err(DecodeError("unknown event kind")),
+        };
+        let error = match (tag >> 4) & 0x3 {
+            0 => None,
+            1 => Some(ErrorKind::NotFound),
+            2 => Some(ErrorKind::NotHoarded),
+            _ => Some(ErrorKind::Other),
+        };
+        Ok(TraceEvent {
+            seq,
+            time,
+            pid,
+            root: tag & 0x40 != 0,
+            kind,
+            error,
+        })
     }
 }
 

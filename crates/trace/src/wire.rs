@@ -5,7 +5,9 @@
 //! every [`DaemonFrame`] — are newline-delimited JSON, one frame per line.
 //! Events travel only as length-prefixed binary frames (see
 //! [`encode_events_binary`]), introduced by [`BINARY_EVENTS_MAGIC`], which
-//! no JSON line can start with, so one peeked byte picks the decoder.
+//! no JSON line can start with, so one peeked byte picks the decoder. A
+//! frame's events are [`crate::codec`]'s: the write-ahead log stores the
+//! same payload, and both decode through one bounds-checked [`Reader`].
 //!
 //! A connection opens with exactly one [`ClientFrame::Hello`] at
 //! [`WIRE_VERSION`]; the daemon answers [`DaemonFrame::Welcome`]. Any other
@@ -15,16 +17,16 @@
 //! Raw paths are interned *incrementally* with [`ClientFrame::Intern`]
 //! frames, so a connection can stream indefinitely without knowing its
 //! path vocabulary up front. Interning is connection-local: `Intern { id,
-//! path }` declares that, on this connection, [`RawPathId`]`(id)` means
-//! `path` in every later events frame. Ids are issued densely from zero
-//! (the order a [`crate::StringTable`] produces naturally): each `Intern`
-//! must carry the number of ids declared before it, and an events frame
-//! may name only declared ids. The daemon closes a connection that breaks
-//! either rule and remaps valid ids into its own global table on arrival.
+//! path }` declares that, on this connection,
+//! [`RawPathId`](crate::RawPathId)`(id)` means `path` in every later
+//! events frame. Ids are issued densely from zero (the order a
+//! [`crate::StringTable`] produces naturally): each `Intern` must carry
+//! the number of ids declared before it, and an events frame may name
+//! only declared ids. The daemon closes a connection that breaks either
+//! rule and remaps valid ids into its own global table on arrival.
 
-use crate::event::{ErrorKind, EventKind, OpenMode, TraceEvent};
-use crate::ids::{Fd, Pid, RawPathId, Seq};
-use crate::time::Timestamp;
+use crate::codec::{Codec, DecodeError, Reader};
+use crate::event::TraceEvent;
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, Read, Write};
 
@@ -526,6 +528,12 @@ impl From<serde_json::Error> for WireError {
     }
 }
 
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> WireError {
+        WireError::Format(format!("binary events frame: {e}"))
+    }
+}
+
 /// Writes one control frame as a JSON line. The caller flushes when
 /// ordering matters (sending many frames unflushed is how batching pays
 /// off).
@@ -575,94 +583,19 @@ pub const BINARY_MAX_PAYLOAD: usize = 64 * 1024 * 1024;
 /// Flag bit: the payload opens with an 8-byte little-endian trace id.
 const BIN_FLAG_TRACE_ID: u8 = 0x01;
 
-/// Appends `v` as an unsigned LEB128 varint: seven bits a byte, low
-/// bits first, the high bit set on every byte but the last.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
-}
-
-/// Borrowed-slice cursor for decoding; every read is bounds-checked so
-/// torn or truncated frames surface as [`WireError::Format`], never a
-/// panic.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| WireError::Format("binary frame truncated".into()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn varint(&mut self) -> Result<u64, WireError> {
-        let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8()?;
-            if shift == 63 && b > 1 {
-                return Err(WireError::Format("varint overflows u64".into()));
-            }
-            v |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(WireError::Format("varint longer than 10 bytes".into()));
-            }
-        }
-    }
-
-    fn varint_u32(&mut self) -> Result<u32, WireError> {
-        u32::try_from(self.varint()?)
-            .map_err(|_| WireError::Format("varint exceeds u32 field".into()))
-    }
-}
-
-/// Reads one varint written by [`put_varint`] off the front of `input`,
-/// advancing it past the varint.
-///
-/// # Errors
-///
-/// Returns [`WireError::Format`] when `input` ends mid-varint or the
-/// varint overflows a `u64`.
-pub fn take_varint(input: &mut &[u8]) -> Result<u64, WireError> {
-    let mut c = Cursor { buf: input, pos: 0 };
-    let v = c.varint()?;
-    *input = &input[c.pos..];
-    Ok(v)
-}
-
 /// Encodes an event batch as one self-delimiting binary frame:
 ///
 /// ```text
 /// magic (0xB6) | payload_len: u32 LE | payload
 /// payload = flags: u8
 ///           [trace_id: u64 LE]      when flags bit 0 is set
-///           count: varint
-///           count × event
-/// event   = tag: u8                 bits 0–3 kind index, 4–5 error code
-///                                   (0 ok / 1 not-found / 2 not-hoarded /
-///                                   3 other), bit 6 root
-///           seq: varint             time: varint (µs)    pid: varint
-///           kind fields, varints in declaration order (open mode is one
-///           raw byte: 0 read / 1 write / 2 read-write)
+///           events: [TraceEvent]    a varint count, then each event
 /// ```
 ///
-/// Raw-path ids refer to the connection's `Intern` declarations.
+/// The events are `seer_trace::codec`'s, which defines varints and the
+/// event encoding (see [`TraceEvent`]'s `Codec` impl); the write-ahead
+/// log's batch record carries the same payload. Raw-path ids refer to
+/// the connection's `Intern` declarations.
 #[must_use]
 pub fn encode_events_binary(events: &[TraceEvent], trace_id: Option<u64>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + events.len() * 12);
@@ -691,52 +624,26 @@ pub fn put_events_payload(buf: &mut Vec<u8>, events: &[TraceEvent], trace_id: Op
         }
         None => buf.push(0),
     }
-    put_varint(buf, events.len() as u64);
-    for ev in events {
-        let err = match ev.error {
-            None => 0u8,
-            Some(ErrorKind::NotFound) => 1,
-            Some(ErrorKind::NotHoarded) => 2,
-            Some(ErrorKind::Other) => 3,
-        };
-        let tag = ev.kind.index() as u8 | (err << 4) | (u8::from(ev.root) << 6);
-        buf.push(tag);
-        put_varint(buf, ev.seq.0);
-        put_varint(buf, ev.time.0);
-        put_varint(buf, u64::from(ev.pid.0));
-        match ev.kind {
-            EventKind::Open { path, mode, fd } => {
-                put_varint(buf, u64::from(path.0));
-                buf.push(match mode {
-                    OpenMode::Read => 0,
-                    OpenMode::Write => 1,
-                    OpenMode::ReadWrite => 2,
-                });
-                put_varint(buf, u64::from(fd.0));
-            }
-            EventKind::Close { fd } => put_varint(buf, u64::from(fd.0)),
-            EventKind::OpenDir { path, fd } => {
-                put_varint(buf, u64::from(path.0));
-                put_varint(buf, u64::from(fd.0));
-            }
-            EventKind::ReadDir { fd, entries } => {
-                put_varint(buf, u64::from(fd.0));
-                put_varint(buf, u64::from(entries));
-            }
-            EventKind::Exec { path }
-            | EventKind::Unlink { path }
-            | EventKind::Create { path }
-            | EventKind::Stat { path }
-            | EventKind::SetAttr { path }
-            | EventKind::Chdir { path } => put_varint(buf, u64::from(path.0)),
-            EventKind::Exit => {}
-            EventKind::Fork { child } => put_varint(buf, u64::from(child.0)),
-            EventKind::Rename { from, to } => {
-                put_varint(buf, u64::from(from.0));
-                put_varint(buf, u64::from(to.0));
-            }
-        }
-    }
+    events.encode(buf);
+}
+
+/// Reads the payload [`put_events_payload`] appends off `r`: the
+/// events, and the trace id when the flags carry one.
+///
+/// # Errors
+///
+/// For unknown flags, or events that do not decode.
+pub fn decode_events_payload(
+    r: &mut Reader<'_>,
+) -> Result<(Vec<TraceEvent>, Option<u64>), DecodeError> {
+    let trace_id = match r.byte()? {
+        0 => None,
+        BIN_FLAG_TRACE_ID => Some(u64::from_le_bytes(
+            r.bytes(8)?.try_into().expect("eight bytes"),
+        )),
+        _ => return Err(DecodeError("unknown binary frame flags")),
+    };
+    Ok((Vec::decode(r)?, trace_id))
 }
 
 /// Decodes the payload of a binary events frame (everything after the
@@ -747,126 +654,10 @@ pub fn put_events_payload(buf: &mut Vec<u8>, events: &[TraceEvent], trace_id: Op
 /// Returns [`WireError::Format`] for truncation, trailing garbage, or any
 /// out-of-range tag — corrupt input never panics.
 pub fn decode_events_binary(payload: &[u8]) -> Result<(Vec<TraceEvent>, Option<u64>), WireError> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    let flags = c.u8()?;
-    if flags & !BIN_FLAG_TRACE_ID != 0 {
-        return Err(WireError::Format(format!(
-            "unknown binary frame flags {flags:#04x}"
-        )));
-    }
-    let trace_id = if flags & BIN_FLAG_TRACE_ID != 0 {
-        let mut raw = [0u8; 8];
-        for b in &mut raw {
-            *b = c.u8()?;
-        }
-        Some(u64::from_le_bytes(raw))
-    } else {
-        None
-    };
-    let count = c.varint()?;
-    // Each event is at least 4 bytes; a count claiming more than the
-    // remaining bytes could hold is corruption, not a huge allocation.
-    let remaining = payload.len() - c.pos;
-    if count > (remaining as u64) / 4 + 1 {
-        return Err(WireError::Format(format!(
-            "event count {count} impossible for {remaining}-byte payload"
-        )));
-    }
-    let mut events = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let tag = c.u8()?;
-        if tag & 0x80 != 0 {
-            return Err(WireError::Format(format!(
-                "reserved tag bit set: {tag:#04x}"
-            )));
-        }
-        let error = match (tag >> 4) & 0x3 {
-            0 => None,
-            1 => Some(ErrorKind::NotFound),
-            2 => Some(ErrorKind::NotHoarded),
-            _ => Some(ErrorKind::Other),
-        };
-        let root = tag & 0x40 != 0;
-        let seq = Seq(c.varint()?);
-        let time = Timestamp(c.varint()?);
-        let pid = Pid(c.varint_u32()?);
-        let kind = match tag & 0x0f {
-            0 => {
-                let path = RawPathId(c.varint_u32()?);
-                let mode = match c.u8()? {
-                    0 => OpenMode::Read,
-                    1 => OpenMode::Write,
-                    2 => OpenMode::ReadWrite,
-                    m => {
-                        return Err(WireError::Format(format!("invalid open mode {m}")));
-                    }
-                };
-                EventKind::Open {
-                    path,
-                    mode,
-                    fd: Fd(c.varint_u32()?),
-                }
-            }
-            1 => EventKind::Close {
-                fd: Fd(c.varint_u32()?),
-            },
-            2 => EventKind::OpenDir {
-                path: RawPathId(c.varint_u32()?),
-                fd: Fd(c.varint_u32()?),
-            },
-            3 => EventKind::ReadDir {
-                fd: Fd(c.varint_u32()?),
-                entries: c.varint_u32()?,
-            },
-            4 => EventKind::Exec {
-                path: RawPathId(c.varint_u32()?),
-            },
-            5 => EventKind::Exit,
-            6 => EventKind::Fork {
-                child: Pid(c.varint_u32()?),
-            },
-            7 => EventKind::Unlink {
-                path: RawPathId(c.varint_u32()?),
-            },
-            8 => EventKind::Create {
-                path: RawPathId(c.varint_u32()?),
-            },
-            9 => EventKind::Rename {
-                from: RawPathId(c.varint_u32()?),
-                to: RawPathId(c.varint_u32()?),
-            },
-            10 => EventKind::Stat {
-                path: RawPathId(c.varint_u32()?),
-            },
-            11 => EventKind::SetAttr {
-                path: RawPathId(c.varint_u32()?),
-            },
-            12 => EventKind::Chdir {
-                path: RawPathId(c.varint_u32()?),
-            },
-            k => {
-                return Err(WireError::Format(format!("unknown event kind {k}")));
-            }
-        };
-        events.push(TraceEvent {
-            seq,
-            time,
-            pid,
-            root,
-            kind,
-            error,
-        });
-    }
-    if c.pos != payload.len() {
-        return Err(WireError::Format(format!(
-            "{} trailing bytes after {count} events",
-            payload.len() - c.pos
-        )));
-    }
-    Ok((events, trace_id))
+    let mut r = Reader::new(payload);
+    let decoded = decode_events_payload(&mut r)?;
+    r.finish()?;
+    Ok(decoded)
 }
 
 /// Reads one binary events frame — magic byte, length prefix, payload —
@@ -921,7 +712,8 @@ pub fn read_binary_events<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{EventKind, OpenMode};
+    use crate::codec::put_varint;
+    use crate::event::{ErrorKind, EventKind, OpenMode};
     use crate::ids::{Fd, Pid, RawPathId, Seq};
     use crate::time::Timestamp;
 
@@ -1357,6 +1149,34 @@ mod tests {
             assert_eq!(got_trace, trace_id);
             assert!(r.is_empty(), "frame is self-delimiting");
         }
+    }
+
+    /// Lowercase hex, two digits a byte.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The frame of `all_kinds()` under trace id `0x0123_4567_89ab_cdef`,
+    /// captured when the socket and the log switched to one codec: the
+    /// bytes every client writes must not move.
+    const ALL_KINDS_FRAME: &str = concat!(
+        "b6c700000001efcdab89674523010f4000002a03000510c3843df1e4eff2022b",
+        "0001002086897ae2c9dfe5052cfeffffff0f02ffffffff0f71c98db701d3aecf",
+        "d8082d05028c92f401c493bfcb0b2e090713cf96b102b5f8aebe0e2f07ac0264",
+        "929bee02a6dd9eb111300235d59fab0397c28ea414310698a4e80388a7fe9617",
+        "32922157dba8a504f98bee891a3308289eade204eaf0ddfc1c340139e1b19f05",
+        "dbd5cdef1f3501024aa4b6dc05ccbabde22236061be7ba9906bd9fadd5253706",
+        "2caabfd606ae849dc8283804",
+    );
+
+    #[test]
+    fn binary_frame_matches_golden_bytes() {
+        let events = all_kinds();
+        let frame = encode_events_binary(&events, Some(0x0123_4567_89ab_cdef));
+        assert_eq!(hex(&frame), ALL_KINDS_FRAME);
+        let mut scratch = Vec::new();
+        let decoded = read_binary_events(&mut frame.as_slice(), &mut scratch).expect("decode");
+        assert_eq!(decoded, (events, Some(0x0123_4567_89ab_cdef)));
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! and the payload is one of
 //!
 //! ```text
-//! interns = 0x01 | base: varint | count: varint | count × (len: varint | UTF-8 bytes)
+//! interns = 0x01 | base: varint | paths: [String]
 //! batch   = 0x02 | generation: varint | the wire's binary events payload
 //! ```
 //!
-//! A batch's events are stored exactly as a binary events frame carries
-//! them ([`seer_trace::wire::put_events_payload`], without a trace id),
-//! so the log and the socket share one codec. Varints are
-//! [`seer_trace::wire::put_varint`]'s.
+//! Both are built from [`seer_trace::codec`], which defines varints,
+//! strings, and the event encoding. A batch's events are stored exactly
+//! as a binary events frame carries them
+//! ([`seer_trace::wire::put_events_payload`], without a trace id), so
+//! the log and the socket share one codec and one decoder.
 //!
 //! The checksum covers only the payload; a flipped bit anywhere in the
 //! frame fails either the length sanity check, the CRC, or the payload
@@ -27,8 +28,8 @@
 //! either, so a crash mid-`write` never poisons earlier records.
 
 pub use seer_trace::codec::crc32;
-use seer_trace::codec::{Codec, Reader};
-use seer_trace::wire::{self, put_varint, take_varint};
+use seer_trace::codec::{put_varint, Codec, DecodeError, Reader};
+use seer_trace::wire;
 use seer_trace::TraceEvent;
 
 /// Upper bound on a single record's payload. A length prefix above this
@@ -116,11 +117,10 @@ pub(crate) fn put_interns<'a>(
 ) -> std::io::Result<()> {
     let start = begin_frame(buf);
     buf.push(TAG_INTERNS);
-    put_varint(buf, u64::from(base));
+    base.encode(buf);
     put_varint(buf, paths.len() as u64);
     for path in paths {
-        put_varint(buf, path.len() as u64);
-        buf.extend_from_slice(path.as_bytes());
+        path.encode(buf);
     }
     end_frame(buf, start)
 }
@@ -133,7 +133,7 @@ pub(crate) fn put_batch(
 ) -> std::io::Result<()> {
     let start = begin_frame(buf);
     buf.push(TAG_BATCH);
-    put_varint(buf, generation);
+    generation.encode(buf);
     wire::put_events_payload(buf, events, None);
     end_frame(buf, start)
 }
@@ -209,40 +209,37 @@ pub fn decode(buf: &[u8]) -> Decoded {
             record,
             consumed: total,
         },
-        Err(why) => Decoded::Corrupt(why),
+        Err(why) => Decoded::Corrupt(why.0),
     }
 }
 
-/// Decodes a checksummed payload. Every count and length is bounded by
-/// the bytes left before anything is allocated for it
-/// ([`seer_trace::codec::Reader`]).
-fn decode_payload(payload: &[u8]) -> Result<WalRecord, &'static str> {
-    let (&tag, mut rest) = payload.split_first().ok_or("empty payload")?;
-    match tag {
-        TAG_INTERNS => {
-            let mut r = Reader::new(rest);
-            let base = u32::decode(&mut r).map_err(|_| "interns base is not a u32 varint")?;
-            let paths = Vec::<String>::decode(&mut r).map_err(|e| e.0)?;
-            r.finish().map_err(|_| "trailing bytes after interns")?;
-            Ok(WalRecord::Interns { base, paths })
-        }
+/// Decodes a checksummed payload through one [`Reader`], which bounds
+/// every count and length by the bytes left before anything is
+/// allocated for it.
+fn decode_payload(payload: &[u8]) -> Result<WalRecord, DecodeError> {
+    let mut r = Reader::new(payload);
+    let record = match r.byte()? {
+        TAG_INTERNS => WalRecord::Interns {
+            base: Codec::decode(&mut r)?,
+            paths: Codec::decode(&mut r)?,
+        },
         TAG_BATCH => {
-            let generation =
-                take_varint(&mut rest).map_err(|_| "batch generation is not a varint")?;
-            match wire::decode_events_binary(rest) {
-                Ok((events, None)) => Ok(WalRecord::Batch { generation, events }),
-                Ok((_, Some(_))) => Err("batch carries a trace id"),
-                Err(_) => Err("batch events do not decode"),
+            let generation = r.varint()?;
+            match wire::decode_events_payload(&mut r)? {
+                (events, None) => WalRecord::Batch { generation, events },
+                (_, Some(_)) => return Err(DecodeError("batch carries a trace id")),
             }
         }
-        _ => Err("unknown record tag"),
-    }
+        _ => return Err(DecodeError("unknown record tag")),
+    };
+    r.finish()?;
+    Ok(record)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seer_trace::{EventKind, Fd, OpenMode, Pid, RawPathId, Seq, Timestamp};
+    use seer_trace::{ErrorKind, EventKind, Fd, OpenMode, Pid, RawPathId, Seq, Timestamp};
 
     fn sample_batch() -> WalRecord {
         WalRecord::Batch {
@@ -282,6 +279,83 @@ mod tests {
             match decode(&buf) {
                 Decoded::Record { record, consumed } => {
                     assert_eq!(record, rec);
+                    assert_eq!(consumed, buf.len());
+                }
+                other => panic!("expected record, got {other:?}"),
+            }
+        }
+    }
+
+    /// Lowercase hex, two digits a byte.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// An interns record and a batch record with failed, root and
+    /// multi-field events, captured when the socket and the log switched
+    /// to one codec: a log written before must replay unchanged.
+    const INTERNS_RECORD: &str = "1800000010d7ab3101ac02030c2f686f6d652f752fc3a92e63000572656c2f78";
+    const BATCH_RECORD: &str = concat!(
+        "3e00000051b9088f0280808080800100054001c3843df1a204ac020204140286",
+        "897af2a204012903c98db701f3a204ad02ae0246048c92f401f4a204093505cf",
+        "96b102f5a204",
+    );
+
+    #[test]
+    fn records_match_golden_bytes() {
+        let ev = |seq: u64, root: bool, kind: EventKind, error: Option<ErrorKind>| TraceEvent {
+            seq: Seq(seq),
+            time: Timestamp(seq * 1_000_003),
+            pid: Pid(70_000 + seq as u32),
+            root,
+            kind,
+            error,
+        };
+        let interns = WalRecord::Interns {
+            base: 300,
+            paths: vec!["/home/u/é.c".into(), String::new(), "rel/x".into()],
+        };
+        let batch = WalRecord::Batch {
+            generation: 1 << 35,
+            events: vec![
+                ev(
+                    1,
+                    true,
+                    EventKind::Open {
+                        path: RawPathId(300),
+                        mode: OpenMode::ReadWrite,
+                        fd: Fd(4),
+                    },
+                    None,
+                ),
+                ev(
+                    2,
+                    false,
+                    EventKind::Exec { path: RawPathId(1) },
+                    Some(ErrorKind::NotFound),
+                ),
+                ev(
+                    3,
+                    false,
+                    EventKind::Rename {
+                        from: RawPathId(301),
+                        to: RawPathId(302),
+                    },
+                    Some(ErrorKind::NotHoarded),
+                ),
+                ev(4, true, EventKind::Fork { child: Pid(9) }, None),
+                ev(5, false, EventKind::Exit, Some(ErrorKind::Other)),
+            ],
+        };
+        for (record, golden) in [(interns, INTERNS_RECORD), (batch, BATCH_RECORD)] {
+            let buf = encode(&record);
+            assert_eq!(hex(&buf), golden);
+            match decode(&buf) {
+                Decoded::Record {
+                    record: back,
+                    consumed,
+                } => {
+                    assert_eq!(back, record);
                     assert_eq!(consumed, buf.len());
                 }
                 other => panic!("expected record, got {other:?}"),
