@@ -1,9 +1,9 @@
 //! Microbenchmarks for the neighbor-table row update — the single hottest
 //! call in the ingest path (one [`NeighborTable::observe`] per distance
-//! observation: 6.4 per trace event on perfbench's `stream` workload,
-//! 6.8 on `hoard`).
+//! observation: 6.6–7.1 per trace event on perfbench's `stream`
+//! workload, 6.1–7.4 on `hoard`, over three traced seeds each).
 //!
-//! Four regimes bracket the real cost:
+//! Five regimes bracket the real cost:
 //!
 //! - `existing_hot`: repeated updates to one cache-resident row — the pure
 //!   ALU cost of the find-and-fold path.
@@ -14,8 +14,13 @@
 //!   refused by that bound without reading the row's slots.
 //! - `full_row_rescan`: the same probe after a deletion elsewhere, which
 //!   outdates every row bound, so each probe walks the full priority scan
-//!   (deletion scan, then one pass for the largest distance and the
-//!   stalest stamp over all n).
+//!   (the deletion pass, then the mean terms and stalest stamp of all n,
+//!   then the distances near the top).
+//! - `full_row_evict`: a hit into a full row, which stales that slot's
+//!   memoized distance as hits do between scans on real streams, then a
+//!   candidate closer than the farthest neighbor, so every iteration
+//!   scans and evicts. No mark or purge voids the row's epoch, so the
+//!   scan skips the deletion pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use seer_distance::{NeighborTable, ReductionKind};
@@ -88,11 +93,30 @@ fn bench_full_row_rescan(c: &mut Criterion) {
     });
 }
 
+fn bench_full_row_evict(c: &mut Criterion) {
+    let mut t = full_table(64);
+    // Row 3 holds targets 4..=23. Candidates cycle through 24..=63, each
+    // evicting the one before it.
+    let mut prev = 63;
+    assert!(t.observe(FileId(3), FileId(prev), 2.0));
+    c.bench_function("table_update/full_row_evict", |b| {
+        b.iter(|| {
+            // The hit lifts the newest neighbor (distance 2) to about 11.4,
+            // past every other slot (at most 6); the candidate evicts it.
+            t.observe(FileId(3), FileId(prev), 50.0);
+            let next = 24 + (prev - 23) % 40;
+            assert!(t.observe(FileId(3), FileId(next), 2.0), "evicts");
+            prev = next;
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_existing_hot,
     bench_existing_cold,
     bench_full_row_reject,
-    bench_full_row_rescan
+    bench_full_row_rescan,
+    bench_full_row_evict
 );
 criterion_main!(benches);

@@ -51,24 +51,39 @@ impl PairSummary {
         s
     }
 
-    /// Folds one observation into the summary.
+    /// Folds one observation into the summary. A summary that already
+    /// holds `u32::MAX` observations stops folding: its mean stays where
+    /// it is rather than its count wrapping to 0, which would read as
+    /// infinitely far.
     #[inline]
     pub fn observe(&mut self, kind: ReductionKind, d: f64) {
+        let Some(count) = self.count.checked_add(1) else {
+            return;
+        };
         let d = d.max(0.0);
         self.acc += match kind {
             ReductionKind::Arithmetic => d,
             ReductionKind::Geometric => ln1p(d),
         };
-        self.count += 1;
+        self.count = count;
+    }
+
+    /// The mean of the observations' terms (`d` arithmetic, `ln(1 + d)`
+    /// geometric), which [`PairSummary::distance`] maps back to a
+    /// distance; `INFINITY` for a summary with no observations.
+    #[inline]
+    #[must_use]
+    pub(crate) fn mean(&self) -> f64 {
+        if self.count == 0 {
+            return f64::INFINITY;
+        }
+        self.acc / f64::from(self.count)
     }
 
     /// Current reduced distance.
     #[must_use]
     pub fn distance(&self, kind: ReductionKind) -> f64 {
-        if self.count == 0 {
-            return f64::INFINITY;
-        }
-        let mean = self.acc / f64::from(self.count);
+        let mean = self.mean();
         match kind {
             ReductionKind::Arithmetic => mean,
             ReductionKind::Geometric => mean.exp() - 1.0,
@@ -145,6 +160,25 @@ mod tests {
         // Non-integer and out-of-range values fall through to the live ln.
         for d in [0.5, 3.25, 1024.0, 5000.5, 1e12] {
             assert_eq!(ln1p(d).to_bits(), (1.0 + d).ln().to_bits(), "d = {d}");
+        }
+    }
+
+    /// A summary at the largest count keeps its mean when folded again,
+    /// where the count used to overflow: a panic in a debug build, and in
+    /// a release build a wrap to 0 that read as infinitely far.
+    #[test]
+    fn a_full_count_stops_folding() {
+        use seer_trace::codec::{decode_all, Codec};
+        for kind in [ReductionKind::Arithmetic, ReductionKind::Geometric] {
+            let seen = PairSummary::first(kind, 3.0);
+            let mut buf = Vec::new();
+            (seen.acc * f64::from(u32::MAX), u32::MAX).encode(&mut buf);
+            let mut s: PairSummary = decode_all(&buf).expect("an f64 and a count");
+            let before = s.distance(kind);
+            assert!(before.is_finite(), "{kind:?}: {before}");
+            s.observe(kind, 1_000.0);
+            assert_eq!(s.count(), u32::MAX, "{kind:?}");
+            assert_eq!(s.distance(kind).to_bits(), before.to_bits(), "{kind:?}");
         }
     }
 

@@ -29,6 +29,18 @@
 //! `NeighborTable::refuses_by_bound` for why that refusal is exactly the
 //! scan's).
 //!
+//! # Row scans
+//!
+//! A miss the bound does not decide scans the row, and reaches the
+//! decision a walk over every slot reaches with less work. The deletion
+//! pass runs only when the row's epoch is stale: a current one proves no
+//! target is marked or dead. The farthest neighbor takes two passes. The
+//! first reads every slot's mean term (the value a geometric summary
+//! exponentiates) and the stalest stamp. The second runs the 1e-12 tie
+//! chain, reading or refreshing the memoized distance, only for slots
+//! whose mean lies within `1e-6` of the top one; a slot below that can
+//! never end in the tie list (see `NeighborTable::tie_cut`).
+//!
 //! # Reads for clustering
 //!
 //! A recluster reads the rows in place: [`NeighborTable::rows`] lends
@@ -95,6 +107,11 @@ const BOUND_SLACK: f64 = 1.0 / 16_384.0;
 /// is far below it.
 const BOUND_MAX_DISTANCE: f64 = 18_446_744_073_709_551_616.0;
 
+/// How far below the row's top mean term a slot's own mean may lie and
+/// still have its distance read by the scan's tie pass; see
+/// [`NeighborTable::tie_cut`].
+const TIE_MARGIN: f64 = 1e-6;
+
 /// A row's entry count plus what its last full scan proved, side by side
 /// so the hit path, which reads `len` and raises `bound`, touches one
 /// cache line.
@@ -146,8 +163,10 @@ pub struct NeighborTable {
     slot_to: Vec<FileId>,
     slot_meta: Vec<SlotMeta>,
     /// Memoized reduced distance per slot, valid while `slot_dist_count`
-    /// matches the summary's observation count (0 = never memoized; real
-    /// counts start at 1). Spares the priority-2 scan an `exp` per entry.
+    /// matches the summary's observation count. A slot starts at stamp 0
+    /// and `INFINITY`, which is what a summary with no observations reads
+    /// as; stored summaries start at 1. Spares the priority-2 scan an
+    /// `exp` per entry.
     slot_dist: Vec<f64>,
     slot_dist_count: Vec<u32>,
     /// Entry count and scan bounds per row, indexed by file.
@@ -259,7 +278,7 @@ impl NeighborTable {
                     update: 0,
                 },
             );
-            self.slot_dist.resize(need, 0.0);
+            self.slot_dist.resize(need, f64::INFINITY);
             self.slot_dist_count.resize(need, 0);
         }
     }
@@ -445,22 +464,40 @@ impl NeighborTable {
         }
         let summary = PairSummary::first(reduction, distance);
         // Priority 1: replace a neighbor marked for deletion (or dead).
-        for s in base..base + len {
-            let t = self.slot_to[s];
-            if self.is_marked(t) || self.is_dead(t) {
-                self.put(from, s, to, summary);
-                self.rows[i].bound = f64::INFINITY;
-                return false;
+        // While the row's epoch is current there is none to find: see
+        // `refuses_by_bound`.
+        if header.epoch != self.mark_epoch {
+            for s in base..base + len {
+                let t = self.slot_to[s];
+                if self.is_marked(t) || self.is_dead(t) {
+                    self.put(from, s, to, summary);
+                    self.rows[i].bound = f64::INFINITY;
+                    return false;
+                }
             }
         }
-        // One pass finds the largest-distance neighbors for priority 2
-        // and the stalest entry for priority 3, and bounds the row.
+        // Pass one reads every slot's mean term and finds the stalest
+        // entry for priority 3.
+        let mut top = f64::NEG_INFINITY;
+        let (mut stalest_k, mut stalest) = (0, u64::MAX);
+        for (k, m) in self.slot_meta[base..base + len].iter().enumerate() {
+            top = top.max(m.summary.mean());
+            if m.update < stalest {
+                stalest = m.update;
+                stalest_k = k;
+            }
+        }
+        // Pass two finds the largest-distance neighbors for priority 2 and
+        // bounds the row, reading distances only near the top mean.
+        let cut = Self::tie_cut(top);
         let mut max_idxs = std::mem::take(&mut self.scratch_idxs);
         max_idxs.clear();
         let mut max_d = f64::NEG_INFINITY;
         let mut hi = 0.0f64;
-        let (mut stalest_k, mut stalest) = (0, u64::MAX);
         for k in 0..len {
+            if self.slot_meta[base + k].summary.mean() < cut {
+                continue;
+            }
             let d = self.slot_distance(base + k);
             hi = hi.max(d);
             if d > max_d + 1e-12 {
@@ -469,11 +506,6 @@ impl NeighborTable {
                 max_idxs.push(k);
             } else if (d - max_d).abs() <= 1e-12 {
                 max_idxs.push(k);
-            }
-            let update = self.slot_meta[base + k].update;
-            if update < stalest {
-                stalest = update;
-                stalest_k = k;
             }
         }
         // The new bounds hold whatever follows: priority 2 stores a slot
@@ -512,8 +544,11 @@ impl NeighborTable {
     /// side effect (no random draw, no dirty row):
     ///
     /// - Priority 1 cannot fire. The epoch is current, so no mark or purge
-    ///   happened since a scan found no marked or dead target, and every
-    ///   target stored since was live and unmarked.
+    ///   happened since a scan found no marked or dead target (or since a
+    ///   new table's first row filled; a restored table starts at epoch 1,
+    ///   so its rows' epoch 0 is never current), and every target stored
+    ///   since was live and unmarked. The scan skips priority 1 on the
+    ///   same grounds.
     /// - Priority 3 cannot fire. Stamps only grow, so the stalest is
     ///   within `aging_refs`.
     /// - Priority 2 replaces only when a slot's computed distance `d_s`
@@ -542,6 +577,50 @@ impl NeighborTable {
             && self.clock.saturating_sub(header.stalest) <= self.aging_refs
             && x <= BOUND_MAX_DISTANCE
             && (1.0 + header.bound) * (1.0 + BOUND_SLACK) < (1.0 + x) * (1.0 - BOUND_SLACK)
+    }
+
+    /// The least mean term whose slot the scan's tie pass reads, in a full
+    /// row whose largest mean term is `top`.
+    ///
+    /// Skipping the slots below it leaves the pass's result exactly as a
+    /// walk over every slot leaves it: the same farthest distance, the
+    /// same tie list in the same order (so the same random draw), and the
+    /// same bound. Write `T` for the row's largest distance and `e` for
+    /// the tie tolerance, 1e-12. A NaN mean is never skipped (`NaN < cut`
+    /// is false), and a NaN distance neither restarts the list nor joins
+    /// it, so NaN slots are left out below.
+    ///
+    /// - A skipped slot lies more than `2(n + 1)e` below `T`. Its mean is
+    ///   [`TIE_MARGIN`] below `top` (at worst half that, where
+    ///   `top - TIE_MARGIN` rounds). Arithmetically the mean is the
+    ///   distance. Geometrically `1 + d` is the mean's `exp`, a factor
+    ///   `exp(-1e-6)` below `1 + T >= 1`, so `d` is about `1e-6` below
+    ///   `T`. The decoder accepts `n <= 65,536`, where `2(n + 1)e` is
+    ///   under `1.4e-7`; the rounding of the mean, `exp`, and the cut is a
+    ///   few ulps of `1 + T`, far inside the difference.
+    /// - No slot is skipped when `top` is negative: there `1 + T` can be so
+    ///   small that means a whole unit apart tie within `e`. Only a damaged
+    ///   snapshot holds a negative mean.
+    /// - Call a slot a leap when its distance passes the list's restart
+    ///   test against every distance before it in the row. Both walks
+    ///   restart the list at a leap, since a walk's farthest distance so
+    ///   far is one it has read. Follow the first slot at `T` back: a slot
+    ///   that is no leap has an earlier one within `2e` of it (`e`, plus
+    ///   the rounding of `max_d + e`, which reads `max_d` itself once half
+    ///   an ulp exceeds `e`). A row holds at most `n` slots, so within
+    ///   `n - 1` steps there is a leap at or above `T - 2(n - 1)e`.
+    /// - From that leap on, every skipped slot lies more than `2e` below
+    ///   the walk's farthest distance, so it neither restarts the list nor
+    ///   joins it: both walks read the same slots from the same state and
+    ///   end equal. `T` itself is read, so the bound, the largest distance
+    ///   read, is the same too.
+    #[inline]
+    fn tie_cut(top: f64) -> f64 {
+        if top < 0.0 {
+            f64::NEG_INFINITY
+        } else {
+            top - TIE_MARGIN
+        }
     }
 
     /// Stores a new neighbor `to` with `summary` in slot `s` of `from`'s
@@ -791,6 +870,10 @@ impl NeighborTable {
         );
         t.deletion_tick = snap.deletion_tick;
         t.clock = snap.clock;
+        // Restored rows can hold marked or dead targets under epoch 0, so
+        // that epoch is never current here: each row's first scan runs
+        // priority 1.
+        t.mark_epoch = 1;
         for (f, entries) in snap.rows {
             if f == FileId::NONE || entries.is_empty() {
                 continue;

@@ -329,3 +329,208 @@ proptest! {
         run(n, reduction, aging_refs, deletion_delay, &ops);
     }
 }
+
+/// Files the wide property draws targets from: enough to fill a row of
+/// 24 and keep candidates coming.
+const WIDE_FILES: u32 = 32;
+
+/// Rows the wide property folds into, few enough that they fill.
+const WIDE_ROWS: u32 = 4;
+
+/// Ladders of near-ties 0.9e-12 apart (each rung inside the scan's 1e-12
+/// tolerance of the one below, two rungs outside it) at 2.0 and 100.0,
+/// and values whose single-observation mean terms straddle the tie
+/// pass's 1e-6 margin below 5.0's, under each reduction.
+fn wide_distance() -> impl Strategy<Value = f64> {
+    let geometric_near = |offset: f64| (6.0f64.ln() - 1e-6 + offset).exp() - 1.0;
+    let mut values = vec![0.0, 1.0, 3.0, 5.0, 13.0];
+    for base in [2.0, 100.0] {
+        values.extend((0..6).map(|k| base + f64::from(k) * 0.9e-12));
+    }
+    values.extend([5.0 - 1e-6 - 1e-9, 5.0 - 1e-6, 5.0 - 1e-6 + 1e-9]);
+    values.extend([-1e-9, 0.0, 1e-9].map(geometric_near));
+    prop::sample::select(values)
+}
+
+fn wide_op() -> impl Strategy<Value = Op> {
+    let observe = || {
+        (0..WIDE_ROWS, 0..WIDE_FILES, wide_distance())
+            .prop_map(|(from, to, distance)| Op::Observe { from, to, distance })
+    };
+    prop_oneof![
+        observe(),
+        observe(),
+        observe(),
+        observe(),
+        observe(),
+        observe(),
+        (
+            0..WIDE_FILES,
+            prop::collection::vec((0..WIDE_ROWS, wide_distance()), 0..6)
+        )
+            .prop_map(|(to, from)| Op::Window { to, from }),
+        (0u8..4).prop_map(Op::Tick),
+        (0..WIDE_FILES).prop_map(Op::Delete),
+        (0u64..1_000).prop_map(Op::Restore),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Wide rows whose distances sit on tie ladders and around the tie
+    /// pass's margin: the scan reads distances only near the top mean,
+    /// and must still pick the tie list a walk over every slot picks.
+    #[test]
+    fn wide_rows_with_near_ties_evict_as_the_full_scan_does(
+        n in 1usize..25,
+        geometric in prop::bool::ANY,
+        aging_refs in 0u64..64,
+        deletion_delay in 0u64..3,
+        ops in prop::collection::vec(wide_op(), 1..400),
+    ) {
+        let reduction = if geometric {
+            ReductionKind::Geometric
+        } else {
+            ReductionKind::Arithmetic
+        };
+        run(n, reduction, aging_refs, deletion_delay, &ops);
+    }
+}
+
+/// A summary as a damaged snapshot can carry it: any accumulator, any
+/// count.
+fn damaged(acc: f64, count: u32) -> PairSummary {
+    let mut buf = Vec::new();
+    (acc, count).encode(&mut buf);
+    seer_trace::codec::decode_all(&buf).expect("a summary is an f64 and a count")
+}
+
+/// A restored table and its reference holding `rows`: each row `from`
+/// lists targets 10, 11, … with the damaged `(acc, count)` summaries.
+fn restored_rows(
+    reduction: ReductionKind,
+    rows: &[(u32, &[(f64, u32)])],
+) -> (NeighborTable, Reference) {
+    let rows = rows
+        .iter()
+        .map(|&(from, summaries)| {
+            let entries = summaries
+                .iter()
+                .zip(10..)
+                .map(|(&(acc, count), to)| NeighborEntry {
+                    to: FileId(to),
+                    summary: damaged(acc, count),
+                    last_update: 0,
+                })
+                .collect();
+            (FileId(from), entries)
+        })
+        .collect();
+    let snap = TableSnapshot {
+        n: 5,
+        reduction,
+        aging_refs: 1_000,
+        deletion_delay: 3,
+        deletion_tick: 0,
+        clock: 0,
+        rows,
+        marked: Vec::new(),
+        dead: Vec::new(),
+    };
+    let back: TableSnapshot =
+        seer_trace::codec::decode_all(&encoded(&snap)).expect("the snapshot decodes");
+    let mut reference = Reference::new(5, reduction, 1_000, 3, 7);
+    reference.rows = back.rows.iter().cloned().collect();
+    (NeighborTable::from_snapshot(back, 7), reference)
+}
+
+/// Misses on restored full rows holding NaN, negative and infinite
+/// accumulators evict what the reference's full scan evicts: a NaN slot
+/// is never the farthest, an infinite one is, and a row whose means are
+/// all negative refuses every candidate.
+#[test]
+fn damaged_accumulators_scan_as_the_full_scan_does() {
+    for reduction in [ReductionKind::Geometric, ReductionKind::Arithmetic] {
+        let (mut table, mut reference) = restored_rows(
+            reduction,
+            &[
+                (
+                    0,
+                    &[
+                        (f64::NAN, 1),
+                        (-2.0, 1),
+                        (1.0, 1),
+                        (f64::INFINITY, 1),
+                        (f64::NEG_INFINITY, 1),
+                    ],
+                ),
+                (
+                    1,
+                    &[
+                        (-1.0, 1),
+                        (-3.0, 2),
+                        (f64::NEG_INFINITY, 1),
+                        (-30.0, 1),
+                        (-31.0, 1),
+                    ],
+                ),
+            ],
+        );
+        for (from, to, distance) in [(0, 30, 0.5), (0, 31, 0.25), (1, 32, 0.0), (1, 33, 4.0)] {
+            let (from, to) = (FileId(from), FileId(to));
+            assert_eq!(
+                table.observe(from, to, distance),
+                reference.observe(from, to, distance),
+                "{reduction:?}: {from:?} -> {to:?}"
+            );
+            assert!(
+                encoded(&table.snapshot()) == encoded(&reference.snapshot()),
+                "{reduction:?}: diverged at {from:?} -> {to:?}"
+            );
+        }
+        let targets = |f: u32| {
+            table
+                .neighbors(FileId(f))
+                .map(|e| e.to.0)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            targets(0),
+            [10, 11, 31, 30, 14],
+            "{reduction:?}: the infinite slot goes first, then the farthest finite one"
+        );
+        assert_eq!(targets(1), [10, 11, 12, 13, 14], "{reduction:?}");
+    }
+}
+
+/// A restored summary with no observations reads as infinitely far, as
+/// `PairSummary::distance` reads it, so a miss evicts it first.
+#[test]
+fn a_restored_summary_with_no_observations_is_the_farthest() {
+    for reduction in [ReductionKind::Geometric, ReductionKind::Arithmetic] {
+        let (mut table, mut reference) = restored_rows(
+            reduction,
+            &[(
+                0,
+                &[
+                    (f64::NAN, 1),
+                    (1.0, 1),
+                    (3.0, 0),
+                    (f64::INFINITY, 1),
+                    (2.0, 1),
+                ],
+            )],
+        );
+        assert!(table.observe(FileId(0), FileId(30), 1.0));
+        assert!(reference.observe(FileId(0), FileId(30), 1.0));
+        assert!(
+            encoded(&table.snapshot()) == encoded(&reference.snapshot()),
+            "{reduction:?}"
+        );
+        assert!(
+            table.distance(FileId(0), FileId(12)).is_none(),
+            "{reduction:?}"
+        );
+    }
+}
