@@ -3,7 +3,7 @@
 //! observation: 6.6–7.1 per trace event on perfbench's `stream`
 //! workload, 6.1–7.4 on `hoard`, over three traced seeds each).
 //!
-//! Five regimes bracket the real cost:
+//! Six regimes bracket the real cost:
 //!
 //! - `existing_hot`: repeated updates to one cache-resident row — the pure
 //!   ALU cost of the find-and-fold path.
@@ -16,11 +16,21 @@
 //!   outdates every row bound, so each probe walks the full priority scan
 //!   (the deletion pass, then the mean terms and stalest stamp of all n,
 //!   then the distances near the top).
-//! - `full_row_evict`: a hit into a full row, which stales that slot's
-//!   memoized distance as hits do between scans on real streams, then a
-//!   candidate closer than the farthest neighbor, so every iteration
-//!   scans and evicts. No mark or purge voids the row's epoch, so the
-//!   scan skips the deletion pass.
+//! - `full_row_evict`: a hit into a full row that lifts one slot's mean
+//!   term alone to the top, then a candidate closer than that neighbor,
+//!   so every iteration scans and evicts. No mark or purge voids the
+//!   row's epoch, so the scan skips the deletion pass, and the top mean
+//!   stands alone, so the scan decides on mean terms without an `exp`.
+//! - `far_hit_then_far_miss`: a hit whose observation is far (100, the
+//!   window cap) on a near slot of a full, bounded row, then a candidate
+//!   at 50, farther than every neighbor. The hit raises the row bound to
+//!   the slot's new mean, which stays near, so the bound refuses the
+//!   candidate without reading the row.
+//!
+//! These times move with code placement as well as with the code on the
+//! path each names: a change to one path can shift another's by several
+//! nanoseconds. Check a gain in one against an in-process comparison or
+//! the distance layer's own timing before crediting it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use seer_distance::{NeighborTable, ReductionKind};
@@ -103,10 +113,30 @@ fn bench_full_row_evict(c: &mut Criterion) {
         b.iter(|| {
             // The hit lifts the newest neighbor (distance 2) to about 11.4,
             // past every other slot (at most 6); the candidate evicts it.
+            // Its mean stands alone at the top, so no `exp` decides it.
             t.observe(FileId(3), FileId(prev), 50.0);
             let next = 24 + (prev - 23) % 40;
             assert!(t.observe(FileId(3), FileId(next), 2.0), "evicts");
             prev = next;
+        });
+    });
+}
+
+fn bench_far_hit_then_far_miss(c: &mut Criterion) {
+    let mut t = full_table(64);
+    // Row 3 holds targets 4..=23 at distances 0..=6; target 14 sits at 3.
+    // It first gathers 2^24 observations at 0, so the far hits below lift
+    // its mean only slowly: it stays below the candidate's for some 90M
+    // iterations, many more than a run takes.
+    for _ in 0..1 << 24 {
+        t.observe(FileId(3), FileId(14), 0.0);
+    }
+    // A far probe scans the row and bounds it.
+    assert!(!t.observe(FileId(3), FileId(60), 1.0e6));
+    c.bench_function("table_update/far_hit_then_far_miss", |b| {
+        b.iter(|| {
+            t.observe(FileId(3), FileId(14), 100.0);
+            assert!(!t.observe(FileId(3), FileId(60), 50.0), "refused");
         });
     });
 }
@@ -117,6 +147,7 @@ criterion_group!(
     bench_existing_cold,
     bench_full_row_reject,
     bench_full_row_rescan,
-    bench_full_row_evict
+    bench_full_row_evict,
+    bench_far_hit_then_far_miss
 );
 criterion_main!(benches);

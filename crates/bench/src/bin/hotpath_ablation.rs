@@ -87,7 +87,7 @@ fn main() {
         for ev in &workload.trace.events {
             obs.on_event(ev, &workload.trace.strings);
         }
-        let stats = *obs.sink().stats();
+        let stats = obs.sink().stats();
         println!(
             "  opens: {}; observations: {} ({:.1}/open, {:.1}/event)",
             stats.opens,

@@ -20,14 +20,20 @@ pub struct DistanceStats {
     /// candidates (the O(n) approximation's forgetting, §3.1.3). Not
     /// persisted: a restored engine counts from zero.
     pub evictions: u64,
+    /// Misses on full rows that read the row's slots because its bound
+    /// did not refuse them ([`NeighborTable::scans`]). Not persisted.
+    pub scans: u64,
+    /// Distances those scans' tie chains computed, one `exp` each under
+    /// the geometric reduction ([`NeighborTable::exps`]). Not persisted.
+    pub exps: u64,
     /// Files purged after delayed deletion (§4.8).
     pub purged: u64,
     /// Child histories merged into parents (§4.7).
     pub merges: u64,
 }
 
-/// Encoded as its counters, varints in declaration order, except
-/// `evictions`.
+/// Encoded as its counters, varints in declaration order, except the
+/// table's work counts: `evictions`, `scans` and `exps`.
 impl Codec for DistanceStats {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.opens.encode(buf);
@@ -43,6 +49,8 @@ impl Codec for DistanceStats {
             observations: Codec::decode(r)?,
             compensated: Codec::decode(r)?,
             evictions: 0,
+            scans: 0,
+            exps: 0,
             purged: Codec::decode(r)?,
             merges: Codec::decode(r)?,
         })
@@ -109,10 +117,14 @@ impl DistanceEngine {
         &self.table
     }
 
-    /// Engine statistics.
+    /// Engine statistics, with the table's own work counts.
     #[must_use]
-    pub fn stats(&self) -> &DistanceStats {
-        &self.stats
+    pub fn stats(&self) -> DistanceStats {
+        DistanceStats {
+            scans: self.table.scans(),
+            exps: self.table.exps(),
+            ..self.stats
+        }
     }
 
     /// Takes the neighbor-table rows whose membership changed since the
@@ -131,7 +143,7 @@ impl DistanceEngine {
         EngineSnapshot {
             config: self.config.clone(),
             table: self.table.snapshot(),
-            stats: self.stats,
+            stats: self.stats(),
         }
     }
 

@@ -83,7 +83,14 @@ impl PairSummary {
     /// Current reduced distance.
     #[must_use]
     pub fn distance(&self, kind: ReductionKind) -> f64 {
-        let mean = self.mean();
+        Self::distance_of(kind, self.mean())
+    }
+
+    /// The distance a mean term maps back to: the mean itself
+    /// (arithmetic) or `exp(mean) - 1` (geometric).
+    #[inline]
+    #[must_use]
+    pub(crate) fn distance_of(kind: ReductionKind, mean: f64) -> f64 {
         match kind {
             ReductionKind::Arithmetic => mean,
             ReductionKind::Geometric => mean.exp() - 1.0,

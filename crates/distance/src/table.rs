@@ -11,8 +11,9 @@
 //! # Storage layout
 //!
 //! Rows are stored struct-of-arrays, indexed by the dense [`FileId`] space:
-//! the row of file index `i` occupies slots `[i*n, i*n + len)` of
-//! three parallel arrays (target id, streaming summary, last-update clock).
+//! the row of file index `i` occupies slots `[i*n, i*n + len)` of two
+//! parallel arrays: target ids, and each slot's streaming summary,
+//! last-update clock and mean term.
 //! The hot path — one [`NeighborTable::observe`] per distance observation —
 //! therefore never hashes a key: row lookup is one multiply, and the
 //! priority scans walk a few contiguous cache lines. Deletion marks and
@@ -22,24 +23,30 @@
 //!
 //! Most misses on a full row are refusals: the candidate is farther than
 //! every stored neighbor, nothing is marked, and nothing is stale. Each
-//! row header therefore keeps what its last full scan proved — an upper
-//! bound on every slot's reduced distance, a lower bound on its update
-//! stamps, and the deletion epoch it was taken at — and a miss the bound
-//! already decides is refused without reading the row's slots (see
-//! `NeighborTable::refuses_by_bound` for why that refusal is exactly the
-//! scan's).
+//! slot keeps its summary's mean term (the mean distance, or the mean of
+//! `ln(1 + d)` that a geometric summary exponentiates), refreshed by every
+//! fold. Each row header keeps an upper bound on its slots' mean terms, a
+//! lower bound on their update stamps, and the deletion epoch its last
+//! scan ran at. Folds keep the bound tight: a hit raises it to the slot's
+//! new mean, a scan sets it to the row's largest mean, and an eviction to
+//! the larger of the candidate's mean and the largest mean left. A miss
+//! whose mean term lies above the bound is refused without reading the
+//! row's slots (see `NeighborTable::refuses_by_bound` for why that refusal
+//! is exactly the scan's).
 //!
 //! # Row scans
 //!
 //! A miss the bound does not decide scans the row, and reaches the
 //! decision a walk over every slot reaches with less work. The deletion
 //! pass runs only when the row's epoch is stale: a current one proves no
-//! target is marked or dead. The farthest neighbor takes two passes. The
-//! first reads every slot's mean term (the value a geometric summary
-//! exponentiates) and the stalest stamp. The second runs the 1e-12 tie
-//! chain, reading or refreshing the memoized distance, only for slots
-//! whose mean lies within `1e-6` of the top one; a slot below that can
-//! never end in the tie list (see `NeighborTable::tie_cut`).
+//! target is marked or dead. Pass one reads every slot's stored mean and
+//! stamp, with no division: the top mean, the first slot at it, the
+//! largest mean among the other slots, and the stalest stamp. When the top
+//! mean stands alone more than `1e-6` above the rest, priority 2 is
+//! decided on means, without an `exp` (see `NeighborTable::single_top`).
+//! Otherwise a second pass runs the 1e-12 tie chain on distances, computing
+//! them only for slots whose mean lies within `1e-6` of the top one; a slot
+//! below that can never end in the tie list (see `NeighborTable::tie_cut`).
 //!
 //! # Reads for clustering
 //!
@@ -98,35 +105,40 @@ pub struct TableDirty {
     pub structural: bool,
 }
 
-/// Relative slack on each side of the row-bound test; see
-/// [`NeighborTable::refuses_by_bound`].
-const BOUND_SLACK: f64 = 1.0 / 16_384.0;
-
-/// The largest candidate distance (2^64) the row-bound test decides; a
-/// farther candidate takes the scan. Every distance the engine produces
-/// is far below it.
-const BOUND_MAX_DISTANCE: f64 = 18_446_744_073_709_551_616.0;
+/// How far a candidate's mean term must lie above a row's bound for the
+/// bound to refuse it (2^-13); see [`NeighborTable::refuses_by_bound`].
+const BOUND_MARGIN: f64 = 1.0 / 8_192.0;
 
 /// How far below the row's top mean term a slot's own mean may lie and
 /// still have its distance read by the scan's tie pass; see
 /// [`NeighborTable::tie_cut`].
 const TIE_MARGIN: f64 = 1e-6;
 
-/// A row's entry count plus what its last full scan proved, side by side
-/// so the hit path, which reads `len` and raises `bound`, touches one
-/// cache line.
+/// The mean terms the single-top decision takes lie below this: `exp` of
+/// them is finite (it overflows past 709.78). See
+/// [`NeighborTable::single_top`].
+const SINGLE_TOP_MAX_MEAN: f64 = 700.0;
+
+/// How far apart the top mean and the candidate's must lie for the
+/// single-top decision to compare them without an `exp`.
+const SINGLE_TOP_GAP: f64 = 1e-9;
+
+/// A row's entry count plus its bounds, side by side so the hit path,
+/// which reads `len` and raises `bound`, touches one cache line.
 #[derive(Debug, Clone, Copy)]
 #[repr(align(32))]
 struct RowHeader {
     /// Entries in use.
     len: u32,
-    /// Upper bound on every slot's reduced distance; `INFINITY` while
-    /// unknown (a new, filling, or restored row).
+    /// Upper bound on the mean term of every slot whose mean is not NaN;
+    /// `INFINITY` while unknown (a new, filling, or restored row, or one
+    /// whose last scan replaced a deletion-marked or dead neighbor).
     bound: f64,
     /// Lower bound on every slot's update stamp.
     stalest: u64,
-    /// The table's deletion epoch when the bound was taken; the bound
-    /// holds only while no mark or purge has happened since.
+    /// The table's deletion epoch at the row's last scan; the bound
+    /// refuses a candidate only while no mark or purge has happened
+    /// since.
     epoch: u64,
 }
 
@@ -140,12 +152,25 @@ impl RowHeader {
 }
 
 /// Per-slot payload rewritten together on every fold: the running pair
-/// summary and the last-update stamp. One array element (24 bytes) so a
-/// hit touches a single payload cache line.
+/// summary, the last-update stamp, and the summary's mean term, in one
+/// 32-byte array element.
 #[derive(Debug, Clone, Copy)]
 struct SlotMeta {
     summary: PairSummary,
     update: u64,
+    /// `summary.mean()`, rewritten with the summary: what the row bound
+    /// covers and the scan's first pass reads, with no division.
+    mean: f64,
+}
+
+impl SlotMeta {
+    fn new(summary: PairSummary, update: u64) -> SlotMeta {
+        SlotMeta {
+            summary,
+            update,
+            mean: summary.mean(),
+        }
+    }
 }
 
 /// The global semantic-distance table.
@@ -157,18 +182,11 @@ pub struct NeighborTable {
     deletion_delay: u64,
     /// SoA row storage (see module docs): slot `i*n + k` is entry `k` of
     /// the row of file index `i`. `slot_to` is the scan-only key array;
-    /// `slot_meta` is the payload the hit path rewrites — summary and
-    /// update stamp together, so a fold dirties one payload cache line
-    /// instead of two.
+    /// `slot_meta` is the payload the hit path rewrites — summary, update
+    /// stamp and mean term together, so a fold dirties one payload cache
+    /// line instead of two.
     slot_to: Vec<FileId>,
     slot_meta: Vec<SlotMeta>,
-    /// Memoized reduced distance per slot, valid while `slot_dist_count`
-    /// matches the summary's observation count. A slot starts at stamp 0
-    /// and `INFINITY`, which is what a summary with no observations reads
-    /// as; stored summaries start at 1. Spares the priority-2 scan an
-    /// `exp` per entry.
-    slot_dist: Vec<f64>,
-    slot_dist_count: Vec<u32>,
     /// Entry count and scan bounds per row, indexed by file.
     rows: Vec<RowHeader>,
     live_rows: usize,
@@ -196,6 +214,11 @@ pub struct NeighborTable {
     mark_epoch: u64,
     clock: u64,
     rng: SmallRng,
+    /// Misses that read a full row's slots; see [`NeighborTable::scans`].
+    scans: u64,
+    /// Distances the scans' tie chains computed; see
+    /// [`NeighborTable::exps`].
+    exps: u64,
 }
 
 impl NeighborTable {
@@ -215,8 +238,6 @@ impl NeighborTable {
             deletion_delay,
             slot_to: Vec::new(),
             slot_meta: Vec::new(),
-            slot_dist: Vec::new(),
-            slot_dist_count: Vec::new(),
             rows: Vec::new(),
             live_rows: 0,
             entries: 0,
@@ -233,6 +254,8 @@ impl NeighborTable {
             mark_epoch: 0,
             clock: 0,
             rng: SmallRng::seed_from_u64(seed),
+            scans: 0,
+            exps: 0,
         }
     }
 
@@ -254,6 +277,22 @@ impl NeighborTable {
         self.clock
     }
 
+    /// Misses on a full row that the row bound did not refuse, so they
+    /// read the row's slots, since the table was made or restored.
+    #[must_use]
+    pub fn scans(&self) -> u64 {
+        self.scans
+    }
+
+    /// Distances the scans' tie chains computed (one `exp` each under
+    /// the geometric reduction), the candidates' included, since the
+    /// table was made or restored. A scan the single-top decision settles
+    /// computes none.
+    #[must_use]
+    pub fn exps(&self) -> u64 {
+        self.exps
+    }
+
     /// Grows the per-file metadata arrays to cover `file`.
     fn ensure_meta(&mut self, file: FileId) {
         let need = file.index() + 1;
@@ -273,13 +312,8 @@ impl NeighborTable {
             self.slot_to.resize(need, FileId::NONE);
             self.slot_meta.resize(
                 need,
-                SlotMeta {
-                    summary: PairSummary::first(self.reduction, 0.0),
-                    update: 0,
-                },
+                SlotMeta::new(PairSummary::first(self.reduction, 0.0), 0),
             );
-            self.slot_dist.resize(need, f64::INFINITY);
-            self.slot_dist_count.resize(need, 0);
         }
     }
 
@@ -315,22 +349,6 @@ impl NeighborTable {
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = file;
-    }
-
-    /// The reduced distance of slot `s`, memoized per summary state: the
-    /// distance is a pure function of the summary, so a matching
-    /// observation-count stamp returns the previously materialized value
-    /// bit-identically.
-    #[inline]
-    fn slot_distance(&mut self, s: usize) -> f64 {
-        let c = self.slot_meta[s].summary.count();
-        if self.slot_dist_count[s] == c {
-            return self.slot_dist[s];
-        }
-        let d = self.slot_meta[s].summary.distance(self.reduction);
-        self.slot_dist[s] = d;
-        self.slot_dist_count[s] = c;
-        d
     }
 
     /// Whether `file` was purged (§4.8). Rows keep a purged target until
@@ -433,25 +451,20 @@ impl NeighborTable {
         // entry compiles bounds-check-free — this is the hottest loop in
         // the observation path.
         if let Some(k) = self.slot_to[base..base + len].iter().position(|&t| t == to) {
-            let s = base + k;
-            let m = &mut self.slot_meta[s];
+            let m = &mut self.slot_meta[base + k];
             m.summary.observe(reduction, distance);
+            m.mean = m.summary.mean();
             m.update = clock;
-            // The slot's new mean lies between its old one and this
-            // observation (a negative or NaN one folds as 0, below any
-            // bound), so the raised bound still covers the slot.
-            self.rows[i].bound = header.bound.max(distance);
+            // Only this slot's mean moved, and a NaN one stays outside
+            // the bound (`max` ignores it).
+            self.rows[i].bound = header.bound.max(m.mean);
             return false;
         }
+        let summary = PairSummary::first(reduction, distance);
         if len < self.n {
             // A filling row's bound is unknown: rows only shrink by a
             // purge, which kills the row, so no scan has bounded it yet.
-            self.put(
-                from,
-                base + len,
-                to,
-                PairSummary::first(reduction, distance),
-            );
+            self.put(from, base + len, to, summary);
             if len == 0 {
                 self.live_rows += 1;
             }
@@ -459,10 +472,11 @@ impl NeighborTable {
             self.entries += 1;
             return false;
         }
-        if self.refuses_by_bound(&header, distance) {
+        let cand = summary.mean();
+        if self.refuses_by_bound(&header, cand) {
             return false;
         }
-        let summary = PairSummary::first(reduction, distance);
+        self.scans += 1;
         // Priority 1: replace a neighbor marked for deletion (or dead).
         // While the row's epoch is current there is none to find: see
         // `refuses_by_bound`.
@@ -476,69 +490,58 @@ impl NeighborTable {
                 }
             }
         }
-        // Pass one reads every slot's mean term and finds the stalest
-        // entry for priority 3.
-        let mut top = f64::NEG_INFINITY;
+        // Pass one reads every slot's mean term: the top one, the first
+        // slot holding it, and the largest among the other slots (a NaN
+        // mean passes neither test, so it is in neither). It also finds
+        // the stalest entry for priority 3.
+        let (mut top, mut top_k, mut second) = (f64::NEG_INFINITY, 0, f64::NEG_INFINITY);
         let (mut stalest_k, mut stalest) = (0, u64::MAX);
         for (k, m) in self.slot_meta[base..base + len].iter().enumerate() {
-            top = top.max(m.summary.mean());
+            if m.mean > top {
+                second = top;
+                (top, top_k) = (m.mean, k);
+            } else {
+                second = second.max(m.mean);
+            }
             if m.update < stalest {
                 stalest = m.update;
                 stalest_k = k;
             }
         }
-        // Pass two finds the largest-distance neighbors for priority 2 and
-        // bounds the row, reading distances only near the top mean.
-        let cut = Self::tie_cut(top);
-        let mut max_idxs = std::mem::take(&mut self.scratch_idxs);
-        max_idxs.clear();
-        let mut max_d = f64::NEG_INFINITY;
-        let mut hi = 0.0f64;
-        for k in 0..len {
-            if self.slot_meta[base + k].summary.mean() < cut {
-                continue;
-            }
-            let d = self.slot_distance(base + k);
-            hi = hi.max(d);
-            if d > max_d + 1e-12 {
-                max_d = d;
-                max_idxs.clear();
-                max_idxs.push(k);
-            } else if (d - max_d).abs() <= 1e-12 {
-                max_idxs.push(k);
-            }
-        }
-        // The new bounds hold whatever follows: priority 2 stores a slot
-        // closer than `hi`, and after priority 3 the stalest stamp is past
-        // `aging_refs`, so the bound refuses nothing until a scan
-        // rewrites it.
         self.rows[i] = RowHeader {
             len: header.len,
-            bound: hi,
+            bound: top,
             stalest,
             epoch: self.mark_epoch,
         };
         // Priority 2: replace the largest-distance neighbor (random tie
-        // break) if it is farther than the candidate.
-        let new_d = summary.distance(reduction);
-        if max_d > new_d {
-            let pick = max_idxs[self.rng.gen_range(0..max_idxs.len())];
-            self.scratch_idxs = max_idxs;
-            self.put(from, base + pick, to, summary);
-            return true;
-        }
-        self.scratch_idxs = max_idxs;
-        // Priority 3: aging — replace the stalest entry if it has been
-        // inactive long enough.
-        if len > 0 && clock.saturating_sub(stalest) > self.aging_refs {
-            self.put(from, base + stalest_k, to, summary);
-            return true;
-        }
-        false
+        // break) if it is farther than the candidate. Priority 3: aging —
+        // replace the stalest entry if it has been inactive long enough.
+        let farthest = if Self::single_top(top, second, cand) {
+            (top > cand).then(|| {
+                // The tie chain's draw from its one-slot list.
+                let _: usize = self.rng.gen_range(0..1);
+                top_k
+            })
+        } else {
+            self.farthest_by_tie_chain(base, len, top, cand)
+        };
+        let victim = farthest.or_else(|| {
+            (len > 0 && clock.saturating_sub(stalest) > self.aging_refs).then_some(stalest_k)
+        });
+        let Some(k) = victim else {
+            return false;
+        };
+        self.put(from, base + k, to, summary);
+        // The rest of the row tops out at `top`, or at `second` when the
+        // slot replaced was the first at `top`; the candidate's mean joins.
+        self.rows[i].bound = cand.max(if k == top_k { second } else { top });
+        true
     }
 
-    /// Whether a miss on the full row with `header` is refused by the
-    /// row's bound alone, which makes reading its slots unnecessary.
+    /// Whether a miss on the full row with `header`, whose candidate has
+    /// mean term `cand`, is refused by the row's bound alone, which makes
+    /// reading its slots unnecessary.
     ///
     /// The refusal equals the scan's, which in turn refuses without a
     /// side effect (no random draw, no dirty row):
@@ -551,44 +554,117 @@ impl NeighborTable {
     ///   same grounds.
     /// - Priority 3 cannot fire. Stamps only grow, so the stalest is
     ///   within `aging_refs`.
-    /// - Priority 2 replaces only when a slot's computed distance `d_s`
-    ///   exceeds the candidate's computed `new_d`. A slot's distance is
-    ///   the mean of its observations' terms (`d` arithmetic, `ln(1 + d)`
-    ///   geometric) mapped back to a distance. At the scan every `d_s`
-    ///   was at most the bound, every observation folded since is at
-    ///   most the bound, and a mean lies between its parts, so in exact
-    ///   arithmetic `1 + d_s <= 1 + bound`.
+    /// - Priority 2 replaces only when a slot's computed distance exceeds
+    ///   the candidate's computed `new_d`. Each is its summary's stored
+    ///   mean term mapped back (`PairSummary::distance` computes the same
+    ///   `acc / count`), and `cand` is the candidate's. The bound is at
+    ///   least every slot mean that is not NaN: a hit raises it to the
+    ///   slot's new mean, a scan sets it to the row's largest mean, an
+    ///   eviction to the larger of the candidate's and the largest left,
+    ///   and every other write sets it to `INFINITY`. A NaN mean maps to
+    ///   a NaN distance, which never exceeds `new_d`.
     ///
-    /// Floating point moves `d_s` by the rounding of a running sum of up
-    /// to `u32::MAX` non-negative terms: `2^32 * 2^-53 = 2^-21` relative in
-    /// the mean, counted twice (from the scan's value to the exact mean,
-    /// and back to the computed one), plus a few ulps for `ln`, `exp`,
-    /// and the division. Geometrically that is a factor of at most
-    /// `(1 + bound)^(2^-20)`, under `1 + 4.3e-5` for every bound below
-    /// [`BOUND_MAX_DISTANCE`] (`ln(1 + 2^64) < 44.4`); arithmetically at
-    /// most `1 + 2^-20`. On the candidate's side, `new_d` is `x` itself
-    /// (arithmetic) or `exp(ln(1 + x)) - 1`, a few ulps from `x`. The test
-    /// keeps a margin of `2^-14` on each side, `1.2e-4` in all, so when it
-    /// passes every `d_s` is below `new_d` and the scan would refuse.
+    /// So when the test passes, every other slot's mean is at most
+    /// `bound`, and `bound < cand` (the addition rounds up to no less than
+    /// `bound`). Arithmetically the mean is the distance, so every slot's
+    /// distance is below `new_d`, which is `cand`. Geometrically, `cand` is
+    /// at least 0 (`ln(1 + x)` of a clamped `x`). If it is infinite, so is
+    /// `new_d`, and no distance exceeds it. Otherwise `cand < 710`, so the
+    /// bound is below 710 too and the addition rounds by at most `2^-44`:
+    /// every slot's mean lies more than `2^-14` below `cand`. The exact
+    /// `exp` of the two then differs by a factor over `1 + 6e-5`, some
+    /// `10^11` ulps, which `exp`'s error of about an ulp cannot reorder,
+    /// and an overflow to `INFINITY` only ties. Subtracting 1 keeps the
+    /// order, so every slot's distance is at most `new_d`.
+    ///
+    /// No running-sum drift enters: the bound follows the computed means,
+    /// not the observations folded into them.
     #[inline]
-    fn refuses_by_bound(&self, header: &RowHeader, distance: f64) -> bool {
-        let x = distance.max(0.0);
+    fn refuses_by_bound(&self, header: &RowHeader, cand: f64) -> bool {
         header.epoch == self.mark_epoch
             && self.clock.saturating_sub(header.stalest) <= self.aging_refs
-            && x <= BOUND_MAX_DISTANCE
-            && (1.0 + header.bound) * (1.0 + BOUND_SLACK) < (1.0 + x) * (1.0 - BOUND_SLACK)
+            && header.bound + BOUND_MARGIN < cand
+    }
+
+    /// Whether the scan may decide priority 2 on mean terms, in a full row
+    /// whose largest mean `top` is held first by one slot and whose other
+    /// slots top out at `second`, against a candidate with mean `cand`.
+    /// When it may, the tie chain would evict that slot exactly when
+    /// `top > cand`, drawing once from a one-slot list.
+    ///
+    /// - The tie pass would read that slot and list only it. Every other
+    ///   slot whose mean is not NaN lies below `tie_cut(top)`, so the pass
+    ///   skips it, and by `tie_cut`'s proof a walk over every slot lists
+    ///   the same. A NaN slot is read but never listed. The cut is
+    ///   `-INFINITY` below 0, so `top` is at least 0, and below
+    ///   [`SINGLE_TOP_MAX_MEAN`], so its distance `T` is finite and starts
+    ///   the list: the farthest distance is `T`.
+    /// - The chain evicts when `T > new_d`. Arithmetically `T` is `top`
+    ///   and `new_d` is `cand`. Geometrically `1 + T` and `1 + new_d` are
+    ///   the computed `exp` of `top` and of `cand`. Both means lie below
+    ///   [`SINGLE_TOP_MAX_MEAN`], where `exp` is finite, and more than
+    ///   [`SINGLE_TOP_GAP`] apart, so the exact values differ by a factor
+    ///   over `1 + 1e-9`, millions of ulps, which `exp`'s rounding cannot
+    ///   reorder. `cand` is at least 0, so when `top > cand` both values
+    ///   are at least 1. Below `2^53` subtracting 1 is then exact, and
+    ///   above it rounds by at most 1 where the two lie millions apart, so
+    ///   `T > new_d`. When `top < cand`, subtracting 1 keeps the order, so
+    ///   `T <= new_d`.
+    #[inline]
+    fn single_top(top: f64, second: f64, cand: f64) -> bool {
+        second < Self::tie_cut(top)
+            && top < SINGLE_TOP_MAX_MEAN
+            && cand < SINGLE_TOP_MAX_MEAN
+            && (top - cand).abs() > SINGLE_TOP_GAP
+    }
+
+    /// Priority 2 by the 1e-12 tie chain over the distances of the slots
+    /// of the full row at `base` whose mean is not below `tie_cut(top)`:
+    /// the slot to replace, drawn at random among the farthest, if the
+    /// farthest is farther than the candidate with mean term `cand`.
+    fn farthest_by_tie_chain(
+        &mut self,
+        base: usize,
+        len: usize,
+        top: f64,
+        cand: f64,
+    ) -> Option<usize> {
+        let reduction = self.reduction;
+        let cut = Self::tie_cut(top);
+        let mut max_idxs = std::mem::take(&mut self.scratch_idxs);
+        max_idxs.clear();
+        let mut max_d = f64::NEG_INFINITY;
+        for (k, m) in self.slot_meta[base..base + len].iter().enumerate() {
+            if m.mean < cut {
+                continue;
+            }
+            self.exps += 1;
+            let d = PairSummary::distance_of(reduction, m.mean);
+            if d > max_d + 1e-12 {
+                max_d = d;
+                max_idxs.clear();
+                max_idxs.push(k);
+            } else if (d - max_d).abs() <= 1e-12 {
+                max_idxs.push(k);
+            }
+        }
+        self.exps += 1;
+        let new_d = PairSummary::distance_of(reduction, cand);
+        let pick = (max_d > new_d).then(|| max_idxs[self.rng.gen_range(0..max_idxs.len())]);
+        self.scratch_idxs = max_idxs;
+        pick
     }
 
     /// The least mean term whose slot the scan's tie pass reads, in a full
     /// row whose largest mean term is `top`.
     ///
     /// Skipping the slots below it leaves the pass's result exactly as a
-    /// walk over every slot leaves it: the same farthest distance, the
-    /// same tie list in the same order (so the same random draw), and the
-    /// same bound. Write `T` for the row's largest distance and `e` for
-    /// the tie tolerance, 1e-12. A NaN mean is never skipped (`NaN < cut`
-    /// is false), and a NaN distance neither restarts the list nor joins
-    /// it, so NaN slots are left out below.
+    /// walk over every slot leaves it: the same farthest distance, and the
+    /// same tie list in the same order (so the same random draw). Write
+    /// `T` for the row's largest distance and `e` for the tie tolerance,
+    /// 1e-12. A NaN mean is never skipped (`NaN < cut` is false), and a
+    /// NaN distance neither restarts the list nor joins it, so NaN slots
+    /// are left out below.
     ///
     /// - A skipped slot lies more than `2(n + 1)e` below `T`. Its mean is
     ///   [`TIE_MARGIN`] below `top` (at worst half that, where
@@ -612,8 +688,7 @@ impl NeighborTable {
     /// - From that leap on, every skipped slot lies more than `2e` below
     ///   the walk's farthest distance, so it neither restarts the list nor
     ///   joins it: both walks read the same slots from the same state and
-    ///   end equal. `T` itself is read, so the bound, the largest distance
-    ///   read, is the same too.
+    ///   end equal.
     #[inline]
     fn tie_cut(top: f64) -> f64 {
         if top < 0.0 {
@@ -627,11 +702,7 @@ impl NeighborTable {
     /// row: a membership change.
     fn put(&mut self, from: FileId, s: usize, to: FileId, summary: PairSummary) {
         self.slot_to[s] = to;
-        self.slot_meta[s] = SlotMeta {
-            summary,
-            update: self.clock,
-        };
-        self.slot_dist_count[s] = 0;
+        self.slot_meta[s] = SlotMeta::new(summary, self.clock);
         self.mark_row_dirty(from);
     }
 
@@ -885,10 +956,7 @@ impl NeighborTable {
             let len = entries.len().min(t.n);
             for (k, e) in entries.into_iter().take(len).enumerate() {
                 t.slot_to[base + k] = e.to;
-                t.slot_meta[base + k] = SlotMeta {
-                    summary: e.summary,
-                    update: e.last_update,
-                };
+                t.slot_meta[base + k] = SlotMeta::new(e.summary, e.last_update);
             }
             // The row's bound stays unknown: its first miss scans it.
             t.rows[i].len = len as u32;
@@ -938,7 +1006,7 @@ pub struct TableSnapshot {
     pub deletion_tick: u64,
     /// Reference clock.
     pub clock: u64,
-    /// All rows, sorted by file id.
+    /// All rows, strictly ascending by file id.
     pub rows: Vec<(FileId, Vec<NeighborEntry>)>,
     /// Deletion-marked files with their mark ticks.
     pub marked: Vec<(FileId, u64)>,
@@ -947,8 +1015,10 @@ pub struct TableSnapshot {
 }
 
 /// Encoded field by field, in declaration order. Decoding refuses a
-/// neighbor count above 65 536 and a row longer than its table's
-/// neighbor count.
+/// neighbor count above 65 536, a row longer than its table's neighbor
+/// count, and rows not strictly ascending by file id, as
+/// [`NeighborTable::snapshot`] writes them: a row listed twice would be
+/// restored twice.
 impl Codec for TableSnapshot {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.n.encode(buf);
@@ -981,6 +1051,9 @@ impl Codec for TableSnapshot {
         if snap.rows.iter().any(|(_, entries)| entries.len() > n) {
             return Err(DecodeError("a row holds more than n neighbors"));
         }
+        if snap.rows.windows(2).any(|w| w[0].0 >= w[1].0) {
+            return Err(DecodeError("rows out of file order"));
+        }
         Ok(snap)
     }
 }
@@ -988,6 +1061,7 @@ impl Codec for TableSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn table(n: usize) -> NeighborTable {
         NeighborTable::new(n, ReductionKind::Geometric, 1000, 3, 42)
@@ -1281,9 +1355,11 @@ mod tests {
     }
 
     /// Whether the row of `from` would refuse a candidate at `distance`
-    /// by its bound alone, without a scan.
+    /// by its bound alone, without a scan: the bound is tested against
+    /// the candidate's mean term, as the miss path tests it.
     fn bound_refuses(t: &NeighborTable, from: u32, distance: f64) -> bool {
-        t.refuses_by_bound(&t.rows[from as usize], distance)
+        let cand = PairSummary::first(t.reduction, distance).mean();
+        t.refuses_by_bound(&t.rows[from as usize], cand)
     }
 
     /// Row 0 full with neighbors 1 (distance 5) and 2 (distance 8), and
@@ -1303,7 +1379,7 @@ mod tests {
         let mut t = bounded(1_000, 3);
         assert!(bound_refuses(&t, 0, 100.0));
         assert!(bound_refuses(&t, 0, 8.01));
-        assert!(!bound_refuses(&t, 0, 8.0), "no refusal inside the slack");
+        assert!(!bound_refuses(&t, 0, 8.0), "no refusal inside the margin");
         assert!(!bound_refuses(&t, 0, 1.0));
         // The bound's refusal changes nothing.
         t.take_dirty();
@@ -1365,8 +1441,11 @@ mod tests {
         assert!(t.distance(FileId(0), FileId(3)).is_some());
     }
 
+    /// A hit lifts the bound to the slot's new mean, here past the mean
+    /// of a candidate the bound refused before, which then scans and
+    /// evicts the slot.
     #[test]
-    fn a_hit_lifts_the_bound_above_its_observation() {
+    fn a_hit_lifts_the_bound_to_the_slots_new_mean() {
         let mut t = bounded(1_000, 3);
         assert!(bound_refuses(&t, 0, 20.0));
         // Neighbor 1 moves to about sqrt(6 * 201) - 1 = 33.7, past 20.
@@ -1381,33 +1460,37 @@ mod tests {
     }
 
     /// Folding an observation equal to a slot's mean leaves the exact
-    /// mean where it is, but the running log-sum drifts: the computed
-    /// distance creeps past a bound no hit raised. The slack keeps a
-    /// candidate between the two from being refused.
+    /// mean where it is, but the running log-sum drifts, so the computed
+    /// mean creeps past the value the row's scan bounded it at. Each fold
+    /// lifts the bound to the slot's computed mean, so the bound never
+    /// falls behind what the slot's distance is computed from.
     #[test]
-    fn the_slack_covers_a_running_sum_drifting_past_the_bound() {
+    fn a_drifting_running_sum_lifts_the_bound_with_it() {
         let mut t = NeighborTable::new(2, ReductionKind::Geometric, 1_000, 3, 42);
         t.observe(FileId(0), FileId(1), 100.0);
         t.observe(FileId(0), FileId(2), 1.0);
         assert!(!t.observe(FileId(0), FileId(3), 1_000.0));
-        let bound = t.rows[0].bound;
+        let scanned = t.rows[0].bound;
+        assert_eq!(scanned, t.slot_meta[0].mean, "the scan bounds the top mean");
         let mut folds = 0;
-        while t.distance(FileId(0), FileId(1)).expect("stored") <= bound {
+        while t.slot_meta[0].mean <= scanned {
             assert!(!t.observe(FileId(0), FileId(1), 100.0));
+            assert_eq!(t.rows[0].bound, t.slot_meta[0].mean.max(scanned));
             folds += 1;
             assert!(folds < 1_000, "the running sum never drifted");
         }
-        assert_eq!(t.rows[0].bound, bound, "no hit raised the bound");
-        let x = bound.next_up();
-        let new_d =
-            PairSummary::first(ReductionKind::Geometric, x).distance(ReductionKind::Geometric);
-        assert!(t.distance(FileId(0), FileId(1)).expect("stored") > new_d);
-        assert!(!bound_refuses(&t, 0, x));
-        assert!(
-            t.observe(FileId(0), FileId(3), x),
-            "the drifted slot is evicted"
+        let drifted = t.slot_meta[0].mean;
+        assert!(drifted > scanned);
+        assert_eq!(t.rows[0].bound, drifted, "the hit lifted the bound");
+        // The slot's distance is computed from the drifted mean, and the
+        // candidate's below it is not refused by a stale bound: the scan
+        // decides it, evicting or keeping exactly as a full walk would.
+        let slot_d = t.distance(FileId(0), FileId(1)).expect("stored");
+        assert_eq!(
+            slot_d.to_bits(),
+            PairSummary::distance_of(ReductionKind::Geometric, drifted).to_bits()
         );
-        assert!(t.distance(FileId(0), FileId(1)).is_none());
+        assert!(!bound_refuses(&t, 0, 100.0));
     }
 
     #[test]
@@ -1417,6 +1500,167 @@ mod tests {
         assert!(!bound_refuses(&restored, 0, 100.0));
         assert!(!restored.observe(FileId(0), FileId(3), 100.0));
         assert!(bound_refuses(&restored, 0, 100.0));
+    }
+
+    /// A row listed twice in a snapshot would be restored twice, counting
+    /// its file and entries twice, so decoding refuses it, as it refuses
+    /// any order but the strictly ascending one `snapshot` writes.
+    #[test]
+    fn decoding_refuses_rows_out_of_file_order() {
+        let mut t = table(5);
+        t.observe(FileId(1), FileId(2), 1.0);
+        t.observe(FileId(1), FileId(3), 2.0);
+        t.observe(FileId(4), FileId(2), 1.0);
+        let decode = |snap: &TableSnapshot| {
+            let mut buf = Vec::new();
+            snap.encode(&mut buf);
+            seer_trace::codec::decode_all::<TableSnapshot>(&buf)
+        };
+        let snap = t.snapshot();
+        assert!(decode(&snap).is_ok());
+        let mut twice = snap.clone();
+        twice.rows.truncate(1);
+        twice.rows.push(twice.rows[0].clone());
+        assert_eq!(twice.rows[0].1.len(), 2);
+        assert_eq!(
+            decode(&twice).err(),
+            Some(DecodeError("rows out of file order"))
+        );
+        let mut reversed = snap;
+        reversed.rows.reverse();
+        assert_eq!(
+            decode(&reversed).err(),
+            Some(DecodeError("rows out of file order"))
+        );
+    }
+
+    /// The row header and the slot payload each fill 32 bytes, and the
+    /// slot no longer carries a distance memo beside it.
+    #[test]
+    fn row_headers_and_slots_stay_32_bytes() {
+        assert_eq!(std::mem::size_of::<RowHeader>(), 32);
+        assert_eq!(std::mem::size_of::<SlotMeta>(), 32);
+    }
+
+    /// One step of the row-bound property.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Observe { from: u32, to: u32, distance: f64 },
+        Tick(u8),
+        Delete(u32),
+        Restore(u64),
+    }
+
+    /// Repeated values, near ties inside and outside the scan's 1e-12
+    /// tolerance, means straddling the tie pass's 1e-6 margin, and the
+    /// window cap, so hits lift bounds and scans take both the single-top
+    /// decision and the tie chain.
+    fn step() -> impl Strategy<Value = Step> {
+        let distance = prop::sample::select(vec![
+            0.0,
+            1.0,
+            2.0,
+            2.0 + 1e-13,
+            3.0,
+            5.0,
+            5.0 - 1e-6,
+            5.0 - 1e-6 + 1e-9,
+            8.0,
+            13.0,
+            50.0,
+            100.0,
+            1.0e6,
+        ]);
+        let observe =
+            || {
+                (0u32..6, 0u32..12, distance.clone())
+                    .prop_map(|(from, to, distance)| Step::Observe { from, to, distance })
+            };
+        // Uniform over the arms: observations take five of eight.
+        prop_oneof![
+            observe(),
+            observe(),
+            observe(),
+            observe(),
+            observe(),
+            (0u8..4).prop_map(Step::Tick),
+            (0u32..12).prop_map(Step::Delete),
+            (0u64..1_000).prop_map(Step::Restore),
+        ]
+    }
+
+    /// Every full row with a finite bound has it at or above each slot
+    /// mean that is not NaN, and every slot's stored mean is its
+    /// summary's. The row `fresh`, just rewritten by a scan or an
+    /// eviction, has a finite bound equal to its largest mean.
+    fn check_bounds(t: &NeighborTable, fresh: Option<usize>) -> Result<(), String> {
+        for (i, h) in t.rows.iter().enumerate().filter(|(_, h)| h.len > 0) {
+            let len = h.len as usize;
+            let slots = &t.slot_meta[i * t.n..i * t.n + len];
+            for m in slots {
+                if m.mean.to_bits() != m.summary.mean().to_bits() {
+                    return Err(format!("row {i}: stored mean {} is stale", m.mean));
+                }
+            }
+            if len < t.n || !h.bound.is_finite() {
+                continue;
+            }
+            let largest = slots
+                .iter()
+                .map(|m| m.mean)
+                .fold(f64::NEG_INFINITY, f64::max);
+            if largest > h.bound {
+                return Err(format!("row {i}: mean {largest} above bound {}", h.bound));
+            }
+            if fresh == Some(i) && h.bound != largest {
+                return Err(format!(
+                    "row {i}: bound {} not its top mean {largest}",
+                    h.bound
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Hits, scans and evictions keep every row bound covering its
+        /// slots' means, and scans and evictions leave it tight.
+        #[test]
+        fn row_bounds_cover_every_mean_and_scans_leave_them_tight(
+            n in 1usize..6,
+            geometric in prop::bool::ANY,
+            aging_refs in 0u64..8,
+            deletion_delay in 0u64..3,
+            steps in prop::collection::vec(step(), 1..200),
+        ) {
+            let reduction = if geometric {
+                ReductionKind::Geometric
+            } else {
+                ReductionKind::Arithmetic
+            };
+            let mut t = NeighborTable::new(n, reduction, aging_refs, deletion_delay, 7);
+            for (k, s) in steps.iter().enumerate() {
+                let mut fresh = None;
+                match *s {
+                    Step::Observe { from, to, distance } => {
+                        let scans = t.scans;
+                        let evicted = t.observe(FileId(from), FileId(to), distance);
+                        if evicted || t.scans > scans {
+                            fresh = Some(from as usize);
+                        }
+                    }
+                    Step::Tick(ticks) => (0..ticks).for_each(|_| t.tick()),
+                    Step::Delete(f) => {
+                        t.note_deletion(FileId(f));
+                    }
+                    Step::Restore(seed) => t = NeighborTable::from_snapshot(t.snapshot(), seed),
+                }
+                let checked = check_bounds(&t, fresh);
+                prop_assert!(checked.is_ok(), "step {k} ({s:?}): {checked:?}");
+            }
+        }
     }
 
     #[test]
