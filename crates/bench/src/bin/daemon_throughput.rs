@@ -134,82 +134,7 @@ fn main() {
 
     out.push_str(&stage_tables);
 
-    // Second experiment: does periodic reclustering stall ingestion?
-    // Same workload at frame size 64, once with periodic reclustering
-    // disabled and once reclustering aggressively, comparing the
-    // engine_apply latency distribution. A periodic recluster runs on the
-    // actor between two applies, outside the engine_apply stage, so it
-    // delays the batch behind it by its own wall time: the `recluster`
-    // stage p99, printed beside the ratio, bounds that delay.
-    let _ = writeln!(
-        out,
-        "\ningest latency during periodic reclustering (frame size 64):"
-    );
-    let _ = writeln!(
-        out,
-        "  {:<22} {:>10} {:>10} {:>10} {:>10} {:>12}",
-        "configuration", "p50 µs", "p95 µs", "p99 µs", "applies", "reclusters"
-    );
-    let mut apply_p99 = [f64::NAN; 2];
-    let mut recluster_p99 = None;
-    for (i, (label, every)) in [("no reclustering", 0u64), ("recluster every 1000", 1000)]
-        .iter()
-        .enumerate()
-    {
-        let dir =
-            std::env::temp_dir().join(format!("seer-throughput-rc{i}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let mut cfg = DaemonConfig::new(dir.join("sock"));
-        cfg.recluster_every = *every;
-        let handle = Daemon::spawn(cfg).expect("spawn");
-        let mut client =
-            DaemonClient::connect(handle.socket_path(), "recluster-bench").expect("connect");
-        client.send_trace(&trace, 64).expect("warmup send");
-        client.flush().expect("warmup flush");
-        client.send_trace(&trace, 64).expect("send");
-        client.flush().expect("flush");
-        let snap = match client.query(QueryRequest::Metrics).expect("metrics query") {
-            QueryResponse::Metrics { snapshot } => snapshot,
-            other => panic!("unexpected response: {other:?}"),
-        };
-        drop(client);
-        handle.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
-
-        let apply = snap
-            .find_with("seer_daemon_stage_seconds", &[("stage", "engine_apply")])
-            .expect("engine_apply stage");
-        let count = match &apply.value {
-            seer_telemetry::MetricValue::Histogram { count, .. } => *count,
-            _ => 0,
-        };
-        apply_p99[i] = apply.quantile(0.99).unwrap_or(f64::NAN);
-        if *every > 0 {
-            recluster_p99 = snap
-                .find_with("seer_daemon_stage_seconds", &[("stage", "recluster")])
-                .and_then(|m| m.quantile(0.99));
-        }
-        let _ = writeln!(
-            out,
-            "  {:<22} {:>10} {:>10} {:>10} {:>10} {:>12}",
-            label,
-            us(apply.quantile(0.50)),
-            us(apply.quantile(0.95)),
-            us(apply.quantile(0.99)),
-            count,
-            snap.counter("seer_daemon_reclusters_total").unwrap_or(0),
-        );
-    }
-    let ratio = apply_p99[1] / apply_p99[0].max(1e-12);
-    let _ = writeln!(
-        out,
-        "  engine_apply p99 ratio (recluster / baseline): {ratio:.2}x \
-         (target: within 2x — reclustering must not stall ingestion); \
-         recluster stage p99 {} µs",
-        us(recluster_p99)
-    );
-
-    // Third experiment: what does causal tracing cost the hot path?
+    // Second experiment: what does causal tracing cost the hot path?
     // Same workload at frame size 64, once with the flight recorder off
     // (capacity 0, no trace stamps) and once fully on (every frame
     // stamped, so every ingest stage records spans into the ring).
@@ -231,7 +156,6 @@ fn main() {
             std::env::temp_dir().join(format!("seer-throughput-tr{i}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let mut cfg = DaemonConfig::new(dir.join("sock"));
-        cfg.recluster_every = 0;
         cfg.trace_capacity = if *traced { 4096 } else { 0 };
         let handle = Daemon::spawn(cfg).expect("spawn");
         let mut client =
@@ -291,7 +215,7 @@ fn main() {
          (target: within 1.10x — tracing must be invisible on the hot path)"
     );
 
-    // Fourth experiment: what does write-ahead logging cost the ingest
+    // Third experiment: what does write-ahead logging cost the ingest
     // path? Same workload at frame size 64, once without a WAL and once
     // per fsync policy. The append itself rides inside the engine_apply
     // stage, so its p99 captures framing + checksum + write() and — for
@@ -320,7 +244,6 @@ fn main() {
             std::env::temp_dir().join(format!("seer-throughput-wal{i}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let mut cfg = DaemonConfig::new(dir.join("sock"));
-        cfg.recluster_every = 0;
         if let Some(p) = policy {
             cfg.wal_dir = Some(dir.join("wal"));
             cfg.wal_fsync = *p;
@@ -361,7 +284,7 @@ fn main() {
          (target: within 1.25x — durability must not throttle ingestion)"
     );
 
-    // Fifth experiment: the fleet. All nine paper machines (A–I) stream
+    // Fourth experiment: the fleet. All nine paper machines (A–I) stream
     // concurrently, each as its own tenant with several replica clients
     // over a mix of unix and tcp transports, into one daemon sharded
     // across engine actors. Reported: aggregate events/s across the
@@ -393,7 +316,6 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("seer-throughput-fleet-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
-    cfg.recluster_every = 0;
     cfg.tcp_addr = Some("127.0.0.1:0".into());
     cfg.shards = FLEET_SHARDS;
     let handle = Daemon::spawn(cfg).expect("spawn");

@@ -34,13 +34,13 @@ USAGE:
             [--refill-hours H]
   seer daemon --socket PATH [--tcp ADDR] [--shards N]
               [--snapshot FILE] [--capacity N]
-              [--recluster-every N] [--snapshot-every N] [--file-size BYTES]
+              [--snapshot-every N] [--file-size BYTES]
               [--trace-capacity N] [--slow-span-ms MS]
               [--flight FILE] [--wal-dir DIR] [--fsync always|never|interval:<ms>]
               [--wal-segment-bytes N] [--restore-to GENERATION]
               [--eval-every-ms MS] [--eval-window-secs S]
               [--burn-fast-secs S] [--burn-slow-secs S]
-              (N = 0 for --recluster-every / --snapshot-every means never;
+              (--snapshot-every 0 means never;
                --trace-capacity 0 disables the flight recorder;
                --wal-dir enables the write-ahead log; --restore-to discards
                every batch past that generation before starting;
@@ -52,7 +52,7 @@ USAGE:
   seer client send <trace> --socket PATH [--chunk N]
   seer client load --socket PATH --machine <A..I> [--days N] [--seed N] [--chunk N]
   seer client query <{queries}> --socket PATH
-                    [--budget BYTES] [--cached] [--format json|prom]
+                    [--budget BYTES] [--format json|prom]
   seer client query fleet --socket PATH [--top K]
                     (per-tenant events/hoard/miss-rate table, whole daemon)
   seer client query history --socket PATH --generation N [--budget BYTES]
@@ -67,7 +67,7 @@ USAGE:
                     [--events TRACE] [--chunk N]
                     (exports one traced exchange as Chrome trace-event JSON)
   seer client shutdown --socket PATH
-  seer trace <hoard|clusters> --socket PATH [--budget BYTES] [--cached]
+  seer trace <hoard|clusters> --socket PATH [--budget BYTES]
   seer explain <path> --socket PATH
   seer top --socket PATH [--interval SECS]
   seer demo [--days N]

@@ -30,10 +30,8 @@ pub fn cmd_daemon(args: &Args) -> Result<(), CliError> {
         cfg.snapshot_path = Some(p.into());
     }
     cfg.channel_capacity = args.num_flag("capacity", cfg.channel_capacity)?;
-    // For both periodic knobs 0 means "never": no periodic reclustering
-    // (queries still compute one on demand) and no periodic snapshots
-    // (the final shutdown snapshot is still written).
-    cfg.recluster_every = args.num_flag("recluster-every", cfg.recluster_every)?;
+    // 0 means no periodic snapshots (the final shutdown snapshot is
+    // still written).
     cfg.snapshot_every = args.num_flag("snapshot-every", cfg.snapshot_every)?;
     cfg.file_size = args.num_flag("file-size", cfg.file_size)?;
     // Flight-recorder knobs: ring capacity (0 disables tracing), the
@@ -221,17 +219,12 @@ fn client_query(args: &Args) -> Result<(), CliError> {
                 .require_flag("budget")?
                 .parse()
                 .map_err(|_| CliError("--budget wants a byte count".into()))?;
-            // `--cached` answers from the last computed clustering
-            // immediately (possibly marked stale); the default waits for
-            // a clustering that reflects every applied event.
             QueryRequest::Hoard {
                 budget,
-                fresh: !args.bool_flag("cached"),
+                fresh: true,
             }
         }
-        Some("clusters") => QueryRequest::Clusters {
-            fresh: !args.bool_flag("cached"),
-        },
+        Some("clusters") => QueryRequest::Clusters { fresh: true },
         Some("stats") => QueryRequest::Stats,
         Some("metrics") => QueryRequest::Metrics,
         Some("health") => QueryRequest::Health,
@@ -351,8 +344,9 @@ fn client_query(args: &Args) -> Result<(), CliError> {
 /// By default a tiny probe batch (two opens under `/.seer/trace-probe/`)
 /// is streamed so the ingest stages appear in the trace even on an idle
 /// daemon; `--events FILE` streams a real trace file instead. The query
-/// itself is a *fresh* hoard selection, which forces a recluster and so
-/// exercises every pipeline stage.
+/// itself is a hoard selection, which reclusters first (unless the
+/// batch's own cadence evaluation already did) and so exercises every
+/// pipeline stage.
 fn client_query_trace(args: &Args) -> Result<(), CliError> {
     let events = match args.flag("events") {
         Some(path) => Some((
@@ -437,13 +431,12 @@ fn probe_events() -> (Vec<seer_trace::TraceEvent>, seer_trace::StringTable) {
 /// `seer trace <hoard|clusters> --socket PATH` — sends one traced query
 /// and pretty-prints the span tree the daemon recorded for it.
 pub fn cmd_trace(args: &Args) -> Result<(), CliError> {
-    let fresh = !args.bool_flag("cached");
     let query = match args.positional(1) {
         Some("hoard") => QueryRequest::Hoard {
             budget: args.num_flag("budget", 1 << 20)?,
-            fresh,
+            fresh: true,
         },
-        Some("clusters") | None => QueryRequest::Clusters { fresh },
+        Some("clusters") | None => QueryRequest::Clusters { fresh: true },
         Some(other) => {
             return Err(CliError(format!(
                 "unknown traced query: {other} (hoard|clusters)"
@@ -605,13 +598,12 @@ fn top_once(client: &mut DaemonClient, target: &str) -> Result<(), CliError> {
     );
     println!(
         "queue depth {} (peak {})   connections {}   reclusters {}   \
-         snapshots {}   stale queries {}",
+         snapshots {}",
         gauge("seer_daemon_queue_depth"),
         gauge("seer_daemon_queue_depth_max"),
         counter("seer_daemon_connections_total"),
         counter("seer_daemon_reclusters_total"),
         counter("seer_daemon_snapshots_total"),
-        counter("seer_daemon_stale_queries_total"),
     );
     println!(
         "engine: {} files known, {} clusters, {} distance observations, \
@@ -718,13 +710,12 @@ fn print_response(response: &QueryResponse) {
             clusters_taken,
             clusters_skipped,
             generation,
-            stale,
+            ..
         } => {
             println!(
                 "hoard: {} files, {bytes} bytes; {clusters_taken} whole projects \
-                 ({clusters_skipped} skipped); clustering generation {generation}{}",
+                 ({clusters_skipped} skipped); clustering generation {generation}",
                 files.len(),
-                if *stale { " (stale)" } else { "" }
             );
             for f in files {
                 println!("  {f}");
@@ -735,13 +726,9 @@ fn print_response(response: &QueryResponse) {
             largest,
             files_known,
             generation,
-            stale,
+            ..
         } => {
-            println!(
-                "{count} clusters over {files_known} known files \
-                 (generation {generation}{})",
-                if *stale { ", stale" } else { "" }
-            );
+            println!("{count} clusters over {files_known} known files (generation {generation})");
             println!("largest: {largest:?}");
         }
         QueryResponse::Stats {
@@ -824,16 +811,15 @@ fn print_response(response: &QueryResponse) {
             clusters,
             neighbors,
             generation,
-            stale,
+            ..
         } => {
             println!(
-                "{path}: {}{} (clustering generation {generation}{})",
+                "{path}: {}{} (clustering generation {generation})",
                 match rank {
                     Some(r) => format!("rank {} of {ranked}", r + 1),
                     None => format!("unranked ({ranked} files ranked)"),
                 },
                 if *always_hoard { ", always-hoard" } else { "" },
-                if *stale { ", stale" } else { "" },
             );
             println!(
                 "  last referenced: {}   references: {ref_count}",
@@ -940,13 +926,8 @@ fn print_quality(
     };
     let first_miss = |m: Option<u64>| m.map_or_else(|| "never".to_owned(), |s| format!("{s}s in"));
     println!(
-        "quality @ generation {} (clustering {}): window {}s, budget {} bytes, \
-         {} evaluations",
-        report.generation,
-        report.clustering_generation,
-        report.window_secs,
-        report.budget,
-        report.evals,
+        "quality @ generation {}: window {}s, budget {} bytes, {} evaluations",
+        report.generation, report.window_secs, report.budget, report.evals,
     );
     println!(
         "needed: {} files, {} bytes working set  {}",
@@ -1003,12 +984,12 @@ fn print_postmortem(pm: &seer_trace::wire::MissPostmortem) {
         },
     );
     println!(
-        "  at capture: {} (clustering generation {})",
+        "  at capture: {} (generation {})",
         match pm.rank {
             Some(r) => format!("rank {} of {}", r + 1, pm.ranked),
             None => format!("unranked ({} files ranked)", pm.ranked),
         },
-        pm.clustering_generation,
+        pm.generation,
     );
     if pm.clusters.is_empty() {
         println!("  clusters: none");

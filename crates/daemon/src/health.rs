@@ -10,7 +10,8 @@
 //!         - 40 · [wal fault present]
 //!         - 30 · min(1, burn / (2 · BURN_THRESHOLD))
 //!         - 20 · clamp(ingest queue depth / capacity, 0, 1)
-//!         - 10 · [evaluator stale: no eval in 4 · eval_every]
+//!         - 10 · [evaluator stale: behind the applied events and
+//!                 no eval in 4 · eval_every]
 //! ```
 //!
 //! "Bad ops" for the burn gauge are hoard misses (real + auto-detected,
@@ -72,7 +73,8 @@ pub struct HealthSignals {
     pub wal_fault: bool,
     /// Ingest queue depth as a fraction of capacity (flush lag proxy).
     pub queue_frac: f64,
-    /// The quality evaluator has not run within its expected cadence.
+    /// The quality evaluator's last report lags the applied events and
+    /// it has not run within four cadences.
     pub eval_stale: bool,
 }
 

@@ -30,7 +30,9 @@
 //!   recluster takes well under a millisecond, so each shard's engine
 //!   actor is the only thread that computes on its tenants' engines:
 //!   every recluster and quality evaluation runs in place between
-//!   messages, and the actor blocks only on its inbox. Snapshot files,
+//!   messages, and the actor blocks only on its inbox. Nothing
+//!   reclusters on a schedule: whatever reads a tenant's clustering
+//!   reclusters it first when it lags the applied events. Snapshot files,
 //!   the one piece of file I/O that stays off the ack path, are written
 //!   by the shard's one background worker thread, whatever its tenant
 //!   count.
@@ -59,8 +61,9 @@
 //!   `History` query.
 //! - **Online queries.** Hoard selection, cluster summaries, stats, and
 //!   health probes are answered on the same socket, in order behind the
-//!   querying connection's own events — so an online hoard query equals
-//!   an offline replay of the same events. Per-tenant
+//!   querying connection's own events — so every answer that reads a
+//!   clustering equals an offline replay of the same events plus a
+//!   recluster. Per-tenant
 //!   queries see only their tenant; the `Fleet` query fans out across
 //!   shards and merges.
 //! - **Blast-radius isolation.** A hostile or broken client (garbage

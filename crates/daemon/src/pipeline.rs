@@ -265,11 +265,11 @@ fn offer_snapshot(ts: &mut TenantState, worker: &Worker, idle: bool) {
 
 /// Runs one shard's engine actor until every inbox sender is gone
 /// (graceful shutdown: the inbox is drained; every tenant that applied
-/// events reclusters and snapshots, then the actor exits) or `kill` is
-/// raised (abrupt: exit *without* snapshotting, leaving the last on-disk
-/// snapshots as the recovery points). Either way the shard's `worker` is
-/// joined once its running write ends. `home` is the default tenant,
-/// recovered at startup — present on exactly the shard it routes to.
+/// events snapshots, then the actor exits) or `kill` is raised (abrupt:
+/// exit *without* snapshotting, leaving the last on-disk snapshots as
+/// the recovery points). Either way the shard's `worker` is joined once
+/// its running write ends. `home` is the default tenant, recovered at
+/// startup — present on exactly the shard it routes to.
 pub(crate) fn run_engine_actor(
     home: Option<TenantState>,
     cfg: Arc<DaemonConfig>,
@@ -398,13 +398,12 @@ mod tests {
         (interns, trace.events[..half].to_vec())
     }
 
-    /// A periodic recluster runs in place right after the batch that
-    /// crosses `recluster_every`, and starts its own root trace: it
-    /// never aliases the trace of the batch that triggered it.
+    /// The cadence evaluation after a tenant's first batch reclusters in
+    /// place first, and that recluster starts its own root trace: it
+    /// never aliases the trace of the batch that made it due.
     #[test]
-    fn background_recluster_records_under_fresh_trace() {
+    fn cadence_recluster_records_under_fresh_trace() {
         let mut cfg = DaemonConfig::new("unused.sock");
-        cfg.recluster_every = 1;
         cfg.snapshot_every = 0;
         let metrics = crate::stats::new_shared(Tracer::new(4096, Duration::from_secs(1)));
         let mut actor = Actor {
@@ -424,12 +423,12 @@ mod tests {
         };
         actor.handle(msg, 0, Instant::now());
 
-        // Nothing but the batch ran, so the recluster is the periodic one.
+        // Nothing but the batch ran, so the recluster is its evaluation's.
         let spans = actor.metrics.tracer.snapshot();
         let recluster = spans
             .iter()
             .find(|s| s.name == "recluster")
-            .expect("the crossed threshold recorded its recluster");
+            .expect("the first evaluation recorded its recluster");
         assert_eq!(recluster.parent_id, None, "root of its own trace");
         assert_ne!(recluster.trace_id, 0);
         assert_ne!(recluster.trace_id, batch.trace_id.0);

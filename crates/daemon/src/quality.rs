@@ -12,13 +12,14 @@
 //! Mechanically an evaluation is a tenant transition (`crate::tenant`),
 //! run on the shard's engine actor between messages: when the tenant's
 //! cadence is due at the `now` its caller passes (checked after each
-//! batch and in idle housekeeping), the tenant gathers the report's
-//! scalars into an [`EvalJob`], [`evaluate`]s it against its engine,
-//! which it reads in place (activity, clustering, and the always-hoard
-//! set; nothing is copied), and installs the resulting
-//! [`QualityReport`]. A `Quality` query takes the same path after
-//! reclustering to the current generation, so its answer reflects
-//! everything applied before it. Nothing here reads a clock.
+//! batch and in idle housekeeping) and events were applied since the
+//! last report, the tenant reclusters if its clustering lags, gathers
+//! the report's scalars into an [`EvalJob`], [`evaluate`]s it against
+//! its engine, which it reads in place (activity, clustering, and the
+//! always-hoard set; nothing is copied), and installs the resulting
+//! [`QualityReport`]. A `Quality` query takes the same path whatever the
+//! cadence, so every report reflects everything applied before it.
+//! Nothing here reads a clock.
 //!
 //! The LRU baseline of §6.1 is reproduced by a [`ShadowLru`]: a
 //! memory-bounded recency list maintained on the apply path. Feeding its
@@ -147,7 +148,6 @@ pub(crate) struct EvalJob {
     pub budget: u64,
     pub file_size: u64,
     pub generation: u64,
-    pub clustering_generation: u64,
     pub misses_by_severity: [u64; 5],
     pub auto_misses: u64,
     pub eval_index: u64,
@@ -156,7 +156,9 @@ pub(crate) struct EvalJob {
 /// Computes a quality report of `engine`'s ranking against the LRU
 /// order `shadow`, read in place. Pure: no clocks, no mutation — an
 /// offline caller feeding the same activity, ranking, and window gets
-/// bit-identical numbers (the equivalence test relies on this).
+/// bit-identical numbers (the equivalence test relies on this). The
+/// caller reclusters to `job.generation` first, so the report's
+/// `clustering_generation` is that generation.
 pub(crate) fn evaluate(engine: &SeerEngine, shadow: &[FileId], job: &EvalJob) -> QualityReport {
     let refs = engine.correlator().activity().export();
     // "Now" is trace time, not wall time: the latest recorded reference.
@@ -208,7 +210,7 @@ pub(crate) fn evaluate(engine: &SeerEngine, shadow: &[FileId], job: &EvalJob) ->
 
     QualityReport {
         generation: job.generation,
-        clustering_generation: job.clustering_generation,
+        clustering_generation: job.generation,
         window_secs: job.window_secs,
         budget: job.budget,
         needed_files: needed.len(),
@@ -264,6 +266,11 @@ impl QualityState {
             every,
             window_secs,
         }
+    }
+
+    /// The generation of the latest report (0 before the first).
+    pub(crate) fn reported(&self) -> u64 {
+        self.latest.as_ref().map_or(0, |r| r.generation)
     }
 
     /// Whether another evaluation is due at `now`: none has run yet, or
@@ -375,7 +382,6 @@ mod tests {
             budget,
             file_size,
             generation: 1,
-            clustering_generation: 1,
             misses_by_severity: [0; 5],
             auto_misses: 0,
             eval_index: 1,

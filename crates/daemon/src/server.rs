@@ -41,19 +41,14 @@ pub struct DaemonConfig {
     /// Capacity of each shard's bounded inbox. Connection readers block
     /// when it is full — this is the backpressure knob.
     pub channel_capacity: usize,
-    /// Recluster a tenant in place on its shard's actor once this many
-    /// events were applied since its last recluster, right after the
-    /// batch that crosses the threshold. `0` disables periodic (and
-    /// idle-tick) reclustering entirely; queries still compute a
-    /// clustering on demand.
-    pub recluster_every: u64,
     /// Snapshot after this many applied events. `0` disables periodic
     /// snapshots; with `snapshot_path` set, graceful shutdown still
     /// writes a final one for every tenant that applied events.
     pub snapshot_every: u64,
     /// Engine actor idle tick: a full tick with no ingest message runs
-    /// the idle housekeeping (stale reclusters, WAL sync, snapshots);
-    /// the actor also polls the kill flag at this cadence.
+    /// the idle housekeeping (the evaluation cadence, health samples,
+    /// WAL sync, snapshots); the actor also polls the kill flag at this
+    /// cadence.
     pub tick: Duration,
     /// Nominal size, in bytes, assumed for every file when answering
     /// hoard queries (the daemon has no investigator measuring real
@@ -87,8 +82,9 @@ pub struct DaemonConfig {
     pub restore_to: Option<u64>,
     /// Cadence of each tenant's background quality evaluation (live
     /// miss-free hoard size, SEER vs shadow-LRU). Must be nonzero: a
-    /// zero cadence would evaluate back to back. `Quality` queries
-    /// evaluate inline whatever the cadence.
+    /// zero cadence would evaluate back to back. The cadence skips a
+    /// tenant that applied nothing since its last report. `Quality`
+    /// queries evaluate inline whatever the cadence.
     pub eval_every: Duration,
     /// Simulated-disconnection window the evaluator scores against, in
     /// trace seconds (default: one day, the paper's canonical
@@ -116,7 +112,6 @@ impl DaemonConfig {
             shards: 2,
             snapshot_path: None,
             channel_capacity: 256,
-            recluster_every: 50_000,
             snapshot_every: 20_000,
             tick: Duration::from_millis(50),
             file_size: 1024,

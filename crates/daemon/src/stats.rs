@@ -61,9 +61,6 @@ pub(crate) struct PipelineMetrics {
     pub reclusters_incremental: Counter,
     pub snapshots: Counter,
     pub connections: Counter,
-    /// Hoard/cluster queries answered from a clustering older than the
-    /// applied event count (non-fresh queries after events arrived).
-    pub stale_queries: Counter,
     /// Ingest-queue depth sampled at each event send.
     pub queue_depth: Gauge,
     /// High-water mark of `queue_depth` over the daemon's lifetime.
@@ -173,10 +170,6 @@ impl PipelineMetrics {
             tenants: registry.gauge(
                 "seer_daemon_tenants",
                 "Tenants the engine shards currently hold state for.",
-            ),
-            stale_queries: registry.counter(
-                "seer_daemon_stale_queries_total",
-                "Queries answered from a cached clustering older than the applied event count.",
             ),
             queue_depth: registry.gauge(
                 "seer_daemon_queue_depth",

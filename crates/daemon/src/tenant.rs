@@ -20,6 +20,10 @@
 //! (the shard's worker, or the caller inline) folds the [`Done`] back in
 //! with [`TenantState::finish_snapshot`].
 //!
+//! A tenant clusters on read: whatever reads the clustering reclusters
+//! first when it lags the applied events
+//! ([`TenantState::prepare_clustering`]), and nothing else reclusters.
+//!
 //! One recovery sequence, [`TenantState::recover`], rebuilds a tenant
 //! from its snapshot and log for both of its callers: daemon startup
 //! (the default tenant; a failure refuses the start, and `restore_to` is
@@ -135,10 +139,9 @@ pub(crate) struct TenantState {
     /// when the connection hangs up.
     conns: HashMap<u64, Conn>,
     events_applied: u64,
-    since_recluster: u64,
     since_snapshot: u64,
-    /// `events_applied` when the installed clustering was computed; a
-    /// query is *stale* when this lags the live counter.
+    /// `events_applied` when the installed clustering was computed. It
+    /// lags the live counter between reads, never inside one.
     clustering_generation: u64,
     /// Pre-relation pair counts as of the previous recluster's view,
     /// which the next run updates from the engine's dirty delta instead
@@ -217,7 +220,6 @@ impl TenantState {
             strings,
             conns: HashMap::new(),
             events_applied,
-            since_recluster: 0,
             since_snapshot: 0,
             clustering_generation: 0,
             cache: None,
@@ -286,11 +288,11 @@ impl TenantState {
     /// paths it declared since its previous frame: the ids are remapped
     /// into the tenant's space, the batch is appended to the log, then
     /// applied to the engine and the quality plane. Whatever it makes
-    /// due follows: postmortems for new misses, an evaluation, and a
-    /// recluster at the `recluster_every` threshold. Under a log fault,
-    /// or when this append faults the log, the batch is dropped
-    /// unacknowledged. Either way a health sample is offered. `depth` is
-    /// the inbox depth behind the batch.
+    /// due follows: postmortems for new misses and an evaluation, each
+    /// of which reclusters first. Under a log fault, or when this append
+    /// faults the log, the batch is dropped unacknowledged. Either way a
+    /// health sample is offered. `depth` is the inbox depth behind the
+    /// batch.
     pub(crate) fn apply_batch(
         &mut self,
         conn: u64,
@@ -340,7 +342,6 @@ impl TenantState {
         self.engine.on_batch(&events, &self.strings);
         self.quality_ingest(&events);
         self.events_applied += n;
-        self.since_recluster += n;
         self.since_snapshot += n;
         self.tm.events_applied.add(n);
         self.tm.batches_applied.inc();
@@ -354,9 +355,6 @@ impl TenantState {
         self.observe_health(depth, now);
         self.capture_postmortems();
         self.maybe_eval(now);
-        if self.cfg.recluster_every > 0 && self.since_recluster >= self.cfg.recluster_every {
-            self.recluster(None);
-        }
     }
 
     /// Accounts for a batch's log append (the batch and the intern
@@ -427,16 +425,17 @@ impl TenantState {
         self.wal_fault = Some(fault);
     }
 
-    /// Reclusters at the current generation: for a fresh query, a
-    /// crossed `recluster_every` threshold, idle housekeeping, or the
-    /// shutdown epilogue. The run is incremental off the pair-count
-    /// cache, draining the engine's dirty delta, except every
-    /// `RECLUSTER_FULL_EVERY`-th run, which recounts in full. It installs
-    /// the clustering and records its `recluster` span (with
-    /// `shard_count` children) retroactively: under `ctx` for a query,
-    /// else under a fresh root trace. The span and the `recluster` stage
-    /// cover building the neighbor sets as well as clustering them, as
-    /// [`SeerEngine::recluster`]'s timing does.
+    /// Reclusters at the current generation, for a reader of the
+    /// clustering ([`TenantState::prepare_clustering`] is the only
+    /// caller). The run is incremental off the pair-count cache, draining
+    /// the engine's dirty delta, so the delta spans everything applied
+    /// since the previous read; every `RECLUSTER_FULL_EVERY`-th run
+    /// recounts in full. It installs the clustering and records its
+    /// `recluster` span (with `shard_count` children) retroactively:
+    /// under `ctx` for a query, else under a fresh root trace (the
+    /// cadence evaluation and miss postmortems). The span and the
+    /// `recluster` stage cover building the neighbor sets as well as
+    /// clustering them, as [`SeerEngine::recluster`]'s timing does.
     fn recluster(&mut self, ctx: Option<SpanContext>) {
         let started = Instant::now();
         let input = self.engine.recluster_input();
@@ -452,7 +451,6 @@ impl TenantState {
         } else {
             0
         };
-        self.since_recluster = 0;
         let generation = self.events_applied;
         let clusters = (self.engine)
             .install_clustering(run.clustering, wall, &run.shard_count_seconds)
@@ -504,18 +502,15 @@ impl TenantState {
         );
     }
 
-    /// Idle housekeeping, after a full tick with no ingest message:
-    /// recluster a stale clustering, keep the evaluation cadence alive,
-    /// sample health so burn windows decay (and alerts resolve) while
-    /// the tenant is quiet, and, under an interval fsync policy, sync the
-    /// log if its window elapsed with appends outstanding, so a quiet
-    /// daemon still bounds its loss window. A failed sync faults the log
-    /// like a failed append. The caller then offers an idle snapshot
-    /// ([`TenantState::snapshot_job`]).
+    /// Idle housekeeping, after a full tick with no ingest message: keep
+    /// the evaluation cadence alive (it evaluates only once events were
+    /// applied since its last report), sample health so burn windows
+    /// decay (and alerts resolve) while the tenant is quiet, and, under
+    /// an interval fsync policy, sync the log if its window elapsed with
+    /// appends outstanding, so a quiet daemon still bounds its loss
+    /// window. A failed sync faults the log like a failed append. The
+    /// caller then offers an idle snapshot ([`TenantState::snapshot_job`]).
     pub(crate) fn housekeep(&mut self, depth: usize, now: Instant) {
-        if self.cfg.recluster_every > 0 && self.since_recluster > 0 {
-            self.recluster(None);
-        }
         self.maybe_eval(now);
         self.observe_health(depth, now);
         if self.wal_fault.is_some() {
@@ -628,16 +623,14 @@ impl TenantState {
     }
 
     /// The graceful-shutdown epilogue, once no snapshot is in flight. A
-    /// tenant that applied events reclusters if its clustering is stale,
-    /// writes its final snapshot inline, and syncs its log's tail, which
-    /// an interval policy may have left unsynced. One that only answered
-    /// queries has nothing to persist and leaves no file.
+    /// tenant that applied events writes its final snapshot inline and
+    /// syncs its log's tail, which an interval policy may have left
+    /// unsynced; a snapshot holds no clustering, so none is computed.
+    /// One that only answered queries has nothing to persist and leaves
+    /// no file.
     pub(crate) fn close(&mut self) {
         if self.events_applied == 0 {
             return;
-        }
-        if self.engine.clustering().is_none() || self.clustering_generation < self.events_applied {
-            self.recluster(None);
         }
         if let Some(job) = self.freeze_snapshot() {
             self.finish_snapshot(job.run());
@@ -654,9 +647,12 @@ impl TenantState {
     }
 
     /// Answers a tenant-scoped query, in order behind everything the
-    /// asking connection sent before it. `ctx` is the actor's
-    /// `engine_answer` span, under which a recluster the query forces
-    /// records; `depth` is the inbox depth behind the query.
+    /// asking connection sent before it. A query that reads the
+    /// clustering (`Hoard`, `Clusters`, `Explain`, `Quality`) answers at
+    /// the applied count; its `fresh` flag is ignored and its `stale`
+    /// flag is always `false`. `ctx` is the actor's `engine_answer` span,
+    /// under which a recluster the query forces records; `depth` is the
+    /// inbox depth behind the query.
     pub(crate) fn answer(
         &mut self,
         query: QueryRequest,
@@ -664,8 +660,8 @@ impl TenantState {
         depth: usize,
     ) -> QueryResponse {
         match query {
-            QueryRequest::Hoard { budget, fresh } => {
-                let (generation, stale) = self.prepare_clustering(fresh, ctx);
+            QueryRequest::Hoard { budget, .. } => {
+                let generation = self.prepare_clustering(ctx);
                 let file_size = self.cfg.file_size;
                 let sel = self.engine.choose_hoard(budget, &|_| file_size);
                 let paths = self.engine.paths();
@@ -677,11 +673,11 @@ impl TenantState {
                     clusters_taken: sel.clusters_taken,
                     clusters_skipped: sel.clusters_skipped,
                     generation,
-                    stale,
+                    stale: false,
                 }
             }
-            QueryRequest::Clusters { fresh } => {
-                let (generation, stale) = self.prepare_clustering(fresh, ctx);
+            QueryRequest::Clusters { .. } => {
+                let generation = self.prepare_clustering(ctx);
                 let clustering = self.engine.clustering().expect("prepared above");
                 let mut largest: Vec<usize> = clustering.clusters.iter().map(|c| c.len()).collect();
                 largest.sort_unstable_by(|a, b| b.cmp(a));
@@ -691,7 +687,7 @@ impl TenantState {
                     largest,
                     files_known: self.engine.paths().len(),
                     generation,
-                    stale,
+                    stale: false,
                 }
             }
             QueryRequest::Health => QueryResponse::Health {
@@ -703,12 +699,10 @@ impl TenantState {
             QueryRequest::History { generation, budget } => self.answer_history(generation, budget),
             QueryRequest::Explain { path } => self.answer_explain(&path, ctx),
             QueryRequest::Quality => {
-                // Recluster to the current generation first, as a fresh
-                // hoard does, so after a flush an online quality answer
-                // equals an offline evaluation of the same events (the
-                // equivalence tests pin this).
-                self.prepare_clustering(true, ctx);
-                self.evaluate();
+                // After a flush an online quality answer equals an
+                // offline evaluation of the same events (the equivalence
+                // tests pin this).
+                self.evaluate(ctx);
                 let q = &self.quality;
                 QueryResponse::Quality {
                     report: q.latest.clone().expect("evaluated above"),
@@ -726,25 +720,20 @@ impl TenantState {
         }
     }
 
-    /// Prepares the clustering for an answer. `fresh` reclusters in
-    /// place unless the clustering already reflects everything applied
-    /// so far — this makes an online hoard query equivalent to an
-    /// offline replay followed by recluster + choose_hoard. A non-fresh
-    /// query reuses the cached clustering (counting it as stale when the
-    /// generation lags), so it never reclusters unless there is no
-    /// clustering at all. Returns the clustering's generation and
-    /// whether it is stale.
-    fn prepare_clustering(&mut self, fresh: bool, ctx: Option<SpanContext>) -> (u64, bool) {
-        let stale = self.clustering_generation < self.events_applied;
-        if self.engine.clustering().is_none() || fresh && stale {
+    /// The one recluster rule. Whatever reads the clustering calls this
+    /// first: `Hoard`, `Clusters`, `Explain` and `Quality` answers, the
+    /// cadence evaluation, and miss postmortems. It reclusters in place
+    /// when there is no clustering yet or when the installed one lags
+    /// `events_applied`, so every reader sees a clustering of everything
+    /// applied, and every answer equals an offline replay of the same
+    /// events plus a recluster. `ctx` parents the recluster's span (a
+    /// query's `engine_answer`; `None` starts a root trace). Returns the
+    /// clustering's generation, which is then `events_applied`.
+    fn prepare_clustering(&mut self, ctx: Option<SpanContext>) -> u64 {
+        if self.engine.clustering().is_none() || self.clustering_generation < self.events_applied {
             self.recluster(ctx);
         }
-        let stale = self.clustering_generation < self.events_applied;
-        if stale {
-            self.metrics.stale_queries.inc();
-        }
-        self.observe_generation_lag();
-        (self.clustering_generation, stale)
+        self.clustering_generation
     }
 
     /// Answers a `History` query: replay the tenant's log (from its
@@ -822,7 +811,7 @@ impl TenantState {
                 message: format!("unknown path: {path} (never observed by the daemon)"),
             };
         };
-        let (generation, stale) = self.prepare_clustering(false, ctx);
+        let generation = self.prepare_clustering(ctx);
         let engine = &self.engine;
         let rank_vec = engine.rank();
         let last = engine.correlator().activity().last_ref(file);
@@ -838,7 +827,7 @@ impl TenantState {
                 .unwrap_or_default(),
             neighbors: neighbor_evidence(engine, file, 8),
             generation,
-            stale,
+            stale: false,
         }
     }
 
@@ -890,8 +879,8 @@ impl TenantState {
 
     /// Drains newly detected hoard misses into the miss log and captures
     /// a provenance postmortem for each: rank, clusters, and strongest
-    /// neighbors *as they are right now*, plus the log generation so
-    /// `History` can replay the hoard as of the miss.
+    /// neighbors *as they are right now*, reclustered first, plus the log
+    /// generation so `History` can replay the hoard as of the miss.
     fn capture_postmortems(&mut self) {
         let q = &mut self.quality;
         for f in self.engine.take_misses() {
@@ -904,7 +893,8 @@ impl TenantState {
         if recent.is_empty() {
             return;
         }
-        let engine = &self.engine;
+        let generation = self.prepare_clustering(None);
+        let (engine, q) = (&self.engine, &mut self.quality);
         let rank = engine.rank();
         let pos: HashMap<FileId, usize> = rank.iter().enumerate().map(|(i, &f)| (f, i)).collect();
         for rec in recent {
@@ -912,8 +902,8 @@ impl TenantState {
             let pm = MissPostmortem {
                 id: q.next_miss_id,
                 path: path.to_owned(),
-                generation: self.events_applied,
-                clustering_generation: self.clustering_generation,
+                generation,
+                clustering_generation: generation,
                 time_secs: rec.time.as_secs(),
                 severity: rec.severity.map(seer_replication::Severity::code),
                 auto: rec.severity.is_none(),
@@ -929,26 +919,30 @@ impl TenantState {
         }
     }
 
-    /// Evaluates once the cadence says one is due at `now`.
+    /// Evaluates once the cadence is due at `now` and events were applied
+    /// since the last report. A report depends only on the applied events
+    /// (its `evals` index aside), so a quiet tenant's next one would only
+    /// repeat its last into the series rings.
     fn maybe_eval(&mut self, now: Instant) {
-        if self.events_applied > 0 && self.quality.due(now) {
+        if self.events_applied > self.quality.reported() && self.quality.due(now) {
             self.quality.last_eval = Some(now);
-            self.evaluate();
+            self.evaluate(None);
         }
     }
 
-    /// Evaluates the hoard quality against the installed clustering and
-    /// records the report: stage timer, the tenant's gauges, and the
-    /// series rings backing `seer top` sparklines. A `Quality` query and
-    /// the cadence both land here.
-    fn evaluate(&mut self) {
+    /// Evaluates the hoard quality against a clustering of everything
+    /// applied, reclustering first under `ctx` when it lags, and records
+    /// the report: stage timer, the tenant's gauges, and the series rings
+    /// backing `seer top` sparklines. A `Quality` query and the cadence
+    /// both land here.
+    fn evaluate(&mut self, ctx: Option<SpanContext>) {
+        let generation = self.prepare_clustering(ctx);
         let q = &self.quality;
         let job = quality::EvalJob {
             window_secs: q.window_secs,
             budget: quality::EVAL_BUDGET,
             file_size: self.cfg.file_size,
-            generation: self.events_applied,
-            clustering_generation: self.clustering_generation,
+            generation,
             misses_by_severity: q.miss_log.severity_histogram(),
             auto_misses: q.miss_log.auto_count() as u64,
             eval_index: q.evals + 1,
@@ -982,9 +976,11 @@ impl TenantState {
     /// at most once per gap, so most calls return at once.
     fn observe_health(&mut self, depth: usize, now: Instant) {
         let misses = self.misses();
-        let cfg = &self.cfg;
-        let eval_stale = (self.quality.last_eval)
-            .is_some_and(|t| now.saturating_duration_since(t) > cfg.eval_every * 4);
+        let (cfg, q) = (&self.cfg, &self.quality);
+        // A quiet tenant's last report stays current however old it is:
+        // only an evaluator behind the applied events can be stale.
+        let eval_stale = q.reported() < self.events_applied
+            && (q.last_eval).is_some_and(|t| now.saturating_duration_since(t) > cfg.eval_every * 4);
         let queue_frac = if cfg.channel_capacity > 0 {
             depth as f64 / cfg.channel_capacity as f64
         } else {
@@ -1166,6 +1162,7 @@ fn clamp(v: u64) -> i64 {
 mod tests {
     use super::*;
     use seer_telemetry::Tracer;
+    use seer_trace::wire::QualityReport;
     use std::time::Duration;
 
     /// Tenant names pass one rule before they name anything: names
@@ -1249,6 +1246,70 @@ mod tests {
         assert_eq!(ts.events_applied(), 3, "the tenant keeps what it applied");
     }
 
+    /// Machine A's trace over `days`, and its paths in id order, as a
+    /// first batch declares them.
+    fn machine_a(days: u32, seed: u64) -> (seer_trace::Trace, Vec<String>) {
+        let profile = seer_workload::MachineProfile::by_name("A")
+            .expect("machine A is built in")
+            .scaled_to_days(days);
+        let trace = seer_workload::generate(&profile, seed).trace;
+        let interns = (0..trace.strings.len())
+            .map(|i| {
+                let id = RawPathId(u32::try_from(i).expect("few paths"));
+                trace.strings.resolve(id).expect("dense ids").to_owned()
+            })
+            .collect();
+        (trace, interns)
+    }
+
+    /// A quiet tenant keeps its report: one depends only on the applied
+    /// events, so after a batch and its evaluation, idle housekeeping
+    /// long past the cadence neither evaluates again nor counts the
+    /// evaluator stale against health. Once events arrive the cadence
+    /// evaluates again when due, reclustering first, and its report
+    /// equals a `Quality` answer at the same generation, `evals` aside.
+    #[test]
+    fn quiet_tenant_keeps_its_report_and_its_health() {
+        let cfg = Arc::new(DaemonConfig::new("unused.sock"));
+        assert_eq!(cfg.eval_every, Duration::from_secs(2));
+        let metrics = crate::stats::new_shared(Tracer::disabled());
+        let (mut ts, recovered) = TenantState::recover(default_tenant(), &cfg, &metrics, None);
+        recovered.expect("a cold start recovers");
+        let (trace, interns) = machine_a(3, 5);
+        let batches: Vec<&[TraceEvent]> = trace.events.chunks(trace.len().div_ceil(3)).collect();
+        let t0 = Instant::now();
+        let at = |secs: u64| t0 + Duration::from_secs(secs);
+        let evals = || metrics.quality_evals.get();
+
+        ts.apply_batch(1, &interns, batches[0].to_vec(), None, 0, at(0));
+        assert_eq!(evals(), 1, "the first batch evaluates");
+        for secs in [3, 6, 60] {
+            ts.housekeep(0, at(secs));
+            assert_eq!(evals(), 1, "nothing new to evaluate at +{secs} s");
+            assert_eq!(ts.health.score(), 100.0, "healthy at +{secs} s");
+        }
+
+        // The cadence has long been due: the next batch evaluates at once,
+        // the one after waits a full cadence, which idle time then fills.
+        ts.apply_batch(1, &[], batches[1].to_vec(), None, 0, at(61));
+        assert_eq!(evals(), 2);
+        ts.apply_batch(1, &[], batches[2].to_vec(), None, 0, at(62));
+        assert_eq!(evals(), 2, "not due a second after the last");
+        ts.housekeep(0, at(63));
+        assert_eq!(evals(), 3, "due, and events arrived since");
+        let cadence = ts.quality.latest.clone().expect("evaluated");
+        assert_eq!(cadence.generation, trace.len() as u64);
+        assert_eq!(cadence.clustering_generation, cadence.generation);
+        match ts.answer(QueryRequest::Quality, None, 0) {
+            QueryResponse::Quality { report, .. } => {
+                assert_eq!(report.evals, cadence.evals + 1);
+                let evals = cadence.evals;
+                assert_eq!(QualityReport { evals, ..report }, cadence);
+            }
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+
     /// One tenant, driven on this thread with chosen times and no
     /// sockets, threads, or sleeps, through every transition that
     /// touches its log: batches applied and acknowledged, an evaluation
@@ -1268,23 +1329,13 @@ mod tests {
         cfg.wal_dir = Some(dir.join("wal"));
         // Every append after the first rotates: one batch per segment.
         cfg.wal_segment_bytes = 1;
-        // Only the idle offer below snapshots; nothing reclusters unasked.
+        // Only the idle offer below snapshots.
         cfg.snapshot_every = u64::MAX;
-        cfg.recluster_every = 0;
         cfg.eval_every = Duration::from_secs(1);
         let cfg = Arc::new(cfg);
         let metrics = crate::stats::new_shared(Tracer::disabled());
 
-        let profile = seer_workload::MachineProfile::by_name("A")
-            .expect("machine A is built in")
-            .scaled_to_days(6);
-        let trace = seer_workload::generate(&profile, 43).trace;
-        let interns: Vec<String> = (0..trace.strings.len())
-            .map(|i| {
-                let id = RawPathId(u32::try_from(i).expect("few paths"));
-                trace.strings.resolve(id).expect("dense ids").to_owned()
-            })
-            .collect();
+        let (trace, interns) = machine_a(6, 43);
         let batches: Vec<&[TraceEvent]> = trace.events.chunks(trace.len().div_ceil(5)).collect();
 
         let (mut ts, recovered) = TenantState::recover(default_tenant(), &cfg, &metrics, None);

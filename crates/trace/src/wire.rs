@@ -77,26 +77,25 @@ pub enum ClientFrame {
 
 /// A query a client can pose to the daemon.
 ///
-/// Queries that read the project clustering carry a `fresh` flag. The
-/// daemon tags every clustering with the *generation* (total events
-/// applied) it was computed from. With `fresh: false` the daemon answers
-/// from the cached clustering immediately, reporting its generation and
-/// whether events have been applied since (`stale`). With `fresh: true`
-/// the daemon first reclusters to the current generation, unless the
-/// installed clustering is already there, so the answer reflects
-/// everything applied so far.
+/// The daemon tags every clustering with the *generation* (total events
+/// applied) it was computed from. A query that reads the project
+/// clustering (`Hoard`, `Clusters`, `Explain`, `Quality`) is answered
+/// from a clustering at the current generation: the daemon reclusters
+/// first when the installed one lags, so the answer reflects everything
+/// applied so far. The `fresh` flag of `Hoard` and `Clusters` is
+/// ignored; it stays in the protocol until the next `WIRE_VERSION`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum QueryRequest {
     /// Select hoard contents for a disconnection within `budget` bytes.
     Hoard {
         /// Byte budget for the hoard.
         budget: u64,
-        /// Whether to recluster up to the current generation first.
+        /// Ignored: every answer reclusters to the current generation.
         fresh: bool,
     },
     /// Summarize the current project clustering.
     Clusters {
-        /// Whether to recluster up to the current generation first.
+        /// Ignored: every answer reclusters to the current generation.
         fresh: bool,
     },
     /// Report ingestion-pipeline counters.
@@ -207,7 +206,8 @@ pub struct ExplainNeighbor {
 pub struct QualityReport {
     /// Events applied when the evaluated snapshot was frozen.
     pub generation: u64,
-    /// Generation of the clustering the SEER ranking used.
+    /// Generation of the clustering the SEER ranking used; always
+    /// `generation`, since the daemon reclusters before it evaluates.
     pub clustering_generation: u64,
     /// Simulated-disconnection window length, in trace seconds.
     pub window_secs: u64,
@@ -258,7 +258,8 @@ pub struct MissPostmortem {
     /// WAL generation (events applied) when the miss was recorded —
     /// feed it to a `History` query to replay the hoard as of the miss.
     pub generation: u64,
-    /// Generation of the clustering in force at the miss.
+    /// Generation of the clustering in force at the miss; always
+    /// `generation`, since the daemon reclusters before it captures.
     pub clustering_generation: u64,
     /// Trace time of the miss, in seconds.
     pub time_secs: u64,
@@ -346,9 +347,10 @@ pub enum QueryResponse {
         clusters_taken: usize,
         /// Projects that did not fit the budget.
         clusters_skipped: usize,
-        /// Events applied when the served clustering was computed.
+        /// Events applied when the served clustering was computed: the
+        /// applied count at answer time.
         generation: u64,
-        /// Whether events have been applied since that clustering.
+        /// Always `false`: the daemon reclusters before it answers.
         stale: bool,
     },
     /// Clustering summary for [`QueryRequest::Clusters`].
@@ -359,9 +361,10 @@ pub enum QueryResponse {
         largest: Vec<usize>,
         /// Canonical paths known to the engine.
         files_known: usize,
-        /// Events applied when the served clustering was computed.
+        /// Events applied when the served clustering was computed: the
+        /// applied count at answer time.
         generation: u64,
-        /// Whether events have been applied since that clustering.
+        /// Always `false`: the daemon reclusters before it answers.
         stale: bool,
     },
     /// Pipeline counters for [`QueryRequest::Stats`].
@@ -449,9 +452,10 @@ pub enum QueryResponse {
         clusters: Vec<(u32, usize)>,
         /// Strongest semantic neighbors, closest first.
         neighbors: Vec<ExplainNeighbor>,
-        /// Events applied when the served clustering was computed.
+        /// Events applied when the served clustering was computed: the
+        /// applied count at answer time.
         generation: u64,
-        /// Whether events have been applied since that clustering.
+        /// Always `false`: the daemon reclusters before it answers.
         stale: bool,
     },
     /// Live quality report for [`QueryRequest::Quality`].

@@ -235,15 +235,17 @@ fn metrics_query_reflects_ingestion() {
     let dir = scratch("metrics");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
     cfg.snapshot_path = Some(dir.join("db.json"));
-    // Force reclusterings and snapshots during the stream so their
-    // stage histograms have observations by query time.
-    cfg.recluster_every = 500;
+    // Snapshots during the stream, and a recluster of all of it below,
+    // so their stage histograms have observations by query time.
     cfg.snapshot_every = 1000;
 
     let handle = Daemon::spawn(cfg).expect("spawn");
     let mut client = DaemonClient::connect(handle.socket_path(), "metrics").expect("connect");
     client.send_trace(&trace, 64).expect("send");
     assert_eq!(client.flush().expect("flush"), trace.len() as u64);
+    client
+        .query(QueryRequest::Clusters { fresh: true })
+        .expect("clusters");
 
     // Snapshots are written on the shard's worker, and counted once the
     // engine actor folds the worker's result in: poll until one is.
@@ -302,7 +304,7 @@ fn metrics_query_reflects_ingestion() {
         }
         other => panic!("not a histogram: {other:?}"),
     }
-    // Forced reclusterings and snapshots left timings behind.
+    // Reclusterings and snapshots left timings behind.
     assert!(
         snap.counter("seer_daemon_reclusters_total")
             .expect("counter")
@@ -341,140 +343,122 @@ fn metrics_query_reflects_ingestion() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Generation semantics: a cached (non-fresh) query after more events
-/// have been applied answers immediately from the old clustering, marked
-/// stale with the generation it was computed at; a fresh query then
-/// advances the generation to the live event count. `recluster_every: 0`
-/// disables periodic reclustering, so the generation moves only when a
-/// query asks for it — which is what makes this test deterministic.
+/// Cluster on read: every answer that reads a clustering reclusters
+/// first when the installed one lags the applied events. After more
+/// events, `Clusters` and `Hoard` asking `fresh: false` and `Explain`
+/// each answer at the applied count, never stale, and each equals an
+/// offline replay of the same events plus a recluster: cluster count
+/// and largest sizes, hoard files, and the explained file's rank and
+/// memberships. With a cadence too long to evaluate again, only the
+/// first batch's evaluation and the reads that found the clustering
+/// behind recluster.
 #[test]
-fn cached_queries_report_stale_generations() {
+fn every_reader_answers_at_the_applied_generation() {
     let trace = machine_a_trace(10, 17);
     let half = trace.events.len() / 2;
-    let dir = scratch("stale");
+    let budget = 1 << 20;
+    let dir = scratch("readers");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
-    cfg.recluster_every = 0; // never recluster on its own
+    cfg.eval_every = Duration::from_secs(3600);
 
     let handle = Daemon::spawn(cfg).expect("spawn");
-    let mut client = DaemonClient::connect(handle.socket_path(), "stale").expect("connect");
+    let mut client = DaemonClient::connect(handle.socket_path(), "readers").expect("connect");
     for chunk in trace.events[..half].chunks(64) {
         client.send_events(chunk, &trace.strings).expect("send");
     }
     assert_eq!(client.flush().expect("flush"), half as u64);
-
-    // Fresh query pins the clustering at generation `half`.
-    let g1 = match client
+    match client
         .query(QueryRequest::Clusters { fresh: true })
-        .expect("fresh clusters")
+        .expect("clusters at half")
     {
         QueryResponse::Clusters {
             generation, stale, ..
-        } => {
-            assert_eq!(generation, half as u64);
-            assert!(!stale);
-            generation
-        }
+        } => assert_eq!((generation, stale), (half as u64, false)),
         other => panic!("unexpected response: {other:?}"),
-    };
-
-    // More events make the cached clustering stale; a non-fresh query
-    // still answers from it, flagged.
+    }
     for chunk in trace.events[half..].chunks(64) {
         client.send_events(chunk, &trace.strings).expect("send");
     }
-    assert_eq!(client.flush().expect("flush"), trace.len() as u64);
-    match client
-        .query(QueryRequest::Hoard {
-            budget: 1 << 20,
-            fresh: false,
-        })
-        .expect("cached hoard")
-    {
-        QueryResponse::Hoard {
-            generation, stale, ..
-        } => {
-            assert_eq!(generation, g1, "cached answer keeps the old generation");
-            assert!(stale, "generation lags the applied count");
-        }
-        other => panic!("unexpected response: {other:?}"),
-    }
-
-    // A fresh query catches the generation back up.
-    match client
-        .query(QueryRequest::Clusters { fresh: true })
-        .expect("fresh again")
-    {
-        QueryResponse::Clusters {
-            generation, stale, ..
-        } => {
-            assert_eq!(generation, trace.len() as u64);
-            assert!(!stale);
-        }
-        other => panic!("unexpected response: {other:?}"),
-    }
-    drop(client);
-
-    let metrics = handle.metrics();
-    assert_eq!(
-        metrics.counter("seer_daemon_stale_queries_total"),
-        Some(1),
-        "exactly the one cached query was answered stale"
-    );
-    handle.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A periodic recluster runs in place on the engine actor, right after
-/// the batch that crosses `recluster_every`: with a tick too long for any
-/// idle recluster, a cached query answered without polling carries
-/// exactly that batch's applied count as its generation.
-#[test]
-fn periodic_recluster_runs_in_place_at_the_threshold() {
-    let trace = machine_a_trace(10, 23);
-    let dir = scratch("cadence");
-    let mut cfg = DaemonConfig::new(dir.join("sock"));
-    cfg.recluster_every = 1000;
-    cfg.tick = Duration::from_secs(600);
-    let every = cfg.recluster_every;
-
-    let handle = Daemon::spawn(cfg).expect("spawn");
-    let mut client = DaemonClient::connect(handle.socket_path(), "cadence").expect("connect");
-    let (mut applied, mut crossed) = (0, None);
-    for chunk in trace.events.chunks(64).take(25) {
-        client.send_events(chunk, &trace.strings).expect("send");
-        applied += chunk.len() as u64;
-        if applied >= every && crossed.is_none() {
-            crossed = Some(applied);
-        }
-    }
-    let crossed = crossed.expect("the stream crosses the threshold");
-    assert!(applied < crossed + every, "exactly one crossing");
+    let applied = trace.len() as u64;
     assert_eq!(client.flush().expect("flush"), applied);
+
+    // Offline: the same events, one recluster.
+    let mut engine = SeerEngine::default();
+    trace.replay(&mut engine);
+    let clustering = engine.recluster().clone();
+    let mut largest: Vec<usize> = clustering.clusters.iter().map(|c| c.len()).collect();
+    largest.sort_unstable_by(|a, b| b.cmp(a));
+    largest.truncate(8);
+    let sel = engine.choose_hoard(budget, &|_| 1024);
+    let resolve = |f: seer_trace::FileId| engine.paths().resolve(f).expect("known").to_owned();
+    let hoard: Vec<String> = sel.files.iter().map(|&f| resolve(f)).collect();
+    let ranking = engine.rank();
+    let (pos, &file) = (ranking.iter().enumerate())
+        .find(|&(_, &f)| !clustering.membership_summary(f).is_empty())
+        .expect("a ranked file in a cluster");
 
     match client
         .query(QueryRequest::Clusters { fresh: false })
-        .expect("cached clusters")
+        .expect("clusters")
     {
         QueryResponse::Clusters {
-            generation, stale, ..
+            count,
+            largest: online,
+            generation,
+            stale,
+            ..
         } => {
-            assert_eq!(generation, crossed, "reclustered at the crossing batch");
-            assert!(stale, "events arrived after the threshold");
+            assert_eq!((generation, stale), (applied, false));
+            assert_eq!((count, online), (clustering.len(), largest));
+        }
+        other => panic!("unexpected response: {other:?}"),
+    }
+    match client
+        .query(QueryRequest::Hoard {
+            budget,
+            fresh: false,
+        })
+        .expect("hoard")
+    {
+        QueryResponse::Hoard {
+            files,
+            generation,
+            stale,
+            ..
+        } => {
+            assert_eq!((generation, stale), (applied, false));
+            assert_eq!(files, hoard, "online hoard equals the offline one");
+        }
+        other => panic!("unexpected response: {other:?}"),
+    }
+    match client.explain(&resolve(file)).expect("explain") {
+        QueryResponse::Explain {
+            rank,
+            ranked,
+            clusters,
+            generation,
+            stale,
+            ..
+        } => {
+            assert_eq!((generation, stale), (applied, false));
+            assert_eq!((rank, ranked), (Some(pos), ranking.len()));
+            assert_eq!(clusters, clustering.membership_summary(file));
         }
         other => panic!("unexpected response: {other:?}"),
     }
     drop(client);
     assert_eq!(
         handle.metrics().counter("seer_daemon_reclusters_total"),
-        Some(1)
+        Some(3),
+        "the first evaluation, then the two reads that found it behind"
     );
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Killing the daemon amid periodic reclusterings must not corrupt
-/// anything: the next daemon recovers from the last periodic snapshot
-/// and a fresh hoard query works.
+/// Killing the daemon amid reclusterings must not corrupt anything: the
+/// next daemon recovers from the last periodic snapshot and a hoard
+/// query works.
 #[test]
 fn kill_during_background_recluster_recovers() {
     let trace = machine_a_trace(10, 19);
@@ -482,9 +466,10 @@ fn kill_during_background_recluster_recovers() {
     let db = dir.join("db.json");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
     cfg.snapshot_path = Some(db.clone());
-    // Small thresholds recluster and snapshot every few batches while
-    // the stream runs, so the kill lands amid that work.
-    cfg.recluster_every = 200;
+    // A cadence that evaluates, and so reclusters, after every batch and
+    // a small snapshot threshold keep that work running while the
+    // stream does, so the kill lands amid it.
+    cfg.eval_every = Duration::from_millis(1);
     cfg.snapshot_every = 500;
     cfg.tick = Duration::from_millis(10);
 

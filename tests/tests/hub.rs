@@ -477,8 +477,9 @@ fn wal_gauges_are_per_tenant_and_sum_across_shards() {
 /// Streams `trace` to one tenant through several concurrent clients in
 /// strict round-robin: each client sends its chunk and flushes before
 /// handing the turn on, so the tenant's apply order matches the
-/// single-stream order exactly. Clients interleave cached hoard and
-/// health queries while others hold the turn.
+/// single-stream order exactly. Clients interleave hoard queries asking
+/// `fresh: false` (which the daemon ignores) and health queries while
+/// others hold the turn.
 fn stream_round_robin(clients: Vec<DaemonClient>, trace: &Trace, chunk: usize, budget: u64) {
     let chunks: Vec<&[seer_trace::TraceEvent]> = trace.events.chunks(chunk).collect();
     let n = clients.len();
@@ -512,7 +513,7 @@ fn stream_round_robin(clients: Vec<DaemonClient>, trace: &Trace, chunk: usize, b
                                 budget,
                                 fresh: false,
                             })
-                            .expect("cached hoard");
+                            .expect("off-turn hoard");
                     } else {
                         let _ = client.query(QueryRequest::Health).expect("health");
                     }
@@ -524,7 +525,7 @@ fn stream_round_robin(clients: Vec<DaemonClient>, trace: &Trace, chunk: usize, b
 
 /// Satellite 4 + the tentpole's isolation pin: N concurrent clients per
 /// tenant over mixed Unix/TCP transports, interleaving events with
-/// fresh and cached queries — and each tenant's final hoard is
+/// queries — and each tenant's final hoard is
 /// bit-identical to the offline single-stream replay of its own trace.
 #[test]
 fn concurrent_tenants_match_offline_single_stream() {
@@ -772,16 +773,18 @@ fn engine_series_are_per_tenant_and_never_decrease() {
 /// leaves no WAL directory, graceful shutdown writes no snapshot file
 /// for it, and counts no recluster or snapshot on its behalf. The
 /// default tenant is no exception; a tenant that applied events keeps
-/// its log and its final snapshot.
+/// its log and its final snapshot. Shutdown itself reclusters nothing:
+/// a snapshot holds no clustering.
 #[test]
 fn query_only_tenants_leave_no_state_at_shutdown() {
     let dir = scratch("queryonly");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
     cfg.snapshot_path = Some(dir.join("db.json"));
     cfg.wal_dir = Some(dir.join("wal"));
-    // No periodic work: every recluster and snapshot counted comes from
-    // the shutdown epilogue.
-    cfg.recluster_every = 0;
+    // No periodic snapshots, and one evaluation only: tenant z's one
+    // recluster comes from the evaluation at its first batch, and its
+    // one snapshot from the shutdown epilogue.
+    cfg.eval_every = Duration::from_secs(3600);
     cfg.snapshot_every = 0;
     let handle = Daemon::spawn(cfg).expect("spawn");
     let sock = handle.socket_path().to_path_buf();
@@ -812,7 +815,7 @@ fn query_only_tenants_leave_no_state_at_shutdown() {
     assert_eq!(
         (stats.reclusters, stats.snapshots),
         (1, 1),
-        "only tenant z reclusters and snapshots at exit"
+        "only tenant z reclusters (its first evaluation) and snapshots (at exit)"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

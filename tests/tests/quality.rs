@@ -7,7 +7,7 @@ use seer_core::SeerEngine;
 use seer_daemon::{Daemon, DaemonClient, DaemonConfig};
 use seer_telemetry::MetricValue;
 use seer_trace::wire::{QueryRequest, QueryResponse};
-use seer_trace::FileId;
+use seer_trace::{EventSink, FileId};
 use seer_workload::{generate, MachineProfile};
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -69,7 +69,6 @@ fn online_quality_equals_offline_missfree() {
     // Online: stream, flush, pin a fresh clustering, ask for quality.
     let dir = scratch("equiv");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
-    cfg.recluster_every = 0; // generations move only when a query asks
     cfg.eval_window_secs = window_secs;
     cfg.file_size = file_size;
     let handle = Daemon::spawn(cfg).expect("spawn");
@@ -149,7 +148,6 @@ fn quality_without_a_pinning_hoard_equals_offline_missfree() {
 
     let dir = scratch("unpinned");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
-    cfg.recluster_every = 0; // no background clustering at all
     cfg.eval_window_secs = window_secs;
     cfg.file_size = file_size;
     let handle = Daemon::spawn(cfg).expect("spawn");
@@ -243,7 +241,10 @@ fn explain_reports_rank_and_evidence() {
 
 /// A hoard miss observed in the event stream (an open failing with
 /// `NotHoarded`) leaves a postmortem behind that records what the daemon
-/// knew about the file at that moment, fetchable by id.
+/// knew about the file at that moment, fetchable by id. The daemon
+/// reclusters before it captures, so the postmortem's clustering is at
+/// its generation and its rank is the file's position in an offline
+/// replay's ranking at that generation.
 #[test]
 fn recorded_miss_leaves_a_postmortem() {
     use seer_trace::{ErrorKind, OpenMode, Pid, Timestamp, TraceBuilder};
@@ -282,6 +283,15 @@ fn recorded_miss_leaves_a_postmortem() {
     assert!(pm.auto, "detected from the stream, not user-graded");
     assert_eq!(pm.severity, None);
     assert!(pm.generation > 0, "tied to a WAL generation for replay");
+    assert_eq!(pm.clustering_generation, pm.generation);
+    let mut engine = SeerEngine::default();
+    let at = usize::try_from(pm.generation).expect("small trace");
+    engine.on_batch(&trace.events[..at], &trace.strings);
+    engine.recluster();
+    let file = engine.paths().get(&pm.path).expect("known path");
+    let rank = engine.rank();
+    assert_eq!(pm.rank, rank.iter().position(|&f| f == file));
+    assert_eq!(pm.ranked, rank.len());
     assert!(
         pm.neighbors.iter().any(|n| n.path == "/home/u/beta/y.bib"),
         "the co-referenced file shows up as a neighbor: {:?}",

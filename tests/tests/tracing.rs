@@ -8,6 +8,7 @@ use seer_telemetry::SpanRecord;
 use seer_trace::wire::QueryRequest;
 use seer_workload::{generate, MachineProfile};
 use std::path::PathBuf;
+use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("seer-ttest-{tag}-{}", std::process::id()));
@@ -46,9 +47,10 @@ fn traced_query_covers_every_pipeline_stage_exactly_once() {
     };
     let dir = scratch("stages");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
-    // No periodic reclusters or snapshots: the only recluster in the
-    // ring must be the one the fresh query forces.
-    cfg.recluster_every = 0;
+    // No periodic snapshots, and one evaluation only, at the first batch:
+    // an evaluation between the traced batch and the query would
+    // recluster first, leaving the query nothing to recluster.
+    cfg.eval_every = Duration::from_secs(3600);
     cfg.snapshot_every = 0;
     let handle = Daemon::spawn(cfg).expect("spawn");
 
@@ -86,8 +88,9 @@ fn traced_query_covers_every_pipeline_stage_exactly_once() {
     assert_eq!(engine_apply.parent_id, Some(decode.span_id));
     assert_eq!(engine_apply.attr("events"), Some("8"));
 
-    // Query tree, each stage exactly once; the fresh hoard forces the
-    // one and only recluster, which counts on the actor in one shard.
+    // Query tree, each stage exactly once; the hoard finds the
+    // clustering behind the traced batch and reclusters, counting on the
+    // actor in one shard.
     let query = exactly_one(&spans, "query");
     let engine_answer = exactly_one(&spans, "engine_answer");
     let recluster = exactly_one(&spans, "recluster");
@@ -139,16 +142,15 @@ fn traced_query_covers_every_pipeline_stage_exactly_once() {
 /// The on-shutdown flight-recorder dump must contain the traced spans as
 /// one JSON object per line.
 ///
-/// (A fresh query reclusters in place on the engine actor, so its
-/// `recluster` span always chains under its own `engine_answer`; only a
-/// periodic job on the background worker starts a root trace, which
-/// `seer-daemon`'s pipeline unit tests pin.)
+/// (A query reclusters in place on the engine actor, so its `recluster`
+/// span always chains under its own `engine_answer`; only the cadence
+/// evaluation and miss postmortems recluster under a root trace of
+/// their own, which `seer-daemon`'s pipeline unit tests pin.)
 #[test]
 fn shutdown_dumps_flight_recorder_to_disk() {
     let dir = scratch("flight");
     let flight = dir.join("flight.jsonl");
     let mut cfg = DaemonConfig::new(dir.join("sock"));
-    cfg.recluster_every = 0;
     cfg.snapshot_every = 0;
     cfg.flight_path = Some(flight.clone());
     let handle = Daemon::spawn(cfg).expect("spawn");
