@@ -10,12 +10,25 @@
 //!   G's trace (the one perfbench's `hoard` workload streams), warmed
 //!   with 40,000 events in 4,096-event batches as that workload warms its
 //!   daemon. `full/1` and `full/4` time a full recount
-//!   ([`ReclusterInput::compute`]) on one and four threads;
-//!   `incremental` times [`ReclusterInput::compute_incremental`] after a
-//!   further 1,024-event delta, from the baseline the warm state left;
-//!   `input_incremental` times the same run together with the
-//!   [`SeerEngine::recluster_input`] call that builds its input, as a
-//!   daemon tenant reclusters.
+//!   ([`ReclusterInput::compute`]) on one and four threads. Each other
+//!   case runs after a further delta, from the baseline its path left at
+//!   the warm state: 1,024 events (one of `hoard`'s query chunks) or
+//!   32,768 (one of its timed windows, what the first fresh hoard after
+//!   the window reclusters). `incremental/*` times the detached input
+//!   ([`ReclusterInput::compute_incremental`]); `input_incremental/*`
+//!   times what a daemon tenant runs, [`SeerEngine::recluster_incremental`]
+//!   off its kept cache, which rewrites only the changed rows' sets.
+//!
+//! The caches are cloned outside the timed routine, which leaves them in
+//! the CPU's caches: the daemon finds them cold after a window of ingest,
+//! so these times are lower bounds on a fresh hoard's recluster. On a
+//! shared 2-vCPU host, two alternating runs of this bench, and of the
+//! same cases on the commit before the sets were kept (which builds
+//! them in full on every read), read `input_incremental/1024` at 80 and
+//! 44 µs against 112 and 69 µs, and `input_incremental/32768` at 243 and
+//! 129 µs against 138 and 189 µs. The host scattered these by up to 2×
+//! between runs; `DESIGN.md` ("The fresh-hoard split") gives the
+//! in-process split on cold caches.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use seer_cluster::{cluster_files, ClusterConfig};
@@ -73,25 +86,31 @@ const WARMUP: usize = 40_000;
 /// Warm-up batch size, as perfbench's `hoard` bursts.
 const BATCH: usize = 4_096;
 
-/// Events between the baseline and the incremental recluster.
-const DELTA: usize = 1_024;
+/// Deltas between the baseline and the incremental recluster: one of
+/// perfbench's `hoard` query chunks, and one of its timed windows (what
+/// the first fresh hoard after a window reclusters).
+const DELTAS: [usize; 2] = [1_024, 32_768];
 
-/// The warm machine-G engine's recluster inputs: the full-recount input
-/// at the warm state, and the incremental run's baseline, dirty delta,
-/// and input after [`DELTA`] more events, with the engine they came from.
+/// The warm machine-G engine after one delta: the full-recount input at
+/// the warm state, the baselines each incremental path left there, and
+/// the dirty delta and input after the delta, with the engine itself.
 struct WarmG {
     warm: ReclusterInput,
-    baseline: Option<seer_core::PairCountCache>,
+    /// The detached input's baseline ([`ReclusterInput::compute_incremental`]).
+    detached: Option<seer_core::PairCountCache>,
+    /// A daemon tenant's baseline, with its kept neighbor sets
+    /// ([`SeerEngine::recluster_incremental`]).
+    kept: Option<seer_core::PairCountCache>,
     dirty: seer_core::TableDirty,
     next: ReclusterInput,
     engine: SeerEngine,
 }
 
-fn warm_g() -> WarmG {
+fn warm_g(delta: usize) -> WarmG {
     let profile = MachineProfile::by_name("G").expect("machine G");
     let trace = generate(&profile, 1).trace;
     assert!(
-        trace.events.len() >= WARMUP + DELTA,
+        trace.events.len() >= WARMUP + delta,
         "machine G generates {} events",
         trace.events.len()
     );
@@ -101,14 +120,18 @@ fn warm_g() -> WarmG {
     }
     let dirty = engine.take_dirty();
     let warm = engine.recluster_input();
-    let mut baseline = None;
-    let _ = warm.compute_incremental(1, Some(&dirty), &mut baseline);
-    engine.on_batch(&trace.events[WARMUP..WARMUP + DELTA], &trace.strings);
+    let (mut detached, mut kept) = (None, None);
+    let _ = warm.compute_incremental(1, Some(&dirty), &mut detached);
+    let _ = engine.recluster_incremental(&dirty, &mut kept);
+    for batch in trace.events[WARMUP..WARMUP + delta].chunks(BATCH) {
+        engine.on_batch(batch, &trace.strings);
+    }
     let dirty = engine.take_dirty();
     let next = engine.recluster_input();
     WarmG {
         warm,
-        baseline,
+        detached,
+        kept,
         dirty,
         next,
         engine,
@@ -116,37 +139,43 @@ fn warm_g() -> WarmG {
 }
 
 fn bench_recluster_g(c: &mut Criterion) {
-    let g = warm_g();
     let mut group = c.benchmark_group("recluster_g");
     group.sample_size(15);
+    let warm = warm_g(0).warm;
     for threads in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("full", threads), &threads, |b, &t| {
-            b.iter(|| g.warm.compute(t));
+            b.iter(|| warm.compute(t));
         });
     }
-    group.bench_function("incremental", |b| {
-        b.iter_batched(
-            || g.baseline.clone(),
-            |mut cache| {
-                let run = g.next.compute_incremental(1, Some(&g.dirty), &mut cache);
-                assert!(run.incremental, "the baseline is reused");
-                run
+    for delta in DELTAS {
+        let g = warm_g(delta);
+        group.bench_with_input(BenchmarkId::new("incremental", delta), &delta, |b, _| {
+            b.iter_batched(
+                || g.detached.clone(),
+                |mut cache| {
+                    let run = g.next.compute_incremental(1, Some(&g.dirty), &mut cache);
+                    assert!(run.incremental, "the baseline is reused");
+                    run
+                },
+                BatchSize::SmallInput,
+            );
+        });
+        group.bench_with_input(
+            BenchmarkId::new("input_incremental", delta),
+            &delta,
+            |b, _| {
+                b.iter_batched(
+                    || g.kept.clone(),
+                    |mut cache| {
+                        let run = g.engine.recluster_incremental(&g.dirty, &mut cache);
+                        assert!(run.incremental, "the kept sets are reused");
+                        run
+                    },
+                    BatchSize::SmallInput,
+                );
             },
-            BatchSize::SmallInput,
         );
-    });
-    group.bench_function("input_incremental", |b| {
-        b.iter_batched(
-            || g.baseline.clone(),
-            |mut cache| {
-                let input = g.engine.recluster_input();
-                let run = input.compute_incremental(1, Some(&g.dirty), &mut cache);
-                assert!(run.incremental, "the baseline is reused");
-                run
-            },
-            BatchSize::SmallInput,
-        );
-    });
+    }
     group.finish();
 }
 

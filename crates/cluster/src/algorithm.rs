@@ -1,20 +1,25 @@
 //! The two-phase combine/overlap clustering algorithm (§3.3.2, §3.3.3).
 //!
-//! One recluster runs over dense data throughout: the neighbor sets are
-//! built from the distance table in one pass into one flat array
-//! ([`SharedNeighborCounter`]), each row's shared counts come from
-//! stamping its set once and counting every listed file's set against
-//! the stamp, directory distance is an integer walk in the path table's
-//! directory tree ([`DirTree`]), and the two phases run over dense file
-//! indices. Pair counts are stored in one flat array aligned with the
-//! sets, which is also the incremental baseline ([`PairCountCache`]).
-//! Every entry point — [`cluster_files_excluding`], and the engine's
-//! in-place and detached reclusters — reaches [`cluster_sets`].
+//! One recluster runs over dense data throughout: the neighbor sets sit
+//! in fixed-size row blocks ([`SharedNeighborCounter`]), each row's
+//! shared counts come from stamping its set once and counting every
+//! listed file's set against the stamp, directory distance is an integer
+//! walk in the path table's directory tree ([`DirTree`]), and the two
+//! phases run over dense file indices. Pair counts sit in one flat array
+//! aligned with the sets' slots; with the sets, they are the incremental
+//! baseline ([`PairCountCache`]).
+//!
+//! A daemon tenant keeps its cache between reads. Its recluster rewrites
+//! only the sets of the rows the table reports dirty or that hold a file
+//! whose exclusion flipped ([`SetSource::Table`]), then recounts only
+//! the pairs with a rewritten endpoint. Every entry point —
+//! [`cluster_files_excluding`], the engine's in-place recluster, its
+//! detached input, and a tenant's kept cache — reaches [`cluster_sets`].
 
 use crate::config::ClusterConfig;
 use crate::relation::ExternalRelation;
 use crate::result::Clustering;
-use crate::shared::{SharedNeighborCounter, Stamp};
+use crate::shared::{sorted, Changed, SharedNeighborCounter, Stamp};
 use crate::unionfind::DenseUnionFind;
 use seer_distance::{NeighborTable, TableDirty};
 use seer_trace::{DirTree, FileId, PathTable};
@@ -25,31 +30,75 @@ use std::time::{Duration, Instant};
 
 /// Pre-relation adjusted pair counts carried between consecutive
 /// reclusterings, plus the neighbor sets and configuration they were
-/// computed under.
+/// computed under, and the buffers every recluster reuses.
 ///
-/// The counts sit in one flat array aligned with the sets: slot `k` of
-/// row `a` holds the count of pair `(a, b)` for the set's `k`-th member
-/// `b` (a row's own slot is unused). [`cluster_sets`] reuses them when
-/// the configuration still matches and the caller supplies the rows
-/// whose neighbor membership changed since the cache was built; only
-/// pairs touching a changed set are then recounted. The cache holds
-/// *raw* adjusted counts — investigator relations are overlaid per run
-/// and never persisted, so a relation added or removed between runs
-/// cannot poison the baseline. The sets are shared, not copied, with the
-/// input they came from.
-#[derive(Debug, Default, Clone, PartialEq)]
+/// The counts sit in one flat array aligned with the sets: slot `k` of a
+/// row `a`'s block holds the count of pair `(a, b)` for the set's `k`-th
+/// member `b` (slot 0, `a`'s own, is unused). [`cluster_sets`] reuses
+/// them when the configuration still matches and the caller supplies the
+/// rows whose neighbor membership changed since the cache was built; only
+/// pairs with an endpoint whose set changed are then recounted. The
+/// cache holds *raw* adjusted counts — investigator relations are
+/// overlaid per run and never persisted, so a relation added or removed
+/// between runs cannot poison the baseline.
+///
+/// Equality compares the configuration, the sets as sets, and the count
+/// of every candidate pair, not the layout or the buffers.
+#[derive(Debug, Default, Clone)]
 pub struct PairCountCache {
     sets: Arc<SharedNeighborCounter>,
     counts: Vec<f64>,
     config: ClusterConfig,
+    /// The files whose sets the last update wrote or dropped.
+    changed: Changed,
+    buffers: Buffers,
+}
+
+impl PartialEq for PairCountCache {
+    fn eq(&self, other: &PairCountCache) -> bool {
+        self.config == other.config
+            && self.sets == other.sets
+            && self.pair_counts() == other.pair_counts()
+    }
 }
 
 impl PairCountCache {
-    /// The cached count of pair `(a, b)`, if it is a candidate pair.
-    fn get(&self, a: FileId, b: FileId) -> Option<f64> {
-        self.sets.pair_slot(a, b).map(|k| self.counts[k])
+    /// The neighbor sets the counts were computed over.
+    #[must_use]
+    pub fn sets(&self) -> &SharedNeighborCounter {
+        &self.sets
+    }
+
+    /// Every candidate pair with its count, sorted by pair.
+    fn pair_counts(&self) -> Vec<(FileId, FileId, f64)> {
+        let mut pairs = Vec::new();
+        for r in 0..self.sets.blocks() {
+            let a = self.sets.block_file(r);
+            let slots = self.sets.slots(r);
+            let members = self.sets.set(r).iter().zip(&self.counts[slots]);
+            pairs.extend(members.skip(1).map(|(&b, &count)| (a, b, count)));
+        }
+        pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        pairs
     }
 }
+
+/// Buffers a recluster reuses from one run to the next.
+#[derive(Debug, Default, Clone)]
+struct Buffers {
+    stamp: Stamp,
+    /// Each file's index in the universe, or [`ABSENT`].
+    dense: Vec<u32>,
+    /// The universe, ascending.
+    files: Vec<FileId>,
+    phases: Phases,
+}
+
+/// Marks a file outside the universe in [`Buffers::dense`].
+const ABSENT: u32 = u32::MAX;
+
+/// Marks a file of the universe before it is numbered.
+const PRESENT: u32 = u32::MAX - 1;
 
 /// Clusters from explicit candidate pairs with precomputed (already
 /// adjusted) shared-neighbor counts.
@@ -75,64 +124,149 @@ pub fn cluster_from_counts(
     let index = |f: FileId| files.binary_search(&f).expect("every endpoint is listed") as u32;
     let dense: Vec<(u32, u32, f64)> = pairs
         .iter()
-        .filter(|p| acts(p.2, config))
         .map(|&(a, b, count)| (index(a), index(b), count))
         .collect();
-    combine_and_overlap(&files, &dense, config)
+    combine_and_overlap(&files, &Listed(&dense), config, &mut Phases::default())
 }
 
-/// Whether a pair with `count` takes part in either phase.
-fn acts(count: f64, config: &ClusterConfig) -> bool {
-    count >= config.kn || count >= config.kf
+/// Candidate pairs with their counts, naming files by index into the
+/// ascending universe the phases run over.
+trait Pairs {
+    /// Calls `f(a, b, count)` for every pair, in any order.
+    fn each(&self, f: impl FnMut(u32, u32, f64));
+}
+
+/// Pairs given as a list.
+struct Listed<'a>(&'a [(u32, u32, f64)]);
+
+impl Pairs for Listed<'_> {
+    fn each(&self, mut f: impl FnMut(u32, u32, f64)) {
+        for &(a, b, count) in self.0 {
+            f(a, b, count);
+        }
+    }
+}
+
+/// Buffers for the two phases.
+#[derive(Debug, Default, Clone)]
+struct Phases {
+    forest: DenseUnionFind,
+    /// Group of each root, or `u32::MAX` before it has one.
+    group_of_root: Vec<u32>,
+    /// Group of each file.
+    group: Vec<u32>,
+    /// Phase-one members of group `g`: `members[start[g]..start[g + 1]]`,
+    /// ascending.
+    start: Vec<u32>,
+    members: Vec<u32>,
+    /// Mid-strength pairs, which phase two reads.
+    mid: Vec<(u32, u32)>,
+    /// Phase-two insertions as `(group, file)`.
+    inserts: Vec<(u32, u32)>,
 }
 
 /// Phases one and two over a dense universe: `files` ascending, and
-/// each pair `(a, b, count)` naming its files by index into `files`.
-/// Only pairs that [`acts`] accepts need be listed, in any order: the
-/// phase-one partition and the phase-two insertions do not depend on
-/// it, and [`Clustering::from_members`] sorts what they produce.
+/// `pairs` naming their files by index into `files`, read once. Neither
+/// phase depends on pair order. Phase-one groups are numbered by their
+/// smallest file and list their members ascending, so each cluster's
+/// member list comes out sorted with no sort of its own: the phase-two
+/// insertions, sorted once for all groups, merge into it.
 fn combine_and_overlap(
     files: &[FileId],
-    pairs: &[(u32, u32, f64)],
+    pairs: &impl Pairs,
     config: &ClusterConfig,
+    s: &mut Phases,
 ) -> Clustering {
-    // Phase one: combine.
-    let mut forest = DenseUnionFind::new(files.len());
-    for &(a, b, count) in pairs {
+    let n = files.len();
+    // Phase one: combine, and set the mid-strength pairs aside. Pairs
+    // arrive grouped by their first file, whose root stays known between
+    // its own unions.
+    s.forest.reset(n);
+    s.mid.clear();
+    let mut last = (u32::MAX, 0);
+    pairs.each(|a, b, count| {
         if count >= config.kn {
-            forest.union(a, b);
+            let ra = if last.0 == a {
+                last.1
+            } else {
+                s.forest.find(a)
+            };
+            let rb = s.forest.find(b);
+            last = (a, s.forest.link(ra, rb));
+        } else if count >= config.kf {
+            s.mid.push((a, b));
         }
-    }
+    });
     // Materialize phase-one groups.
-    let mut group_of_root = vec![u32::MAX; files.len()];
-    let mut group = vec![0u32; files.len()];
-    let mut members: Vec<Vec<FileId>> = Vec::new();
-    for (i, &f) in files.iter().enumerate() {
-        let root = forest.find(i as u32) as usize;
-        if group_of_root[root] == u32::MAX {
-            group_of_root[root] = members.len() as u32;
-            members.push(Vec::new());
+    s.group_of_root.clear();
+    s.group_of_root.resize(n, u32::MAX);
+    s.group.clear();
+    s.start.clear();
+    s.start.push(0);
+    for i in 0..n as u32 {
+        let root = s.forest.find(i) as usize;
+        if s.group_of_root[root] == u32::MAX {
+            s.group_of_root[root] = s.start.len() as u32 - 1;
+            s.start.push(0);
         }
-        group[i] = group_of_root[root];
-        members[group[i] as usize].push(f);
+        let g = s.group_of_root[root];
+        s.group.push(g);
+        s.start[g as usize + 1] += 1;
     }
+    let groups = s.start.len() - 1;
+    for g in 0..groups {
+        s.start[g + 1] += s.start[g];
+    }
+    s.members.clear();
+    s.members.resize(n, 0);
+    for (i, &g) in s.group.iter().enumerate() {
+        let next = &mut s.start[g as usize];
+        s.members[*next as usize] = i as u32;
+        *next += 1;
+    }
+    // Filling advanced each start to the next group's; shift them back.
+    s.start.copy_within(0..groups, 1);
+    s.start[0] = 0;
     // Phase two: overlap. Each file of a mid-strength pair joins the other
     // file's cluster, but the clusters stay distinct. Two mid-strength
-    // pairs sharing a file may insert it into one group twice;
-    // `Clustering::from_members` keeps each membership once.
-    for &(a, b, count) in pairs {
-        if count >= config.kf && count < config.kn {
-            let (ga, gb) = (group[a as usize], group[b as usize]);
-            if ga != gb {
-                members[gb as usize].push(files[a as usize]);
-                members[ga as usize].push(files[b as usize]);
-            }
+    // pairs sharing a file may insert it into one group twice; it is
+    // kept once.
+    s.inserts.clear();
+    for &(a, b) in &s.mid {
+        let (ga, gb) = (s.group[a as usize], s.group[b as usize]);
+        if ga != gb {
+            s.inserts.push((gb, a));
+            s.inserts.push((ga, b));
         }
     }
-    if !config.include_singletons {
-        members.retain(|m| m.len() > 1);
+    s.inserts.sort_unstable();
+    s.inserts.dedup();
+    // Each group's list: its phase-one members merged with the files
+    // inserted into it, which are never among them.
+    let mut lists = Vec::with_capacity(groups);
+    let mut inserted = s.inserts.as_slice();
+    for g in 0..groups {
+        let own = &s.members[s.start[g] as usize..s.start[g + 1] as usize];
+        let split = inserted.partition_point(|&(h, _)| h as usize == g);
+        let (extra, rest) = inserted.split_at(split);
+        inserted = rest;
+        if !config.include_singletons && own.len() + extra.len() <= 1 {
+            continue;
+        }
+        let mut list = Vec::with_capacity(own.len() + extra.len());
+        let (mut i, mut j) = (0, 0);
+        while i < own.len() || j < extra.len() {
+            if j == extra.len() || (i < own.len() && own[i] < extra[j].1) {
+                list.push(files[own[i] as usize]);
+                i += 1;
+            } else {
+                list.push(files[extra[j].1 as usize]);
+                j += 1;
+            }
+        }
+        lists.push(list);
     }
-    Clustering::from_members(members)
+    Clustering::from_sorted_members(lists)
 }
 
 /// Full clustering pipeline: shared-neighbor counts from the distance
@@ -159,9 +293,8 @@ pub fn cluster_files_excluding(
     exclude: &HashSet<FileId>,
     config: &ClusterConfig,
 ) -> Clustering {
-    let sets = SharedNeighborCounter::from_table_excluding(table, exclude);
     cluster_sets(
-        Arc::new(sets),
+        SetSource::Table { table, exclude },
         paths.directories(),
         relations,
         config,
@@ -172,8 +305,8 @@ pub fn cluster_files_excluding(
     .clustering
 }
 
-/// Outcome of one clustering computation: the assignment plus the wall
-/// time each count-phase shard spent, for telemetry.
+/// Outcome of one clustering computation: the assignment, the wall time
+/// each count-phase shard spent, and the work the run did.
 #[derive(Debug, Clone)]
 pub struct ClusterRun {
     /// The computed project assignment.
@@ -185,45 +318,68 @@ pub struct ClusterRun {
     /// computation — with [`ClusterRun::shard_count_seconds`], enough to
     /// place every shard on a trace timeline.
     pub shard_start_offsets: Vec<Duration>,
-    /// Whether the counting phase reused a [`PairCountCache`] and only
-    /// recounted dirty pairs (as opposed to a full recount).
+    /// The run's kind: whether the counting phase reused a
+    /// [`PairCountCache`] and only recounted the pairs with a changed
+    /// endpoint (as opposed to a full recount).
     pub incremental: bool,
+    /// Rows whose neighbor sets the run rebuilt from the table: every
+    /// row of a full build, and in an incremental run the dirty rows and
+    /// those holding a file whose exclusion flipped.
+    pub rows_rewritten: u64,
+    /// Candidate pairs whose shared-neighbor count the run computed
+    /// rather than kept.
+    pub pairs_recounted: u64,
 }
 
-/// The clustering pipeline over flat neighbor sets (built with
-/// [`SharedNeighborCounter::from_table_excluding`]): shared-neighbor
+/// Where a recluster's neighbor sets come from.
+#[derive(Debug, Clone)]
+pub enum SetSource<'a> {
+    /// Sets built in full with [`SharedNeighborCounter::from_table_excluding`].
+    /// An incremental run copies the changed rows' sets into the cache's.
+    Built(Arc<SharedNeighborCounter>),
+    /// The distance table itself, under an exclusion set: an incremental
+    /// run rewrites the cache's sets in place from the rows that changed,
+    /// and a full run builds them from every row.
+    Table {
+        /// The neighbor table.
+        table: &'a NeighborTable,
+        /// Files that take no part in clustering (§4.2).
+        exclude: &'a HashSet<FileId>,
+    },
+}
+
+/// The clustering pipeline: neighbor sets from `source`, shared-neighbor
 /// counts adjusted by directory distance, investigator relations
 /// overlaid (§3.3.3), then the two phases. `dirs` is the directory tree
-/// of the path table the sets' file ids come from.
+/// of the path table the file ids come from.
 ///
-/// `cache` carries the pre-relation pair counts from the previous call;
-/// `dirty` lists the rows whose neighbor membership changed since that
-/// call (from [`seer_distance::NeighborTable::take_dirty`], drained when
-/// `sets` were built). When the cache is valid — same configuration, no
-/// structural change (snapshot restore) — only pairs touching a changed
-/// set are recounted: a changed *first* endpoint invalidates its whole
-/// row (pairs may have appeared or vanished), a changed *second*
-/// endpoint keeps the pair but refreshes its count. Besides the dirty
-/// rows, the sets that changed are those holding a file whose exclusion
-/// flipped between the cached sets and these, found by scanning both;
-/// file deaths arrive pre-folded from the table's purge path. The
-/// incremental recount runs on the calling thread.
+/// `cache` carries the sets and pre-relation pair counts of the previous
+/// call; `dirty` lists the rows whose neighbor membership changed since
+/// that call (from [`seer_distance::NeighborTable::take_dirty`], drained
+/// when the table was read). When the cache is valid — same
+/// configuration, no structural change (snapshot restore) — the run is
+/// incremental. It rewrites the sets of the dirty rows and of every row
+/// whose set in the cache or in `source` holds a file whose exclusion
+/// flipped; file deaths arrive pre-folded from the table's purge path. A
+/// row whose rewritten set equals its old one, as a set, counts as
+/// unchanged. The run then recounts the pairs with an endpoint whose set
+/// changed, on the calling thread, and keeps every other count.
 ///
-/// Otherwise the counting phase is sharded across `threads` scoped
-/// threads. Candidate pairs are directed — pair `(a, b)` originates from
-/// `a`'s neighbor row and nowhere else — so partitioning the rows
-/// partitions the pairs: each shard stamps into its own array and writes
-/// its rows' counts into its own run of the flat count array, in row
-/// order, so the counts and the [`Clustering`] are bit-identical
+/// Otherwise the sets are built in full and the counting phase is sharded
+/// across `threads` scoped threads. Candidate pairs are directed — pair
+/// `(a, b)` originates from `a`'s neighbor row and nowhere else — so
+/// partitioning the rows partitions the pairs: each shard stamps into its
+/// own array and writes its rows' counts into its own run of the flat
+/// count array, so the counts and the [`Clustering`] are bit-identical
 /// regardless of `threads`.
 ///
 /// Either way the result is **bit-identical** to a full recount of the
-/// same sets: an unchanged pair reuses a count that identical inputs
-/// would reproduce exactly. On return `cache` holds the baseline for the
-/// next call.
+/// same sets: an unchanged pair keeps a count that identical inputs would
+/// reproduce exactly. On return `cache` holds the baseline for the next
+/// call.
 #[must_use]
 pub fn cluster_sets(
-    sets: Arc<SharedNeighborCounter>,
+    source: SetSource<'_>,
     dirs: &DirTree,
     relations: &[ExternalRelation],
     config: &ClusterConfig,
@@ -231,123 +387,71 @@ pub fn cluster_sets(
     dirty: Option<&TableDirty>,
     cache: &mut Option<PairCountCache>,
 ) -> ClusterRun {
-    let previous = match (dirty, cache.take()) {
-        (Some(d), Some(c)) if !d.structural && c.config == *config => Some((d, c)),
+    let started = Instant::now();
+    let previous = cache.take();
+    let dirty = match (&previous, dirty) {
+        (Some(c), Some(d)) if !d.structural && c.config == *config => Some(d.rows.as_slice()),
         _ => None,
     };
-    let (counts, shard_count_seconds, shard_start_offsets, incremental) = match previous {
-        Some((d, previous)) => {
-            let started = Instant::now();
-            let reuse = Reuse {
-                dirty: dirty_files(&previous.sets, &sets, d),
-                previous,
-            };
-            let mut counts = vec![0.0; sets.slot_count()];
-            count_rows(
-                &sets,
-                0..sets.rows(),
-                dirs,
-                config,
-                Some(&reuse),
-                &mut counts,
-            );
-            (counts, vec![started.elapsed()], vec![Duration::ZERO], true)
+    let mut c = previous.unwrap_or_default();
+    c.config = *config;
+    c.changed.clear();
+    let cap = c.sets.cap();
+    match (source, dirty) {
+        (SetSource::Built(sets), Some(dirty)) => {
+            Arc::make_mut(&mut c.sets).update_from_sets(&sets, dirty, &mut c.changed);
         }
-        None => {
-            let (counts, secs, offsets) = count_sharded(&sets, dirs, config, threads);
-            (counts, secs, offsets, false)
+        (SetSource::Built(sets), None) => {
+            c.changed.rebuilt = sets.len() as u64;
+            c.sets = sets;
+            c.changed.all = true;
         }
+        (SetSource::Table { table, exclude }, dirty) => {
+            let excluded = sorted(exclude);
+            Arc::make_mut(&mut c.sets).update_from_table(table, &excluded, dirty, &mut c.changed);
+        }
+    }
+    let sets = &c.sets;
+    let counting = Instant::now();
+    let (pairs_recounted, shard_count_seconds, shard_start_offsets) = if c.changed.all {
+        let (counts, pairs, seconds, offsets) = count_sharded(sets, dirs, config, threads);
+        c.counts = counts;
+        let offsets = offsets.iter().map(|&o| counting - started + o).collect();
+        (pairs, seconds, offsets)
+    } else {
+        if sets.cap() != cap {
+            c.counts = widen(&c.counts, cap, sets.cap());
+        }
+        c.counts.resize(sets.slot_count(), 0.0);
+        let (blocks, changed) = (0..sets.blocks(), Some(&c.changed));
+        let stamp = &mut c.buffers.stamp;
+        let pairs = count_rows(sets, blocks, dirs, config, changed, stamp, &mut c.counts);
+        let offset = counting - started;
+        (pairs, vec![counting.elapsed()], vec![offset])
     };
-    let baseline = PairCountCache {
-        sets,
-        counts,
-        config: *config,
-    };
-    let clustering = cluster_counted(&baseline, dirs, relations, config);
-    *cache = Some(baseline);
+    let (incremental, rows_rewritten) = (dirty.is_some(), c.changed.rebuilt);
+    let clustering = cluster_counted(&mut c, dirs, relations, config);
+    *cache = Some(c);
     ClusterRun {
         clustering,
         shard_count_seconds,
         shard_start_offsets,
         incremental,
+        rows_rewritten,
+        pairs_recounted,
     }
 }
 
-/// The files whose neighbor sets may differ between `old` and `new`: the
-/// rows `dirty` names, and every row whose set in `old` or in `new`
-/// holds a file whose exclusion flipped between the two. A flipped file
-/// leaves (or joins) exactly the sets of the rows listing it, its own
-/// included: the old sets hold the newly excluded, the new sets the
-/// newly included (§4.2 frequency threshold crossings move both ways).
-/// Indexed by file id below `new`'s bound.
-fn dirty_files(
-    old: &SharedNeighborCounter,
-    new: &SharedNeighborCounter,
-    dirty: &TableDirty,
-) -> Vec<bool> {
-    let mut flags = vec![false; new.id_bound()];
-    let mut flag = |f: FileId| {
-        if let Some(x) = flags.get_mut(f.index()) {
-            *x = true;
-        }
-    };
-    for &f in &dirty.rows {
-        flag(f);
-    }
-    let (was, is) = (old.excluded(), new.excluded());
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut flipped: Vec<FileId> = Vec::new();
-    while i < was.len() && j < is.len() {
-        match was[i].cmp(&is[j]) {
-            std::cmp::Ordering::Less => {
-                flipped.push(was[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                flipped.push(is[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
+/// `counts` laid out for blocks of `from` slots, moved to blocks of `to`
+/// (`to ≥ from`): each block's counts keep their slots.
+fn widen(counts: &[f64], from: usize, to: usize) -> Vec<f64> {
+    let mut out = vec![0.0; counts.len() / from.max(1) * to];
+    if from > 0 {
+        for (block, counts) in out.chunks_mut(to).zip(counts.chunks(from)) {
+            block[..from].copy_from_slice(counts);
         }
     }
-    flipped.extend_from_slice(&was[i..]);
-    flipped.extend_from_slice(&is[j..]);
-    if !flipped.is_empty() {
-        for sets in [old, new] {
-            for r in 0..sets.rows() {
-                if sets.set(r).iter().any(|t| flipped.binary_search(t).is_ok()) {
-                    flag(sets.row_file(r));
-                }
-            }
-        }
-    }
-    flags
-}
-
-/// What an incremental run may reuse: the previous run's baseline and
-/// the files whose sets may have changed since (see [`dirty_files`]).
-struct Reuse {
-    previous: PairCountCache,
-    dirty: Vec<bool>,
-}
-
-impl Reuse {
-    /// The previous counts of clean row `a`, whose set is `set`. Slots
-    /// align only when the set is unchanged, which a clean row's is (see
-    /// [`dirty_files`]; tests assert it); a row whose set moved anyway is
-    /// recounted rather than misaligned.
-    fn clean_row(&self, a: FileId, set: &[FileId]) -> Option<&[f64]> {
-        if self.dirty[a.index()] {
-            return None;
-        }
-        let r = self.previous.sets.row_index(a)?;
-        let unchanged = self.previous.sets.set(r) == set;
-        debug_assert!(unchanged, "clean row {a:?} moved");
-        unchanged.then(|| &self.previous.counts[self.previous.sets.slots(r)])
-    }
+    out
 }
 
 /// Shared-neighbor count of a pair, adjusted by weighted directory
@@ -361,105 +465,173 @@ fn adjusted(shared: u32, directory_distance: Option<u32>, config: &ClusterConfig
     count
 }
 
-/// Counts every candidate pair of rows `rows` into `out`, which holds
-/// exactly those rows' slots. Each row's set is stamped once, then every
-/// listed file's set is counted against it. With `reuse`, a clean row
-/// keeps its previous count for every clean listed file.
+/// The fewest shared neighbors with which a pair at `directory_distance`
+/// reaches `kn`, or `u32::MAX` when no set is large enough. Phase one
+/// asks only whether a pair reaches `kn`, so counting stops there: a
+/// pair's count is capped at this many shared neighbors, which every
+/// decision the phases make reads exactly as the whole count.
+fn combine_cap(directory_distance: Option<u32>, config: &ClusterConfig) -> u32 {
+    let reaches = |shared: u32| adjusted(shared, directory_distance, config) >= config.kn;
+    let weight = config.directory_weight * f64::from(directory_distance.unwrap_or(0));
+    let guess = (config.kn + weight).ceil();
+    if guess.is_nan() || guess > f64::from(u16::MAX) {
+        return u32::MAX;
+    }
+    // The guess may sit one off either way after rounding.
+    let mut shared = guess.max(0.0) as u32;
+    while shared > 0 && reaches(shared - 1) {
+        shared -= 1;
+    }
+    while !reaches(shared) {
+        if shared >= u32::from(u16::MAX) {
+            return u32::MAX;
+        }
+        shared += 1;
+    }
+    shared
+}
+
+/// Counts the candidate pairs of blocks `blocks` into `out`, which holds
+/// exactly those blocks' slots, and returns how many it counted. Each
+/// row's set is stamped once, then every listed file's set is counted
+/// against it. With `changed`, a row whose set is unchanged counts only
+/// its pairs with a changed listed file and keeps the others.
 fn count_rows(
     sets: &SharedNeighborCounter,
-    rows: Range<usize>,
+    blocks: Range<usize>,
     dirs: &DirTree,
     config: &ClusterConfig,
-    reuse: Option<&Reuse>,
+    changed: Option<&Changed>,
+    stamp: &mut Stamp,
     out: &mut [f64],
-) {
-    let mut stamp = Stamp::new(sets.id_bound());
-    let base = if rows.is_empty() {
-        0
-    } else {
-        sets.slots(rows.start).start
-    };
-    for r in rows {
-        let a = sets.row_file(r);
+) -> u64 {
+    stamp.ensure(sets.id_bound());
+    let cap = sets.cap();
+    let base = blocks.start * cap;
+    let mut caps = Caps::default();
+    let mut counted = 0;
+    for r in blocks {
+        let a = sets.block_file(r);
+        if a == FileId::NONE {
+            continue;
+        }
         let set = sets.set(r);
-        let slots = sets.slots(r);
-        let out = &mut out[slots.start - base..slots.end - base];
-        let previous = reuse.and_then(|re| re.clean_row(a, set));
+        let out = &mut out[r * cap - base..][..set.len()];
+        let whole = changed.is_none_or(|c| c.has(a));
         let mut stamped = false;
-        for (k, &b) in set.iter().enumerate() {
-            if b == a {
+        for (&b, count) in set.iter().zip(out.iter_mut()).skip(1) {
+            if !whole && !changed.is_some_and(|c| c.has(b)) {
                 continue;
-            }
-            if let (Some(re), Some(counts)) = (reuse, previous) {
-                if !re.dirty[b.index()] {
-                    out[k] = counts[k];
-                    continue;
-                }
             }
             if !stamped {
                 stamp.mark(set);
                 stamped = true;
             }
-            out[k] = adjusted(sets.count_stamped(&stamp, b), dirs.distance(a, b), config);
+            let distance = dirs.distance(a, b);
+            let cap = caps.get(distance, || combine_cap(distance, config));
+            *count = adjusted(sets.count_stamped(stamp, b, cap), distance, config);
+            counted += 1;
+        }
+    }
+    counted
+}
+
+/// [`combine_cap`] by directory distance, computed once per count.
+#[derive(Default)]
+struct Caps([Option<u32>; 32]);
+
+impl Caps {
+    fn get(&mut self, distance: Option<u32>, cap: impl FnOnce() -> u32) -> u32 {
+        match distance.and_then(|d| self.0.get_mut(d as usize)) {
+            Some(known) => *known.get_or_insert_with(cap),
+            None => cap(),
         }
     }
 }
 
-/// The full counting phase, partitioned by candidate row across at most
-/// `threads` scoped threads. Each shard counts a contiguous run of rows
+/// The full counting phase, partitioned by block across at most
+/// `threads` scoped threads. Each shard counts a contiguous run of blocks
 /// into its own run of the flat count array, so the result is
-/// independent of the schedule. Returns the counts, each shard's wall
-/// time, and when each shard started relative to the phase entry.
+/// independent of the schedule. Returns the counts, the pairs counted,
+/// each shard's wall time, and when each shard started relative to the
+/// phase entry.
 fn count_sharded(
     sets: &SharedNeighborCounter,
     dirs: &DirTree,
     config: &ClusterConfig,
     threads: usize,
-) -> (Vec<f64>, Vec<Duration>, Vec<Duration>) {
-    let rows = sets.rows();
-    let threads = threads.clamp(1, rows.max(1));
+) -> (Vec<f64>, u64, Vec<Duration>, Vec<Duration>) {
+    let blocks = sets.blocks();
+    let threads = threads.clamp(1, blocks.max(1));
     let base = Instant::now();
     let mut counts = vec![0.0; sets.slot_count()];
-    if threads == 1 {
+    let shard = |range: Range<usize>, part: &mut [f64]| {
         let started = Instant::now();
-        count_rows(sets, 0..rows, dirs, config, None, &mut counts);
-        return (
-            counts,
-            vec![started.elapsed()],
-            vec![started.duration_since(base)],
-        );
-    }
-    let chunk = rows.div_ceil(threads);
-    let mut parts: Vec<(Range<usize>, &mut [f64])> = Vec::with_capacity(threads);
-    let mut rest: &mut [f64] = &mut counts;
-    for start in (0..rows).step_by(chunk) {
-        let range = start..(start + chunk).min(rows);
-        let len = sets.slots(range.end - 1).end - sets.slots(range.start).start;
-        let (part, tail) = std::mem::take(&mut rest).split_at_mut(len);
-        parts.push((range, part));
-        rest = tail;
-    }
-    let shards: Vec<(Duration, Duration)> = std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|(range, part)| {
-                s.spawn(move || {
-                    let started = Instant::now();
-                    count_rows(sets, range, dirs, config, None, part);
-                    (started.elapsed(), started.duration_since(base))
+        let mut stamp = Stamp::new(sets.id_bound());
+        let n = count_rows(sets, range, dirs, config, None, &mut stamp, part);
+        (n, started.elapsed(), started.duration_since(base))
+    };
+    let shards: Vec<(u64, Duration, Duration)> = if threads == 1 {
+        vec![shard(0..blocks, &mut counts)]
+    } else {
+        let chunk = blocks.div_ceil(threads);
+        let parts = (0..blocks)
+            .step_by(chunk)
+            .zip(counts.chunks_mut(chunk * sets.cap()));
+        std::thread::scope(|s| {
+            let handles: Vec<_> = parts
+                .map(|(start, part)| {
+                    let range = start..(start + chunk).min(blocks);
+                    s.spawn(move || shard(range, part))
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("count shard panicked"))
-            .collect()
-    });
-    let (timings, offsets) = shards.into_iter().unzip();
-    (counts, timings, offsets)
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("count shard panicked"))
+                .collect()
+        })
+    };
+    let pairs = shards.iter().map(|s| s.0).sum();
+    let (timings, offsets) = shards.into_iter().map(|(_, t, o)| (t, o)).unzip();
+    (counts, pairs, timings, offsets)
 }
 
-/// Phases one and two over `counted`'s pair counts, with investigator
+/// The counted pairs of a cache, with investigator relations overlaid
+/// when there are any.
+struct Counted<'a> {
+    sets: &'a SharedNeighborCounter,
+    counts: &'a [f64],
+    overlay: Option<&'a HashMap<(FileId, FileId), f64>>,
+    dense: &'a [u32],
+}
+
+impl Pairs for Counted<'_> {
+    fn each(&self, mut f: impl FnMut(u32, u32, f64)) {
+        let dense = |x: FileId| self.dense[x.index()];
+        for r in 0..self.sets.blocks() {
+            let a = self.sets.block_file(r);
+            if a == FileId::NONE {
+                continue;
+            }
+            let da = dense(a);
+            let counts = &self.counts[self.sets.slots(r)];
+            let pairs = self.sets.set(r).iter().zip(counts).skip(1);
+            match self.overlay {
+                None => pairs.for_each(|(&b, &count)| f(da, dense(b), count)),
+                Some(overlay) => pairs.for_each(|(&b, &count)| {
+                    f(da, dense(b), overlay.get(&(a, b)).copied().unwrap_or(count));
+                }),
+            }
+        }
+        for (&(a, b), &count) in self.overlay.into_iter().flatten() {
+            if self.sets.pair_slot(a, b).is_none() {
+                f(dense(a), dense(b), count);
+            }
+        }
+    }
+}
+
+/// Phases one and two over the cache's pair counts, with investigator
 /// relations overlaid.
 ///
 /// Relations are tested regardless of whether a semantic distance was
@@ -468,30 +640,27 @@ fn count_sharded(
 /// chained relations on one pair compound through the overlay exactly as
 /// sequential inserts would.
 fn cluster_counted(
-    counted: &PairCountCache,
+    counted: &mut PairCountCache,
     dirs: &DirTree,
     relations: &[ExternalRelation],
     config: &ClusterConfig,
 ) -> Clustering {
     let sets = &counted.sets;
+    let s = &mut counted.buffers;
     let mut overlay: HashMap<(FileId, FileId), f64> = HashMap::new();
-    if !relations.is_empty() {
-        let mut stamp = Stamp::new(sets.id_bound());
-        for rel in relations {
-            for (a, b) in rel.pairs() {
-                let base = overlay
-                    .get(&(a, b))
-                    .copied()
-                    .or_else(|| counted.get(a, b))
-                    .unwrap_or_else(|| {
-                        stamp.mark(sets.neighbors(a).unwrap_or(&[]));
-                        adjusted(sets.count_stamped(&stamp, b), dirs.distance(a, b), config)
-                    });
-                let adjusted = base + rel.strength;
-                // A sufficiently strong relation forces combination outright.
-                let forced = rel.strength >= config.force_strength;
-                overlay.insert((a, b), if forced { f64::INFINITY } else { adjusted });
-            }
+    for rel in relations {
+        for (a, b) in rel.pairs() {
+            // The whole count: a kept one may be capped at `kn`.
+            let base = overlay.get(&(a, b)).copied().unwrap_or_else(|| {
+                s.stamp.ensure(sets.id_bound());
+                s.stamp.mark(sets.neighbors(a).unwrap_or(&[]));
+                let shared = sets.count_stamped(&s.stamp, b, u32::MAX);
+                adjusted(shared, dirs.distance(a, b), config)
+            });
+            let adjusted = base + rel.strength;
+            // A sufficiently strong relation forces combination outright.
+            let forced = rel.strength >= config.force_strength;
+            overlay.insert((a, b), if forced { f64::INFINITY } else { adjusted });
         }
     }
     // The universe: every row, every listed file, and every file of a
@@ -500,42 +669,31 @@ fn cluster_counted(
         .keys()
         .map(|(a, b)| a.index().max(b.index()) + 1)
         .fold(sets.id_bound(), usize::max);
-    let mut present = vec![false; bound];
-    for r in 0..sets.rows() {
-        present[sets.row_file(r).index()] = true;
-        for &b in sets.set(r) {
-            present[b.index()] = true;
+    s.dense.clear();
+    s.dense.resize(bound, ABSENT);
+    for (_, set) in sets.rows() {
+        for &b in set {
+            s.dense[b.index()] = PRESENT;
         }
     }
     for &(a, b) in overlay.keys() {
-        present[a.index()] = true;
-        present[b.index()] = true;
+        s.dense[a.index()] = PRESENT;
+        s.dense[b.index()] = PRESENT;
     }
-    let mut dense = vec![u32::MAX; bound];
-    let mut files = Vec::new();
-    for (i, _) in present.iter().enumerate().filter(|&(_, &p)| p) {
-        dense[i] = files.len() as u32;
-        files.push(FileId(i as u32));
-    }
-    let mut pairs: Vec<(u32, u32, f64)> = Vec::new();
-    for r in 0..sets.rows() {
-        let a = sets.row_file(r);
-        for (&b, &count) in sets.set(r).iter().zip(&counted.counts[sets.slots(r)]) {
-            if b == a {
-                continue;
-            }
-            let count = overlay.get(&(a, b)).copied().unwrap_or(count);
-            if acts(count, config) {
-                pairs.push((dense[a.index()], dense[b.index()], count));
-            }
+    s.files.clear();
+    for (i, d) in s.dense.iter_mut().enumerate() {
+        if *d == PRESENT {
+            *d = s.files.len() as u32;
+            s.files.push(FileId(i as u32));
         }
     }
-    for (&(a, b), &count) in &overlay {
-        if sets.pair_slot(a, b).is_none() && acts(count, config) {
-            pairs.push((dense[a.index()], dense[b.index()], count));
-        }
-    }
-    combine_and_overlap(&files, &pairs, config)
+    let pairs = Counted {
+        sets,
+        counts: &counted.counts,
+        overlay: (!overlay.is_empty()).then_some(&overlay),
+        dense: &s.dense,
+    };
+    combine_and_overlap(&s.files, &pairs, config, &mut s.phases)
 }
 
 #[cfg(test)]
@@ -726,7 +884,7 @@ mod tests {
         let run = |threads| {
             let sets = Arc::clone(&sets);
             cluster_sets(
-                sets,
+                SetSource::Built(sets),
                 paths.directories(),
                 rels,
                 &config,
@@ -799,6 +957,7 @@ mod tests {
                    dirty: Option<&TableDirty>,
                    cache: &mut Option<PairCountCache>| {
             let sets = Arc::new(SharedNeighborCounter::from_table_excluding(t, exclude));
+            let sets = SetSource::Built(sets);
             cluster_sets(sets, paths.directories(), rels, &config, 1, dirty, cache)
         };
         // Establish a baseline (first call has no cache: full recount).

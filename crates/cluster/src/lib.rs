@@ -31,7 +31,7 @@ pub mod unionfind;
 
 pub use algorithm::{
     cluster_files, cluster_files_excluding, cluster_from_counts, cluster_sets, ClusterRun,
-    PairCountCache,
+    PairCountCache, SetSource,
 };
 pub use config::ClusterConfig;
 pub use relation::ExternalRelation;

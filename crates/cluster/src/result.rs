@@ -3,7 +3,6 @@
 use seer_trace::FileId;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 
 /// Identifier of a cluster within one [`Clustering`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -52,7 +51,11 @@ pub struct Clustering {
     /// ([`Clustering::from_members`]); [`Clustering::churn_from`] relies
     /// on the order.
     pub clusters: Vec<Cluster>,
-    membership: HashMap<FileId, Vec<ClusterId>>,
+    /// The clusters holding file `f` are
+    /// `member_of[member_start[f]..member_start[f + 1]]`, ascending; files
+    /// at or past `member_start.len() - 1` are in none.
+    member_start: Vec<u32>,
+    member_of: Vec<ClusterId>,
 }
 
 impl Clustering {
@@ -64,29 +67,68 @@ impl Clustering {
             m.dedup();
         }
         members.retain(|m| !m.is_empty());
-        members.sort();
+        Clustering::from_sorted_members(members)
+    }
+
+    /// [`Clustering::from_members`] for member lists that are already
+    /// sorted, free of duplicates, and non-empty: the lists are sorted
+    /// and deduplicated as wholes, and the reverse index is laid out flat
+    /// by file id, with no map and no allocation per file.
+    pub(crate) fn from_sorted_members(mut members: Vec<Vec<FileId>>) -> Clustering {
+        debug_assert!(members
+            .iter()
+            .all(|m| !m.is_empty() && m.windows(2).all(|w| w[0] < w[1])));
+        members.sort_unstable();
         members.dedup();
-        let mut membership: HashMap<FileId, Vec<ClusterId>> = HashMap::new();
-        let clusters: Vec<Cluster> = members
-            .into_iter()
-            .enumerate()
-            .map(|(i, files)| {
-                for &f in &files {
-                    membership.entry(f).or_default().push(ClusterId(i as u32));
-                }
-                Cluster { files }
-            })
-            .collect();
-        Clustering {
-            clusters,
-            membership,
+        let bound = members
+            .iter()
+            .filter_map(|m| m.last())
+            .map(|f| f.index() + 1)
+            .max();
+        let mut member_start = vec![0u32; bound.map_or(0, |b| b + 1)];
+        for &f in members.iter().flatten() {
+            member_start[f.index() + 1] += 1;
         }
+        for i in 1..member_start.len() {
+            member_start[i] += member_start[i - 1];
+        }
+        let mut member_of = vec![ClusterId(0); member_start.last().map_or(0, |&n| n as usize)];
+        for (i, m) in members.iter().enumerate() {
+            for &f in m {
+                let next = &mut member_start[f.index()];
+                member_of[*next as usize] = ClusterId(i as u32);
+                *next += 1;
+            }
+        }
+        // Filling advanced each file's start to the next file's; shift
+        // them back.
+        if let Some(files) = member_start.len().checked_sub(1) {
+            member_start.copy_within(0..files, 1);
+            member_start[0] = 0;
+        }
+        Clustering {
+            clusters: members.into_iter().map(|files| Cluster { files }).collect(),
+            member_start,
+            member_of,
+        }
+    }
+
+    /// Every file held by a cluster, ascending, with the clusters holding
+    /// it.
+    fn memberships(&self) -> impl Iterator<Item = (FileId, &[ClusterId])> + '_ {
+        (0..self.member_start.len().saturating_sub(1))
+            .map(|i| (FileId(i as u32), self.clusters_of(FileId(i as u32))))
+            .filter(|(_, ids)| !ids.is_empty())
     }
 
     /// The clusters containing `file` (empty if unknown).
     #[must_use]
     pub fn clusters_of(&self, file: FileId) -> &[ClusterId] {
-        self.membership.get(&file).map_or(&[], Vec::as_slice)
+        let i = file.index();
+        match (self.member_start.get(i), self.member_start.get(i + 1)) {
+            (Some(&start), Some(&end)) => &self.member_of[start as usize..end as usize],
+            _ => &[],
+        }
     }
 
     /// The cluster with the given id.
@@ -125,9 +167,7 @@ impl Clustering {
     /// All distinct files appearing in any cluster.
     #[must_use]
     pub fn all_files(&self) -> Vec<FileId> {
-        let mut v: Vec<FileId> = self.membership.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.memberships().map(|(f, _)| f).collect()
     }
 
     /// Number of files whose cluster membership differs between `previous`
@@ -143,8 +183,7 @@ impl Clustering {
     /// A file's old cluster ids map one to one onto its new ones exactly
     /// when every cluster holding it, on either side, is paired, so the
     /// churn is the number of files held by an unpaired cluster. That
-    /// takes O(clusters + memberships), with a map lookup only for the
-    /// files of unpaired new clusters.
+    /// takes O(clusters + memberships + files), with no map.
     #[must_use]
     pub fn churn_from(&self, previous: &Clustering) -> usize {
         let (old, new) = (&previous.clusters, &self.clusters);
@@ -169,11 +208,11 @@ impl Clustering {
         // Files that left a cluster with no successor, departed files
         // included, then the rest of those that joined one with no
         // predecessor, new files included.
-        let left = (previous.membership.values())
-            .filter(|ids| unpaired(&old_paired, ids))
+        let left = (previous.memberships())
+            .filter(|(_, ids)| unpaired(&old_paired, ids))
             .count();
-        let joined = (self.membership.iter())
-            .filter(|&(&f, ids)| {
+        let joined = (self.memberships())
+            .filter(|&(f, ids)| {
                 unpaired(&new_paired, ids) && !unpaired(&old_paired, previous.clusters_of(f))
             })
             .count();

@@ -12,12 +12,12 @@ pub(crate) struct DenseUnionFind {
 }
 
 impl DenseUnionFind {
-    /// `len` singletons.
-    pub(crate) fn new(len: usize) -> DenseUnionFind {
-        DenseUnionFind {
-            parent: (0..len as u32).collect(),
-            size: vec![1; len],
-        }
+    /// Makes the forest `len` singletons again, keeping its allocation.
+    pub(crate) fn reset(&mut self, len: usize) {
+        self.parent.clear();
+        self.parent.extend(0..len as u32);
+        self.size.clear();
+        self.size.resize(len, 1);
     }
 
     /// Adds a singleton and returns its index.
@@ -46,10 +46,14 @@ impl DenseUnionFind {
 
     /// Merges the sets containing `a` and `b`.
     pub(crate) fn union(&mut self, a: u32, b: u32) {
-        let ra = self.find(a);
-        let rb = self.find(b);
+        let (ra, rb) = (self.find(a), self.find(b));
+        self.link(ra, rb);
+    }
+
+    /// Merges the sets of roots `ra` and `rb`; returns the merged root.
+    pub(crate) fn link(&mut self, ra: u32, rb: u32) -> u32 {
         if ra == rb {
-            return;
+            return ra;
         }
         let (big, small) = if self.size[ra as usize] >= self.size[rb as usize] {
             (ra, rb)
@@ -58,6 +62,7 @@ impl DenseUnionFind {
         };
         self.parent[small as usize] = big;
         self.size[big as usize] += self.size[small as usize];
+        big
     }
 }
 

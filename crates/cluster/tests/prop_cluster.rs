@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use seer_cluster::{
-    cluster_from_counts, cluster_sets, ClusterConfig, Clustering, PairCountCache,
+    cluster_from_counts, cluster_sets, ClusterConfig, Clustering, PairCountCache, SetSource,
     SharedNeighborCounter, UnionFind,
 };
 use seer_distance::{NeighborTable, ReductionKind};
@@ -33,6 +33,8 @@ enum Step {
     Delete(u32),
     /// Flip whether a file is excluded from clustering.
     Flip(u32),
+    /// Restore the table from its own snapshot: a structural change.
+    Restore,
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -44,13 +46,15 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         observe(),
         (0..FILES).prop_map(Step::Delete),
         (0..FILES).prop_map(Step::Flip),
+        Just(Step::Restore),
     ]
 }
 
 /// The neighbor set of every file, built naively from the table's
 /// snapshot rows: the file itself plus its stored targets, less purged
 /// and excluded files, sorted; `None` for a file with no row or one
-/// that is excluded.
+/// that is excluded. The kept sets are unsorted, so they are compared
+/// sorted.
 fn reference_sets(table: &NeighborTable, exclude: &HashSet<FileId>) -> Vec<Option<Vec<FileId>>> {
     let snap = table.snapshot();
     let mut sets = vec![None; FILES as usize];
@@ -161,10 +165,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Through observations, deletions past the delay (so files purge),
-    /// and exclusion flips, the one-pass sets equal the naive reference
-    /// at every step, and the incremental recluster — cache carried from
-    /// step to step — equals a full recount of the same sets, pair count
-    /// for pair count.
+    /// exclusion flips both ways, and a table restored from its own
+    /// snapshot, the kept sets of a tenant's cache — rewritten in place
+    /// from the table's dirty rows, as `SeerEngine::recluster_incremental`
+    /// does — equal a fresh build and the naive reference at every step,
+    /// and so do the sets a detached input's cache keeps. Each cache's
+    /// pair counts and clustering equal a full recount of the same sets,
+    /// pair count for pair count, and each run is incremental unless the
+    /// table was just restored.
     #[test]
     fn incremental_sets_track_the_table(steps in prop::collection::vec(step_strategy(), 1..40)) {
         let mut table = NeighborTable::new(4, ReductionKind::Geometric, 16, 2, 7);
@@ -177,8 +185,9 @@ proptest! {
             ..ClusterConfig::default()
         };
         let mut exclude: HashSet<FileId> = HashSet::new();
-        let mut cache: Option<PairCountCache> = None;
+        let (mut tenant, mut detached): (Option<PairCountCache>, Option<PairCountCache>) = (None, None);
         for (i, step) in steps.into_iter().enumerate() {
+            let mut restored = false;
             match step {
                 Step::Observe(observations) => {
                     for (from, to, d) in observations {
@@ -194,25 +203,35 @@ proptest! {
                         exclude.insert(FileId(f));
                     }
                 }
+                Step::Restore => {
+                    table = NeighborTable::from_snapshot(table.snapshot(), 7);
+                    restored = true;
+                }
             }
             let dirty = table.take_dirty();
-            let sets = Arc::new(SharedNeighborCounter::from_table_excluding(&table, &exclude));
-            for (f, want) in reference_sets(&table, &exclude).iter().enumerate() {
-                prop_assert_eq!(
-                    sets.neighbors(FileId(f as u32)),
-                    want.as_deref(),
-                    "step {}: set of file {}",
-                    i,
-                    f
-                );
-            }
             let dirs = paths.directories();
-            let inc = cluster_sets(Arc::clone(&sets), dirs, &[], &config, 1, Some(&dirty), &mut cache);
+            let kept = SetSource::Table { table: &table, exclude: &exclude };
+            let inc = cluster_sets(kept, dirs, &[], &config, 1, Some(&dirty), &mut tenant);
+            let sets = Arc::new(SharedNeighborCounter::from_table_excluding(&table, &exclude));
+            let built = SetSource::Built(Arc::clone(&sets));
+            let input = cluster_sets(built, dirs, &[], &config, 1, Some(&dirty), &mut detached);
             let mut full_cache = None;
-            let full = cluster_sets(sets, dirs, &[], &config, 1, None, &mut full_cache);
-            prop_assert_eq!(inc.incremental, i > 0, "step {}", i);
-            prop_assert_eq!(&cache, &full_cache, "step {}: pair counts diverged", i);
-            prop_assert_eq!(inc.clustering.clusters, full.clustering.clusters, "step {}", i);
+            let full = cluster_sets(SetSource::Built(Arc::clone(&sets)), dirs, &[], &config, 1, None, &mut full_cache);
+            for (f, want) in reference_sets(&table, &exclude).iter().enumerate() {
+                let got = sets.neighbors(FileId(f as u32)).map(|set| {
+                    let mut set = set.to_vec();
+                    set.sort_unstable();
+                    set
+                });
+                prop_assert_eq!(got.as_ref(), want.as_ref(), "step {}: set of file {}", i, f);
+            }
+            for (name, run, cache) in [("tenant", &inc, &tenant), ("detached", &input, &detached)] {
+                let cache = cache.as_ref().expect("a run leaves a cache");
+                prop_assert_eq!(cache.sets(), &*sets, "step {}: {} sets", i, name);
+                prop_assert_eq!(run.incremental, i > 0 && !restored, "step {}: {}", i, name);
+                prop_assert_eq!(Some(cache), full_cache.as_ref(), "step {}: {} pair counts", i, name);
+                prop_assert_eq!(&run.clustering.clusters, &full.clustering.clusters, "step {}: {}", i, name);
+            }
         }
     }
 }

@@ -3,6 +3,7 @@
 
 use seer_observer::{RefKind, Reference, ReferenceSink};
 use seer_trace::{FileId, PathTable, Seq, Timestamp};
+use std::cmp::Reverse;
 
 /// Most recent reference per file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,18 +126,19 @@ impl ActivityTracker {
         }
     }
 
-    /// Files sorted by most-recent reference first (the LRU order).
+    /// Files sorted by most-recent reference first (the LRU order), ties
+    /// by id. The key is unique, so an unstable sort gives this order.
     #[must_use]
     pub fn lru_order(&self) -> Vec<FileId> {
-        let mut v: Vec<(FileId, LastRef)> = self
+        let mut v: Vec<(Reverse<Seq>, FileId)> = self
             .last
             .iter()
             .enumerate()
             .filter(|(_, e)| e.count > 0)
-            .map(|(i, &r)| (FileId(i as u32), r))
+            .map(|(i, r)| (Reverse(r.seq), FileId(i as u32)))
             .collect();
-        v.sort_by(|a, b| b.1.seq.cmp(&a.1.seq).then(a.0.cmp(&b.0)));
-        v.into_iter().map(|(f, _)| f).collect()
+        v.sort_unstable();
+        v.into_iter().map(|(_, f)| f).collect()
     }
 }
 

@@ -1,9 +1,10 @@
 //! The assembled SEER engine.
 //!
-//! A recluster builds flat neighbor sets from the distance table in one
-//! pass and clusters them: in place ([`SeerEngine::recluster`]), or
-//! through a [`ReclusterInput`] for a caller that carries a pair-count
-//! cache between runs. A quality evaluation borrows the engine
+//! A recluster clusters the distance table's neighbor sets: built in full
+//! ([`SeerEngine::recluster`], or a detached [`ReclusterInput`]), or kept
+//! in a caller's pair-count cache and rewritten only where the table
+//! changed ([`SeerEngine::recluster_incremental`], what a daemon tenant
+//! runs on every read). A quality evaluation borrows the engine
 //! ([`SeerEngine::eval_input`]) and copies nothing.
 
 use crate::config::SeerConfig;
@@ -11,7 +12,8 @@ use crate::correlator::Correlator;
 use crate::manager::{select_hoard, HoardSelection};
 use crate::rankers::{HoardRanker, RankContext, SeerRanker};
 use seer_cluster::{
-    cluster_sets, ClusterRun, Clustering, ExternalRelation, PairCountCache, SharedNeighborCounter,
+    cluster_sets, ClusterRun, Clustering, ExternalRelation, PairCountCache, SetSource,
+    SharedNeighborCounter,
 };
 use seer_distance::TableDirty;
 use seer_observer::Observer;
@@ -229,44 +231,60 @@ impl SeerEngine {
     /// replacing any previous project assignment.
     pub fn recluster(&mut self) -> &Clustering {
         let started = std::time::Instant::now();
-        let run = cluster_sets(
-            self.neighbor_sets(),
+        let run = self.recluster_incremental(&TableDirty::default(), &mut None);
+        self.install_clustering(run.clustering, started.elapsed(), &run.shard_count_seconds)
+    }
+
+    /// Reclusters off `cache`, the pair-count cache a caller keeps between
+    /// runs, as a daemon tenant does on every read: the cache's neighbor
+    /// sets are rewritten in place for the rows `dirty` names (drained
+    /// with [`SeerEngine::take_dirty`] since the cache's previous run) and
+    /// for the rows holding a file whose always-hoard exclusion flipped,
+    /// and only the pairs with a changed endpoint are recounted. Without a
+    /// cache, or after a structural change, the sets are built and counted
+    /// in full. The engine is borrowed: nothing is copied. Bit-identical
+    /// to [`SeerEngine::recluster`]; install the result with
+    /// [`SeerEngine::install_clustering`].
+    #[must_use]
+    pub fn recluster_incremental(
+        &self,
+        dirty: &TableDirty,
+        cache: &mut Option<PairCountCache>,
+    ) -> ClusterRun {
+        let sets = SetSource::Table {
+            table: self.correlator().distance().table(),
+            exclude: self.observer.always_hoard(),
+        };
+        cluster_sets(
+            sets,
             self.observer.paths().directories(),
             &self.relations,
             &self.cluster_config,
             1,
-            None,
-            &mut None,
-        );
-        self.install_clustering(run.clustering, started.elapsed(), &run.shard_count_seconds)
-    }
-
-    /// The flat neighbor sets a recluster counts over, built from the
-    /// distance table in one pass with the always-hoard set left out
-    /// (§4.2).
-    fn neighbor_sets(&self) -> Arc<SharedNeighborCounter> {
-        Arc::new(SharedNeighborCounter::from_table_excluding(
-            self.correlator().distance().table(),
-            self.observer.always_hoard(),
-        ))
+            Some(dirty),
+            cache,
+        )
     }
 
     /// Captures what a clustering equivalent to [`SeerEngine::recluster`]
-    /// reads, detached from the engine: the flat neighbor sets (with the
-    /// sorted list of files they leave out), the path table's directory
-    /// tree, investigator relations, and the configuration.
+    /// reads, detached from the engine: the neighbor sets built in full
+    /// (with the sorted list of files they leave out), the path table's
+    /// directory tree, investigator relations, and the configuration.
     ///
-    /// Building the sets is the only O(files × n) step, and it is the
-    /// step every recluster takes; the directory tree (one node per file,
-    /// a parent and depth per directory) and the relations are copied,
-    /// path strings and distances are not. The engine can keep applying
-    /// events while [`ReclusterInput::compute`] runs, and the finished
-    /// [`Clustering`] is folded back in with
+    /// Building the sets is an O(files × n) step that a tenant's kept
+    /// cache ([`SeerEngine::recluster_incremental`]) avoids; the directory
+    /// tree (one node per file, a parent and depth per directory) and the
+    /// relations are copied, path strings and distances are not. The
+    /// engine can keep applying events while [`ReclusterInput::compute`]
+    /// runs, and the finished [`Clustering`] is folded back in with
     /// [`SeerEngine::install_clustering`].
     #[must_use]
     pub fn recluster_input(&self) -> ReclusterInput {
         ReclusterInput {
-            sets: self.neighbor_sets(),
+            sets: Arc::new(SharedNeighborCounter::from_table_excluding(
+                self.correlator().distance().table(),
+                self.observer.always_hoard(),
+            )),
             dirs: self.observer.paths().directories().clone(),
             relations: self.relations.clone(),
             config: self.cluster_config,
@@ -281,8 +299,8 @@ impl SeerEngine {
         EvalInput { engine: self }
     }
 
-    /// Installs a clustering computed from a [`ReclusterInput`] (the
-    /// daemon's incremental runs, on the thread that applies batches),
+    /// Installs a clustering computed off the engine's state (a tenant's
+    /// [`SeerEngine::recluster_incremental`], or a [`ReclusterInput`]),
     /// updating recluster telemetry exactly as [`SeerEngine::recluster`]
     /// would:
     /// `wall` is the computation's wall time and `shard_seconds` the
@@ -371,9 +389,10 @@ impl SeerEngine {
 
     /// Takes the neighbor-table rows whose membership changed since the
     /// previous call — the delta incremental recluster maintenance
-    /// consumes (see [`ReclusterInput::compute_incremental`]). Drain it
-    /// at the same moment as [`SeerEngine::recluster_input`] so the
-    /// delta describes exactly what changed between consecutive inputs.
+    /// consumes (see [`SeerEngine::recluster_incremental`] and
+    /// [`ReclusterInput::compute_incremental`]). Drain it right before
+    /// the recluster that consumes it, so the delta describes exactly
+    /// what changed between consecutive runs.
     pub fn take_dirty(&mut self) -> TableDirty {
         self.observer.sink_mut().take_dirty()
     }
@@ -446,7 +465,7 @@ impl ReclusterInput {
         cache: &mut Option<PairCountCache>,
     ) -> ClusterRun {
         cluster_sets(
-            Arc::clone(&self.sets),
+            SetSource::Built(Arc::clone(&self.sets)),
             &self.dirs,
             &self.relations,
             &self.config,

@@ -44,6 +44,27 @@ impl HoardSelection {
     }
 }
 
+/// A set of files as dense flags indexed by [`FileId`]: no hashing, and
+/// one allocation that grows to the largest id inserted.
+#[derive(Debug, Default)]
+pub(crate) struct FileFlags(Vec<bool>);
+
+impl FileFlags {
+    /// Whether `f` is in the set.
+    pub(crate) fn contains(&self, f: FileId) -> bool {
+        self.0.get(f.index()).copied().unwrap_or(false)
+    }
+
+    /// Adds `f`; whether it was absent.
+    pub(crate) fn insert(&mut self, f: FileId) -> bool {
+        let i = f.index();
+        if i >= self.0.len() {
+            self.0.resize(i + 1, false);
+        }
+        !std::mem::replace(&mut self.0[i], true)
+    }
+}
+
 /// Selects hoard contents: the always-hoard set unconditionally, then
 /// complete projects in priority order while they fit within `budget`
 /// bytes.
@@ -56,7 +77,7 @@ pub fn select_hoard(
     budget: u64,
 ) -> HoardSelection {
     let mut sel = HoardSelection::default();
-    let mut chosen: HashSet<FileId> = HashSet::new();
+    let mut chosen = FileFlags::default();
     // Critical, frequently-referenced, and non-file objects are always
     // included, regardless of reference history (§4.2, §4.3, §4.6).
     let mut always: Vec<FileId> = always_hoard.iter().copied().collect();
@@ -68,22 +89,20 @@ pub fn select_hoard(
         }
     }
     for cid in clusters_by_priority(clustering, activity) {
-        let cluster = clustering.cluster(cid);
-        let new_members: Vec<FileId> = cluster
-            .files
-            .iter()
-            .copied()
-            .filter(|f| !chosen.contains(f))
-            .collect();
-        let extra: u64 = new_members.iter().map(|&f| sizes(f)).sum();
+        let files = &clustering.cluster(cid).files;
+        let extra: u64 = (files.iter())
+            .filter(|&&f| !chosen.contains(f))
+            .map(|&f| sizes(f))
+            .sum();
         if sel.bytes + extra > budget {
             sel.clusters_skipped += 1;
             continue;
         }
         // Whole project or nothing.
-        for f in new_members {
-            chosen.insert(f);
-            sel.files.push(f);
+        for &f in files {
+            if chosen.insert(f) {
+                sel.files.push(f);
+            }
         }
         sel.bytes += extra;
         sel.clusters_taken += 1;
@@ -91,7 +110,7 @@ pub fn select_hoard(
     // Top up leftover space with known-but-unclustered files in recency
     // order; the whole-project rule governs projects, not stragglers.
     for f in activity.lru_order() {
-        if chosen.contains(&f) {
+        if chosen.contains(f) {
             continue;
         }
         let s = sizes(f);

@@ -6,8 +6,10 @@
 //! of the ranking prefix ending at the worst-ranked referenced file.
 
 use crate::activity::ActivityTracker;
+use crate::manager::FileFlags;
 use seer_cluster::{ClusterId, Clustering};
 use seer_trace::{FileId, Seq};
+use std::cmp::Reverse;
 use std::collections::HashSet;
 
 /// Everything a ranker may consult.
@@ -59,7 +61,7 @@ pub fn clusters_by_priority(clustering: &Clustering, activity: &ActivityTracker)
             (ClusterId(i as u32), max_seq, total_refs)
         })
         .collect();
-    prio.sort_by(|a, b| b.1.cmp(&a.1).then(b.2.cmp(&a.2)).then(a.0.cmp(&b.0)));
+    prio.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(b.2.cmp(&a.2)).then(a.0.cmp(&b.0)));
     prio.into_iter().map(|(id, _, _)| id).collect()
 }
 
@@ -76,8 +78,8 @@ impl HoardRanker for SeerRanker {
 
     fn rank(&self, ctx: &RankContext<'_>) -> Vec<FileId> {
         let mut out = Vec::new();
-        let mut seen: HashSet<FileId> = HashSet::new();
-        let push = |f: FileId, out: &mut Vec<FileId>, seen: &mut HashSet<FileId>| {
+        let mut seen = FileFlags::default();
+        let mut push = |f: FileId| {
             if seen.insert(f) {
                 out.push(f);
             }
@@ -85,26 +87,21 @@ impl HoardRanker for SeerRanker {
         // Always-hoard files lead unconditionally (§4.2, §4.3, §4.6).
         let mut always: Vec<FileId> = ctx.always_hoard.iter().copied().collect();
         always.sort_unstable();
-        for f in always {
-            push(f, &mut out, &mut seen);
-        }
+        always.into_iter().for_each(&mut push);
         if let Some(clustering) = ctx.clustering {
+            let seq = |f: FileId| ctx.activity.last_ref(f).map_or(Seq::ZERO, |r| r.seq);
+            let mut members: Vec<(Reverse<Seq>, FileId)> = Vec::new();
             for cid in clusters_by_priority(clustering, ctx.activity) {
-                let cluster = clustering.cluster(cid);
-                let mut members: Vec<FileId> = cluster.files.clone();
-                members.sort_by(|&a, &b| {
-                    let ra = ctx.activity.last_ref(a).map(|r| r.seq).unwrap_or(Seq::ZERO);
-                    let rb = ctx.activity.last_ref(b).map(|r| r.seq).unwrap_or(Seq::ZERO);
-                    rb.cmp(&ra).then(a.cmp(&b))
-                });
-                for f in members {
-                    push(f, &mut out, &mut seen);
-                }
+                let files = &clustering.cluster(cid).files;
+                members.clear();
+                members.extend(files.iter().map(|&f| (Reverse(seq(f)), f)));
+                // Members most recent first, ties by id: the key is
+                // unique, so an unstable sort gives this order.
+                members.sort_unstable();
+                members.iter().for_each(|&(_, f)| push(f));
             }
         }
-        for f in ctx.activity.lru_order() {
-            push(f, &mut out, &mut seen);
-        }
+        ctx.activity.lru_order().into_iter().for_each(push);
         out
     }
 }

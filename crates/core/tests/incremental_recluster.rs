@@ -1,12 +1,12 @@
 //! Incremental shared-neighbor maintenance must be bit-identical to a
 //! full recount on realistic traces.
 //!
-//! This drives the exact protocol the daemon's recluster worker uses:
-//! after each batch the dirty delta is drained at the same moment the
-//! recluster input is frozen, and the worker-side pair-count cache is
-//! carried from one job to the next. Every step is checked against a
-//! full recount of the same view, across all nine calibrated machine
-//! workloads (§6.2's machines A–I).
+//! This drives the exact entry point a daemon tenant's recluster uses
+//! (`SeerEngine::recluster_incremental`): after each batch the dirty
+//! delta is drained, and the pair-count cache, with the neighbor sets it
+//! keeps, is carried from one run to the next. Every step is checked
+//! against a full recount of the same view, across all nine calibrated
+//! machine workloads (§6.2's machines A–I).
 
 use seer_core::{PairCountCache, SeerEngine};
 use seer_trace::EventSink;
@@ -31,7 +31,7 @@ fn incremental_recluster_matches_full_on_machine_traces() {
             engine.on_batch(chunk, &trace.strings);
             let dirty = engine.take_dirty();
             let input = engine.recluster_input();
-            let inc = input.compute_incremental(1, Some(&dirty), &mut cache);
+            let inc = engine.recluster_incremental(&dirty, &mut cache);
             let full = input.compute(1);
             assert_eq!(
                 inc.clustering.clusters, full.clustering.clusters,

@@ -143,9 +143,10 @@ pub(crate) struct TenantState {
     /// `events_applied` when the installed clustering was computed. It
     /// lags the live counter between reads, never inside one.
     clustering_generation: u64,
-    /// Pre-relation pair counts as of the previous recluster's view,
-    /// which the next run updates from the engine's dirty delta instead
-    /// of recounting. `None` before the first run.
+    /// The neighbor sets and pre-relation pair counts as of the previous
+    /// recluster, which the next run rewrites and recounts only where the
+    /// engine's dirty delta says they changed. `None` before the first
+    /// run.
     cache: Option<PairCountCache>,
     /// Incremental runs since the last full recount.
     since_full: u64,
@@ -429,22 +430,23 @@ impl TenantState {
     /// clustering ([`TenantState::prepare_clustering`] is the only
     /// caller). The run is incremental off the pair-count cache, draining
     /// the engine's dirty delta, so the delta spans everything applied
-    /// since the previous read; every `RECLUSTER_FULL_EVERY`-th run
-    /// recounts in full. It installs the clustering and records its
-    /// `recluster` span (with `shard_count` children) retroactively:
-    /// under `ctx` for a query, else under a fresh root trace (the
-    /// cadence evaluation and miss postmortems). The span and the
-    /// `recluster` stage cover building the neighbor sets as well as
-    /// clustering them, as [`SeerEngine::recluster`]'s timing does.
+    /// since the previous read: the cache keeps its neighbor sets between
+    /// reads and rewrites only the changed rows
+    /// ([`SeerEngine::recluster_incremental`], which borrows the engine).
+    /// Every `RECLUSTER_FULL_EVERY`-th run builds and recounts in full. It
+    /// installs the clustering and records its `recluster` span (with
+    /// `shard_count` children) retroactively: under `ctx` for a query,
+    /// else under a fresh root trace (the cadence evaluation and miss
+    /// postmortems). The span and the `recluster` stage cover rewriting
+    /// the neighbor sets as well as clustering them, as
+    /// [`SeerEngine::recluster`]'s timing covers building them.
     fn recluster(&mut self, ctx: Option<SpanContext>) {
         let started = Instant::now();
-        let input = self.engine.recluster_input();
         if self.since_full >= RECLUSTER_FULL_EVERY {
             self.cache = None;
         }
         let dirty = self.engine.take_dirty();
-        let built = started.elapsed();
-        let run = input.compute_incremental(1, Some(&dirty), &mut self.cache);
+        let run = self.engine.recluster_incremental(&dirty, &mut self.cache);
         let wall = started.elapsed();
         self.since_full = if run.incremental {
             self.since_full + 1
@@ -470,11 +472,13 @@ impl TenantState {
                 ("generation", generation.to_string()),
                 ("clusters", clusters.to_string()),
                 ("incremental", run.incremental.to_string()),
+                ("rows_rewritten", run.rows_rewritten.to_string()),
+                ("pairs_recounted", run.pairs_recounted.to_string()),
             ],
         );
         let shards = run.shard_count_seconds.iter().zip(&run.shard_start_offsets);
         for (i, (&shard_wall, &offset)) in shards.enumerate() {
-            if let Some(shard_start) = started.checked_add(built + offset) {
+            if let Some(shard_start) = started.checked_add(offset) {
                 tracer.record_complete(
                     "shard_count",
                     trace,

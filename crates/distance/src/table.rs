@@ -50,12 +50,13 @@
 //!
 //! # Reads for clustering
 //!
-//! A recluster reads the rows in place: [`NeighborTable::rows`] lends
-//! each row's slice of target ids and [`NeighborTable::is_dead`] says
-//! which targets were purged, so the clustering crate builds its flat
-//! neighbor sets in one pass with nothing copied first.
+//! A recluster reads the rows in place, and only the rows it needs.
 //! [`NeighborTable::take_dirty`] names the rows whose membership changed
-//! since the previous read.
+//! since the previous read; [`NeighborTable::row`] lends one row's slice
+//! of target ids, and [`NeighborTable::is_dead`] says which targets were
+//! purged. A daemon tenant's recluster rewrites its kept neighbor sets
+//! from exactly those rows. A full build walks every row through
+//! [`NeighborTable::rows`]. Nothing is copied first either way.
 
 use crate::config::ReductionKind;
 use crate::reduction::PairSummary;
@@ -868,6 +869,20 @@ impl NeighborTable {
     #[must_use]
     pub fn total_entries(&self) -> usize {
         self.entries
+    }
+
+    /// The targets of `file`'s row, in slot order, lent from the slot
+    /// array (empty when the file has no row). Like
+    /// [`NeighborTable::rows`], they may include purged files.
+    #[must_use]
+    pub fn row(&self, file: FileId) -> &[FileId] {
+        match self.rows.get(file.index()) {
+            Some(h) if h.len > 0 => {
+                let base = file.index() * self.n;
+                &self.slot_to[base..base + h.len as usize]
+            }
+            _ => &[],
+        }
     }
 
     /// Every stored row in id order, as `(file, targets)`, lent from the
